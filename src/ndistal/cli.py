@@ -531,15 +531,12 @@ def build_parser():
                         help="seed for randomized probes")
     parser.add_argument("--out", default=None,
                         help="output directory for reports")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint (analyses run sequentially)")
 
     # the global flags are also accepted after the subcommand; SUPPRESS
     # keeps a value given before the subcommand from being overwritten
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     shared.add_argument("--out", default=argparse.SUPPRESS)
-    shared.add_argument("--threads", type=int, default=argparse.SUPPRESS)
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -247,9 +247,12 @@ def metric_entropy_estimate(sys, P: Partition, mu: EmpiricalMeasure,
 def word_count_entropy(sys, n: int, cloud: Optional[PointCloud] = None
                        ) -> EntropyEstimate:
     """log(#distinct length-n subwords over the sampled points)/n."""
-    if n > 20:
-        raise ParameterError("n must be <= 20")
+    if not 1 <= n <= 20:
+        raise ParameterError("n must be in 1..20")
     if cloud is None:
+        if not hasattr(sys, "periodic_cloud"):
+            raise ParameterError(f"{sys.id}: word counts need a symbolic "
+                                 "system")
         cloud = sys.periodic_cloud(min(n, 13))
     words = set()
     for p in cloud.points:
@@ -295,11 +298,8 @@ def geometric_partition(sys, cloud: PointCloud, mu: EmpiricalMeasure,
     m = len(cloud)
     zi = 0 if z is None else cloud.index_of(z)
     z = cloud[zi]
-    try:
-        d = sys.arr_cdist(sys.arr_state([z]),
-                          sys.arr_state(list(cloud.points)))[0]
-    except NotImplementedError:
-        d = np.array([sys.dist(z, p) for p in cloud.points])
+    d = sys.arr_cdist(sys.arr_state([z]),
+                      sys.arr_state(list(cloud.points)))[0]
     key = d.copy()
     key[zi] = -1.0  # z sorts first
     order = np.lexsort((np.arange(m), key))

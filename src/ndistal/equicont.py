@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .kernels import _comoving, orbit_min_rows
+from .kernels import _comoving, orbit_min_rows, orbit_window_min_row
 from .ndiameter import (diam_n_bounds_from_matrix, diam_n_exact_from_matrix)
 from .points import PointCloud, Torus
 
@@ -57,18 +57,6 @@ def r_set(sys, x, delta: float, cloud: PointCloud,
                         trace={int(i): float(row[i]) for i in members})
 
 
-def _window_min_row(sys, x, points, lo, hi):
-    """min over lo <= k <= hi of d(f^k(x), f^k(p)) for each point p."""
-    xa = sys.iterate(x, lo)
-    pa = [sys.iterate(p, lo) for p in points]
-    row = np.array([sys.dist(xa, p) for p in pa])
-    for _ in range(lo, hi):
-        xa = sys.step(xa)
-        pa = [sys.step(p) for p in pa]
-        np.minimum(row, [sys.dist(xa, p) for p in pa], out=row)
-    return row
-
-
 def r_set_equivariance_check(sys, x, delta: float, cloud: PointCloud,
                              H: int = DEFAULT_H, n: int = 0,
                              tie_tol: float = TIE_TOL) -> bool:
@@ -85,7 +73,7 @@ def r_set_equivariance_check(sys, x, delta: float, cloud: PointCloud,
         raise ParameterError("|n| must be at most H/2")
     cloud.index_of(x)
     H2 = H - abs(n)
-    da = _window_min_row(sys, x, cloud.points, n - H2, n + H2)
+    da = orbit_window_min_row(sys, x, cloud.points, n - H2, n + H2)
     mapped = [sys.iterate(p, n) for p in cloud.points]
     xn = sys.iterate(x, n)
     db = _comoving(sys, [xn], mapped, H2, (), use_max=False)[0][0]
@@ -190,18 +178,6 @@ def _dispersed_bases(D0, k):
     return sorted(chosen)
 
 
-def _base_dist_matrix(sys, cloud):
-    try:
-        return sys.arr_pdist(sys.arr_state(list(cloud.points)))
-    except NotImplementedError:
-        m = len(cloud)
-        D = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                D[i, j] = D[j, i] = sys.dist(cloud[i], cloud[j])
-        return D
-
-
 def n_equicontinuity_probe(sys, cloud: PointCloud, N: int, epsilon: float,
                            delta_grid=DEFAULT_DELTA_GRID, H: int = DEFAULT_H,
                            n_bases: int = 64, exact_budget: int = 20000,
@@ -214,7 +190,7 @@ def n_equicontinuity_probe(sys, cloud: PointCloud, N: int, epsilon: float,
         raise ParameterError("epsilon must be positive")
     grid = tuple(sorted(set(delta_grid), reverse=True))
     m = len(cloud)
-    D0 = _base_dist_matrix(sys, cloud)
+    D0 = sys.arr_pdist(sys.arr_state(list(cloud.points)))
     pos = D0[D0 > 0.0]
     mesh = float(pos.min()) if pos.size else 0.0
     base_idx = _dispersed_bases(D0, min(n_bases, m))

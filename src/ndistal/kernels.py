@@ -1,111 +1,73 @@
 """Orbit-sweep kernels shared by the analysis modules.
 
-Everything here reduces a distance matrix over a symmetric iterate window
-[-H, H]: running minima for proximality and R_delta sets, running maxima for
-dynamical balls, and orbit-visit minima against fixed targets for
-transitivity and minimal-set clustering.
+Everything here reduces a distance matrix over an iterate window: running
+minima over |n| <= H for proximality and R_delta sets, running maxima for
+dynamical balls, orbit-visit minima against fixed targets for transitivity
+and minimal-set clustering, and minima over a one-sided window for the
+R_delta spot checks.
 
-Three execution paths, chosen per system:
-  * vectorized, when the system implements the array interface;
-  * analytic, for the shift (difference-position geometry, no iteration);
-  * pointwise stepping, as a universal fallback (conjugates).
+One engine, `_sweep`, does all of it.  It steps states through the system's
+array interface (``arr_state``, ``arr_step`` and the ``arr_*dist``
+methods) and folds each step's distances into the result.  Every system has
+that interface: the catalogue systems implement it on numpy arrays, and the
+others inherit a default over plain point lists that calls ``step`` and
+``dist``.  The co-moving kernels ask the system for
+``comoving_extremes``, which runs the engine unless the system knows the
+answer in closed form; the shift does, from its difference positions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .systems import DynSystem, ShiftSystem
-
-GCAP = 64  # shift distances below 2^-GCAP count as zero
+from .errors import ParameterError
 
 
-def _arr_state(sys: DynSystem, points):
-    try:
-        return sys.arr_state(list(points))
-    except NotImplementedError:
-        return None
+def _check_horizon(H):
+    if H < 0:
+        raise ParameterError(f"horizon H must be >= 0, got {H}")
 
 
-# ---------------------------------------------------------------------------
-# shift analytics
-# ---------------------------------------------------------------------------
+def _sweep(sys, sa, sb, H, dist, red=np.minimum, move_b=True,
+           checkpoints=(), directions=(False, True)):
+    """Fold dist(a_n, b_n) with `red` over n = 0..H steps.
 
-def _shift_bits(points, lo, hi):
-    B = np.empty((len(points), hi - lo + 1), dtype=np.int8)
-    for i, p in enumerate(points):
-        B[i] = [p.get(t) for t in range(lo, hi + 1)]
-    return B
-
-
-def _nearest_true(mask):
-    """Per row, distance from each column to the nearest True (large value
-    when the row has none)."""
-    m, L = mask.shape
-    big = L + GCAP + 1
-    idx = np.arange(L)
-    last = np.where(mask, idx, -big)
-    np.maximum.accumulate(last, axis=1, out=last)
-    left = idx - last
-    nxt = np.where(mask[:, ::-1], idx, -big)
-    np.maximum.accumulate(nxt, axis=1, out=nxt)
-    right = (idx - nxt)[:, ::-1]
-    return np.minimum(left, right)
-
-
-def _shift_extreme(points_a, points_b, horizons, use_max):
-    """Co-moving distance extremes for the shift.
-
-    d(sigma^n x, sigma^n y) = 2^-g(n) with g(n) the gap from n to the nearest
-    difference position of (x, y); the extreme over |n| <= H reads off a
-    nearest-difference profile over one window of bits.
+    The states take H steps in each direction listed by their ``inverse``
+    flag: both for the window |n| <= H, forward only for a one-sided one.
+    b stays where it is unless move_b.  Returns M and, for each h in
+    checkpoints, a copy of M once the steps up to h are folded in.
     """
-    hm = max(horizons)
-    W = hm + GCAP
-    A = _shift_bits(points_a, -W, W)
-    B = A if points_b is None else _shift_bits(points_b, -W, W)
-    ma, mb = A.shape[0], B.shape[0]
-    out = {h: np.zeros((ma, mb)) for h in horizons}
-    chunk = max(1, int(4_000_000 // (mb * (2 * W + 1))) or 1)
-    for s in range(0, ma, chunk):
-        rows = A[s:s + chunk]
-        diff = rows[:, None, :] != B[None, :, :]
-        c = diff.shape[0]
-        nd = _nearest_true(diff.reshape(c * mb, -1)).reshape(c, mb, -1)
-        anydiff = diff.any(axis=2)
-        for h in horizons:
-            win = nd[:, :, W - h:W + h + 1]
-            g = win.min(axis=2) if use_max else win.max(axis=2)
-            vals = np.exp2(-np.minimum(g, GCAP).astype(float))
-            vals[~anydiff] = 0.0
-            out[h][s:s + chunk] = vals
-    return out
-
-
-# ---------------------------------------------------------------------------
-# pointwise fallback
-# ---------------------------------------------------------------------------
-
-def _pw_dists(sys, pts_a, pts_b):
-    return np.array([[sys.dist(a, b) for b in pts_b] for a in pts_a])
-
-
-def _pw_sweep(sys, pts_a, pts_b, H, red, checkpoints, move_b=True):
-    af, ab = list(pts_a), list(pts_a)
-    bf, bb = list(pts_b), list(pts_b)
-    M = _pw_dists(sys, af, bf)
-    cps = {}
+    _check_horizon(H)
+    M = dist(sa, sb)
+    walks = [(sa, sb) for _ in directions]
+    cps = {0: M.copy()} if 0 in checkpoints else {}
     for n in range(1, H + 1):
-        af = [sys.step(p) for p in af]
-        ab = [sys.step_inv(p) for p in ab]
-        if move_b:
-            bf = [sys.step(p) for p in bf]
-            bb = [sys.step_inv(p) for p in bb]
-        red(M, _pw_dists(sys, af, bf), out=M)
-        red(M, _pw_dists(sys, ab, bb), out=M)
+        for k, inverse in enumerate(directions):
+            a, b = walks[k]
+            a = sys.arr_step(a, inverse=inverse)
+            if move_b:
+                b = sys.arr_step(b, inverse=inverse)
+            walks[k] = (a, b)
+            red(M, dist(a, b), out=M)
         if n in checkpoints:
             cps[n] = M.copy()
     return M, cps
+
+
+def sweep_extremes(sys, pts_a, pts_b, horizons, use_max):
+    """The engine behind ``DynSystem.comoving_extremes``: {h: M_h} with
+    M_h[i, j] the min (max when use_max) over |n| <= h of
+    d(f^n a_i, f^n b_j); pts_b None pairs pts_a with itself."""
+    H = max(horizons)
+    red = np.maximum if use_max else np.minimum
+    sa = sys.arr_state(list(pts_a))
+    if pts_b is None:
+        sb, dist, move_b = None, lambda a, _: sys.arr_pdist(a), False
+    else:
+        sb, dist, move_b = sys.arr_state(list(pts_b)), sys.arr_cdist, True
+    M, cps = _sweep(sys, sa, sb, H, dist, red, move_b, horizons)
+    cps[H] = M
+    return cps
 
 
 # ---------------------------------------------------------------------------
@@ -136,103 +98,39 @@ def orbit_max_rows(sys, points, base_idx, H):
 
 
 def _comoving(sys, pts_a, pts_b, H, checkpoints, use_max):
-    checkpoints = tuple(sorted(set(checkpoints)))
-    if isinstance(sys, ShiftSystem):
-        horizons = set(checkpoints) | {H}
-        out = _shift_extreme(pts_a, pts_b, horizons, use_max)
-        return out[H], {h: out[h] for h in checkpoints}
-
-    red = np.maximum if use_max else np.minimum
-    sa = _arr_state(sys, pts_a)
-    if sa is None:
-        return _pw_sweep(sys, pts_a, pts_b if pts_b is not None else pts_a,
-                         H, red, checkpoints)
-    if pts_b is None:
-        dists = sys.arr_pdist
-        M = dists(sa)
-        f = b = sa
-        cps = {}
-        for n in range(1, H + 1):
-            f = sys.arr_step(f)
-            b = sys.arr_step(b, inverse=True)
-            red(M, dists(f), out=M)
-            red(M, dists(b), out=M)
-            if n in checkpoints:
-                cps[n] = M.copy()
-        return M, cps
-    sb = sys.arr_state(pts_b)
-    M = sys.arr_cdist(sa, sb)
-    fa, ba, fb, bb = sa, sa, sb, sb
-    cps = {}
-    for n in range(1, H + 1):
-        fa = sys.arr_step(fa)
-        ba = sys.arr_step(ba, inverse=True)
-        fb = sys.arr_step(fb)
-        bb = sys.arr_step(bb, inverse=True)
-        red(M, sys.arr_cdist(fa, fb), out=M)
-        red(M, sys.arr_cdist(ba, bb), out=M)
-        if n in checkpoints:
-            cps[n] = M.copy()
-    return M, cps
+    _check_horizon(H)
+    out = sys.comoving_extremes(pts_a, pts_b, set(checkpoints) | {H},
+                                use_max)
+    return out[H], {h: out[h] for h in checkpoints}
 
 
 def orbit_visit_matrix(sys, points, targets, H):
     """V[i,j] = min over |n|<=H of d(f^n p_i, t_j) with the targets fixed."""
-    sa = _arr_state(sys, points)
-    if sa is None or isinstance(sys, ShiftSystem):
-        return _pw_sweep(sys, points, targets, H, np.minimum, (),
-                         move_b=False)[0]
-    st = sys.arr_state(list(targets))
-    V = sys.arr_cdist(sa, st)
-    f = b = sa
-    for _ in range(H):
-        f = sys.arr_step(f)
-        b = sys.arr_step(b, inverse=True)
-        np.minimum(V, sys.arr_cdist(f, st), out=V)
-        np.minimum(V, sys.arr_cdist(b, st), out=V)
-    return V
+    return _sweep(sys, sys.arr_state(list(points)),
+                  sys.arr_state(list(targets)), H, sys.arr_cdist,
+                  move_b=False)[0]
 
 
 def orbit_min_pairs(sys, xs, ys, H):
-    """Elementwise min_orbit_distance over paired point lists."""
-    if isinstance(sys, ShiftSystem) or _arr_state(sys, xs[:1]) is None:
-        return np.array([min_orbit_distance(sys, x, y, H)
-                         for x, y in zip(xs, ys)])
-    fa = ba = sys.arr_state(list(xs))
-    fb = bb = sys.arr_state(list(ys))
-    d = sys.arr_edist(fa, fb)
-    for _ in range(H):
-        fa, fb = sys.arr_step(fa), sys.arr_step(fb)
-        ba, bb = (sys.arr_step(ba, inverse=True),
-                  sys.arr_step(bb, inverse=True))
-        np.minimum(d, sys.arr_edist(fa, fb), out=d)
-        np.minimum(d, sys.arr_edist(ba, bb), out=d)
-    return d
+    """Elementwise min over |n|<=H of d(f^n x_i, f^n y_i) over paired
+    point lists."""
+    return _sweep(sys, sys.arr_state(list(xs)), sys.arr_state(list(ys)), H,
+                  sys.arr_edist)[0]
+
+
+def orbit_window_min_row(sys, x, points, lo, hi):
+    """min over lo <= k <= hi of d(f^k x, f^k p) for each point p."""
+    sa = sys.arr_state([sys.iterate(x, lo)])
+    sb = sys.arr_state([sys.iterate(p, lo) for p in points])
+    return _sweep(sys, sa, sb, hi - lo, sys.arr_cdist,
+                  directions=(False,))[0][0]
 
 
 def min_orbit_distance(sys, x, y, H: int) -> float:
     """min over |n| <= H of d(f^n x, f^n y)."""
-    if isinstance(sys, ShiftSystem):
-        return float(_shift_extreme([x], [y], {H}, False)[H][0, 0])
-    xf = xb = x
-    yf = yb = y
-    d = sys.dist(x, y)
-    for _ in range(H):
-        xf, yf = sys.step(xf), sys.step(yf)
-        xb, yb = sys.step_inv(xb), sys.step_inv(yb)
-        d = min(d, sys.dist(xf, yf), sys.dist(xb, yb))
-    return d
+    return float(_comoving(sys, [x], [y], H, (), use_max=False)[0][0, 0])
 
 
 def max_orbit_distance(sys, x, y, H: int) -> float:
     """max over |n| <= H of d(f^n x, f^n y)."""
-    if isinstance(sys, ShiftSystem):
-        return float(_shift_extreme([x], [y], {H}, True)[H][0, 0])
-    xf = xb = x
-    yf = yb = y
-    d = sys.dist(x, y)
-    for _ in range(H):
-        xf, yf = sys.step(xf), sys.step(yf)
-        xb, yb = sys.step_inv(xb), sys.step_inv(yb)
-        d = max(d, sys.dist(xf, yf), sys.dist(xb, yb))
-    return d
+    return float(_comoving(sys, [x], [y], H, (), use_max=True)[0][0, 0])

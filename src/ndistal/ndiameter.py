@@ -128,10 +128,7 @@ def diam_n_exact(points, dist, N: int,
     return diam_n_exact_from_matrix(pairwise_matrix(points, dist), N, budget)
 
 
-def diam_n_bounds(points, dist, N: int,
-                  budget: int = DEFAULT_BUDGET) -> NDiameterResult:
+def diam_n_bounds(points, dist, N: int) -> NDiameterResult:
     """Certified bounds: greedy dispersion lower bound, eccentricity-order
-    upper bound.  The budget argument is accepted for interface symmetry but
-    the bound computation is always quadratic."""
-    del budget
+    upper bound."""
     return diam_n_bounds_from_matrix(pairwise_matrix(points, dist), N)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import HomomorphismError
+from .errors import HomomorphismError, ParameterError
 from .kernels import (max_orbit_distance, min_orbit_distance,
                       orbit_min_matrix, orbit_min_rows)
 from .points import OrbitIndex, PointCloud
@@ -81,6 +81,11 @@ class ProximalReport:
                           if len(c.members) > 1]}
 
 
+def _check_horizon(H):
+    if H < 1:
+        raise ParameterError(f"horizon H must be >= 1, got {H}")
+
+
 def _row_cell(base, row_h, row_2h, H, eps, factor=STABLE_FACTOR,
               index_map=None):
     adj = row_h < eps
@@ -103,6 +108,7 @@ def proximal_cell(sys, x, cloud: PointCloud, H: int = DEFAULT_H,
 
     The sweep runs to 2H so each member carries a stability flag.
     """
+    _check_horizon(H)
     b = cloud.index_of(x)
     M2, cps = orbit_min_rows(sys, cloud.points, [b], 2 * H, checkpoints=(H,))
     return _row_cell(b, cps[H][0], M2[0], H, eps_prox)
@@ -120,6 +126,7 @@ def distality_report(sys, cloud: PointCloud, H: int = DEFAULT_H,
     shift-like systems they keep growing strictly as the cloud is
     enlarged).
     """
+    _check_horizon(H)
     m = len(cloud)
     M2, cps = orbit_min_matrix(sys, cloud.points, 2 * H, checkpoints=(H,))
     MH = cps[H]
@@ -183,20 +190,10 @@ class QuotientResult:
 
 def _nearest_indices(sys, queries, cloud: PointCloud):
     """Index of the nearest cloud point for each query, with distances."""
-    try:
-        sq = sys.arr_state(list(queries))
-        sc = sys.arr_state(list(cloud.points))
-        D = sys.arr_cdist(sq, sc)
-        idx = D.argmin(axis=1)
-        return idx, D[np.arange(len(queries)), idx]
-    except NotImplementedError:
-        idx, dd = [], []
-        for q in queries:
-            ds = [sys.dist(q, p) for p in cloud.points]
-            j = int(np.argmin(ds))
-            idx.append(j)
-            dd.append(ds[j])
-        return np.array(idx), np.array(dd)
+    D = sys.arr_cdist(sys.arr_state(list(queries)),
+                      sys.arr_state(list(cloud.points)))
+    idx = D.argmin(axis=1)
+    return idx, D[np.arange(len(queries)), idx]
 
 
 def proximal_quotient(report: ProximalReport, sys,
@@ -272,6 +269,7 @@ def fiber_proximal_cell(g, f, pi, y, cloud: PointCloud, H: int = DEFAULT_H,
     stand-in d_base(pi(z), pi(y)) < eps_fiber; the default eps_fiber is the
     projected cloud's mesh, the smallest positive gap between projections.
     """
+    _check_horizon(H)
     proj = [pi(z) for z in cloud.points]
     for z, pz in zip(cloud.points, proj):
         if f.dist(f.step(pz), pi(g.step(z))) > check_tol:
@@ -279,10 +277,7 @@ def fiber_proximal_cell(g, f, pi, y, cloud: PointCloud, H: int = DEFAULT_H,
                 f"pi does not semiconjugate g to f at {z!r}")
 
     if eps_fiber is None:
-        try:
-            D = f.arr_pdist(f.arr_state(proj))
-        except NotImplementedError:
-            D = np.array([[f.dist(a, b) for b in proj] for a in proj])
+        D = f.arr_pdist(f.arr_state(proj))
         np.fill_diagonal(D, np.inf)
         # mesh of the distinct projected points: exact duplicate
         # projections (whole fibers) must not shrink the fiber tolerance

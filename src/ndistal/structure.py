@@ -75,18 +75,7 @@ class ReturnProfile:
 
 def _self_return_distances(sys, points, H):
     """D[i, t] = d(f^(t-H) x_i, x_i) for t = 0..2H."""
-    try:
-        s0 = sys.arr_state(list(points))
-    except NotImplementedError:
-        D = np.empty((len(points), 2 * H + 1))
-        for i, x in enumerate(points):
-            y = sys.iterate(x, -H)
-            for t in range(2 * H + 1):
-                D[i, t] = sys.dist(y, x)
-                if t < 2 * H:
-                    y = sys.step(y)
-        return D
-    s = s0
+    s = s0 = sys.arr_state(list(points))
     for _ in range(H):
         s = sys.arr_step(s, inverse=True)
     D = np.empty((len(points), 2 * H + 1), dtype=np.float32)

@@ -2,10 +2,12 @@
 
 Every system is an invertible map on a compact metric space together with an
 exact metric and a canonical sampler.  Analysis modules talk to systems
-through ``step``/``step_inv``/``dist``/``iterate`` plus an optional
-array-vectorized interface (``arr_state`` and friends) used by the
-pairwise-orbit kernels; systems without an array path (conjugates) fall back
-to the pointwise loops.
+through ``step``/``step_inv``/``dist``/``iterate`` and through the array
+interface (``arr_state`` and friends) that the orbit-sweep kernels run on.
+``DynSystem`` implements the array interface over plain point lists with
+``step`` and ``dist``, so every system has one; the catalogue systems
+override it with numpy states, and the shift overrides
+``comoving_extremes`` with its closed form.
 
 Catalogue (ids):
     rotation       circle rotation by alpha, embedded at y=0 on the torus
@@ -29,11 +31,20 @@ import numpy as np
 from scipy.spatial import distance as scidist
 
 from .errors import ConjugacyError, InvalidPointError, ParameterError
+from .kernels import sweep_extremes
+from .ndiameter import pairwise_matrix
 from .points import (Annulus, OrbitIndex, Pair, PointCloud, SymbolicPoint,
                      Torus, circ_gap, mod1, periodic_point, symbolic_distance,
                      word_point)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _finite(name, value):
+    value = float(value)
+    if not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -91,30 +102,36 @@ class DynSystem:
     def sampler(self, resolution: int, seed=None) -> PointCloud:
         raise NotImplementedError
 
-    # -- optional array interface ------------------------------------------
+    # -- array interface: by default, point lists and pointwise calls ------
     def arr_state(self, points):
-        raise NotImplementedError
+        return list(points)
 
     def arr_step(self, state, inverse=False):
-        raise NotImplementedError
+        f = self.step_inv if inverse else self.step
+        return [f(p) for p in state]
 
     def arr_pdist(self, state):
-        raise NotImplementedError
+        return pairwise_matrix(state, self.dist)
 
     def arr_cdist(self, sa, sb):
-        raise NotImplementedError
+        return np.array([[self.dist(a, b) for b in sb] for a in sa])
+
+    def arr_edist(self, sa, sb):
+        """Elementwise distances between two equal-length states."""
+        return np.array([self.dist(a, b) for a, b in zip(sa, sb)])
 
     def arr_embed(self, state):
         """Euclidean embedding used only for nearest-neighbour snapping."""
         raise NotImplementedError
 
     def arr_take(self, state, idx):
-        """Subset of a state array along the point axis."""
+        # no caller; kept so every system resolves the same arr_* names
         raise NotImplementedError
 
-    def arr_edist(self, sa, sb):
-        """Elementwise distances between two equal-length states."""
-        raise NotImplementedError
+    def comoving_extremes(self, pts_a, pts_b, horizons, use_max):
+        """{h: M_h} with M_h[i, j] the min (max when use_max) over |n| <= h
+        of d(f^n a_i, f^n b_j); pts_b None pairs pts_a with itself."""
+        return sweep_extremes(self, pts_a, pts_b, horizons, use_max)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.id}>"
@@ -147,9 +164,6 @@ class _TorusBase(DynSystem):
         return np.concatenate(
             [np.cos(a), np.sin(a)], axis=1) / (2.0 * np.pi)
 
-    def arr_take(self, state, idx):
-        return state[idx]
-
     def arr_edist(self, sa, sb):
         d = sa - sb
         d -= np.round(d)
@@ -160,7 +174,7 @@ class Rotation(_TorusBase):
     """Rigid circle rotation; lives on the y=0 circle of the torus."""
 
     def __init__(self, alpha=GOLDEN):
-        self.alpha = float(alpha)
+        self.alpha = _finite("alpha", alpha)
         self.id = f"rotation(alpha={self.alpha!r})"
 
     def step(self, p):
@@ -190,7 +204,7 @@ class SkewTorus(_TorusBase):
     """Skew product (x, y) -> (x + alpha mod 1, y + x mod 1)."""
 
     def __init__(self, alpha=GOLDEN):
-        self.alpha = float(alpha)
+        self.alpha = _finite("alpha", alpha)
         self.id = f"skew_torus(alpha={self.alpha!r})"
 
     def step(self, p):
@@ -272,7 +286,7 @@ class AnnulusSystem(DynSystem):
 
     def __init__(self, sys_id, k, circles, orbits):
         self.id = sys_id
-        self.k = float(k)
+        self.k = _finite("k", k)
         self.circles = tuple(circles)
         self.orbits = dict(orbits)  # label -> (kind, base)
 
@@ -413,9 +427,6 @@ class AnnulusSystem(DynSystem):
     def arr_cdist(self, sa, sb):
         return _eucl_cdist(self.arr_embed(sa), self.arr_embed(sb))
 
-    def arr_take(self, state, idx):
-        return {k: v[idx] for k, v in state.items()}
-
     def arr_edist(self, sa, sb):
         d = self.arr_embed(sa) - self.arr_embed(sb)
         return np.sqrt((d * d).sum(axis=-1))
@@ -443,10 +454,64 @@ def annulus2(k=GOLDEN):
 # symbolic shift
 # ---------------------------------------------------------------------------
 
+GCAP = 64  # the shift's closed form resolves distances down to 2^-GCAP
+
+
+def _shift_bits(points, lo, hi):
+    B = np.empty((len(points), hi - lo + 1), dtype=np.int8)
+    for i, p in enumerate(points):
+        B[i] = [p.get(t) for t in range(lo, hi + 1)]
+    return B
+
+
+def _nearest_true(mask):
+    """Per row, distance from each column to the nearest True (large value
+    when the row has none)."""
+    m, L = mask.shape
+    big = L + GCAP + 1
+    idx = np.arange(L)
+    last = np.where(mask, idx, -big)
+    np.maximum.accumulate(last, axis=1, out=last)
+    left = idx - last
+    nxt = np.where(mask[:, ::-1], idx, -big)
+    np.maximum.accumulate(nxt, axis=1, out=nxt)
+    right = (idx - nxt)[:, ::-1]
+    return np.minimum(left, right)
+
+
 class ShiftSystem(DynSystem):
     """Full shift on bi-infinite binary sequences, d(s, s') = 2^-min|i: differ|."""
 
     id = "shift2"
+
+    def comoving_extremes(self, pts_a, pts_b, horizons, use_max):
+        """Closed form, no iteration.
+
+        d(sigma^n x, sigma^n y) = 2^-g(n) with g(n) the gap from n to the
+        nearest difference position of (x, y); the extreme over |n| <= h
+        reads off a nearest-difference profile over one window of bits.
+        Values below 2^-GCAP are clamped to it, and pairs that agree on the
+        whole window get 0.
+        """
+        W = max(horizons) + GCAP
+        A = _shift_bits(pts_a, -W, W)
+        B = A if pts_b is None else _shift_bits(pts_b, -W, W)
+        ma, mb = A.shape[0], B.shape[0]
+        out = {h: np.zeros((ma, mb)) for h in horizons}
+        chunk = max(1, int(4_000_000 // (mb * (2 * W + 1))) or 1)
+        for s in range(0, ma, chunk):
+            rows = A[s:s + chunk]
+            diff = rows[:, None, :] != B[None, :, :]
+            c = diff.shape[0]
+            nd = _nearest_true(diff.reshape(c * mb, -1)).reshape(c, mb, -1)
+            anydiff = diff.any(axis=2)
+            for h in horizons:
+                win = nd[:, :, W - h:W + h + 1]
+                g = win.min(axis=2) if use_max else win.max(axis=2)
+                vals = np.exp2(-np.minimum(g, GCAP).astype(float))
+                vals[~anydiff] = 0.0
+                out[h][s:s + chunk] = vals
+        return out
 
     def step(self, p):
         return p.shifted(1)
@@ -549,9 +614,6 @@ class ProductSystem(DynSystem):
         return np.concatenate([self.f.arr_embed(state[0]),
                                self.g.arr_embed(state[1])], axis=1)
 
-    def arr_take(self, state, idx):
-        return (self.f.arr_take(state[0], idx), self.g.arr_take(state[1], idx))
-
     def arr_edist(self, sa, sb):
         return np.maximum(self.f.arr_edist(sa[0], sb[0]),
                           self.g.arr_edist(sa[1], sb[1]))
@@ -605,9 +667,6 @@ class PowerSystem(DynSystem):
 
     def arr_embed(self, state):
         return self.f.arr_embed(state)
-
-    def arr_take(self, state, idx):
-        return self.f.arr_take(state, idx)
 
     def arr_edist(self, sa, sb):
         return self.f.arr_edist(sa, sb)
@@ -699,6 +758,15 @@ def catalogue():
 _SPEC_RE = re.compile(r"^(\w+)(?:\{(.*)\})?$")
 
 
+def _number(text, spec):
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    raise ParameterError(f"bad number {text!r} in {spec!r}")
+
+
 def get_system(spec: str) -> DynSystem:
     """Build a catalogue system from 'name' or 'name{key=value,...}'."""
     m = _SPEC_RE.match(spec.strip())
@@ -710,8 +778,8 @@ def get_system(spec: str) -> DynSystem:
             k, _, v = kv.partition("=")
             if not _:
                 raise ParameterError(f"bad parameter {kv!r} in {spec!r}")
-            args[k.strip()] = float(v) if "." in v or "e" in v.lower() else int(v)
+            args[k.strip()] = _number(v, spec)
     try:
         return _BUILDERS[name](**args)
-    except TypeError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"bad parameters for {name}: {exc}") from exc

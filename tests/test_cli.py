@@ -130,3 +130,25 @@ def test_oneoff_subcommand(capsys):
     assert out["exact"]
     assert out["value_lower"] == out["value_upper"] >= 0.0
     assert len(out["witness"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["proximal", "--system", "annulus3", "--H", "-5"],
+    ["proximal", "--system", "annulus3", "--H", "0"],
+    ["structure", "--system", "annulus3", "--op", "transitive_check",
+     "--H", "-5"],
+    ["entropy", "--system", "rotation", "--op", "word_count_entropy"],
+    ["entropy", "--system", "shift2", "--op", "word_count_entropy",
+     "--n", "0"],
+    ["proximal", "--system", "rotation{alpha=abc}"],
+    ["proximal", "--system", "rotation{alpha=nan}"],
+    ["proximal", "--system", "rotation{alpha=1e400}"],
+    ["proximal", "--system", "annulusN{N=nan}"],
+    ["--threads", "2", "list-systems"],
+])
+def test_invalid_invocations_exit_2(argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # argparse rejects unknown flags this way
+        code = exc.code
+    assert code == 2

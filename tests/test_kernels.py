@@ -1,16 +1,21 @@
-"""Orbit sweep kernels: the vectorized and analytic paths must agree with
-plain pointwise iteration."""
+"""Orbit sweep kernels: the native array states, the default point-list
+interface and the shift's closed form must agree with plain pointwise
+iteration."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndistal.kernels import (max_orbit_distance, min_orbit_distance,
                              orbit_max_matrix, orbit_min_matrix,
                              orbit_min_pairs, orbit_min_rows,
-                             orbit_visit_matrix)
+                             orbit_visit_matrix, orbit_window_min_row)
 from ndistal.points import Annulus, OrbitIndex, Torus, word_point
-from ndistal.systems import (Rotation, SkewTorus, annulus3, conjugate_system,
-                             shift2)
+from ndistal.systems import (GCAP, Rotation, SkewTorus, annulus3,
+                             conjugate_system, shift2)
+
+FLOOR = 2.0 ** -GCAP
 
 
 def brute_min_matrix(sys, points, H):
@@ -55,7 +60,7 @@ def test_orbit_max_matrix_matches_brute_force(make):
 
 
 def test_pointwise_fallback_path():
-    # conjugate systems have no vectorized state, exercising _pw_sweep
+    # conjugates inherit the default array interface over point lists
     base = Rotation(0.3)
     h = lambda p: Torus(p.x + 0.1, p.y)
     h_inv = lambda p: Torus(p.x - 0.1, p.y)
@@ -140,3 +145,109 @@ def test_orbit_visit_matrix_matches_brute():
             for j in range(t):
                 want[i, j] = min(want[i, j], sys.dist(imgs[i], tgt[j]))
     assert np.allclose(got, want, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# one engine: native, default and closed-form paths agree
+# ---------------------------------------------------------------------------
+
+def random_points(name, rng, m):
+    if name == "rotation":
+        return [Torus(float(t), 0.0) for t in rng.random(m)]
+    if name == "skew_torus":
+        return [Torus(float(a), float(b)) for a, b in rng.random((m, 2))]
+    if name == "annulus3":
+        return [OrbitIndex(int(n)) if n % 3 == 0
+                else Annulus(float(t), 1.0 + n % 2)
+                for n, t in zip(rng.integers(-20, 21, m), rng.random(m))]
+    return [word_point(tuple(int(b) for b in
+                             rng.integers(0, 2, int(rng.integers(1, 5)))),
+                       origin=int(rng.integers(-90, 91)))
+            for _ in range(m)]
+
+
+MAKERS = {"rotation": Rotation, "skew_torus": SkewTorus,
+          "annulus3": annulus3, "shift2": shift2}
+
+
+def identity_conjugate(sys):
+    """The same system seen through the inherited point-list interface."""
+    return conjugate_system(sys, lambda p: p, lambda p: p)
+
+
+@given(st.sampled_from(["rotation", "skew_torus", "annulus3"]),
+       st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_native_and_default_paths_agree(name, seed):
+    rng = np.random.default_rng(seed)
+    native = MAKERS[name]()
+    default = identity_conjugate(native)
+    pts = random_points(name, rng, int(rng.integers(2, 7)))
+    H = int(rng.integers(0, 13))
+    cps = tuple(sorted({int(h) for h in rng.integers(1, H + 1, 2)})) \
+        if H else ()
+
+    def close(a, b):
+        return np.allclose(a, b, rtol=0.0, atol=1e-12)
+
+    M, snaps = orbit_min_matrix(native, pts, H, checkpoints=cps)
+    M_d, snaps_d = orbit_min_matrix(default, pts, H, checkpoints=cps)
+    assert close(M, M_d)
+    assert set(snaps) == set(snaps_d) == set(cps)
+    assert all(close(snaps[h], snaps_d[h]) for h in cps)
+    assert close(orbit_max_matrix(native, pts, H),
+                 orbit_max_matrix(default, pts, H))
+    tgt = pts[:2]
+    assert close(orbit_visit_matrix(native, pts, tgt, H),
+                 orbit_visit_matrix(default, pts, tgt, H))
+    ys = pts[::-1]
+    assert close(orbit_min_pairs(native, pts, ys, H),
+                 orbit_min_pairs(default, pts, ys, H))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_shift_closed_form_matches_default_above_floor(seed):
+    rng = np.random.default_rng(seed)
+    sys = shift2()
+    default = identity_conjugate(sys)
+    pts = random_points("shift2", rng, int(rng.integers(2, 7)))
+    H = int(rng.integers(0, 13))
+    h = int(rng.integers(0, H + 1))
+
+    def clamped(a):
+        return np.maximum(a, FLOOR)
+
+    M, snaps = orbit_min_matrix(sys, pts, H, checkpoints=(h,))
+    M_d, snaps_d = orbit_min_matrix(default, pts, H, checkpoints=(h,))
+    assert np.array_equal(clamped(M), clamped(M_d))
+    assert np.array_equal(clamped(snaps[h]), clamped(snaps_d[h]))
+    assert np.array_equal(clamped(orbit_max_matrix(sys, pts, H)),
+                          clamped(orbit_max_matrix(default, pts, H)))
+
+
+@given(st.sampled_from(sorted(MAKERS)), st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_orbit_min_non_increasing_in_horizon(name, seed):
+    rng = np.random.default_rng(seed)
+    sys = MAKERS[name]()
+    pts = random_points(name, rng, int(rng.integers(2, 7)))
+    h1, h2 = sorted(int(h) for h in rng.integers(0, 30, 2))
+    # the shift's closed form only resolves distances down to its floor
+    M1 = np.maximum(orbit_min_matrix(sys, pts, h1)[0], FLOOR)
+    M2 = np.maximum(orbit_min_matrix(sys, pts, h2)[0], FLOOR)
+    assert np.all(M2 <= M1)
+
+
+@given(st.sampled_from(sorted(MAKERS)), st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_window_min_row_matches_brute_force(name, seed):
+    rng = np.random.default_rng(seed)
+    sys = MAKERS[name]()
+    x, *pts = random_points(name, rng, int(rng.integers(2, 7)))
+    lo = int(rng.integers(-15, 16))
+    hi = lo + int(rng.integers(0, 16))
+    got = orbit_window_min_row(sys, x, pts, lo, hi)
+    want = [min(sys.dist(sys.iterate(x, k), sys.iterate(p, k))
+                for k in range(lo, hi + 1)) for p in pts]
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
