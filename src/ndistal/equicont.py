@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_positive
 from .kernels import _comoving, orbit_min_rows, orbit_window_min_row
 from .ndiameter import (diam_n_bounds_from_matrix, diam_n_exact_from_matrix)
 from .points import PointCloud, Torus
@@ -47,8 +47,7 @@ class RSetEstimate:
 def r_set(sys, x, delta: float, cloud: PointCloud,
           H: int = DEFAULT_H) -> RSetEstimate:
     """Cloud points whose orbit dips delta-close to x's within |n| <= H."""
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
+    check_positive("delta", delta)
     b = cloud.index_of(x)
     row = orbit_min_rows(sys, cloud.points, [b], H)[0][0]
     members = np.nonzero(row < delta)[0]
@@ -186,8 +185,9 @@ def n_equicontinuity_probe(sys, cloud: PointCloud, N: int, epsilon: float,
     """Probe N-equicontinuity at scale over a descending delta grid."""
     if len(cloud) < N + 1:
         raise ParameterError("cloud smaller than N+1 points")
-    if epsilon <= 0:
-        raise ParameterError("epsilon must be positive")
+    check_positive("epsilon", epsilon)
+    for delta in delta_grid:
+        check_positive("delta", delta)
     grid = tuple(sorted(set(delta_grid), reverse=True))
     m = len(cloud)
     D0 = sys.arr_pdist(sys.arr_state(list(cloud.points)))

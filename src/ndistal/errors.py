@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the parameter check
+that raises one."""
 
 
 class NDistalError(Exception):
@@ -35,3 +36,9 @@ class ConstructionError(NDistalError):
 
 class BudgetExceededError(NDistalError):
     """Exact enumeration would exceed the subset budget; use the bounded solver."""
+
+
+def check_positive(name, value):
+    """Raise ParameterError unless value is a number > 0 (NaN is not)."""
+    if not float(value) > 0.0:
+        raise ParameterError(f"{name} must be positive, got {value!r}")

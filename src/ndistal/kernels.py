@@ -12,8 +12,11 @@ methods) and folds each step's distances into the result.  Every system has
 that interface: the catalogue systems implement it on numpy arrays, and the
 others inherit a default over plain point lists that calls ``step`` and
 ``dist``.  The co-moving kernels ask the system for
-``comoving_extremes``, which runs the engine unless the system knows the
-answer in closed form; the shift does, from its difference positions.
+``comoving_extremes`` and the visit kernel asks it for ``visit_minima``;
+both run the engine (``sweep_extremes``, ``sweep_visits``) unless the
+system knows the answer in closed form.  The shift does, from packed bits:
+its difference masks for the co-moving extremes, and its windows of
+symbols around each time for the visits.
 """
 
 from __future__ import annotations
@@ -70,6 +73,13 @@ def sweep_extremes(sys, pts_a, pts_b, horizons, use_max):
     return cps
 
 
+def sweep_visits(sys, points, targets, H):
+    """The engine behind ``DynSystem.visit_minima``: V[i, j] the min over
+    |n| <= H of d(f^n p_i, t_j), the targets held fixed."""
+    return _sweep(sys, sys.arr_state(points), sys.arr_state(targets), H,
+                  sys.arr_cdist, move_b=False)[0]
+
+
 # ---------------------------------------------------------------------------
 # public kernels
 # ---------------------------------------------------------------------------
@@ -106,9 +116,8 @@ def _comoving(sys, pts_a, pts_b, H, checkpoints, use_max):
 
 def orbit_visit_matrix(sys, points, targets, H):
     """V[i,j] = min over |n|<=H of d(f^n p_i, t_j) with the targets fixed."""
-    return _sweep(sys, sys.arr_state(list(points)),
-                  sys.arr_state(list(targets)), H, sys.arr_cdist,
-                  move_b=False)[0]
+    _check_horizon(H)
+    return sys.visit_minima(list(points), list(targets), H)
 
 
 def orbit_min_pairs(sys, xs, ys, H):

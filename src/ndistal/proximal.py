@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import HomomorphismError, ParameterError
+from .errors import HomomorphismError, ParameterError, check_positive
 from .kernels import (max_orbit_distance, min_orbit_distance,
                       orbit_min_matrix, orbit_min_rows)
 from .points import OrbitIndex, PointCloud
@@ -81,16 +81,23 @@ class ProximalReport:
                           if len(c.members) > 1]}
 
 
-def _check_horizon(H):
+def _check_scale(H, eps):
     if H < 1:
         raise ParameterError(f"horizon H must be >= 1, got {H}")
+    check_positive("eps_prox", eps)
 
 
-def _row_cell(base, row_h, row_2h, H, eps, factor=STABLE_FACTOR,
+def _stable(M_h, M_2h, factor, floor):
+    """Converged entries: the minimum shrinks by `factor` from H to 2H, or
+    the 2H minimum sits at the floor, below which no shrinking shows."""
+    return (M_2h <= M_h / factor) | (M_2h <= floor)
+
+
+def _row_cell(base, row_h, row_2h, H, eps, floor, factor=STABLE_FACTOR,
               index_map=None):
     adj = row_h < eps
     adj[base] = True
-    stable = row_2h <= row_h / factor
+    stable = _stable(row_h, row_2h, factor, floor)
     stable[base] = True
     members = np.nonzero(adj)[0]
     remap = (lambda i: i) if index_map is None else (lambda i: index_map[i])
@@ -108,10 +115,10 @@ def proximal_cell(sys, x, cloud: PointCloud, H: int = DEFAULT_H,
 
     The sweep runs to 2H so each member carries a stability flag.
     """
-    _check_horizon(H)
+    _check_scale(H, eps_prox)
     b = cloud.index_of(x)
     M2, cps = orbit_min_rows(sys, cloud.points, [b], 2 * H, checkpoints=(H,))
-    return _row_cell(b, cps[H][0], M2[0], H, eps_prox)
+    return _row_cell(b, cps[H][0], M2[0], H, eps_prox, sys.floor)
 
 
 def distality_report(sys, cloud: PointCloud, H: int = DEFAULT_H,
@@ -126,12 +133,12 @@ def distality_report(sys, cloud: PointCloud, H: int = DEFAULT_H,
     shift-like systems they keep growing strictly as the cloud is
     enlarged).
     """
-    _check_horizon(H)
+    _check_scale(H, eps_prox)
     m = len(cloud)
     M2, cps = orbit_min_matrix(sys, cloud.points, 2 * H, checkpoints=(H,))
     MH = cps[H]
     adj = MH < eps_prox
-    stable = M2 <= MH / stable_factor
+    stable = _stable(MH, M2, stable_factor, sys.floor)
     use = (adj & stable) if stable_only else adj
     np.fill_diagonal(use, True)
     use &= use.T
@@ -269,7 +276,7 @@ def fiber_proximal_cell(g, f, pi, y, cloud: PointCloud, H: int = DEFAULT_H,
     stand-in d_base(pi(z), pi(y)) < eps_fiber; the default eps_fiber is the
     projected cloud's mesh, the smallest positive gap between projections.
     """
-    _check_horizon(H)
+    _check_scale(H, eps_prox)
     proj = [pi(z) for z in cloud.points]
     for z, pz in zip(cloud.points, proj):
         if f.dist(f.step(pz), pi(g.step(z))) > check_tol:
@@ -293,7 +300,7 @@ def fiber_proximal_cell(g, f, pi, y, cloud: PointCloud, H: int = DEFAULT_H,
     sub = [cloud[i] for i in fiber_idx]
     sub_b = fiber_idx.index(b)
     M2, cps = orbit_min_rows(g, sub, [sub_b], 2 * H, checkpoints=(H,))
-    return _row_cell(sub_b, cps[H][0], M2[0], H, eps_prox,
+    return _row_cell(sub_b, cps[H][0], M2[0], H, eps_prox, g.floor,
                      index_map=fiber_idx)
 
 

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import check_positive
 from .kernels import orbit_max_matrix, orbit_max_rows, orbit_visit_matrix
 from .points import PointCloud
 from .proximal import distality_report
@@ -101,6 +102,7 @@ def return_profile(sys, x, delta: float, H: int) -> ReturnProfile:
     orbits whose returns stop early get a large gap; the None marker means
     the only return is n = 0.
     """
+    check_positive("delta", delta)
     row = _self_return_distances(sys, [x], H)[0]
     times, gap = _gap_from_row(row, delta, H)
     return ReturnProfile(point=x, delta=delta, horizon=H,
@@ -160,6 +162,7 @@ def minimal_subsystems(sys, cloud: PointCloud, delta: float = 0.05,
     wandering points); clusters are connected components of that relation,
     merged in index order.
     """
+    check_positive("delta", delta)
     gap_bound = gap_bound or default_gap_bound
     mask = _almost_periodic_mask(sys, cloud, delta_list, min(H, 500),
                                  gap_bound)
@@ -207,6 +210,7 @@ def transitive_check(sys, cloud: PointCloud, H: int = 2000,
                      delta: float = 0.05, visit=None):
     """First cloud point whose orbit over |n| <= H is delta-dense in the
     cloud, or None."""
+    check_positive("delta", delta)
     if visit is None:
         visit = orbit_visit_matrix(sys, cloud.points, cloud.points, H)
     dense = visit.max(axis=1) < delta
@@ -221,6 +225,7 @@ def theorem_3_5_audit(sys, N_claimed: int, cloud: PointCloud,
                       delta_list=DELTA_LIST, gap_bound=None) -> AuditRecord:
     """Transitive and N-distal at scale implies at most N-1 proper minimal
     subsystems.  Preconditions failing mark the audit inapplicable."""
+    check_positive("delta", delta)
     prox_cloud = prox_cloud or cloud
     report = distality_report(sys, prox_cloud, prox_H, prox_eps,
                               N_max=max(N_claimed, 2))
@@ -286,6 +291,8 @@ def expansivity_probe(sys, cloud: PointCloud, delta_grid=(0.25, 0.1, 0.05),
                       H: int = 50) -> ExpansivityVerdict:
     """Max dynamical-ball cardinality per delta; expansive at scale when
     some delta makes every ball a singleton."""
+    for delta in delta_grid:
+        check_positive("delta", delta)
     M = orbit_max_matrix(sys, cloud.points, H)
     sizes = {}
     expansive_at = None

@@ -6,8 +6,9 @@ through ``step``/``step_inv``/``dist``/``iterate`` and through the array
 interface (``arr_state`` and friends) that the orbit-sweep kernels run on.
 ``DynSystem`` implements the array interface over plain point lists with
 ``step`` and ``dist``, so every system has one; the catalogue systems
-override it with numpy states, and the shift overrides
-``comoving_extremes`` with its closed form.
+override it with numpy states.  The shift instead overrides the two
+kernel hooks, ``comoving_extremes`` and ``visit_minima``, with closed forms
+on packed bits that resolve distances down to its ``floor`` 2^-GCAP.
 
 Catalogue (ids):
     rotation       circle rotation by alpha, embedded at y=0 on the torus
@@ -31,7 +32,7 @@ import numpy as np
 from scipy.spatial import distance as scidist
 
 from .errors import ConjugacyError, InvalidPointError, ParameterError
-from .kernels import sweep_extremes
+from .kernels import sweep_extremes, sweep_visits
 from .ndiameter import pairwise_matrix
 from .points import (Annulus, OrbitIndex, Pair, PointCloud, SymbolicPoint,
                      Torus, circ_gap, mod1, periodic_point, symbolic_distance,
@@ -77,6 +78,8 @@ class DynSystem:
     """Invertible dynamical system on a compact metric space."""
 
     id: str = "?"
+    # the kernels resolve distances down to floor (0.0: all the way)
+    floor: float = 0.0
 
     # -- pointwise interface ---------------------------------------------
     def step(self, p):
@@ -132,6 +135,10 @@ class DynSystem:
         """{h: M_h} with M_h[i, j] the min (max when use_max) over |n| <= h
         of d(f^n a_i, f^n b_j); pts_b None pairs pts_a with itself."""
         return sweep_extremes(self, pts_a, pts_b, horizons, use_max)
+
+    def visit_minima(self, points, targets, H):
+        """V[i, j] = min over |n| <= H of d(f^n p_i, t_j)."""
+        return sweep_visits(self, points, targets, H)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.id}>"
@@ -454,13 +461,23 @@ def annulus2(k=GOLDEN):
 # symbolic shift
 # ---------------------------------------------------------------------------
 
-GCAP = 64  # the shift's closed form resolves distances down to 2^-GCAP
+GCAP = 64  # the shift's closed forms resolve distances down to 2^-GCAP
+_CHUNK = 4_000_000  # elements per temporary array of the shift's closed form
 
 
 def _shift_bits(points, lo, hi):
-    B = np.empty((len(points), hi - lo + 1), dtype=np.int8)
+    """Symbols s_lo..s_hi of each point, one uint8 row per point."""
+    idx = np.arange(lo, hi + 1)
+    B = np.empty((len(points), len(idx)), dtype=np.uint8)
     for i, p in enumerate(points):
-        B[i] = [p.get(t) for t in range(lo, hi + 1)]
+        start, end = p.extent()
+        row = np.where(idx < start,
+                       np.array(p.left, dtype=np.uint8)[idx % len(p.left)],
+                       np.array(p.right, dtype=np.uint8)[idx % len(p.right)])
+        a, b = max(start, lo), min(end, hi + 1)
+        if a < b:
+            row[a - lo:b - lo] = p.core[a - start:b - start]
+        B[i] = row
     return B
 
 
@@ -479,39 +496,134 @@ def _nearest_true(mask):
     return np.minimum(left, right)
 
 
+def _mask_extremes(masks, W, horizons, use_max):
+    """{h: values} for packed difference masks over positions -W..W: the
+    max (min when use_max) over |n| <= h of 2^-gap from n to the nearest
+    difference, clamped at 2^-GCAP."""
+    L = 2 * W + 1
+    vals = {h: np.empty(len(masks)) for h in horizons}
+    step = max(1, _CHUNK // L)
+    for s in range(0, len(masks), step):
+        nd = _nearest_true(
+            np.unpackbits(masks[s:s + step], axis=1, count=L).view(bool))
+        for h in horizons:
+            win = nd[:, W - h:W + h + 1]
+            g = win.min(axis=1) if use_max else win.max(axis=1)
+            vals[h][s:s + step] = np.exp2(-np.minimum(g, GCAP).astype(float))
+    return vals
+
+
+def _window_words(points, H):
+    """Two uint64 words per point and centre n in [-H, H]: bit k holds
+    s_{n+k} in the first and s_{n-k} in the second, k < GCAP."""
+    bits = _shift_bits(points, -H - GCAP + 1, H + GCAP - 1).astype(np.uint64)
+    n = 2 * H + 1
+    fwd = np.zeros((len(points), n), dtype=np.uint64)
+    bwd = np.zeros((len(points), n), dtype=np.uint64)
+    for k in range(GCAP):
+        fwd |= bits[:, GCAP - 1 + k:GCAP - 1 + k + n] << np.uint64(k)
+        bwd |= bits[:, GCAP - 1 - k:GCAP - 1 - k + n] << np.uint64(k)
+    return fwd, bwd
+
+
+def _orbit_keys(points):
+    """Per point, (r, s, P) with r = sigma^s p the canonical representative
+    of p's orbit.  P is the period of a purely periodic point, whose shifts
+    repeat, and 0 for every other point, whose shifts are all distinct."""
+    keys = []
+    for p in points:
+        if p.core or p.left != p.right:
+            keys.append((p.shifted(p.offset), p.offset, 0))
+            continue
+        P = len(p.left)
+        s = min(range(P), key=lambda r: p.shifted(r).left)
+        keys.append((p.shifted(s), s, P))
+    return keys
+
+
+def _equal(xs, ys):
+    """eq[i, j]: xs[i] == ys[j], canonical forms making that equality of
+    sequences."""
+    ids = {}
+    a, b = (np.array([ids.setdefault(p, len(ids)) for p in pts], dtype=int)
+            for pts in (xs, ys))
+    return a[:, None] == b[None, :]
+
+
+def _orbit_hits(points, targets, H):
+    """hit[i, j]: sigma^n p_i == t_j for some |n| <= H.  That holds iff
+    p_i and t_j share their representative and n = s_i - s_j: one
+    candidate n per pair, or one per period for periodic points."""
+    kp, kt = _orbit_keys(points), _orbit_keys(targets)
+    sp = np.array([s for _, s, _ in kp], dtype=int)
+    st = np.array([s for _, s, _ in kt], dtype=int)
+    P = np.array([per for _, _, per in kp], dtype=int)[:, None]
+    n = sp[:, None] - st[None, :]
+    r = np.mod(n, np.maximum(P, 1))
+    n = np.where(P > 0, np.minimum(r, P - r), np.abs(n))
+    return _equal([k[0] for k in kp], [k[0] for k in kt]) & (n <= H)
+
+
 class ShiftSystem(DynSystem):
     """Full shift on bi-infinite binary sequences, d(s, s') = 2^-min|i: differ|."""
 
     id = "shift2"
+    floor = 2.0 ** -GCAP
 
     def comoving_extremes(self, pts_a, pts_b, horizons, use_max):
         """Closed form, no iteration.
 
         d(sigma^n x, sigma^n y) = 2^-g(n) with g(n) the gap from n to the
         nearest difference position of (x, y); the extreme over |n| <= h
-        reads off a nearest-difference profile over one window of bits.
-        Values below 2^-GCAP are clamped to it, and pairs that agree on the
-        whole window get 0.
+        reads off a nearest-difference profile over one window of bits,
+        which depends on the pair only through its packed difference mask.
+        Each block of rows computes that profile once per distinct mask.
+        Values below 2^-GCAP, and pairs that agree on the whole window, are
+        clamped to it; equal points get 0.
         """
         W = max(horizons) + GCAP
-        A = _shift_bits(pts_a, -W, W)
-        B = A if pts_b is None else _shift_bits(pts_b, -W, W)
-        ma, mb = A.shape[0], B.shape[0]
-        out = {h: np.zeros((ma, mb)) for h in horizons}
-        chunk = max(1, int(4_000_000 // (mb * (2 * W + 1))) or 1)
-        for s in range(0, ma, chunk):
-            rows = A[s:s + chunk]
-            diff = rows[:, None, :] != B[None, :, :]
-            c = diff.shape[0]
-            nd = _nearest_true(diff.reshape(c * mb, -1)).reshape(c, mb, -1)
-            anydiff = diff.any(axis=2)
+        A = np.packbits(_shift_bits(pts_a, -W, W), axis=1)
+        B = A if pts_b is None else \
+            np.packbits(_shift_bits(pts_b, -W, W), axis=1)
+        ma, (mb, nb) = len(A), B.shape
+        out = {h: np.empty((ma, mb)) for h in horizons}
+        rows = max(1, _CHUNK // max(1, mb * nb))
+        for s in range(0, ma, rows):
+            X = (A[s:s + rows, None, :] ^ B[None, :, :]).reshape(-1, nb)
+            masks, inv = np.unique(X.view(f"V{nb}").ravel(),
+                                   return_inverse=True)
+            vals = _mask_extremes(masks.view(np.uint8).reshape(-1, nb), W,
+                                  horizons, use_max)
             for h in horizons:
-                win = nd[:, :, W - h:W + h + 1]
-                g = win.min(axis=2) if use_max else win.max(axis=2)
-                vals = np.exp2(-np.minimum(g, GCAP).astype(float))
-                vals[~anydiff] = 0.0
-                out[h][s:s + chunk] = vals
+                out[h][s:s + rows] = vals[h][inv].reshape(-1, mb)
+        equal = _equal(pts_a, pts_a if pts_b is None else pts_b)
+        for h in horizons:
+            out[h][equal] = 0.0
         return out
+
+    def visit_minima(self, points, targets, H):
+        """Closed form, no iteration.
+
+        d(sigma^n p, t) = 2^-r with r the radius on which p agrees with t
+        around n.  Two words per centre n hold the GCAP symbols on each
+        side, so the radius is the trailing-zero count of the XOR with t's
+        words, capped at GCAP; the minimum over |n| <= H keeps the largest
+        radius.  Exact orbit hits sigma^n p == t get 0.
+        """
+        words = np.stack(_window_words(points, H), axis=2)
+        tf, tb = (w[:, 0] for w in _window_words(targets, 0))
+        one = np.uint64(1)
+        # the lowest set bit of z is 2^r; z == 0 means r >= GCAP
+        reach = np.empty((len(points), len(targets)))
+        for i, w in enumerate(words):
+            # one row per distinct window of the point
+            w = np.unique(w.view("V16").ravel()).view(np.uint64)
+            z = (w[0::2, None] ^ tf) | (w[1::2, None] ^ tb)
+            low = (z & (~z + one)).astype(float)
+            reach[i] = np.where(low == 0.0, 2.0 ** GCAP, low).max(axis=0)
+        V = 1.0 / reach
+        V[_orbit_hits(points, targets, H)] = 0.0
+        return V
 
     def step(self, p):
         return p.shifted(1)

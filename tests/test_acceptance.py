@@ -4,6 +4,7 @@ pass/fail line each, with wall-clock budgets where a criterion carries one.
 Run with -s to see the per-criterion lines; under plain pytest each test
 itself is the pass/fail line.
 """
+import hashlib
 import itertools
 import json
 import math
@@ -358,12 +359,23 @@ def test_criterion_11_dispersion_oracle():
 # 12. determinism of the scenario suite
 # ---------------------------------------------------------------------------
 
+# sha256 of report.json for each file in scenarios/, run with --seed 0
+SCENARIO_DIGESTS = {
+    "annulus3_audit":
+        "088783ef827239c8df10f5f872bc904fbdf3845e9f70643d8f84722fbaa9d2e3",
+    "shift2_suite":
+        "54b546e9768863b615209ff3579611f323535f4de232571c2d5c940e439ad45f",
+    "skew_equicont":
+        "eae0d7b6b4f8ad687013c8a9c75a0f347e87e143d9c88fd1c958e6497e948185",
+}
+
+
 def test_criterion_12_scenario_determinism(tmp_path):
     t0 = time.perf_counter()
     from ndistal.cli import run_scenario
     scen_dir = __import__("pathlib").Path(__file__).parent.parent / "scenarios"
     scenarios = sorted(scen_dir.glob("*.scn"))
-    assert scenarios, "no scenario files found"
+    assert [scn.stem for scn in scenarios] == sorted(SCENARIO_DIGESTS)
     for scn in scenarios:
         out_a = tmp_path / (scn.stem + "-a")
         out_b = tmp_path / (scn.stem + "-b")
@@ -373,5 +385,6 @@ def test_criterion_12_scenario_determinism(tmp_path):
         ra = (out_a / "report.json").read_bytes()
         rb = (out_b / "report.json").read_bytes()
         assert ra == rb
+        assert hashlib.sha256(ra).hexdigest() == SCENARIO_DIGESTS[scn.stem]
         json.loads(ra)  # well formed
     _stamp(12, "scenario determinism", t0)

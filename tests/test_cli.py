@@ -145,6 +145,19 @@ def test_oneoff_subcommand(capsys):
     ["proximal", "--system", "rotation{alpha=1e400}"],
     ["proximal", "--system", "annulusN{N=nan}"],
     ["--threads", "2", "list-systems"],
+    ["proximal", "--system", "annulus3", "--eps", "nan"],
+    ["proximal", "--system", "annulus3", "--eps", "0"],
+    ["proximal", "--system", "annulus3", "--index", "0", "--eps", "-1"],
+    ["equicont", "--system", "rotation", "--N", "1", "--epsilon", "nan"],
+    ["equicont", "--system", "rotation", "--N", "1", "--epsilon", "0"],
+    ["equicont", "--system", "rotation", "--N", "1",
+     "--delta-grid", "0.1", "nan"],
+    ["equicont", "--system", "rotation", "--N", "1", "--delta-grid", "-0.1"],
+    ["structure", "--system", "annulus3", "--op", "transitive_check",
+     "--delta", "nan"],
+    ["structure", "--system", "annulus3", "--op", "minimal_subsystems",
+     "--delta", "0"],
+    ["structure", "--system", "annulus3", "--delta", "nan"],
 ])
 def test_invalid_invocations_exit_2(argv):
     try:

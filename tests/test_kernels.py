@@ -11,11 +11,18 @@ from ndistal.kernels import (max_orbit_distance, min_orbit_distance,
                              orbit_max_matrix, orbit_min_matrix,
                              orbit_min_pairs, orbit_min_rows,
                              orbit_visit_matrix, orbit_window_min_row)
-from ndistal.points import Annulus, OrbitIndex, Torus, word_point
+from ndistal import systems
+from ndistal.points import (Annulus, OrbitIndex, SymbolicPoint, Torus,
+                            periodic_point, word_point)
 from ndistal.systems import (GCAP, Rotation, SkewTorus, annulus3,
                              conjugate_system, shift2)
 
 FLOOR = 2.0 ** -GCAP
+
+
+def clamped(a):
+    """Values below the shift's floor raised to it; exact zeros kept."""
+    return np.where(a == 0.0, 0.0, np.maximum(a, FLOOR))
 
 
 def brute_min_matrix(sys, points, H):
@@ -160,10 +167,23 @@ def random_points(name, rng, m):
         return [OrbitIndex(int(n)) if n % 3 == 0
                 else Annulus(float(t), 1.0 + n % 2)
                 for n, t in zip(rng.integers(-20, 21, m), rng.random(m))]
-    return [word_point(tuple(int(b) for b in
-                             rng.integers(0, 2, int(rng.integers(1, 5)))),
-                       origin=int(rng.integers(-90, 91)))
-            for _ in range(m)]
+    return [random_symbolic(rng) for _ in range(m)]
+
+
+def random_symbolic(rng):
+    """A finite word on a constant fill of 0 or 1, a purely periodic point,
+    or a word between two periodic tails."""
+    def bits(lo, hi):
+        n = int(rng.integers(lo, hi))
+        return tuple(int(b) for b in rng.integers(0, 2, n))
+
+    kind = int(rng.integers(0, 3))
+    origin = int(rng.integers(-90, 91))
+    if kind == 0:
+        return word_point(bits(1, 5), origin, fill=int(rng.integers(0, 2)))
+    if kind == 1:
+        return periodic_point(bits(1, 5))
+    return SymbolicPoint(bits(0, 5), origin, bits(1, 4), bits(1, 4))
 
 
 MAKERS = {"rotation": Rotation, "skew_torus": SkewTorus,
@@ -215,9 +235,6 @@ def test_shift_closed_form_matches_default_above_floor(seed):
     H = int(rng.integers(0, 13))
     h = int(rng.integers(0, H + 1))
 
-    def clamped(a):
-        return np.maximum(a, FLOOR)
-
     M, snaps = orbit_min_matrix(sys, pts, H, checkpoints=(h,))
     M_d, snaps_d = orbit_min_matrix(default, pts, H, checkpoints=(h,))
     assert np.array_equal(clamped(M), clamped(M_d))
@@ -251,3 +268,67 @@ def test_window_min_row_matches_brute_force(name, seed):
     want = [min(sys.dist(sys.iterate(x, k), sys.iterate(p, k))
                 for k in range(lo, hi + 1)) for p in pts]
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_shift_visit_minima_match_default(seed):
+    rng = np.random.default_rng(seed)
+    sys = shift2()
+    default = identity_conjugate(sys)
+    pts = random_points("shift2", rng, int(rng.integers(1, 7)))
+    H = int(rng.integers(0, 13))
+    # shifts of cloud points, some reachable within |n| <= H, give exact 0
+    tgt = [sys.iterate(p, int(rng.integers(-H - 3, H + 4))) for p in pts]
+    tgt += random_points("shift2", rng, int(rng.integers(0, 3)))
+    got = orbit_visit_matrix(sys, pts, tgt, H)
+    want = orbit_visit_matrix(default, pts, tgt, H)
+    assert np.array_equal(clamped(got), clamped(want))
+
+
+@pytest.mark.parametrize("use_max", [False, True])
+def test_shift_chunked_dedup_with_distinct_masks(monkeypatch, use_max):
+    rng = np.random.default_rng(7)
+    sys = shift2()
+    xs = [word_point(tuple(int(b) for b in rng.integers(0, 2, 12)),
+                     int(rng.integers(-30, 31))) for _ in range(9)]
+    ys = [word_point(tuple(int(b) for b in rng.integers(0, 2, 12)),
+                     int(rng.integers(-30, 31)), fill=1) for _ in range(7)]
+    horizons = {4, 12}
+    W = max(horizons) + GCAP
+    rows = [tuple(p.get(t) for t in range(-W, W + 1)) for p in xs + ys]
+    masks = {tuple(a ^ b for a, b in zip(x, y))
+             for x in rows[:len(xs)] for y in rows[len(xs):]}
+    assert len(masks) == len(xs) * len(ys)
+    whole = sys.comoving_extremes(xs, ys, horizons, use_max)
+    # blocks of a few rows, and a few masks per nearest-difference pass
+    monkeypatch.setattr(systems, "_CHUNK", 200)
+    chunked = sys.comoving_extremes(xs, ys, horizons, use_max)
+    swept = identity_conjugate(sys).comoving_extremes(xs, ys, horizons,
+                                                      use_max)
+    for h in horizons:
+        assert np.array_equal(chunked[h], whole[h])
+        assert np.array_equal(clamped(chunked[h]), clamped(swept[h]))
+
+
+def test_shift_zero_only_for_equal_points():
+    sys = shift2()
+    zero, far = word_point(()), word_point((1,), origin=200)
+    # equal on the whole closed-form window, yet distinct
+    assert min_orbit_distance(sys, zero, far, 10) == FLOOR
+    assert max_orbit_distance(sys, zero, far, 10) == FLOOR
+    assert orbit_min_matrix(sys, [far, far], 10)[0].tolist() == [[0.0] * 2] * 2
+
+
+def test_shift_visit_exact_hits():
+    sys = shift2()
+    word = word_point((1, 1, 0, 1), origin=-2)
+    cycle = periodic_point((0, 0, 0, 1, 0))
+    far = word_point((1,), origin=GCAP + 5)     # agrees with 0^Z near 0
+    pts = [word, cycle, word_point(())]
+    tgt = [sys.iterate(word, 3), sys.iterate(word, 4),
+           sys.iterate(cycle, -1), far]
+    V = orbit_visit_matrix(sys, pts, tgt, 3)
+    assert V[0, 0] == 0.0 and V[0, 1] > 0.0    # reached at n = 3, not 4
+    assert V[1, 2] == 0.0                      # reached at n = -1
+    assert V[2, 3] == FLOOR                    # equal on 2 GCAP symbols

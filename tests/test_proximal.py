@@ -1,14 +1,18 @@
 """Proximal cells, distality verdicts, quotients, and fiber cells."""
 
+import re
+
 import numpy as np
 import pytest
 
+from ndistal.cli import build_parser, default_cloud
 from ndistal.errors import HomomorphismError
-from ndistal.points import Annulus, OrbitIndex, Pair, Torus
+from ndistal.points import Annulus, OrbitIndex, Pair, Torus, word_point
 from ndistal.proximal import (distality_report, fiber_proximal_cell,
                               proximal_cell, proximal_quotient)
-from ndistal.systems import (Rotation, SkewTorus, annulus2, annulus3,
-                             annulusN, power_system, product_system, shift2)
+from ndistal.systems import (CATALOGUE_FACTS, Rotation, SkewTorus, annulus2,
+                             annulus3, annulusN, get_system, power_system,
+                             product_system, shift2)
 
 
 def members_of(cloud, cell):
@@ -101,6 +105,43 @@ def test_stability_probe_rejects_flat_pairs():
     loose = distality_report(s, cloud, H=50, eps_prox=1e-3,
                              stable_only=False)
     assert loose.max_cell_size == 2
+
+
+def test_floor_minima_count_as_stable():
+    # at H=200 the shift's H and 2H minima both sit at its floor 2^-64, so
+    # the shrink test alone would reject every edge and read "distal"
+    s = shift2()
+    cloud = s.sampler(3)
+    rep = distality_report(s, cloud, H=200)
+    assert rep.verdict.startswith("not N-distal")
+    cell = proximal_cell(s, word_point(()), cloud, H=200)
+    assert cell.size() > 1
+    assert all(cell.stable.values())
+
+
+def _expected_verdict(name, sys):
+    """The distality verdict CATALOGUE_FACTS states for a system, as a
+    predicate on distality_report's verdict string."""
+    fact = CATALOGUE_FACTS[name]
+    if "not N-distal for any N" in fact:
+        return lambda v: v.startswith("not N-distal")
+    m = re.match(r"(\w+)-distal, not ", fact)
+    if m:
+        N = m.group(1)
+        N = int(re.search(r"N=(\d+)", sys.id).group(1) if N == "N" else N)
+        weaker = "distal" if N == 2 else f"{N - 1}-distal"
+        return lambda v: v == f"{N}-distal, not {weaker}"
+    assert fact.startswith("distal"), fact
+    return lambda v: v == "distal"
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE_FACTS))
+def test_verdicts_match_facts_at_cli_defaults(name):
+    args = build_parser().parse_args(["proximal", "--system", name])
+    sys = get_system(name)
+    cloud = default_cloud(sys, 3)
+    rep = distality_report(sys, cloud, H=args.H, eps_prox=args.eps)
+    assert _expected_verdict(name, sys)(rep.verdict), rep.verdict
 
 
 # ---------------------------------------------------------------------------
