@@ -43,8 +43,7 @@ from .proximal import distality_report, proximal_cell, proximal_quotient
 from .structure import (expansivity_probe, minimal_subsystems,
                         periodic_points, prop_3_2_audit, return_profile,
                         theorem_3_5_audit, transitive_check)
-from .systems import (CATALOGUE_FACTS, AnnulusSystem, Rotation, ShiftSystem,
-                      get_system)
+from .systems import CATALOGUE_FACTS, get_system
 
 
 class ScenarioError(ValueError):
@@ -145,13 +144,7 @@ def parse_scenario(path):
 
 def default_cloud(sys, size=None):
     """Sample the conventional report cloud for a catalogue system."""
-    if isinstance(sys, ShiftSystem):
-        return sys.sampler(4 if size is None else size)
-    if isinstance(sys, Rotation):
-        return sys.sampler(256 if size is None else size)
-    if isinstance(sys, AnnulusSystem):
-        return sys.sampler(256 if size is None else size)
-    return sys.sampler(32 if size is None else size)
+    return sys.sampler(sys.cloud_size if size is None else size)
 
 
 def _indexed_point(cloud, params, key="index"):

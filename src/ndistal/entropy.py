@@ -3,10 +3,10 @@ geometric-partition bounds.
 
 All entropies are in natural log units, matching the analytic bound
 e/(e-1)^2 of the geometric construction.  Refinement follows itineraries on
-a finite cloud: the one-step image of each cloud point is snapped to its
-nearest cloud neighbour, and the snap distance is checked against a
-tolerance (half the cloud mesh by default) so that aliasing cannot silently
-corrupt the itineraries.
+a finite cloud: the one-step image of each cloud point is snapped to the
+nearest cloud point in the system's own metric, and the snap distance is
+checked against a tolerance (half the cloud mesh by default) so that
+aliasing cannot silently corrupt the itineraries.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConstructionError, MeasureError, ParameterError,
                      RefinementError)
+from .kernels import mesh, nearest
 from .points import Annulus, PointCloud, SymbolicPoint, Torus
-from .systems import ShiftSystem
+from .systems import _shift_bits
 
 KSH1_BOUND = math.e / (math.e - 1.0) ** 2
 
@@ -115,9 +116,7 @@ def orbit_measure(sys, cloud: PointCloud, x0, length: int = 10_000,
     for _ in range(length):
         orbit.append(x)
         x = sys.step(x)
-    tree, _ = _embed_tree(sys, cloud)
-    q = sys.arr_embed(sys.arr_state(orbit))
-    _, idx = tree.query(q)
+    idx, _ = nearest(sys, orbit, cloud.points)
     counts = np.bincount(idx, minlength=len(cloud)).astype(float)
     return EmpiricalMeasure(counts / counts.sum(),
                             f"orbit({x0!r},{length})")
@@ -139,24 +138,9 @@ def partition_entropy(weights) -> float:
 # refinement along itineraries
 # ---------------------------------------------------------------------------
 
-def _embed_tree(sys, cloud):
-    state = sys.arr_state(list(cloud.points))
-    emb = sys.arr_embed(state)
-    return cKDTree(emb), emb
-
-
 def cloud_mesh(sys, cloud: PointCloud) -> float:
-    """Smallest positive nearest-neighbour distance in the cloud."""
-    if isinstance(sys, ShiftSystem):
-        best = 1.0
-        pts = cloud.points
-        for i, p in enumerate(pts):
-            for q in pts[i + 1:]:
-                best = min(best, sys.dist(p, q))
-        return best
-    tree, emb = _embed_tree(sys, cloud)
-    d, _ = tree.query(emb, k=2)
-    return float(d[:, 1].min())
+    """Smallest positive distance between two cloud points."""
+    return mesh(sys, cloud.points)
 
 
 def step_index_map(sys, cloud: PointCloud,
@@ -169,16 +153,12 @@ def step_index_map(sys, cloud: PointCloud,
         return np.array([lut[p] for p in stepped]), 0.0
     if snap_tol is None:
         snap_tol = 0.5 * cloud_mesh(sys, cloud)
-    tree, _ = _embed_tree(sys, cloud)
-    emb = sys.arr_embed(sys.arr_state(stepped))
-    _, idx = tree.query(emb)
-    snapped = [cloud[int(i)] for i in idx]
-    gaps = [sys.dist(a, b) for a, b in zip(stepped, snapped)]
-    worst = float(max(gaps))
+    idx, gaps = nearest(sys, stepped, cloud.points)
+    worst = float(gaps.max())
     if worst > snap_tol:
         raise RefinementError(
             f"snap distance {worst:.3g} exceeds tolerance {snap_tol:.3g}")
-    return np.asarray(idx, dtype=np.int64), worst
+    return idx, worst
 
 
 def refine_partition(P: Partition, sys, n: int, cloud: PointCloud,
@@ -254,16 +234,22 @@ def word_count_entropy(sys, n: int, cloud: Optional[PointCloud] = None
             raise ParameterError(f"{sys.id}: word counts need a symbolic "
                                  "system")
         cloud = sys.periodic_cloud(min(n, 13))
-    words = set()
+    # each point's words start in [lo - n - span, hi + span]: past its
+    # core and one period of each tail, every word repeats an earlier one.
+    # Points are read in groups that share that range, one row per point.
+    ranges = {}
     for p in cloud.points:
         lo, hi = p.extent()
         span = max(len(p.left), len(p.right), 1)
-        for j in range(lo - n - span, hi + span + 1):
-            words.add(tuple(p.get(j + t) for t in range(n)))
-    return EntropyEstimate(value=math.log(len(words)) / n,
+        ranges.setdefault((lo - n - span, hi + span + n - 1), []).append(p)
+    weights = np.left_shift(1, np.arange(n, dtype=np.int64))
+    codes = [(sliding_window_view(_shift_bits(pts, a, b), n, axis=1)
+              @ weights).ravel() for (a, b), pts in ranges.items()]
+    n_words = len(np.unique(np.concatenate(codes)))
+    return EntropyEstimate(value=math.log(n_words) / n,
                            method="word_count",
                            params={"n": n, "cloud_size": len(cloud),
-                                   "n_words": len(words)},
+                                   "n_words": n_words},
                            diagnostics=())
 
 

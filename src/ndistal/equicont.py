@@ -10,7 +10,9 @@ Pass/fail is certified through the N-diameter bounds: a delta level passes
 only when every sampled base has a certified diameter upper bound below
 epsilon, and a failure witness is only certified when a concrete N+1 subset
 is pairwise separated by at least epsilon.  Levels where neither bound
-resolves count as not passed, without a certified witness.
+resolves count as not passed, without a certified witness.  When no delta
+passes, the witness is the system's own (the skew torus's shear) or else a
+certified failing subset.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import ParameterError, check_positive
 from .kernels import _comoving, orbit_min_rows, orbit_window_min_row
 from .ndiameter import (diam_n_bounds_from_matrix, diam_n_exact_from_matrix)
-from .points import PointCloud, Torus
+from .points import PointCloud
 
 DEFAULT_DELTA_GRID = (0.2, 0.1, 0.05, 0.02, 0.01)
 DEFAULT_H = 200
@@ -141,24 +143,6 @@ def skew_witness(N: int, delta: float, M: Optional[int] = None):
                 return m, n
 
 
-def _first_coordinate_witness(sys, base, N, epsilon, delta):
-    """Witness in the style of the shear construction: N+1 points spread in
-    the first coordinate inside B_delta(base), pushed forward until the pair
-    (base, base + delta/M e_1) separates by at least 1/4."""
-    d = delta * (1.0 - 1e-9)
-    pts = [base] + [Torus(base.x + d / k, base.y) for k in range(1, N + 1)]
-    M, n = skew_witness(N, d)
-    imgs = tuple(sys.iterate(p, n) for p in pts)
-    dists = [sys.dist(imgs[i], imgs[j])
-             for i in range(len(imgs)) for j in range(i + 1, len(imgs))]
-    pair_sep = sys.dist(imgs[0], imgs[M])
-    mp = float(min(dists))
-    return EquicontinuityWitness(base=base, n=n, points=tuple(pts),
-                                 min_pairwise=mp,
-                                 certified=mp >= epsilon,
-                                 M=M, pair_separation=float(pair_sep))
-
-
 def _dispersed_bases(D0, k):
     """Greedy farthest-point selection of k base indices.
 
@@ -238,13 +222,11 @@ def n_equicontinuity_probe(sys, cloud: PointCloud, N: int, epsilon: float,
     witness = None
     if not passed:
         smallest = grid[-1]
-        if isinstance(cloud[0], Torus):
-            witness = _first_coordinate_witness(
-                sys, cloud[base_idx[0]], N, epsilon, smallest)
-        elif smallest in fail_witnesses:
-            witness = fail_witnesses[smallest]
-        elif fail_witnesses:
-            witness = fail_witnesses[sorted(fail_witnesses)[0]]
+        witness = sys.equicontinuity_witness(cloud[base_idx[0]], N, epsilon,
+                                             smallest)
+        if witness is None and fail_witnesses:
+            witness = fail_witnesses.get(smallest,
+                                         fail_witnesses[min(fail_witnesses)])
 
     rng = np.random.default_rng(seed)
     spot = []

@@ -16,7 +16,8 @@ others inherit a default over plain point lists that calls ``step`` and
 both run the engine (``sweep_extremes``, ``sweep_visits``) unless the
 system knows the answer in closed form.  The shift does, from packed bits:
 its difference masks for the co-moving extremes, and its windows of
-symbols around each time for the visits.
+symbols around each time for the visits.  `nearest` (snapping) and `mesh`
+run on ``arr_cdist`` too, in row blocks of at most `_CHUNK` distances.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
+
+_CHUNK = 4_000_000  # elements per temporary array of the blocked helpers
 
 
 def _check_horizon(H):
@@ -78,6 +81,41 @@ def sweep_visits(sys, points, targets, H):
     |n| <= H of d(f^n p_i, t_j), the targets held fixed."""
     return _sweep(sys, sys.arr_state(points), sys.arr_state(targets), H,
                   sys.arr_cdist, move_b=False)[0]
+
+
+def _row_blocks(m, width):
+    """Slices of m rows, each block holding at most _CHUNK elements."""
+    step = max(1, _CHUNK // max(1, width))
+    return [slice(s, s + step) for s in range(0, m, step)]
+
+
+def nearest(sys, queries, points):
+    """For each query, the index of its nearest point under the system's
+    metric (the lowest index on ties) and the distance to it."""
+    queries = list(queries)
+    sp = sys.arr_state(list(points))
+    idx = np.empty(len(queries), dtype=np.int64)
+    gap = np.empty(len(queries))
+    for rows in _row_blocks(len(queries), len(points)):
+        D = sys.arr_cdist(sys.arr_state(queries[rows]), sp)
+        idx[rows] = D.argmin(axis=1)
+        gap[rows] = D[np.arange(len(D)), idx[rows]]
+    return idx, gap
+
+
+def mesh(sys, points):
+    """Smallest positive distance between two of the points (inf when no
+    two are apart)."""
+    points = list(points)
+    best = np.inf
+    for rows in _row_blocks(len(points), len(points)):
+        # the upper triangle: each block against itself and later points
+        D = sys.arr_cdist(sys.arr_state(points[rows]),
+                          sys.arr_state(points[rows.start:]))
+        pos = D[D > 0.0]
+        if pos.size:
+            best = min(best, float(pos.min()))
+    return best
 
 
 # ---------------------------------------------------------------------------

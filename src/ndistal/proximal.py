@@ -18,8 +18,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import HomomorphismError, ParameterError, check_positive
-from .kernels import (max_orbit_distance, min_orbit_distance,
-                      orbit_min_matrix, orbit_min_rows)
+from .kernels import (max_orbit_distance, mesh, min_orbit_distance,
+                      nearest, orbit_min_matrix, orbit_min_rows)
 from .points import OrbitIndex, PointCloud
 
 DEFAULT_H = 200
@@ -195,14 +195,6 @@ class QuotientResult:
         return d
 
 
-def _nearest_indices(sys, queries, cloud: PointCloud):
-    """Index of the nearest cloud point for each query, with distances."""
-    D = sys.arr_cdist(sys.arr_state(list(queries)),
-                      sys.arr_state(list(cloud.points)))
-    idx = D.argmin(axis=1)
-    return idx, D[np.arange(len(queries)), idx]
-
-
 def proximal_quotient(report: ProximalReport, sys,
                       match_tol: float = 1e-9) -> QuotientResult:
     """Quotient the cloud by the proximal graph, when it is an equivalence.
@@ -235,7 +227,7 @@ def proximal_quotient(report: ProximalReport, sys,
             label_of[i] = ci
 
     stepped = [sys.step(p) for p in report.cloud.points]
-    near, gap = _nearest_indices(sys, stepped, report.cloud)
+    near, gap = nearest(sys, stepped, report.cloud.points)
     induced = {}
     consistent = True
     for ci, members in enumerate(classes):
@@ -284,14 +276,11 @@ def fiber_proximal_cell(g, f, pi, y, cloud: PointCloud, H: int = DEFAULT_H,
                 f"pi does not semiconjugate g to f at {z!r}")
 
     if eps_fiber is None:
-        D = f.arr_pdist(f.arr_state(proj))
-        np.fill_diagonal(D, np.inf)
         # mesh of the distinct projected points: exact duplicate
         # projections (whole fibers) must not shrink the fiber tolerance
-        D[D <= 0.0] = np.inf
-        nn = D.min(axis=1)
-        finite = nn[np.isfinite(nn)]
-        eps_fiber = float(finite.min()) if finite.size else 1.0
+        eps_fiber = mesh(f, proj)
+        if not np.isfinite(eps_fiber):
+            eps_fiber = 1.0
 
     b = cloud.index_of(y)
     py = proj[b]

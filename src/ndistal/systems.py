@@ -6,9 +6,11 @@ through ``step``/``step_inv``/``dist``/``iterate`` and through the array
 interface (``arr_state`` and friends) that the orbit-sweep kernels run on.
 ``DynSystem`` implements the array interface over plain point lists with
 ``step`` and ``dist``, so every system has one; the catalogue systems
-override it with numpy states.  The shift instead overrides the two
-kernel hooks, ``comoving_extremes`` and ``visit_minima``, with closed forms
-on packed bits that resolve distances down to its ``floor`` 2^-GCAP.
+override it with numpy states; it has no embedding, as snapping runs on
+``arr_cdist`` too.  The shift instead overrides the two kernel hooks,
+``comoving_extremes`` and ``visit_minima``, with closed forms on packed
+bits that resolve distances down to its ``floor`` 2^-GCAP, and the skew
+torus overrides ``equicontinuity_witness`` with its shear.
 
 Catalogue (ids):
     rotation       circle rotation by alpha, embedded at y=0 on the torus
@@ -31,8 +33,9 @@ import re
 import numpy as np
 from scipy.spatial import distance as scidist
 
+from .equicont import EquicontinuityWitness, skew_witness
 from .errors import ConjugacyError, InvalidPointError, ParameterError
-from .kernels import sweep_extremes, sweep_visits
+from .kernels import _CHUNK, sweep_extremes, sweep_visits
 from .ndiameter import pairwise_matrix
 from .points import (Annulus, OrbitIndex, Pair, PointCloud, SymbolicPoint,
                      Torus, circ_gap, mod1, periodic_point, symbolic_distance,
@@ -62,24 +65,14 @@ def _torus_cdist(P, Q):
     return np.sqrt(out, out=out)
 
 
-def _torus_pdist(P):
-    return _torus_cdist(P, P)
-
-
-def _eucl_pdist(P):
-    return scidist.cdist(P, P)
-
-
-def _eucl_cdist(P, Q):
-    return scidist.cdist(P, Q)
-
-
 class DynSystem:
     """Invertible dynamical system on a compact metric space."""
 
     id: str = "?"
     # the kernels resolve distances down to floor (0.0: all the way)
     floor: float = 0.0
+    # sampler resolution of the conventional report cloud
+    cloud_size: int = 32
 
     # -- pointwise interface ---------------------------------------------
     def step(self, p):
@@ -123,12 +116,11 @@ class DynSystem:
         """Elementwise distances between two equal-length states."""
         return np.array([self.dist(a, b) for a, b in zip(sa, sb)])
 
+    # no caller; kept so every system resolves the same arr_* names
     def arr_embed(self, state):
-        """Euclidean embedding used only for nearest-neighbour snapping."""
         raise NotImplementedError
 
     def arr_take(self, state, idx):
-        # no caller; kept so every system resolves the same arr_* names
         raise NotImplementedError
 
     def comoving_extremes(self, pts_a, pts_b, horizons, use_max):
@@ -139,6 +131,12 @@ class DynSystem:
     def visit_minima(self, points, targets, H):
         """V[i, j] = min over |n| <= H of d(f^n p_i, t_j)."""
         return sweep_visits(self, points, targets, H)
+
+    def equicontinuity_witness(self, base, N, epsilon, delta):
+        """N+1 points of B_delta(base) whose images separate, built from
+        the system's structure; None when the system knows no such
+        construction."""
+        return None
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.id}>"
@@ -161,15 +159,10 @@ class _TorusBase(DynSystem):
         return np.array([[p.x, p.y] for p in points], dtype=float)
 
     def arr_pdist(self, state):
-        return _torus_pdist(state)
+        return _torus_cdist(state, state)
 
     def arr_cdist(self, sa, sb):
         return _torus_cdist(sa, sb)
-
-    def arr_embed(self, state):
-        a = 2.0 * np.pi * state
-        return np.concatenate(
-            [np.cos(a), np.sin(a)], axis=1) / (2.0 * np.pi)
 
     def arr_edist(self, sa, sb):
         d = sa - sb
@@ -179,6 +172,8 @@ class _TorusBase(DynSystem):
 
 class Rotation(_TorusBase):
     """Rigid circle rotation; lives on the y=0 circle of the torus."""
+
+    cloud_size = 256
 
     def __init__(self, alpha=GOLDEN):
         self.alpha = _finite("alpha", alpha)
@@ -253,6 +248,24 @@ class SkewTorus(_TorusBase):
             s[:, 1] = np.mod(s[:, 1] - s[:, 0], 1.0)
         return s
 
+    def equicontinuity_witness(self, base, N, epsilon, delta):
+        """The shear construction: N+1 points spread in the first
+        coordinate inside B_delta(base), pushed forward until the pair
+        (base, base + delta/M e_1) separates by at least 1/4."""
+        d = delta * (1.0 - 1e-9)
+        pts = [base] + [Torus(base.x + d / k, base.y)
+                        for k in range(1, N + 1)]
+        M, n = skew_witness(N, d)
+        imgs = tuple(self.iterate(p, n) for p in pts)
+        dists = [self.dist(imgs[i], imgs[j])
+                 for i in range(len(imgs)) for j in range(i + 1, len(imgs))]
+        pair_sep = self.dist(imgs[0], imgs[M])
+        mp = float(min(dists))
+        return EquicontinuityWitness(base=base, n=n, points=tuple(pts),
+                                     min_pairwise=mp,
+                                     certified=mp >= epsilon,
+                                     M=M, pair_separation=float(pair_sep))
+
 
 class IdentityTorus(_TorusBase):
     id = "identity"
@@ -290,6 +303,8 @@ class AnnulusSystem(DynSystem):
     the closed forms above rather than floating iteration of (r-1)^2 + 1,
     which underflows after ~10 steps.
     """
+
+    cloud_size = 256
 
     def __init__(self, sys_id, k, circles, orbits):
         self.id = sys_id
@@ -423,19 +438,21 @@ class AnnulusSystem(DynSystem):
             r[ab] = 1.0 + np.exp2(-np.abs(state["idx"][ab]))
         return r
 
-    def arr_embed(self, state):
+    def _plane(self, state):
+        """The states as points of the plane, where dist is Euclidean."""
         r = self._radii(state)
         a = 2.0 * np.pi * state["theta"]
         return np.stack([r * np.cos(a), r * np.sin(a)], axis=1)
 
     def arr_pdist(self, state):
-        return _eucl_pdist(self.arr_embed(state))
+        E = self._plane(state)
+        return scidist.cdist(E, E)
 
     def arr_cdist(self, sa, sb):
-        return _eucl_cdist(self.arr_embed(sa), self.arr_embed(sb))
+        return scidist.cdist(self._plane(sa), self._plane(sb))
 
     def arr_edist(self, sa, sb):
-        d = self.arr_embed(sa) - self.arr_embed(sb)
+        d = self._plane(sa) - self._plane(sb)
         return np.sqrt((d * d).sum(axis=-1))
 
 
@@ -462,7 +479,6 @@ def annulus2(k=GOLDEN):
 # ---------------------------------------------------------------------------
 
 GCAP = 64  # the shift's closed forms resolve distances down to 2^-GCAP
-_CHUNK = 4_000_000  # elements per temporary array of the shift's closed form
 
 
 def _shift_bits(points, lo, hi):
@@ -569,6 +585,7 @@ class ShiftSystem(DynSystem):
 
     id = "shift2"
     floor = 2.0 ** -GCAP
+    cloud_size = 4
 
     def comoving_extremes(self, pts_a, pts_b, horizons, use_max):
         """Closed form, no iteration.
@@ -722,10 +739,6 @@ class ProductSystem(DynSystem):
         return np.maximum(self.f.arr_cdist(sa[0], sb[0]),
                           self.g.arr_cdist(sa[1], sb[1]))
 
-    def arr_embed(self, state):
-        return np.concatenate([self.f.arr_embed(state[0]),
-                               self.g.arr_embed(state[1])], axis=1)
-
     def arr_edist(self, sa, sb):
         return np.maximum(self.f.arr_edist(sa[0], sb[0]),
                           self.g.arr_edist(sa[1], sb[1]))
@@ -776,9 +789,6 @@ class PowerSystem(DynSystem):
 
     def arr_cdist(self, sa, sb):
         return self.f.arr_cdist(sa, sb)
-
-    def arr_embed(self, state):
-        return self.f.arr_embed(state)
 
     def arr_edist(self, sa, sb):
         return self.f.arr_edist(sa, sb)

@@ -158,6 +158,7 @@ def test_oneoff_subcommand(capsys):
     ["structure", "--system", "annulus3", "--op", "minimal_subsystems",
      "--delta", "0"],
     ["structure", "--system", "annulus3", "--delta", "nan"],
+    ["entropy", "--system", "shift2"],
 ])
 def test_invalid_invocations_exit_2(argv):
     try:

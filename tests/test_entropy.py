@@ -17,7 +17,8 @@ from ndistal.entropy import (KSH1_BOUND, EmpiricalMeasure, Partition,
                              uniform_measure, word_count_entropy)
 from ndistal.errors import ConstructionError, MeasureError, ParameterError
 from ndistal.points import PointCloud, Torus, periodic_point, word_point
-from ndistal.systems import IdentityTorus, Rotation, SkewTorus, shift2
+from ndistal.systems import (IdentityTorus, Rotation, SkewTorus,
+                             conjugate_system, shift2)
 
 LOG2 = math.log(2.0)
 
@@ -135,6 +136,20 @@ def test_rotation_estimate_small():
     assert est.value <= sum(caps) / 3 + 1e-9
     deep = metric_entropy_estimate(s, P, mu, 200, cloud)
     assert deep.value <= 0.05
+
+
+def test_conjugate_estimate_matches_base():
+    # snapping runs on the metric alone, so a conjugate (no array states
+    # of its own) refines exactly as its base system does
+    s = Rotation()
+    conj = conjugate_system(s, lambda p: p, lambda p: p)
+    cloud = s.sampler(64)
+    P = default_partition(cloud, k=2)
+    mu = uniform_measure(cloud)
+    want = metric_entropy_estimate(s, P, mu, 20, cloud)
+    got = metric_entropy_estimate(conj, P, mu, 20, cloud)
+    assert got.value == want.value
+    assert got.diagnostics == want.diagnostics
 
 
 def test_estimate_needs_four_levels():

@@ -144,6 +144,16 @@ def test_skew_fails_all_small_N_with_witness():
         assert w.pair_separation >= 0.2
 
 
+def test_rotation_gets_no_shear_witness():
+    # the shear construction belongs to the skew torus; a rotation probe
+    # that passes no delta has no witness to report
+    s = Rotation()
+    verdict = n_equicontinuity_probe(s, s.sampler(64), N=1, epsilon=0.2,
+                                     delta_grid=(0.001,), n_spot_checks=0)
+    assert not verdict.passed
+    assert verdict.witness is None
+
+
 def test_annulus3_passes_n3_fails_n2():
     s = annulus3()
     cloud = s.sampler(128)

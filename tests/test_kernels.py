@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndistal.kernels import (max_orbit_distance, min_orbit_distance,
-                             orbit_max_matrix, orbit_min_matrix,
+from ndistal.kernels import (max_orbit_distance, mesh, min_orbit_distance,
+                             nearest, orbit_max_matrix, orbit_min_matrix,
                              orbit_min_pairs, orbit_min_rows,
                              orbit_visit_matrix, orbit_window_min_row)
-from ndistal import systems
+from ndistal import kernels, systems
 from ndistal.points import (Annulus, OrbitIndex, SymbolicPoint, Torus,
                             periodic_point, word_point)
 from ndistal.systems import (GCAP, Rotation, SkewTorus, annulus3,
@@ -268,6 +268,42 @@ def test_window_min_row_matches_brute_force(name, seed):
     want = [min(sys.dist(sys.iterate(x, k), sys.iterate(p, k))
                 for k in range(lo, hi + 1)) for p in pts]
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@given(st.sampled_from(sorted(MAKERS)), st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_nearest_and_mesh_match_brute_force(name, seed):
+    rng = np.random.default_rng(seed)
+    sys = MAKERS[name]()
+    pts = random_points(name, rng, int(rng.integers(1, 7)))
+    # repeated points tie exactly, and the lowest index must win
+    pts += [pts[int(i)] for i in rng.integers(0, len(pts), 2)]
+    queries = random_points(name, rng, int(rng.integers(1, 5))) + pts
+    idx, gap = nearest(sys, queries, pts)
+    for q, i, g in zip(queries, idx, gap):
+        d = [sys.dist(q, p) for p in pts]
+        assert i == d.index(min(d))
+        assert g == pytest.approx(d[i], rel=0.0, abs=1e-12)
+    pos = [d for d in (sys.dist(p, q) for p in pts for q in pts) if d > 0]
+    assert mesh(sys, pts) == pytest.approx(min(pos, default=np.inf),
+                                           rel=0.0, abs=1e-12)
+
+
+def test_nearest_and_mesh_in_small_blocks(monkeypatch):
+    sys = Rotation()
+    # the closest pair is the last two points, so only the last block
+    # sees the mesh
+    pts = [Torus(i / 10, 0.0) for i in range(10)] + [Torus(0.93, 0.0)]
+    queries = [Torus(float(t), 0.0)
+               for t in np.random.default_rng(3).random(9)]
+    whole = nearest(sys, queries, pts)
+    monkeypatch.setattr(kernels, "_CHUNK", 2 * len(pts))  # 2 rows a block
+    idx, gap = nearest(sys, queries, pts)
+    assert np.array_equal(idx, whole[0]) and np.array_equal(gap, whole[1])
+    assert idx.tolist() == [
+        min(range(len(pts)), key=lambda j: sys.dist(q, pts[j]))
+        for q in queries]
+    assert mesh(sys, pts) == pytest.approx(0.03, abs=1e-12)
 
 
 @given(st.integers(0, 10_000))

@@ -1,11 +1,12 @@
 """Proximal cells, distality verdicts, quotients, and fiber cells."""
 
+import json
 import re
 
 import numpy as np
 import pytest
 
-from ndistal.cli import build_parser, default_cloud
+from ndistal.cli import build_parser, default_cloud, main
 from ndistal.errors import HomomorphismError
 from ndistal.points import Annulus, OrbitIndex, Pair, Torus, word_point
 from ndistal.proximal import (distality_report, fiber_proximal_cell,
@@ -142,6 +143,33 @@ def test_verdicts_match_facts_at_cli_defaults(name):
     cloud = default_cloud(sys, 3)
     rep = distality_report(sys, cloud, H=args.H, eps_prox=args.eps)
     assert _expected_verdict(name, sys)(rep.verdict), rep.verdict
+
+
+def _cli_json(capsys, argv):
+    """Run the CLI (its parser defaults, on default_cloud(sys)) and parse
+    the JSON it prints."""
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE_FACTS))
+def test_expansivity_matches_facts_at_cli_defaults(name, capsys):
+    out = _cli_json(capsys, ["structure", "--system", name,
+                             "--op", "expansivity_probe"])
+    expansive = CATALOGUE_FACTS[name].startswith("expansive")
+    assert out["expansive_at"] == (0.25 if expansive else None)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("name", ["rotation", "skew_torus"])
+def test_equicontinuity_matches_facts_at_cli_defaults(name, N, capsys):
+    out = _cli_json(capsys, ["equicont", "--system", name, "--N", str(N)])
+    fact = CATALOGUE_FACTS[name]
+    if "not N-equicontinuous for any N" in fact:
+        assert not out["passed"]
+    else:
+        assert "equicontinuous" in fact, fact
+        assert out["passed"] and all(out["spot_checks"])
 
 
 # ---------------------------------------------------------------------------

@@ -252,14 +252,8 @@ def test_vector_path_matches_pointwise_stepping():
         state = s.arr_state(cloud.points)
         for n in range(1, 6):
             state = s.arr_step(state)
-        emb = s.arr_embed(state)
-        for i, p in enumerate(cloud.points):
-            q = s.iterate(p, 5)
-            qe = q.embed() if hasattr(q, "embed") else (
-                s.embed(q) if hasattr(s, "embed") else None)
-            if qe is None:
-                continue
-            assert np.allclose(emb[i], qe, atol=1e-9)
+        want = s.arr_state([s.iterate(p, 5) for p in cloud.points])
+        assert np.allclose(s.arr_edist(state, want), 0.0, atol=1e-9)
 
 
 def test_arr_pdist_matches_dist():
