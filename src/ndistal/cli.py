@@ -103,14 +103,15 @@ def _parse_value(text):
 def parse_scenario(path):
     """Parse a scenario file into (header dict, list of (op, params, line)).
 
-    Raises ScenarioError with a line number on any malformed line.
+    Raises ScenarioError with a line number on any malformed line, and on
+    a file that cannot be read or is not UTF-8.
     """
     header = {}
     analyses = []
     current = None
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

@@ -110,13 +110,14 @@ def uniform_measure(cloud: PointCloud) -> EmpiricalMeasure:
 def orbit_measure(sys, cloud: PointCloud, x0, length: int = 10_000,
                   snap_tol: Optional[float] = None) -> EmpiricalMeasure:
     """Birkhoff frequencies of the orbit of x0 over the cloud cells (each
-    orbit point is snapped to its nearest cloud point)."""
+    orbit point is snapped to its nearest cloud point; RefinementError when
+    a snap exceeds snap_tol, unchecked when it is None)."""
     orbit = []
     x = x0
     for _ in range(length):
         orbit.append(x)
         x = sys.step(x)
-    idx, _ = nearest(sys, orbit, cloud.points)
+    idx, _ = _snap(sys, orbit, cloud, snap_tol)
     counts = np.bincount(idx, minlength=len(cloud)).astype(float)
     return EmpiricalMeasure(counts / counts.sum(),
                             f"orbit({x0!r},{length})")
@@ -138,6 +139,17 @@ def partition_entropy(weights) -> float:
 # refinement along itineraries
 # ---------------------------------------------------------------------------
 
+def _snap(sys, queries, cloud, snap_tol):
+    """Index of the cloud point nearest to each query and the largest snap
+    distance, which must not exceed snap_tol unless that is None."""
+    idx, gaps = nearest(sys, queries, cloud.points)
+    worst = float(gaps.max(initial=0.0))
+    if snap_tol is not None and worst > snap_tol:
+        raise RefinementError(
+            f"snap distance {worst:.3g} exceeds tolerance {snap_tol:.3g}")
+    return idx, worst
+
+
 def cloud_mesh(sys, cloud: PointCloud) -> float:
     """Smallest positive distance between two cloud points."""
     return mesh(sys, cloud.points)
@@ -153,12 +165,7 @@ def step_index_map(sys, cloud: PointCloud,
         return np.array([lut[p] for p in stepped]), 0.0
     if snap_tol is None:
         snap_tol = 0.5 * cloud_mesh(sys, cloud)
-    idx, gaps = nearest(sys, stepped, cloud.points)
-    worst = float(gaps.max())
-    if worst > snap_tol:
-        raise RefinementError(
-            f"snap distance {worst:.3g} exceeds tolerance {snap_tol:.3g}")
-    return idx, worst
+    return _snap(sys, stepped, cloud, snap_tol)
 
 
 def refine_partition(P: Partition, sys, n: int, cloud: PointCloud,

@@ -6,18 +6,25 @@ dynamical balls, orbit-visit minima against fixed targets for transitivity
 and minimal-set clustering, and minima over a one-sided window for the
 R_delta spot checks.
 
-One engine, `_sweep`, does all of it.  It steps states through the system's
-array interface (``arr_state``, ``arr_step`` and the ``arr_*dist``
-methods) and folds each step's distances into the result.  Every system has
-that interface: the catalogue systems implement it on numpy arrays, and the
-others inherit a default over plain point lists that calls ``step`` and
-``dist``.  The co-moving kernels ask the system for
-``comoving_extremes`` and the visit kernel asks it for ``visit_minima``;
-both run the engine (``sweep_extremes``, ``sweep_visits``) unless the
-system knows the answer in closed form.  The shift does, from packed bits:
-its difference masks for the co-moving extremes, and its windows of
-symbols around each time for the visits.  `nearest` (snapping) and `mesh`
-run on ``arr_cdist`` too, in row blocks of at most `_CHUNK` distances.
+One engine, `_sweep`, does all of it.  It steps states with the step
+function it is given and folds each step's distances into the result.  The
+kernels give it the system's array interface (``arr_state``, ``arr_step``
+and the ``arr_*dist`` methods), which every system has: the catalogue
+systems implement it on numpy arrays, and the others inherit a default over
+plain point lists that calls ``step`` and ``dist``.  The co-moving kernels
+ask the system for ``comoving_extremes`` and the visit kernel asks it for
+``visit_minima``; both run the engine (``sweep_extremes``,
+``sweep_visits``) unless the system knows the answer in closed form, as
+the shift and the torus systems do:
+
+  * the shift, from packed bits: its difference masks for the co-moving
+    extremes, and its windows of symbols around each time for the visits;
+  * the torus systems, for the co-moving extremes: F^n p - F^n q depends
+    only on p - q, so the engine steps one y-difference per distinct
+    difference p - q instead of every pair.
+
+`nearest` (snapping) and `mesh` run on ``arr_cdist`` too, in row blocks of
+at most `_CHUNK` distances.
 """
 
 from __future__ import annotations
@@ -34,14 +41,15 @@ def _check_horizon(H):
         raise ParameterError(f"horizon H must be >= 0, got {H}")
 
 
-def _sweep(sys, sa, sb, H, dist, red=np.minimum, move_b=True,
+def _sweep(step, sa, sb, H, dist, red=np.minimum, move_b=True,
            checkpoints=(), directions=(False, True)):
     """Fold dist(a_n, b_n) with `red` over n = 0..H steps.
 
-    The states take H steps in each direction listed by their ``inverse``
-    flag: both for the window |n| <= H, forward only for a one-sided one.
-    b stays where it is unless move_b.  Returns M and, for each h in
-    checkpoints, a copy of M once the steps up to h are folded in.
+    step(state, inverse) moves a state one step; the states take H steps
+    in each direction listed by their ``inverse`` flag: both for the
+    window |n| <= H, forward only for a one-sided one.  b stays where it
+    is unless move_b.  Returns M and, for each h in checkpoints, a copy of
+    M once the steps up to h are folded in.
     """
     _check_horizon(H)
     M = dist(sa, sb)
@@ -50,9 +58,9 @@ def _sweep(sys, sa, sb, H, dist, red=np.minimum, move_b=True,
     for n in range(1, H + 1):
         for k, inverse in enumerate(directions):
             a, b = walks[k]
-            a = sys.arr_step(a, inverse=inverse)
+            a = step(a, inverse)
             if move_b:
-                b = sys.arr_step(b, inverse=inverse)
+                b = step(b, inverse)
             walks[k] = (a, b)
             red(M, dist(a, b), out=M)
         if n in checkpoints:
@@ -71,7 +79,8 @@ def sweep_extremes(sys, pts_a, pts_b, horizons, use_max):
         sb, dist, move_b = None, lambda a, _: sys.arr_pdist(a), False
     else:
         sb, dist, move_b = sys.arr_state(list(pts_b)), sys.arr_cdist, True
-    M, cps = _sweep(sys, sa, sb, H, dist, red, move_b, horizons)
+    M, cps = _sweep(sys.arr_step, sa, sb, H, dist, red, move_b,
+                    horizons)
     cps[H] = M
     return cps
 
@@ -79,13 +88,14 @@ def sweep_extremes(sys, pts_a, pts_b, horizons, use_max):
 def sweep_visits(sys, points, targets, H):
     """The engine behind ``DynSystem.visit_minima``: V[i, j] the min over
     |n| <= H of d(f^n p_i, t_j), the targets held fixed."""
-    return _sweep(sys, sys.arr_state(points), sys.arr_state(targets), H,
-                  sys.arr_cdist, move_b=False)[0]
+    return _sweep(sys.arr_step, sys.arr_state(points),
+                  sys.arr_state(targets), H, sys.arr_cdist, move_b=False)[0]
 
 
-def _row_blocks(m, width):
-    """Slices of m rows, each block holding at most _CHUNK elements."""
-    step = max(1, _CHUNK // max(1, width))
+def _row_blocks(m, width, budget):
+    """Slices of m rows of `width` elements, each block holding at most
+    `budget` elements (at least one row)."""
+    step = max(1, budget // max(1, width))
     return [slice(s, s + step) for s in range(0, m, step)]
 
 
@@ -96,7 +106,7 @@ def nearest(sys, queries, points):
     sp = sys.arr_state(list(points))
     idx = np.empty(len(queries), dtype=np.int64)
     gap = np.empty(len(queries))
-    for rows in _row_blocks(len(queries), len(points)):
+    for rows in _row_blocks(len(queries), len(points), _CHUNK):
         D = sys.arr_cdist(sys.arr_state(queries[rows]), sp)
         idx[rows] = D.argmin(axis=1)
         gap[rows] = D[np.arange(len(D)), idx[rows]]
@@ -108,7 +118,7 @@ def mesh(sys, points):
     two are apart)."""
     points = list(points)
     best = np.inf
-    for rows in _row_blocks(len(points), len(points)):
+    for rows in _row_blocks(len(points), len(points), _CHUNK):
         # the upper triangle: each block against itself and later points
         D = sys.arr_cdist(sys.arr_state(points[rows]),
                           sys.arr_state(points[rows.start:]))
@@ -161,15 +171,15 @@ def orbit_visit_matrix(sys, points, targets, H):
 def orbit_min_pairs(sys, xs, ys, H):
     """Elementwise min over |n|<=H of d(f^n x_i, f^n y_i) over paired
     point lists."""
-    return _sweep(sys, sys.arr_state(list(xs)), sys.arr_state(list(ys)), H,
-                  sys.arr_edist)[0]
+    return _sweep(sys.arr_step, sys.arr_state(list(xs)),
+                  sys.arr_state(list(ys)), H, sys.arr_edist)[0]
 
 
 def orbit_window_min_row(sys, x, points, lo, hi):
     """min over lo <= k <= hi of d(f^k x, f^k p) for each point p."""
     sa = sys.arr_state([sys.iterate(x, lo)])
     sb = sys.arr_state([sys.iterate(p, lo) for p in points])
-    return _sweep(sys, sa, sb, hi - lo, sys.arr_cdist,
+    return _sweep(sys.arr_step, sa, sb, hi - lo, sys.arr_cdist,
                   directions=(False,))[0][0]
 
 

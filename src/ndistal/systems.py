@@ -9,8 +9,11 @@ interface (``arr_state`` and friends) that the orbit-sweep kernels run on.
 override it with numpy states; it has no embedding, as snapping runs on
 ``arr_cdist`` too.  The shift instead overrides the two kernel hooks,
 ``comoving_extremes`` and ``visit_minima``, with closed forms on packed
-bits that resolve distances down to its ``floor`` 2^-GCAP, and the skew
-torus overrides ``equicontinuity_witness`` with its shear.
+bits that resolve distances down to its ``floor`` 2^-GCAP.  The torus
+systems override ``comoving_extremes`` by difference class: F^n p - F^n q
+depends only on p - q (through the class attribute ``shear``), so each
+distinct difference is swept once.  The skew torus also overrides
+``equicontinuity_witness`` with its shear.
 
 Catalogue (ids):
     rotation       circle rotation by alpha, embedded at y=0 on the torus
@@ -35,7 +38,8 @@ from scipy.spatial import distance as scidist
 
 from .equicont import EquicontinuityWitness, skew_witness
 from .errors import ConjugacyError, InvalidPointError, ParameterError
-from .kernels import _CHUNK, sweep_extremes, sweep_visits
+from .kernels import (_CHUNK, _row_blocks, _sweep, sweep_extremes,
+                      sweep_visits)
 from .ndiameter import pairwise_matrix
 from .points import (Annulus, OrbitIndex, Pair, PointCloud, SymbolicPoint,
                      Torus, circ_gap, mod1, periodic_point, symbolic_distance,
@@ -54,6 +58,9 @@ def _finite(name, value):
 # ---------------------------------------------------------------------------
 # vectorized torus helpers
 # ---------------------------------------------------------------------------
+
+_CLASS_BLOCK = 65_536  # pairs per block of the difference-class kernels
+
 
 def _torus_cdist(P, Q):
     out = None
@@ -147,6 +154,10 @@ class DynSystem:
 # ---------------------------------------------------------------------------
 
 class _TorusBase(DynSystem):
+    # F^n p - F^n q = (dx, dy + n * shear * dx) mod 1 with (dx, dy) = p - q:
+    # the maps are affine and their differences evolve on their own
+    shear = 0
+
     def dist(self, x, y):
         if not (isinstance(x, Torus) and isinstance(y, Torus)):
             raise InvalidPointError(f"{self.id}: expected torus points")
@@ -168,6 +179,49 @@ class _TorusBase(DynSystem):
         d = sa - sb
         d -= np.round(d)
         return np.sqrt((d * d).sum(axis=-1))
+
+    def comoving_extremes(self, pts_a, pts_b, horizons, use_max):
+        """Closed form by difference class.
+
+        d(F^n p, F^n q) depends on the pair only through its raw difference
+        (dx, dy), so each block of at most _CLASS_BLOCK pairs sweeps every
+        distinct difference once and scatters the extremes back.  The
+        x-gap stays fixed; the y column steps by shear * dx and is reduced
+        to [-1/2, 1/2] after every step.  The differences are not reduced
+        before deduplication, so (i, j) and (j, i) are exact negatives and
+        a matrix of the cloud against itself is exactly symmetric.  With
+        shear 0 (the isometries) every horizon gets the time-0 distances.
+        """
+        A = self.arr_state(pts_a)
+        B = A if pts_b is None else self.arr_state(pts_b)
+        red = np.maximum if use_max else np.minimum
+        out = {h: np.empty((len(A), len(B))) for h in horizons}
+        for rows in _row_blocks(len(A), len(B), _CLASS_BLOCK):
+            D = A[rows, None, :] - B[None, :, :]
+            classes, inv = np.unique(
+                D.reshape(-1, 2).view(np.complex128).ravel(),
+                return_inverse=True)
+            gx = np.abs(classes.real)
+            gx2 = np.square(np.minimum(gx, 1.0 - gx))
+            rise = self.shear * classes.real
+
+            def dist(y, _):
+                return np.sqrt(gx2 + y * y)
+
+            def step(y, inverse):
+                y = y - rise if inverse else y + rise
+                return np.subtract(y, np.round(y), out=y)
+
+            y0 = classes.imag - np.round(classes.imag)
+            if self.shear:
+                M, cps = _sweep(step, y0, None, max(horizons), dist, red,
+                                move_b=False, checkpoints=horizons)
+                cps[max(horizons)] = M
+            else:
+                cps = dict.fromkeys(horizons, dist(y0, None))
+            for h in horizons:
+                out[h][rows] = cps[h][inv].reshape(D.shape[:2])
+        return out
 
 
 class Rotation(_TorusBase):
@@ -204,6 +258,8 @@ class Rotation(_TorusBase):
 
 class SkewTorus(_TorusBase):
     """Skew product (x, y) -> (x + alpha mod 1, y + x mod 1)."""
+
+    shear = 1
 
     def __init__(self, alpha=GOLDEN):
         self.alpha = _finite("alpha", alpha)

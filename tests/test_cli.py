@@ -5,6 +5,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndistal.cli import ScenarioError, main, parse_scenario
 
@@ -132,6 +134,9 @@ def test_oneoff_subcommand(capsys):
     assert len(out["witness"]) == 3
 
 
+NON_UTF8 = "non-utf8.scn"
+
+
 @pytest.mark.parametrize("argv", [
     ["proximal", "--system", "annulus3", "--H", "-5"],
     ["proximal", "--system", "annulus3", "--H", "0"],
@@ -159,10 +164,62 @@ def test_oneoff_subcommand(capsys):
      "--delta", "0"],
     ["structure", "--system", "annulus3", "--delta", "nan"],
     ["entropy", "--system", "shift2"],
+    ["run", NON_UTF8],
 ])
-def test_invalid_invocations_exit_2(argv):
+def test_invalid_invocations_exit_2(argv, tmp_path, monkeypatch):
+    # scenario files named in the table are written to the working directory
+    (tmp_path / NON_UTF8).write_bytes(b"system = annulus3\n\xff\n")
+    monkeypatch.chdir(tmp_path)
     try:
         code = main(argv)
     except SystemExit as exc:   # argparse rejects unknown flags this way
         code = exc.code
     assert code == 2
+
+
+@given(st.binary(max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_parse_scenario_raises_only_scenario_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("scn") / "s.scn"
+    path.write_bytes(data)
+    try:
+        parse_scenario(str(path))
+    except ScenarioError:
+        pass
+
+
+NAMES = st.from_regex(r"[a-z][a-z0-9_]{0,8}(\.[a-z][a-z0-9_]{0,5})?",
+                      fullmatch=True)
+WORDS = st.from_regex(r"[A-Za-z][A-Za-z0-9_ ]{0,10}", fullmatch=True)
+VALUES = st.one_of(
+    st.integers(-10**6, 10**6), st.booleans(), st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    WORDS, st.lists(st.integers(-99, 99), min_size=2, max_size=4).map(tuple))
+
+
+def scenario_value(v):
+    """The text parse_scenario reads back as v."""
+    if v is None or isinstance(v, bool):
+        return {None: "none", True: "true", False: "false"}[v]
+    if isinstance(v, str):
+        return f'"{v}"'
+    if isinstance(v, tuple):
+        return ", ".join(map(str, v))
+    return repr(v)
+
+
+@given(st.dictionaries(NAMES, VALUES, max_size=4),
+       st.lists(st.tuples(NAMES, st.dictionaries(NAMES, VALUES, max_size=4)),
+                min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_generated_scenarios_round_trip(tmp_path_factory, header, analyses):
+    header = {"system": "annulus3", **header}
+    lines = [f"{k} = {scenario_value(v)}" for k, v in header.items()]
+    for op, params in analyses:
+        lines += ["", f"[{op}]  # comment"]
+        lines += [f"  {k}={scenario_value(v)}" for k, v in params.items()]
+    path = tmp_path_factory.mktemp("scn") / "s.scn"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    got_header, got = parse_scenario(str(path))
+    assert got_header == header
+    assert [(op, params) for op, params, _ in got] == analyses

@@ -15,9 +15,11 @@ from ndistal.entropy import (KSH1_BOUND, EmpiricalMeasure, Partition,
                              partition_entropy,
                              partition_from_labels, refine_partition,
                              uniform_measure, word_count_entropy)
-from ndistal.errors import ConstructionError, MeasureError, ParameterError
-from ndistal.points import PointCloud, Torus, periodic_point, word_point
-from ndistal.systems import (IdentityTorus, Rotation, SkewTorus,
+from ndistal.errors import (ConstructionError, MeasureError, ParameterError,
+                            RefinementError)
+from ndistal.points import (OrbitIndex, PointCloud, Torus, periodic_point,
+                            word_point)
+from ndistal.systems import (IdentityTorus, Rotation, SkewTorus, annulus3,
                              conjugate_system, shift2)
 
 LOG2 = math.log(2.0)
@@ -118,6 +120,23 @@ def test_shift_estimate_is_log2_exactly():
     est = metric_entropy_estimate(s, P, uniform_measure(cloud), 10, cloud)
     assert est.value == pytest.approx(LOG2, abs=1e-12)
     assert all(v == pytest.approx(LOG2, abs=1e-12) for v in est.diagnostics)
+
+
+def test_orbit_measure_honours_snap_tol():
+    sys = annulus3()
+    cloud = sys.circles_cloud(16)
+    # the wandering orbit sits up to 0.5 from every circle point
+    x0 = OrbitIndex(-5)
+    with pytest.raises(RefinementError, match="snap distance"):
+        orbit_measure(sys, cloud, x0, length=10, snap_tol=1e-9)
+    loose = orbit_measure(sys, cloud, x0, length=10, snap_tol=1.0)
+    unchecked = orbit_measure(sys, cloud, x0, length=10)
+    assert np.array_equal(loose.weights, unchecked.weights)
+    # a circle orbit on the grid angles never leaves the cloud
+    grid = Rotation(1 / 16)
+    mu = orbit_measure(grid, grid.sampler(16), Torus(0.0, 0.0), length=32,
+                       snap_tol=1e-12)
+    assert np.array_equal(mu.weights, np.full(16, 1 / 16))
 
 
 def test_rotation_estimate_small():

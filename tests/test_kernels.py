@@ -2,6 +2,8 @@
 interface and the shift's closed form must agree with plain pointwise
 iteration."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,8 @@ from ndistal.kernels import (max_orbit_distance, mesh, min_orbit_distance,
 from ndistal import kernels, systems
 from ndistal.points import (Annulus, OrbitIndex, SymbolicPoint, Torus,
                             periodic_point, word_point)
-from ndistal.systems import (GCAP, Rotation, SkewTorus, annulus3,
-                             conjugate_system, shift2)
+from ndistal.systems import (GCAP, IdentityTorus, Rotation, SkewTorus,
+                             annulus3, conjugate_system, shift2)
 
 FLOOR = 2.0 ** -GCAP
 
@@ -161,7 +163,7 @@ def test_orbit_visit_matrix_matches_brute():
 def random_points(name, rng, m):
     if name == "rotation":
         return [Torus(float(t), 0.0) for t in rng.random(m)]
-    if name == "skew_torus":
+    if name in ("skew_torus", "identity"):
         return [Torus(float(a), float(b)) for a, b in rng.random((m, 2))]
     if name == "annulus3":
         return [OrbitIndex(int(n)) if n % 3 == 0
@@ -223,6 +225,107 @@ def test_native_and_default_paths_agree(name, seed):
     ys = pts[::-1]
     assert close(orbit_min_pairs(native, pts, ys, H),
                  orbit_min_pairs(default, pts, ys, H))
+
+
+TORUS = {"rotation": Rotation, "skew_torus": SkewTorus,
+         "identity": IdentityTorus}
+
+
+@given(st.sampled_from(sorted(TORUS)), st.booleans(), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_torus_difference_classes_match_default(name, grid, seed):
+    rng = np.random.default_rng(seed)
+    sys = TORUS[name]()
+    default = identity_conjugate(sys)
+    if grid:
+        # a permuted grid, where many pairs share their difference
+        cloud = sys.sampler(int(rng.integers(2, 17 if name == "rotation"
+                                             else 5)))
+        pts = [cloud.points[i] for i in rng.permutation(len(cloud))]
+    else:
+        pts = random_points(name, rng, int(rng.integers(2, 9)))
+    H = int(rng.integers(0, 13))
+    cps = tuple(sorted({int(h) for h in rng.integers(0, H + 1, 2)}))
+
+    def close(a, b):
+        return np.allclose(a, b, rtol=0.0, atol=1e-12)
+
+    M, snaps = orbit_min_matrix(sys, pts, H, checkpoints=cps)
+    M_d, snaps_d = orbit_min_matrix(default, pts, H, checkpoints=cps)
+    assert np.array_equal(M, M.T)
+    assert close(M, M_d)
+    assert all(close(snaps[h], snaps_d[h]) for h in cps)
+    X = orbit_max_matrix(sys, pts, H)
+    assert np.array_equal(X, X.T)
+    assert close(X, orbit_max_matrix(default, pts, H))
+    base = sorted({int(i) for i in rng.integers(0, len(pts), 2)})
+    R, rsnaps = orbit_min_rows(sys, pts, base, H, checkpoints=cps)
+    R_d, rsnaps_d = orbit_min_rows(default, pts, base, H, checkpoints=cps)
+    assert close(R, R_d) and all(close(rsnaps[h], rsnaps_d[h]) for h in cps)
+    x, y = pts[0], pts[-1]
+    assert min_orbit_distance(sys, x, y, H) == pytest.approx(
+        min_orbit_distance(default, x, y, H), rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("make", list(TORUS.values()))
+def test_torus_shear_contract(make):
+    # F^n p - F^n q = (dx, dy + n * shear * dx) mod 1
+    sys = make()
+    p, q = Torus(0.3, 0.8), Torus(0.65, 0.1)
+    for n in range(-6, 7):
+        a, b = sys.iterate(p, n), sys.iterate(q, n)
+        want = Torus(p.x - q.x, p.y - q.y + n * sys.shear * (p.x - q.x))
+        assert sys.dist(Torus(a.x - b.x, a.y - b.y), want) < 1e-12
+
+
+@pytest.mark.parametrize("use_max", [False, True])
+def test_torus_class_blocks(monkeypatch, use_max):
+    sys = SkewTorus()
+    # a grid, then one point off it: only the last block holds its
+    # differences
+    pts = list(sys.sampler(3).points) + [Torus(0.05, 0.7)]
+    ys = pts[::2]
+    horizons = {0, 3, 9}
+    whole = sys.comoving_extremes(pts, None, horizons, use_max)
+    whole_rows = sys.comoving_extremes(pts, ys, horizons, use_max)
+    budget = 2 * len(pts)   # two rows a block
+    A = sys.arr_state(pts)
+    D = A[:, None, :] - A[None, :, :]
+    blocks = [{tuple(d) for d in D[rows].reshape(-1, 2)}
+              for rows in kernels._row_blocks(len(pts), len(pts), budget)]
+    assert len(blocks) > 2
+    assert blocks[-1] - set().union(*blocks[:-1])
+    monkeypatch.setattr(systems, "_CLASS_BLOCK", budget)
+    blocked = sys.comoving_extremes(pts, None, horizons, use_max)
+    blocked_rows = sys.comoving_extremes(pts, ys, horizons, use_max)
+    for h in horizons:
+        assert np.array_equal(blocked[h], whole[h])
+        assert np.array_equal(blocked_rows[h], whole_rows[h])
+
+
+def test_skew_orbit_min_exact_oracle():
+    sys = SkewTorus()
+    pts = sys.sampler(8).points
+    rng = np.random.default_rng(11)
+    pairs = [(pts[i], pts[j]) for i, j in rng.integers(0, len(pts), (12, 2))]
+    pairs.append((pts[9], pts[9]))
+
+    def gap(t):
+        t = t % 1
+        return min(t, 1 - t)
+
+    H = 50
+    for p, q in pairs:
+        dx = Fraction(p.x) - Fraction(q.x)
+        dy = Fraction(p.y) - Fraction(q.y)
+        sq = min(gap(dx) ** 2 + gap(dy + n * dx) ** 2
+                 for n in range(-H, H + 1))
+        got = min_orbit_distance(sys, p, q, H)
+        assert abs(got - float(sq) ** 0.5) <= 1e-15
+    M = orbit_min_matrix(sys, [p for p, _ in pairs], H)[0]
+    for i, (p, _) in enumerate(pairs):
+        for j, (q, _) in enumerate(pairs):
+            assert M[i, j] == min_orbit_distance(sys, p, q, H)
 
 
 @given(st.integers(0, 10_000))
