@@ -150,11 +150,6 @@ def _snap(sys, queries, cloud, snap_tol):
     return idx, worst
 
 
-def cloud_mesh(sys, cloud: PointCloud) -> float:
-    """Smallest positive distance between two cloud points."""
-    return mesh(sys, cloud.points)
-
-
 def step_index_map(sys, cloud: PointCloud,
                    snap_tol: Optional[float] = None):
     """Index of the cloud point nearest to f(p_i), with the largest snap
@@ -164,7 +159,7 @@ def step_index_map(sys, cloud: PointCloud,
     if all(p in lut for p in stepped):
         return np.array([lut[p] for p in stepped]), 0.0
     if snap_tol is None:
-        snap_tol = 0.5 * cloud_mesh(sys, cloud)
+        snap_tol = 0.5 * mesh(sys, cloud.points)
     return _snap(sys, stepped, cloud, snap_tol)
 
 

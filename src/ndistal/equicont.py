@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, check_positive
-from .kernels import _comoving, orbit_min_rows, orbit_window_min_row
+from .kernels import orbit_min_rows, orbit_window_min_row
 from .ndiameter import (diam_n_bounds_from_matrix, diam_n_exact_from_matrix)
 from .points import PointCloud
 
@@ -63,21 +63,21 @@ def r_set_equivariance_check(sys, x, delta: float, cloud: PointCloud,
                              tie_tol: float = TIE_TOL) -> bool:
     """Check f^n(R_delta(x)) = R_delta(f^n(x)) as index sets.
 
-    With H' = H - |n|, the left side scans the window [n - H', n + H']
-    around x and the right side scans the symmetric window of radius H'
-    around f^n(x).  Both windows cover the same absolute times, so the
-    identity is exact and the check exercises iterate composition; values
-    within tie_tol of delta are excluded from the comparison (floating
-    boundary ties are not resolvable).
+    With H' = H - |n|, the left side scans the window of radius H'
+    centred at time n around (x, cloud) and the right side the window of
+    radius H' centred at time 0 around (f^n(x), f^n(cloud)).  Both windows
+    cover the same absolute times, so the identity is exact and the check
+    compares the kernel's centring with iterate composition; values within
+    tie_tol of delta are excluded from the comparison (floating boundary
+    ties are not resolvable).
     """
     if abs(n) > H // 2:
         raise ParameterError("|n| must be at most H/2")
     cloud.index_of(x)
     H2 = H - abs(n)
-    da = orbit_window_min_row(sys, x, cloud.points, n - H2, n + H2)
+    da = orbit_window_min_row(sys, x, cloud.points, n, H2)
     mapped = [sys.iterate(p, n) for p in cloud.points]
-    xn = sys.iterate(x, n)
-    db = _comoving(sys, [xn], mapped, H2, (), use_max=False)[0][0]
+    db = orbit_window_min_row(sys, sys.iterate(x, n), mapped, 0, H2)
     keep = (np.abs(da - delta) > tie_tol) & (np.abs(db - delta) > tie_tol)
     return bool(np.array_equal((da < delta)[keep], (db < delta)[keep]))
 

@@ -3,19 +3,18 @@
 Everything here reduces a distance matrix over an iterate window: running
 minima over |n| <= H for proximality and R_delta sets, running maxima for
 dynamical balls, orbit-visit minima against fixed targets for transitivity
-and minimal-set clustering, and minima over a one-sided window for the
-R_delta spot checks.
+and minimal-set clustering, and minima over a window |n - c| <= H centred
+at a time c for the R_delta spot checks.
 
-One engine, `_sweep`, does all of it.  It steps states with the step
-function it is given and folds each step's distances into the result.  The
-kernels give it the system's array interface (``arr_state``, ``arr_step``
-and the ``arr_*dist`` methods), which every system has: the catalogue
-systems implement it on numpy arrays, and the others inherit a default over
-plain point lists that calls ``step`` and ``dist``.  The co-moving kernels
-ask the system for ``comoving_extremes`` and the visit kernel asks it for
-``visit_minima``; both run the engine (``sweep_extremes``,
-``sweep_visits``) unless the system knows the answer in closed form, as
-the shift and the torus systems do:
+No kernel calls ``step`` or ``iterate``.  The co-moving kernels ask the
+system's hook ``comoving_extremes`` (the extremes over a centred window)
+and the visit kernel asks ``visit_minima``.  Both hooks, and
+`orbit_min_pairs`, run one engine, `_sweep`, on the system's array
+interface (``arr_state``, ``arr_step`` and the ``arr_*dist`` methods),
+which every system has: the catalogue systems implement it on numpy
+arrays, and the others inherit a default over plain point lists that calls
+``step`` and ``dist``.  The shift and the torus systems override the hooks
+with closed forms:
 
   * the shift, from packed bits: its difference masks for the co-moving
     extremes, and its windows of symbols around each time for the visits;
@@ -42,21 +41,19 @@ def _check_horizon(H):
 
 
 def _sweep(step, sa, sb, H, dist, red=np.minimum, move_b=True,
-           checkpoints=(), directions=(False, True)):
-    """Fold dist(a_n, b_n) with `red` over n = 0..H steps.
+           checkpoints=()):
+    """Fold dist(a_n, b_n) with `red` over |n| <= H.
 
-    step(state, inverse) moves a state one step; the states take H steps
-    in each direction listed by their ``inverse`` flag: both for the
-    window |n| <= H, forward only for a one-sided one.  b stays where it
-    is unless move_b.  Returns M and, for each h in checkpoints, a copy of
-    M once the steps up to h are folded in.
+    step(state, inverse) moves a state one step; b stays where it is unless
+    move_b.  Returns M and, for each h in checkpoints, a copy of M once the
+    steps up to |n| = h are folded in.
     """
     _check_horizon(H)
     M = dist(sa, sb)
-    walks = [(sa, sb) for _ in directions]
+    walks = [(sa, sb), (sa, sb)]
     cps = {0: M.copy()} if 0 in checkpoints else {}
     for n in range(1, H + 1):
-        for k, inverse in enumerate(directions):
+        for k, inverse in enumerate((False, True)):
             a, b = walks[k]
             a = step(a, inverse)
             if move_b:
@@ -68,9 +65,9 @@ def _sweep(step, sa, sb, H, dist, red=np.minimum, move_b=True,
     return M, cps
 
 
-def sweep_extremes(sys, pts_a, pts_b, horizons, use_max):
+def sweep_extremes(sys, pts_a, pts_b, horizons, use_max, centre):
     """The engine behind ``DynSystem.comoving_extremes``: {h: M_h} with
-    M_h[i, j] the min (max when use_max) over |n| <= h of
+    M_h[i, j] the min (max when use_max) over |n - centre| <= h of
     d(f^n a_i, f^n b_j); pts_b None pairs pts_a with itself."""
     H = max(horizons)
     red = np.maximum if use_max else np.minimum
@@ -79,6 +76,10 @@ def sweep_extremes(sys, pts_a, pts_b, horizons, use_max):
         sb, dist, move_b = None, lambda a, _: sys.arr_pdist(a), False
     else:
         sb, dist, move_b = sys.arr_state(list(pts_b)), sys.arr_cdist, True
+    for _ in range(abs(centre)):
+        sa = sys.arr_step(sa, centre < 0)
+        if move_b:
+            sb = sys.arr_step(sb, centre < 0)
     M, cps = _sweep(sys.arr_step, sa, sb, H, dist, red, move_b,
                     horizons)
     cps[H] = M
@@ -155,10 +156,10 @@ def orbit_max_rows(sys, points, base_idx, H):
     return _comoving(sys, bases, list(points), H, (), use_max=True)[0]
 
 
-def _comoving(sys, pts_a, pts_b, H, checkpoints, use_max):
+def _comoving(sys, pts_a, pts_b, H, checkpoints, use_max, centre=0):
     _check_horizon(H)
     out = sys.comoving_extremes(pts_a, pts_b, set(checkpoints) | {H},
-                                use_max)
+                                use_max, centre)
     return out[H], {h: out[h] for h in checkpoints}
 
 
@@ -175,12 +176,9 @@ def orbit_min_pairs(sys, xs, ys, H):
                   sys.arr_state(list(ys)), H, sys.arr_edist)[0]
 
 
-def orbit_window_min_row(sys, x, points, lo, hi):
-    """min over lo <= k <= hi of d(f^k x, f^k p) for each point p."""
-    sa = sys.arr_state([sys.iterate(x, lo)])
-    sb = sys.arr_state([sys.iterate(p, lo) for p in points])
-    return _sweep(sys.arr_step, sa, sb, hi - lo, sys.arr_cdist,
-                  directions=(False,))[0][0]
+def orbit_window_min_row(sys, x, points, centre, H):
+    """min over |k - centre| <= H of d(f^k x, f^k p) for each point p."""
+    return _comoving(sys, [x], list(points), H, (), False, centre)[0][0]
 
 
 def min_orbit_distance(sys, x, y, H: int) -> float:

@@ -162,11 +162,6 @@ def _scan_bound(x: SymbolicPoint, y: SymbolicPoint) -> int:
     return max(ext) + L + 2
 
 
-def symbolic_diffs(x: SymbolicPoint, y: SymbolicPoint, lo: int, hi: int):
-    """Sorted indices i in [lo, hi] with x_i != y_i."""
-    return [i for i in range(lo, hi + 1) if x.get(i) != y.get(i)]
-
-
 def first_diff_radius(x: SymbolicPoint, y: SymbolicPoint):
     """min{|i| : x_i != y_i}, or None when the sequences are equal."""
     if x == y:

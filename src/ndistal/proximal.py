@@ -65,9 +65,6 @@ class ProximalReport:
     stable_only: bool
     cloud: PointCloud = field(repr=False)
 
-    def cell_at(self, i: int) -> ProximalCellEstimate:
-        return self.cells[i]
-
     def as_dict(self):
         edges = [[int(i), int(j)] for i, j in zip(*np.nonzero(self.graph))
                  if i < j]
@@ -93,20 +90,25 @@ def _stable(M_h, M_2h, factor, floor):
     return (M_2h <= M_h / factor) | (M_2h <= floor)
 
 
-def _row_cell(base, row_h, row_2h, H, eps, floor, factor=STABLE_FACTOR,
-              index_map=None):
+def _cell(base, adj, row_h, stable, H, eps, index_map=None):
+    """The cell of `base` over the members marked in `adj`, traced by row_h
+    and flagged by `stable`; index_map renames indices."""
+    members = np.nonzero(adj)[0]
+    keys = members if index_map is None else np.asarray(index_map)[members]
+    keys = keys.tolist()
+    return ProximalCellEstimate(
+        base=base if index_map is None else index_map[base],
+        members=tuple(keys), horizon=H, threshold=eps,
+        min_dist_trace=dict(zip(keys, row_h[members].tolist())),
+        stable=dict(zip(keys, stable[members].tolist())))
+
+
+def _row_cell(base, row_h, row_2h, H, eps, floor, index_map=None):
     adj = row_h < eps
     adj[base] = True
-    stable = _stable(row_h, row_2h, factor, floor)
+    stable = _stable(row_h, row_2h, STABLE_FACTOR, floor)
     stable[base] = True
-    members = np.nonzero(adj)[0]
-    remap = (lambda i: i) if index_map is None else (lambda i: index_map[i])
-    return ProximalCellEstimate(
-        base=remap(base),
-        members=tuple(remap(int(i)) for i in members),
-        horizon=H, threshold=eps,
-        min_dist_trace={remap(int(i)): float(row_h[i]) for i in members},
-        stable={remap(int(i)): bool(stable[i]) for i in members})
+    return _cell(base, adj, row_h, stable, H, eps, index_map)
 
 
 def proximal_cell(sys, x, cloud: PointCloud, H: int = DEFAULT_H,
@@ -134,7 +136,6 @@ def distality_report(sys, cloud: PointCloud, H: int = DEFAULT_H,
     enlarged).
     """
     _check_scale(H, eps_prox)
-    m = len(cloud)
     M2, cps = orbit_min_matrix(sys, cloud.points, 2 * H, checkpoints=(H,))
     MH = cps[H]
     adj = MH < eps_prox
@@ -143,14 +144,8 @@ def distality_report(sys, cloud: PointCloud, H: int = DEFAULT_H,
     np.fill_diagonal(use, True)
     use &= use.T
 
-    cells = []
-    for i in range(m):
-        members = np.nonzero(use[i])[0]
-        cells.append(ProximalCellEstimate(
-            base=i, members=tuple(int(j) for j in members),
-            horizon=H, threshold=eps_prox,
-            min_dist_trace={int(j): float(MH[i, j]) for j in members},
-            stable={int(j): bool(stable[i, j]) for j in members}))
+    cells = [_cell(i, use[i], MH[i], stable[i], H, eps_prox)
+             for i in range(len(cloud))]
     max_size = max(len(c.members) for c in cells)
     if max_size == 1:
         verdict = "distal"

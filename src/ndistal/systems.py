@@ -7,13 +7,15 @@ interface (``arr_state`` and friends) that the orbit-sweep kernels run on.
 ``DynSystem`` implements the array interface over plain point lists with
 ``step`` and ``dist``, so every system has one; the catalogue systems
 override it with numpy states; it has no embedding, as snapping runs on
-``arr_cdist`` too.  The shift instead overrides the two kernel hooks,
-``comoving_extremes`` and ``visit_minima``, with closed forms on packed
+``arr_cdist`` too.  The kernels reach orbits through two hooks,
+``comoving_extremes`` (the extremes over a window |n - centre| <= h) and
+``visit_minima``.  The shift overrides both with closed forms on packed
 bits that resolve distances down to its ``floor`` 2^-GCAP.  The torus
 systems override ``comoving_extremes`` by difference class: F^n p - F^n q
 depends only on p - q (through the class attribute ``shear``), so each
 distinct difference is swept once.  The skew torus also overrides
-``equicontinuity_witness`` with its shear.
+``equicontinuity_witness`` with its shear.  A conjugate measures its point
+lists with its base's array metric unless it is given a metric of its own.
 
 Catalogue (ids):
     rotation       circle rotation by alpha, embedded at y=0 on the torus
@@ -130,10 +132,11 @@ class DynSystem:
     def arr_take(self, state, idx):
         raise NotImplementedError
 
-    def comoving_extremes(self, pts_a, pts_b, horizons, use_max):
-        """{h: M_h} with M_h[i, j] the min (max when use_max) over |n| <= h
-        of d(f^n a_i, f^n b_j); pts_b None pairs pts_a with itself."""
-        return sweep_extremes(self, pts_a, pts_b, horizons, use_max)
+    def comoving_extremes(self, pts_a, pts_b, horizons, use_max, centre):
+        """{h: M_h} with M_h[i, j] the min (max when use_max) over
+        |n - centre| <= h of d(f^n a_i, f^n b_j); pts_b None pairs pts_a
+        with itself."""
+        return sweep_extremes(self, pts_a, pts_b, horizons, use_max, centre)
 
     def visit_minima(self, points, targets, H):
         """V[i, j] = min over |n| <= H of d(f^n p_i, t_j)."""
@@ -180,17 +183,18 @@ class _TorusBase(DynSystem):
         d -= np.round(d)
         return np.sqrt((d * d).sum(axis=-1))
 
-    def comoving_extremes(self, pts_a, pts_b, horizons, use_max):
+    def comoving_extremes(self, pts_a, pts_b, horizons, use_max, centre):
         """Closed form by difference class.
 
         d(F^n p, F^n q) depends on the pair only through its raw difference
         (dx, dy), so each block of at most _CLASS_BLOCK pairs sweeps every
         distinct difference once and scatters the extremes back.  The
-        x-gap stays fixed; the y column steps by shear * dx and is reduced
-        to [-1/2, 1/2] after every step.  The differences are not reduced
-        before deduplication, so (i, j) and (j, i) are exact negatives and
-        a matrix of the cloud against itself is exactly symmetric.  With
-        shear 0 (the isometries) every horizon gets the time-0 distances.
+        x-gap stays fixed; the y column starts at dy + centre * shear * dx
+        and steps by shear * dx, reduced to [-1/2, 1/2] after every step.
+        The differences are not reduced before deduplication, so (i, j)
+        and (j, i) are exact negatives and a matrix of the cloud against
+        itself is exactly symmetric.  With shear 0 (the isometries) every
+        horizon gets the time-0 distances.
         """
         A = self.arr_state(pts_a)
         B = A if pts_b is None else self.arr_state(pts_b)
@@ -212,7 +216,8 @@ class _TorusBase(DynSystem):
                 y = y - rise if inverse else y + rise
                 return np.subtract(y, np.round(y), out=y)
 
-            y0 = classes.imag - np.round(classes.imag)
+            y0 = classes.imag + centre * rise
+            y0 -= np.round(y0)
             if self.shear:
                 M, cps = _sweep(step, y0, None, max(horizons), dist, red,
                                 move_b=False, checkpoints=horizons)
@@ -372,23 +377,17 @@ class AnnulusSystem(DynSystem):
     def orbit_radius(self, label, n):
         kind, base = self.orbits[label]
         if kind == SQ:
-            t = 2.0 ** n if n > -1080 else 0.0
-            try:
-                g = base ** t
-            except OverflowError:
-                g = 0.0
-            return 1.0 + g
+            # clamped as in _radii: base ** 2^n is 1 or 0 beyond the clamps
+            return 1.0 + base ** 2.0 ** min(max(n, -1080), 1023)
         return 1.0 + 2.0 ** (-abs(n)) if abs(n) < 1080 else 1.0
 
-    def coords(self, p):
-        if isinstance(p, Annulus):
-            return (p.theta, p.r)
-        if isinstance(p, OrbitIndex) and p.orbit in self.orbits:
-            return (mod1(p.n * self.k), self.orbit_radius(p.orbit, p.n))
-        raise InvalidPointError(f"{self.id}: invalid point {p!r}")
-
     def embed(self, p):
-        th, r = self.coords(p)
+        if isinstance(p, Annulus):
+            th, r = p.theta, p.r
+        elif isinstance(p, OrbitIndex) and p.orbit in self.orbits:
+            th, r = mod1(p.n * self.k), self.orbit_radius(p.orbit, p.n)
+        else:
+            raise InvalidPointError(f"{self.id}: invalid point {p!r}")
         a = 2.0 * math.pi * th
         return (r * math.cos(a), r * math.sin(a))
 
@@ -569,19 +568,18 @@ def _nearest_true(mask):
 
 
 def _mask_extremes(masks, W, horizons, use_max):
-    """{h: values} for packed difference masks over positions -W..W: the
-    max (min when use_max) over |n| <= h of 2^-gap from n to the nearest
-    difference, clamped at 2^-GCAP."""
+    """{h: values} for packed difference masks over 2W+1 positions around
+    a centre: the max (min when use_max) over |n| <= h of 2^-gap from the
+    centre + n to the nearest difference, clamped at 2^-GCAP."""
     L = 2 * W + 1
     vals = {h: np.empty(len(masks)) for h in horizons}
-    step = max(1, _CHUNK // L)
-    for s in range(0, len(masks), step):
+    for rows in _row_blocks(len(masks), L, _CHUNK):
         nd = _nearest_true(
-            np.unpackbits(masks[s:s + step], axis=1, count=L).view(bool))
+            np.unpackbits(masks[rows], axis=1, count=L).view(bool))
         for h in horizons:
             win = nd[:, W - h:W + h + 1]
             g = win.min(axis=1) if use_max else win.max(axis=1)
-            vals[h][s:s + step] = np.exp2(-np.minimum(g, GCAP).astype(float))
+            vals[h][rows] = np.exp2(-np.minimum(g, GCAP).astype(float))
     return vals
 
 
@@ -643,32 +641,32 @@ class ShiftSystem(DynSystem):
     floor = 2.0 ** -GCAP
     cloud_size = 4
 
-    def comoving_extremes(self, pts_a, pts_b, horizons, use_max):
+    def comoving_extremes(self, pts_a, pts_b, horizons, use_max, centre):
         """Closed form, no iteration.
 
         d(sigma^n x, sigma^n y) = 2^-g(n) with g(n) the gap from n to the
-        nearest difference position of (x, y); the extreme over |n| <= h
-        reads off a nearest-difference profile over one window of bits,
-        which depends on the pair only through its packed difference mask.
+        nearest difference position of (x, y); the extreme over
+        |n - centre| <= h reads off a nearest-difference profile over one
+        window of bits around the centre, which depends on the pair only
+        through its packed difference mask.
         Each block of rows computes that profile once per distinct mask.
         Values below 2^-GCAP, and pairs that agree on the whole window, are
         clamped to it; equal points get 0.
         """
         W = max(horizons) + GCAP
-        A = np.packbits(_shift_bits(pts_a, -W, W), axis=1)
+        A = np.packbits(_shift_bits(pts_a, centre - W, centre + W), axis=1)
         B = A if pts_b is None else \
-            np.packbits(_shift_bits(pts_b, -W, W), axis=1)
+            np.packbits(_shift_bits(pts_b, centre - W, centre + W), axis=1)
         ma, (mb, nb) = len(A), B.shape
         out = {h: np.empty((ma, mb)) for h in horizons}
-        rows = max(1, _CHUNK // max(1, mb * nb))
-        for s in range(0, ma, rows):
-            X = (A[s:s + rows, None, :] ^ B[None, :, :]).reshape(-1, nb)
+        for rows in _row_blocks(ma, mb * nb, _CHUNK):
+            X = (A[rows, None, :] ^ B[None, :, :]).reshape(-1, nb)
             masks, inv = np.unique(X.view(f"V{nb}").ravel(),
                                    return_inverse=True)
             vals = _mask_extremes(masks.view(np.uint8).reshape(-1, nb), W,
                                   horizons, use_max)
             for h in horizons:
-                out[h][s:s + rows] = vals[h][inv].reshape(-1, mb)
+                out[h][rows] = vals[h][inv].reshape(-1, mb)
         equal = _equal(pts_a, pts_a if pts_b is None else pts_b)
         for h in horizons:
             out[h][equal] = 0.0
@@ -855,17 +853,19 @@ def power_system(f, k):
 
 
 class ConjugateSystem(DynSystem):
-    """h o f o h^-1 with the metric of the target space (default: f's)."""
+    """h o f o h^-1 with the metric of the target space (default: f's).
+    States are point lists; with f's metric, f's array metric measures
+    them, and an explicit metric is called pointwise."""
 
     def __init__(self, f, h, h_inv, check_cloud=None, metric=None, tol=1e-9):
         self.f = f
         self.h = h
         self.h_inv = h_inv
-        self._metric = metric or f.dist
+        self.metric = metric
         self.id = f"conjugate[{f.id}]"
         if check_cloud is not None:
             for p in check_cloud.points:
-                if self._metric(h(h_inv(p)), p) > tol or \
+                if self.dist(h(h_inv(p)), p) > tol or \
                         f.dist(h_inv(h(p)), p) > tol:
                     raise ConjugacyError(
                         "h and h_inv are not mutually inverse on the cloud")
@@ -880,13 +880,28 @@ class ConjugateSystem(DynSystem):
         return self.h(self.f.iterate(self.h_inv(p), n)) if n else p
 
     def dist(self, x, y):
-        return self._metric(x, y)
+        return (self.metric or self.f.dist)(x, y)
 
     def is_valid(self, p):
         try:
             return self.f.is_valid(self.h_inv(p))
         except (InvalidPointError, ValueError):
             return False
+
+    def arr_pdist(self, state):
+        if self.metric:
+            return super().arr_pdist(state)
+        return self.f.arr_pdist(self.f.arr_state(state))
+
+    def arr_cdist(self, sa, sb):
+        if self.metric:
+            return super().arr_cdist(sa, sb)
+        return self.f.arr_cdist(self.f.arr_state(sa), self.f.arr_state(sb))
+
+    def arr_edist(self, sa, sb):
+        if self.metric:
+            return super().arr_edist(sa, sb)
+        return self.f.arr_edist(self.f.arr_state(sa), self.f.arr_state(sb))
 
     def sampler(self, resolution=16, seed=None):
         c = self.f.sampler(resolution, seed)

@@ -69,7 +69,7 @@ def test_orbit_max_matrix_matches_brute_force(make):
 
 
 def test_pointwise_fallback_path():
-    # conjugates inherit the default array interface over point lists
+    # conjugates step point lists with their own step
     base = Rotation(0.3)
     h = lambda p: Torus(p.x + 0.1, p.y)
     h_inv = lambda p: Torus(p.x - 0.1, p.y)
@@ -193,8 +193,35 @@ MAKERS = {"rotation": Rotation, "skew_torus": SkewTorus,
 
 
 def identity_conjugate(sys):
-    """The same system seen through the inherited point-list interface."""
-    return conjugate_system(sys, lambda p: p, lambda p: p)
+    """The same system seen through the inherited point-list interface:
+    an explicit metric keeps every distance pointwise."""
+    return conjugate_system(sys, lambda p: p, lambda p: p, metric=sys.dist)
+
+
+@given(st.sampled_from(sorted(MAKERS)), st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_conjugate_measures_with_its_base(name, seed):
+    # a conjugate on the base's metric steps point lists itself and
+    # measures them with the base's array metric
+    rng = np.random.default_rng(seed)
+    native = MAKERS[name]()
+    conj = conjugate_system(native, lambda p: p, lambda p: p)
+    x, *pts = random_points(name, rng, int(rng.integers(2, 7)))
+    H = int(rng.integers(0, 13))
+    cps = tuple(sorted({int(h) for h in rng.integers(0, H + 1, 2)}))
+    centre = int(rng.integers(-10, 11))
+
+    def close(a, b):
+        return np.allclose(a, b, rtol=0.0, atol=1e-12)
+
+    M, snaps = orbit_min_matrix(native, pts, H, checkpoints=cps)
+    M_c, snaps_c = orbit_min_matrix(conj, pts, H, checkpoints=cps)
+    assert close(M, M_c) and all(close(snaps[h], snaps_c[h]) for h in cps)
+    tgt = pts[:2]
+    assert close(orbit_visit_matrix(native, pts, tgt, H),
+                 orbit_visit_matrix(conj, pts, tgt, H))
+    assert close(orbit_window_min_row(native, x, pts, centre, H),
+                 orbit_window_min_row(conj, x, pts, centre, H))
 
 
 @given(st.sampled_from(["rotation", "skew_torus", "annulus3"]),
@@ -286,8 +313,8 @@ def test_torus_class_blocks(monkeypatch, use_max):
     pts = list(sys.sampler(3).points) + [Torus(0.05, 0.7)]
     ys = pts[::2]
     horizons = {0, 3, 9}
-    whole = sys.comoving_extremes(pts, None, horizons, use_max)
-    whole_rows = sys.comoving_extremes(pts, ys, horizons, use_max)
+    whole = sys.comoving_extremes(pts, None, horizons, use_max, 0)
+    whole_rows = sys.comoving_extremes(pts, ys, horizons, use_max, 0)
     budget = 2 * len(pts)   # two rows a block
     A = sys.arr_state(pts)
     D = A[:, None, :] - A[None, :, :]
@@ -296,8 +323,8 @@ def test_torus_class_blocks(monkeypatch, use_max):
     assert len(blocks) > 2
     assert blocks[-1] - set().union(*blocks[:-1])
     monkeypatch.setattr(systems, "_CLASS_BLOCK", budget)
-    blocked = sys.comoving_extremes(pts, None, horizons, use_max)
-    blocked_rows = sys.comoving_extremes(pts, ys, horizons, use_max)
+    blocked = sys.comoving_extremes(pts, None, horizons, use_max, 0)
+    blocked_rows = sys.comoving_extremes(pts, ys, horizons, use_max, 0)
     for h in horizons:
         assert np.array_equal(blocked[h], whole[h])
         assert np.array_equal(blocked_rows[h], whole_rows[h])
@@ -365,12 +392,48 @@ def test_window_min_row_matches_brute_force(name, seed):
     rng = np.random.default_rng(seed)
     sys = MAKERS[name]()
     x, *pts = random_points(name, rng, int(rng.integers(2, 7)))
-    lo = int(rng.integers(-15, 16))
-    hi = lo + int(rng.integers(0, 16))
-    got = orbit_window_min_row(sys, x, pts, lo, hi)
+    centre = int(rng.integers(-15, 16))
+    H = int(rng.integers(0, 9))
+    got = orbit_window_min_row(sys, x, pts, centre, H)
     want = [min(sys.dist(sys.iterate(x, k), sys.iterate(p, k))
-                for k in range(lo, hi + 1)) for p in pts]
+                for k in range(centre - H, centre + H + 1)) for p in pts]
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["skew_torus", "rotation", "shift2"])
+@pytest.mark.parametrize("centre", [-9, 5])
+def test_centred_hook_matches_engine(name, centre):
+    sys = MAKERS[name]()
+    rng = np.random.default_rng(centre + 20)
+    xs = random_points(name, rng, 6)
+    ys = random_points(name, rng, 4)
+    horizons = {0, 3, 7}
+    for use_max in (False, True):
+        for other in (None, ys):
+            got = sys.comoving_extremes(xs, other, horizons, use_max, centre)
+            want = kernels.sweep_extremes(sys, xs, other, horizons, use_max,
+                                          centre)
+            for h in horizons:
+                assert np.allclose(clamped(got[h]), clamped(want[h]),
+                                   rtol=0.0, atol=1e-12)
+
+
+def test_window_kernel_never_iterates(monkeypatch):
+    # the window runs on the hooks alone, for every catalogue system
+    for sys in systems.catalogue():
+        cloud = sys.sampler(3)
+        pts = cloud.points[::max(1, len(cloud) // 8)]
+        x, centre, H = pts[1], -6, 4
+        want = [min(sys.dist(sys.iterate(x, k), sys.iterate(p, k))
+                    for k in range(centre - H, centre + H + 1)) for p in pts]
+
+        def refuse(*args):
+            raise AssertionError("a kernel stepped a point")
+
+        for name in ("iterate", "step", "step_inv"):
+            monkeypatch.setattr(sys, name, refuse)
+        got = orbit_window_min_row(sys, x, pts, centre, H)
+        assert np.allclose(got, clamped(np.array(want)), rtol=0.0, atol=1e-12)
 
 
 @given(st.sampled_from(sorted(MAKERS)), st.integers(0, 10_000))
@@ -439,12 +502,12 @@ def test_shift_chunked_dedup_with_distinct_masks(monkeypatch, use_max):
     masks = {tuple(a ^ b for a, b in zip(x, y))
              for x in rows[:len(xs)] for y in rows[len(xs):]}
     assert len(masks) == len(xs) * len(ys)
-    whole = sys.comoving_extremes(xs, ys, horizons, use_max)
+    whole = sys.comoving_extremes(xs, ys, horizons, use_max, 0)
     # blocks of a few rows, and a few masks per nearest-difference pass
     monkeypatch.setattr(systems, "_CHUNK", 200)
-    chunked = sys.comoving_extremes(xs, ys, horizons, use_max)
+    chunked = sys.comoving_extremes(xs, ys, horizons, use_max, 0)
     swept = identity_conjugate(sys).comoving_extremes(xs, ys, horizons,
-                                                      use_max)
+                                                      use_max, 0)
     for h in horizons:
         assert np.array_equal(chunked[h], whole[h])
         assert np.array_equal(clamped(chunked[h]), clamped(swept[h]))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ndistal.errors import ConjugacyError, ParameterError
+from ndistal.kernels import min_orbit_distance
 from ndistal.points import Annulus, OrbitIndex, Pair, Torus, word_point
 from ndistal.systems import (CATALOGUE_FACTS, GOLDEN, IdentityTorus, Rotation,
                              ShiftSystem, SkewTorus, annulus2, annulus3,
@@ -126,6 +127,21 @@ def test_annulus_metric_is_ambient_euclidean():
     s = annulus3()
     assert s.dist(Annulus(0.0, 1.0), Annulus(0.0, 2.0)) == pytest.approx(1.0)
     assert s.dist(Annulus(0.0, 1.0), Annulus(0.5, 1.0)) == pytest.approx(2.0)
+
+
+def test_sq_orbit_far_forward_is_on_the_circle():
+    # 2^n overflows a float for n >= 1024; the radius has long been 1 there
+    s = annulus3()
+    far, circle = OrbitIndex(1024, 0), Annulus(0.0, 1.0)
+    assert s.orbit_radius(0, 1024) == 1.0
+    assert s.dist(far, circle) == pytest.approx(
+        s.arr_cdist(s.arr_state([far]), s.arr_state([circle]))[0, 0],
+        rel=0.0, abs=1e-12)
+    # a pointwise conjugate steps the orbit that far and meets the circle
+    conj = conjugate_system(s, lambda p: p, lambda p: p, metric=s.dist)
+    x = OrbitIndex(0, 0)
+    assert min_orbit_distance(conj, x, circle, 1100) == \
+        min_orbit_distance(s, x, circle, 1100) == 0.0
 
 
 def test_annulusN_parameter_check():
