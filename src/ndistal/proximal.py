@@ -29,6 +29,9 @@ STABLE_FACTOR = 10.0
 
 @dataclass
 class ProximalCellEstimate:
+    """A proximal cell; members ascend, and min_dist_trace and stable map
+    each member in that order."""
+
     base: int
     members: tuple
     horizon: int
@@ -43,13 +46,12 @@ class ProximalCellEstimate:
         return len(self.members)
 
     def as_dict(self):
+        keys = list(map(str, self.members))
         d = {"base": self.base, "members": list(self.members),
              "horizon": self.horizon, "threshold": self.threshold,
-             "min_dist_trace": {str(k): v
-                                for k, v in sorted(self.min_dist_trace.items())}}
+             "min_dist_trace": dict(zip(keys, self.min_dist_trace.values()))}
         if self.stable is not None:
-            d["stable"] = {str(k): bool(v)
-                           for k, v in sorted(self.stable.items())}
+            d["stable"] = dict(zip(keys, self.stable.values()))
         return d
 
 
@@ -66,8 +68,7 @@ class ProximalReport:
     cloud: PointCloud = field(repr=False)
 
     def as_dict(self):
-        edges = [[int(i), int(j)] for i, j in zip(*np.nonzero(self.graph))
-                 if i < j]
+        edges = np.argwhere(np.triu(self.graph, 1)).tolist()
         return {"verdict": self.verdict, "max_cell_size": self.max_cell_size,
                 "horizon": self.horizon, "threshold": self.threshold,
                 "n_max": self.n_max, "stable_only": self.stable_only,

@@ -13,9 +13,17 @@ override it with numpy states; it has no embedding, as snapping runs on
 bits that resolve distances down to its ``floor`` 2^-GCAP.  The torus
 systems override ``comoving_extremes`` by difference class: F^n p - F^n q
 depends only on p - q (through the class attribute ``shear``), so each
-distinct difference is swept once.  The skew torus also overrides
-``equicontinuity_witness`` with its shear.  A conjugate measures its point
-lists with its base's array metric unless it is given a metric of its own.
+distinct difference is swept once.  The rotation and the annulus family
+override ``visit_minima``: every angle advances by the same k, so a visit
+at fixed radius is one bisection in the sorted angles {n k mod 1}.  The
+annulus family also overrides ``comoving_extremes``: a pair's angle gap
+never changes, and a wandering orbit's radius moves only inside a short
+window of indices, so the extremes fold only the times where a radius
+moves.  Angles n k mod 1 of orbit indices are exact to about an ulp
+(`_turns`), which makes a visit to a point of the same orbit exactly 0.
+The skew torus also overrides ``equicontinuity_witness`` with its shear.
+A conjugate measures its point lists with its base's array metric unless
+it is given a metric of its own.
 
 Catalogue (ids):
     rotation       circle rotation by alpha, embedded at y=0 on the torus
@@ -44,7 +52,7 @@ from .kernels import (_CHUNK, _row_blocks, _sweep, sweep_extremes,
                       sweep_visits)
 from .ndiameter import pairwise_matrix
 from .points import (Annulus, OrbitIndex, Pair, PointCloud, SymbolicPoint,
-                     Torus, circ_gap, mod1, periodic_point, symbolic_distance,
+                     Torus, circ_gap, periodic_point, symbolic_distance,
                      word_point)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -61,7 +69,7 @@ def _finite(name, value):
 # vectorized torus helpers
 # ---------------------------------------------------------------------------
 
-_CLASS_BLOCK = 65_536  # pairs per block of the difference-class kernels
+_CLASS_BLOCK = 65_536  # pairs per block of the torus and annulus closed forms
 
 
 def _torus_cdist(P, Q):
@@ -71,6 +79,63 @@ def _torus_cdist(P, Q):
         np.minimum(d, 1.0 - d, out=d)
         d *= d
         out = d if out is None else out + d
+    return np.sqrt(out, out=out)
+
+
+# ---------------------------------------------------------------------------
+# rotating circles: exact angles, the nearest-angle lookup, chords
+# ---------------------------------------------------------------------------
+
+def _turns(n, k):
+    """n * k mod 1 in [0, 1) for integers n, to about an ulp: k splits into
+    a 26-bit head, whose multiples are exact for |n| < 2^27, and a tail.
+    One product n * k would lose |n| ulps."""
+    m, e = math.frexp(k)
+    head = math.ldexp(round(math.ldexp(m, 26)), e - 26)
+    n = np.asarray(n, dtype=float)
+    t = n * head
+    t -= np.floor(t)
+    t += n * (k - head)
+    t -= np.floor(t)
+    return np.where(t < 1.0, t, 0.0)
+
+
+def _angle_table(lo, hi, k):
+    """The angles n * k mod 1 for lo <= n <= hi, sorted, between the
+    wrapped neighbours of both ends."""
+    s = np.sort(_turns(np.arange(lo, hi + 1), k))
+    return np.concatenate(([s[-1] - 1.0], s, [s[0] + 1.0]))
+
+
+def _nearest_gap(table, q):
+    """Circular distance from each angle q in [0, 1] to the nearest angle
+    of an `_angle_table`: one bisection finds both neighbours.  By the
+    three-distance theorem the table's gaps take at most three lengths,
+    which bounds that distance by the longest."""
+    i = np.clip(np.searchsorted(table, q), 1, len(table) - 1)
+    return np.minimum(np.abs(q - table[i - 1]), np.abs(table[i] - q))
+
+
+def _sin2(d):
+    """sin^2(pi d), reduced to |d| <= 1/2 first so that small gaps keep
+    their relative precision and whole turns give exactly 0."""
+    g = np.round(d)
+    np.subtract(d, g, out=g)
+    np.abs(g, out=g)
+    g *= np.pi
+    np.sin(g, out=g)
+    return np.square(g, out=g)
+
+
+def _chord(r1, r2, s2):
+    """Distance between points at radii r1 and r2 whose angles differ by g
+    turns, s2 = sin^2(pi g); unlike the cos form it keeps small distances
+    to full relative precision, and it is exactly symmetric.  Computed in
+    place, so a call holds one temporary beside its result."""
+    out = 4.0 * r1 * r2
+    out *= s2
+    sq = r1 - r2
+    out += np.square(sq, out=sq)
     return np.sqrt(out, out=out)
 
 
@@ -260,6 +325,16 @@ class Rotation(_TorusBase):
         s[:, 0] = np.mod(s[:, 0] + (-self.alpha if inverse else self.alpha), 1.0)
         return s
 
+    def visit_minima(self, points, targets, H):
+        """Closed form, no iteration: x advances by alpha and y stays, so
+        the nearest visit has the smallest circular gap between x_t - x_p
+        and the sorted angles {n alpha mod 1 : |n| <= H}."""
+        P, T = self.arr_state(points), self.arr_state(targets)
+        gx = _nearest_gap(_angle_table(-H, H, self.alpha),
+                          np.mod(T[None, :, 0] - P[:, None, 0], 1.0))
+        gy = np.abs(T[None, :, 1] - P[:, None, 1])
+        return np.hypot(gx, np.minimum(gy, 1.0 - gy))
+
 
 class SkewTorus(_TorusBase):
     """Skew product (x, y) -> (x + alpha mod 1, y + x mod 1)."""
@@ -372,6 +447,7 @@ class AnnulusSystem(DynSystem):
         self.k = _finite("k", k)
         self.circles = tuple(circles)
         self.orbits = dict(orbits)  # label -> (kind, base)
+        self._windows = {}  # (kind code, base) -> _window
 
     # -- geometry ----------------------------------------------------------
     def orbit_radius(self, label, n):
@@ -385,7 +461,7 @@ class AnnulusSystem(DynSystem):
         if isinstance(p, Annulus):
             th, r = p.theta, p.r
         elif isinstance(p, OrbitIndex) and p.orbit in self.orbits:
-            th, r = mod1(p.n * self.k), self.orbit_radius(p.orbit, p.n)
+            th, r = float(_turns(p.n, self.k)), self.orbit_radius(p.orbit, p.n)
         else:
             raise InvalidPointError(f"{self.id}: invalid point {p!r}")
         a = 2.0 * math.pi * th
@@ -444,7 +520,7 @@ class AnnulusSystem(DynSystem):
         except at the top boundary.  Used by the quotient construction."""
         pts = [OrbitIndex(n, lab) for lab in sorted(self.orbits)
                for n in range(n_lo, n_hi + 1)]
-        pts += [Annulus(n * self.k, c) for c in self.circles
+        pts += [Annulus(float(_turns(n, self.k)), c) for c in self.circles
                 for n in range(n_lo, n_hi + 1 + circle_pad)]
         return PointCloud(tuple(pts), "grid", self.id)
 
@@ -467,12 +543,13 @@ class AnnulusSystem(DynSystem):
                 theta[i], rc[i] = p.theta, p.r
             elif isinstance(p, OrbitIndex) and p.orbit in self.orbits:
                 knd, b = self.orbits[p.orbit]
-                theta[i] = mod1(p.n * self.k)
                 kind[i] = 1 if knd == SQ else 2
                 base[i] = b if knd == SQ else 0.0
                 idx[i] = p.n
             else:
                 raise InvalidPointError(f"{self.id}: invalid point {p!r}")
+        orbit = kind > 0
+        theta[orbit] = _turns(idx[orbit], self.k)
         return {"theta": theta, "kind": kind, "r": rc, "base": base, "idx": idx}
 
     def arr_step(self, state, inverse=False):
@@ -509,6 +586,119 @@ class AnnulusSystem(DynSystem):
     def arr_edist(self, sa, sb):
         d = self._plane(sa) - self._plane(sb)
         return np.sqrt((d * d).sum(axis=-1))
+
+    # -- closed forms ------------------------------------------------------
+    def _orbit_radii(self, code, base, n):
+        """Radii of the orbit with kind code `code` and `base` at indices n."""
+        n = np.asarray(n, dtype=float)
+        return self._radii({"r": np.zeros(len(n)), "base": np.full(len(n), base),
+                            "kind": np.full(len(n), code, dtype=np.int8),
+                            "idx": n})
+
+    def _window(self, code, base):
+        """(lo, hi, r_lo, r_hi): the orbit's radius is r_lo at every index
+        below lo and r_hi at every index above hi, bitwise as _radii gives
+        it; read off _radii over a span past its clamps."""
+        key = (code, base)
+        if key not in self._windows:
+            n = np.arange(-1081, 1082)
+            r = self._orbit_radii(code, base, n)
+            below, above = np.nonzero(r != r[0])[0], np.nonzero(r != r[-1])[0]
+            lo = int(n[below[0]]) if below.size else 0
+            hi = int(n[above[-1]]) if above.size else -1
+            self._windows[key] = (lo, hi, float(r[0]), float(r[-1]))
+        return self._windows[key]
+
+    def visit_minima(self, points, targets, H):
+        """Closed form, no iteration.
+
+        A circle point keeps its radius, so its nearest visit to t has the
+        smallest circular gap between theta_t - theta_p and the sorted
+        angles {n k mod 1 : |n| <= H}.  An orbit point at index m sweeps
+        the indices of its window directly; below and above the window its
+        radius is constant, and each of those two tails is the same lookup
+        in the sorted angles of its index range.  Orbit angles come from
+        `_turns` on both sides, so a visit to a point of the same orbit
+        within reach is exactly 0.
+        """
+        P, T = self.arr_state(points), self.arr_state(targets)
+        rt, tt = self._radii(T), T["theta"]
+        V = np.empty((len(points), len(targets)))
+        circ = P["kind"] == 0
+        g = _nearest_gap(_angle_table(-H, H, self.k),
+                         np.mod(tt - P["theta"][circ, None], 1.0))
+        V[circ] = _chord(P["r"][circ, None], rt, _sin2(g))
+        for i in np.nonzero(~circ)[0]:
+            code, base, m = P["kind"][i], P["base"][i], int(P["idx"][i])
+            lo, hi, r_lo, r_hi = self._window(code, base)
+            best = np.full(len(targets), np.inf)
+            n = np.arange(max(lo, m - H), min(hi, m + H) + 1)
+            if n.size:
+                best = _chord(self._orbit_radii(code, base, n)[:, None], rt,
+                              _sin2(tt - _turns(n, self.k)[:, None])).min(0)
+            for a, b, r in ((m - H, min(lo - 1, m + H), r_lo),
+                            (max(hi + 1, m - H), m + H, r_hi)):
+                if a <= b:
+                    g = _nearest_gap(_angle_table(a, b, self.k), tt)
+                    np.minimum(best, _chord(r, rt, _sin2(g)), out=best)
+            V[i] = best
+        return V
+
+    def comoving_extremes(self, pts_a, pts_b, horizons, use_max, centre):
+        """Closed form, no iteration.
+
+        Every angle advances by k, so a pair's angle gap never changes and
+        d(f^n a, f^n b) is the chord at that gap between the radii at time
+        n.  Circles keep their radius, and an orbit point's radius moves
+        only while its index is inside its window.  So the times of each
+        window, with the step before it, and the ends centre + h sample
+        every value: a stretch of times free of windows has constant
+        distances, and it ends at centre + h or just before a window.  The
+        circle-circle block is one chord; the rows and columns holding an
+        orbit point fold the event times in order of |n - centre|, each
+        horizon taking its snapshot on the way.
+        """
+        A = self.arr_state(pts_a)
+        B = A if pts_b is None else self.arr_state(pts_b)
+        H = max(horizons)
+        times = {centre + h for h in horizons}
+        for S in (A, B):
+            orbit = S["kind"] > 0
+            for code, base, m in set(zip(S["kind"][orbit], S["base"][orbit],
+                                         S["idx"][orbit].astype(int))):
+                lo, hi, _, _ = self._window(code, base)
+                times.update(range(max(lo - m - 1, centre - H),
+                                   min(hi - m, centre + H) + 1))
+        times = sorted(times, key=lambda n: abs(n - centre))
+
+        def radii(S, n):
+            return self._radii({**S, "idx": S["idx"] + n})
+
+        ta, tb = A["theta"], B["theta"]
+        rows, cols = A["kind"] > 0, B["kind"] > 0
+        block = np.ix_(~rows, cols)   # circle rows, orbit columns
+        D = np.empty((len(ta), len(tb)))
+        ra, rb = radii(A, times[0]), radii(B, times[0])
+        for blk in _row_blocks(len(ta), len(tb), _CLASS_BLOCK):
+            D[blk] = _chord(ra[blk, None], rb, _sin2(ta[blk, None] - tb))
+        s2_rows = _sin2(ta[rows, None] - tb)
+        s2_block = _sin2(ta[~rows, None] - tb[cols])
+        M_rows, M_block = D[rows], D[block]
+        red = np.maximum if use_max else np.minimum
+        out, t = {}, 1
+        for h in sorted(horizons):
+            for n in itertools.takewhile(lambda n: abs(n - centre) <= h,
+                                         times[t:]):
+                ra, rb = radii(A, n), radii(B, n)
+                red(M_rows, _chord(ra[rows, None], rb, s2_rows), out=M_rows)
+                red(M_block, _chord(ra[~rows, None], rb[cols], s2_block),
+                    out=M_block)
+                t += 1
+            # the widest horizon takes D itself
+            out[h] = D if h == H else D.copy()
+            out[h][rows] = M_rows
+            out[h][block] = M_block
+        return out
 
 
 def annulus3(k=GOLDEN):

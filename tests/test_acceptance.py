@@ -362,7 +362,7 @@ def test_criterion_11_dispersion_oracle():
 # sha256 of report.json for each file in scenarios/, run with --seed 0
 SCENARIO_DIGESTS = {
     "annulus3_audit":
-        "088783ef827239c8df10f5f872bc904fbdf3845e9f70643d8f84722fbaa9d2e3",
+        "576d1ed3d9ac3482e153f3929152583fdf33974b499d1617fd5b320ca5c7dc2d",
     "shift2_suite":
         "54b546e9768863b615209ff3579611f323535f4de232571c2d5c940e439ad45f",
     "skew_equicont":

@@ -17,7 +17,8 @@ from ndistal import kernels, systems
 from ndistal.points import (Annulus, OrbitIndex, SymbolicPoint, Torus,
                             periodic_point, word_point)
 from ndistal.systems import (GCAP, IdentityTorus, Rotation, SkewTorus,
-                             annulus3, conjugate_system, shift2)
+                             annulus2, annulus3, annulusN, conjugate_system,
+                             shift2)
 
 FLOOR = 2.0 ** -GCAP
 
@@ -534,3 +535,146 @@ def test_shift_visit_exact_hits():
     assert V[0, 0] == 0.0 and V[0, 1] > 0.0    # reached at n = 3, not 4
     assert V[1, 2] == 0.0                      # reached at n = -1
     assert V[2, 3] == FLOOR                    # equal on 2 GCAP symbols
+
+
+# ---------------------------------------------------------------------------
+# annulus and rotation closed forms against the engine
+# ---------------------------------------------------------------------------
+
+CLOSED = {"annulus3": annulus3, "annulus2": annulus2, "annulusN": annulusN,
+          "rotation": Rotation}
+
+# per orbit label, the indices whose radius differs from the limit on its
+# side, as the closed forms derive them from the radius formula
+WINDOWS = {"annulus3": {0: (-51, 5)}, "annulus2": {0: (-52, 52)},
+           "annulusN": {2: (-51, 5), 3: (-52, 5), 4: (-52, 4)}}
+
+
+def closed_form_points(name, sys, rng, m, H):
+    """Random points; orbit indices favour the window edges and the
+    indices whose reach |n| <= H just meets them."""
+    if name == "rotation":
+        return [Torus(float(x), float(y) * (rng.random() < 0.5))
+                for x, y in rng.random((m, 2))]
+    pts = []
+    for _ in range(m):
+        lab = list(sys.orbits)[int(rng.integers(len(sys.orbits)))]
+        lo, hi = WINDOWS[name][lab]
+        edges = [lo - 1, lo, lo + 1, hi - 1, hi, hi + 1, lo + H, lo + H + 1,
+                 hi - H, hi - H - 1, lo - 60, hi + 60,
+                 int(rng.integers(-70, 71))]
+        if rng.random() < 0.5:
+            pts.append(OrbitIndex(int(rng.choice(edges)), lab))
+        else:
+            r = sys.circles[int(rng.integers(len(sys.circles)))]
+            pts.append(Annulus(float(rng.random()), r))
+    return list(dict.fromkeys(pts))
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWS))
+def test_annulus_windows(name):
+    sys = CLOSED[name]()
+    for lab, (lo, hi) in WINDOWS[name].items():
+        S = sys.arr_state([OrbitIndex(0, lab)])
+        assert sys._window(S["kind"][0], S["base"][0])[:2] == (lo, hi)
+
+
+def dense_fold(sys, pts_a, pts_b, h, use_max, centre):
+    """The annulus co-moving extremes in the closed form's own arithmetic,
+    folded over every time |n - centre| <= h."""
+    A = sys.arr_state(pts_a)
+    B = A if pts_b is None else sys.arr_state(pts_b)
+    s2 = systems._sin2(A["theta"][:, None] - B["theta"][None, :])
+    red = np.maximum if use_max else np.minimum
+    M = None
+    for n in range(centre - h, centre + h + 1):
+        ra = sys._radii({**A, "idx": A["idx"] + n})
+        rb = sys._radii({**B, "idx": B["idx"] + n})
+        D = systems._chord(ra[:, None], rb, s2)
+        M = D if M is None else red(M, D)
+    return M
+
+
+@given(st.sampled_from(sorted(CLOSED)), st.sampled_from([0, 2000, None]),
+       st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_closed_forms_match_engine(name, H, seed):
+    rng = np.random.default_rng(seed)
+    sys = CLOSED[name]()
+    H = int(rng.integers(1, 60)) if H is None else H
+    pts = closed_form_points(name, sys, rng, int(rng.integers(2, 9)), H)
+    tgt = closed_form_points(name, sys, rng, int(rng.integers(1, 4)), H)
+    tgt += pts[:2]
+
+    def close(a, b):
+        return np.allclose(a, b, rtol=0.0, atol=1e-12)
+
+    V = sys.visit_minima(pts, tgt, H)
+    W = kernels.sweep_visits(sys, pts, tgt, H)
+    assert close(V, W)
+    assert np.array_equal(V < 0.05, W < 0.05)
+    centre = int(rng.choice([-1, 1])) * int(rng.integers(1, 61))
+    horizons = {int(rng.integers(0, H + 1)), H}
+    use_max = bool(rng.integers(2))
+    other = None if rng.random() < 0.5 else tgt
+    got = sys.comoving_extremes(pts, other, horizons, use_max, centre)
+    want = kernels.sweep_extremes(sys, pts, other, horizons, use_max, centre)
+    own = sys.comoving_extremes(pts, None, horizons, use_max, centre)
+    for h in horizons:
+        assert close(got[h], want[h])
+        assert np.array_equal(got[h] < 1e-3, want[h] < 1e-3)
+        assert np.array_equal(own[h], own[h].T)
+        if name != "rotation":
+            # the event times alone give every time's extreme, bit for bit
+            assert np.array_equal(
+                got[h], dense_fold(sys, pts, other, h, use_max, centre))
+
+
+@pytest.mark.parametrize("use_max", [False, True])
+def test_annulus_comoving_between_disjoint_windows(use_max):
+    # 130 indices apart, one orbit point has left its window before the
+    # other reaches its own: between the two windows the pair sits at the
+    # two limit radii, and with a small angle gap that is the maximum
+    sys = annulus3()
+    pts = [OrbitIndex(-70), OrbitIndex(60), Annulus(0.25, 2.0)]
+    got = sys.comoving_extremes(pts, None, {40, 200}, use_max, 0)
+    want = kernels.sweep_extremes(sys, pts, None, {40, 200}, use_max, 0)
+    for h in (40, 200):
+        assert np.allclose(got[h], want[h], rtol=0.0, atol=1e-12)
+        assert np.array_equal(got[h], dense_fold(sys, pts, None, h, use_max,
+                                                 0))
+
+
+@pytest.mark.parametrize("make", [annulus3, annulus2, annulusN])
+def test_same_orbit_visit_is_exactly_zero(make):
+    # the visit from OrbitIndex(m) to OrbitIndex(m + d) is 0 exactly when
+    # the orbit reaches it, |d| <= H, and positive otherwise
+    sys = make()
+    for lab in sys.orbits:
+        for m in (-60, -52, -51, 0, 5, 6, 52, 53):
+            for H in (0, 3, 80, 2000):
+                ds = np.unique(np.r_[-H - 3:-H + 4, -60:61, H - 3:H + 4])
+                tgt = [OrbitIndex(m + int(d), lab) for d in ds]
+                V = orbit_visit_matrix(sys, [OrbitIndex(m, lab)], tgt, H)[0]
+                assert np.array_equal(V == 0.0, np.abs(ds) <= H)
+
+
+def test_closed_form_hooks_never_step(monkeypatch):
+    # the annulus and rotation hooks run on arr_state alone
+    for sys in (annulus3(), annulus2(), annulusN(), Rotation()):
+        cloud = sys.sampler(4)
+        pts = list(cloud.points[::max(1, len(cloud) // 12)])
+        tgt, horizons = pts[:3], {3, 9}
+        want_v = kernels.sweep_visits(sys, pts, tgt, 30)
+        want_c = kernels.sweep_extremes(sys, pts, None, horizons, False, -4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a closed form stepped a point")
+
+        for name in ("arr_step", "step", "step_inv", "iterate"):
+            monkeypatch.setattr(sys, name, refuse)
+        assert np.allclose(sys.visit_minima(pts, tgt, 30), want_v,
+                           rtol=0.0, atol=1e-12)
+        got = sys.comoving_extremes(pts, None, horizons, False, -4)
+        assert all(np.allclose(got[h], want_c[h], rtol=0.0, atol=1e-12)
+                   for h in horizons)

@@ -66,6 +66,50 @@ def test_annulusN_cell_matches_catalogue():
     assert cell.size() == 5
 
 
+def item_wise_cell(c):
+    """ProximalCellEstimate.as_dict as first written: both dicts sorted
+    and keyed item by item."""
+    d = {"base": c.base, "members": list(c.members), "horizon": c.horizon,
+         "threshold": c.threshold,
+         "min_dist_trace": {str(k): v
+                            for k, v in sorted(c.min_dist_trace.items())}}
+    if c.stable is not None:
+        d["stable"] = {str(k): bool(v) for k, v in sorted(c.stable.items())}
+    return d
+
+
+@pytest.mark.parametrize("make, size, H", [(shift2, 3, 50),
+                                           (annulus3, 16, 100)])
+def test_report_as_dict_matches_item_wise_build(make, size, H):
+    s = make()
+    rep = distality_report(s, s.sampler(size), H=H, stable_only=False)
+    want = {"verdict": rep.verdict, "max_cell_size": rep.max_cell_size,
+            "horizon": rep.horizon, "threshold": rep.threshold,
+            "n_max": rep.n_max, "stable_only": rep.stable_only,
+            "cloud_size": len(rep.cloud),
+            "cloud_provenance": rep.cloud.provenance,
+            "edges": [[int(i), int(j)] for i, j in zip(*np.nonzero(rep.graph))
+                      if i < j],
+            "cells": [item_wise_cell(c) for c in rep.cells
+                      if len(c.members) > 1]}
+    got = rep.as_dict()
+    assert want["edges"] and got == want
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_fiber_cell_as_dict_matches_item_wise_build():
+    # a fiber cell's members are renamed through the fiber's indices
+    f, g = annulus2(), annulus3()
+    ps = product_system(f, g)
+    cloud = ps.cross(f.sampler(4, orbit_span=8), g.sampler(4, orbit_span=8))
+    sizes = set()
+    for y in cloud.points[::40]:
+        cell = fiber_proximal_cell(ps, g, lambda p: p.b, y, cloud, H=20)
+        sizes.add(cell.size())
+        assert cell.as_dict() == item_wise_cell(cell)
+    assert max(sizes) > 1
+
+
 def test_cell_symmetry():
     s = annulus3()
     cloud = s.sampler(64)

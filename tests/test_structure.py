@@ -1,8 +1,10 @@
 """Periodic points, return profiles, almost periodicity, minimal subsystem
 clustering, transitivity, dynamical balls and expansivity."""
 
+import bisect
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -126,6 +128,46 @@ def test_annulus3_two_minimal_circles():
     radii = [{round(math.hypot(*s.embed(cloud[i])), 6) for i in c.indices}
              for c in clusters]
     assert sorted(radii) == [{1.0}, {2.0}]
+
+
+PI = Fraction("3.14159265358979323846264338327950288419716939937510582097")
+
+
+def exact_sin(x):
+    """sin x for a small Fraction x, by its Taylor series to ~1e-40."""
+    term, total, k = x, Fraction(0), 1
+    while abs(term) > Fraction(1, 10 ** 40):
+        total += term
+        term = -term * x * x / ((k + 1) * (k + 2))
+        k += 2
+    return total
+
+
+def test_annulus3_cluster_closeness_exact():
+    # the annulus3_audit scenario's clusters: each circle of sampler(64)
+    # at H=2000.  Its closeness is the largest over member pairs of the
+    # chord 2 r sin(pi g), g the circular gap from theta_j - theta_i to the
+    # nearest n k mod 1, |n| <= 2000, all in exact rationals
+    s = annulus3()
+    cloud = s.sampler(64)
+    clusters = minimal_subsystems(s, cloud, H=2000, gap_bound=ANNULUS_GAP)
+    k = Fraction(s.k)
+    turns = sorted((n * k) % 1 for n in range(-2000, 2001))
+    turns = [turns[-1] - 1] + turns + [turns[0] + 1]
+
+    def gap(q):
+        i = bisect.bisect_left(turns, q)
+        return min(q - turns[i - 1], turns[i] - q)
+
+    assert len(clusters) == 2
+    for c in clusters:
+        pts = [cloud[i] for i in c.indices]
+        r = Fraction(pts[0].r)
+        assert all(p.r == pts[0].r for p in pts)
+        g = max(gap((Fraction(b.theta) - Fraction(a.theta)) % 1)
+                for a in pts for b in pts)
+        want = float(2 * r * exact_sin(PI * g))
+        assert abs(c.closeness - want) <= math.ulp(want)
 
 
 def test_annulusN_still_two_minimal_circles():
