@@ -13,19 +13,19 @@ and the visit kernel asks ``visit_minima``.  Both hooks, and
 interface (``arr_state``, ``arr_step`` and the ``arr_*dist`` methods),
 which every system has: the catalogue systems implement it on numpy
 arrays, and the others inherit a default over plain point lists that calls
-``step`` and ``dist``.  The shift, the torus systems, the rotation and the
-annulus family override the hooks with closed forms, and the engine still
-serves conjugates, powers and products:
+``step`` and ``dist``.  The shift, the torus systems and the annulus
+family override the hooks with closed forms, and the engine still serves
+the rotation, conjugates, powers and products:
 
   * the shift, from packed bits: its difference masks for the co-moving
     extremes, and its windows of symbols around each time for the visits;
   * the torus systems, for the co-moving extremes: F^n p - F^n q depends
     only on p - q, so the engine steps one y-difference per distinct
     difference p - q instead of every pair;
-  * the rotation and the annulus family, for the visits: at a fixed radius
-    the nearest visit is one bisection in the sorted angles
-    {n k mod 1 : |n| <= H}, and an annulus orbit point sweeps only the
-    short window of indices where its radius moves;
+  * the annulus family, for the visits: at a fixed radius the nearest
+    visit is one bisection in the sorted angles {n k mod 1 : |n| <= H},
+    and an orbit point sweeps only the short window of indices where its
+    radius moves;
   * the annulus family, for the co-moving extremes: a pair's angle gap is
     constant, so only the times where a radius moves are folded.
 

@@ -30,7 +30,7 @@ STABLE_FACTOR = 10.0
 @dataclass
 class ProximalCellEstimate:
     """A proximal cell; members ascend, and min_dist_trace and stable map
-    each member in that order."""
+    each member."""
 
     base: int
     members: tuple
@@ -46,12 +46,12 @@ class ProximalCellEstimate:
         return len(self.members)
 
     def as_dict(self):
-        keys = list(map(str, self.members))
         d = {"base": self.base, "members": list(self.members),
              "horizon": self.horizon, "threshold": self.threshold,
-             "min_dist_trace": dict(zip(keys, self.min_dist_trace.values()))}
+             "min_dist_trace": {str(k): self.min_dist_trace[k]
+                                for k in self.members}}
         if self.stable is not None:
-            d["stable"] = dict(zip(keys, self.stable.values()))
+            d["stable"] = {str(k): bool(self.stable[k]) for k in self.members}
         return d
 
 

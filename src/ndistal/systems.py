@@ -13,13 +13,12 @@ override it with numpy states; it has no embedding, as snapping runs on
 bits that resolve distances down to its ``floor`` 2^-GCAP.  The torus
 systems override ``comoving_extremes`` by difference class: F^n p - F^n q
 depends only on p - q (through the class attribute ``shear``), so each
-distinct difference is swept once.  The rotation and the annulus family
-override ``visit_minima``: every angle advances by the same k, so a visit
-at fixed radius is one bisection in the sorted angles {n k mod 1}.  The
-annulus family also overrides ``comoving_extremes``: a pair's angle gap
-never changes, and a wandering orbit's radius moves only inside a short
-window of indices, so the extremes fold only the times where a radius
-moves.  Angles n k mod 1 of orbit indices are exact to about an ulp
+distinct difference is swept once.  The annulus family overrides
+``visit_minima``: every angle advances by the same k, so a visit at fixed
+radius is one bisection in the sorted angles {n k mod 1}.  It also
+overrides ``comoving_extremes``: a pair's angle gap never changes, and a
+wandering orbit's radius moves only inside a short window of indices, so
+the extremes fold only the times where a radius moves.  Angles n k mod 1 of orbit indices are exact to about an ulp
 (`_turns`), which makes a visit to a point of the same orbit exactly 0.
 The skew torus also overrides ``equicontinuity_witness`` with its shear.
 A conjugate measures its point lists with its base's array metric unless
@@ -325,16 +324,6 @@ class Rotation(_TorusBase):
         s[:, 0] = np.mod(s[:, 0] + (-self.alpha if inverse else self.alpha), 1.0)
         return s
 
-    def visit_minima(self, points, targets, H):
-        """Closed form, no iteration: x advances by alpha and y stays, so
-        the nearest visit has the smallest circular gap between x_t - x_p
-        and the sorted angles {n alpha mod 1 : |n| <= H}."""
-        P, T = self.arr_state(points), self.arr_state(targets)
-        gx = _nearest_gap(_angle_table(-H, H, self.alpha),
-                          np.mod(T[None, :, 0] - P[:, None, 0], 1.0))
-        gy = np.abs(T[None, :, 1] - P[:, None, 1])
-        return np.hypot(gx, np.minimum(gy, 1.0 - gy))
-
 
 class SkewTorus(_TorusBase):
     """Skew product (x, y) -> (x + alpha mod 1, y + x mod 1)."""
@@ -447,7 +436,6 @@ class AnnulusSystem(DynSystem):
         self.k = _finite("k", k)
         self.circles = tuple(circles)
         self.orbits = dict(orbits)  # label -> (kind, base)
-        self._windows = {}  # (kind code, base) -> _window
 
     # -- geometry ----------------------------------------------------------
     def orbit_radius(self, label, n):
@@ -599,15 +587,21 @@ class AnnulusSystem(DynSystem):
         """(lo, hi, r_lo, r_hi): the orbit's radius is r_lo at every index
         below lo and r_hi at every index above hi, bitwise as _radii gives
         it; read off _radii over a span past its clamps."""
-        key = (code, base)
-        if key not in self._windows:
-            n = np.arange(-1081, 1082)
-            r = self._orbit_radii(code, base, n)
-            below, above = np.nonzero(r != r[0])[0], np.nonzero(r != r[-1])[0]
-            lo = int(n[below[0]]) if below.size else 0
-            hi = int(n[above[-1]]) if above.size else -1
-            self._windows[key] = (lo, hi, float(r[0]), float(r[-1]))
-        return self._windows[key]
+        n = np.arange(-1081, 1082)
+        r = self._orbit_radii(code, base, n)
+        below, above = np.nonzero(r != r[0])[0], np.nonzero(r != r[-1])[0]
+        lo = int(n[below[0]]) if below.size else 0
+        hi = int(n[above[-1]]) if above.size else -1
+        return lo, hi, float(r[0]), float(r[-1])
+
+    def _windows(self, *states):
+        """The `_window` of each distinct (kind code, base) among the orbit
+        points of the states."""
+        keys = set()
+        for S in states:
+            orbit = S["kind"] > 0
+            keys.update(zip(S["kind"][orbit], S["base"][orbit]))
+        return {key: self._window(*key) for key in keys}
 
     def visit_minima(self, points, targets, H):
         """Closed form, no iteration.
@@ -628,9 +622,10 @@ class AnnulusSystem(DynSystem):
         g = _nearest_gap(_angle_table(-H, H, self.k),
                          np.mod(tt - P["theta"][circ, None], 1.0))
         V[circ] = _chord(P["r"][circ, None], rt, _sin2(g))
+        windows = self._windows(P)
         for i in np.nonzero(~circ)[0]:
             code, base, m = P["kind"][i], P["base"][i], int(P["idx"][i])
-            lo, hi, r_lo, r_hi = self._window(code, base)
+            lo, hi, r_lo, r_hi = windows[code, base]
             best = np.full(len(targets), np.inf)
             n = np.arange(max(lo, m - H), min(hi, m + H) + 1)
             if n.size:
@@ -662,11 +657,12 @@ class AnnulusSystem(DynSystem):
         B = A if pts_b is None else self.arr_state(pts_b)
         H = max(horizons)
         times = {centre + h for h in horizons}
+        windows = self._windows(A, B)
         for S in (A, B):
             orbit = S["kind"] > 0
             for code, base, m in set(zip(S["kind"][orbit], S["base"][orbit],
                                          S["idx"][orbit].astype(int))):
-                lo, hi, _, _ = self._window(code, base)
+                lo, hi, _, _ = windows[code, base]
                 times.update(range(max(lo - m - 1, centre - H),
                                    min(hi - m, centre + H) + 1))
         times = sorted(times, key=lambda n: abs(n - centre))

@@ -538,11 +538,10 @@ def test_shift_visit_exact_hits():
 
 
 # ---------------------------------------------------------------------------
-# annulus and rotation closed forms against the engine
+# annulus closed forms against the engine
 # ---------------------------------------------------------------------------
 
-CLOSED = {"annulus3": annulus3, "annulus2": annulus2, "annulusN": annulusN,
-          "rotation": Rotation}
+CLOSED = {"annulus3": annulus3, "annulus2": annulus2, "annulusN": annulusN}
 
 # per orbit label, the indices whose radius differs from the limit on its
 # side, as the closed forms derive them from the radius formula
@@ -553,9 +552,6 @@ WINDOWS = {"annulus3": {0: (-51, 5)}, "annulus2": {0: (-52, 52)},
 def closed_form_points(name, sys, rng, m, H):
     """Random points; orbit indices favour the window edges and the
     indices whose reach |n| <= H just meets them."""
-    if name == "rotation":
-        return [Torus(float(x), float(y) * (rng.random() < 0.5))
-                for x, y in rng.random((m, 2))]
     pts = []
     for _ in range(m):
         lab = list(sys.orbits)[int(rng.integers(len(sys.orbits)))]
@@ -624,10 +620,9 @@ def test_closed_forms_match_engine(name, H, seed):
         assert close(got[h], want[h])
         assert np.array_equal(got[h] < 1e-3, want[h] < 1e-3)
         assert np.array_equal(own[h], own[h].T)
-        if name != "rotation":
-            # the event times alone give every time's extreme, bit for bit
-            assert np.array_equal(
-                got[h], dense_fold(sys, pts, other, h, use_max, centre))
+        # the event times alone give every time's extreme, bit for bit
+        assert np.array_equal(
+            got[h], dense_fold(sys, pts, other, h, use_max, centre))
 
 
 @pytest.mark.parametrize("use_max", [False, True])
@@ -660,8 +655,8 @@ def test_same_orbit_visit_is_exactly_zero(make):
 
 
 def test_closed_form_hooks_never_step(monkeypatch):
-    # the annulus and rotation hooks run on arr_state alone
-    for sys in (annulus3(), annulus2(), annulusN(), Rotation()):
+    # the annulus hooks run on arr_state alone
+    for sys in (annulus3(), annulus2(), annulusN()):
         cloud = sys.sampler(4)
         pts = list(cloud.points[::max(1, len(cloud) // 12)])
         tgt, horizons = pts[:3], {3, 9}

@@ -9,8 +9,9 @@ import pytest
 from ndistal.cli import build_parser, default_cloud, main
 from ndistal.errors import HomomorphismError
 from ndistal.points import Annulus, OrbitIndex, Pair, Torus, word_point
-from ndistal.proximal import (distality_report, fiber_proximal_cell,
-                              proximal_cell, proximal_quotient)
+from ndistal.proximal import (ProximalCellEstimate, distality_report,
+                              fiber_proximal_cell, proximal_cell,
+                              proximal_quotient)
 from ndistal.systems import (CATALOGUE_FACTS, Rotation, SkewTorus, annulus2,
                              annulus3, annulusN, get_system, power_system,
                              product_system, shift2)
@@ -108,6 +109,20 @@ def test_fiber_cell_as_dict_matches_item_wise_build():
         sizes.add(cell.size())
         assert cell.as_dict() == item_wise_cell(cell)
     assert max(sizes) > 1
+
+
+def test_cell_as_dict_looks_each_member_up():
+    # dicts filled in another order than the members, with numpy values
+    members = (2, 5, 9)
+    cell = ProximalCellEstimate(
+        base=5, members=members, horizon=10, threshold=0.1,
+        min_dist_trace={m: np.float64(0.5 * int(m)) for m in members[::-1]},
+        stable={m: np.bool_(int(m) != 9) for m in members[::-1]})
+    d = cell.as_dict()
+    assert d == item_wise_cell(cell)
+    assert list(d["stable"]) == ["2", "5", "9"]
+    assert d["min_dist_trace"]["9"] == 4.5 and d["stable"]["9"] is False
+    assert json.dumps(d) == json.dumps(item_wise_cell(cell))
 
 
 def test_cell_symmetry():
