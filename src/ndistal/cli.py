@@ -18,6 +18,12 @@ analysis, each holding `key = value` parameters.  Parameters named
 `assert_<field>_ge` turn the analysis into a pass/fail check against the
 corresponding field of its JSON result.
 
+Each analysis declares its parameters once, as the keyword defaults of
+its runner.  Sections, the header and one-off flags are bound to those
+before anything runs: a name the analysis does not take, or a value not
+of its default's kind, exits 2; an absent one takes the default.
+`--seed` overrides a scenario's `seed` only when given.
+
 Exit codes: 0 all asserted analyses pass, 1 some audit failed,
 2 usage or validation error.
 """
@@ -26,9 +32,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys as _sysmod
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +44,12 @@ import numpy as np
 from .entropy import (default_partition, ks_bound_audit,
                       metric_entropy_estimate, uniform_measure,
                       word_count_entropy)
+from .equicont import DEFAULT_DELTA_GRID, DEFAULT_H as EQUICONT_H
 from .equicont import n_equicontinuity_probe, r_set, skew_witness
 from .errors import NDistalError, ParameterError
 from .ndiameter import diam_n_bounds, diam_n_exact
-from .proximal import distality_report, proximal_cell, proximal_quotient
+from .proximal import (DEFAULT_EPS, DEFAULT_H, distality_report,
+                       proximal_cell, proximal_quotient)
 from .structure import (expansivity_probe, minimal_subsystems,
                         periodic_points, prop_3_2_audit, return_profile,
                         theorem_3_5_audit, transitive_check)
@@ -148,11 +158,11 @@ def default_cloud(sys, size=None):
     return sys.sampler(sys.cloud_size if size is None else size)
 
 
-def _indexed_point(cloud, params, key="index"):
-    idx = int(params.pop(key, 0))
-    if not 0 <= idx < len(cloud):
-        raise ParameterError(f"{key}={idx} outside cloud of size {len(cloud)}")
-    return cloud[idx]
+def _indexed_point(cloud, index):
+    if not 0 <= index < len(cloud):
+        raise ParameterError(
+            f"index={index} outside cloud of size {len(cloud)}")
+    return cloud[index]
 
 
 def _dist_table(report):
@@ -169,42 +179,30 @@ def _dist_table(report):
                       "members"], rows)
 
 
-def _run_distality(sys, cloud, params, seed):
-    rep = distality_report(sys, cloud,
-                           H=int(params.pop("H", 200)),
-                           eps_prox=float(params.pop("eps", 1e-3)),
-                           N_max=int(params.pop("N_max", 8)))
+def _run_distality(sys, cloud, seed, *, H=DEFAULT_H, eps=DEFAULT_EPS,
+                   N_max=8):
+    rep = distality_report(sys, cloud, H=H, eps_prox=eps, N_max=N_max)
     return rep.as_dict(), [_dist_table(rep)]
 
 
-def _run_proximal_cell(sys, cloud, params, seed):
-    x = _indexed_point(cloud, params)
-    cell = proximal_cell(sys, x, cloud,
-                         H=int(params.pop("H", 200)),
-                         eps_prox=float(params.pop("eps", 1e-3)))
+def _run_proximal_cell(sys, cloud, seed, *, index=0, H=DEFAULT_H,
+                       eps=DEFAULT_EPS):
+    cell = proximal_cell(sys, _indexed_point(cloud, index), cloud, H=H,
+                         eps_prox=eps)
     return cell.as_dict(), []
 
 
-def _run_quotient(sys, cloud, params, seed):
-    rep = distality_report(sys, cloud,
-                           H=int(params.pop("H", 200)),
-                           eps_prox=float(params.pop("eps", 1e-3)),
-                           N_max=int(params.pop("N_max", 8)))
-    quot = proximal_quotient(rep, sys)
-    return quot.as_dict(), []
+def _run_quotient(sys, cloud, seed, *, H=DEFAULT_H, eps=DEFAULT_EPS,
+                  N_max=8):
+    rep = distality_report(sys, cloud, H=H, eps_prox=eps, N_max=N_max)
+    return proximal_quotient(rep, sys).as_dict(), []
 
 
-def _run_equicont(sys, cloud, params, seed):
-    grid = params.pop("delta_grid", (0.2, 0.1, 0.05, 0.02, 0.01))
-    if isinstance(grid, (int, float)):
-        grid = (float(grid),)
-    verdict = n_equicontinuity_probe(
-        sys, cloud, N=int(params.pop("N", 1)),
-        epsilon=float(params.pop("epsilon", 0.2)),
-        delta_grid=tuple(float(d) for d in grid),
-        H=int(params.pop("H", 200)),
-        n_bases=int(params.pop("n_bases", 64)),
-        seed=seed)
+def _run_equicont(sys, cloud, seed, *, N=1, epsilon=0.2,
+                  delta_grid=DEFAULT_DELTA_GRID, H=EQUICONT_H, n_bases=64):
+    verdict = n_equicontinuity_probe(sys, cloud, N=N, epsilon=epsilon,
+                                     delta_grid=delta_grid, H=H,
+                                     n_bases=n_bases, seed=seed)
     rows = [[f"{e['delta']:.6g}", int(e["passed"]),
              int(e["certified_fail"]), f"{e['max_lower']:.6e}",
              f"{e['max_upper']:.6e}"] for e in verdict.per_delta]
@@ -213,49 +211,37 @@ def _run_equicont(sys, cloud, params, seed):
                                               "max_upper"], rows)]
 
 
-def _run_r_set(sys, cloud, params, seed):
-    x = _indexed_point(cloud, params)
-    est = r_set(sys, x, float(params.pop("delta", 0.1)), cloud,
-                H=int(params.pop("H", 200)))
+def _run_r_set(sys, cloud, seed, *, index=0, delta=0.1, H=EQUICONT_H):
+    est = r_set(sys, _indexed_point(cloud, index), delta, cloud, H=H)
     return est.as_dict(), []
 
 
-def _run_skew_witness(sys, cloud, params, seed):
-    M, n = skew_witness(int(params.pop("N", 1)),
-                        float(params.pop("delta", 0.1)),
-                        params.pop("M", None))
+def _run_skew_witness(sys, cloud, seed, *, N=1, delta=0.1,
+                      M: int | None = None):
+    M, n = skew_witness(N, delta, M)
     return {"M": M, "n": n}, []
 
 
-def _gap_bound_from(params):
-    """Optional gap_c parameter: syndetic gap bound ceil(gap_c / delta)."""
-    gap_c = params.pop("gap_c", None)
-    if gap_c is None:
-        return None
-    c = float(gap_c)
-    return lambda d: int(np.ceil(c / d))
+def _gap_bound(gap_c):
+    """Syndetic gap bound ceil(gap_c / delta), or None for the default."""
+    return None if gap_c is None else lambda d: int(np.ceil(gap_c / d))
 
 
-def _run_theorem_3_5(sys, cloud, params, seed):
-    gap_bound = _gap_bound_from(params)
-    rec = theorem_3_5_audit(sys, int(params.pop("N", 3)), cloud,
-                            H=int(params.pop("H", 2000)),
-                            delta=float(params.pop("delta", 0.05)),
-                            gap_bound=gap_bound)
+def _run_theorem_3_5(sys, cloud, seed, *, N=3, H=2000, delta=0.05,
+                     gap_c: float | None = None):
+    rec = theorem_3_5_audit(sys, N, cloud, H=H, delta=delta,
+                            gap_bound=_gap_bound(gap_c))
     return rec.as_dict(), []
 
 
-def _run_prop_3_2(sys, cloud, params, seed):
-    rec = prop_3_2_audit(sys, cloud, T_max=int(params.pop("T_max", 50)))
-    return rec.as_dict(), []
+def _run_prop_3_2(sys, cloud, seed, *, T_max=50):
+    return prop_3_2_audit(sys, cloud, T_max=T_max).as_dict(), []
 
 
-def _run_minimal(sys, cloud, params, seed):
-    gap_bound = _gap_bound_from(params)
-    sets = minimal_subsystems(sys, cloud,
-                              delta=float(params.pop("delta", 0.05)),
-                              H=int(params.pop("H", 2000)),
-                              gap_bound=gap_bound)
+def _run_minimal(sys, cloud, seed, *, delta=0.05, H=2000,
+                 gap_c: float | None = None):
+    sets = minimal_subsystems(sys, cloud, delta=delta, H=H,
+                              gap_bound=_gap_bound(gap_c))
     rows = [[i, repr(s.representative), len(s.indices),
              f"{s.closeness:.6e}"] for i, s in enumerate(sets)]
     result = {"count": len(sets), "clusters": [s.as_dict() for s in sets]}
@@ -263,60 +249,44 @@ def _run_minimal(sys, cloud, params, seed):
                                   "closeness"], rows)]
 
 
-def _run_transitive(sys, cloud, params, seed):
-    point = transitive_check(sys, cloud,
-                             H=int(params.pop("H", 2000)),
-                             delta=float(params.pop("delta", 0.05)))
+def _run_transitive(sys, cloud, seed, *, H=2000, delta=0.05):
+    point = transitive_check(sys, cloud, H=H, delta=delta)
     return {"found": point is not None,
             "point": repr(point) if point is not None else None}, []
 
 
-def _run_return_profile(sys, cloud, params, seed):
-    x = _indexed_point(cloud, params)
-    prof = return_profile(sys, x, float(params.pop("delta", 0.1)),
-                          H=int(params.pop("H", 500)))
+def _run_return_profile(sys, cloud, seed, *, index=0, delta=0.1, H=500):
+    prof = return_profile(sys, _indexed_point(cloud, index), delta, H=H)
     return prof.as_dict(), []
 
 
-def _run_expansivity(sys, cloud, params, seed):
-    grid = params.pop("delta_grid", (0.25, 0.1, 0.05))
-    if isinstance(grid, (int, float)):
-        grid = (float(grid),)
-    verdict = expansivity_probe(sys, cloud,
-                                delta_grid=tuple(float(d) for d in grid),
-                                H=int(params.pop("H", 50)))
-    return verdict.as_dict(), []
+def _run_expansivity(sys, cloud, seed, *, delta_grid=(0.25, 0.1, 0.05),
+                     H=50):
+    return expansivity_probe(sys, cloud, delta_grid=delta_grid,
+                             H=H).as_dict(), []
 
 
-def _run_periodic(sys, cloud, params, seed):
-    found = periodic_points(sys, cloud, int(params.pop("T_max", 12)))
+def _run_periodic(sys, cloud, seed, *, T_max=12):
+    found = periodic_points(sys, cloud, T_max)
     rows = [[i, repr(x), per] for i, (x, per) in enumerate(found)]
     return ({"count": len(found),
              "points": [[repr(x), per] for x, per in found]},
             [("periodic", ["index", "point", "period"], rows)])
 
 
-def _run_entropy_estimate(sys, cloud, params, seed):
-    P = default_partition(cloud, k=int(params.pop("k", 2)))
-    mu = uniform_measure(cloud)
-    est = metric_entropy_estimate(sys, P, mu,
-                                  n_max=int(params.pop("n_max", 64)),
-                                  cloud=cloud)
+def _run_entropy_estimate(sys, cloud, seed, *, k=2, n_max=64):
+    P = default_partition(cloud, k=k)
+    est = metric_entropy_estimate(sys, P, uniform_measure(cloud),
+                                  n_max=n_max, cloud=cloud)
     return est.as_dict(), []
 
 
-def _run_word_entropy(sys, cloud, params, seed):
-    est = word_count_entropy(sys, int(params.pop("n", 12)))
-    return est.as_dict(), []
+def _run_word_entropy(sys, cloud, seed, *, n=12):
+    return word_count_entropy(sys, n).as_dict(), []
 
 
-def _run_ks_bound(sys, cloud, params, seed):
-    r_list = params.pop("r_list", (0.3, 0.2, 0.1, 0.05))
-    if isinstance(r_list, (int, float)):
-        r_list = (float(r_list),)
-    mu = uniform_measure(cloud)
-    rec = ks_bound_audit(sys, cloud, mu,
-                         r_list=tuple(float(r) for r in r_list))
+def _run_ks_bound(sys, cloud, seed, *, r_list=(0.3, 0.2, 0.1, 0.05)):
+    rec = ks_bound_audit(sys, cloud, uniform_measure(cloud), r_list=r_list)
     rows = [[f"{e['r']:.6g}",
              f"{e['entropy']:.6e}" if "entropy" in e else "",
              f"{e['closing_bound']:.6e}" if "closing_bound" in e else "",
@@ -326,14 +296,9 @@ def _run_ks_bound(sys, cloud, params, seed):
                                          "status"], rows)]
 
 
-def _run_diam(exact):
-    def runner(sys, cloud, params, seed):
-        N = int(params.pop("N", 2))
-        size = params.pop("size", None)
-        pts = cloud if size is None else cloud[:int(size)]
-        fn = diam_n_exact if exact else diam_n_bounds
-        res = fn(list(pts), sys.dist, N)
-        return res.as_dict(), []
+def _run_diam(fn):
+    def runner(sys, cloud, seed, *, N=2, size: int | None = None):
+        return fn(list(cloud[:size]), sys.dist, N).as_dict(), []
     return runner
 
 
@@ -354,8 +319,8 @@ REGISTRY = {
     "metric_entropy_estimate": _run_entropy_estimate,
     "word_count_entropy": _run_word_entropy,
     "ks_bound_audit": _run_ks_bound,
-    "diam_n_exact": _run_diam(True),
-    "diam_n_bounds": _run_diam(False),
+    "diam_n_exact": _run_diam(diam_n_exact),
+    "diam_n_bounds": _run_diam(diam_n_bounds),
 }
 
 
@@ -398,27 +363,77 @@ def _check_asserts(result, asserts):
     return passed, checks
 
 
+def _header(*, system="", seed=0, out=".", cloud_size: int | None = None):
+    """The scenario header keys; a section may set its own cloud_size."""
+
+
+def _as(kind, value, where):
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise ScenarioError(
+            f"{where}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _bind(fn, params, where):
+    """fn's keyword-only parameters, with params converted to their kinds.
+
+    A name fn does not declare, or a value that does not convert exactly
+    to the kind of its default, raises ScenarioError.  An int stands for
+    a float, a scalar for a 1-tuple, and None only where the default is
+    None; such a parameter names its kind in an annotation.
+    """
+    declared = {name: p for name, p in
+                inspect.signature(fn, eval_str=True).parameters.items()
+                if p.kind is p.KEYWORD_ONLY}
+    bound = {name: p.default for name, p in declared.items()}
+    for key, value in params.items():
+        if key not in declared:
+            raise ScenarioError(f"{where}: unknown parameter {key!r} "
+                                f"(takes {', '.join(declared)})")
+        default, at = declared[key].default, f"{where}: {key}"
+        if isinstance(default, tuple):
+            items = value if isinstance(value, tuple) else (value,)
+            value = tuple(_as(type(default[0]), v, at) for v in items)
+        elif default is not None:
+            value = _as(type(default), value, at)
+        elif value is not None:
+            kind = typing.get_args(declared[key].annotation)[0]
+            value = _as(kind, value, at)
+        bound[key] = value
+    return bound
+
+
+def _analysis_params(params):
+    """A section's parameters for its runner: all but cloud_size and the
+    assert_* checks."""
+    return {key: value for key, value in params.items()
+            if key != "cloud_size" and not key.startswith("assert_")}
+
+
 def validate_scenario(header, analyses):
-    """Type-check a parsed scenario before any computation runs."""
+    """Bind a parsed scenario against the declarations before anything runs.
+
+    Returns the system, the header with its defaults filled in, and per
+    analysis the runner's keyword arguments and the section's own cloud
+    size (None for the header's cloud).
+    """
+    header = _bind(_header, header, "header")
     try:
-        sys = get_system(str(header["system"]))
+        sys = get_system(header["system"])
     except (NDistalError, ValueError) as exc:
         raise ScenarioError(f"unknown or invalid system "
                             f"{header['system']!r}: {exc}")
-    for key in header:
-        if key not in ("system", "seed", "out", "cloud_size"):
-            raise ScenarioError(f"unknown header key {key!r}")
+    bound = []
     for op, params, lineno in analyses:
+        where = op if lineno is None else f"line {lineno}: [{op}]"
         if op not in REGISTRY:
-            raise ScenarioError(f"line {lineno}: unknown analysis op {op!r}")
-        for key, value in params.items():
-            if key.startswith("assert_"):
-                continue
-            if not isinstance(value, (bool, int, float, str, tuple,
-                                      type(None))):
-                raise ScenarioError(
-                    f"line {lineno}: bad value for {key!r}: {value!r}")
-    return sys
+            raise ScenarioError(f"{where}: unknown analysis op")
+        size = {k: v for k, v in params.items() if k == "cloud_size"}
+        bound.append((_bind(REGISTRY[op], _analysis_params(params), where),
+                      _bind(_header, size, where)["cloud_size"]))
+    return sys, header, bound
 
 
 def _write_csv(path, header, rows):
@@ -431,29 +446,29 @@ def _write_csv(path, header, rows):
 def run_scenario(path, seed=None, out=None):
     """Execute a scenario file and write report.json, timings.json, CSVs.
 
-    Returns the process exit code (0 pass, 1 audit failure).
+    seed and out override the header's when given.  Returns the process
+    exit code (0 pass, 1 audit failure).
     """
     header, analyses = parse_scenario(path)
-    sys = validate_scenario(header, analyses)
+    sys, header, bound = validate_scenario(header, analyses)
     if seed is None:
-        seed = int(header.get("seed", 0))
-    out_dir = Path(out if out is not None else header.get("out", "."))
+        seed = header["seed"]
+    out_dir = Path(header["out"] if out is None else out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cloud = default_cloud(sys, header.get("cloud_size"))
+    cloud = default_cloud(sys, header["cloud_size"])
 
     records = []
     timings = []
     any_fail = False
-    for k, (op, params, lineno) in enumerate(analyses):
-        params = dict(params)
-        size = params.pop("cloud_size", None)
-        op_cloud = cloud if size is None else default_cloud(sys, int(size))
-        asserts = {key: params.pop(key) for key in list(params)
+    for k, ((op, params, _), (kwargs, size)) in enumerate(zip(analyses,
+                                                              bound)):
+        op_cloud = cloud if size is None else default_cloud(sys, size)
+        asserts = {key: value for key, value in params.items()
                    if key.startswith("assert_")}
-        record = {"op": op, "params": _jsonable(params)}
+        record = {"op": op, "params": _jsonable(_analysis_params(params))}
         t0 = time.perf_counter()
         try:
-            result, tables = REGISTRY[op](sys, op_cloud, params, seed)
+            result, tables = REGISTRY[op](sys, op_cloud, seed, **kwargs)
             result = _jsonable(result)
             record["result"] = result
             passed, checks = _check_asserts(result, asserts)
@@ -474,7 +489,7 @@ def run_scenario(path, seed=None, out=None):
         records.append(record)
 
     report = {
-        "scenario": {"system": str(header["system"]), "seed": seed,
+        "scenario": {"system": header["system"], "seed": seed,
                      "cloud_size": len(cloud),
                      "analyses": [op for op, _, _ in analyses]},
         "analyses": records,
@@ -503,11 +518,13 @@ def list_catalogue(stream=None):
     return 0
 
 
-def _oneoff(op, args, extra):
+def _oneoff(op, args, params):
     """Run a single registry op on a system and print its JSON result."""
-    sys = get_system(args.system)
-    cloud = default_cloud(sys, args.cloud_size)
-    result, _tables = REGISTRY[op](sys, cloud, dict(extra), args.seed)
+    sys, header, [(kwargs, _)] = validate_scenario(
+        {"system": args.system, "seed": args.seed or 0,
+         "cloud_size": args.cloud_size}, [(op, params, None)])
+    cloud = default_cloud(sys, header["cloud_size"])
+    result, _tables = REGISTRY[op](sys, cloud, header["seed"], **kwargs)
     text = json.dumps(_jsonable(result), sort_keys=True, indent=2)
     if args.out:
         out_dir = Path(args.out)
@@ -517,12 +534,17 @@ def _oneoff(op, args, extra):
     return 0
 
 
+# one-off flags that set an analysis parameter store under this prefix
+_PARAM = "param:"
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ndistal",
         description="audits for N-distal dynamics on the system catalogue")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized probes")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed for randomized probes (default: the "
+                             "scenario's seed, else 0)")
     parser.add_argument("--out", default=None,
                         help="output directory for reports")
 
@@ -542,27 +564,36 @@ def build_parser():
 
     add_parser("list-systems", help="print the system catalogue")
 
-    def common(p):
+    def common(p, op=None):
         p.add_argument("--system", required=True,
                        help="system id, e.g. annulus3 or rotation{alpha=0.3}")
         p.add_argument("--cloud-size", type=int, default=None)
+        if op is not None:
+            p.set_defaults(op=op)
+
+    def param(p, flag, **kw):
+        # absent unless given, so the op's own default applies; the
+        # binder checks the value and rejects a name the op does not take
+        name = flag[2:].replace("-", "_")
+        p.add_argument(flag, dest=_PARAM + name, metavar=name.upper(),
+                       type=_parse_value, default=argparse.SUPPRESS, **kw)
 
     p_prox = add_parser("proximal", help="distality report or one cell")
-    common(p_prox)
-    p_prox.add_argument("--index", type=int, default=None,
-                        help="cloud index for a single proximal cell")
-    p_prox.add_argument("--H", type=int, default=200)
-    p_prox.add_argument("--eps", type=float, default=1e-3)
-    p_prox.add_argument("--N-max", type=int, default=8)
-    p_prox.add_argument("--quotient", action="store_true",
-                        help="also compute the proximal quotient")
+    common(p_prox, "distality_report")
+    for flag in ("--H", "--eps", "--N-max"):
+        param(p_prox, flag)
+    one = p_prox.add_mutually_exclusive_group()
+    param(one, "--index", help="cloud index for a single proximal cell")
+    one.add_argument("--quotient", dest="op", action="store_const",
+                     const="proximal_quotient",
+                     help="also compute the proximal quotient")
 
     p_eq = add_parser("equicont", help="N-equicontinuity probe")
-    common(p_eq)
-    p_eq.add_argument("--N", type=int, required=True)
-    p_eq.add_argument("--epsilon", type=float, default=0.2)
-    p_eq.add_argument("--H", type=int, default=200)
-    p_eq.add_argument("--delta-grid", type=float, nargs="+", default=None)
+    common(p_eq, "n_equicontinuity_probe")
+    param(p_eq, "--N", required=True)
+    for flag in ("--epsilon", "--H"):
+        param(p_eq, flag)
+    param(p_eq, "--delta-grid", nargs="+")
 
     p_st = add_parser("structure", help="structural audits")
     common(p_st)
@@ -570,79 +601,46 @@ def build_parser():
                       choices=["theorem_3_5_audit", "prop_3_2_audit",
                                "minimal_subsystems", "transitive_check",
                                "expansivity_probe", "periodic_points"])
-    p_st.add_argument("--N", type=int, default=3)
-    p_st.add_argument("--H", type=int, default=2000)
-    p_st.add_argument("--delta", type=float, default=0.05)
-    p_st.add_argument("--T-max", type=int, default=12)
+    for flag in ("--N", "--H", "--delta", "--T-max"):
+        param(p_st, flag)
 
     p_en = add_parser("entropy", help="entropy estimates and bounds")
     common(p_en)
     p_en.add_argument("--op", default="metric_entropy_estimate",
                       choices=["metric_entropy_estimate",
                                "word_count_entropy", "ks_bound_audit"])
-    p_en.add_argument("--n-max", type=int, default=64)
-    p_en.add_argument("--k", type=int, default=2)
-    p_en.add_argument("--n", type=int, default=12)
+    for flag in ("--n-max", "--k", "--n"):
+        param(p_en, flag)
 
     p_nd = add_parser("ndiam", help="N-diameter of a sampled cloud")
-    common(p_nd)
-    p_nd.add_argument("--N", type=int, required=True)
-    p_nd.add_argument("--size", type=int, default=None,
-                      help="use only the first SIZE cloud points")
-    p_nd.add_argument("--bounds", action="store_true",
+    common(p_nd, "diam_n_exact")
+    param(p_nd, "--N", required=True)
+    param(p_nd, "--size", help="use only the first SIZE cloud points")
+    p_nd.add_argument("--bounds", dest="op", action="store_const",
+                      const="diam_n_bounds",
                       help="greedy bounds instead of exact enumeration")
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
             return run_scenario(args.scenario, seed=args.seed, out=args.out)
         if args.command == "list-systems":
             return list_catalogue()
-        if args.command == "proximal":
-            if args.index is not None:
-                return _oneoff("proximal_cell", args,
-                               {"index": args.index, "H": args.H,
-                                "eps": args.eps})
-            op = "proximal_quotient" if args.quotient else "distality_report"
-            return _oneoff(op, args, {"H": args.H, "eps": args.eps,
-                                      "N_max": args.N_max})
-        if args.command == "equicont":
-            extra = {"N": args.N, "epsilon": args.epsilon, "H": args.H}
-            if args.delta_grid:
-                extra["delta_grid"] = tuple(args.delta_grid)
-            return _oneoff("n_equicontinuity_probe", args, extra)
-        if args.command == "structure":
-            extra = {}
-            if args.op == "theorem_3_5_audit":
-                extra = {"N": args.N, "H": args.H, "delta": args.delta}
-            elif args.op in ("minimal_subsystems", "transitive_check"):
-                extra = {"H": args.H, "delta": args.delta}
-            elif args.op in ("prop_3_2_audit", "periodic_points"):
-                extra = {"T_max": args.T_max}
-            return _oneoff(args.op, args, extra)
-        if args.command == "entropy":
-            extra = {}
-            if args.op == "metric_entropy_estimate":
-                extra = {"n_max": args.n_max, "k": args.k}
-            elif args.op == "word_count_entropy":
-                extra = {"n": args.n}
-            return _oneoff(args.op, args, extra)
-        if args.command == "ndiam":
-            op = "diam_n_bounds" if args.bounds else "diam_n_exact"
-            return _oneoff(op, args, {"N": args.N, "size": args.size})
-        parser.error(f"unknown command {args.command!r}")
+        params = {key[len(_PARAM):]: tuple(v) if isinstance(v, list) else v
+                  for key, v in vars(args).items() if key.startswith(_PARAM)}
+        # --index asks for one proximal cell instead of the whole report
+        op = "proximal_cell" if "index" in params else args.op
+        return _oneoff(op, args, params)
     except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=_sysmod.stderr)
+        print(f"error: {exc}", file=_sysmod.stderr)
         return 2
     except NDistalError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=_sysmod.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

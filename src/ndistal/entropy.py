@@ -11,6 +11,7 @@ aliasing cannot silently corrupt the itineraries.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -163,21 +164,29 @@ def step_index_map(sys, cloud: PointCloud,
     return _snap(sys, stepped, cloud, snap_tol)
 
 
+def _itineraries(P: Partition, nxt):
+    """Codes of the length-1, 2, ... itineraries through P under the index
+    map nxt: two points share a code iff they share the itinerary, and from
+    length 2 on the codes are the ranks 0..k-1."""
+    labels = P.label_array()
+    K = P.n_cells()
+    code = labels.copy()
+    idx = np.arange(len(nxt))
+    while True:
+        yield code
+        idx = nxt[idx]
+        code = code * K + labels[idx]
+        _, code = np.unique(code, return_inverse=True)
+
+
 def refine_partition(P: Partition, sys, n: int, cloud: PointCloud,
                      snap_tol: Optional[float] = None) -> Partition:
     """The join P v f^-1(P) v ... v f^-(n-1)(P): points sharing the same
     length-n itinerary through P."""
     if n < 1:
         raise ParameterError("n must be >= 1")
-    labels = P.label_array()
     nxt, _ = step_index_map(sys, cloud, snap_tol)
-    K = P.n_cells()
-    code = labels.copy()
-    idx = np.arange(len(cloud))
-    for _ in range(n - 1):
-        idx = nxt[idx]
-        code = code * K + labels[idx]
-        _, code = np.unique(code, return_inverse=True)
+    code = next(itertools.islice(_itineraries(P, nxt), n - 1, None))
     return partition_from_labels(code, len(cloud))
 
 
@@ -204,19 +213,9 @@ def metric_entropy_estimate(sys, P: Partition, mu: EmpiricalMeasure,
     last three values and the full sequence is kept as diagnostics."""
     if n_max < 4:
         raise ParameterError("n_max must be >= 4")
-    labels = P.label_array()
     nxt, snap = step_index_map(sys, cloud, snap_tol)
-    K = max(P.n_cells(), 2)
-    code = labels.copy()
-    idx = np.arange(len(cloud))
-    seq = []
-    for n in range(1, n_max + 1):
-        if n > 1:
-            idx = nxt[idx]
-            code = code * K + labels[idx]
-            _, code = np.unique(code, return_inverse=True)
-        masses = np.bincount(code, weights=mu.weights)
-        seq.append(partition_entropy(masses) / n)
+    seq = [partition_entropy(np.bincount(code, weights=mu.weights)) / n
+           for n, code in zip(range(1, n_max + 1), _itineraries(P, nxt))]
     value = float(np.mean(seq[-3:]))
     return EntropyEstimate(value=value, method="partition_limit",
                            params={"n_max": n_max, "cells": P.n_cells(),

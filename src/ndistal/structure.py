@@ -116,12 +116,7 @@ def default_gap_bound(delta: float) -> int:
 def almost_periodic_verdict(sys, x, delta_list=DELTA_LIST, H: int = 500,
                             gap_bound=None) -> bool:
     """True iff returns to every delta-neighborhood have bounded gaps."""
-    gap_bound = gap_bound or default_gap_bound
-    for delta in delta_list:
-        prof = return_profile(sys, x, delta, H)
-        if prof.max_gap is None or prof.max_gap > gap_bound(delta):
-            return False
-    return True
+    return bool(_almost_periodic_mask(sys, [x], delta_list, H, gap_bound)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +135,14 @@ class MinimalSetEstimate:
                 "closeness": self.closeness}
 
 
-def _almost_periodic_mask(sys, cloud, delta_list, H, gap_bound):
-    D = _self_return_distances(sys, cloud.points, H)
-    mask = np.ones(len(cloud), dtype=bool)
+def _almost_periodic_mask(sys, points, delta_list, H, gap_bound=None):
+    """Which points return to every delta-ball of delta_list with gaps
+    within gap_bound(delta) over |n| <= H."""
+    for delta in delta_list:
+        check_positive("delta", delta)
+    gap_bound = gap_bound or default_gap_bound
+    D = _self_return_distances(sys, points, H)
+    mask = np.ones(len(points), dtype=bool)
     for delta in delta_list:
         bound = gap_bound(delta)
         for i in np.nonzero(mask)[0]:
@@ -163,8 +163,7 @@ def minimal_subsystems(sys, cloud: PointCloud, delta: float = 0.05,
     merged in index order.
     """
     check_positive("delta", delta)
-    gap_bound = gap_bound or default_gap_bound
-    mask = _almost_periodic_mask(sys, cloud, delta_list, min(H, 500),
+    mask = _almost_periodic_mask(sys, cloud.points, delta_list, min(H, 500),
                                  gap_bound)
     ap_idx = np.nonzero(mask)[0]
     if len(ap_idx) == 0:

@@ -3,12 +3,14 @@ command-line front end."""
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndistal.cli import ScenarioError, main, parse_scenario
+from ndistal.cli import (ScenarioError, main, parse_scenario,
+                         validate_scenario)
 
 ANNULUS_SCENARIO = """\
 # full annulus3 audit
@@ -135,6 +137,21 @@ def test_oneoff_subcommand(capsys):
 
 
 NON_UTF8 = "non-utf8.scn"
+TINY = "system = rotation\ncloud_size = 8\n"
+# scenario files the table below runs; each must be rejected by binding,
+# before any analysis
+BAD_SCENARIOS = {
+    "misspelt-key.scn": TINY + "[distality_report]\neps_prox = 0.5\n",
+    "misspelt-case.scn": TINY + "[distality_report]\nHorizon = 3\n",
+    "h-word.scn": TINY + "[distality_report]\nH = abc\n",
+    "h-float.scn": TINY + "[distality_report]\nH = 2.5\n",
+    "n-bool.scn": TINY + "[n_equicontinuity_probe]\nN = true\n",
+    "grid-words.scn": TINY + "[expansivity_probe]\ndelta_grid = a, b\n",
+    "cloud-word.scn": "system = rotation\ncloud_size = abc\n"
+                      "[skew_witness]\n",
+    "section-cloud-word.scn": TINY + "[skew_witness]\ncloud_size = abc\n",
+    "seed-word.scn": "system = rotation\nseed = abc\n[skew_witness]\n",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -165,16 +182,70 @@ NON_UTF8 = "non-utf8.scn"
     ["structure", "--system", "annulus3", "--delta", "nan"],
     ["entropy", "--system", "shift2"],
     ["run", NON_UTF8],
+    *[["run", name] for name in BAD_SCENARIOS],
+    ["entropy", "--system", "shift2", "--op", "ks_bound_audit", "--k", "5"],
+    ["proximal", "--system", "annulus3", "--index", "0", "--N-max", "5"],
+    ["proximal", "--system", "annulus3", "--index", "0", "--quotient"],
+    ["structure", "--system", "annulus3", "--op", "theorem_3_5_audit",
+     "--T-max", "9"],
+    ["structure", "--system", "rotation", "--op", "expansivity_probe",
+     "--H", "2.5"],
 ])
 def test_invalid_invocations_exit_2(argv, tmp_path, monkeypatch):
     # scenario files named in the table are written to the working directory
     (tmp_path / NON_UTF8).write_bytes(b"system = annulus3\n\xff\n")
+    for name, text in BAD_SCENARIOS.items():
+        (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
     try:
         code = main(argv)
     except SystemExit as exc:   # argparse rejects unknown flags this way
         code = exc.code
     assert code == 2
+
+
+def test_rejected_scenario_writes_nothing(tmp_path, capsys):
+    path = write(tmp_path, "s.scn", BAD_SCENARIOS["misspelt-key.scn"])
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "line 3" in err and "eps_prox" in err
+
+
+@pytest.mark.parametrize("flags, seed", [([], 7), (["--seed", "3"], 3),
+                                         (["--seed", "0"], 0)])
+def test_run_seed_overrides_header_only_when_given(tmp_path, flags, seed):
+    path = write(tmp_path, "s.scn", TINY.replace(
+        "cloud_size", "seed = 7\ncloud_size") + "[skew_witness]\n")
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out), *flags]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["scenario"]["seed"] == seed
+
+
+def test_oneoff_flags_reach_the_op(capsys):
+    def run(*argv):
+        assert main(["structure", "--system", "rotation{alpha=0.25}",
+                     "--cloud-size", "8", *argv]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    assert run("--op", "expansivity_probe", "--H", "3")["horizon"] == 3
+    # an absent flag takes the op's own default, as a scenario section does
+    assert run("--op", "prop_3_2_audit")["details"]["T_max"] == 50
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_shipped_scenarios_bind():
+    # binding only: no analysis runs, and bench/ is only read
+    paths = [*ROOT.glob("scenarios/*.scn"),
+             *ROOT.glob("bench/scenarios/*.scn")]
+    assert {p.parent for p in paths} == {ROOT / "scenarios",
+                                         ROOT / "bench" / "scenarios"}
+    for path in paths:
+        validate_scenario(*parse_scenario(path))
 
 
 @given(st.binary(max_size=200))

@@ -14,7 +14,8 @@ from ndistal.entropy import (KSH1_BOUND, EmpiricalMeasure, Partition,
                              metric_entropy_estimate, orbit_measure,
                              partition_entropy,
                              partition_from_labels, refine_partition,
-                             uniform_measure, word_count_entropy)
+                             step_index_map, uniform_measure,
+                             word_count_entropy)
 from ndistal.errors import (ConstructionError, MeasureError, ParameterError,
                             RefinementError)
 from ndistal.points import (OrbitIndex, PointCloud, Torus, periodic_point,
@@ -63,6 +64,40 @@ def test_partition_entropy_maximal_for_uniform(raw):
 # ---------------------------------------------------------------------------
 # refinement
 # ---------------------------------------------------------------------------
+
+def _join_by_loop(P, nxt, n, K):
+    """Itinerary codes of lengths 1..n, joined step by step with base K."""
+    labels = P.label_array()
+    code = labels.copy()
+    idx = np.arange(len(nxt))
+    codes = [code]
+    for _ in range(n - 1):
+        idx = nxt[idx]
+        code = code * K + labels[idx]
+        _, code = np.unique(code, return_inverse=True)
+        codes.append(code)
+    return codes
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_itinerary_join_matches_loop(k):
+    s = Rotation()
+    cloud = s.sampler(64)
+    P = default_partition(cloud, k=k)
+    nxt, _ = step_index_map(s, cloud)
+    mu = uniform_measure(cloud)
+    # the estimate joined with base max(cells, 2), the refinement with
+    # base cells; any base >= cells ranks the itineraries alike
+    codes = _join_by_loop(P, nxt, 12, max(P.n_cells(), 2))
+    est = metric_entropy_estimate(s, P, mu, 12, cloud)
+    assert est.diagnostics == tuple(
+        partition_entropy(np.bincount(c, weights=mu.weights)) / n
+        for n, c in enumerate(codes, start=1))
+    codes = _join_by_loop(P, nxt, 12, P.n_cells())
+    for n in (1, 2, 5, 12):
+        assert refine_partition(P, s, n, cloud) == \
+            partition_from_labels(codes[n - 1], len(cloud))
+
 
 def test_identity_refinement_is_constant():
     s = IdentityTorus()

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from ndistal.cli import build_parser, default_cloud, main
+from ndistal.cli import main
 from ndistal.errors import HomomorphismError
 from ndistal.points import Annulus, OrbitIndex, Pair, Torus, word_point
 from ndistal.proximal import (ProximalCellEstimate, distality_report,
@@ -195,20 +195,19 @@ def _expected_verdict(name, sys):
     return lambda v: v == "distal"
 
 
-@pytest.mark.parametrize("name", sorted(CATALOGUE_FACTS))
-def test_verdicts_match_facts_at_cli_defaults(name):
-    args = build_parser().parse_args(["proximal", "--system", name])
-    sys = get_system(name)
-    cloud = default_cloud(sys, 3)
-    rep = distality_report(sys, cloud, H=args.H, eps_prox=args.eps)
-    assert _expected_verdict(name, sys)(rep.verdict), rep.verdict
-
-
 def _cli_json(capsys, argv):
-    """Run the CLI (its parser defaults, on default_cloud(sys)) and parse
+    """Run the CLI (its ops' own defaults, on default_cloud(sys)) and parse
     the JSON it prints."""
     assert main(argv) == 0
     return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE_FACTS))
+def test_verdicts_match_facts_at_cli_defaults(name, capsys):
+    out = _cli_json(capsys, ["proximal", "--system", name,
+                             "--cloud-size", "3"])
+    assert _expected_verdict(name, get_system(name))(out["verdict"]), \
+        out["verdict"]
 
 
 @pytest.mark.parametrize("name", sorted(CATALOGUE_FACTS))

@@ -9,10 +9,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ndistal import structure
 from ndistal.equicont import r_set
+from ndistal.errors import ParameterError
 from ndistal.points import (OrbitIndex, PointCloud, Torus, periodic_point,
                             word_point)
-from ndistal.structure import (almost_periodic_verdict, default_gap_bound,
+from ndistal.structure import (DELTA_LIST, almost_periodic_verdict,
+                               default_gap_bound,
                                dynamical_ball, expansivity_probe,
                                minimal_subsystems, periodic_points,
                                prop_3_2_audit, return_profile,
@@ -111,6 +114,38 @@ def test_almost_periodic_verdicts():
     r = Rotation()
     assert almost_periodic_verdict(r, Torus(0.4, 0.9))
     assert almost_periodic_verdict(shift2(), word_point(()))
+
+
+def test_almost_periodic_verdict_sweeps_returns_once(monkeypatch):
+    s = annulus3()
+    points = [*s.sampler(8).points[:4], OrbitIndex(0, 0), OrbitIndex(3)]
+    # the verdict as one return profile per delta
+    def one_by_one(x):
+        gaps = {d: return_profile(s, x, d, 500).max_gap for d in DELTA_LIST}
+        return all(g is not None and g <= ANNULUS_GAP(d)
+                   for d, g in gaps.items())
+
+    want = [one_by_one(x) for x in points]
+    calls = []
+    sweep = structure._self_return_distances
+    monkeypatch.setattr(structure, "_self_return_distances",
+                        lambda *a: calls.append(a) or sweep(*a))
+    got = [almost_periodic_verdict(s, x, gap_bound=ANNULUS_GAP)
+           for x in points]
+    assert got == want and True in got and False in got
+    assert len(calls) == len(points)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan")])
+def test_almost_periodic_rejects_bad_delta_list(bad):
+    s = annulus3()
+    cloud = s.sampler(16)
+    with pytest.raises(ParameterError):
+        minimal_subsystems(s, cloud, H=2000, delta_list=(bad,))
+    with pytest.raises(ParameterError):
+        minimal_subsystems(s, cloud, H=2000, delta_list=(0.1, bad))
+    with pytest.raises(ParameterError):
+        almost_periodic_verdict(s, cloud[0], delta_list=(bad,))
 
 
 # ---------------------------------------------------------------------------
