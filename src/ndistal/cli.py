@@ -155,6 +155,8 @@ def parse_scenario(path):
 
 def default_cloud(sys, size=None):
     """Sample the conventional report cloud for a catalogue system."""
+    if size is not None and size < 1:
+        raise ParameterError(f"cloud_size must be >= 1, got {size}")
     return sys.sampler(sys.cloud_size if size is None else size)
 
 
@@ -447,7 +449,8 @@ def run_scenario(path, seed=None, out=None):
     """Execute a scenario file and write report.json, timings.json, CSVs.
 
     seed and out override the header's when given.  Returns the process
-    exit code (0 pass, 1 audit failure).
+    exit code: 0 pass, 1 audit failure, 2 when an analysis rejected one of
+    its parameters (its error is in the report).
     """
     header, analyses = parse_scenario(path)
     sys, header, bound = validate_scenario(header, analyses)
@@ -459,7 +462,7 @@ def run_scenario(path, seed=None, out=None):
 
     records = []
     timings = []
-    any_fail = False
+    any_fail = bad_params = False
     for k, ((op, params, _), (kwargs, size)) in enumerate(zip(analyses,
                                                               bound)):
         op_cloud = cloud if size is None else default_cloud(sys, size)
@@ -485,6 +488,7 @@ def run_scenario(path, seed=None, out=None):
             record["passed"] = False if asserts else None
             if asserts:
                 any_fail = True
+            bad_params |= isinstance(exc, ParameterError)
         timings.append({"op": op, "seconds": time.perf_counter() - t0})
         records.append(record)
 
@@ -504,7 +508,7 @@ def run_scenario(path, seed=None, out=None):
         json.dumps(report, sort_keys=True, indent=2) + "\n")
     (out_dir / "timings.json").write_text(
         json.dumps({"analyses": timings}, indent=2) + "\n")
-    return 0 if not any_fail else 1
+    return 2 if bad_params else 1 if any_fail else 0
 
 
 def list_catalogue(stream=None):

@@ -7,15 +7,18 @@ and minimal-set clustering, and minima over a window |n - c| <= H centred
 at a time c for the R_delta spot checks.
 
 No kernel calls ``step`` or ``iterate``.  The co-moving kernels ask the
-system's hook ``comoving_extremes`` (the extremes over a centred window)
-and the visit kernel asks ``visit_minima``.  Both hooks, and
-`orbit_min_pairs`, run one engine, `_sweep`, on the system's array
-interface (``arr_state``, ``arr_step`` and the ``arr_*dist`` methods),
-which every system has: the catalogue systems implement it on numpy
-arrays, and the others inherit a default over plain point lists that calls
-``step`` and ``dist``.  The shift, the torus systems and the annulus
-family override the hooks with closed forms, and the engine still serves
-the rotation, conjugates, powers and products:
+system's hook ``comoving_extremes`` (the extremes over a centred window),
+the visit kernel asks ``visit_minima``, and the self-return kernel
+`orbit_return_matrix` asks ``return_distances`` (each point's distance to
+its own iterates over |n| <= H, the input of the return-gap verdicts in
+``structure``, which itself steps no orbit).  The default of each hook,
+and `orbit_min_pairs`, run one engine on the system's array interface
+(``arr_state``, ``arr_step`` and the ``arr_*dist`` methods), which every
+system has: the catalogue systems implement it on numpy arrays, and the
+others inherit a default over plain point lists that calls ``step`` and
+``dist``.  The shift, the torus systems and the annulus family override
+hooks with closed forms, and the engine still serves the rotation,
+conjugates, powers and products:
 
   * the shift, from packed bits: its difference masks for the co-moving
     extremes, and its windows of symbols around each time for the visits;
@@ -28,6 +31,9 @@ the rotation, conjugates, powers and products:
     radius moves;
   * the annulus family, for the co-moving extremes: a pair's angle gap is
     constant, so only the times where a radius moves are folded.
+  * the annulus family, for the self-returns: every angle advances by k,
+    so a point's angle gap to itself at time n is n k mod 1 and its radius
+    is the orbit's radius at index m + n, with no iteration.
 
 The closed forms compute the angle n k mod 1 of an orbit index exactly to
 about an ulp, so a visit to a point of the same orbit is exactly 0; the
@@ -104,6 +110,20 @@ def sweep_visits(sys, points, targets, H):
                   sys.arr_state(targets), H, sys.arr_cdist, move_b=False)[0]
 
 
+def sweep_returns(sys, points, H):
+    """The engine behind ``DynSystem.return_distances``: the float32
+    D[i, t] = d(f^(t-H) x_i, x_i) for t = 0..2H."""
+    s = s0 = sys.arr_state(list(points))
+    for _ in range(H):
+        s = sys.arr_step(s, inverse=True)
+    D = np.empty((len(points), 2 * H + 1), dtype=np.float32)
+    for t in range(2 * H + 1):
+        D[:, t] = sys.arr_edist(s, s0)
+        if t < 2 * H:
+            s = sys.arr_step(s)
+    return D
+
+
 def _row_blocks(m, width, budget):
     """Slices of m rows of `width` elements, each block holding at most
     `budget` elements (at least one row)."""
@@ -178,6 +198,12 @@ def orbit_visit_matrix(sys, points, targets, H):
     """V[i,j] = min over |n|<=H of d(f^n p_i, t_j) with the targets fixed."""
     _check_horizon(H)
     return sys.visit_minima(list(points), list(targets), H)
+
+
+def orbit_return_matrix(sys, points, H):
+    """D[i, t] = d(f^(t-H) p_i, p_i) for t = 0..2H, as float32."""
+    _check_horizon(H)
+    return sys.return_distances(list(points), H)
 
 
 def orbit_min_pairs(sys, xs, ys, H):

@@ -137,6 +137,8 @@ def distality_report(sys, cloud: PointCloud, H: int = DEFAULT_H,
     enlarged).
     """
     _check_scale(H, eps_prox)
+    if not len(cloud):
+        raise ParameterError("distality_report needs a nonempty cloud")
     M2, cps = orbit_min_matrix(sys, cloud.points, 2 * H, checkpoints=(H,))
     MH = cps[H]
     adj = MH < eps_prox

@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .errors import check_positive
-from .kernels import orbit_max_matrix, orbit_max_rows, orbit_visit_matrix
+from .kernels import (orbit_max_matrix, orbit_max_rows, orbit_return_matrix,
+                      orbit_visit_matrix)
 from .points import PointCloud
 from .proximal import distality_report
 
@@ -74,25 +76,20 @@ class ReturnProfile:
                 "max_gap": self.max_gap}
 
 
-def _self_return_distances(sys, points, H):
-    """D[i, t] = d(f^(t-H) x_i, x_i) for t = 0..2H."""
-    s = s0 = sys.arr_state(list(points))
-    for _ in range(H):
-        s = sys.arr_step(s, inverse=True)
-    D = np.empty((len(points), 2 * H + 1), dtype=np.float32)
-    for t in range(2 * H + 1):
-        D[:, t] = sys.arr_edist(s, s0)
-        if t < 2 * H:
-            s = sys.arr_step(s)
-    return D
-
-
-def _gap_from_row(row, delta, H):
-    times = np.nonzero(row < delta)[0] - H
-    if len(times) <= 1:
-        return tuple(int(t) for t in times), None
-    padded = np.concatenate([[-H - 1], times, [H + 1]])
-    return tuple(int(t) for t in times), int(np.diff(padded).max())
+def _return_gaps(D, delta):
+    """For each row of return distances D (times -H..H), the longest gap
+    between its returns D < delta, the two ends of the window counting as
+    virtual returns at -H-1 and H+1; -1 for a row with at most one return
+    (the return at n = 0 alone)."""
+    returns = D < delta
+    t = np.arange(returns.shape[1])
+    # the last return at or before each time, -1 (the virtual one) if none
+    last = np.where(returns, t, -1)
+    np.maximum.accumulate(last, axis=1, out=last)
+    np.subtract(t + 1, last, out=last)
+    gaps = last.max(axis=1)
+    gaps[returns.sum(axis=1) <= 1] = -1
+    return gaps
 
 
 def return_profile(sys, x, delta: float, H: int) -> ReturnProfile:
@@ -103,10 +100,12 @@ def return_profile(sys, x, delta: float, H: int) -> ReturnProfile:
     the only return is n = 0.
     """
     check_positive("delta", delta)
-    row = _self_return_distances(sys, [x], H)[0]
-    times, gap = _gap_from_row(row, delta, H)
+    D = orbit_return_matrix(sys, [x], H)
+    gap = int(_return_gaps(D, delta)[0])
+    times = tuple(int(t) - H for t in np.nonzero(D[0] < delta)[0])
     return ReturnProfile(point=x, delta=delta, horizon=H,
-                         return_times=times, max_gap=gap)
+                         return_times=times,
+                         max_gap=None if gap < 0 else gap)
 
 
 def default_gap_bound(delta: float) -> int:
@@ -141,14 +140,11 @@ def _almost_periodic_mask(sys, points, delta_list, H, gap_bound=None):
     for delta in delta_list:
         check_positive("delta", delta)
     gap_bound = gap_bound or default_gap_bound
-    D = _self_return_distances(sys, points, H)
+    D = orbit_return_matrix(sys, points, H)
     mask = np.ones(len(points), dtype=bool)
     for delta in delta_list:
-        bound = gap_bound(delta)
-        for i in np.nonzero(mask)[0]:
-            _, gap = _gap_from_row(D[i], delta, H)
-            if gap is None or gap > bound:
-                mask[i] = False
+        gaps = _return_gaps(D, delta)
+        mask &= (gaps >= 0) & (gaps <= gap_bound(delta))
     return mask
 
 
@@ -160,7 +156,7 @@ def minimal_subsystems(sys, cloud: PointCloud, delta: float = 0.05,
     Two almost periodic points join a cluster iff each one's orbit comes
     delta-close to the other (symmetric closeness blocks chains through
     wandering points); clusters are connected components of that relation,
-    merged in index order.
+    ordered by their smallest index.
     """
     check_positive("delta", delta)
     mask = _almost_periodic_mask(sys, cloud.points, delta_list, min(H, 500),
@@ -174,32 +170,15 @@ def minimal_subsystems(sys, cloud: PointCloud, delta: float = 0.05,
         V = orbit_visit_matrix(sys, sub.points, sub.points, H)
     else:
         V = visit[np.ix_(ap_idx, ap_idx)]
-    close = (V < delta) & (V.T < delta)
-    np.fill_diagonal(close, True)
-
-    # union-find with index-ordered merges
-    parent = list(range(len(ap_idx)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(len(ap_idx)):
-        for j in np.nonzero(close[i])[0]:
-            ri, rj = find(i), find(int(j))
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
-    clusters = {}
-    for i in range(len(ap_idx)):
-        clusters.setdefault(find(i), []).append(i)
+    sym = np.maximum(V, V.T)
+    _, labels = connected_components(sym < delta, directed=False)
+    # a label's first index is its smallest member
+    _, first = np.unique(labels, return_index=True)
     out = []
-    for root in sorted(clusters):
-        local = clusters[root]
+    for label in labels[np.sort(first)]:
+        local = np.nonzero(labels == label)[0]
         idx = tuple(int(ap_idx[i]) for i in local)
-        score = float(np.maximum(V, V.T)[np.ix_(local, local)].max())
+        score = float(sym[np.ix_(local, local)].max())
         out.append(MinimalSetEstimate(representative=cloud[idx[0]],
                                       indices=idx, closeness=score))
     return out

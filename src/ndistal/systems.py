@@ -7,9 +7,11 @@ interface (``arr_state`` and friends) that the orbit-sweep kernels run on.
 ``DynSystem`` implements the array interface over plain point lists with
 ``step`` and ``dist``, so every system has one; the catalogue systems
 override it with numpy states; it has no embedding, as snapping runs on
-``arr_cdist`` too.  The kernels reach orbits through two hooks,
-``comoving_extremes`` (the extremes over a window |n - centre| <= h) and
-``visit_minima``.  The shift overrides both with closed forms on packed
+``arr_cdist`` too.  The kernels reach orbits through three hooks,
+``comoving_extremes`` (the extremes over a window |n - centre| <= h),
+``visit_minima`` and ``return_distances`` (each point's distance to its
+own iterates), so the analysis modules step no orbit themselves.  The
+shift overrides the first two with closed forms on packed
 bits that resolve distances down to its ``floor`` 2^-GCAP.  The torus
 systems override ``comoving_extremes`` by difference class: F^n p - F^n q
 depends only on p - q (through the class attribute ``shear``), so each
@@ -18,8 +20,11 @@ distinct difference is swept once.  The annulus family overrides
 radius is one bisection in the sorted angles {n k mod 1}.  It also
 overrides ``comoving_extremes``: a pair's angle gap never changes, and a
 wandering orbit's radius moves only inside a short window of indices, so
-the extremes fold only the times where a radius moves.  Angles n k mod 1 of orbit indices are exact to about an ulp
-(`_turns`), which makes a visit to a point of the same orbit exactly 0.
+the extremes fold only the times where a radius moves.  Its
+``return_distances`` needs no iteration either: a point's angle gap to
+itself at time n is n k mod 1 and its radius is read off at index m + n.
+Angles n k mod 1 of orbit indices are exact to about an ulp (`_turns`),
+which makes a visit to a point of the same orbit exactly 0.
 The skew torus also overrides ``equicontinuity_witness`` with its shear.
 A conjugate measures its point lists with its base's array metric unless
 it is given a metric of its own.
@@ -48,7 +53,7 @@ from scipy.spatial import distance as scidist
 from .equicont import EquicontinuityWitness, skew_witness
 from .errors import ConjugacyError, InvalidPointError, ParameterError
 from .kernels import (_CHUNK, _row_blocks, _sweep, sweep_extremes,
-                      sweep_visits)
+                      sweep_returns, sweep_visits)
 from .ndiameter import pairwise_matrix
 from .points import (Annulus, OrbitIndex, Pair, PointCloud, SymbolicPoint,
                      Torus, circ_gap, periodic_point, symbolic_distance,
@@ -205,6 +210,10 @@ class DynSystem:
     def visit_minima(self, points, targets, H):
         """V[i, j] = min over |n| <= H of d(f^n p_i, t_j)."""
         return sweep_visits(self, points, targets, H)
+
+    def return_distances(self, points, H):
+        """The float32 D[i, t] = d(f^(t-H) p_i, p_i) for t = 0..2H."""
+        return sweep_returns(self, points, H)
 
     def equicontinuity_witness(self, base, N, epsilon, delta):
         """N+1 points of B_delta(base) whose images separate, built from
@@ -639,6 +648,32 @@ class AnnulusSystem(DynSystem):
             V[i] = best
         return V
 
+    def return_distances(self, points, H):
+        """Closed form, no iteration.
+
+        Every angle advances by k, so at time n a circle point's angle gap
+        to itself is n k mod 1 and an orbit point's, at index m, is
+        (m + n) k mod 1 - theta; its radius is the orbit's radius at index
+        m + n, a circle's never moves.  Rows go in blocks of at most
+        _CLASS_BLOCK distances.  D stays float32, as the return masks
+        compare it with each delta in float32.
+        """
+        S = self.arr_state(points)
+        n = np.arange(-H, H + 1)
+        r0 = self._radii(S)
+        # a circle point's turns at time n are those of index 0 + n
+        theta = np.where(S["kind"] > 0, S["theta"], 0.0)
+        D = np.empty((len(points), n.size), dtype=np.float32)
+        for rows in _row_blocks(len(points), n.size, _CLASS_BLOCK):
+            blk = {key: np.repeat(S[key][rows], n.size)
+                   for key in ("r", "kind", "base")}
+            blk["idx"] = (S["idx"][rows, None] + n).ravel()
+            r = self._radii(blk).reshape(-1, n.size)
+            gap = _turns(blk["idx"], self.k).reshape(-1, n.size)
+            gap -= theta[rows, None]
+            D[rows] = _chord(r, r0[rows, None], _sin2(gap))
+        return D
+
     def comoving_extremes(self, pts_a, pts_b, horizons, use_max, centre):
         """Closed form, no iteration.
 
@@ -720,6 +755,7 @@ def annulus2(k=GOLDEN):
 # ---------------------------------------------------------------------------
 
 GCAP = 64  # the shift's closed forms resolve distances down to 2^-GCAP
+GRID_BITS = 20  # the shift's grid sampler enumerates at most 2^GRID_BITS words
 
 
 def _shift_bits(points, lo, hi):
@@ -903,7 +939,13 @@ class ShiftSystem(DynSystem):
         """All words of length 2W+1 (W = resolution) with zero fill, plus the
         two constant sequences; random sampling draws seeded cores."""
         W = resolution
+        if W < 0:
+            raise ParameterError(f"shift2: resolution must be >= 0, got {W}")
         if seed is None:
+            if 2 * W + 1 > GRID_BITS:
+                raise ParameterError(
+                    f"shift2: the grid of resolution {W} has 2^{2 * W + 1} "
+                    f"words, more than 2^{GRID_BITS}")
             pts = [word_point(bits, -W)
                    for bits in itertools.product((0, 1), repeat=2 * W + 1)]
             pts.append(periodic_point((1,)))

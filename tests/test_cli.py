@@ -3,6 +3,9 @@ command-line front end."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,6 +155,11 @@ BAD_SCENARIOS = {
     "section-cloud-word.scn": TINY + "[skew_witness]\ncloud_size = abc\n",
     "seed-word.scn": "system = rotation\nseed = abc\n[skew_witness]\n",
 }
+# scenario files that bind but whose analysis rejects a parameter
+REJECTED_AT_RUN = {
+    "return-h.scn": "system = annulus3\ncloud_size = 8\n"
+                    "[return_profile]\nH = -1\n",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -190,11 +198,19 @@ BAD_SCENARIOS = {
      "--T-max", "9"],
     ["structure", "--system", "rotation", "--op", "expansivity_probe",
      "--H", "2.5"],
+    ["structure", "--system", "annulus3", "--op", "minimal_subsystems",
+     "--H", "-5"],
+    *[["run", name] for name in REJECTED_AT_RUN],
+    ["proximal", "--system", "rotation", "--cloud-size", "0"],
+    ["proximal", "--system", "skew_torus", "--cloud-size", "-3"],
+    ["proximal", "--system", "shift2", "--cloud-size", "-1"],
+    ["structure", "--system", "annulus3", "--cloud-size", "0", "--op",
+     "minimal_subsystems"],
 ])
 def test_invalid_invocations_exit_2(argv, tmp_path, monkeypatch):
     # scenario files named in the table are written to the working directory
     (tmp_path / NON_UTF8).write_bytes(b"system = annulus3\n\xff\n")
-    for name, text in BAD_SCENARIOS.items():
+    for name, text in {**BAD_SCENARIOS, **REJECTED_AT_RUN}.items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
     try:
@@ -202,6 +218,29 @@ def test_invalid_invocations_exit_2(argv, tmp_path, monkeypatch):
     except SystemExit as exc:   # argparse rejects unknown flags this way
         code = exc.code
     assert code == 2
+
+
+def test_oversized_shift_grid_exits_2_at_once():
+    # 2^33 words: refused before any is enumerated; the child's address
+    # space is capped so that an enumeration fails instead of growing
+    child = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from ndistal.cli import main\n"
+        "t = time.perf_counter()\n"
+        "code = main(['structure', '--system', 'shift2', '--cloud-size',"
+        " '16', '--op', 'periodic_points'])\n"
+        "print(time.perf_counter() - t)\n"
+        "sys.exit(code)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "2^33" in proc.stderr
+    assert float(proc.stdout.split()[-1]) < 1.0
 
 
 def test_rejected_scenario_writes_nothing(tmp_path, capsys):

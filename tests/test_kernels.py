@@ -16,6 +16,7 @@ from ndistal.kernels import (max_orbit_distance, mesh, min_orbit_distance,
 from ndistal import kernels, systems
 from ndistal.points import (Annulus, OrbitIndex, SymbolicPoint, Torus,
                             periodic_point, word_point)
+from ndistal.structure import DELTA_LIST
 from ndistal.systems import (GCAP, IdentityTorus, Rotation, SkewTorus,
                              annulus2, annulus3, annulusN, conjugate_system,
                              shift2)
@@ -625,6 +626,25 @@ def test_closed_forms_match_engine(name, H, seed):
             got[h], dense_fold(sys, pts, other, h, use_max, centre))
 
 
+@given(st.sampled_from(sorted(CLOSED)), st.sampled_from([0, 1, 2000, None]),
+       st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_return_closed_form_matches_engine(name, H, seed):
+    rng = np.random.default_rng(seed)
+    sys = CLOSED[name]()
+    H = int(rng.integers(2, 120)) if H is None else H
+    pts = closed_form_points(name, sys, rng, int(rng.integers(1, 9)), H)
+    got = sys.return_distances(pts, H)
+    want = kernels.sweep_returns(sys, pts, H)
+    assert got.dtype == want.dtype == np.float32
+    assert got.shape == want.shape == (len(pts), 2 * H + 1)
+    assert np.abs(got.astype(float) - want).max() <= 1e-7
+    for delta in DELTA_LIST:
+        assert np.array_equal(got < delta, want < delta)
+    # at n = 0 every point is its own return, exactly
+    assert not got[:, H].any()
+
+
 @pytest.mark.parametrize("use_max", [False, True])
 def test_annulus_comoving_between_disjoint_windows(use_max):
     # 130 indices apart, one orbit point has left its window before the
@@ -662,6 +682,7 @@ def test_closed_form_hooks_never_step(monkeypatch):
         tgt, horizons = pts[:3], {3, 9}
         want_v = kernels.sweep_visits(sys, pts, tgt, 30)
         want_c = kernels.sweep_extremes(sys, pts, None, horizons, False, -4)
+        want_r = kernels.sweep_returns(sys, pts, 30)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a closed form stepped a point")
@@ -673,3 +694,5 @@ def test_closed_form_hooks_never_step(monkeypatch):
         got = sys.comoving_extremes(pts, None, horizons, False, -4)
         assert all(np.allclose(got[h], want_c[h], rtol=0.0, atol=1e-12)
                    for h in horizons)
+        assert np.allclose(sys.return_distances(pts, 30), want_r,
+                           rtol=0.0, atol=1e-7)

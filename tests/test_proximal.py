@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from ndistal.cli import main
-from ndistal.errors import HomomorphismError
-from ndistal.points import Annulus, OrbitIndex, Pair, Torus, word_point
+from ndistal.errors import HomomorphismError, ParameterError
+from ndistal.points import (Annulus, OrbitIndex, Pair, PointCloud, Torus,
+                            word_point)
 from ndistal.proximal import (ProximalCellEstimate, distality_report,
                               fiber_proximal_cell, proximal_cell,
                               proximal_quotient)
@@ -31,6 +32,12 @@ def test_rotation_is_distal():
     rep = distality_report(s, cloud, H=100)
     assert rep.verdict == "distal"
     assert rep.max_cell_size == 1
+
+
+def test_distality_report_rejects_empty_cloud():
+    s = Rotation()
+    with pytest.raises(ParameterError, match="nonempty"):
+        distality_report(s, PointCloud((), "grid", s.id))
 
 
 def test_skew_torus_is_distal():

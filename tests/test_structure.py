@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndistal import structure
 from ndistal.equicont import r_set
@@ -127,13 +129,128 @@ def test_almost_periodic_verdict_sweeps_returns_once(monkeypatch):
 
     want = [one_by_one(x) for x in points]
     calls = []
-    sweep = structure._self_return_distances
-    monkeypatch.setattr(structure, "_self_return_distances",
+    sweep = structure.orbit_return_matrix
+    monkeypatch.setattr(structure, "orbit_return_matrix",
                         lambda *a: calls.append(a) or sweep(*a))
     got = [almost_periodic_verdict(s, x, gap_bound=ANNULUS_GAP)
            for x in points]
     assert got == want and True in got and False in got
     assert len(calls) == len(points)
+
+
+def reference_gap(row, delta, H):
+    """The per-row return gap the verdicts used before they ran on whole
+    arrays: (return times, longest gap or None for at most one return)."""
+    times = np.nonzero(row < delta)[0] - H
+    if len(times) <= 1:
+        return tuple(int(t) for t in times), None
+    padded = np.concatenate([[-H - 1], times, [H + 1]])
+    return tuple(int(t) for t in times), int(np.diff(padded).max())
+
+
+def reference_clusters(close):
+    """Union-find with index-ordered merges: the components of `close`,
+    each as its sorted local indices, ordered by their smallest one."""
+    parent = list(range(len(close)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(len(close)):
+        for j in np.nonzero(close[i])[0]:
+            ri, rj = find(i), find(int(j))
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    clusters = {}
+    for i in range(len(close)):
+        clusters.setdefault(find(i), []).append(i)
+    return [clusters[root] for root in sorted(clusters)]
+
+
+class GivenReturns:
+    """A system whose return distances are a given matrix."""
+
+    def __init__(self, D):
+        self.D = D
+
+    def return_distances(self, points, H):
+        return self.D
+
+
+def random_returns(rng, H):
+    """Float32 return distances over |n| <= H: rows with no return, with
+    the return at n = 0 only, with every return, with returns at the
+    window ends, and random rows of every density."""
+    T = 2 * H + 1
+    rows = [np.ones(T), np.ones(T), np.zeros(T), np.ones(T)]
+    rows[1][H] = 0.0
+    rows[3][[0, H, T - 1]] = 0.0
+    for _ in range(int(rng.integers(1, 12))):
+        row = rng.random(T) * rng.choice([0.06, 0.15, 0.3, 1.0])
+        if rng.random() < 0.5:
+            row[rng.choice([0, T - 1])] = 0.0
+        row[H] = 0.0
+        rows.append(row)
+    return np.array(rows, dtype=np.float32)
+
+
+@given(st.sampled_from([0, 1, 2, None]), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_array_gaps_match_row_loop(H, seed):
+    rng = np.random.default_rng(seed)
+    H = int(rng.integers(3, 300)) if H is None else H
+    D = random_returns(rng, H)
+    for delta in DELTA_LIST:
+        gaps = structure._return_gaps(D, delta)
+        want = [reference_gap(row, delta, H)[1] for row in D]
+        assert [None if g < 0 else int(g) for g in gaps] == want
+    # the mask over every delta, as the old loop skipped failed rows
+    bound = ANNULUS_GAP if rng.random() < 0.5 else default_gap_bound
+    want = np.ones(len(D), dtype=bool)
+    for delta in DELTA_LIST:
+        for i in np.nonzero(want)[0]:
+            gap = reference_gap(D[i], delta, H)[1]
+            want[i] = gap is not None and gap <= bound(delta)
+    got = structure._almost_periodic_mask(GivenReturns(D), [None] * len(D),
+                                          DELTA_LIST, H, bound)
+    assert np.array_equal(got, want)
+
+
+@given(st.integers(1, 40), st.sampled_from([0.0, 0.02, 0.1, 0.4, 1.0]),
+       st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_csgraph_clusters_match_union_find(m, p, seed):
+    # identity points return at every time, so every one is almost
+    # periodic and the clusters come from the visit matrix alone
+    rng = np.random.default_rng(seed)
+    s = IdentityTorus()
+    cloud = PointCloud(tuple(Torus(i / m, 0.0) for i in range(m)), "grid",
+                       s.id)
+    delta = 0.05
+    V = np.where(rng.random((m, m)) < p, rng.random((m, m)) * delta,
+                 delta + rng.random((m, m)))
+    got = minimal_subsystems(s, cloud, delta, H=3, visit=V)
+    sym = np.maximum(V, V.T)
+    close = sym < delta
+    np.fill_diagonal(close, True)
+    want = reference_clusters(close)
+    assert [c.indices for c in got] == [tuple(c) for c in want]
+    assert [c.closeness for c in got] == \
+        [float(sym[np.ix_(c, c)].max()) for c in want]
+    assert [c.representative for c in got] == [cloud[c[0]] for c in want]
+
+
+def test_return_profile_matches_row_loop():
+    s = annulus3()
+    for x in [*s.sampler(8).points[::5], OrbitIndex(0), OrbitIndex(-50)]:
+        row = structure.orbit_return_matrix(s, [x], 300)[0]
+        for delta in (*DELTA_LIST, 0.5, 1.5):
+            prof = return_profile(s, x, delta, 300)
+            assert (prof.return_times, prof.max_gap) == \
+                reference_gap(row, delta, 300)
 
 
 @pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan")])

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from ndistal.errors import ConjugacyError, ParameterError
 from ndistal.kernels import min_orbit_distance
 from ndistal.points import Annulus, OrbitIndex, Pair, Torus, word_point
-from ndistal.systems import (CATALOGUE_FACTS, GOLDEN, IdentityTorus, Rotation,
-                             ShiftSystem, SkewTorus, annulus2, annulus3,
-                             annulusN, catalogue, conjugate_system,
-                             get_system, power_system, product_system, shift2)
+from ndistal.systems import (CATALOGUE_FACTS, GOLDEN, GRID_BITS,
+                             IdentityTorus, Rotation, ShiftSystem, SkewTorus,
+                             annulus2, annulus3, annulusN, catalogue,
+                             conjugate_system, get_system, power_system,
+                             product_system, shift2)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +185,18 @@ def test_shift_sampler_counts():
     cloud = s.sampler(2)
     # all words of length 5 plus the all-ones point
     assert len(cloud) == 2 ** 5 + 1
+
+
+def test_shift_sampler_refuses_oversized_grids():
+    s = shift2()
+    # the first resolution whose 2W+1 bits exceed GRID_BITS
+    W = GRID_BITS // 2
+    with pytest.raises(ParameterError, match="words"):
+        s.sampler(W)
+    with pytest.raises(ParameterError):
+        s.sampler(-1)
+    # random words are drawn, not enumerated, so any resolution is fine
+    assert len(s.sampler(4 * W, seed=0)) == 256
 
 
 def test_shift_periodic_cloud():
