@@ -25,7 +25,7 @@ of its default's kind, exits 2; an absent one takes the default.
 `--seed` overrides a scenario's `seed` only when given.
 
 Exit codes: 0 all asserted analyses pass, 1 some audit failed,
-2 usage or validation error.
+2 usage or validation error, or a cloud too large for memory.
 """
 
 from __future__ import annotations
@@ -644,6 +644,10 @@ def main(argv=None):
         return 2
     except NDistalError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=_sysmod.stderr)
+        return 2
+    except MemoryError as exc:
+        # a cloud or horizon too large for this machine is a usage error
+        print(f"error: out of memory: {exc}", file=_sysmod.stderr)
         return 2
 
 

@@ -23,8 +23,10 @@ conjugates, powers and products:
   * the shift, from packed bits: its difference masks for the co-moving
     extremes, and its windows of symbols around each time for the visits;
   * the torus systems, for the co-moving extremes: F^n p - F^n q depends
-    only on p - q, so the engine steps one y-difference per distinct
-    difference p - q instead of every pair;
+    only on p - q, so one y-difference is stepped per distinct difference
+    p - q instead of every pair, the classes of consecutive row blocks
+    pooled while they fit one block, and the fold runs on |y| with the
+    distance taken once per horizon;
   * the annulus family, for the visits: at a fixed radius the nearest
     visit is one bisection in the sorted angles {n k mod 1 : |n| <= H},
     and an orbit point sweeps only the short window of indices where its

@@ -1,9 +1,13 @@
 """N-diameter of finite point sets (max-min dispersion).
 
 diam_N(A) is the largest v such that some N+1 points of A are pairwise at
-distance >= v.  Small instances are solved exactly by pruned enumeration;
-larger ones get certified lower/upper bounds (greedy dispersion vs. an
-eccentricity order statistic).
+distance >= v.  Small instances are solved exactly by pruned enumeration,
+whose last two points are chosen in one array step: with a prefix fixed,
+the running minimum and the prefix rows are folded into the remaining
+block of the matrix, and the first maximum of its strict upper triangle
+in row-major order is the pair a scalar scan with strict improvement
+would keep.  Larger instances get certified lower/upper bounds (greedy
+dispersion vs. an eccentricity order statistic).
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ def diam_n_exact_from_matrix(D: np.ndarray, N: int,
 
     best = -1.0
     best_witness = ()
+    on_or_below = np.tri(m, dtype=bool)
 
     # depth-first lexicographic enumeration; the strict improvement rule
     # makes the reported witness the lexicographically smallest optimum
@@ -68,9 +73,18 @@ def diam_n_exact_from_matrix(D: np.ndarray, N: int,
         nonlocal best, best_witness
         if running_min <= best:
             return
-        if len(chosen) == k:
-            best = running_min
-            best_witness = tuple(chosen)
+        if len(chosen) == k - 2:
+            # the last two points in one array step (module docstring);
+            # fmin skips NaN as the scan's `d < rm` does
+            r = np.full(m - start, running_min)
+            for i in chosen:
+                np.fmin(r, D[i, start:], out=r)
+            S = np.fmin(np.fmin(D[start:, start:], r[:, None]), r)
+            S[on_or_below[start:, start:]] = -np.inf
+            j, l = divmod(int(np.argmax(S)), m - start)
+            if S[j, l] > best:
+                best = S[j, l]
+                best_witness = (*chosen, start + j, start + l)
             return
         for j in range(start, m - (k - len(chosen)) + 1):
             rm = running_min

@@ -15,7 +15,11 @@ shift overrides the first two with closed forms on packed
 bits that resolve distances down to its ``floor`` 2^-GCAP.  The torus
 systems override ``comoving_extremes`` by difference class: F^n p - F^n q
 depends only on p - q (through the class attribute ``shear``), so each
-distinct difference is swept once.  The annulus family overrides
+distinct difference is swept once.  Consecutive row blocks pool their
+classes while the union stays within ``_CLASS_BLOCK``, so a grid matrix
+whose blocks share their differences is swept once as a whole; the sweep
+folds the y-gap |y| and takes the distance once per horizon.  The
+annulus family overrides
 ``visit_minima``: every angle advances by the same k, so a visit at fixed
 radius is one bisection in the sorted angles {n k mod 1}.  It also
 overrides ``comoving_extremes``: a pair's angle gap never changes, and a
@@ -73,7 +77,8 @@ def _finite(name, value):
 # vectorized torus helpers
 # ---------------------------------------------------------------------------
 
-_CLASS_BLOCK = 65_536  # pairs per block of the torus and annulus closed forms
+_CLASS_BLOCK = 65_536  # pairs per block of the torus and annulus closed forms,
+                       # and classes per group of the torus form
 
 
 def _torus_cdist(P, Q):
@@ -84,6 +89,32 @@ def _torus_cdist(P, Q):
         d *= d
         out = d if out is None else out + d
     return np.sqrt(out, out=out)
+
+
+def _class_groups(A, B):
+    """The pair differences A[i] - B[j] as complex classes, by groups of
+    consecutive row blocks: yields each group's sorted classes and its
+    blocks as (rows, the block's own classes, the index of each pair's
+    class among them)."""
+    classes, blocks, pairs = None, [], 0
+    for rows in _row_blocks(len(A), len(B), _CLASS_BLOCK):
+        D = A[rows, None, :] - B[None, :, :]
+        local, inv = np.unique(D.reshape(-1, 2).view(np.complex128).ravel(),
+                               return_inverse=True)
+        block = (rows, local, inv.reshape(D.shape[:2]))
+        if blocks and pairs + inv.size <= _CHUNK:
+            # the size of the union, before building it
+            at = np.minimum(np.searchsorted(classes, local), len(classes) - 1)
+            if len(classes) + np.count_nonzero(classes[at] != local) \
+                    <= _CLASS_BLOCK:
+                classes, pairs = np.union1d(classes, local), pairs + inv.size
+                blocks.append(block)
+                continue
+        if blocks:
+            yield classes, blocks
+        classes, blocks, pairs = local, [block], inv.size
+    if blocks:
+        yield classes, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -260,46 +291,54 @@ class _TorusBase(DynSystem):
         """Closed form by difference class.
 
         d(F^n p, F^n q) depends on the pair only through its raw difference
-        (dx, dy), so each block of at most _CLASS_BLOCK pairs sweeps every
-        distinct difference once and scatters the extremes back.  The
-        x-gap stays fixed; the y column starts at dy + centre * shear * dx
-        and steps by shear * dx, reduced to [-1/2, 1/2] after every step.
-        The differences are not reduced before deduplication, so (i, j)
-        and (j, i) are exact negatives and a matrix of the cloud against
-        itself is exactly symmetric.  With shear 0 (the isometries) every
-        horizon gets the time-0 distances.
+        (dx, dy), so each distinct difference is swept once and the
+        extremes are scattered back.  Row blocks of at most _CLASS_BLOCK
+        pairs each find their distinct differences; consecutive blocks are
+        grouped while the union of their classes stays within _CLASS_BLOCK
+        and their pairs within _CHUNK, and each group's classes are swept
+        together (`_sweep_classes`).  The differences are not reduced
+        before deduplication, so (i, j) and (j, i) are exact negatives and
+        a matrix of the cloud against itself is exactly symmetric.
         """
         A = self.arr_state(pts_a)
         B = A if pts_b is None else self.arr_state(pts_b)
-        red = np.maximum if use_max else np.minimum
         out = {h: np.empty((len(A), len(B))) for h in horizons}
-        for rows in _row_blocks(len(A), len(B), _CLASS_BLOCK):
-            D = A[rows, None, :] - B[None, :, :]
-            classes, inv = np.unique(
-                D.reshape(-1, 2).view(np.complex128).ravel(),
-                return_inverse=True)
-            gx = np.abs(classes.real)
-            gx2 = np.square(np.minimum(gx, 1.0 - gx))
-            rise = self.shear * classes.real
+        for classes, blocks in _class_groups(A, B):
+            ext = self._sweep_classes(classes, horizons, use_max, centre)
+            for rows, local, inv in blocks:
+                at = np.searchsorted(classes, local)[inv]
+                for h in horizons:
+                    out[h][rows] = ext[h][at]
+        return out
 
-            def dist(y, _):
-                return np.sqrt(gx2 + y * y)
-
+    def _sweep_classes(self, classes, horizons, use_max, centre):
+        """{h: extremes over |n - centre| <= h} for each difference class
+        dx + i dy.  The x-gap stays fixed; the y column starts at
+        dy + centre * shear * dx and steps by shear * dx, reduced to
+        [-1/2, 1/2] after every step.  The sweep folds |y|, and the
+        distance sqrt(gx^2 + y^2) is taken once per horizon: it is
+        monotone in |y| in floating point too, so the extremes are those
+        of the distance.  With shear 0 (the isometries) every horizon gets
+        the time-0 distances.
+        """
+        gx = np.abs(classes.real)
+        gx2 = np.square(np.minimum(gx, 1.0 - gx))
+        rise = self.shear * classes.real
+        y0 = classes.imag + centre * rise
+        y0 -= np.round(y0)
+        if self.shear:
             def step(y, inverse):
                 y = y - rise if inverse else y + rise
                 return np.subtract(y, np.round(y), out=y)
 
-            y0 = classes.imag + centre * rise
-            y0 -= np.round(y0)
-            if self.shear:
-                M, cps = _sweep(step, y0, None, max(horizons), dist, red,
-                                move_b=False, checkpoints=horizons)
-                cps[max(horizons)] = M
-            else:
-                cps = dict.fromkeys(horizons, dist(y0, None))
-            for h in horizons:
-                out[h][rows] = cps[h][inv].reshape(D.shape[:2])
-        return out
+            red = np.maximum if use_max else np.minimum
+            M, cps = _sweep(step, y0, None, max(horizons),
+                            lambda y, _: np.abs(y), red, move_b=False,
+                            checkpoints=horizons)
+            cps[max(horizons)] = M
+        else:
+            cps = dict.fromkeys(horizons, np.abs(y0))
+        return {h: np.sqrt(gx2 + Y * Y) for h, Y in cps.items()}
 
 
 class Rotation(_TorusBase):

@@ -243,6 +243,22 @@ def test_oversized_shift_grid_exits_2_at_once():
     assert float(proc.stdout.split()[-1]) < 1.0
 
 
+
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    # a cloud too large for its visit matrix is a usage error, not an
+    # audit failure
+    from ndistal import structure
+
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 2.00 TiB")
+
+    monkeypatch.setattr(structure, "orbit_visit_matrix", too_large)
+    code = main(["structure", "--system", "shift2", "--cloud-size", "2",
+                 "--op", "transitive_check", "--H", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
 def test_rejected_scenario_writes_nothing(tmp_path, capsys):
     path = write(tmp_path, "s.scn", BAD_SCENARIOS["misspelt-key.scn"])
     out = tmp_path / "out"

@@ -2,6 +2,7 @@
 interface and the shift's closed form must agree with plain pointwise
 iteration."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -330,6 +331,139 @@ def test_torus_class_blocks(monkeypatch, use_max):
     for h in horizons:
         assert np.array_equal(blocked[h], whole[h])
         assert np.array_equal(blocked_rows[h], whole_rows[h])
+
+
+def per_block_reference(sys, pts_a, pts_b, horizons, use_max, centre):
+    """The torus hook before classes were grouped across row blocks: each
+    block of at most _CLASS_BLOCK pairs sweeps only its own distinct
+    differences and takes the distance at every step."""
+    A = sys.arr_state(pts_a)
+    B = A if pts_b is None else sys.arr_state(pts_b)
+    red = np.maximum if use_max else np.minimum
+    out = {h: np.empty((len(A), len(B))) for h in horizons}
+    for rows in kernels._row_blocks(len(A), len(B), systems._CLASS_BLOCK):
+        D = A[rows, None, :] - B[None, :, :]
+        classes, inv = np.unique(
+            D.reshape(-1, 2).view(np.complex128).ravel(),
+            return_inverse=True)
+        gx = np.abs(classes.real)
+        gx2 = np.square(np.minimum(gx, 1.0 - gx))
+        rise = sys.shear * classes.real
+
+        def dist(y, _):
+            return np.sqrt(gx2 + y * y)
+
+        def step(y, inverse):
+            y = y - rise if inverse else y + rise
+            return np.subtract(y, np.round(y), out=y)
+
+        y0 = classes.imag + centre * rise
+        y0 -= np.round(y0)
+        if sys.shear:
+            M, cps = kernels._sweep(step, y0, None, max(horizons), dist, red,
+                                    move_b=False, checkpoints=horizons)
+            cps[max(horizons)] = M
+        else:
+            cps = dict.fromkeys(horizons, dist(y0, None))
+        for h in horizons:
+            out[h][rows] = cps[h][inv].reshape(D.shape[:2])
+    return out
+
+
+def permuted_grid(sys, resolution, seed):
+    pts = sys.sampler(resolution).points
+    return [pts[i] for i in np.random.default_rng(seed).permutation(len(pts))]
+
+
+def random_torus(seed, m):
+    return random_points("skew_torus", np.random.default_rng(seed), m)
+
+
+def skew_grid():
+    # the torus benchmark's skew cloud: a permuted 24^2 grid
+    return permuted_grid(SkewTorus(), 24, 31)
+
+
+# (system, pts_a, pts_b, horizons, use_max, centre, module overrides)
+GROUPED_HOOK_CASES = {
+    "skew-grid-576": lambda: (SkewTorus(), skew_grid(), None, {200, 400},
+                              False, 0, {}),
+    "64-rows": lambda: (SkewTorus(), skew_grid()[:64], skew_grid(), {60},
+                        False, 0, {}),
+    "row-centre+37": lambda: (SkewTorus(), skew_grid()[7:8], skew_grid(),
+                              {0, 50}, False, 37, {}),
+    "row-centre-37": lambda: (SkewTorus(), skew_grid()[7:8], skew_grid(),
+                              {0, 50}, False, -37, {}),
+    "use-max": lambda: (SkewTorus(), skew_grid(), None, {0, 40}, True, 0,
+                        {}),
+    "centre-5": lambda: (SkewTorus(), permuted_grid(SkewTorus(), 8, 2),
+                         random_torus(3, 20), {0, 3, 10}, False, 5, {}),
+    "random": lambda: (SkewTorus(), random_torus(4, 300), None, {0, 25},
+                       False, 0, {}),
+    "random-rows-max": lambda: (SkewTorus(), random_torus(5, 90),
+                                random_torus(6, 700), {7, 30}, True, -3, {}),
+    "rotation": lambda: (Rotation(), permuted_grid(Rotation(), 256, 8),
+                         None, {0, 40}, False, 0, {}),
+    "identity": lambda: (IdentityTorus(), permuted_grid(IdentityTorus(), 16,
+                                                        9),
+                         random_torus(10, 50), {0, 5}, True, 2, {}),
+    "empty": lambda: (SkewTorus(), [], skew_grid(), {0, 10}, False, 0, {}),
+    # many groups, split by the class budget and by the pair budget
+    "small-class-budget": lambda: (SkewTorus(), permuted_grid(SkewTorus(),
+                                                              8, 12),
+                                   None, {0, 9}, False, 1,
+                                   {"_CLASS_BLOCK": 200}),
+    "small-pair-budget": lambda: (SkewTorus(), permuted_grid(SkewTorus(),
+                                                             8, 13),
+                                  None, {4, 9}, True, 0,
+                                  {"_CLASS_BLOCK": 128, "_CHUNK": 300}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROUPED_HOOK_CASES))
+def test_grouped_torus_classes_match_per_block(case, monkeypatch):
+    sys, pts_a, pts_b, horizons, use_max, centre, patch = \
+        GROUPED_HOOK_CASES[case]()
+    for name, value in patch.items():
+        monkeypatch.setattr(systems, name, value)
+    want = per_block_reference(sys, pts_a, pts_b, horizons, use_max, centre)
+    got = sys.comoving_extremes(pts_a, pts_b, horizons, use_max, centre)
+    assert set(got) == set(horizons)
+    for h in horizons:
+        assert got[h].shape == want[h].shape
+        assert np.array_equal(got[h], want[h])
+
+
+def test_skew_grid_is_swept_in_one_group(monkeypatch):
+    # six row blocks, 16,129 distinct differences over the whole matrix
+    sys, pts = SkewTorus(), skew_grid()
+    assert len(kernels._row_blocks(len(pts), len(pts),
+                                   systems._CLASS_BLOCK)) == 6
+    sizes = []
+    sweep = SkewTorus._sweep_classes
+
+    def spy(self, classes, *args):
+        sizes.append(len(classes))
+        return sweep(self, classes, *args)
+
+    monkeypatch.setattr(SkewTorus, "_sweep_classes", spy)
+    sys.comoving_extremes(pts, None, {200, 400}, False, 0)
+    assert sizes == [127 * 127]
+
+
+def test_grouped_torus_classes_memory_stays_bounded():
+    # a random cloud repeats no difference, so a design that held a whole
+    # matrix's classes at once would show here
+    sys, pts = SkewTorus(), random_torus(21, 512)
+    peaks = []
+    for hook in (per_block_reference, SkewTorus.comoving_extremes):
+        tracemalloc.start()
+        try:
+            hook(sys, pts, None, {0, 20}, False, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_skew_orbit_min_exact_oracle():

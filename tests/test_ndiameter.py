@@ -53,6 +53,33 @@ def test_exact_matches_brute_force_on_200_seeded_instances():
         assert res.value == pytest.approx(val, abs=1e-12)
 
 
+
+@st.composite
+def tie_prone_clouds(draw):
+    """Up to 12 points: random, on a 3 x 3 lattice (many equal distances)
+    or all coincident."""
+    m = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(("random", "lattice", "coincident")))
+    if kind == "coincident":
+        return [(0.25, -0.5)] * m
+    coord = (st.floats(-1.0, 1.0) if kind == "random"
+             else st.integers(0, 2).map(float))
+    return [(draw(coord), draw(coord)) for _ in range(m)]
+
+
+@given(tie_prone_clouds(), st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_exact_is_first_lexicographic_maximum(pts, N):
+    val, witness = brute_force(pts, euclid, N)
+    res = diam_n_exact(pts, euclid, N)
+    assert (res.value, res.witness, res.exact) == (val, witness, True)
+    k = N + 1
+    if len(pts) >= k:
+        budget = math.comb(len(pts), k)
+        assert diam_n_exact(pts, euclid, N, budget=budget) == res
+        with pytest.raises(BudgetExceededError):
+            diam_n_exact(pts, euclid, N, budget=budget - 1)
+
 def test_exact_witness_realizes_value():
     rng = np.random.default_rng(7)
     for _ in range(50):
