@@ -227,29 +227,42 @@ def metric_entropy_estimate(sys, P: Partition, mu: EmpiricalMeasure,
 
 def word_count_entropy(sys, n: int, cloud: Optional[PointCloud] = None
                        ) -> EntropyEstimate:
-    """log(#distinct length-n subwords over the sampled points)/n."""
+    """log(#distinct length-n subwords over the sampled points)/n.
+
+    Without a cloud the sample is ``periodic_cloud(L)``, every sequence of
+    period L = min(n, 13), and its words are read from a bit table instead
+    of its points: row w holds s_i = bit (i mod L) of w for
+    0 <= i < L + n - 1, so the row's words start at every position of one
+    period.
+    """
     if not 1 <= n <= 20:
         raise ParameterError("n must be in 1..20")
+    weights = np.left_shift(1, np.arange(n, dtype=np.int64))
     if cloud is None:
         if not hasattr(sys, "periodic_cloud"):
             raise ParameterError(f"{sys.id}: word counts need a symbolic "
                                  "system")
-        cloud = sys.periodic_cloud(min(n, 13))
-    # each point's words start in [lo - n - span, hi + span]: past its
-    # core and one period of each tail, every word repeats an earlier one.
-    # Points are read in groups that share that range, one row per point.
-    ranges = {}
-    for p in cloud.points:
-        lo, hi = p.extent()
-        span = max(len(p.left), len(p.right), 1)
-        ranges.setdefault((lo - n - span, hi + span + n - 1), []).append(p)
-    weights = np.left_shift(1, np.arange(n, dtype=np.int64))
-    codes = [(sliding_window_view(_shift_bits(pts, a, b), n, axis=1)
-              @ weights).ravel() for (a, b), pts in ranges.items()]
+        L = min(n, 13)
+        table = (np.arange(1 << L)[:, None] >> (np.arange(L + n - 1) % L)) & 1
+        codes = [(sliding_window_view(table, n, axis=1) @ weights).ravel()]
+        cloud_size = 1 << L
+    else:
+        # each point's words start in [lo - n - span, hi + span]: past its
+        # core and one period of each tail, every word repeats an earlier
+        # one.  Points are read in groups that share that range, one row
+        # per point.
+        ranges = {}
+        for p in cloud.points:
+            lo, hi = p.extent()
+            span = max(len(p.left), len(p.right), 1)
+            ranges.setdefault((lo - n - span, hi + span + n - 1), []).append(p)
+        codes = [(sliding_window_view(_shift_bits(pts, a, b), n, axis=1)
+                  @ weights).ravel() for (a, b), pts in ranges.items()]
+        cloud_size = len(cloud)
     n_words = len(np.unique(np.concatenate(codes)))
     return EntropyEstimate(value=math.log(n_words) / n,
                            method="word_count",
-                           params={"n": n, "cloud_size": len(cloud),
+                           params={"n": n, "cloud_size": cloud_size,
                                    "n_words": n_words},
                            diagnostics=())
 

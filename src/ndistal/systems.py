@@ -11,8 +11,12 @@ override it with numpy states; it has no embedding, as snapping runs on
 ``comoving_extremes`` (the extremes over a window |n - centre| <= h),
 ``visit_minima`` and ``return_distances`` (each point's distance to its
 own iterates), so the analysis modules step no orbit themselves.  The
-shift overrides the first two with closed forms on packed
-bits that resolve distances down to its ``floor`` 2^-GCAP.  The torus
+shift overrides all three with closed forms on packed bits that resolve
+distances down to its ``floor`` 2^-GCAP.  Its co-moving extremes key each
+pair's difference mask by symbol-column class: window positions whose
+columns agree over every point carry the same difference bit in every
+pair, so a pair's XOR over one position per class, a word or a few, fixes
+its whole mask.  The torus
 systems override ``comoving_extremes`` by difference class: F^n p - F^n q
 depends only on p - q (through the class attribute ``shear``), so each
 distinct difference is swept once.  Consecutive row blocks pool their
@@ -844,6 +848,24 @@ def _mask_extremes(masks, W, horizons, use_max):
     return vals
 
 
+def _class_codes(*bit_rows):
+    """Per array of symbol rows, each row's symbols at one position per
+    column class, packed little-endian into w uint64 words.  Two positions
+    share a class when their columns agree over every row of every array,
+    so the XOR of two rows' codes fixes their whole difference mask."""
+    cols = np.packbits(np.concatenate(bit_rows), axis=0).T.copy()
+    _, reps = np.unique(cols.view(f"V{cols.shape[1]}").ravel(),
+                        return_index=True)
+    w = -(-len(reps) // 64)
+    codes = []
+    for bits in bit_rows:
+        packed = np.packbits(bits[:, reps], axis=1, bitorder="little")
+        words = np.zeros((len(bits), 8 * w), dtype=np.uint8)
+        words[:, :packed.shape[1]] = packed
+        codes.append(words.view("<u8"))
+    return codes
+
+
 def _window_words(points, H):
     """Two uint64 words per point and centre n in [-H, H]: bit k holds
     s_{n+k} in the first and s_{n-k} in the second, k < GCAP."""
@@ -910,22 +932,32 @@ class ShiftSystem(DynSystem):
         |n - centre| <= h reads off a nearest-difference profile over one
         window of bits around the centre, which depends on the pair only
         through its packed difference mask.
-        Each block of rows computes that profile once per distinct mask.
+        Window positions whose symbol columns agree over every point of
+        both lists carry the same difference bit in every pair, so a
+        pair's mask is fixed by its bits at one position per column class:
+        the XOR of the two points' `_class_codes` keys it.  Each block of
+        rows computes the profile once per distinct key, on the full mask
+        of the first pair holding it.
         Values below 2^-GCAP, and pairs that agree on the whole window, are
         clamped to it; equal points get 0.
         """
         W = max(horizons) + GCAP
-        A = np.packbits(_shift_bits(pts_a, centre - W, centre + W), axis=1)
-        B = A if pts_b is None else \
-            np.packbits(_shift_bits(pts_b, centre - W, centre + W), axis=1)
-        ma, (mb, nb) = len(A), B.shape
+        bits = [_shift_bits(pts, centre - W, centre + W)
+                for pts in ([pts_a] if pts_b is None else [pts_a, pts_b])]
+        packed = [np.packbits(b, axis=1) for b in bits]
+        codes = _class_codes(*bits)
+        A, B, ca, cb = packed[0], packed[-1], codes[0], codes[-1]
+        ma, mb, w = len(A), len(B), ca.shape[1]
+        # one uint64 per pair when the classes fit a word, void keys beyond
+        key = np.uint64 if w == 1 else f"V{8 * w}"
         out = {h: np.empty((ma, mb)) for h in horizons}
-        for rows in _row_blocks(ma, mb * nb, _CHUNK):
-            X = (A[rows, None, :] ^ B[None, :, :]).reshape(-1, nb)
-            masks, inv = np.unique(X.view(f"V{nb}").ravel(),
-                                   return_inverse=True)
-            vals = _mask_extremes(masks.view(np.uint8).reshape(-1, nb), W,
-                                  horizons, use_max)
+        for rows in _row_blocks(ma, mb * w, _CHUNK):
+            # the key block is freed before the profiles are built
+            _, first, inv = np.unique(
+                (ca[rows, None, :] ^ cb[None, :, :]).view(key).ravel(),
+                return_index=True, return_inverse=True)
+            vals = _mask_extremes(A[rows.start + first // mb] ^ B[first % mb],
+                                  W, horizons, use_max)
             for h in horizons:
                 out[h][rows] = vals[h][inv].reshape(-1, mb)
         equal = _equal(pts_a, pts_a if pts_b is None else pts_b)
@@ -956,6 +988,26 @@ class ShiftSystem(DynSystem):
         V = 1.0 / reach
         V[_orbit_hits(points, targets, H)] = 0.0
         return V
+
+    def return_distances(self, points, H):
+        """Closed form, no iteration.
+
+        d(sigma^n x, x) = 2^-r with r the radius on which x agrees with
+        itself moved by n: the trailing-zero count of the XOR of x's words
+        at centres n and 0, capped at GCAP, so a return below 2^-GCAP
+        reads as the floor.  Exact 0 only where sigma^n x == x: at n = 0,
+        and at multiples of the period of a purely periodic point.
+        """
+        fwd, bwd = _window_words(points, H)
+        z = (fwd ^ fwd[:, H, None]) | (bwd ^ bwd[:, H, None])
+        # the lowest set bit of z is 2^r; z == 0 means r >= GCAP
+        low = (z & (~z + np.uint64(1))).astype(float)
+        D = (1.0 / np.where(low == 0.0, 2.0 ** GCAP, low)).astype(np.float32)
+        # a point that is not purely periodic returns only at n = 0
+        P = np.array([per or 2 * H + 1 for _, _, per in _orbit_keys(points)],
+                     dtype=int)
+        D[np.arange(-H, H + 1) % P[:, None] == 0] = 0.0
+        return D
 
     def step(self, p):
         return p.shifted(1)

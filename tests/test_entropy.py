@@ -18,8 +18,8 @@ from ndistal.entropy import (KSH1_BOUND, EmpiricalMeasure, Partition,
                              word_count_entropy)
 from ndistal.errors import (ConstructionError, MeasureError, ParameterError,
                             RefinementError)
-from ndistal.points import (OrbitIndex, PointCloud, Torus, periodic_point,
-                            word_point)
+from ndistal.points import (OrbitIndex, PointCloud, SymbolicPoint, Torus,
+                            periodic_point, word_point)
 from ndistal.systems import (IdentityTorus, Rotation, SkewTorus, annulus3,
                              conjugate_system, shift2)
 
@@ -228,6 +228,28 @@ def test_word_count_entropy():
     for n in (2, 5, 10):
         assert word_count_entropy(s, n, cloud=two).value == pytest.approx(
             LOG2 / n, abs=1e-12)
+
+
+def test_default_word_table_matches_periodic_cloud():
+    # the bit table reads the same words as the cloud it stands for
+    s = shift2()
+    clouds = {}
+    for n in range(1, 21):
+        L = min(n, 13)
+        cloud = clouds.setdefault(L, s.periodic_cloud(L))
+        got = word_count_entropy(s, n)
+        want = word_count_entropy(s, n, cloud=cloud)
+        assert got.value.hex() == want.value.hex()
+        assert got.params == want.params
+
+
+def test_default_word_count_builds_no_points(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a SymbolicPoint was built")
+
+    monkeypatch.setattr(SymbolicPoint, "__post_init__", refuse)
+    est = word_count_entropy(shift2(), 12)
+    assert est.params == {"n": 12, "cloud_size": 4096, "n_words": 4096}
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from ndistal.kernels import (max_orbit_distance, mesh, min_orbit_distance,
                              orbit_visit_matrix, orbit_window_min_row)
 from ndistal import kernels, systems
 from ndistal.points import (Annulus, OrbitIndex, SymbolicPoint, Torus,
-                            periodic_point, word_point)
+                            periodic_point, symbolic_distance, word_point)
 from ndistal.structure import DELTA_LIST
 from ndistal.systems import (GCAP, IdentityTorus, Rotation, SkewTorus,
                              annulus2, annulus3, annulusN, conjugate_system,
@@ -649,6 +649,124 @@ def test_shift_chunked_dedup_with_distinct_masks(monkeypatch, use_max):
         assert np.array_equal(clamped(chunked[h]), clamped(swept[h]))
 
 
+@pytest.mark.parametrize("use_max", [False, True])
+def test_shift_key_blocks_share_mask_classes(monkeypatch, use_max):
+    # rows split into blocks of one, with the mask of (a, b) also held by
+    # (b, a) in another block: each block keys its own classes
+    rng = np.random.default_rng(11)
+    sys = shift2()
+    pts = [word_point(tuple(int(b) for b in rng.integers(0, 2, 10)),
+                      int(rng.integers(-20, 21))) for _ in range(6)]
+    pts += [periodic_point((0, 1)), SymbolicPoint((1,), 3, (0, 1), (1,))]
+    horizons = {3, 15}
+    whole = sys.comoving_extremes(pts, list(pts), horizons, use_max, 4)
+    masks = []
+    real = systems._mask_extremes
+
+    def spy(m, *args):
+        masks.append({bytes(row) for row in m})
+        return real(m, *args)
+
+    monkeypatch.setattr(systems, "_mask_extremes", spy)
+    monkeypatch.setattr(systems, "_CHUNK", len(pts))
+    split = sys.comoving_extremes(pts, list(pts), horizons, use_max, 4)
+    assert len(masks) == len(pts)
+    zero = bytes(len(next(iter(masks[0]))))
+    assert any((masks[i] & masks[j]) - {zero}
+               for i in range(len(masks)) for j in range(i))
+    for h in horizons:
+        assert np.array_equal(split[h], whole[h])
+
+
+def tailed_symbolic(rng, core_len, origins):
+    """A random core between periodic tails of period 1-3, the left and
+    the right one drawn independently."""
+    def bits(n):
+        return tuple(int(b) for b in rng.integers(0, 2, n))
+
+    return SymbolicPoint(bits(core_len), int(rng.integers(*origins)),
+                         bits(int(rng.integers(1, 4))),
+                         bits(int(rng.integers(1, 4))))
+
+
+def window_oracle(xs, ys, centre, h, use_max):
+    red = max if use_max else min
+    return np.array([[red(symbolic_distance(x.shifted(n), y.shifted(n))
+                          for n in range(centre - h, centre + h + 1))
+                      for y in ys] for x in xs])
+
+
+@given(st.integers(0, 10_000), st.booleans(), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_shift_column_class_keys_match_oracle(seed, wide, use_max, other):
+    # wide clouds hold more than 64 column classes: keys of two words
+    rng = np.random.default_rng(seed)
+    sys = shift2()
+    if wide:
+        xs = [tailed_symbolic(rng, int(rng.integers(90, 130)), (-70, -40))
+              for _ in range(8)]
+    else:
+        xs = [tailed_symbolic(rng, int(rng.integers(0, 6)), (-8, 8))
+              for _ in range(int(rng.integers(2, 7)))]
+        xs += [periodic_point((0, 1, 1)), word_point((1, 0, 1), 2)]
+    xs = list(dict.fromkeys(xs))
+    ys = xs[::2] + [tailed_symbolic(rng, 4, (-8, 8))] if other else None
+    H = int(rng.integers(0, 11))
+    h = int(rng.integers(0, H + 1))
+    centre = int(rng.choice([-1, 1])) * int(rng.integers(1, 31))
+    if wide:
+        W = H + GCAP
+        bits = [systems._shift_bits(pts, centre - W, centre + W)
+                for pts in (xs, ys or xs)]
+        assert systems._class_codes(*bits)[0].shape[1] >= 2
+    got = sys.comoving_extremes(xs, ys, {h, H}, use_max, centre)
+    for k in (h, H):
+        want = window_oracle(xs, ys or xs, centre, k, use_max)
+        assert np.array_equal(clamped(got[k]), clamped(want))
+        if ys is None:
+            assert np.array_equal(got[k], got[k].T)
+
+
+def full_mask_reference(pts_a, pts_b, horizons, use_max, centre):
+    """The shift's co-moving extremes on each pair's whole packed
+    difference mask, one row of pairs at a time."""
+    W = max(horizons) + GCAP
+    A, B = (np.packbits(systems._shift_bits(pts, centre - W, centre + W),
+                        axis=1) for pts in (pts_a, pts_b))
+    out = {h: np.empty((len(A), len(B))) for h in horizons}
+    for i, a in enumerate(A):
+        vals = systems._mask_extremes(a ^ B, W, horizons, use_max)
+        for h in horizons:
+            out[h][i] = vals[h]
+    equal = np.array([[x == y for y in pts_b] for x in pts_a])
+    for h in horizons:
+        out[h][equal] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("use_max", [False, True])
+def test_shift_wide_keys_match_full_masks(use_max):
+    # one word and its 90 single flips: each flip is a column class of its
+    # own, so the keys take two words, and pairs of flips agree on every
+    # class but two
+    rng = np.random.default_rng(3)
+    base = tuple(int(b) for b in rng.integers(0, 2, 100))
+    pts = [word_point(base, -50)]
+    pts += [word_point(base[:k] + (1 - base[k],) + base[k + 1:], -50)
+            for k in range(5, 95)]
+    horizons, centre = {2, 9}, -6
+    W = max(horizons) + GCAP
+    bits = systems._shift_bits(pts, centre - W, centre + W)
+    assert systems._class_codes(bits)[0].shape[1] == 2
+    got = shift2().comoving_extremes(pts, None, horizons, use_max, centre)
+    rows = shift2().comoving_extremes(pts[::9], pts, horizons, use_max,
+                                      centre)
+    want = full_mask_reference(pts, pts, horizons, use_max, centre)
+    for h in horizons:
+        assert np.array_equal(got[h], want[h])
+        assert np.array_equal(rows[h], want[h][::9])
+
+
 def test_shift_zero_only_for_equal_points():
     sys = shift2()
     zero, far = word_point(()), word_point((1,), origin=200)
@@ -670,6 +788,34 @@ def test_shift_visit_exact_hits():
     assert V[0, 0] == 0.0 and V[0, 1] > 0.0    # reached at n = 3, not 4
     assert V[1, 2] == 0.0                      # reached at n = -1
     assert V[2, 3] == FLOOR                    # equal on 2 GCAP symbols
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_shift_return_closed_form_matches_default(seed):
+    # word points, purely periodic points and tails that differ
+    rng = np.random.default_rng(seed)
+    sys = shift2()
+    pts = random_points("shift2", rng, int(rng.integers(1, 8)))
+    pts += [periodic_point((0, 1, 1)), SymbolicPoint((), 2, (0, 1), (1,))]
+    H = int(rng.integers(0, 100))
+    got = sys.return_distances(pts, H)
+    want = identity_conjugate(sys).return_distances(pts, H)
+    assert got.dtype == want.dtype == np.float32
+    assert got.shape == want.shape == (len(pts), 2 * H + 1)
+    assert np.array_equal(clamped(got), clamped(want))
+    assert np.array_equal(got == 0.0, want == 0.0)
+
+
+def test_shift_returns_exactly_at_periods():
+    sys = shift2()
+    pts = [periodic_point((0, 1, 1)), periodic_point((1, 0, 1, 0)),
+           word_point((1, 1)), SymbolicPoint((), 0, (0, 1), (0, 1, 1))]
+    n = np.arange(-9, 10)
+    zero = sys.return_distances(pts, 9) == 0.0
+    assert np.array_equal(zero[0], n % 3 == 0)
+    assert np.array_equal(zero[1], n % 2 == 0)
+    assert np.array_equal(zero[2], n == 0) and np.array_equal(zero[3], n == 0)
 
 
 # ---------------------------------------------------------------------------
