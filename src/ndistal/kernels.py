@@ -11,14 +11,14 @@ system's hook ``comoving_extremes`` (the extremes over a centred window),
 the visit kernel asks ``visit_minima``, and the self-return kernel
 `orbit_return_matrix` asks ``return_distances`` (each point's distance to
 its own iterates over |n| <= H, the input of the return-gap verdicts in
-``structure``, which itself steps no orbit).  The default of each hook,
-and `orbit_min_pairs`, run one engine on the system's array interface
-(``arr_state``, ``arr_step`` and the ``arr_*dist`` methods), which every
-system has: the catalogue systems implement it on numpy arrays, and the
-others inherit a default over plain point lists that calls ``step`` and
-``dist``.  The shift, the torus systems and the annulus family override
-hooks with closed forms, and the engine still serves the rotation,
-conjugates, powers and products:
+``structure``, which itself steps an orbit only in `periodic_points`).
+The default of each hook, and `orbit_min_pairs`, run one engine on the
+system's array interface (``arr_state``, ``arr_step`` and the
+``arr_*dist`` methods), which every system has: the catalogue systems
+implement it on numpy arrays, and the others inherit a default over plain
+point lists that calls ``iterate`` and ``dist``.  The shift, the torus
+systems and the annulus family override hooks with closed forms, and the
+engine still serves the rotation, conjugates, powers and products:
 
   * the shift, from packed bits: its difference masks for the co-moving
     extremes, keyed by the bits at one position per symbol-column class,

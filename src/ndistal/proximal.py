@@ -25,6 +25,7 @@ from .points import OrbitIndex, PointCloud
 DEFAULT_H = 200
 DEFAULT_EPS = 1e-3
 STABLE_FACTOR = 10.0
+MATCH_TOL = 1e-9  # a computed image matches a point within this distance
 
 
 @dataclass
@@ -126,8 +127,7 @@ def proximal_cell(sys, x, cloud: PointCloud, H: int = DEFAULT_H,
 
 def distality_report(sys, cloud: PointCloud, H: int = DEFAULT_H,
                      eps_prox: float = DEFAULT_EPS, N_max: int = 8,
-                     stable_only: bool = True,
-                     stable_factor: float = STABLE_FACTOR) -> ProximalReport:
+                     stable_only: bool = True) -> ProximalReport:
     """Build every proximal cell on the cloud and classify.
 
     verdict: "distal" when all cells are singletons, "k-distal, not
@@ -142,7 +142,7 @@ def distality_report(sys, cloud: PointCloud, H: int = DEFAULT_H,
     M2, cps = orbit_min_matrix(sys, cloud.points, 2 * H, checkpoints=(H,))
     MH = cps[H]
     adj = MH < eps_prox
-    stable = _stable(MH, M2, stable_factor, sys.floor)
+    stable = _stable(MH, M2, STABLE_FACTOR, sys.floor)
     use = (adj & stable) if stable_only else adj
     np.fill_diagonal(use, True)
     use &= use.T
@@ -193,12 +193,11 @@ class QuotientResult:
         return d
 
 
-def proximal_quotient(report: ProximalReport, sys,
-                      match_tol: float = 1e-9) -> QuotientResult:
+def proximal_quotient(report: ProximalReport, sys) -> QuotientResult:
     """Quotient the cloud by the proximal graph, when it is an equivalence.
 
     Expects the report's cloud to be closed under one forward step (up to
-    match_tol), so the induced map on classes is defined away from the
+    MATCH_TOL), so the induced map on classes is defined away from the
     cloud boundary.  A graph that is not transitively closed yields the
     concrete violating triple instead; that is a valid outcome, matching
     systems whose proximal relation is not an equivalence.
@@ -230,7 +229,7 @@ def proximal_quotient(report: ProximalReport, sys,
     consistent = True
     for ci, members in enumerate(classes):
         images = {label_of[int(near[i])] for i in members
-                  if gap[i] <= match_tol}
+                  if gap[i] <= MATCH_TOL}
         if len(images) > 1:
             consistent = False
         induced[ci] = min(images) if images else None
@@ -257,19 +256,19 @@ def proximal_quotient(report: ProximalReport, sys,
 
 def fiber_proximal_cell(g, f, pi, y, cloud: PointCloud, H: int = DEFAULT_H,
                         eps_prox: float = DEFAULT_EPS,
-                        eps_fiber: Optional[float] = None,
-                        check_tol: float = 1e-9) -> ProximalCellEstimate:
+                        eps_fiber: Optional[float] = None
+                        ) -> ProximalCellEstimate:
     """Proximal cell of y under g restricted to the pi-fiber through y.
 
     pi must semiconjugate g (upstairs) to f (downstairs) on the cloud:
-    f(pi(z)) = pi(g(z)) within check_tol.  Fiber membership is the finite
+    f(pi(z)) = pi(g(z)) within MATCH_TOL.  Fiber membership is the finite
     stand-in d_base(pi(z), pi(y)) < eps_fiber; the default eps_fiber is the
     projected cloud's mesh, the smallest positive gap between projections.
     """
     _check_scale(H, eps_prox)
     proj = [pi(z) for z in cloud.points]
     for z, pz in zip(cloud.points, proj):
-        if f.dist(f.step(pz), pi(g.step(z))) > check_tol:
+        if f.dist(f.step(pz), pi(g.step(z))) > MATCH_TOL:
             raise HomomorphismError(
                 f"pi does not semiconjugate g to f at {z!r}")
 

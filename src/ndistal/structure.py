@@ -24,6 +24,7 @@ from .points import PointCloud
 from .proximal import distality_report
 
 DELTA_LIST = (0.2, 0.1, 0.05)
+CONFIRMATIONS = 5  # returns j = 1..CONFIRMATIONS that confirm a period
 
 
 @dataclass
@@ -42,16 +43,15 @@ class AuditRecord:
 # periodic points
 # ---------------------------------------------------------------------------
 
-def periodic_points(sys, cloud: PointCloud, T_max: int, eps_per: float = 1e-6,
-                    J: int = 5):
-    """Points x with d(f^{jT}(x), x) < eps_per for j = 1..J, reported with
-    the smallest such T.  The J confirmations reject the near-returns of
-    irrational rotations."""
+def periodic_points(sys, cloud: PointCloud, T_max: int, eps_per: float = 1e-6):
+    """Points x with d(f^{jT}(x), x) < eps_per for j = 1..CONFIRMATIONS,
+    reported with the smallest such T.  The confirmations reject the
+    near-returns of irrational rotations."""
     found = []
     for x in cloud.points:
         for T in range(1, T_max + 1):
             if all(sys.dist(sys.iterate(x, j * T), x) < eps_per
-                   for j in range(1, J + 1)):
+                   for j in range(1, CONFIRMATIONS + 1)):
                 found.append((x, T))
                 break
     return found
@@ -285,7 +285,7 @@ def expansivity_probe(sys, cloud: PointCloud, delta_grid=(0.25, 0.1, 0.05),
 
 
 def prop_3_2_audit(sys, cloud: PointCloud, T_max: int = 50,
-                   eps_per: float = 1e-6, J: int = 5, H: int = 200,
+                   eps_per: float = 1e-6, H: int = 200,
                    eps_prox: float = 1e-3) -> AuditRecord:
     """Periodic points of an N-distal-at-scale system are distal points:
     every detected periodic point's proximal cell must be a singleton."""
@@ -296,7 +296,7 @@ def prop_3_2_audit(sys, cloud: PointCloud, T_max: int = 50,
     if report.verdict.startswith("not "):
         details["reason"] = "system is not N-distal at scale"
         return AuditRecord("prop_3_2", False, None, details)
-    periodic = periodic_points(sys, cloud, T_max, eps_per, J)
+    periodic = periodic_points(sys, cloud, T_max, eps_per)
     violations = []
     for x, T in periodic:
         i = cloud.index_of(x)

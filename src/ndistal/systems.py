@@ -1,11 +1,15 @@
 """The system abstraction and the catalogue of example systems.
 
 Every system is an invertible map on a compact metric space together with an
-exact metric and a canonical sampler.  Analysis modules talk to systems
-through ``step``/``step_inv``/``dist``/``iterate`` and through the array
-interface (``arr_state`` and friends) that the orbit-sweep kernels run on.
+exact metric and a canonical sampler.  A system states its map once, as
+``iterate(p, n)`` = f^n(p) for any integer n, and its distance matrix once,
+as ``arr_cdist``; ``DynSystem`` derives ``step`` and ``step_inv`` as
+``iterate(p, 1)`` and ``iterate(p, -1)``, and ``arr_pdist(state)`` as
+``arr_cdist(state, state)``.  Analysis modules talk to systems through
+``iterate``/``step``/``dist`` and through the array interface
+(``arr_state`` and friends) that the orbit-sweep kernels run on.
 ``DynSystem`` implements the array interface over plain point lists with
-``step`` and ``dist``, so every system has one; the catalogue systems
+``iterate`` and ``dist``, so every system has one; the catalogue systems
 override it with numpy states; it has no embedding, as snapping runs on
 ``arr_cdist`` too.  The kernels reach orbits through three hooks,
 ``comoving_extremes`` (the extremes over a window |n - centre| <= h),
@@ -62,7 +66,6 @@ from .equicont import EquicontinuityWitness, skew_witness
 from .errors import ConjugacyError, InvalidPointError, ParameterError
 from .kernels import (_CHUNK, _row_blocks, _sweep, sweep_extremes,
                       sweep_returns, sweep_visits)
-from .ndiameter import pairwise_matrix
 from .points import (Annulus, OrbitIndex, Pair, PointCloud, SymbolicPoint,
                      Torus, circ_gap, periodic_point, symbolic_distance,
                      word_point)
@@ -188,25 +191,21 @@ class DynSystem:
     cloud_size: int = 32
 
     # -- pointwise interface ---------------------------------------------
-    def step(self, p):
+    def iterate(self, p, n: int):
+        """f^n(p) for any integer n; n < 0 iterates the inverse."""
         raise NotImplementedError
 
+    def step(self, p):
+        return self.iterate(p, 1)
+
     def step_inv(self, p):
-        raise NotImplementedError
+        return self.iterate(p, -1)
 
     def dist(self, x, y) -> float:
         raise NotImplementedError
 
     def is_valid(self, p) -> bool:
         raise NotImplementedError
-
-    def iterate(self, p, n: int):
-        """n-fold composition of step (step_inv for n < 0); overridden in
-        closed form wherever the catalogue allows it."""
-        f = self.step if n >= 0 else self.step_inv
-        for _ in range(abs(n)):
-            p = f(p)
-        return p
 
     def sampler(self, resolution: int, seed=None) -> PointCloud:
         raise NotImplementedError
@@ -216,14 +215,15 @@ class DynSystem:
         return list(points)
 
     def arr_step(self, state, inverse=False):
-        f = self.step_inv if inverse else self.step
-        return [f(p) for p in state]
+        n = -1 if inverse else 1
+        return [self.iterate(p, n) for p in state]
 
     def arr_pdist(self, state):
-        return pairwise_matrix(state, self.dist)
+        return self.arr_cdist(state, state)
 
     def arr_cdist(self, sa, sb):
-        return np.array([[self.dist(a, b) for b in sb] for a in sa])
+        return np.array([[self.dist(a, b) for b in sb] for a in sa],
+                        dtype=float).reshape(len(sa), len(sb))
 
     def arr_edist(self, sa, sb):
         """Elementwise distances between two equal-length states."""
@@ -278,10 +278,8 @@ class _TorusBase(DynSystem):
         return isinstance(p, Torus)
 
     def arr_state(self, points):
-        return np.array([[p.x, p.y] for p in points], dtype=float)
-
-    def arr_pdist(self, state):
-        return _torus_cdist(state, state)
+        return np.array([[p.x, p.y] for p in points],
+                        dtype=float).reshape(-1, 2)
 
     def arr_cdist(self, sa, sb):
         return _torus_cdist(sa, sb)
@@ -354,12 +352,6 @@ class Rotation(_TorusBase):
         self.alpha = _finite("alpha", alpha)
         self.id = f"rotation(alpha={self.alpha!r})"
 
-    def step(self, p):
-        return Torus(p.x + self.alpha, p.y)
-
-    def step_inv(self, p):
-        return Torus(p.x - self.alpha, p.y)
-
     def iterate(self, p, n):
         return Torus(p.x + n * self.alpha, p.y) if n else p
 
@@ -385,13 +377,6 @@ class SkewTorus(_TorusBase):
     def __init__(self, alpha=GOLDEN):
         self.alpha = _finite("alpha", alpha)
         self.id = f"skew_torus(alpha={self.alpha!r})"
-
-    def step(self, p):
-        return Torus(p.x + self.alpha, p.y + p.x)
-
-    def step_inv(self, p):
-        x = p.x - self.alpha
-        return Torus(x, p.y - x)
 
     def iterate(self, p, n):
         # closed form: F^n(x,y) = (x + n a, y + n x + a n(n-1)/2), all mod 1;
@@ -446,12 +431,6 @@ class SkewTorus(_TorusBase):
 
 class IdentityTorus(_TorusBase):
     id = "identity"
-
-    def step(self, p):
-        return p
-
-    def step_inv(self, p):
-        return p
 
     def iterate(self, p, n):
         return p
@@ -519,16 +498,6 @@ class AnnulusSystem(DynSystem):
         return False
 
     # -- dynamics ------------------------------------------------------------
-    def step(self, p):
-        if isinstance(p, OrbitIndex):
-            return OrbitIndex(p.n + 1, p.orbit)
-        return Annulus(p.theta + self.k, p.r)
-
-    def step_inv(self, p):
-        if isinstance(p, OrbitIndex):
-            return OrbitIndex(p.n - 1, p.orbit)
-        return Annulus(p.theta - self.k, p.r)
-
     def iterate(self, p, n):
         if n == 0:
             return p
@@ -554,14 +523,14 @@ class AnnulusSystem(DynSystem):
                                       size=min(resolution, 2 * orbit_span + 1))]
         return PointCloud(tuple(dict.fromkeys(pts)), f"random({seed})", self.id)
 
-    def aligned_cloud(self, n_lo, n_hi, circle_pad=1):
+    def aligned_cloud(self, n_lo, n_hi):
         """Orbit points n in [n_lo, n_hi] plus circle points at the matching
-        angles n*k (padded by `circle_pad` steps), closed under one step
+        angles n*k (one step further, to n_hi + 1), closed under one step
         except at the top boundary.  Used by the quotient construction."""
         pts = [OrbitIndex(n, lab) for lab in sorted(self.orbits)
                for n in range(n_lo, n_hi + 1)]
         pts += [Annulus(float(_turns(n, self.k)), c) for c in self.circles
-                for n in range(n_lo, n_hi + 1 + circle_pad)]
+                for n in range(n_lo, n_hi + 2)]
         return PointCloud(tuple(pts), "grid", self.id)
 
     def circles_cloud(self, resolution=256):
@@ -615,10 +584,6 @@ class AnnulusSystem(DynSystem):
         r = self._radii(state)
         a = 2.0 * np.pi * state["theta"]
         return np.stack([r * np.cos(a), r * np.sin(a)], axis=1)
-
-    def arr_pdist(self, state):
-        E = self._plane(state)
-        return scidist.cdist(E, E)
 
     def arr_cdist(self, sa, sb):
         return scidist.cdist(self._plane(sa), self._plane(sb))
@@ -959,7 +924,7 @@ class ShiftSystem(DynSystem):
             vals = _mask_extremes(A[rows.start + first // mb] ^ B[first % mb],
                                   W, horizons, use_max)
             for h in horizons:
-                out[h][rows] = vals[h][inv].reshape(-1, mb)
+                out[h][rows] = vals[h][inv].reshape(out[h][rows].shape)
         equal = _equal(pts_a, pts_a if pts_b is None else pts_b)
         for h in horizons:
             out[h][equal] = 0.0
@@ -1008,12 +973,6 @@ class ShiftSystem(DynSystem):
                      dtype=int)
         D[np.arange(-H, H + 1) % P[:, None] == 0] = 0.0
         return D
-
-    def step(self, p):
-        return p.shifted(1)
-
-    def step_inv(self, p):
-        return p.shifted(-1)
 
     def iterate(self, p, n):
         return p.shifted(n)
@@ -1071,12 +1030,6 @@ class ProductSystem(DynSystem):
         self.g = g
         self.id = f"product[{f.id} x {g.id}]"
 
-    def step(self, p):
-        return Pair(self.f.step(p.a), self.g.step(p.b))
-
-    def step_inv(self, p):
-        return Pair(self.f.step_inv(p.a), self.g.step_inv(p.b))
-
     def iterate(self, p, n):
         return Pair(self.f.iterate(p.a, n), self.g.iterate(p.b, n))
 
@@ -1105,9 +1058,6 @@ class ProductSystem(DynSystem):
         return (self.f.arr_step(state[0], inverse),
                 self.g.arr_step(state[1], inverse))
 
-    def arr_pdist(self, state):
-        return np.maximum(self.f.arr_pdist(state[0]), self.g.arr_pdist(state[1]))
-
     def arr_cdist(self, sa, sb):
         return np.maximum(self.f.arr_cdist(sa[0], sb[0]),
                           self.g.arr_cdist(sa[1], sb[1]))
@@ -1128,12 +1078,6 @@ class PowerSystem(DynSystem):
         self.f = f
         self.k = int(k)
         self.id = f"power[{f.id}^{k}]"
-
-    def step(self, p):
-        return self.f.iterate(p, self.k)
-
-    def step_inv(self, p):
-        return self.f.iterate(p, -self.k)
 
     def iterate(self, p, n):
         return self.f.iterate(p, self.k * n)
@@ -1156,9 +1100,6 @@ class PowerSystem(DynSystem):
         for _ in range(abs(self.k)):
             state = self.f.arr_step(state, inverse=not fwd)
         return state
-
-    def arr_pdist(self, state):
-        return self.f.arr_pdist(state)
 
     def arr_cdist(self, sa, sb):
         return self.f.arr_cdist(sa, sb)
@@ -1189,12 +1130,6 @@ class ConjugateSystem(DynSystem):
                     raise ConjugacyError(
                         "h and h_inv are not mutually inverse on the cloud")
 
-    def step(self, p):
-        return self.h(self.f.step(self.h_inv(p)))
-
-    def step_inv(self, p):
-        return self.h(self.f.step_inv(self.h_inv(p)))
-
     def iterate(self, p, n):
         return self.h(self.f.iterate(self.h_inv(p), n)) if n else p
 
@@ -1207,15 +1142,11 @@ class ConjugateSystem(DynSystem):
         except (InvalidPointError, ValueError):
             return False
 
-    def arr_pdist(self, state):
-        if self.metric:
-            return super().arr_pdist(state)
-        return self.f.arr_pdist(self.f.arr_state(state))
-
     def arr_cdist(self, sa, sb):
         if self.metric:
             return super().arr_cdist(sa, sb)
-        return self.f.arr_cdist(self.f.arr_state(sa), self.f.arr_state(sb))
+        fa = self.f.arr_state(sa)
+        return self.f.arr_cdist(fa, fa if sb is sa else self.f.arr_state(sb))
 
     def arr_edist(self, sa, sb):
         if self.metric:

@@ -2,6 +2,7 @@
 interface and the shift's closed form must agree with plain pointwise
 iteration."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -15,8 +16,9 @@ from ndistal.kernels import (max_orbit_distance, mesh, min_orbit_distance,
                              orbit_min_pairs, orbit_min_rows,
                              orbit_visit_matrix, orbit_window_min_row)
 from ndistal import kernels, systems
-from ndistal.points import (Annulus, OrbitIndex, SymbolicPoint, Torus,
-                            periodic_point, symbolic_distance, word_point)
+from ndistal.points import (Annulus, OrbitIndex, PointCloud, SymbolicPoint,
+                            Torus, circ_gap, periodic_point,
+                            symbolic_distance, word_point)
 from ndistal.structure import DELTA_LIST
 from ndistal.systems import (GCAP, IdentityTorus, Rotation, SkewTorus,
                              annulus2, annulus3, annulusN, conjugate_system,
@@ -976,3 +978,86 @@ def test_closed_form_hooks_never_step(monkeypatch):
                    for h in horizons)
         assert np.allclose(sys.return_distances(pts, 30), want_r,
                            rtol=0.0, atol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# empty point lists
+# ---------------------------------------------------------------------------
+
+EMPTY_CASES = {
+    **{name: systems.get_system(name) for name in systems.CATALOGUE_FACTS},
+    "product": systems.product_system(Rotation(), annulus3()),
+    "power": systems.power_system(SkewTorus(), 2),
+    "conjugate": conjugate_system(annulus3(), lambda p: p, lambda p: p),
+    "conjugate_metric": identity_conjugate(shift2()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_CASES))
+def test_empty_point_lists_keep_their_shapes(name):
+    sys = EMPTY_CASES[name]
+    pts = list(sys.sampler(2).points[:3])
+    m, H = len(pts), 4
+    assert orbit_min_matrix(sys, [], H)[0].shape == (0, 0)
+    assert orbit_max_matrix(sys, [], H).shape == (0, 0)
+    assert orbit_min_rows(sys, pts, [], H)[0].shape == (0, m)
+    assert kernels.orbit_max_rows(sys, pts, [], H).shape == (0, m)
+    for use_max in (False, True):
+        out = sys.comoving_extremes(pts, [], {0, H}, use_max, -2)
+        assert all(out[h].shape == (m, 0) for h in (0, H))
+    assert orbit_window_min_row(sys, pts[0], [], 3, H).shape == (0,)
+    assert orbit_visit_matrix(sys, [], pts, H).shape == (0, m)
+    assert orbit_visit_matrix(sys, pts, [], H).shape == (m, 0)
+    assert kernels.orbit_return_matrix(sys, [], H).shape == (0, 2 * H + 1)
+    assert orbit_min_pairs(sys, [], [], H).shape == (0,)
+    assert all(a.shape == (0,) for a in nearest(sys, [], pts))
+    assert mesh(sys, []) == np.inf
+    empty, full = sys.arr_state([]), sys.arr_state(pts)
+    assert sys.arr_cdist(empty, full).shape == (0, m)
+    assert sys.arr_cdist(full, empty).shape == (m, 0)
+    assert sys.arr_pdist(empty).shape == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the system contract: a map stated once, as iterate
+# ---------------------------------------------------------------------------
+
+class BareSkew(systems.DynSystem):
+    """A skew product that states only iterate, dist, is_valid and
+    sampler; everything else comes from DynSystem."""
+
+    id = "bare_skew"
+
+    def iterate(self, p, n):
+        # (x + n a, y + n x + a n(n-1)/2), for every integer n
+        return Torus(p.x + n * 0.3, p.y + n * p.x + 0.3 * (n * (n - 1) // 2))
+
+    def dist(self, x, y):
+        return math.hypot(circ_gap(x.x, y.x), circ_gap(x.y, y.y))
+
+    def is_valid(self, p):
+        return isinstance(p, Torus)
+
+    def sampler(self, resolution=3, seed=None):
+        pts = tuple(Torus(i / resolution, j / (resolution + 1))
+                    for i in range(resolution) for j in range(resolution))
+        return PointCloud(pts, "grid", self.id)
+
+
+def test_iterate_alone_makes_a_working_system():
+    sys = BareSkew()
+    pts = list(sys.sampler().points)
+    for p in pts:
+        assert sys.step(p) == sys.iterate(p, 1)
+        assert sys.step_inv(p) == sys.iterate(p, -1)
+        assert sys.dist(sys.step_inv(sys.step(p)), p) < 1e-12
+    H = 6
+    want = np.array([[min(sys.dist(sys.iterate(p, n), sys.iterate(q, n))
+                          for n in range(-H, H + 1)) for q in pts]
+                     for p in pts])
+    assert np.allclose(orbit_min_matrix(sys, pts, H)[0], want,
+                       rtol=0.0, atol=1e-9)
+    want = np.array([[sys.dist(sys.iterate(p, n), p)
+                      for n in range(-H, H + 1)] for p in pts])
+    assert np.allclose(kernels.orbit_return_matrix(sys, pts, H), want,
+                       rtol=0.0, atol=1e-6)

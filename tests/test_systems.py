@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ndistal import systems
 from ndistal.errors import ConjugacyError, ParameterError
 from ndistal.kernels import min_orbit_distance
 from ndistal.points import Annulus, OrbitIndex, Pair, Torus, word_point
@@ -295,3 +296,15 @@ def test_arr_pdist_matches_dist():
             for j in range(0, m, 11):
                 assert D[i, j] == pytest.approx(
                     s.dist(cloud[i], cloud[j]), abs=1e-9)
+
+
+def test_only_the_base_class_derives_step_and_pdist():
+    # a system states its map as iterate and its matrix as arr_cdist;
+    # step, step_inv and arr_pdist are derived once, in DynSystem
+    derived = {"step", "step_inv", "arr_pdist"}
+    classes = [c for c in vars(systems).values()
+               if isinstance(c, type) and c.__module__ == systems.__name__]
+    assert systems.DynSystem in classes and len(classes) > 8
+    for cls in classes:
+        own = derived & set(vars(cls))
+        assert own == (derived if cls is systems.DynSystem else set()), cls
