@@ -47,7 +47,7 @@ from .entropy import (default_partition, ks_bound_audit,
 from .equicont import DEFAULT_DELTA_GRID, DEFAULT_H as EQUICONT_H
 from .equicont import n_equicontinuity_probe, r_set, skew_witness
 from .errors import NDistalError, ParameterError
-from .ndiameter import diam_n_bounds, diam_n_exact
+from .ndiameter import diam_n_bounds_from_matrix, diam_n_exact_from_matrix
 from .proximal import (DEFAULT_EPS, DEFAULT_H, distality_report,
                        proximal_cell, proximal_quotient)
 from .structure import (expansivity_probe, minimal_subsystems,
@@ -300,7 +300,10 @@ def _run_ks_bound(sys, cloud, seed, *, r_list=(0.3, 0.2, 0.1, 0.05)):
 
 def _run_diam(fn):
     def runner(sys, cloud, seed, *, N=2, size: int | None = None):
-        return fn(list(cloud[:size]), sys.dist, N).as_dict(), []
+        if size is not None and size < 0:
+            raise ParameterError(f"size must be >= 0, got {size}")
+        D = sys.arr_pdist(sys.arr_state(list(cloud[:size])))
+        return fn(D, N).as_dict(), []
     return runner
 
 
@@ -321,8 +324,8 @@ REGISTRY = {
     "metric_entropy_estimate": _run_entropy_estimate,
     "word_count_entropy": _run_word_entropy,
     "ks_bound_audit": _run_ks_bound,
-    "diam_n_exact": _run_diam(diam_n_exact),
-    "diam_n_bounds": _run_diam(diam_n_bounds),
+    "diam_n_exact": _run_diam(diam_n_exact_from_matrix),
+    "diam_n_bounds": _run_diam(diam_n_bounds_from_matrix),
 }
 
 

@@ -76,6 +76,8 @@ def default_partition(cloud: PointCloud, k: int = 2) -> Partition:
     """Coordinate partition: k arcs in the cyclic coordinate, with annulus
     points additionally split by radius level and symbolic points split by
     their symbol at the origin."""
+    if not k >= 1:
+        raise ParameterError(f"k must be >= 1, got {k!r}")
     labels = []
     for p in cloud.points:
         if isinstance(p, Torus):
@@ -126,12 +128,8 @@ def orbit_measure(sys, cloud: PointCloud, x0, length: int = 10_000,
 
 def partition_entropy(weights) -> float:
     """-sum w log w with 0 log 0 = 0; weights must be a probability
-    vector."""
-    w = np.asarray(list(weights), dtype=float)
-    if (w < -1e-15).any():
-        raise MeasureError("negative weight")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise MeasureError(f"weights sum to {w.sum()!r}, not 1")
+    vector, checked as an `EmpiricalMeasure` checks its own."""
+    w = EmpiricalMeasure(list(weights), "partition").weights
     w = w[w > 0]
     return float(-(w * np.log(w)).sum())
 

@@ -264,13 +264,17 @@ def fiber_proximal_cell(g, f, pi, y, cloud: PointCloud, H: int = DEFAULT_H,
     f(pi(z)) = pi(g(z)) within MATCH_TOL.  Fiber membership is the finite
     stand-in d_base(pi(z), pi(y)) < eps_fiber; the default eps_fiber is the
     projected cloud's mesh, the smallest positive gap between projections.
+    The check, the mesh and the membership all read f's array metric, so a
+    pair at exactly the mesh stays out of the fiber.
     """
     _check_scale(H, eps_prox)
     proj = [pi(z) for z in cloud.points]
-    for z, pz in zip(cloud.points, proj):
-        if f.dist(f.step(pz), pi(g.step(z))) > MATCH_TOL:
-            raise HomomorphismError(
-                f"pi does not semiconjugate g to f at {z!r}")
+    miss = f.arr_edist(f.arr_state([f.step(pz) for pz in proj]),
+                       f.arr_state([pi(g.step(z)) for z in cloud.points]))
+    bad = np.nonzero(miss > MATCH_TOL)[0]
+    if bad.size:
+        raise HomomorphismError(
+            f"pi does not semiconjugate g to f at {cloud[bad[0]]!r}")
 
     if eps_fiber is None:
         # mesh of the distinct projected points: exact duplicate
@@ -280,9 +284,8 @@ def fiber_proximal_cell(g, f, pi, y, cloud: PointCloud, H: int = DEFAULT_H,
             eps_fiber = 1.0
 
     b = cloud.index_of(y)
-    py = proj[b]
-    fiber_idx = [i for i, pz in enumerate(proj)
-                 if f.dist(pz, py) < eps_fiber]
+    gap = f.arr_cdist(f.arr_state(proj), f.arr_state([proj[b]]))[:, 0]
+    fiber_idx = np.nonzero(gap < eps_fiber)[0].tolist()
     sub = [cloud[i] for i in fiber_idx]
     sub_b = fiber_idx.index(b)
     M2, cps = orbit_min_rows(g, sub, [sub_b], 2 * H, checkpoints=(H,))

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .errors import check_positive
+from .errors import ParameterError, check_positive
 from .kernels import (orbit_max_matrix, orbit_max_rows, orbit_return_matrix,
                       orbit_visit_matrix)
 from .points import PointCloud
@@ -43,18 +43,29 @@ class AuditRecord:
 # periodic points
 # ---------------------------------------------------------------------------
 
+def _check_t_max(T_max):
+    if not T_max >= 1:
+        raise ParameterError(f"T_max must be >= 1, got {T_max!r}")
+
+
 def periodic_points(sys, cloud: PointCloud, T_max: int, eps_per: float = 1e-6):
     """Points x with d(f^{jT}(x), x) < eps_per for j = 1..CONFIRMATIONS,
     reported with the smallest such T.  The confirmations reject the
-    near-returns of irrational rotations."""
-    found = []
-    for x in cloud.points:
-        for T in range(1, T_max + 1):
-            if all(sys.dist(sys.iterate(x, j * T), x) < eps_per
-                   for j in range(1, CONFIRMATIONS + 1)):
-                found.append((x, T))
+    near-returns of irrational rotations.  Each T measures the points
+    still without a period on the array metric, one j at a time."""
+    _check_t_max(T_max)
+    pts, period = cloud.points, {}
+    for T in range(1, T_max + 1):
+        left = [i for i in range(len(pts)) if i not in period]
+        for j in range(1, CONFIRMATIONS + 1):
+            if not left:
                 break
-    return found
+            d = sys.arr_edist(
+                sys.arr_state([sys.iterate(pts[i], j * T) for i in left]),
+                sys.arr_state([pts[i] for i in left]))
+            left = [i for i, ok in zip(left, d < eps_per) if ok]
+        period.update(dict.fromkeys(left, T))
+    return [(pts[i], period[i]) for i in sorted(period)]
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +214,8 @@ def theorem_3_5_audit(sys, N_claimed: int, cloud: PointCloud,
                       delta_list=DELTA_LIST, gap_bound=None) -> AuditRecord:
     """Transitive and N-distal at scale implies at most N-1 proper minimal
     subsystems.  Preconditions failing mark the audit inapplicable."""
+    if not N_claimed >= 1:
+        raise ParameterError(f"N_claimed must be >= 1, got {N_claimed!r}")
     check_positive("delta", delta)
     prox_cloud = prox_cloud or cloud
     report = distality_report(sys, prox_cloud, prox_H, prox_eps,
@@ -289,6 +302,7 @@ def prop_3_2_audit(sys, cloud: PointCloud, T_max: int = 50,
                    eps_prox: float = 1e-3) -> AuditRecord:
     """Periodic points of an N-distal-at-scale system are distal points:
     every detected periodic point's proximal cell must be a singleton."""
+    _check_t_max(T_max)
     report = distality_report(sys, cloud, H, eps_prox)
     details = {"verdict": report.verdict,
                "max_cell_size": report.max_cell_size,

@@ -2,16 +2,24 @@
 
 Every system is an invertible map on a compact metric space together with an
 exact metric and a canonical sampler.  A system states its map once, as
-``iterate(p, n)`` = f^n(p) for any integer n, and its distance matrix once,
-as ``arr_cdist``; ``DynSystem`` derives ``step`` and ``step_inv`` as
-``iterate(p, 1)`` and ``iterate(p, -1)``, and ``arr_pdist(state)`` as
-``arr_cdist(state, state)``.  Analysis modules talk to systems through
-``iterate``/``step``/``dist`` and through the array interface
-(``arr_state`` and friends) that the orbit-sweep kernels run on.
+``iterate(p, n)`` = f^n(p) for any integer n, and its metric once: either
+pointwise as ``dist`` (the point-list systems: the shift, and a conjugate
+given a metric of its own), from which the default array interface derives
+``arr_cdist`` and ``arr_edist``, or as the array metric ``arr_cdist`` and
+``arr_edist``, from which ``DynSystem.dist`` derives as ``arr_edist`` on
+one-point states; so a pointwise distance equals the matrix entry bit for
+bit, and every verdict reads one metric.  ``DynSystem`` also derives
+``step`` and ``step_inv`` as ``iterate(p, 1)`` and ``iterate(p, -1)``, and
+``arr_pdist(state)`` as ``arr_cdist(state, state)``.  Analysis modules talk
+to systems through ``iterate``/``step``/``dist`` and through the array
+interface (``arr_state`` and friends) that the orbit-sweep kernels run on.
 ``DynSystem`` implements the array interface over plain point lists with
 ``iterate`` and ``dist``, so every system has one; the catalogue systems
 override it with numpy states; it has no embedding, as snapping runs on
-``arr_cdist`` too.  The kernels reach orbits through three hooks,
+``arr_cdist`` too.  The torus systems state their map once, from
+(alpha, shear), and their metric once, in `_torus_dist`; the annulus family
+reads every orbit radius off one table, evaluated when the system is built.
+The kernels reach orbits through three hooks,
 ``comoving_extremes`` (the extremes over a window |n - centre| <= h),
 ``visit_minima`` and ``return_distances`` (each point's distance to its
 own iterates), so the analysis modules step no orbit themselves.  The
@@ -67,7 +75,7 @@ from .errors import ConjugacyError, InvalidPointError, ParameterError
 from .kernels import (_CHUNK, _row_blocks, _sweep, sweep_extremes,
                       sweep_returns, sweep_visits)
 from .points import (Annulus, OrbitIndex, Pair, PointCloud, SymbolicPoint,
-                     Torus, circ_gap, periodic_point, symbolic_distance,
+                     Torus, periodic_point, symbolic_distance,
                      word_point)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -88,14 +96,15 @@ _CLASS_BLOCK = 65_536  # pairs per block of the torus and annulus closed forms,
                        # and classes per group of the torus form
 
 
-def _torus_cdist(P, Q):
-    out = None
-    for c in range(P.shape[1]):
-        d = scidist.cdist(P[:, c:c + 1], Q[:, c:c + 1], "cityblock")
-        np.minimum(d, 1.0 - d, out=d)
+def _torus_dist(dx, dy):
+    """The torus metric of coordinate differences: each reduced to
+    [-1/2, 1/2] as d - round(d), then sqrt(dx^2 + dy^2).  Works in place
+    on dx and dy, so a matrix costs one temporary beside them."""
+    for d in (dx, dy):
+        d -= np.round(d)
         d *= d
-        out = d if out is None else out + d
-    return np.sqrt(out, out=out)
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def _class_groups(A, B):
@@ -202,7 +211,13 @@ class DynSystem:
         return self.iterate(p, -1)
 
     def dist(self, x, y) -> float:
-        raise NotImplementedError
+        """d(x, y): ``arr_edist`` on one-point states.  A point-list
+        system states ``dist`` instead, and its array metric derives from
+        it."""
+        if type(self).arr_edist is DynSystem.arr_edist:
+            raise NotImplementedError(f"{type(self).__name__}: no metric")
+        S, T = self.arr_state([x]), self.arr_state([y])
+        return float(self.arr_edist(S, T)[0])
 
     def is_valid(self, p) -> bool:
         raise NotImplementedError
@@ -265,29 +280,52 @@ class DynSystem:
 # ---------------------------------------------------------------------------
 
 class _TorusBase(DynSystem):
-    # F^n p - F^n q = (dx, dy + n * shear * dx) mod 1 with (dx, dy) = p - q:
-    # the maps are affine and their differences evolve on their own
+    """The map (x, y) -> (x + alpha, y + shear * x) on the 2-torus, stated
+    once from (alpha, shear) as ``iterate`` and ``arr_step``; subclasses
+    set the two numbers.  The metric is stated once too, as the array
+    metric `_torus_dist`, from which ``dist`` derives.
+
+    F^n p - F^n q = (dx, dy + n * shear * dx) mod 1 with (dx, dy) = p - q:
+    the maps are affine and their differences evolve on their own.
+    """
+
+    alpha = 0.0
     shear = 0
 
-    def dist(self, x, y):
-        if not (isinstance(x, Torus) and isinstance(y, Torus)):
-            raise InvalidPointError(f"{self.id}: expected torus points")
-        return math.hypot(circ_gap(x.x, y.x), circ_gap(x.y, y.y))
+    def iterate(self, p, n):
+        # F^n(x, y) = (x + n alpha, y + shear (n x + alpha n(n-1)/2)), mod 1;
+        # n(n-1)/2 is an exact integer for n < 0 as well
+        if not n:
+            return p
+        s = self.shear
+        return Torus(p.x + n * self.alpha,
+                     p.y + s * n * p.x + self.alpha * (s * (n * (n - 1) // 2)))
 
     def is_valid(self, p):
         return isinstance(p, Torus)
 
     def arr_state(self, points):
+        if not set(map(type, points)) <= {Torus}:
+            raise InvalidPointError(f"{self.id}: expected torus points")
         return np.array([[p.x, p.y] for p in points],
                         dtype=float).reshape(-1, 2)
 
+    def arr_step(self, state, inverse=False):
+        s = state.copy()
+        if inverse:
+            s[:, 0] = np.mod(s[:, 0] - self.alpha, 1.0)
+            s[:, 1] = np.mod(s[:, 1] - self.shear * s[:, 0], 1.0)
+        else:
+            s[:, 1] = np.mod(s[:, 1] + self.shear * s[:, 0], 1.0)
+            s[:, 0] = np.mod(s[:, 0] + self.alpha, 1.0)
+        return s
+
     def arr_cdist(self, sa, sb):
-        return _torus_cdist(sa, sb)
+        return _torus_dist(sa[:, None, 0] - sb[None, :, 0],
+                           sa[:, None, 1] - sb[None, :, 1])
 
     def arr_edist(self, sa, sb):
-        d = sa - sb
-        d -= np.round(d)
-        return np.sqrt((d * d).sum(axis=-1))
+        return _torus_dist(sa[:, 0] - sb[:, 0], sa[:, 1] - sb[:, 1])
 
     def comoving_extremes(self, pts_a, pts_b, horizons, use_max, centre):
         """Closed form by difference class.
@@ -318,13 +356,11 @@ class _TorusBase(DynSystem):
         dx + i dy.  The x-gap stays fixed; the y column starts at
         dy + centre * shear * dx and steps by shear * dx, reduced to
         [-1/2, 1/2] after every step.  The sweep folds |y|, and the
-        distance sqrt(gx^2 + y^2) is taken once per horizon: it is
+        distance `_torus_dist(dx, |y|)` is taken once per horizon: it is
         monotone in |y| in floating point too, so the extremes are those
         of the distance.  With shear 0 (the isometries) every horizon gets
         the time-0 distances.
         """
-        gx = np.abs(classes.real)
-        gx2 = np.square(np.minimum(gx, 1.0 - gx))
         rise = self.shear * classes.real
         y0 = classes.imag + centre * rise
         y0 -= np.round(y0)
@@ -339,8 +375,8 @@ class _TorusBase(DynSystem):
                             checkpoints=horizons)
             cps[max(horizons)] = M
         else:
-            cps = dict.fromkeys(horizons, np.abs(y0))
-        return {h: np.sqrt(gx2 + Y * Y) for h, Y in cps.items()}
+            cps = {h: np.abs(y0) for h in horizons}
+        return {h: _torus_dist(classes.real.copy(), Y) for h, Y in cps.items()}
 
 
 class Rotation(_TorusBase):
@@ -352,9 +388,6 @@ class Rotation(_TorusBase):
         self.alpha = _finite("alpha", alpha)
         self.id = f"rotation(alpha={self.alpha!r})"
 
-    def iterate(self, p, n):
-        return Torus(p.x + n * self.alpha, p.y) if n else p
-
     def sampler(self, resolution=256, seed=None):
         if seed is None:
             pts = tuple(Torus(j / resolution, 0.0) for j in range(resolution))
@@ -362,11 +395,6 @@ class Rotation(_TorusBase):
         rng = np.random.default_rng(seed)
         pts = tuple(Torus(float(t), 0.0) for t in rng.random(resolution))
         return PointCloud(pts, f"random({seed})", self.id)
-
-    def arr_step(self, state, inverse=False):
-        s = state.copy()
-        s[:, 0] = np.mod(s[:, 0] + (-self.alpha if inverse else self.alpha), 1.0)
-        return s
 
 
 class SkewTorus(_TorusBase):
@@ -378,18 +406,6 @@ class SkewTorus(_TorusBase):
         self.alpha = _finite("alpha", alpha)
         self.id = f"skew_torus(alpha={self.alpha!r})"
 
-    def iterate(self, p, n):
-        # closed form: F^n(x,y) = (x + n a, y + n x + a n(n-1)/2), all mod 1;
-        # for n < 0 with m = -n:     (x - m a, y - m x + a m(m+1)/2)
-        if n == 0:
-            return p
-        if n > 0:
-            return Torus(p.x + n * self.alpha,
-                         p.y + n * p.x + self.alpha * (n * (n - 1) // 2))
-        m = -n
-        return Torus(p.x - m * self.alpha,
-                     p.y - m * p.x + self.alpha * (m * (m + 1) // 2))
-
     def sampler(self, resolution=32, seed=None):
         if seed is None:
             pts = tuple(Torus(i / resolution, j / resolution)
@@ -400,16 +416,6 @@ class SkewTorus(_TorusBase):
         pts = tuple(Torus(float(a), float(b)) for a, b in xy)
         return PointCloud(pts, f"random({seed})", self.id)
 
-    def arr_step(self, state, inverse=False):
-        s = state.copy()
-        if not inverse:
-            s[:, 1] = np.mod(s[:, 1] + s[:, 0], 1.0)
-            s[:, 0] = np.mod(s[:, 0] + self.alpha, 1.0)
-        else:
-            s[:, 0] = np.mod(s[:, 0] - self.alpha, 1.0)
-            s[:, 1] = np.mod(s[:, 1] - s[:, 0], 1.0)
-        return s
-
     def equicontinuity_witness(self, base, N, epsilon, delta):
         """The shear construction: N+1 points spread in the first
         coordinate inside B_delta(base), pushed forward until the pair
@@ -418,29 +424,22 @@ class SkewTorus(_TorusBase):
         pts = [base] + [Torus(base.x + d / k, base.y)
                         for k in range(1, N + 1)]
         M, n = skew_witness(N, d)
-        imgs = tuple(self.iterate(p, n) for p in pts)
-        dists = [self.dist(imgs[i], imgs[j])
-                 for i in range(len(imgs)) for j in range(i + 1, len(imgs))]
-        pair_sep = self.dist(imgs[0], imgs[M])
-        mp = float(min(dists))
+        D = self.arr_pdist(self.arr_state([self.iterate(p, n) for p in pts]))
+        mp = float(D[np.triu_indices(len(pts), 1)].min())
         return EquicontinuityWitness(base=base, n=n, points=tuple(pts),
                                      min_pairwise=mp,
                                      certified=mp >= epsilon,
-                                     M=M, pair_separation=float(pair_sep))
+                                     M=M, pair_separation=float(D[0, M]))
 
 
 class IdentityTorus(_TorusBase):
-    id = "identity"
+    """The identity: alpha and shear 0."""
 
-    def iterate(self, p, n):
-        return p
+    id = "identity"
 
     def sampler(self, resolution=16, seed=None):
         c = SkewTorus().sampler(resolution, seed)
         return PointCloud(c.points, c.provenance, self.id)
-
-    def arr_step(self, state, inverse=False):
-        return state
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +448,15 @@ class IdentityTorus(_TorusBase):
 
 SQ = "sq"    # radius gap squares each step:  r_n = 1 + b**(2**n)
 ABS = "abs"  # gap halves away from n=0:      r_n = 1 + 2**(-|n|)
+REACH = 1081  # every radius form is constant beyond |n| = REACH
+
+
+def _radius_form(kind, base, n):
+    """The radii of an orbit of kind SQ or ABS at the float indices n."""
+    with np.errstate(over="ignore", under="ignore"):
+        if kind == SQ:
+            return 1.0 + np.power(base, np.exp2(n))
+        return 1.0 + np.exp2(-np.abs(n))
 
 
 class AnnulusSystem(DynSystem):
@@ -457,7 +465,9 @@ class AnnulusSystem(DynSystem):
     The angle advances by the irrational k every step on every component.
     Wandering orbits are stored as ``OrbitIndex`` points; their radii follow
     the closed forms above rather than floating iteration of (r-1)^2 + 1,
-    which underflows after ~10 steps.
+    which underflows after ~10 steps.  Each orbit's form is evaluated once,
+    into one row of a radius table over |n| <= REACH, and every radius is
+    read off that table.
     """
 
     cloud_size = 256
@@ -467,28 +477,31 @@ class AnnulusSystem(DynSystem):
         self.k = _finite("k", k)
         self.circles = tuple(circles)
         self.orbits = dict(orbits)  # label -> (kind, base)
+        self._rows = {lab: i for i, lab in enumerate(self.orbits)}
+        n = np.arange(-REACH, REACH + 1.0)
+        self._table = np.array([_radius_form(kind, base, n) for kind, base
+                                in self.orbits.values()]).reshape(-1, n.size)
+        # per row (lo, hi, r_lo, r_hi): the radius is r_lo at every index
+        # below lo and r_hi at every index above hi
+        self._limits = []
+        for r in self._table:
+            below, above = np.nonzero(r != r[0])[0], np.nonzero(r != r[-1])[0]
+            self._limits.append(
+                (int(below[0]) - REACH if below.size else 0,
+                 int(above[-1]) - REACH if above.size else -1,
+                 float(r[0]), float(r[-1])))
 
     # -- geometry ----------------------------------------------------------
+    def _radius(self, row, n):
+        """Radii of table row `row` at indices n, clamped to the table."""
+        n = np.clip(np.asarray(n, dtype=float), -REACH, REACH)
+        return self._table[row, n.astype(int) + REACH]
+
     def orbit_radius(self, label, n):
-        kind, base = self.orbits[label]
-        if kind == SQ:
-            # clamped as in _radii: base ** 2^n is 1 or 0 beyond the clamps
-            return 1.0 + base ** 2.0 ** min(max(n, -1080), 1023)
-        return 1.0 + 2.0 ** (-abs(n)) if abs(n) < 1080 else 1.0
+        return float(self._radius(self._rows[label], n))
 
     def embed(self, p):
-        if isinstance(p, Annulus):
-            th, r = p.theta, p.r
-        elif isinstance(p, OrbitIndex) and p.orbit in self.orbits:
-            th, r = float(_turns(p.n, self.k)), self.orbit_radius(p.orbit, p.n)
-        else:
-            raise InvalidPointError(f"{self.id}: invalid point {p!r}")
-        a = 2.0 * math.pi * th
-        return (r * math.cos(a), r * math.sin(a))
-
-    def dist(self, x, y):
-        ax, ay = self.embed(x), self.embed(y)
-        return math.hypot(ax[0] - ay[0], ax[1] - ay[1])
+        return tuple(float(c) for c in self._plane(self.arr_state([p]))[0])
 
     def is_valid(self, p):
         if isinstance(p, OrbitIndex):
@@ -541,42 +554,31 @@ class AnnulusSystem(DynSystem):
 
     # -- array interface ----------------------------------------------------
     def arr_state(self, points):
+        """theta; the table row of an orbit point (-1 for a circle point);
+        a circle point's radius r; an orbit point's index."""
         m = len(points)
-        theta = np.empty(m)
-        kind = np.zeros(m, dtype=np.int8)   # 0 circle, 1 sq orbit, 2 abs orbit
-        rc = np.zeros(m)
-        base = np.zeros(m)
-        idx = np.zeros(m)
+        theta, r, idx = np.empty(m), np.zeros(m), np.zeros(m)
+        row = np.full(m, -1)
         for i, p in enumerate(points):
             if isinstance(p, Annulus):
-                theta[i], rc[i] = p.theta, p.r
-            elif isinstance(p, OrbitIndex) and p.orbit in self.orbits:
-                knd, b = self.orbits[p.orbit]
-                kind[i] = 1 if knd == SQ else 2
-                base[i] = b if knd == SQ else 0.0
-                idx[i] = p.n
+                theta[i], r[i] = p.theta, p.r
+            elif isinstance(p, OrbitIndex) and p.orbit in self._rows:
+                row[i], idx[i] = self._rows[p.orbit], p.n
             else:
                 raise InvalidPointError(f"{self.id}: invalid point {p!r}")
-        orbit = kind > 0
+        orbit = row >= 0
         theta[orbit] = _turns(idx[orbit], self.k)
-        return {"theta": theta, "kind": kind, "r": rc, "base": base, "idx": idx}
+        return {"theta": theta, "row": row, "r": r, "idx": idx}
 
     def arr_step(self, state, inverse=False):
-        s = {k: v.copy() for k, v in state.items()}
-        dk = -self.k if inverse else self.k
-        s["theta"] = np.mod(s["theta"] + dk, 1.0)
-        mask = s["kind"] > 0
-        s["idx"][mask] += -1 if inverse else 1
-        return s
+        d = -1 if inverse else 1
+        return {**state, "theta": np.mod(state["theta"] + d * self.k, 1.0),
+                "idx": state["idx"] + d * (state["row"] >= 0)}
 
     def _radii(self, state):
         r = state["r"].copy()
-        sq = state["kind"] == 1
-        ab = state["kind"] == 2
-        with np.errstate(over="ignore", under="ignore"):
-            t = np.exp2(np.clip(state["idx"][sq], -1080.0, 1080.0))
-            r[sq] = 1.0 + np.power(state["base"][sq], t)
-            r[ab] = 1.0 + np.exp2(-np.abs(state["idx"][ab]))
+        orbit = state["row"] >= 0
+        r[orbit] = self._radius(state["row"][orbit], state["idx"][orbit])
         return r
 
     def _plane(self, state):
@@ -593,33 +595,6 @@ class AnnulusSystem(DynSystem):
         return np.sqrt((d * d).sum(axis=-1))
 
     # -- closed forms ------------------------------------------------------
-    def _orbit_radii(self, code, base, n):
-        """Radii of the orbit with kind code `code` and `base` at indices n."""
-        n = np.asarray(n, dtype=float)
-        return self._radii({"r": np.zeros(len(n)), "base": np.full(len(n), base),
-                            "kind": np.full(len(n), code, dtype=np.int8),
-                            "idx": n})
-
-    def _window(self, code, base):
-        """(lo, hi, r_lo, r_hi): the orbit's radius is r_lo at every index
-        below lo and r_hi at every index above hi, bitwise as _radii gives
-        it; read off _radii over a span past its clamps."""
-        n = np.arange(-1081, 1082)
-        r = self._orbit_radii(code, base, n)
-        below, above = np.nonzero(r != r[0])[0], np.nonzero(r != r[-1])[0]
-        lo = int(n[below[0]]) if below.size else 0
-        hi = int(n[above[-1]]) if above.size else -1
-        return lo, hi, float(r[0]), float(r[-1])
-
-    def _windows(self, *states):
-        """The `_window` of each distinct (kind code, base) among the orbit
-        points of the states."""
-        keys = set()
-        for S in states:
-            orbit = S["kind"] > 0
-            keys.update(zip(S["kind"][orbit], S["base"][orbit]))
-        return {key: self._window(*key) for key in keys}
-
     def visit_minima(self, points, targets, H):
         """Closed form, no iteration.
 
@@ -635,18 +610,17 @@ class AnnulusSystem(DynSystem):
         P, T = self.arr_state(points), self.arr_state(targets)
         rt, tt = self._radii(T), T["theta"]
         V = np.empty((len(points), len(targets)))
-        circ = P["kind"] == 0
+        circ = P["row"] < 0
         g = _nearest_gap(_angle_table(-H, H, self.k),
                          np.mod(tt - P["theta"][circ, None], 1.0))
         V[circ] = _chord(P["r"][circ, None], rt, _sin2(g))
-        windows = self._windows(P)
         for i in np.nonzero(~circ)[0]:
-            code, base, m = P["kind"][i], P["base"][i], int(P["idx"][i])
-            lo, hi, r_lo, r_hi = windows[code, base]
+            row, m = P["row"][i], int(P["idx"][i])
+            lo, hi, r_lo, r_hi = self._limits[row]
             best = np.full(len(targets), np.inf)
             n = np.arange(max(lo, m - H), min(hi, m + H) + 1)
             if n.size:
-                best = _chord(self._orbit_radii(code, base, n)[:, None], rt,
+                best = _chord(self._radius(row, n)[:, None], rt,
                               _sin2(tt - _turns(n, self.k)[:, None])).min(0)
             for a, b, r in ((m - H, min(lo - 1, m + H), r_lo),
                             (max(hi + 1, m - H), m + H, r_hi)):
@@ -670,11 +644,11 @@ class AnnulusSystem(DynSystem):
         n = np.arange(-H, H + 1)
         r0 = self._radii(S)
         # a circle point's turns at time n are those of index 0 + n
-        theta = np.where(S["kind"] > 0, S["theta"], 0.0)
+        theta = np.where(S["row"] >= 0, S["theta"], 0.0)
         D = np.empty((len(points), n.size), dtype=np.float32)
         for rows in _row_blocks(len(points), n.size, _CLASS_BLOCK):
             blk = {key: np.repeat(S[key][rows], n.size)
-                   for key in ("r", "kind", "base")}
+                   for key in ("r", "row")}
             blk["idx"] = (S["idx"][rows, None] + n).ravel()
             r = self._radii(blk).reshape(-1, n.size)
             gap = _turns(blk["idx"], self.k).reshape(-1, n.size)
@@ -700,12 +674,11 @@ class AnnulusSystem(DynSystem):
         B = A if pts_b is None else self.arr_state(pts_b)
         H = max(horizons)
         times = {centre + h for h in horizons}
-        windows = self._windows(A, B)
         for S in (A, B):
-            orbit = S["kind"] > 0
-            for code, base, m in set(zip(S["kind"][orbit], S["base"][orbit],
-                                         S["idx"][orbit].astype(int))):
-                lo, hi, _, _ = windows[code, base]
+            orbit = S["row"] >= 0
+            for row, m in set(zip(S["row"][orbit],
+                                  S["idx"][orbit].astype(int))):
+                lo, hi, _, _ = self._limits[row]
                 times.update(range(max(lo - m - 1, centre - H),
                                    min(hi - m, centre + H) + 1))
         times = sorted(times, key=lambda n: abs(n - centre))
@@ -714,7 +687,7 @@ class AnnulusSystem(DynSystem):
             return self._radii({**S, "idx": S["idx"] + n})
 
         ta, tb = A["theta"], B["theta"]
-        rows, cols = A["kind"] > 0, B["kind"] > 0
+        rows, cols = A["row"] >= 0, B["row"] >= 0
         block = np.ix_(~rows, cols)   # circle rows, orbit columns
         D = np.empty((len(ta), len(tb)))
         ra, rb = radii(A, times[0]), radii(B, times[0])
@@ -1033,9 +1006,6 @@ class ProductSystem(DynSystem):
     def iterate(self, p, n):
         return Pair(self.f.iterate(p.a, n), self.g.iterate(p.b, n))
 
-    def dist(self, x, y):
-        return max(self.f.dist(x.a, y.a), self.g.dist(x.b, y.b))
-
     def is_valid(self, p):
         return isinstance(p, Pair) and self.f.is_valid(p.a) and self.g.is_valid(p.b)
 
@@ -1082,9 +1052,6 @@ class PowerSystem(DynSystem):
     def iterate(self, p, n):
         return self.f.iterate(p, self.k * n)
 
-    def dist(self, x, y):
-        return self.f.dist(x, y)
-
     def is_valid(self, p):
         return self.f.is_valid(p)
 
@@ -1124,17 +1091,19 @@ class ConjugateSystem(DynSystem):
         self.metric = metric
         self.id = f"conjugate[{f.id}]"
         if check_cloud is not None:
-            for p in check_cloud.points:
-                if self.dist(h(h_inv(p)), p) > tol or \
-                        f.dist(h_inv(h(p)), p) > tol:
-                    raise ConjugacyError(
-                        "h and h_inv are not mutually inverse on the cloud")
+            pts = list(check_cloud.points)
+            there = self.arr_edist([h(h_inv(p)) for p in pts], pts)
+            back = f.arr_edist(f.arr_state([h_inv(h(p)) for p in pts]),
+                               f.arr_state(pts))
+            if (there > tol).any() or (back > tol).any():
+                raise ConjugacyError(
+                    "h and h_inv are not mutually inverse on the cloud")
 
     def iterate(self, p, n):
         return self.h(self.f.iterate(self.h_inv(p), n)) if n else p
 
     def dist(self, x, y):
-        return (self.metric or self.f.dist)(x, y)
+        return self.metric(x, y) if self.metric else super().dist(x, y)
 
     def is_valid(self, p):
         try:

@@ -206,6 +206,22 @@ REJECTED_AT_RUN = {
     ["proximal", "--system", "shift2", "--cloud-size", "-1"],
     ["structure", "--system", "annulus3", "--cloud-size", "0", "--op",
      "minimal_subsystems"],
+    ["entropy", "--system", "rotation", "--k", "0"],
+    ["entropy", "--system", "rotation", "--k", "-2"],
+    ["ndiam", "--system", "rotation", "--N", "2", "--size", "-3"],
+    ["ndiam", "--system", "rotation", "--N", "2", "--size", "-3",
+     "--cloud-size", "16"],
+    ["ndiam", "--system", "rotation", "--N", "2", "--size", "-3", "--bounds"],
+    ["structure", "--system", "rotation", "--op", "periodic_points",
+     "--T-max", "0"],
+    ["structure", "--system", "rotation", "--op", "periodic_points",
+     "--T-max", "-1"],
+    ["structure", "--system", "rotation", "--op", "prop_3_2_audit",
+     "--T-max", "0"],
+    ["structure", "--system", "rotation", "--op", "prop_3_2_audit",
+     "--T-max", "-1"],
+    ["structure", "--system", "annulus3", "--op", "theorem_3_5_audit",
+     "--N", "0"],
 ])
 def test_invalid_invocations_exit_2(argv, tmp_path, monkeypatch):
     # scenario files named in the table are written to the working directory

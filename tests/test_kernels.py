@@ -855,7 +855,7 @@ def test_annulus_windows(name):
     sys = CLOSED[name]()
     for lab, (lo, hi) in WINDOWS[name].items():
         S = sys.arr_state([OrbitIndex(0, lab)])
-        assert sys._window(S["kind"][0], S["base"][0])[:2] == (lo, hi)
+        assert sys._limits[S["row"][0]][:2] == (lo, hi)
 
 
 def dense_fold(sys, pts_a, pts_b, h, use_max, centre):

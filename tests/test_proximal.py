@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from ndistal import proximal
 from ndistal.cli import main
 from ndistal.errors import HomomorphismError, ParameterError
 from ndistal.points import (Annulus, OrbitIndex, Pair, PointCloud, Torus,
@@ -343,6 +344,22 @@ def test_fiber_cell_semiconjugacy_guard():
     cloud = g.sampler(8)
     with pytest.raises(HomomorphismError):
         fiber_proximal_cell(g, f, pi, cloud[0], cloud, H=10)
+
+
+def test_fiber_at_exactly_the_mesh_is_excluded(monkeypatch):
+    # OrbitIndex(9) sits at exactly the projected mesh from the base, so
+    # the strict eps_fiber test keeps it out of the fiber
+    s = annulus3()
+    cloud = s.sampler(16)
+    seen, rows = [], proximal.orbit_min_rows
+
+    def spy(sys, points, base_idx, H, checkpoints=()):
+        seen.extend(points)
+        return rows(sys, points, base_idx, H, checkpoints)
+
+    monkeypatch.setattr(proximal, "orbit_min_rows", spy)
+    fiber_proximal_cell(s, s, lambda p: p, Annulus(0.5625, 1.0), cloud, H=5)
+    assert seen == [Annulus(0.5625, 1.0)]
 
 
 def test_product_projection_fiber_cells():

@@ -308,3 +308,71 @@ def test_only_the_base_class_derives_step_and_pdist():
     for cls in classes:
         own = derived & set(vars(cls))
         assert own == (derived if cls is systems.DynSystem else set()), cls
+    # the torus map is stated once, from (alpha, shear), in _TorusBase
+    for cls in classes:
+        if issubclass(cls, systems._TorusBase) \
+                and cls is not systems._TorusBase:
+            assert not {"iterate", "arr_step"} & set(vars(cls)), cls
+    # an array system states its metric as arr_cdist/arr_edist, and dist
+    # derives from it in DynSystem
+    wrappers = [product_system(Rotation(), annulus3()),
+                power_system(SkewTorus(), 2)]
+    for s in catalogue() + wrappers:
+        if type(s).arr_state is systems.DynSystem.arr_state:
+            continue   # a point-list system (the shift) states dist
+        for cls in type(s).__mro__[:-2]:
+            assert "dist" not in vars(cls), cls
+        assert type(s).__mro__[-2] is systems.DynSystem
+
+
+def _identity(p):
+    return p
+
+
+METRIC_CASES = {
+    **{name: (lambda name=name: get_system(name))
+       for name in CATALOGUE_FACTS},
+    "product": lambda: product_system(SkewTorus(), annulus3()),
+    "power": lambda: power_system(annulus3(), 3),
+    "conjugate": lambda: conjugate_system(SkewTorus(), _identity, _identity),
+    "conjugate+metric": lambda: conjugate_system(
+        annulus2(), _identity, _identity, metric=annulus2().dist),
+}
+RESOLUTION = {"rotation": 64, "skew_torus": 12, "identity": 12, "shift2": 3,
+              "product": 3}
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+@pytest.mark.parametrize("case", sorted(METRIC_CASES))
+def test_dist_is_the_array_metric(case, seed):
+    # every verdict reads one metric: the pointwise dist, the matrix
+    # arr_cdist and the elementwise arr_edist agree bit for bit
+    s = METRIC_CASES[case]()
+    res = next((r for key, r in RESOLUTION.items() if case.startswith(key)),
+               16)
+    cloud = s.sampler(res, seed)
+    pts = list(cloud.points[::max(1, len(cloud) // 40)])
+    S = s.arr_state(pts)
+    D = s.arr_cdist(S, S)
+    pointwise = np.array([[s.dist(p, q) for q in pts] for p in pts])
+    assert np.array_equal(pointwise, D), (pointwise != D).mean()
+    I, J = np.triu_indices(len(pts))
+    E = s.arr_edist(s.arr_state([pts[i] for i in I]),
+                    s.arr_state([pts[j] for j in J]))
+    assert np.array_equal(E, D[I, J]), (E != D[I, J]).mean()
+    base = s.f if case == "power" else s
+    if isinstance(base, systems.AnnulusSystem):
+        n = range(-1100, 1101)
+        for lab in base.orbits:
+            table = [base.orbit_radius(lab, m) for m in n]
+            arr = base._radii(base.arr_state([OrbitIndex(m, lab) for m in n]))
+            assert np.array_equal(table, arr), lab
+
+
+def test_a_system_stating_no_metric_has_no_dist():
+    class Bare(systems.DynSystem):
+        def iterate(self, p, n):
+            return p
+
+    with pytest.raises(NotImplementedError):
+        Bare().dist(Torus(0.0, 0.0), Torus(0.5, 0.0))
