@@ -173,8 +173,7 @@ def _dist_table(report):
         others = [m for m in cell.members if m != cell.base]
         trace = (f"{min(cell.min_dist_trace[m] for m in others):.6e}"
                  if others else "")
-        stable = (int(all(cell.stable[m] for m in others))
-                  if cell.stable is not None and others else "")
+        stable = int(all(cell.stable[m] for m in others)) if others else ""
         rows.append([i, cell.base, cell.size(), stable, trace,
                      " ".join(str(m) for m in cell.members)])
     return ("cells", ["index", "base", "size", "stable", "min_trace",

@@ -134,6 +134,8 @@ def skew_witness(N: int, delta: float, M: Optional[int] = None):
     """
     if not 0 < delta < 1 or N < 1:
         raise ParameterError("need 0 < delta < 1 and N >= 1")
+    if M is not None and not 1 <= M <= N:
+        raise ParameterError(f"need 1 <= M <= N={N}, got M={M!r}")
     ms = [M] if M is not None else list(range(1, N + 1))
     n = 0
     while True:
@@ -169,6 +171,8 @@ def n_equicontinuity_probe(sys, cloud: PointCloud, N: int, epsilon: float,
     """Probe N-equicontinuity at scale over a descending delta grid."""
     if len(cloud) < N + 1:
         raise ParameterError("cloud smaller than N+1 points")
+    if not n_bases >= 1:
+        raise ParameterError(f"n_bases must be >= 1, got {n_bases!r}")
     check_positive("epsilon", epsilon)
     for delta in delta_grid:
         check_positive("delta", delta)

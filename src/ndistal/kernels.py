@@ -10,13 +10,15 @@ No kernel calls ``step`` or ``iterate``.  The co-moving kernels ask the
 system's hook ``comoving_extremes`` (the extremes over a centred window),
 the visit kernel asks ``visit_minima``, and the self-return kernel
 `orbit_return_matrix` asks ``return_distances`` (each point's distance to
-its own iterates over |n| <= H, the input of the return-gap verdicts in
-``structure``, which itself steps an orbit only in `periodic_points`).
+its own iterates over |n| <= H, the input of the periods and the
+return-gap verdicts in ``structure``, which steps no orbit itself).
 The default of each hook, and `orbit_min_pairs`, run one engine on the
 system's array interface (``arr_state``, ``arr_step`` and the
-``arr_*dist`` methods), which every system has: the catalogue systems
-implement it on numpy arrays, and the others inherit a default over plain
-point lists that calls ``iterate`` and ``dist``.  The shift, the torus
+``arr_*dist`` methods), which every system has: every system states its
+metric as ``arr_cdist`` and ``arr_edist``; the torus and annulus systems,
+products and powers hold numpy states, and the shift and conjugates hold
+plain point lists, which the default ``arr_step`` moves by ``iterate``.
+The shift, the torus
 systems and the annulus family override hooks with closed forms, and the
 engine still serves the rotation, conjugates, powers and products:
 

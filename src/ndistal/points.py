@@ -54,10 +54,6 @@ class Annulus:
             raise ValueError(f"annulus radius {self.r} outside [1, 2]")
         object.__setattr__(self, "r", min(2.0, max(1.0, self.r)))
 
-    def embed(self) -> Tuple[float, float]:
-        a = 2.0 * math.pi * self.theta
-        return (self.r * math.cos(a), self.r * math.sin(a))
-
 
 @dataclass(frozen=True)
 class OrbitIndex:

@@ -38,7 +38,7 @@ class ProximalCellEstimate:
     horizon: int
     threshold: float
     min_dist_trace: dict
-    stable: Optional[dict] = None
+    stable: dict
 
     def __post_init__(self):
         assert self.base in self.members
@@ -47,13 +47,12 @@ class ProximalCellEstimate:
         return len(self.members)
 
     def as_dict(self):
-        d = {"base": self.base, "members": list(self.members),
-             "horizon": self.horizon, "threshold": self.threshold,
-             "min_dist_trace": {str(k): self.min_dist_trace[k]
-                                for k in self.members}}
-        if self.stable is not None:
-            d["stable"] = {str(k): bool(self.stable[k]) for k in self.members}
-        return d
+        return {"base": self.base, "members": list(self.members),
+                "horizon": self.horizon, "threshold": self.threshold,
+                "min_dist_trace": {str(k): self.min_dist_trace[k]
+                                   for k in self.members},
+                "stable": {str(k): bool(self.stable[k])
+                           for k in self.members}}
 
 
 @dataclass
@@ -137,6 +136,8 @@ def distality_report(sys, cloud: PointCloud, H: int = DEFAULT_H,
     enlarged).
     """
     _check_scale(H, eps_prox)
+    if not N_max >= 1:
+        raise ParameterError(f"N_max must be >= 1, got {N_max!r}")
     if not len(cloud):
         raise ParameterError("distality_report needs a nonempty cloud")
     M2, cps = orbit_min_matrix(sys, cloud.points, 2 * H, checkpoints=(H,))

@@ -50,22 +50,18 @@ def _check_t_max(T_max):
 
 def periodic_points(sys, cloud: PointCloud, T_max: int, eps_per: float = 1e-6):
     """Points x with d(f^{jT}(x), x) < eps_per for j = 1..CONFIRMATIONS,
-    reported with the smallest such T.  The confirmations reject the
-    near-returns of irrational rotations.  Each T measures the points
-    still without a period on the array metric, one j at a time."""
+    reported with the smallest such T <= T_max.  The confirmations reject
+    the near-returns of irrational rotations.  Every return is read off one
+    return matrix over |n| <= CONFIRMATIONS * T_max."""
     _check_t_max(T_max)
-    pts, period = cloud.points, {}
-    for T in range(1, T_max + 1):
-        left = [i for i in range(len(pts)) if i not in period]
-        for j in range(1, CONFIRMATIONS + 1):
-            if not left:
-                break
-            d = sys.arr_edist(
-                sys.arr_state([sys.iterate(pts[i], j * T) for i in left]),
-                sys.arr_state([pts[i] for i in left]))
-            left = [i for i, ok in zip(left, d < eps_per) if ok]
-        period.update(dict.fromkeys(left, T))
-    return [(pts[i], period[i]) for i in sorted(period)]
+    H = CONFIRMATIONS * T_max
+    D = orbit_return_matrix(sys, cloud.points, H)
+    times = np.outer(np.arange(1, CONFIRMATIONS + 1), np.arange(1, T_max + 1))
+    # periodic[i, T - 1]: every confirmation of period T returns
+    periodic = (D[:, H + times] < eps_per).all(axis=1)
+    period = periodic.argmax(axis=1) + 1
+    return [(cloud.points[i], int(period[i]))
+            for i in np.nonzero(periodic.any(axis=1))[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -2,23 +2,24 @@
 
 Every system is an invertible map on a compact metric space together with an
 exact metric and a canonical sampler.  A system states its map once, as
-``iterate(p, n)`` = f^n(p) for any integer n, and its metric once: either
-pointwise as ``dist`` (the point-list systems: the shift, and a conjugate
-given a metric of its own), from which the default array interface derives
-``arr_cdist`` and ``arr_edist``, or as the array metric ``arr_cdist`` and
-``arr_edist``, from which ``DynSystem.dist`` derives as ``arr_edist`` on
-one-point states; so a pointwise distance equals the matrix entry bit for
-bit, and every verdict reads one metric.  ``DynSystem`` also derives
-``step`` and ``step_inv`` as ``iterate(p, 1)`` and ``iterate(p, -1)``, and
-``arr_pdist(state)`` as ``arr_cdist(state, state)``.  Analysis modules talk
-to systems through ``iterate``/``step``/``dist`` and through the array
-interface (``arr_state`` and friends) that the orbit-sweep kernels run on.
-``DynSystem`` implements the array interface over plain point lists with
-``iterate`` and ``dist``, so every system has one; the catalogue systems
-override it with numpy states; it has no embedding, as snapping runs on
-``arr_cdist`` too.  The torus systems state their map once, from
-(alpha, shear), and their metric once, in `_torus_dist`; the annulus family
-reads every orbit radius off one table, evaluated when the system is built.
+``iterate(p, n)`` = f^n(p) for any integer n, and its metric once, as the
+array metric: ``arr_cdist`` (the distance matrix between two states) and
+``arr_edist`` (elementwise distances between two equal-length states).
+``DynSystem`` derives the rest: ``dist`` as ``arr_edist`` on one-point
+states, so a pointwise distance equals the matrix entry bit for bit and
+every verdict reads one metric; ``step`` and ``step_inv`` as
+``iterate(p, 1)`` and ``iterate(p, -1)``; and ``arr_pdist(state)`` as
+``arr_cdist(state, state)``.  Analysis modules talk to systems through
+``iterate``/``step``/``dist`` and through the array interface (``arr_state``
+and friends) that the orbit-sweep kernels run on.  A state is by default the
+plain list of the points, which ``arr_step`` moves one at a time by
+``iterate``: the shift measures such lists with its symbolic distance, and
+a conjugate h o f o h^-1 with f's array metric on f's states.  The torus
+and annulus systems, products and powers hold numpy states.  No system has
+an embedding, as snapping runs on ``arr_cdist`` too.  The torus systems
+state their map once, from (alpha, shear), and their metric once, in
+`_torus_dist`; the annulus family reads every orbit radius off one table,
+evaluated when the system is built.
 The kernels reach orbits through three hooks,
 ``comoving_extremes`` (the extremes over a window |n - centre| <= h),
 ``visit_minima`` and ``return_distances`` (each point's distance to its
@@ -46,8 +47,6 @@ itself at time n is n k mod 1 and its radius is read off at index m + n.
 Angles n k mod 1 of orbit indices are exact to about an ulp (`_turns`),
 which makes a visit to a point of the same orbit exactly 0.
 The skew torus also overrides ``equicontinuity_witness`` with its shear.
-A conjugate measures its point lists with its base's array metric unless
-it is given a metric of its own.
 
 Catalogue (ids):
     rotation       circle rotation by alpha, embedded at y=0 on the torus
@@ -211,21 +210,14 @@ class DynSystem:
         return self.iterate(p, -1)
 
     def dist(self, x, y) -> float:
-        """d(x, y): ``arr_edist`` on one-point states.  A point-list
-        system states ``dist`` instead, and its array metric derives from
-        it."""
-        if type(self).arr_edist is DynSystem.arr_edist:
-            raise NotImplementedError(f"{type(self).__name__}: no metric")
+        """d(x, y): ``arr_edist`` on one-point states."""
         S, T = self.arr_state([x]), self.arr_state([y])
         return float(self.arr_edist(S, T)[0])
-
-    def is_valid(self, p) -> bool:
-        raise NotImplementedError
 
     def sampler(self, resolution: int, seed=None) -> PointCloud:
         raise NotImplementedError
 
-    # -- array interface: by default, point lists and pointwise calls ------
+    # -- array interface: by default, states are point lists ---------------
     def arr_state(self, points):
         return list(points)
 
@@ -237,12 +229,12 @@ class DynSystem:
         return self.arr_cdist(state, state)
 
     def arr_cdist(self, sa, sb):
-        return np.array([[self.dist(a, b) for b in sb] for a in sa],
-                        dtype=float).reshape(len(sa), len(sb))
+        """The distance matrix between two states."""
+        raise NotImplementedError
 
     def arr_edist(self, sa, sb):
         """Elementwise distances between two equal-length states."""
-        return np.array([self.dist(a, b) for a, b in zip(sa, sb)])
+        raise NotImplementedError
 
     # no caller; kept so every system resolves the same arr_* names
     def arr_embed(self, state):
@@ -300,9 +292,6 @@ class _TorusBase(DynSystem):
         s = self.shear
         return Torus(p.x + n * self.alpha,
                      p.y + s * n * p.x + self.alpha * (s * (n * (n - 1) // 2)))
-
-    def is_valid(self, p):
-        return isinstance(p, Torus)
 
     def arr_state(self, points):
         if not set(map(type, points)) <= {Torus}:
@@ -502,13 +491,6 @@ class AnnulusSystem(DynSystem):
 
     def embed(self, p):
         return tuple(float(c) for c in self._plane(self.arr_state([p]))[0])
-
-    def is_valid(self, p):
-        if isinstance(p, OrbitIndex):
-            return p.orbit in self.orbits
-        if isinstance(p, Annulus):
-            return any(abs(p.r - c) <= 1e-12 for c in self.circles)
-        return False
 
     # -- dynamics ------------------------------------------------------------
     def iterate(self, p, n):
@@ -720,6 +702,9 @@ def annulus3(k=GOLDEN):
 
 def annulusN(k=GOLDEN, N=5):
     """Boundary circles plus orbits p_m = (0, 1/m + 1), 2 <= m <= N-1."""
+    if not float(N).is_integer():
+        raise ParameterError(f"annulusN requires an integral N, got {N!r}")
+    N = int(N)
     if N < 4:
         raise ParameterError("annulusN requires N >= 4")
     orbits = {m: (SQ, 1.0 / m) for m in range(2, N)}
@@ -950,13 +935,18 @@ class ShiftSystem(DynSystem):
     def iterate(self, p, n):
         return p.shifted(n)
 
-    def dist(self, x, y):
-        if not (isinstance(x, SymbolicPoint) and isinstance(y, SymbolicPoint)):
+    def arr_state(self, points):
+        if not set(map(type, points)) <= {SymbolicPoint}:
             raise InvalidPointError("shift2: expected symbolic points")
-        return symbolic_distance(x, y)
+        return list(points)
 
-    def is_valid(self, p):
-        return isinstance(p, SymbolicPoint)
+    def arr_cdist(self, sa, sb):
+        return np.array([[symbolic_distance(a, b) for b in sb] for a in sa],
+                        dtype=float).reshape(len(sa), len(sb))
+
+    def arr_edist(self, sa, sb):
+        return np.array([symbolic_distance(a, b) for a, b in zip(sa, sb)],
+                        dtype=float)
 
     def sampler(self, resolution=3, seed=None):
         """All words of length 2W+1 (W = resolution) with zero fill, plus the
@@ -1006,9 +996,6 @@ class ProductSystem(DynSystem):
     def iterate(self, p, n):
         return Pair(self.f.iterate(p.a, n), self.g.iterate(p.b, n))
 
-    def is_valid(self, p):
-        return isinstance(p, Pair) and self.f.is_valid(p.a) and self.g.is_valid(p.b)
-
     def sampler(self, resolution=16, seed=None):
         ca = self.f.sampler(resolution, seed)
         cb = self.g.sampler(resolution, None if seed is None else seed + 1)
@@ -1052,9 +1039,6 @@ class PowerSystem(DynSystem):
     def iterate(self, p, n):
         return self.f.iterate(p, self.k * n)
 
-    def is_valid(self, p):
-        return self.f.is_valid(p)
-
     def sampler(self, resolution=16, seed=None):
         c = self.f.sampler(resolution, seed)
         return PointCloud(c.points, c.provenance, self.id)
@@ -1079,47 +1063,34 @@ def power_system(f, k):
     return PowerSystem(f, k)
 
 
-class ConjugateSystem(DynSystem):
-    """h o f o h^-1 with the metric of the target space (default: f's).
-    States are point lists; with f's metric, f's array metric measures
-    them, and an explicit metric is called pointwise."""
+CONJUGACY_TOL = 1e-9  # h(h_inv(p)) and h_inv(h(p)) must lie this close to p
 
-    def __init__(self, f, h, h_inv, check_cloud=None, metric=None, tol=1e-9):
+
+class ConjugateSystem(DynSystem):
+    """h o f o h^-1 on f's metric: states are point lists, which f's array
+    metric measures on f's states."""
+
+    def __init__(self, f, h, h_inv, check_cloud=None):
         self.f = f
         self.h = h
         self.h_inv = h_inv
-        self.metric = metric
         self.id = f"conjugate[{f.id}]"
         if check_cloud is not None:
             pts = list(check_cloud.points)
             there = self.arr_edist([h(h_inv(p)) for p in pts], pts)
-            back = f.arr_edist(f.arr_state([h_inv(h(p)) for p in pts]),
-                               f.arr_state(pts))
-            if (there > tol).any() or (back > tol).any():
+            back = self.arr_edist([h_inv(h(p)) for p in pts], pts)
+            if (there > CONJUGACY_TOL).any() or (back > CONJUGACY_TOL).any():
                 raise ConjugacyError(
                     "h and h_inv are not mutually inverse on the cloud")
 
     def iterate(self, p, n):
         return self.h(self.f.iterate(self.h_inv(p), n)) if n else p
 
-    def dist(self, x, y):
-        return self.metric(x, y) if self.metric else super().dist(x, y)
-
-    def is_valid(self, p):
-        try:
-            return self.f.is_valid(self.h_inv(p))
-        except (InvalidPointError, ValueError):
-            return False
-
     def arr_cdist(self, sa, sb):
-        if self.metric:
-            return super().arr_cdist(sa, sb)
         fa = self.f.arr_state(sa)
         return self.f.arr_cdist(fa, fa if sb is sa else self.f.arr_state(sb))
 
     def arr_edist(self, sa, sb):
-        if self.metric:
-            return super().arr_edist(sa, sb)
         return self.f.arr_edist(self.f.arr_state(sa), self.f.arr_state(sb))
 
     def sampler(self, resolution=16, seed=None):
@@ -1128,8 +1099,8 @@ class ConjugateSystem(DynSystem):
                           c.provenance, self.id)
 
 
-def conjugate_system(f, h, h_inv, check_cloud=None, metric=None):
-    return ConjugateSystem(f, h, h_inv, check_cloud=check_cloud, metric=metric)
+def conjugate_system(f, h, h_inv, check_cloud=None):
+    return ConjugateSystem(f, h, h_inv, check_cloud=check_cloud)
 
 
 # ---------------------------------------------------------------------------
@@ -1155,7 +1126,7 @@ _BUILDERS = {
     "rotation": lambda alpha=GOLDEN: Rotation(alpha),
     "skew_torus": lambda alpha=GOLDEN: SkewTorus(alpha),
     "annulus3": lambda k=GOLDEN: annulus3(k),
-    "annulusN": lambda k=GOLDEN, N=5: annulusN(k, int(N)),
+    "annulusN": lambda k=GOLDEN, N=5: annulusN(k, N),
     "annulus2": lambda k=GOLDEN: annulus2(k),
     "shift2": lambda: shift2(),
     "identity": lambda: IdentityTorus(),

@@ -159,6 +159,15 @@ BAD_SCENARIOS = {
 REJECTED_AT_RUN = {
     "return-h.scn": "system = annulus3\ncloud_size = 8\n"
                     "[return_profile]\nH = -1\n",
+    "witness-m-0.scn": "system = skew_torus\ncloud_size = 8\n"
+                       "[skew_witness]\nN = 2\nM = 0\n",
+    "witness-m-negative.scn": "system = skew_torus\ncloud_size = 8\n"
+                              "[skew_witness]\nN = 2\nM = -1\n",
+    "witness-m-above-n.scn": "system = skew_torus\ncloud_size = 8\n"
+                             "[skew_witness]\nN = 1\nM = 2\n",
+    "equicont-no-bases.scn": "system = rotation\ncloud_size = 8\n"
+                             "[n_equicontinuity_probe]\nN = 1\n"
+                             "n_bases = 0\n",
 }
 
 
@@ -222,6 +231,8 @@ REJECTED_AT_RUN = {
      "--T-max", "-1"],
     ["structure", "--system", "annulus3", "--op", "theorem_3_5_audit",
      "--N", "0"],
+    ["proximal", "--system", "annulusN{N=4.5}"],
+    ["proximal", "--system", "annulus3", "--N-max", "0"],
 ])
 def test_invalid_invocations_exit_2(argv, tmp_path, monkeypatch):
     # scenario files named in the table are written to the working directory

@@ -199,8 +199,9 @@ MAKERS = {"rotation": Rotation, "skew_torus": SkewTorus,
 
 def identity_conjugate(sys):
     """The same system seen through the inherited point-list interface:
-    an explicit metric keeps every distance pointwise."""
-    return conjugate_system(sys, lambda p: p, lambda p: p, metric=sys.dist)
+    every point is stepped on its own by iterate, and measured with the
+    system's array metric."""
+    return conjugate_system(sys, lambda p: p, lambda p: p)
 
 
 @given(st.sampled_from(sorted(MAKERS)), st.integers(0, 10_000))
@@ -1023,8 +1024,9 @@ def test_empty_point_lists_keep_their_shapes(name):
 # ---------------------------------------------------------------------------
 
 class BareSkew(systems.DynSystem):
-    """A skew product that states only iterate, dist, is_valid and
-    sampler; everything else comes from DynSystem."""
+    """A skew product that states only iterate, its metric on point lists
+    as arr_cdist and arr_edist, and sampler; everything else comes from
+    DynSystem."""
 
     id = "bare_skew"
 
@@ -1032,11 +1034,13 @@ class BareSkew(systems.DynSystem):
         # (x + n a, y + n x + a n(n-1)/2), for every integer n
         return Torus(p.x + n * 0.3, p.y + n * p.x + 0.3 * (n * (n - 1) // 2))
 
-    def dist(self, x, y):
-        return math.hypot(circ_gap(x.x, y.x), circ_gap(x.y, y.y))
+    def arr_cdist(self, sa, sb):
+        return np.array([self.arr_edist([a] * len(sb), sb) for a in sa],
+                        dtype=float).reshape(len(sa), len(sb))
 
-    def is_valid(self, p):
-        return isinstance(p, Torus)
+    def arr_edist(self, sa, sb):
+        return np.array([math.hypot(circ_gap(x.x, y.x), circ_gap(x.y, y.y))
+                         for x, y in zip(sa, sb)], dtype=float)
 
     def sampler(self, resolution=3, seed=None):
         pts = tuple(Torus(i / resolution, j / (resolution + 1))

@@ -42,13 +42,6 @@ def test_torus_point_normalizes():
     assert p.y == pytest.approx(0.5)
 
 
-def test_annulus_embed():
-    p = Annulus(0.25, 2.0)
-    x, y = p.embed()
-    assert x == pytest.approx(0.0, abs=1e-12)
-    assert y == pytest.approx(2.0)
-
-
 def test_annulus_rejects_bad_radius():
     with pytest.raises(Exception):
         Annulus(0.0, -1.0)

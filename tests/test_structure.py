@@ -23,7 +23,8 @@ from ndistal.structure import (DELTA_LIST, almost_periodic_verdict,
                                prop_3_2_audit, return_profile,
                                theorem_3_5_audit, transitive_check)
 from ndistal.systems import (IdentityTorus, Rotation, SkewTorus, annulus3,
-                             annulusN, conjugate_system, shift2)
+                             annulusN, conjugate_system, product_system,
+                             shift2)
 
 ANNULUS_GAP = lambda d: int(np.ceil(16.0 / d))
 
@@ -80,6 +81,61 @@ def test_periodic_detection_conjugacy_stable():
     a = sorted(T for _, T in periodic_points(s, cloud, T_max=20))
     b = sorted(T for _, T in periodic_points(conj, image, T_max=20))
     assert a == b
+
+
+def periodic_points_by_iterate(sys, cloud, T_max, eps_per=1e-6):
+    """The stepping oracle: each T moves the points still without a period
+    by iterate, one confirmation j at a time."""
+    pts, period = cloud.points, {}
+    for T in range(1, T_max + 1):
+        left = [i for i in range(len(pts)) if i not in period]
+        for j in range(1, structure.CONFIRMATIONS + 1):
+            if not left:
+                break
+            d = sys.arr_edist(
+                sys.arr_state([sys.iterate(pts[i], j * T) for i in left]),
+                sys.arr_state([pts[i] for i in left]))
+            left = [i for i, ok in zip(left, d < eps_per) if ok]
+        period.update(dict.fromkeys(left, T))
+    return [(pts[i], period[i]) for i in sorted(period)]
+
+
+PERIODIC_CASES = {
+    "identity": (IdentityTorus, 8, 3),
+    "rotation": (lambda: Rotation(0.25), 64, 12),
+    "golden rotation": (Rotation, 64, 30),
+    "skew": (lambda: SkewTorus(0.5), 8, 12),
+    "shift2": (shift2, 3, 12),
+    "annulus3": (annulus3, 32, 12),
+    "product": (lambda: product_system(Rotation(1 / 3), Rotation(0.25)),
+                6, 12),
+    "conjugate": (lambda: conjugate_system(SkewTorus(0.5), lambda p: p,
+                                           lambda p: p), 4, 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PERIODIC_CASES))
+def test_periodic_points_match_stepping(case):
+    make, resolution, T_max = PERIODIC_CASES[case]
+    s = make()
+    clouds = [s.sampler(resolution)]
+    if case == "shift2":
+        clouds.append(s.periodic_cloud(6))
+    for cloud in clouds:
+        assert periodic_points(s, cloud, T_max) == \
+            periodic_points_by_iterate(s, cloud, T_max)
+
+
+def test_periodic_points_step_no_orbit():
+    # periods come off the return matrix, so a system whose iterate
+    # raises still gets them
+    class ArrayOnly(Rotation):
+        def iterate(self, p, n):
+            raise AssertionError("iterate called")
+
+    s = ArrayOnly(0.25)
+    found = periodic_points(s, s.sampler(16), T_max=6)
+    assert len(found) == 16 and {T for _, T in found} == {4}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Catalogue systems: closed-form iterates, metrics, samplers, combinators."""
 
+import inspect
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ndistal import systems
-from ndistal.errors import ConjugacyError, ParameterError
+from ndistal.errors import ConjugacyError, InvalidPointError, ParameterError
 from ndistal.kernels import min_orbit_distance
 from ndistal.points import Annulus, OrbitIndex, Pair, Torus, word_point
 from ndistal.systems import (CATALOGUE_FACTS, GOLDEN, GRID_BITS,
@@ -139,8 +140,9 @@ def test_sq_orbit_far_forward_is_on_the_circle():
     assert s.dist(far, circle) == pytest.approx(
         s.arr_cdist(s.arr_state([far]), s.arr_state([circle]))[0, 0],
         rel=0.0, abs=1e-12)
-    # a pointwise conjugate steps the orbit that far and meets the circle
-    conj = conjugate_system(s, lambda p: p, lambda p: p, metric=s.dist)
+    # a conjugate steps the orbit point by point that far and meets the
+    # circle
+    conj = conjugate_system(s, lambda p: p, lambda p: p)
     x = OrbitIndex(0, 0)
     assert min_orbit_distance(conj, x, circle, 1100) == \
         min_orbit_distance(s, x, circle, 1100) == 0.0
@@ -149,6 +151,9 @@ def test_sq_orbit_far_forward_is_on_the_circle():
 def test_annulusN_parameter_check():
     with pytest.raises(ParameterError):
         annulusN(N=3)
+    with pytest.raises(ParameterError):
+        get_system("annulusN{N=4.5}")
+    assert get_system("annulusN{N=6.0}").id == annulusN(N=6).id
     s = annulusN(N=5)
     cloud = s.sampler(64)
     assert any(isinstance(p, OrbitIndex) and p.orbit == 4 - 1
@@ -313,16 +318,22 @@ def test_only_the_base_class_derives_step_and_pdist():
         if issubclass(cls, systems._TorusBase) \
                 and cls is not systems._TorusBase:
             assert not {"iterate", "arr_step"} & set(vars(cls)), cls
-    # an array system states its metric as arr_cdist/arr_edist, and dist
-    # derives from it in DynSystem
-    wrappers = [product_system(Rotation(), annulus3()),
-                power_system(SkewTorus(), 2)]
-    for s in catalogue() + wrappers:
-        if type(s).arr_state is systems.DynSystem.arr_state:
-            continue   # a point-list system (the shift) states dist
-        for cls in type(s).__mro__[:-2]:
-            assert "dist" not in vars(cls), cls
-        assert type(s).__mro__[-2] is systems.DynSystem
+    # every system states its metric as arr_cdist/arr_edist, and dist
+    # derives from it in DynSystem; no class states a validity test
+    for cls in classes:
+        assert ("dist" in vars(cls)) == (cls is systems.DynSystem), cls
+        assert "is_valid" not in vars(cls), cls
+    # a conjugate is measured on its base's metric, with a fixed tolerance
+    for fn in (systems.ConjugateSystem.__init__, conjugate_system):
+        assert not {"metric", "tol"} & set(inspect.signature(fn).parameters)
+
+
+def test_shift_dist_rejects_non_symbolic_points():
+    s = shift2()
+    for x, y in ((Torus(0.0, 0.0), word_point(())),
+                 (word_point(()), Torus(0.0, 0.0))):
+        with pytest.raises(InvalidPointError):
+            s.dist(x, y)
 
 
 def _identity(p):
@@ -335,8 +346,9 @@ METRIC_CASES = {
     "product": lambda: product_system(SkewTorus(), annulus3()),
     "power": lambda: power_system(annulus3(), 3),
     "conjugate": lambda: conjugate_system(SkewTorus(), _identity, _identity),
+    # a conjugate measured on its base's own metric
     "conjugate+metric": lambda: conjugate_system(
-        annulus2(), _identity, _identity, metric=annulus2().dist),
+        annulus2(), _identity, _identity),
 }
 RESOLUTION = {"rotation": 64, "skew_torus": 12, "identity": 12, "shift2": 3,
               "product": 3}
