@@ -33,10 +33,12 @@ engine still serves the rotation, conjugates, powers and products:
     distance taken once per horizon;
   * the annulus family, for the visits: at a fixed radius the nearest
     visit is one bisection in the sorted angles {n k mod 1 : |n| <= H},
-    and an orbit point sweeps only the short window of indices where its
-    radius moves;
+    and the short window of indices where an orbit's radius moves is one
+    table of distances per orbit, shared by its points;
   * the annulus family, for the co-moving extremes: a pair's angle gap is
-    constant, so only the times where a radius moves are folded.
+    constant, so an orbit point against a circle point is read off the
+    orbit's sorted radii by bisection, and two orbit points fold only the
+    times where a radius moves;
   * the annulus family, for the self-returns: every angle advances by k,
     so a point's angle gap to itself at time n is n k mod 1 and its radius
     is the orbit's radius at index m + n, with no iteration.

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import HomomorphismError, ParameterError, check_positive
 from .kernels import (max_orbit_distance, mesh, min_orbit_distance,
@@ -213,12 +211,16 @@ def proximal_quotient(report: ProximalReport, sys) -> QuotientResult:
         return QuotientResult(is_equivalence=False,
                               violating_triple=(i, j, k))
 
-    n_comp, labels = connected_components(csr_matrix(A), directed=False)
-    classes = tuple(tuple(int(i) for i in np.nonzero(labels == c)[0])
-                    for c in range(n_comp))
-    # order classes by smallest member for reproducibility
-    order = np.argsort([c[0] for c in classes])
-    classes = tuple(classes[i] for i in order)
+    # A is reflexive, symmetric and transitive, so each row is its point's
+    # class; taken from the first unseen point, classes come ordered by
+    # their smallest member
+    classes, seen = [], np.zeros(len(A), dtype=bool)
+    for i in range(len(A)):
+        if not seen[i]:
+            members = np.nonzero(A[i])[0]
+            seen[members] = True
+            classes.append(tuple(int(j) for j in members))
+    classes = tuple(classes)
     label_of = {}
     for ci, members in enumerate(classes):
         for i in members:

@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ParameterError, check_positive
-from .kernels import (orbit_max_matrix, orbit_max_rows, orbit_return_matrix,
-                      orbit_visit_matrix)
+from .kernels import (_CHUNK, _row_blocks, orbit_max_matrix, orbit_max_rows,
+                      orbit_return_matrix, orbit_visit_matrix)
 from .points import PointCloud
 from .proximal import distality_report
 
@@ -177,6 +176,9 @@ def minimal_subsystems(sys, cloud: PointCloud, delta: float = 0.05,
         V = orbit_visit_matrix(sys, sub.points, sub.points, H)
     else:
         V = visit[np.ix_(ap_idx, ap_idx)]
+    # imported here, so that importing the package loads no scipy.sparse
+    from scipy.sparse.csgraph import connected_components
+
     sym = np.maximum(V, V.T)
     _, labels = connected_components(sym < delta, directed=False)
     # a label's first index is its smallest member
@@ -194,13 +196,17 @@ def minimal_subsystems(sys, cloud: PointCloud, delta: float = 0.05,
 def transitive_check(sys, cloud: PointCloud, H: int = 2000,
                      delta: float = 0.05, visit=None):
     """First cloud point whose orbit over |n| <= H is delta-dense in the
-    cloud, or None."""
+    cloud, or None.  Without a visit matrix, the rows go in blocks of at
+    most _CHUNK visits, and the search stops at the first block holding a
+    dense row."""
     check_positive("delta", delta)
-    if visit is None:
-        visit = orbit_visit_matrix(sys, cloud.points, cloud.points, H)
-    dense = visit.max(axis=1) < delta
-    hits = np.nonzero(dense)[0]
-    return cloud[int(hits[0])] if len(hits) else None
+    for rows in _row_blocks(len(cloud), len(cloud), _CHUNK):
+        V = visit[rows] if visit is not None else orbit_visit_matrix(
+            sys, cloud.points[rows], cloud.points, H)
+        hits = np.nonzero(V.max(axis=1) < delta)[0]
+        if len(hits):
+            return cloud[rows.start + int(hits[0])]
+    return None
 
 
 def theorem_3_5_audit(sys, N_claimed: int, cloud: PointCloud,

@@ -38,12 +38,18 @@ whose blocks share their differences is swept once as a whole; the sweep
 folds the y-gap |y| and takes the distance once per horizon.  The
 annulus family overrides
 ``visit_minima``: every angle advances by the same k, so a visit at fixed
-radius is one bisection in the sorted angles {n k mod 1}.  It also
-overrides ``comoving_extremes``: a pair's angle gap never changes, and a
-wandering orbit's radius moves only inside a short window of indices, so
-the extremes fold only the times where a radius moves.  Its
-``return_distances`` needs no iteration either: a point's angle gap to
-itself at time n is n k mod 1 and its radius is read off at index m + n.
+radius is one bisection in the sorted angles {n k mod 1}, and the short
+window of indices where a wandering orbit's radius moves is one table of
+distances per orbit, which each orbit point reads over its own range.  It
+also overrides ``comoving_extremes``: a pair's angle gap never changes.
+Between an orbit point and a circle point the distance is then a convex
+function of the orbit's radius, and each orbit's radii rise to one peak
+and fall after it, so the extremes over a window are read off that side's
+sorted radii, at the ends of the window's run and next to the vertex, by
+one bisection.  Two orbit points fold only the times where a radius
+moves.  Its ``return_distances`` needs no iteration either: a point's
+angle gap to itself at time n is n k mod 1 and its radius is read off at
+index m + n.
 Angles n k mod 1 of orbit indices are exact to about an ulp (`_turns`),
 which makes a visit to a point of the same orbit exactly 0.
 The skew torus also overrides ``equicontinuity_witness`` with its shear.
@@ -52,7 +58,7 @@ Catalogue (ids):
     rotation       circle rotation by alpha, embedded at y=0 on the torus
     skew_torus     (x, y) -> (x + alpha, y + x) on the 2-torus
     annulus3       two boundary circles plus one wandering orbit between them
-    annulusN       boundary circles plus N-2 wandering orbits (N >= 4)
+    annulusN       boundary circles plus N-2 wandering orbits (4 <= N <= 1024)
     annulus2       one circle plus an orbit approaching it in both directions
     shift2         full shift on two symbols
     identity       identity map on the torus
@@ -67,7 +73,6 @@ import math
 import re
 
 import numpy as np
-from scipy.spatial import distance as scidist
 
 from .equicont import EquicontinuityWitness, skew_witness
 from .errors import ConjugacyError, InvalidPointError, ParameterError
@@ -91,8 +96,9 @@ def _finite(name, value):
 # vectorized torus helpers
 # ---------------------------------------------------------------------------
 
-_CLASS_BLOCK = 65_536  # pairs per block of the torus and annulus closed forms,
-                       # and classes per group of the torus form
+_CLASS_BLOCK = 65_536  # pairs per block of the torus and annulus closed forms
+                       # and of the annulus distance matrix, and classes per
+                       # group of the torus form
 
 
 def _torus_dist(dx, dy):
@@ -438,6 +444,11 @@ class IdentityTorus(_TorusBase):
 SQ = "sq"    # radius gap squares each step:  r_n = 1 + b**(2**n)
 ABS = "abs"  # gap halves away from n=0:      r_n = 1 + 2**(-|n|)
 REACH = 1081  # every radius form is constant beyond |n| = REACH
+# the sorted radii next to a chord's vertex that the orbit-circle extremes
+# read, as offsets from the vertex's insertion point: two on each side,
+# where one on each side already gave the extremes of every time in every
+# fuzzed case
+_NEAR_VERTEX = (-2, -1, 0, 1)
 
 
 def _radius_form(kind, base, n):
@@ -471,14 +482,27 @@ class AnnulusSystem(DynSystem):
         self._table = np.array([_radius_form(kind, base, n) for kind, base
                                 in self.orbits.values()]).reshape(-1, n.size)
         # per row (lo, hi, r_lo, r_hi): the radius is r_lo at every index
-        # below lo and r_hi at every index above hi
-        self._limits = []
-        for r in self._table:
+        # below lo and r_hi at every index above hi; the row's peak, the
+        # first index of its largest radius; its distinct radii, sorted,
+        # those up to the peak first, and each index's position among them
+        self._limits, self._peaks, self._runs = [], [], []
+        self._rank = np.empty(self._table.shape, dtype=np.int32)
+        for row, r in enumerate(self._table):
             below, above = np.nonzero(r != r[0])[0], np.nonzero(r != r[-1])[0]
             self._limits.append(
                 (int(below[0]) - REACH if below.size else 0,
                  int(above[-1]) - REACH if above.size else -1,
                  float(r[0]), float(r[-1])))
+            p = int(np.argmax(r))
+            if (np.diff(r[:p + 1]) < 0).any() or (np.diff(r[p:]) > 0).any():
+                raise ParameterError(f"{sys_id}: an orbit's radii must rise "
+                                     "to one peak and fall after it")
+            rise, fall = np.unique(r[:p + 1]), np.unique(r[p + 1:])
+            self._peaks.append(p - REACH)
+            self._runs.append((np.concatenate((rise, fall)), rise.size))
+            self._rank[row, :p + 1] = np.searchsorted(rise, r[:p + 1])
+            self._rank[row, p + 1:] = rise.size + np.searchsorted(fall,
+                                                                  r[p + 1:])
 
     # -- geometry ----------------------------------------------------------
     def _radius(self, row, n):
@@ -570,11 +594,19 @@ class AnnulusSystem(DynSystem):
         return np.stack([r * np.cos(a), r * np.sin(a)], axis=1)
 
     def arr_cdist(self, sa, sb):
-        return scidist.cdist(self._plane(sa), self._plane(sb))
+        """In row blocks of at most _CLASS_BLOCK distances, whose
+        temporaries stay in cache."""
+        pa, pb = self._plane(sa), self._plane(sb)
+        xb, yb = pb[:, 0].copy(), pb[:, 1].copy()
+        D = np.empty((len(pa), len(pb)))
+        for rows in _row_blocks(len(pa), len(pb), _CLASS_BLOCK):
+            _euclid(np.subtract(pa[rows, None, 0], xb, out=D[rows]),
+                    pa[rows, None, 1] - yb)
+        return D
 
     def arr_edist(self, sa, sb):
-        d = self._plane(sa) - self._plane(sb)
-        return np.sqrt((d * d).sum(axis=-1))
+        pa, pb = self._plane(sa), self._plane(sb)
+        return _euclid(pa[:, 0] - pb[:, 0], pa[:, 1] - pb[:, 1])
 
     # -- closed forms ------------------------------------------------------
     def visit_minima(self, points, targets, H):
@@ -582,8 +614,11 @@ class AnnulusSystem(DynSystem):
 
         A circle point keeps its radius, so its nearest visit to t has the
         smallest circular gap between theta_t - theta_p and the sorted
-        angles {n k mod 1 : |n| <= H}.  An orbit point at index m sweeps
-        the indices of its window directly; below and above the window its
+        angles {n k mod 1 : |n| <= H}.  An orbit point at index m reads
+        the indices of its window off one table per orbit, the distance
+        from each window index lo..hi to each target, built once: its
+        visits inside the window are the minimum over the rows
+        max(lo, m - H)..min(hi, m + H).  Below and above the window its
         radius is constant, and each of those two tails is the same lookup
         in the sorted angles of its index range.  Orbit angles come from
         `_turns` on both sides, so a visit to a point of the same orbit
@@ -596,14 +631,17 @@ class AnnulusSystem(DynSystem):
         g = _nearest_gap(_angle_table(-H, H, self.k),
                          np.mod(tt - P["theta"][circ, None], 1.0))
         V[circ] = _chord(P["r"][circ, None], rt, _sin2(g))
+        window = {}
         for i in np.nonzero(~circ)[0]:
             row, m = P["row"][i], int(P["idx"][i])
             lo, hi, r_lo, r_hi = self._limits[row]
-            best = np.full(len(targets), np.inf)
-            n = np.arange(max(lo, m - H), min(hi, m + H) + 1)
-            if n.size:
-                best = _chord(self._radius(row, n)[:, None], rt,
-                              _sin2(tt - _turns(n, self.k)[:, None])).min(0)
+            if row not in window:
+                n = np.arange(lo, hi + 1)
+                window[row] = _chord(self._radius(row, n)[:, None], rt,
+                                     _sin2(tt - _turns(n, self.k)[:, None]))
+            a, b = max(lo, m - H), min(hi, m + H)
+            best = (window[row][a - lo:b - lo + 1].min(0) if a <= b
+                    else np.full(len(targets), np.inf))
             for a, b, r in ((m - H, min(lo - 1, m + H), r_lo),
                             (max(hi + 1, m - H), m + H, r_hi)):
                 if a <= b:
@@ -643,56 +681,138 @@ class AnnulusSystem(DynSystem):
 
         Every angle advances by k, so a pair's angle gap never changes and
         d(f^n a, f^n b) is the chord at that gap between the radii at time
-        n.  Circles keep their radius, and an orbit point's radius moves
-        only while its index is inside its window.  So the times of each
-        window, with the step before it, and the ends centre + h sample
-        every value: a stretch of times free of windows has constant
-        distances, and it ends at centre + h or just before a window.  The
-        circle-circle block is one chord; the rows and columns holding an
-        orbit point fold the event times in order of |n - centre|, each
-        horizon taking its snapshot on the way.
+        n.  Circles keep their radius: the circle-circle block is one
+        chord, and a pair of an orbit point and a circle point is read off
+        the orbit's sorted radii by `_circle_extremes`, with no time loop.
+        A pair of orbit points folds the times where a radius moves
+        (`_orbit_extremes`).  `_chord` and `_sin2` are exactly symmetric,
+        so the circle rows against orbit columns are the transpose of the
+        orbit rows against circle columns, bit for bit.
         """
         A = self.arr_state(pts_a)
         B = A if pts_b is None else self.arr_state(pts_b)
+        oa, ob = np.nonzero(A["row"] >= 0)[0], np.nonzero(B["row"] >= 0)[0]
+        ca, cb = np.nonzero(A["row"] < 0)[0], np.nonzero(B["row"] < 0)[0]
+        D = np.empty((len(A["row"]), len(B["row"])))
+        for blk in _row_blocks(ca.size, cb.size, _CLASS_BLOCK):
+            i = ca[blk]
+            D[np.ix_(i, cb)] = _chord(A["r"][i, None], B["r"][cb],
+                                      _sin2(A["theta"][i, None]
+                                            - B["theta"][cb]))
+        Oa, Ob = _take(A, oa), _take(B, ob)
+        rows = self._circle_extremes(Oa, _take(B, cb), horizons, use_max,
+                                     centre)
+        cols = rows if pts_b is None else self._circle_extremes(
+            Ob, _take(A, ca), horizons, use_max, centre)
+        both = self._orbit_extremes(Oa, Ob, horizons, use_max, centre)
+        out, H = {}, max(horizons)
+        for h in horizons:
+            # the widest horizon takes D itself
+            out[h] = D if h == H else D.copy()
+            out[h][np.ix_(oa, cb)] = rows[h]
+            out[h][np.ix_(ca, ob)] = cols[h].T
+            out[h][np.ix_(oa, ob)] = both[h]
+        return out
+
+    def _circle_extremes(self, O, C, horizons, use_max, centre):
+        """{h: E_h}, E_h[i, j] the min (max when use_max) over
+        |n - centre| <= h of d(f^n o_i, f^n c_j), for orbit points o_i and
+        circle points c_j.
+
+        With s2 fixed by the angle gap, chord^2 = (r - c)^2 + 4 r c s2 is a
+        convex quadratic in the orbit's radius r, with its vertex at
+        r* = c (1 - 2 s2).  The window's radii are the orbit's radii at the
+        indices m + centre - h .. m + centre + h, clamped to the table.  A
+        row rises up to its peak and falls after it, so on each side of
+        the peak the window's radii are a run of that side's sorted
+        distinct radii, from the radius at one end of the window part to
+        the radius at the other.  Rounding can only reorder chords whose
+        exact values lie within a few ulps of each other, which happens
+        next to r*: the minimum lies among the radii next to r*, found by
+        one bisection, and the maximum at the run's ends or among those.
+        Each candidate's chord is computed as the dense fold computes it,
+        so the extremes are bit for bit those of every time.
+        """
+        red = np.maximum if use_max else np.minimum
+        c = C["r"]
+        out = {h: np.empty((len(O["row"]), len(c))) for h in horizons}
+        for row in np.unique(O["row"]):
+            vals, split = self._runs[row]
+            rank, p = self._rank[row], self._peaks[row]
+            sel = np.nonzero(O["row"] == row)[0]
+            for blk in _row_blocks(sel.size, c.size, _CLASS_BLOCK):
+                i = sel[blk]
+                m = O["idx"][i, None].astype(int)
+                s2 = _sin2(O["theta"][i, None] - C["theta"])
+                vertex = c * (1.0 - 2.0 * s2)
+                hits = (np.searchsorted(vals[:split], vertex),
+                        split + np.searchsorted(vals[split:], vertex))
+                for h in horizons:
+                    a = np.clip(m + (centre - h), -REACH, REACH)
+                    b = np.clip(m + (centre + h), -REACH, REACH)
+                    # the window's indices up to the peak and after it; a
+                    # window that misses one side reads its own end nearest
+                    # that side there, a radius it holds
+                    rise, fall = a <= p, b > p
+                    parts = ((a, np.where(rise, np.minimum(b, p), a),
+                              hits[0], rise),
+                             (np.where(fall, np.maximum(a, p + 1), b), b,
+                              hits[1], fall))
+                    E = None
+                    for x, y, hit, meets in parts:
+                        if not meets.any():
+                            continue
+                        x, y = rank[x + REACH], rank[y + REACH]
+                        lo, hi = np.minimum(x, y), np.maximum(x, y)
+                        ends = (lo, hi) if use_max else ()
+                        for at in (*ends, *(hit + k for k in _NEAR_VERTEX)):
+                            d = _chord(vals[np.clip(at, lo, hi)], c, s2)
+                            E = d if E is None else red(E, d, out=E)
+                    out[h][i] = E
+        return out
+
+    def _orbit_extremes(self, A, B, horizons, use_max, centre):
+        """{h: M_h} for orbit points on both sides.  An orbit point's
+        radius moves only while its index is inside its window, so the
+        times of each window, with the step before it, and the ends
+        centre + h sample every value: a stretch of times free of windows
+        has constant distances, and it ends at centre + h or just before a
+        window.  The fold runs over those times in order of |n - centre|,
+        each horizon taking its snapshot on the way."""
         H = max(horizons)
         times = {centre + h for h in horizons}
         for S in (A, B):
-            orbit = S["row"] >= 0
-            for row, m in set(zip(S["row"][orbit],
-                                  S["idx"][orbit].astype(int))):
+            for row, m in set(zip(S["row"], S["idx"].astype(int))):
                 lo, hi, _, _ = self._limits[row]
                 times.update(range(max(lo - m - 1, centre - H),
                                    min(hi - m, centre + H) + 1))
         times = sorted(times, key=lambda n: abs(n - centre))
-
-        def radii(S, n):
-            return self._radii({**S, "idx": S["idx"] + n})
-
-        ta, tb = A["theta"], B["theta"]
-        rows, cols = A["row"] >= 0, B["row"] >= 0
-        block = np.ix_(~rows, cols)   # circle rows, orbit columns
-        D = np.empty((len(ta), len(tb)))
-        ra, rb = radii(A, times[0]), radii(B, times[0])
-        for blk in _row_blocks(len(ta), len(tb), _CLASS_BLOCK):
-            D[blk] = _chord(ra[blk, None], rb, _sin2(ta[blk, None] - tb))
-        s2_rows = _sin2(ta[rows, None] - tb)
-        s2_block = _sin2(ta[~rows, None] - tb[cols])
-        M_rows, M_block = D[rows], D[block]
+        s2 = _sin2(A["theta"][:, None] - B["theta"])
         red = np.maximum if use_max else np.minimum
-        out, t = {}, 1
+        out, M, t = {}, None, 0
         for h in sorted(horizons):
             for n in itertools.takewhile(lambda n: abs(n - centre) <= h,
                                          times[t:]):
-                ra, rb = radii(A, n), radii(B, n)
-                red(M_rows, _chord(ra[rows, None], rb, s2_rows), out=M_rows)
-                red(M_block, _chord(ra[~rows, None], rb[cols], s2_block),
-                    out=M_block)
+                d = _chord(self._radius(A["row"], A["idx"] + n)[:, None],
+                           self._radius(B["row"], B["idx"] + n), s2)
+                M = d if M is None else red(M, d, out=M)
                 t += 1
-            # the widest horizon takes D itself
-            out[h] = D if h == H else D.copy()
-            out[h][rows] = M_rows
-            out[h][block] = M_block
+            out[h] = M if h == H else M.copy()
         return out
+
+
+def _euclid(dx, dy):
+    """sqrt(dx^2 + dy^2), the distance of points of the plane, in place
+    on dx and dy."""
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
+def _take(state, idx):
+    """The points idx of an annulus state."""
+    return {key: v[idx] for key, v in state.items()}
 
 
 def annulus3(k=GOLDEN):
@@ -700,13 +820,17 @@ def annulus3(k=GOLDEN):
     return AnnulusSystem(f"annulus3(k={k!r})", k, (1.0, 2.0), {0: (SQ, 0.5)})
 
 
+ANNULUS_N_MAX = 1024  # annulusN's largest N: N-2 radius table rows
+
+
 def annulusN(k=GOLDEN, N=5):
     """Boundary circles plus orbits p_m = (0, 1/m + 1), 2 <= m <= N-1."""
     if not float(N).is_integer():
         raise ParameterError(f"annulusN requires an integral N, got {N!r}")
     N = int(N)
-    if N < 4:
-        raise ParameterError("annulusN requires N >= 4")
+    if not 4 <= N <= ANNULUS_N_MAX:
+        raise ParameterError(
+            f"annulusN requires 4 <= N <= {ANNULUS_N_MAX}, got {N}")
     orbits = {m: (SQ, 1.0 / m) for m in range(2, N)}
     return AnnulusSystem(f"annulusN(k={k!r},N={N})", k, (1.0, 2.0), orbits)
 

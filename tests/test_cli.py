@@ -233,6 +233,7 @@ REJECTED_AT_RUN = {
      "--N", "0"],
     ["proximal", "--system", "annulusN{N=4.5}"],
     ["proximal", "--system", "annulus3", "--N-max", "0"],
+    ["proximal", "--system", "annulusN{N=1025}"],
 ])
 def test_invalid_invocations_exit_2(argv, tmp_path, monkeypatch):
     # scenario files named in the table are written to the working directory

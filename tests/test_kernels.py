@@ -833,9 +833,23 @@ WINDOWS = {"annulus3": {0: (-51, 5)}, "annulus2": {0: (-52, 52)},
            "annulusN": {2: (-51, 5), 3: (-52, 5), 4: (-52, 4)}}
 
 
+# per orbit label, the first index of its largest radius: an SQ orbit's
+# radius falls from 2 everywhere, an ABS orbit's rises up to index 0
+PEAKS = {"annulus3": {0: -systems.REACH}, "annulus2": {0: 0},
+         "annulusN": {m: -systems.REACH for m in (2, 3, 4)}}
+
+# angle offsets, in turns, of circle points from an orbit point's angle:
+# at small gaps a chord's vertex c (1 - 2 s2) lies among the orbit radii
+# next to the circle, where the chords of neighbouring radii differ by a
+# few ulps
+FLAT_GAPS = (0.0, 1e-15, -1e-15, 1e-9, -1e-9, 1e-6, -1e-6, 1e-4, -1e-4)
+
+
 def closed_form_points(name, sys, rng, m, H):
     """Random points; orbit indices favour the window edges and the
-    indices whose reach |n| <= H just meets them."""
+    indices whose reach |n| <= H just meets them.  Some circle points
+    come one on every circle, at the angle of such an orbit index or a
+    FLAT_GAPS offset from it."""
     pts = []
     for _ in range(m):
         lab = list(sys.orbits)[int(rng.integers(len(sys.orbits)))]
@@ -843,11 +857,16 @@ def closed_form_points(name, sys, rng, m, H):
         edges = [lo - 1, lo, lo + 1, hi - 1, hi, hi + 1, lo + H, lo + H + 1,
                  hi - H, hi - H - 1, lo - 60, hi + 60,
                  int(rng.integers(-70, 71))]
-        if rng.random() < 0.5:
+        u = rng.random()
+        if u < 0.5:
             pts.append(OrbitIndex(int(rng.choice(edges)), lab))
-        else:
+        elif u < 0.75:
             r = sys.circles[int(rng.integers(len(sys.circles)))]
             pts.append(Annulus(float(rng.random()), r))
+        else:
+            theta = float(systems._turns(int(rng.choice(edges)), sys.k))
+            theta += float(rng.choice(FLAT_GAPS))
+            pts += [Annulus(theta, r) for r in sys.circles]
     return list(dict.fromkeys(pts))
 
 
@@ -855,8 +874,50 @@ def closed_form_points(name, sys, rng, m, H):
 def test_annulus_windows(name):
     sys = CLOSED[name]()
     for lab, (lo, hi) in WINDOWS[name].items():
-        S = sys.arr_state([OrbitIndex(0, lab)])
-        assert sys._limits[S["row"][0]][:2] == (lo, hi)
+        row = sys.arr_state([OrbitIndex(0, lab)])["row"][0]
+        assert sys._limits[row][:2] == (lo, hi)
+        p = sys._peaks[row]
+        assert p == PEAKS[name][lab]
+        r = sys._table[row]
+        assert r[p + systems.REACH] == r.max()
+        # the sorted radii of each side of the peak give back the row
+        vals, split = sys._runs[row]
+        rank = sys._rank[row]
+        assert np.array_equal(vals[rank], r)
+        up, down = rank[:p + systems.REACH + 1], rank[p + systems.REACH + 1:]
+        assert (up < split).all() and (down >= split).all()
+        assert (np.diff(vals[:split]) > 0).all()
+        assert (np.diff(vals[split:]) > 0).all()
+
+
+def row_loop_visits(sys, points, targets, H):
+    """The annulus visit minima in the closed form's own arithmetic, with
+    one window sweep per orbit point."""
+    P, T = sys.arr_state(points), sys.arr_state(targets)
+    rt, tt = sys._radii(T), T["theta"]
+    V = np.empty((len(points), len(targets)))
+    circ = P["row"] < 0
+    g = systems._nearest_gap(systems._angle_table(-H, H, sys.k),
+                             np.mod(tt - P["theta"][circ, None], 1.0))
+    V[circ] = systems._chord(P["r"][circ, None], rt, systems._sin2(g))
+    for i in np.nonzero(~circ)[0]:
+        row, m = P["row"][i], int(P["idx"][i])
+        lo, hi, r_lo, r_hi = sys._limits[row]
+        best = np.full(len(targets), np.inf)
+        n = np.arange(max(lo, m - H), min(hi, m + H) + 1)
+        if n.size:
+            s2 = systems._sin2(tt - systems._turns(n, sys.k)[:, None])
+            best = systems._chord(sys._radius(row, n)[:, None], rt,
+                                  s2).min(0)
+        for a, b, r in ((m - H, min(lo - 1, m + H), r_lo),
+                        (max(hi + 1, m - H), m + H, r_hi)):
+            if a <= b:
+                g = systems._nearest_gap(systems._angle_table(a, b, sys.k),
+                                         tt)
+                np.minimum(best, systems._chord(r, rt, systems._sin2(g)),
+                           out=best)
+        V[i] = best
+    return V
 
 
 def dense_fold(sys, pts_a, pts_b, h, use_max, centre):
@@ -893,6 +954,7 @@ def test_closed_forms_match_engine(name, H, seed):
     W = kernels.sweep_visits(sys, pts, tgt, H)
     assert close(V, W)
     assert np.array_equal(V < 0.05, W < 0.05)
+    assert np.array_equal(V, row_loop_visits(sys, pts, tgt, H))
     centre = int(rng.choice([-1, 1])) * int(rng.integers(1, 61))
     horizons = {int(rng.integers(0, H + 1)), H}
     use_max = bool(rng.integers(2))
@@ -941,6 +1003,46 @@ def test_annulus_comoving_between_disjoint_windows(use_max):
         assert np.allclose(got[h], want[h], rtol=0.0, atol=1e-12)
         assert np.array_equal(got[h], dense_fold(sys, pts, None, h, use_max,
                                                  0))
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64])
+def test_annulus_class_blocks(monkeypatch, budget):
+    # orbit rows against circle columns, and the distance matrix, go in
+    # blocks of at most _CLASS_BLOCK pairs (at least one row); every block
+    # gives the dense fold's extremes and the pointwise distances, bit for
+    # bit
+    monkeypatch.setattr(systems, "_CLASS_BLOCK", budget)
+    rng = np.random.default_rng(budget)
+    for name in sorted(CLOSED):
+        sys = CLOSED[name]()
+        pts = closed_form_points(name, sys, rng, 12, 40)
+        tgt = closed_form_points(name, sys, rng, 6, 40)
+        D = sys.arr_cdist(sys.arr_state(pts), sys.arr_state(tgt))
+        assert np.array_equal(D, [[sys.dist(p, q) for q in tgt] for p in pts])
+        for use_max in (False, True):
+            for other in (None, tgt):
+                got = sys.comoving_extremes(pts, other, {5, 40}, use_max, 3)
+                for h in (5, 40):
+                    assert np.array_equal(
+                        got[h], dense_fold(sys, pts, other, h, use_max, 3))
+
+
+def test_annulus_orbit_circle_work(monkeypatch):
+    # an orbit-circle pair is read off the sorted radii, not folded over
+    # its event times: one co-moving matrix of the default cloud at H = 200
+    # passes about 1.3M elements through _chord, where a fold over every
+    # event time passes about 13M
+    sys = annulus3()
+    pts = list(sys.sampler(256).points)
+    chord, count = systems._chord, [0]
+
+    def counted(r1, r2, s2):
+        count[0] += np.broadcast(r1, r2, s2).size
+        return chord(r1, r2, s2)
+
+    monkeypatch.setattr(systems, "_chord", counted)
+    orbit_min_matrix(sys, pts, 200)
+    assert 0 < count[0] < 2_500_000
 
 
 @pytest.mark.parametrize("make", [annulus3, annulus2, annulusN])

@@ -424,6 +424,38 @@ def test_disjoint_circles_have_no_transitive_point():
     assert transitive_check(s, cloud) is None
 
 
+@pytest.mark.parametrize("budget", [1, 500, 4000])
+def test_transitive_check_row_blocks(monkeypatch, budget):
+    # the visit rows go in blocks of at most _CHUNK visits (at least one
+    # row), and the search stops at the first block holding a dense row;
+    # the answer is the full matrix's first dense row
+    s = annulus3()
+    full_cloud = s.sampler(16)
+    circles = PointCloud(tuple(p for p in full_cloud.points
+                               if not isinstance(p, OrbitIndex)),
+                         "circles-only", s.id)
+    real, shapes = structure.orbit_visit_matrix, []
+
+    def recorded(sys, points, targets, H):
+        shapes.append((len(points), len(targets)))
+        return real(sys, points, targets, H)
+
+    for cloud in (full_cloud, circles):
+        m = len(cloud)
+        V = real(s, cloud.points, cloud.points, 300)
+        dense = np.nonzero(V.max(axis=1) < 0.05)[0]
+        monkeypatch.setattr(structure, "orbit_visit_matrix", recorded)
+        monkeypatch.setattr(structure, "_CHUNK", budget)
+        shapes.clear()
+        got = transitive_check(s, cloud, H=300)
+        monkeypatch.undo()
+        step = max(1, budget // m)
+        assert got == (cloud[int(dense[0])] if len(dense) else None)
+        assert all(r * w <= max(budget, w) for r, w in shapes)
+        seen = m if not len(dense) else min(m, (dense[0] // step + 1) * step)
+        assert sum(r for r, _ in shapes) == seen
+
+
 def test_theorem_3_5_audits():
     a = annulus3()
     rec = theorem_3_5_audit(a, 3, a.sampler(128), gap_bound=ANNULUS_GAP)

@@ -2,6 +2,10 @@
 
 import inspect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +155,13 @@ def test_sq_orbit_far_forward_is_on_the_circle():
 def test_annulusN_parameter_check():
     with pytest.raises(ParameterError):
         annulusN(N=3)
+    # each orbit is a radius table row of 2 REACH + 1 floats, so N is capped
+    # before any row is built
+    assert annulusN(N=systems.ANNULUS_N_MAX).id.endswith(
+        f"N={systems.ANNULUS_N_MAX})")
+    for N in (systems.ANNULUS_N_MAX + 1, 10 ** 6):
+        with pytest.raises(ParameterError):
+            get_system(f"annulusN{{N={N}}}")
     with pytest.raises(ParameterError):
         get_system("annulusN{N=4.5}")
     assert get_system("annulusN{N=6.0}").id == annulusN(N=6).id
@@ -388,3 +399,19 @@ def test_a_system_stating_no_metric_has_no_dist():
 
     with pytest.raises(NotImplementedError):
         Bare().dist(Torus(0.0, 0.0), Torus(0.5, 0.0))
+
+
+def test_import_loads_no_scipy_graph_or_spatial():
+    # a one-off run pays for what the package imports: scipy's spatial and
+    # sparse modules are loaded only by the analyses that use them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src if not path else src + os.pathsep + path}
+    child = ("import sys, ndistal\n"
+             "print(sorted(m for m in sys.modules if m.startswith(\n"
+             "    ('scipy.spatial', 'scipy.sparse'))))")
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
