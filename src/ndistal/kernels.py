@@ -28,9 +28,10 @@ engine still serves the rotation, conjugates, powers and products:
     self-returns;
   * the torus systems, for the co-moving extremes: F^n p - F^n q depends
     only on p - q, so one y-difference is stepped per distinct difference
-    p - q instead of every pair, the classes of consecutive row blocks
-    pooled while they fit one block, and the fold runs on |y| with the
-    distance taken once per horizon;
+    p - q instead of every pair; the differences are deduplicated per
+    coordinate into integer codes, swept in one group when the codes fit
+    one block, and the fold runs on |y| with the distance taken once per
+    horizon;
   * the annulus family, for the visits: at a fixed radius the nearest
     visit is one bisection in the sorted angles {n k mod 1 : |n| <= H},
     and the short window of indices where an orbit's radius moves is one

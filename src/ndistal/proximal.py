@@ -192,6 +192,14 @@ class QuotientResult:
         return d
 
 
+def _two_steps(A):
+    """The pairs a path of two edges of the boolean graph A joins.  The
+    path counts are a float32 product, which runs on BLAS and is exact
+    below 2^24; numpy multiplies integer matrices without it."""
+    F = A.astype(np.float32)
+    return (F @ F) > 0
+
+
 def proximal_quotient(report: ProximalReport, sys) -> QuotientResult:
     """Quotient the cloud by the proximal graph, when it is an equivalence.
 
@@ -203,8 +211,7 @@ def proximal_quotient(report: ProximalReport, sys) -> QuotientResult:
     """
     A = report.graph.copy()
     np.fill_diagonal(A, True)
-    reach2 = (A.astype(np.uint8) @ A.astype(np.uint8)) > 0
-    bad = reach2 & ~A
+    bad = _two_steps(A) & ~A
     if bad.any():
         i, k = map(int, next(zip(*np.nonzero(bad))))
         j = int(np.nonzero(A[i] & A[:, k])[0][0])

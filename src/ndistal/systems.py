@@ -32,9 +32,12 @@ pair, so a pair's XOR over one position per class, a word or a few, fixes
 its whole mask.  The torus
 systems override ``comoving_extremes`` by difference class: F^n p - F^n q
 depends only on p - q (through the class attribute ``shear``), so each
-distinct difference is swept once.  Consecutive row blocks pool their
-classes while the union stays within ``_CLASS_BLOCK``, so a grid matrix
-whose blocks share their differences is swept once as a whole; the sweep
+distinct difference is swept once.  The differences are deduplicated
+per coordinate: the distinct gaps of each coordinate come from the outer
+difference of its distinct values, and a pair's class is the integer code
+of its x-gap and y-gap.  When that code space fits ``_CLASS_BLOCK``, as a
+grid's does, one table marks the codes that occur and the whole matrix is
+swept once; otherwise each row block sweeps its own classes.  The sweep
 folds the y-gap |y| and takes the distance once per horizon.  The
 annulus family overrides
 ``visit_minima``: every angle advances by the same k, so a visit at fixed
@@ -97,8 +100,8 @@ def _finite(name, value):
 # ---------------------------------------------------------------------------
 
 _CLASS_BLOCK = 65_536  # pairs per block of the torus and annulus closed forms
-                       # and of the annulus distance matrix, and classes per
-                       # group of the torus form
+                       # and of the annulus distance matrix, and the most
+                       # codes of the torus form's one code table
 
 
 def _torus_dist(dx, dy):
@@ -112,30 +115,54 @@ def _torus_dist(dx, dy):
     return np.sqrt(dx, out=dx)
 
 
+def _gap_codes(A, B, budget):
+    """Each coordinate's sorted distinct gaps gx, gy of the pairs A[i] -
+    B[j], from the outer difference of its distinct values (None when one
+    exceeds `budget`), and a function giving a slice of rows its pairs'
+    codes gx_id * len(gy) + gy_id, which sort as the complex dx + i dy."""
+    tables = []
+    for a, b in zip(A.T, B.T):
+        (ua, ia), (ub, ib) = (np.unique(v, return_inverse=True)
+                              for v in (a, b))
+        if ua.size * ub.size > budget:
+            return None
+        gaps, ids = np.unique(np.subtract.outer(ua, ub), return_inverse=True)
+        tables.append((gaps, ids.reshape(ua.size, ub.size), ia, ib))
+    (gx, tx, ax, bx), (gy, ty, ay, by) = tables
+    return gx, gy, lambda rows: (tx[ax[rows, None], bx] * gy.size
+                                 + ty[ay[rows, None], by])
+
+
 def _class_groups(A, B):
-    """The pair differences A[i] - B[j] as complex classes, by groups of
-    consecutive row blocks: yields each group's sorted classes and its
-    blocks as (rows, the block's own classes, the index of each pair's
-    class among them)."""
-    classes, blocks, pairs = None, [], 0
-    for rows in _row_blocks(len(A), len(B), _CLASS_BLOCK):
-        D = A[rows, None, :] - B[None, :, :]
-        local, inv = np.unique(D.reshape(-1, 2).view(np.complex128).ravel(),
+    """The pair differences A[i] - B[j] as sorted complex classes, by
+    groups: yields each group's classes and its row blocks of at most
+    _CLASS_BLOCK pairs as (rows, each pair's class index).  The matrix is
+    one group when its codes fit _CLASS_BLOCK, else each block is one,
+    with tables of its own when the whole matrix's exceed a block."""
+    blocks = _row_blocks(len(A), len(B), _CLASS_BLOCK)
+    budget = max(_CLASS_BLOCK, len(B))  # the pairs of one block
+    whole = _gap_codes(A, B, budget)
+    if whole and whole[0].size * whole[1].size <= _CLASS_BLOCK:
+        gx, gy, codes = whole
+        seen = np.zeros(gx.size * gy.size, dtype=bool)
+        for rows in blocks:
+            seen[codes(rows)] = True
+        rank = np.cumsum(seen) - 1
+        yield (_complex(gx, gy, np.flatnonzero(seen)),
+               ((rows, rank[codes(rows)]) for rows in blocks))
+        return
+    for rows in blocks:
+        gx, gy, codes = whole or _gap_codes(A[rows], B, budget)
+        local, inv = np.unique(codes(rows if whole else slice(None)),
                                return_inverse=True)
-        block = (rows, local, inv.reshape(D.shape[:2]))
-        if blocks and pairs + inv.size <= _CHUNK:
-            # the size of the union, before building it
-            at = np.minimum(np.searchsorted(classes, local), len(classes) - 1)
-            if len(classes) + np.count_nonzero(classes[at] != local) \
-                    <= _CLASS_BLOCK:
-                classes, pairs = np.union1d(classes, local), pairs + inv.size
-                blocks.append(block)
-                continue
-        if blocks:
-            yield classes, blocks
-        classes, blocks, pairs = local, [block], inv.size
-    if blocks:
-        yield classes, blocks
+        yield _complex(gx, gy, local), [(rows, inv.reshape(-1, len(B)))]
+
+
+def _complex(gx, gy, codes):
+    """The classes gx + i gy of codes gx_id * len(gy) + gy_id."""
+    z = np.empty(codes.size, dtype=complex)
+    z.real, z.imag = gx[codes // gy.size], gy[codes % gy.size]
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -326,22 +353,18 @@ class _TorusBase(DynSystem):
         """Closed form by difference class.
 
         d(F^n p, F^n q) depends on the pair only through its raw difference
-        (dx, dy), so each distinct difference is swept once and the
-        extremes are scattered back.  Row blocks of at most _CLASS_BLOCK
-        pairs each find their distinct differences; consecutive blocks are
-        grouped while the union of their classes stays within _CLASS_BLOCK
-        and their pairs within _CHUNK, and each group's classes are swept
-        together (`_sweep_classes`).  The differences are not reduced
-        before deduplication, so (i, j) and (j, i) are exact negatives and
-        a matrix of the cloud against itself is exactly symmetric.
+        (dx, dy), so each group of `_class_groups` sweeps its distinct
+        differences once (`_sweep_classes`) and gathers the extremes back
+        into its row blocks.  The differences are not reduced before
+        deduplication, so (i, j) and (j, i) are exact negatives and a
+        matrix of the cloud against itself is exactly symmetric.
         """
         A = self.arr_state(pts_a)
         B = A if pts_b is None else self.arr_state(pts_b)
         out = {h: np.empty((len(A), len(B))) for h in horizons}
         for classes, blocks in _class_groups(A, B):
             ext = self._sweep_classes(classes, horizons, use_max, centre)
-            for rows, local, inv in blocks:
-                at = np.searchsorted(classes, local)[inv]
+            for rows, at in blocks:
                 for h in horizons:
                     out[h][rows] = ext[h][at]
         return out
@@ -849,18 +872,28 @@ GRID_BITS = 20  # the shift's grid sampler enumerates at most 2^GRID_BITS words
 
 
 def _shift_bits(points, lo, hi):
-    """Symbols s_lo..s_hi of each point, one uint8 row per point."""
+    """Symbols s_lo..s_hi of each point, one uint8 row per point: each
+    distinct tail pattern is laid over the window once, each point takes
+    its right tail's row (and its left tail's, left of its core, when the
+    two differ), and every core symbol in the window is written at once."""
     idx = np.arange(lo, hi + 1)
-    B = np.empty((len(points), len(idx)), dtype=np.uint8)
-    for i, p in enumerate(points):
-        start, end = p.extent()
-        row = np.where(idx < start,
-                       np.array(p.left, dtype=np.uint8)[idx % len(p.left)],
-                       np.array(p.right, dtype=np.uint8)[idx % len(p.right)])
-        a, b = max(start, lo), min(end, hi + 1)
-        if a < b:
-            row[a - lo:b - lo] = p.core[a - start:b - start]
-        B[i] = row
+    ids = {}
+    left, right = (np.array([ids.setdefault(getattr(p, side), len(ids))
+                             for p in points], dtype=np.intp)
+                   for side in ("left", "right"))
+    tails = np.array([np.array(t, dtype=np.uint8)[idx % len(t)] for t in ids],
+                     dtype=np.uint8).reshape(len(ids), idx.size)
+    start = np.array([p.offset for p in points], dtype=np.int64)
+    B = tails[right]
+    two = np.flatnonzero(left != right)
+    B[two] = np.where(idx < start[two, None], tails[left[two]], B[two])
+    C = np.array([len(p.core) for p in points], dtype=np.int64)
+    core = np.fromiter(itertools.chain.from_iterable(p.core for p in points),
+                       dtype=np.uint8, count=C.sum())
+    row = np.repeat(np.arange(len(points)), C)
+    col = np.arange(C.sum()) + np.repeat(start - lo - np.cumsum(C) + C, C)
+    keep = (col >= 0) & (col < idx.size)
+    B[row[keep], col[keep]] = core[keep]
     return B
 
 

@@ -469,6 +469,59 @@ def test_grouped_torus_classes_memory_stays_bounded():
     assert peaks[1] <= 1.25 * peaks[0]
 
 
+# (pts_a, pts_b, module overrides); pts_b None pairs pts_a with itself
+CLASS_TABLE_CASES = {
+    "skew-grid-576": lambda: (skew_grid(), None, {}),
+    "skew-grid-4096": lambda: (SkewTorus().sampler(64).points, None, {}),
+    "rotation-256": lambda: (permuted_grid(Rotation(), 256, 8), None, {}),
+    "rows": lambda: (skew_grid()[:64], skew_grid(), {}),
+    # the point sets of the hook case "centre-5"
+    "centre-5": lambda: (permuted_grid(SkewTorus(), 8, 2), random_torus(3, 20),
+                         {}),
+    "small-class-block": lambda: (skew_grid(), None, {"_CLASS_BLOCK": 4096}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLASS_TABLE_CASES))
+def test_torus_class_table_matches_complex_unique(case, monkeypatch):
+    # each group's classes are np.unique of its pairs' complex differences
+    # dx + i dy, bit for bit and in its order, and each pair's index is
+    # that unique's inverse
+    pts_a, pts_b, patch = CLASS_TABLE_CASES[case]()
+    for name, value in patch.items():
+        monkeypatch.setattr(systems, name, value)
+    sys = SkewTorus()
+    A = sys.arr_state(pts_a)
+    B = A if pts_b is None else sys.arr_state(pts_b)
+    groups = list(systems._class_groups(A, B))
+    assert len(groups) == (1 if not patch else len(
+        kernels._row_blocks(len(A), len(B), systems._CLASS_BLOCK)))
+    for classes, blocks in groups:
+        blocks = list(blocks)
+        diffs = [(A[rows, None, :] - B[None, :, :]).reshape(-1, 2)
+                 .view(np.complex128).ravel() for rows, _ in blocks]
+        if sum(d.size for d in diffs) <= 400_000:
+            want, inv = np.unique(np.concatenate(diffs), return_inverse=True)
+            at = np.concatenate([at.ravel() for _, at in blocks])
+            assert np.array_equal(classes.view(np.uint64),
+                                  want.view(np.uint64))
+            assert np.array_equal(at, inv.ravel())
+        else:
+            # one unique per block, and the classes sorted, distinct and
+            # each held by a pair
+            assert np.array_equal(classes.view(np.uint64),
+                                  np.unique(classes).view(np.uint64))
+            used = np.zeros(len(classes), dtype=bool)
+            for d, (_, at) in zip(diffs, blocks):
+                want, inv = np.unique(d, return_inverse=True)
+                held, local = np.unique(at, return_inverse=True)
+                assert np.array_equal(classes[held].view(np.uint64),
+                                      want.view(np.uint64))
+                assert np.array_equal(local.ravel(), inv.ravel())
+                used[held] = True
+            assert used.all()
+
+
 def test_skew_orbit_min_exact_oracle():
     sys = SkewTorus()
     pts = sys.sampler(8).points
@@ -690,6 +743,40 @@ def tailed_symbolic(rng, core_len, origins):
     return SymbolicPoint(bits(core_len), int(rng.integers(*origins)),
                          bits(int(rng.integers(1, 4))),
                          bits(int(rng.integers(1, 4))))
+
+
+def shift_bits_reference(points, lo, hi):
+    """Symbols s_lo..s_hi of each point, one row at a time."""
+    idx = np.arange(lo, hi + 1)
+    B = np.empty((len(points), len(idx)), dtype=np.uint8)
+    for i, p in enumerate(points):
+        start, end = p.extent()
+        row = np.where(idx < start,
+                       np.array(p.left, dtype=np.uint8)[idx % len(p.left)],
+                       np.array(p.right, dtype=np.uint8)[idx % len(p.right)])
+        a, b = max(start, lo), min(end, hi + 1)
+        if a < b:
+            row[a - lo:b - lo] = p.core[a - start:b - start]
+        B[i] = row
+    return B
+
+
+def test_shift_bits_match_per_point_rows():
+    rng = np.random.default_rng(17)
+    pts = [word_point((1, 0, 1, 1), 3), word_point((1,), -7, 1),
+           word_point(()), periodic_point((1, 1, 0)), periodic_point((0, 1)),
+           SymbolicPoint((1, 0, 0, 1, 1), -4, (0, 1), (1, 1, 0))]
+    pts += [tailed_symbolic(rng, int(rng.integers(0, 9)), (-12, 12))
+            for _ in range(40)]
+    pts += list(shift2().sampler(3).points)
+    # windows inside a core, across its ends, in either tail alone, one
+    # symbol wide and empty
+    for lo, hi in [(-2, 2), (0, 5), (-10, 10), (-40, -6), (6, 30), (4, 4),
+                   (-300, 280), (3, 2)]:
+        got = systems._shift_bits(pts, lo, hi)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, shift_bits_reference(pts, lo, hi))
+    assert systems._shift_bits([], -3, 3).shape == (0, 7)
 
 
 def window_oracle(xs, ys, centre, h, use_max):

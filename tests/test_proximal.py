@@ -313,6 +313,17 @@ def test_annulus3_quotient_yields_violating_triple():
     assert rep.graph[i, j] and rep.graph[j, k] and not rep.graph[i, k]
 
 
+def test_two_steps_matches_integer_product():
+    s = annulus3()
+    A = distality_report(s, s.sampler(128), N_max=3).graph.copy()
+    np.fill_diagonal(A, True)
+    rng = np.random.default_rng(4)
+    R = rng.random((150, 150)) < 0.02
+    for G in (A, R | R.T):
+        want = (G.astype(np.uint8) @ G.astype(np.uint8)) > 0
+        assert np.array_equal(proximal._two_steps(G), want)
+
+
 def test_distal_quotient_is_identity():
     s = Rotation()
     cloud = s.sampler(64)
