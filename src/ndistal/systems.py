@@ -116,10 +116,11 @@ def _torus_dist(dx, dy):
 
 
 def _gap_codes(A, B, budget):
-    """Each coordinate's sorted distinct gaps gx, gy of the pairs A[i] -
-    B[j], from the outer difference of its distinct values (None when one
-    exceeds `budget`), and a function giving a slice of rows its pairs'
-    codes gx_id * len(gy) + gy_id, which sort as the complex dx + i dy."""
+    """Codes of the pairs A[i] - B[j] from each coordinate's sorted distinct
+    gaps gx, gy, found in the outer difference of its distinct values (None
+    when one exceeds `budget`): the number of codes gx_id * len(gy) + gy_id,
+    which sort as the complex dx + i dy, a function giving a slice of rows
+    its pairs' codes and one giving codes their classes dx + i dy."""
     tables = []
     for a, b in zip(A.T, B.T):
         (ua, ia), (ub, ib) = (np.unique(v, return_inverse=True)
@@ -129,40 +130,37 @@ def _gap_codes(A, B, budget):
         gaps, ids = np.unique(np.subtract.outer(ua, ub), return_inverse=True)
         tables.append((gaps, ids.reshape(ua.size, ub.size), ia, ib))
     (gx, tx, ax, bx), (gy, ty, ay, by) = tables
-    return gx, gy, lambda rows: (tx[ax[rows, None], bx] * gy.size
-                                 + ty[ay[rows, None], by])
+    return (gx.size * gy.size,
+            lambda rows: (tx[ax[rows, None], bx] * gy.size
+                          + ty[ay[rows, None], by]),
+            lambda c: np.column_stack((gx[c // gy.size], gy[c % gy.size]))
+            .view(np.complex128).ravel())
 
 
 def _class_groups(A, B):
     """The pair differences A[i] - B[j] as sorted complex classes, by
     groups: yields each group's classes and its row blocks of at most
-    _CLASS_BLOCK pairs as (rows, each pair's class index).  The matrix is
-    one group when its codes fit _CLASS_BLOCK, else each block is one,
-    with tables of its own when the whole matrix's exceed a block."""
+    _CLASS_BLOCK pairs as (rows, each pair's class index).  A matrix of
+    several blocks whose codes fit _CLASS_BLOCK is one group; otherwise each
+    block is one, with gap tables of its own."""
     blocks = _row_blocks(len(A), len(B), _CLASS_BLOCK)
     budget = max(_CLASS_BLOCK, len(B))  # the pairs of one block
-    whole = _gap_codes(A, B, budget)
-    if whole and whole[0].size * whole[1].size <= _CLASS_BLOCK:
-        gx, gy, codes = whole
-        seen = np.zeros(gx.size * gy.size, dtype=bool)
+    whole = len(blocks) > 1 and _gap_codes(A, B, budget)
+    if whole and whole[0] <= _CLASS_BLOCK:
+        n, codes, classes = whole
+        seen = np.zeros(n, dtype=bool)
         for rows in blocks:
             seen[codes(rows)] = True
         rank = np.cumsum(seen) - 1
-        yield (_complex(gx, gy, np.flatnonzero(seen)),
+        yield (classes(np.flatnonzero(seen)),
                ((rows, rank[codes(rows)]) for rows in blocks))
         return
     for rows in blocks:
-        gx, gy, codes = whole or _gap_codes(A[rows], B, budget)
-        local, inv = np.unique(codes(rows if whole else slice(None)),
-                               return_inverse=True)
-        yield _complex(gx, gy, local), [(rows, inv.reshape(-1, len(B)))]
-
-
-def _complex(gx, gy, codes):
-    """The classes gx + i gy of codes gx_id * len(gy) + gy_id."""
-    z = np.empty(codes.size, dtype=complex)
-    z.real, z.imag = gx[codes // gy.size], gy[codes % gy.size]
-    return z
+        # never None: a block's distinct values span at most its pairs
+        _, codes, classes = _gap_codes(A[rows], B, budget)
+        c = codes(slice(None))
+        local, inv = np.unique(c, return_inverse=True)
+        yield classes(local), [(rows, inv.reshape(c.shape))]
 
 
 # ---------------------------------------------------------------------------
