@@ -2,8 +2,8 @@
 
 Subcommands:
   run <scenario>   run the analyses listed in a scenario file, write
-                   report.json (deterministic), timings.json, and one CSV
-                   per tabular result into the output directory.
+                   report.json (deterministic) and timings.json into the
+                   output directory.
   list-systems     print the system catalogue with known analytic facts.
   proximal         one-off proximal cell / distality report.
   equicont         one-off N-equicontinuity probe.
@@ -16,7 +16,8 @@ Scenario files are flat commented text: header lines `key = value`
 analysis, each holding `key = value` parameters.  Parameters named
 `assert_<field>` (exact match), `assert_<field>_le`, or
 `assert_<field>_ge` turn the analysis into a pass/fail check against the
-corresponding field of its JSON result.
+corresponding field of its JSON result; a bound must be a number, and a
+field that is not one fails its check.
 
 Each analysis declares its parameters once, as the keyword defaults of
 its runner.  Sections, the header and one-off flags are bound to those
@@ -25,13 +26,13 @@ of its default's kind, exits 2; an absent one takes the default.
 `--seed` overrides a scenario's `seed` only when given.
 
 Exit codes: 0 all asserted analyses pass, 1 some audit failed,
-2 usage or validation error, or a cloud too large for memory.
+2 usage or validation error, a cloud too large for memory, or an output
+directory that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import json
 import sys as _sysmod
@@ -167,60 +168,40 @@ def _indexed_point(cloud, index):
     return cloud[index]
 
 
-def _dist_table(report):
-    rows = []
-    for i, cell in enumerate(report.cells):
-        others = [m for m in cell.members if m != cell.base]
-        trace = (f"{min(cell.min_dist_trace[m] for m in others):.6e}"
-                 if others else "")
-        stable = int(all(cell.stable[m] for m in others)) if others else ""
-        rows.append([i, cell.base, cell.size(), stable, trace,
-                     " ".join(str(m) for m in cell.members)])
-    return ("cells", ["index", "base", "size", "stable", "min_trace",
-                      "members"], rows)
-
-
 def _run_distality(sys, cloud, seed, *, H=DEFAULT_H, eps=DEFAULT_EPS,
                    N_max=8):
-    rep = distality_report(sys, cloud, H=H, eps_prox=eps, N_max=N_max)
-    return rep.as_dict(), [_dist_table(rep)]
+    return distality_report(sys, cloud, H=H, eps_prox=eps,
+                            N_max=N_max).as_dict()
 
 
 def _run_proximal_cell(sys, cloud, seed, *, index=0, H=DEFAULT_H,
                        eps=DEFAULT_EPS):
-    cell = proximal_cell(sys, _indexed_point(cloud, index), cloud, H=H,
-                         eps_prox=eps)
-    return cell.as_dict(), []
+    return proximal_cell(sys, _indexed_point(cloud, index), cloud, H=H,
+                         eps_prox=eps).as_dict()
 
 
 def _run_quotient(sys, cloud, seed, *, H=DEFAULT_H, eps=DEFAULT_EPS,
                   N_max=8):
     rep = distality_report(sys, cloud, H=H, eps_prox=eps, N_max=N_max)
-    return proximal_quotient(rep, sys).as_dict(), []
+    return proximal_quotient(rep, sys).as_dict()
 
 
 def _run_equicont(sys, cloud, seed, *, N=1, epsilon=0.2,
                   delta_grid=DEFAULT_DELTA_GRID, H=EQUICONT_H, n_bases=64):
-    verdict = n_equicontinuity_probe(sys, cloud, N=N, epsilon=epsilon,
-                                     delta_grid=delta_grid, H=H,
-                                     n_bases=n_bases, seed=seed)
-    rows = [[f"{e['delta']:.6g}", int(e["passed"]),
-             int(e["certified_fail"]), f"{e['max_lower']:.6e}",
-             f"{e['max_upper']:.6e}"] for e in verdict.per_delta]
-    return verdict.as_dict(), [("per_delta", ["delta", "passed",
-                                              "certified_fail", "max_lower",
-                                              "max_upper"], rows)]
+    return n_equicontinuity_probe(sys, cloud, N=N, epsilon=epsilon,
+                                  delta_grid=delta_grid, H=H,
+                                  n_bases=n_bases, seed=seed).as_dict()
 
 
 def _run_r_set(sys, cloud, seed, *, index=0, delta=0.1, H=EQUICONT_H):
     est = r_set(sys, _indexed_point(cloud, index), delta, cloud, H=H)
-    return est.as_dict(), []
+    return est.as_dict()
 
 
 def _run_skew_witness(sys, cloud, seed, *, N=1, delta=0.1,
                       M: int | None = None):
     M, n = skew_witness(N, delta, M)
-    return {"M": M, "n": n}, []
+    return {"M": M, "n": n}
 
 
 def _gap_bound(gap_c):
@@ -230,71 +211,57 @@ def _gap_bound(gap_c):
 
 def _run_theorem_3_5(sys, cloud, seed, *, N=3, H=2000, delta=0.05,
                      gap_c: float | None = None):
-    rec = theorem_3_5_audit(sys, N, cloud, H=H, delta=delta,
-                            gap_bound=_gap_bound(gap_c))
-    return rec.as_dict(), []
+    return theorem_3_5_audit(sys, N, cloud, H=H, delta=delta,
+                             gap_bound=_gap_bound(gap_c)).as_dict()
 
 
 def _run_prop_3_2(sys, cloud, seed, *, T_max=50):
-    return prop_3_2_audit(sys, cloud, T_max=T_max).as_dict(), []
+    return prop_3_2_audit(sys, cloud, T_max=T_max).as_dict()
 
 
 def _run_minimal(sys, cloud, seed, *, delta=0.05, H=2000,
                  gap_c: float | None = None):
     sets = minimal_subsystems(sys, cloud, delta=delta, H=H,
                               gap_bound=_gap_bound(gap_c))
-    rows = [[i, repr(s.representative), len(s.indices),
-             f"{s.closeness:.6e}"] for i, s in enumerate(sets)]
-    result = {"count": len(sets), "clusters": [s.as_dict() for s in sets]}
-    return result, [("clusters", ["index", "representative", "size",
-                                  "closeness"], rows)]
+    return {"count": len(sets), "clusters": [s.as_dict() for s in sets]}
 
 
 def _run_transitive(sys, cloud, seed, *, H=2000, delta=0.05):
     point = transitive_check(sys, cloud, H=H, delta=delta)
     return {"found": point is not None,
-            "point": repr(point) if point is not None else None}, []
+            "point": repr(point) if point is not None else None}
 
 
 def _run_return_profile(sys, cloud, seed, *, index=0, delta=0.1, H=500):
     prof = return_profile(sys, _indexed_point(cloud, index), delta, H=H)
-    return prof.as_dict(), []
+    return prof.as_dict()
 
 
 def _run_expansivity(sys, cloud, seed, *, delta_grid=(0.25, 0.1, 0.05),
                      H=50):
     return expansivity_probe(sys, cloud, delta_grid=delta_grid,
-                             H=H).as_dict(), []
+                             H=H).as_dict()
 
 
 def _run_periodic(sys, cloud, seed, *, T_max=12):
     found = periodic_points(sys, cloud, T_max)
-    rows = [[i, repr(x), per] for i, (x, per) in enumerate(found)]
-    return ({"count": len(found),
-             "points": [[repr(x), per] for x, per in found]},
-            [("periodic", ["index", "point", "period"], rows)])
+    return {"count": len(found),
+            "points": [[repr(x), per] for x, per in found]}
 
 
 def _run_entropy_estimate(sys, cloud, seed, *, k=2, n_max=64):
-    P = default_partition(cloud, k=k)
-    est = metric_entropy_estimate(sys, P, uniform_measure(cloud),
-                                  n_max=n_max, cloud=cloud)
-    return est.as_dict(), []
+    return metric_entropy_estimate(sys, default_partition(cloud, k=k),
+                                   uniform_measure(cloud), n_max=n_max,
+                                   cloud=cloud).as_dict()
 
 
 def _run_word_entropy(sys, cloud, seed, *, n=12):
-    return word_count_entropy(sys, n).as_dict(), []
+    return word_count_entropy(sys, n).as_dict()
 
 
 def _run_ks_bound(sys, cloud, seed, *, r_list=(0.3, 0.2, 0.1, 0.05)):
-    rec = ks_bound_audit(sys, cloud, uniform_measure(cloud), r_list=r_list)
-    rows = [[f"{e['r']:.6g}",
-             f"{e['entropy']:.6e}" if "entropy" in e else "",
-             f"{e['closing_bound']:.6e}" if "closing_bound" in e else "",
-             e.get("rejected") or e.get("construction_error") or "ok"]
-            for e in rec.details.get("entries", [])]
-    return rec.as_dict(), [("ks_bound", ["r", "entropy", "closing_bound",
-                                         "status"], rows)]
+    return ks_bound_audit(sys, cloud, uniform_measure(cloud),
+                          r_list=r_list).as_dict()
 
 
 def _run_diam(fn):
@@ -302,7 +269,7 @@ def _run_diam(fn):
         if size is not None and size < 0:
             raise ParameterError(f"size must be >= 0, got {size}")
         D = sys.arr_pdist(sys.arr_state(list(cloud[:size])))
-        return fn(D, N).as_dict(), []
+        return fn(D, N).as_dict()
     return runner
 
 
@@ -338,31 +305,42 @@ def _lookup_field(result, dotted):
     return value
 
 
+def _assert_op(key):
+    """The field an assert_* key names and its comparison: eq, le or ge."""
+    field = key[len("assert_"):]
+    if field.endswith(("_le", "_ge")):
+        return field[:-3], field[-2:]
+    return field, "eq"
+
+
+def _is_number(value):
+    """An int or a float: a bound on a bool is a scenario error."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_asserts(result, asserts):
     """Evaluate assert_* parameters against a JSON result dict."""
     checks = []
     for key, expected in asserts.items():
-        field = key[len("assert_"):]
-        op = "eq"
-        if field.endswith("_le"):
-            field, op = field[:-3], "le"
-        elif field.endswith("_ge"):
-            field, op = field[:-3], "ge"
+        field, op = _assert_op(key)
         try:
             actual = _lookup_field(result, field)
         except KeyError:
-            checks.append({"field": field, "op": op, "expected": expected,
-                           "actual": None, "passed": False,
-                           "error": "field not found"})
-            continue
-        if op == "le":
+            actual, error = None, "field not found"
+        else:
+            error = (None if op == "eq" or _is_number(actual)
+                     else "not a number")
+        if error:
+            ok = False
+        elif op == "le":
             ok = float(actual) <= float(expected)
         elif op == "ge":
             ok = float(actual) >= float(expected)
         else:
             ok = actual == expected or str(actual) == str(expected)
         checks.append({"field": field, "op": op, "expected": expected,
-                       "actual": _jsonable(actual), "passed": bool(ok)})
+                       "actual": actual, "passed": bool(ok),
+                       **({"error": error} if error else {})})
     passed = all(c["passed"] for c in checks) if checks else None
     return passed, checks
 
@@ -434,21 +412,19 @@ def validate_scenario(header, analyses):
         where = op if lineno is None else f"line {lineno}: [{op}]"
         if op not in REGISTRY:
             raise ScenarioError(f"{where}: unknown analysis op")
+        for key, value in params.items():
+            if (key.startswith("assert_") and _assert_op(key)[1] != "eq"
+                    and not _is_number(value)):
+                raise ScenarioError(f"{where}: {key} bounds a number, "
+                                    f"got {value!r}")
         size = {k: v for k, v in params.items() if k == "cloud_size"}
         bound.append((_bind(REGISTRY[op], _analysis_params(params), where),
                       _bind(_header, size, where)["cloud_size"]))
     return sys, header, bound
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def run_scenario(path, seed=None, out=None):
-    """Execute a scenario file and write report.json, timings.json, CSVs.
+    """Execute a scenario file and write report.json and timings.json.
 
     seed and out override the header's when given.  Returns the process
     exit code: 0 pass, 1 audit failure, 2 when an analysis rejected one of
@@ -465,16 +441,14 @@ def run_scenario(path, seed=None, out=None):
     records = []
     timings = []
     any_fail = bad_params = False
-    for k, ((op, params, _), (kwargs, size)) in enumerate(zip(analyses,
-                                                              bound)):
+    for (op, params, _), (kwargs, size) in zip(analyses, bound):
         op_cloud = cloud if size is None else default_cloud(sys, size)
         asserts = {key: value for key, value in params.items()
                    if key.startswith("assert_")}
         record = {"op": op, "params": _jsonable(_analysis_params(params))}
         t0 = time.perf_counter()
         try:
-            result, tables = REGISTRY[op](sys, op_cloud, seed, **kwargs)
-            result = _jsonable(result)
+            result = _jsonable(REGISTRY[op](sys, op_cloud, seed, **kwargs))
             record["result"] = result
             passed, checks = _check_asserts(result, asserts)
             record["passed"] = passed
@@ -482,9 +456,6 @@ def run_scenario(path, seed=None, out=None):
                 record["checks"] = checks
             if passed is False:
                 any_fail = True
-            for name, cols, rows in tables:
-                csv_path = out_dir / f"{k:02d}_{op}_{name}.csv"
-                _write_csv(csv_path, cols, rows)
         except NDistalError as exc:
             record["error"] = f"{type(exc).__name__}: {exc}"
             record["passed"] = False if asserts else None
@@ -530,7 +501,7 @@ def _oneoff(op, args, params):
         {"system": args.system, "seed": args.seed or 0,
          "cloud_size": args.cloud_size}, [(op, params, None)])
     cloud = default_cloud(sys, header["cloud_size"])
-    result, _tables = REGISTRY[op](sys, cloud, header["seed"], **kwargs)
+    result = REGISTRY[op](sys, cloud, header["seed"], **kwargs)
     text = json.dumps(_jsonable(result), sort_keys=True, indent=2)
     if args.out:
         out_dir = Path(args.out)
@@ -641,7 +612,8 @@ def main(argv=None):
         # --index asks for one proximal cell instead of the whole report
         op = "proximal_cell" if "index" in params else args.op
         return _oneoff(op, args, params)
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:
+        # OSError: an output directory that cannot be made or written
         print(f"error: {exc}", file=_sysmod.stderr)
         return 2
     except NDistalError as exc:

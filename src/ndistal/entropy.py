@@ -38,7 +38,6 @@ class Partition:
 
     cells: tuple
     size: int
-    labels: tuple = ()
 
     def __post_init__(self):
         seen = [i for cell in self.cells for i in cell]
@@ -60,16 +59,13 @@ class Partition:
         return lab
 
 
-def partition_from_labels(labels, size: Optional[int] = None,
-                          names=None) -> Partition:
+def partition_from_labels(labels, size: Optional[int] = None) -> Partition:
     labels = np.asarray(labels)
     size = size if size is not None else len(labels)
     uniq, inv = np.unique(labels, return_inverse=True)
     cells = tuple(tuple(int(i) for i in np.nonzero(inv == k)[0])
                   for k in range(len(uniq)))
-    return Partition(cells=cells, size=size,
-                     labels=tuple(names) if names else tuple(str(u)
-                                                             for u in uniq))
+    return Partition(cells=cells, size=size)
 
 
 def default_partition(cloud: PointCloud, k: int = 2) -> Partition:
@@ -273,8 +269,6 @@ def word_count_entropy(sys, n: int, cloud: Optional[PointCloud] = None
 class GeometricPartitionResult:
     partition: Partition
     masses: tuple
-    radii: tuple
-    center: object
 
     def entropy(self, weights):
         return partition_entropy(self.partition.masses(weights))
@@ -305,7 +299,6 @@ def geometric_partition(sys, cloud: PointCloud, mu: EmpiricalMeasure,
     dist_sorted = d[order]
 
     prefixes = [m]
-    level_radii = [float(dist_sorted.max())]
     if radii is not None:
         for lev, rad in enumerate(radii, start=1):
             k = int(np.searchsorted(dist_sorted, rad, side="right"))
@@ -314,12 +307,10 @@ def geometric_partition(sys, cloud: PointCloud, mu: EmpiricalMeasure,
                     f"mass condition fails at level {lev}: "
                     f"mu(S_{lev}) > r^{lev}")
             prefixes.append(k)
-            level_radii.append(float(rad))
             if k <= 1:
                 break
         if prefixes[-1] > 1:
             prefixes.append(1)
-            level_radii.append(0.0)
     else:
         lev = 0
         while prefixes[-1] > 1:
@@ -332,7 +323,6 @@ def geometric_partition(sys, cloud: PointCloud, mu: EmpiricalMeasure,
                 k -= 1
             k = max(k, 1)
             prefixes.append(k)
-            level_radii.append(float(dist_sorted[k - 1]))
 
     cells = []
     masses = []
@@ -344,8 +334,7 @@ def geometric_partition(sys, cloud: PointCloud, mu: EmpiricalMeasure,
             cells.append(tuple(sorted(int(i) for i in members)))
             masses.append(float(mu.weights[members].sum()))
     part = Partition(cells=tuple(cells), size=m)
-    return GeometricPartitionResult(partition=part, masses=tuple(masses),
-                                    radii=tuple(level_radii), center=z)
+    return GeometricPartitionResult(partition=part, masses=tuple(masses))
 
 
 def closing_bound(r: float) -> float:

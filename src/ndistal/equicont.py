@@ -18,7 +18,7 @@ certified failing subset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,6 +31,7 @@ from .points import PointCloud
 DEFAULT_DELTA_GRID = (0.2, 0.1, 0.05, 0.02, 0.01)
 DEFAULT_H = 200
 TIE_TOL = 1e-12
+EXACT_BUDGET = 20000  # most (N+1)-subsets of a return set for exact diam_N
 
 
 @dataclass
@@ -39,7 +40,6 @@ class RSetEstimate:
     delta: float
     horizon: int
     members: tuple
-    trace: dict = field(default_factory=dict)
 
     def as_dict(self):
         return {"base": self.base, "delta": self.delta,
@@ -54,13 +54,11 @@ def r_set(sys, x, delta: float, cloud: PointCloud,
     row = orbit_min_rows(sys, cloud.points, [b], H)[0][0]
     members = np.nonzero(row < delta)[0]
     return RSetEstimate(base=b, delta=delta, horizon=H,
-                        members=tuple(int(i) for i in members),
-                        trace={int(i): float(row[i]) for i in members})
+                        members=tuple(int(i) for i in members))
 
 
 def r_set_equivariance_check(sys, x, delta: float, cloud: PointCloud,
-                             H: int = DEFAULT_H, n: int = 0,
-                             tie_tol: float = TIE_TOL) -> bool:
+                             H: int = DEFAULT_H, n: int = 0) -> bool:
     """Check f^n(R_delta(x)) = R_delta(f^n(x)) as index sets.
 
     With H' = H - |n|, the left side scans the window of radius H'
@@ -68,7 +66,7 @@ def r_set_equivariance_check(sys, x, delta: float, cloud: PointCloud,
     radius H' centred at time 0 around (f^n(x), f^n(cloud)).  Both windows
     cover the same absolute times, so the identity is exact and the check
     compares the kernel's centring with iterate composition; values within
-    tie_tol of delta are excluded from the comparison (floating boundary
+    TIE_TOL of delta are excluded from the comparison (floating boundary
     ties are not resolvable).
     """
     if abs(n) > H // 2:
@@ -78,7 +76,7 @@ def r_set_equivariance_check(sys, x, delta: float, cloud: PointCloud,
     da = orbit_window_min_row(sys, x, cloud.points, n, H2)
     mapped = [sys.iterate(p, n) for p in cloud.points]
     db = orbit_window_min_row(sys, sys.iterate(x, n), mapped, 0, H2)
-    keep = (np.abs(da - delta) > tie_tol) & (np.abs(db - delta) > tie_tol)
+    keep = (np.abs(da - delta) > TIE_TOL) & (np.abs(db - delta) > TIE_TOL)
     return bool(np.array_equal((da < delta)[keep], (db < delta)[keep]))
 
 
@@ -165,14 +163,15 @@ def _dispersed_bases(D0, k):
 
 def n_equicontinuity_probe(sys, cloud: PointCloud, N: int, epsilon: float,
                            delta_grid=DEFAULT_DELTA_GRID, H: int = DEFAULT_H,
-                           n_bases: int = 64, exact_budget: int = 20000,
-                           n_spot_checks: int = 10,
+                           n_bases: int = 64, n_spot_checks: int = 10,
                            seed: int = 0) -> EquicontinuityVerdict:
     """Probe N-equicontinuity at scale over a descending delta grid."""
     if len(cloud) < N + 1:
         raise ParameterError("cloud smaller than N+1 points")
     if not n_bases >= 1:
         raise ParameterError(f"n_bases must be >= 1, got {n_bases!r}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     check_positive("epsilon", epsilon)
     for delta in delta_grid:
         check_positive("delta", delta)
@@ -197,8 +196,8 @@ def n_equicontinuity_probe(sys, cloud: PointCloud, N: int, epsilon: float,
             if len(members) <= N:
                 continue
             sub = D0[np.ix_(members, members)]
-            if math.comb(len(members), N + 1) <= exact_budget:
-                res = diam_n_exact_from_matrix(sub, N, exact_budget)
+            if math.comb(len(members), N + 1) <= EXACT_BUDGET:
+                res = diam_n_exact_from_matrix(sub, N, EXACT_BUDGET)
             else:
                 res = diam_n_bounds_from_matrix(sub, N)
             max_lower = max(max_lower, res.value_lower)

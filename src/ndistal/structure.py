@@ -20,7 +20,7 @@ from .errors import ParameterError, check_positive
 from .kernels import (_CHUNK, _row_blocks, orbit_max_matrix, orbit_max_rows,
                       orbit_return_matrix, orbit_visit_matrix)
 from .points import PointCloud
-from .proximal import distality_report
+from .proximal import DEFAULT_EPS, distality_report
 
 DELTA_LIST = (0.2, 0.1, 0.05)
 CONFIRMATIONS = 5  # returns j = 1..CONFIRMATIONS that confirm a period
@@ -210,21 +210,17 @@ def transitive_check(sys, cloud: PointCloud, H: int = 2000,
 
 
 def theorem_3_5_audit(sys, N_claimed: int, cloud: PointCloud,
-                      H: int = 2000, delta: float = 0.05,
-                      prox_cloud: Optional[PointCloud] = None,
-                      prox_H: int = 200, prox_eps: float = 1e-3,
+                      H: int = 2000, delta: float = 0.05, prox_H: int = 200,
                       delta_list=DELTA_LIST, gap_bound=None) -> AuditRecord:
     """Transitive and N-distal at scale implies at most N-1 proper minimal
     subsystems.  Preconditions failing mark the audit inapplicable."""
     if not N_claimed >= 1:
         raise ParameterError(f"N_claimed must be >= 1, got {N_claimed!r}")
     check_positive("delta", delta)
-    prox_cloud = prox_cloud or cloud
-    report = distality_report(sys, prox_cloud, prox_H, prox_eps,
-                              N_max=max(N_claimed, 2))
+    report = distality_report(sys, cloud, prox_H, N_max=max(N_claimed, 2))
     details = {"N_claimed": N_claimed, "max_cell_size": report.max_cell_size,
                "verdict": report.verdict, "H": H, "delta": delta,
-               "prox_H": prox_H, "prox_eps": prox_eps,
+               "prox_H": prox_H, "prox_eps": DEFAULT_EPS,
                "cloud_size": len(cloud)}
     if report.max_cell_size > N_claimed:
         details["reason"] = "not N-distal at scale for the claimed N"

@@ -6,8 +6,8 @@ exact metric and a canonical sampler.  A system states its map once, as
 array metric: ``arr_cdist`` (the distance matrix between two states) and
 ``arr_edist`` (elementwise distances between two equal-length states).
 ``DynSystem`` derives the rest: ``dist`` as ``arr_edist`` on one-point
-states, so a pointwise distance equals the matrix entry bit for bit and
-every verdict reads one metric; ``step`` and ``step_inv`` as
+states, so a pointwise distance equals the ``arr_cdist`` entry bit for
+bit; ``step`` and ``step_inv`` as
 ``iterate(p, 1)`` and ``iterate(p, -1)``; and ``arr_pdist(state)`` as
 ``arr_cdist(state, state)``.  Analysis modules talk to systems through
 ``iterate``/``step``/``dist`` and through the array interface (``arr_state``
@@ -52,7 +52,9 @@ sorted radii, at the ends of the window's run and next to the vertex, by
 one bisection.  Two orbit points fold only the times where a radius
 moves.  Its ``return_distances`` needs no iteration either: a point's
 angle gap to itself at time n is n k mod 1 and its radius is read off at
-index m + n.
+index m + n.  These hooks measure in chord form, from the two radii and
+the angle gap, where ``arr_cdist`` measures in the plane, so they agree
+with it to about 1e-12, not bit for bit.
 Angles n k mod 1 of orbit indices are exact to about an ulp (`_turns`),
 which makes a visit to a point of the same orbit exactly 0.
 The skew torus also overrides ``equicontinuity_witness`` with its shear.

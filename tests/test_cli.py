@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndistal.cli import (ScenarioError, main, parse_scenario,
-                         validate_scenario)
+from ndistal.cli import (REGISTRY, ScenarioError, main, parse_scenario,
+                         run_scenario, validate_scenario)
 
 ANNULUS_SCENARIO = """\
 # full annulus3 audit
@@ -377,3 +377,91 @@ def test_generated_scenarios_round_trip(tmp_path_factory, header, analyses):
     got_header, got = parse_scenario(str(path))
     assert got_header == header
     assert [(op, params) for op, params, _ in got] == analyses
+
+
+ROTATION_16 = ("system = rotation\ncloud_size = 16\n"
+               "[distality_report]\nH = 20\n")
+
+
+def test_bound_on_a_word_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "s.scn",
+                 ROTATION_16 + "assert_max_cell_size_le = abc\n")
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "assert_max_cell_size_le" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("assertion, actual", [
+    ("assert_verdict_le = 3", "distal"),
+    ("assert_cells_ge = 1", []),
+])
+def test_bound_on_a_field_not_a_number_fails_its_check(tmp_path, assertion,
+                                                       actual):
+    path = write(tmp_path, "s.scn", ROTATION_16 + assertion + "\n")
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 1
+    [record] = json.loads((out / "report.json").read_text())["analyses"]
+    [check] = record["checks"]
+    assert check["actual"] == actual
+    assert not check["passed"] and check["error"] == "not a number"
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    assert main(["--seed", "-1", "equicont", "--system", "rotation",
+                 "--N", "1", "--cloud-size", "32"]) == 2
+    assert "seed" in capsys.readouterr().err
+    path = write(tmp_path, "s.scn", "system = rotation\nseed = -3\n"
+                 "cloud_size = 16\n[n_equicontinuity_probe]\nH = 20\n")
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 2
+    [record] = json.loads((out / "report.json").read_text())["analyses"]
+    assert record["error"].startswith("ParameterError: seed")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", str(ROOT / "scenarios" / "shift2_suite.scn")],
+    ["ndiam", "--system", "rotation", "--N", "1", "--cloud-size", "8"],
+])
+def test_output_path_that_is_a_file_exits_2(tmp_path, capsys, argv):
+    taken = tmp_path / "F"
+    taken.write_text("")
+    assert main([*argv, "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# small parameters for every registry op on a torus system; the shift's
+# word count runs on shift2
+CONTRACT_PARAMS = {
+    "distality_report": {"H": 20}, "proximal_cell": {"H": 20},
+    "proximal_quotient": {"H": 20}, "n_equicontinuity_probe": {"H": 20},
+    "r_set": {"H": 20}, "skew_witness": {},
+    "theorem_3_5_audit": {"N": 1, "H": 20}, "prop_3_2_audit": {"T_max": 5},
+    "minimal_subsystems": {"H": 20}, "transitive_check": {"H": 20},
+    "return_profile": {"H": 20}, "expansivity_probe": {"H": 5},
+    "periodic_points": {"T_max": 5}, "metric_entropy_estimate": {"n_max": 4},
+    "ks_bound_audit": {}, "diam_n_exact": {}, "diam_n_bounds": {},
+}
+
+
+def test_every_runner_returns_a_dict_and_the_run_writes_two_files(tmp_path):
+    assert {*CONTRACT_PARAMS, "word_count_entropy"} == set(REGISTRY)
+    sections = "".join(
+        f"[{op}]\n" + "".join(f"{k} = {v}\n" for k, v in params.items())
+        for op, params in CONTRACT_PARAMS.items())
+    scenarios = {"torus": "system = rotation\ncloud_size = 8\n" + sections,
+                 "shift": "system = shift2\n[word_count_entropy]\nn = 4\n"}
+    ran = []
+    for name, text in scenarios.items():
+        out = tmp_path / name
+        assert run_scenario(write(tmp_path, f"{name}.scn", text),
+                            out=str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["report.json",
+                                                         "timings.json"]
+        for record in json.loads((out / "report.json").read_text())[
+                "analyses"]:
+            assert "error" not in record, record
+            assert isinstance(record["result"], dict), record["op"]
+            ran.append(record["op"])
+    assert sorted(ran) == sorted(REGISTRY)
