@@ -427,8 +427,9 @@ def run_scenario(path, seed=None, out=None):
     """Execute a scenario file and write report.json and timings.json.
 
     seed and out override the header's when given.  Returns the process
-    exit code: 0 pass, 1 audit failure, 2 when an analysis rejected one of
-    its parameters (its error is in the report).
+    exit code: 0 pass, 1 audit failure or an analysis error, 2 when an
+    analysis rejected one of its parameters.  Errors are in the report,
+    whose summary passes only when no analysis failed or raised.
     """
     header, analyses = parse_scenario(path)
     sys, header, bound = validate_scenario(header, analyses)
@@ -459,8 +460,7 @@ def run_scenario(path, seed=None, out=None):
         except NDistalError as exc:
             record["error"] = f"{type(exc).__name__}: {exc}"
             record["passed"] = False if asserts else None
-            if asserts:
-                any_fail = True
+            any_fail = True
             bad_params |= isinstance(exc, ParameterError)
         timings.append({"op": op, "seconds": time.perf_counter() - t0})
         records.append(record)

@@ -23,9 +23,10 @@ systems and the annulus family override hooks with closed forms, and the
 engine still serves the rotation, conjugates, powers and products:
 
   * the shift, from packed bits: its difference masks for the co-moving
-    extremes, keyed by the bits at one position per symbol-column class,
-    and its windows of symbols around each time for the visits and the
-    self-returns;
+    extremes, keyed by the bits at one position per symbol-column class
+    and numbered through a code table, with no sort, when the keys fit
+    one, and its windows of symbols around each time for the visits and
+    the self-returns;
   * the torus systems, for the co-moving extremes: F^n p - F^n q depends
     only on p - q, so one y-difference is stepped per distinct difference
     p - q instead of every pair; the differences are deduplicated per

@@ -10,6 +10,7 @@ small at one scale without actually converging.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -53,10 +54,43 @@ class ProximalCellEstimate:
                            for k in self.members}}
 
 
+class _Cells(Sequence):
+    """Read-only view of a report's cells: indexing builds that cell's
+    ProximalCellEstimate from the report's block."""
+
+    def __init__(self, report):
+        self._report = report
+
+    def __len__(self):
+        return len(self._report.indptr) - 1
+
+    def __getitem__(self, i):
+        picked = range(len(self))[i]
+        if isinstance(picked, range):
+            return [self[k] for k in picked]
+        r = self._report
+        span = slice(r.indptr[picked], r.indptr[picked + 1])
+        keys = r.members[span].tolist()
+        return ProximalCellEstimate(
+            base=picked, members=tuple(keys), horizon=r.horizon,
+            threshold=r.threshold,
+            min_dist_trace=dict(zip(keys, r.min_dist_trace[span].tolist())),
+            stable=dict(zip(keys, r.stable[span].tolist())))
+
+
 @dataclass
 class ProximalReport:
-    cells: list
-    max_cell_size: int
+    """Every proximal cell of a cloud as one CSR block: cell i holds
+    members[indptr[i]:indptr[i + 1]] (ascending, i among them), with each
+    member's minimum over |n| <= H in min_dist_trace and its stability flag
+    in stable at the same positions.  `cells` is a read-only sequence view
+    that builds a ProximalCellEstimate only for the cell it is asked for;
+    `graph` is the proximal graph, with no loops."""
+
+    indptr: np.ndarray
+    members: np.ndarray
+    min_dist_trace: np.ndarray
+    stable: np.ndarray
     verdict: str
     graph: np.ndarray
     horizon: int
@@ -65,16 +99,42 @@ class ProximalReport:
     stable_only: bool
     cloud: PointCloud = field(repr=False)
 
+    @property
+    def cells(self):
+        return _Cells(self)
+
+    def cell_sizes(self):
+        """Each cell's size, from the row pointers."""
+        return np.diff(self.indptr)
+
+    @property
+    def max_cell_size(self):
+        return int(self.cell_sizes().max())
+
     def as_dict(self):
         edges = np.argwhere(np.triu(self.graph, 1)).tolist()
+        # one tolist per array; every nontrivial cell reads slices of them
+        bounds = self.indptr.tolist()
+        members = self.members.tolist()
+        names = np.array([str(k) for k in range(len(self.cloud))],
+                         dtype=object)[self.members].tolist()
+        trace = self.min_dist_trace.tolist()
+        stable = self.stable.tolist()
+        cells = []
+        for i in np.flatnonzero(self.cell_sizes() > 1).tolist():
+            lo, hi = bounds[i], bounds[i + 1]
+            cells.append({"base": i, "members": members[lo:hi],
+                          "horizon": self.horizon,
+                          "threshold": self.threshold,
+                          "min_dist_trace": dict(zip(names[lo:hi],
+                                                     trace[lo:hi])),
+                          "stable": dict(zip(names[lo:hi], stable[lo:hi]))})
         return {"verdict": self.verdict, "max_cell_size": self.max_cell_size,
                 "horizon": self.horizon, "threshold": self.threshold,
                 "n_max": self.n_max, "stable_only": self.stable_only,
                 "cloud_size": len(self.cloud),
                 "cloud_provenance": self.cloud.provenance,
-                "edges": edges,
-                "cells": [c.as_dict() for c in self.cells
-                          if len(c.members) > 1]}
+                "edges": edges, "cells": cells}
 
 
 def _check_scale(H, eps):
@@ -89,10 +149,15 @@ def _stable(M_h, M_2h, factor, floor):
     return (M_2h <= M_h / factor) | (M_2h <= floor)
 
 
-def _cell(base, adj, row_h, stable, H, eps, index_map=None):
-    """The cell of `base` over the members marked in `adj`, traced by row_h
-    and flagged by `stable`; index_map renames indices."""
-    members = np.nonzero(adj)[0]
+def _row_cell(base, row_h, row_2h, H, eps, floor, index_map=None):
+    """The cell of `base` from its minima over |n| <= H and 2H: the points
+    eps-close to it, each traced by row_h and flagged stable when its
+    minimum converges; index_map renames indices."""
+    adj = row_h < eps
+    adj[base] = True
+    stable = _stable(row_h, row_2h, STABLE_FACTOR, floor)
+    stable[base] = True
+    members = np.flatnonzero(adj)
     keys = members if index_map is None else np.asarray(index_map)[members]
     keys = keys.tolist()
     return ProximalCellEstimate(
@@ -100,14 +165,6 @@ def _cell(base, adj, row_h, stable, H, eps, index_map=None):
         members=tuple(keys), horizon=H, threshold=eps,
         min_dist_trace=dict(zip(keys, row_h[members].tolist())),
         stable=dict(zip(keys, stable[members].tolist())))
-
-
-def _row_cell(base, row_h, row_2h, H, eps, floor, index_map=None):
-    adj = row_h < eps
-    adj[base] = True
-    stable = _stable(row_h, row_2h, STABLE_FACTOR, floor)
-    stable[base] = True
-    return _cell(base, adj, row_h, stable, H, eps, index_map)
 
 
 def proximal_cell(sys, x, cloud: PointCloud, H: int = DEFAULT_H,
@@ -140,15 +197,16 @@ def distality_report(sys, cloud: PointCloud, H: int = DEFAULT_H,
         raise ParameterError("distality_report needs a nonempty cloud")
     M2, cps = orbit_min_matrix(sys, cloud.points, 2 * H, checkpoints=(H,))
     MH = cps[H]
-    adj = MH < eps_prox
     stable = _stable(MH, M2, STABLE_FACTOR, sys.floor)
-    use = (adj & stable) if stable_only else adj
+    use = MH < eps_prox
+    if stable_only:
+        use &= stable
     np.fill_diagonal(use, True)
     use &= use.T
 
-    cells = [_cell(i, use[i], MH[i], stable[i], H, eps_prox)
-             for i in range(len(cloud))]
-    max_size = max(len(c.members) for c in cells)
+    sizes = np.count_nonzero(use, axis=1)
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    max_size = int(sizes.max())
     if max_size == 1:
         verdict = "distal"
     elif max_size <= N_max:
@@ -157,10 +215,11 @@ def distality_report(sys, cloud: PointCloud, H: int = DEFAULT_H,
         verdict = f"{max_size}-distal, {weaker}"
     else:
         verdict = f"not N-distal up to N_max={N_max}"
-    graph = use.copy()
-    np.fill_diagonal(graph, False)
-    return ProximalReport(cells=cells, max_cell_size=max_size,
-                          verdict=verdict, graph=graph, horizon=H,
+    members, trace, flags = np.nonzero(use)[1], MH[use], stable[use]
+    np.fill_diagonal(use, False)  # the cells are taken: use is the graph
+    return ProximalReport(indptr=indptr, members=members,
+                          min_dist_trace=trace, stable=flags,
+                          verdict=verdict, graph=use, horizon=H,
                           threshold=eps_prox, n_max=N_max,
                           stable_only=stable_only, cloud=cloud)
 

@@ -309,12 +309,13 @@ def prop_3_2_audit(sys, cloud: PointCloud, T_max: int = 50,
         details["reason"] = "system is not N-distal at scale"
         return AuditRecord("prop_3_2", False, None, details)
     periodic = periodic_points(sys, cloud, T_max, eps_per)
+    sizes = report.cell_sizes()
     violations = []
     for x, T in periodic:
-        i = cloud.index_of(x)
-        if report.cells[i].size() > 1:
+        size = int(sizes[cloud.index_of(x)])
+        if size > 1:
             violations.append({"point": repr(x), "period": T,
-                               "cell_size": report.cells[i].size()})
+                               "cell_size": size})
     details["n_periodic"] = len(periodic)
     details["violations"] = violations
     return AuditRecord("prop_3_2", True, not violations, details)

@@ -29,7 +29,9 @@ distances down to its ``floor`` 2^-GCAP.  Its co-moving extremes key each
 pair's difference mask by symbol-column class: window positions whose
 columns agree over every point carry the same difference bit in every
 pair, so a pair's XOR over one position per class, a word or a few, fixes
-its whole mask.  The torus
+its whole mask.  Keys of one word whose code space fits ``_CLASS_BLOCK``
+are numbered through a code table, as the torus codes are, with no sort;
+wider keys are sorted.  The torus
 systems override ``comoving_extremes`` by difference class: F^n p - F^n q
 depends only on p - q (through the class attribute ``shear``), so each
 distinct difference is swept once.  The differences are deduplicated
@@ -103,7 +105,7 @@ def _finite(name, value):
 
 _CLASS_BLOCK = 65_536  # pairs per block of the torus and annulus closed forms
                        # and of the annulus distance matrix, and the most
-                       # codes of the torus form's one code table
+                       # codes of a torus or shift code table
 
 
 def _torus_dist(dx, dy):
@@ -946,6 +948,25 @@ def _class_codes(*bit_rows):
     return codes
 
 
+def _key_classes(keys, space):
+    """The sorted distinct keys, one occurrence of each and each key's
+    index among them, as from np.unique(keys, return_index=True,
+    return_inverse=True) but with any occurrence in place of the first.
+    When every key is below `space` and `space` fits _CLASS_BLOCK, a table
+    of `space` entries marks the keys that occur and a cumsum numbers
+    them, with no sort; np.unique sorts them when `space` is None (keys
+    of no one word) or beyond _CLASS_BLOCK."""
+    if space is None or space > _CLASS_BLOCK:
+        return np.unique(keys, return_index=True, return_inverse=True)
+    seen = np.zeros(space, dtype=bool)
+    seen[keys] = True
+    at = np.empty(space, dtype=np.intp)
+    at[keys] = np.arange(keys.size)
+    distinct = np.flatnonzero(seen)
+    return (distinct.astype(keys.dtype), at[distinct],
+            (np.cumsum(seen) - 1)[keys])
+
+
 def _window_words(points, H):
     """Two uint64 words per point and centre n in [-H, H]: bit k holds
     s_{n+k} in the first and s_{n-k} in the second, k < GCAP."""
@@ -1017,7 +1038,11 @@ class ShiftSystem(DynSystem):
         pair's mask is fixed by its bits at one position per column class:
         the XOR of the two points' `_class_codes` keys it.  Each block of
         rows computes the profile once per distinct key, on the full mask
-        of the first pair holding it.
+        of one pair holding it.  Keys of one word below 2^b, b the bit
+        length of the largest code (at most the number of column classes),
+        are numbered through a code table of 2^b entries when that fits
+        `_CLASS_BLOCK`, with no sort (`_key_classes`); wider keys are
+        sorted by `np.unique`.
         Values below 2^-GCAP, and pairs that agree on the whole window, are
         clamped to it; equal points get 0.
         """
@@ -1028,14 +1053,18 @@ class ShiftSystem(DynSystem):
         codes = _class_codes(*bits)
         A, B, ca, cb = packed[0], packed[-1], codes[0], codes[-1]
         ma, mb, w = len(A), len(B), ca.shape[1]
-        # one uint64 per pair when the classes fit a word, void keys beyond
-        key = np.uint64 if w == 1 else f"V{8 * w}"
+        # one uint64 per pair below 2^b when the classes fit a word, void
+        # keys with no table beyond
+        if w == 1:
+            top = max(ca.max(initial=0), cb.max(initial=0))
+            key, space = np.uint64, 1 << int(top).bit_length()
+        else:
+            key, space = f"V{8 * w}", None
         out = {h: np.empty((ma, mb)) for h in horizons}
         for rows in _row_blocks(ma, mb * w, _CHUNK):
             # the key block is freed before the profiles are built
-            _, first, inv = np.unique(
-                (ca[rows, None, :] ^ cb[None, :, :]).view(key).ravel(),
-                return_index=True, return_inverse=True)
+            _, first, inv = _key_classes(
+                (ca[rows, None, :] ^ cb[None, :, :]).view(key).ravel(), space)
             vals = _mask_extremes(A[rows.start + first // mb] ^ B[first % mb],
                                   W, horizons, use_max)
             for h in horizons:

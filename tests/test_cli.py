@@ -419,6 +419,19 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     assert record["error"].startswith("ParameterError: seed")
 
 
+def test_analysis_error_fails_the_summary(tmp_path):
+    # the analysis has no assert_* keys, yet it never ran
+    path = write(tmp_path, "s.scn", "system = rotation\nseed = -3\n"
+                 "cloud_size = 16\n[n_equicontinuity_probe]\nH = 20\n")
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    [record] = report["analyses"]
+    assert "error" in record and record["passed"] is None
+    assert report["summary"] == {"passed": False, "n_failed": 0,
+                                 "n_asserted": 0}
+
+
 @pytest.mark.parametrize("argv", [
     ["run", str(ROOT / "scenarios" / "shift2_suite.scn")],
     ["ndiam", "--system", "rotation", "--N", "1", "--cloud-size", "8"],

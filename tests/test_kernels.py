@@ -857,6 +857,75 @@ def test_shift_wide_keys_match_full_masks(use_max):
         assert np.array_equal(rows[h], want[h][::9])
 
 
+def random_words(seed, m, core_len, origins):
+    rng = np.random.default_rng(seed)
+    return [word_point(tuple(int(b) for b in rng.integers(0, 2, core_len)),
+                       int(rng.integers(*origins))) for _ in range(m)]
+
+
+# (pts_a, pts_b, horizons, use_max, centre, rows per key block or None)
+KEY_TABLE_CASES = {
+    "grid-3": lambda: (shift2().sampler(3).points, None, {200, 400}, False,
+                       0, None),
+    "grid-4": lambda: (shift2().sampler(4).points, None, {5, 20}, True, 0,
+                       None),
+    "cross-min": lambda: (shift2().sampler(3).points[::5],
+                          shift2().sampler(4).points[::7], {3, 12}, False, 7,
+                          None),
+    "cross-max": lambda: (shift2().sampler(4).points[::9],
+                          shift2().sampler(3).points, {3, 12}, True, -5,
+                          None),
+    "few-rows": lambda: (shift2().sampler(3).points, None, {4, 9}, False, 3,
+                         3),
+    # 21 column classes: keys beyond the table, sorted by np.unique
+    "classes-21": lambda: (random_words(0, 8, 12, (-10, 11)), None, {2, 10},
+                           True, 0, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEY_TABLE_CASES))
+def test_shift_key_table_matches_sorted_keys(monkeypatch, case):
+    # every row block's code table against np.unique on the same keys:
+    # the same distinct keys and inverse, and occurrences holding the same
+    # difference masks
+    pts_a, pts_b, horizons, use_max, centre, rows = KEY_TABLE_CASES[case]()
+    pts_b = pts_a if pts_b is None else pts_b
+    W = max(horizons) + GCAP
+    bits = [systems._shift_bits(pts, centre - W, centre + W)
+            for pts in (pts_a, pts_b)]
+    classes = np.unique(np.concatenate(bits), axis=1).shape[1]
+    assert (16 < classes <= 64) == (case == "classes-21")
+    A, B = (np.packbits(b, axis=1) for b in bits)
+    if rows:
+        monkeypatch.setattr(systems, "_CHUNK", rows * len(B))
+    blocks = []
+    real = systems._key_classes
+
+    def spy(keys, space):
+        blocks.append((keys.copy(), space, real(keys, space)))
+        return blocks[-1][2]
+
+    monkeypatch.setattr(systems, "_key_classes", spy)
+    got = shift2().comoving_extremes(pts_a, pts_b, horizons, use_max, centre)
+    start = 0
+    for keys, space, (distinct, first, inv) in blocks:
+        assert (space > systems._CLASS_BLOCK) == (classes > 16)
+        want, want_first, want_inv = np.unique(keys, return_index=True,
+                                               return_inverse=True)
+        assert distinct.dtype == want.dtype
+        assert np.array_equal(distinct, want)
+        assert np.array_equal(inv, want_inv)
+        masks = [A[start + f // len(B)] ^ B[f % len(B)]
+                 for f in (first, want_first)]
+        assert np.array_equal(*masks)
+        start += keys.size // len(B)
+    assert start == len(A)
+    assert len(blocks) == (-(-len(A) // rows) if rows else 1)
+    want = full_mask_reference(pts_a, pts_b, horizons, use_max, centre)
+    for h in horizons:
+        assert np.array_equal(got[h], want[h])
+
+
 def test_shift_zero_only_for_equal_points():
     sys = shift2()
     zero, far = word_point(()), word_point((1,), origin=200)

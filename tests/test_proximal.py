@@ -9,6 +9,7 @@ import pytest
 from ndistal import proximal
 from ndistal.cli import main
 from ndistal.errors import HomomorphismError, ParameterError
+from ndistal.kernels import orbit_min_matrix
 from ndistal.points import (Annulus, OrbitIndex, Pair, PointCloud, Torus,
                             word_point)
 from ndistal.proximal import (ProximalCellEstimate, distality_report,
@@ -87,23 +88,79 @@ def item_wise_cell(c):
     return d
 
 
-@pytest.mark.parametrize("make, size, H", [(shift2, 3, 50),
-                                           (annulus3, 16, 100)])
-def test_report_as_dict_matches_item_wise_build(make, size, H):
-    s = make()
-    rep = distality_report(s, s.sampler(size), H=H, stable_only=False)
-    want = {"verdict": rep.verdict, "max_cell_size": rep.max_cell_size,
+def item_wise_report(rep, cells):
+    """ProximalReport.as_dict built edge by edge and cell by cell."""
+    return {"verdict": rep.verdict, "max_cell_size": rep.max_cell_size,
             "horizon": rep.horizon, "threshold": rep.threshold,
             "n_max": rep.n_max, "stable_only": rep.stable_only,
             "cloud_size": len(rep.cloud),
             "cloud_provenance": rep.cloud.provenance,
             "edges": [[int(i), int(j)] for i, j in zip(*np.nonzero(rep.graph))
                       if i < j],
-            "cells": [item_wise_cell(c) for c in rep.cells
+            "cells": [item_wise_cell(c) for c in cells
                       if len(c.members) > 1]}
+
+
+@pytest.mark.parametrize("make, size, H", [(shift2, 3, 50),
+                                           (annulus3, 16, 100)])
+def test_report_as_dict_matches_item_wise_build(make, size, H):
+    s = make()
+    rep = distality_report(s, s.sampler(size), H=H, stable_only=False)
+    want = item_wise_report(rep, rep.cells)
     got = rep.as_dict()
     assert want["edges"] and got == want
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def eager_cells(s, cloud, H, eps=proximal.DEFAULT_EPS):
+    """Every cell of a stable-only report, built row by row as its own
+    ProximalCellEstimate."""
+    M2, cps = orbit_min_matrix(s, cloud.points, 2 * H, checkpoints=(H,))
+    MH = cps[H]
+    stable = proximal._stable(MH, M2, proximal.STABLE_FACTOR, s.floor)
+    use = (MH < eps) & stable
+    np.fill_diagonal(use, True)
+    use &= use.T
+    cells = []
+    for i in range(len(cloud)):
+        members = np.nonzero(use[i])[0]
+        keys = members.tolist()
+        cells.append(ProximalCellEstimate(
+            base=i, members=tuple(keys), horizon=H, threshold=eps,
+            min_dist_trace=dict(zip(keys, MH[i][members].tolist())),
+            stable=dict(zip(keys, stable[i][members].tolist()))))
+    return cells
+
+
+@pytest.mark.parametrize("make, size, H", [(shift2, 4, 200),
+                                           (annulus3, 64, 200),
+                                           (SkewTorus, 24, 100)])
+def test_report_cells_are_built_when_indexed(monkeypatch, make, size, H):
+    s = make()
+    cloud = s.sampler(size)
+    built = []
+
+    class Spy(ProximalCellEstimate):
+        def __post_init__(self):
+            built.append(self.base)
+            super().__post_init__()
+
+    monkeypatch.setattr(proximal, "ProximalCellEstimate", Spy)
+    rep = distality_report(s, cloud, H=H)
+    got = json.dumps(rep.as_dict())
+    assert built == []
+    want = eager_cells(s, cloud, H)
+    assert len(rep.cells) == len(want) == len(cloud)
+    assert got == json.dumps(item_wise_report(rep, want))
+    assert rep.max_cell_size == max(c.size() for c in want)
+    assert rep.cell_sizes().tolist() == [c.size() for c in want]
+    for i, cell in enumerate(rep.cells):
+        assert vars(cell) == vars(want[i])
+    assert built == list(range(len(cloud)))
+    assert vars(rep.cells[-1]) == vars(want[-1])
+    assert [c.base for c in rep.cells[1:4]] == [1, 2, 3]
+    with pytest.raises(IndexError):
+        rep.cells[len(cloud)]
 
 
 def test_fiber_cell_as_dict_matches_item_wise_build():
