@@ -128,19 +128,54 @@ def skew_witness(N: int, delta: float, M: Optional[int] = None):
     """Smallest n >= 1 whose shear moves some first-coordinate offset
     delta/M into the separated band: n*delta/M mod 1 in [1/4, 3/4].
 
-    Returns (M, n).  With M fixed, only that offset is scanned.
+    Returns (M, n), the smallest n and then the smallest M, as scanning
+    n = 1, 2, ... over every offset would find them.  With M fixed, only
+    that offset counts.  Each offset's first n is found in closed form
+    (`_first_in_band`), so small delta costs no more than large.
     """
     if not 0 < delta < 1 or N < 1:
         raise ParameterError("need 0 < delta < 1 and N >= 1")
     if M is not None and not 1 <= M <= N:
         raise ParameterError(f"need 1 <= M <= N={N}, got M={M!r}")
-    ms = [M] if M is not None else list(range(1, N + 1))
-    n = 0
-    while True:
+    best = (math.inf, 0)
+    # the one offset that may need a step-by-step scan (M = 1 with
+    # delta > 1/2) comes last, capped by the others' best n
+    for m in ([M] if M is not None else range(N, 0, -1)):
+        best = min(best, (_first_in_band(delta, m, best[0]), m))
+    return best[1], best[0]
+
+
+def _first_in_band(delta, m, cap):
+    """The smallest n >= 1 with n*delta/m mod 1 in [1/4, 3/4], evaluated
+    as `skew_witness` states it, or inf when none is at most cap.
+
+    n*delta/m is nondecreasing in n in floating point too.  With
+    delta/m <= 1/2 it climbs from 0 in steps too short to jump the band,
+    so every n before the first n with n*delta/m >= 1/4 lies below the
+    band: that n, near m / (4 delta), is bisected against the float test
+    itself.  From there, and from n = 1 when delta/m > 1/2, the test is
+    stepped as stated.
+    """
+    def value(n):
+        return n * delta / m
+
+    n = 1
+    if delta / m <= 0.5:
+        guess = m / (4.0 * delta)
+        if not math.isfinite(guess):
+            raise ParameterError(f"delta={delta!r} is too small for a "
+                                 "witness time")
+        lo, n = 0, max(1, math.ceil(guess))
+        while value(n) < 0.25:
+            lo, n = n, 2 * n
+        while n - lo > 1:
+            mid = (lo + n) // 2
+            lo, n = (mid, n) if value(mid) < 0.25 else (lo, mid)
+    while not 0.25 <= value(n) % 1.0 <= 0.75:
+        if n >= cap:
+            return math.inf
         n += 1
-        for m in ms:
-            if 0.25 <= (n * delta / m) % 1.0 <= 0.75:
-                return m, n
+    return n
 
 
 def _dispersed_bases(D0, k):

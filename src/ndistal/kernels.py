@@ -28,11 +28,18 @@ engine still serves the rotation, conjugates, powers and products:
     one, and its windows of symbols around each time for the visits and
     the self-returns;
   * the torus systems, for the co-moving extremes: F^n p - F^n q depends
-    only on p - q, so one y-difference is stepped per distinct difference
+    only on p - q, so one y-gap is evaluated per distinct difference
     p - q instead of every pair; the differences are deduplicated per
-    coordinate into integer codes, swept in one group when the codes fit
-    one block, and the fold runs on |y| with the distance taken once per
-    horizon;
+    coordinate into integer codes, evaluated in one group when the codes
+    fit one block.  No time is stepped: a class's y-gap is y0 + m rise
+    mod 1 at time centre + m, so its extreme over a window is the
+    circular distance from one point to the progression
+    {m rise mod 1 : |m| <= h}, shared by every class of the same x-gap:
+    one sorted table per rise and horizon, one bisection per class (the
+    three-distance lookup of the annulus visits), and a scan for a rise
+    that one class holds.  The distance is taken once per horizon, and
+    the extremes are within about 1e-14 of a time-stepped fold, not
+    bit-identical to it;
   * the annulus family, for the visits: at a fixed radius the nearest
     visit is one bisection in the sorted angles {n k mod 1 : |n| <= H},
     and the short window of indices where an orbit's radius moves is one

@@ -34,13 +34,23 @@ are numbered through a code table, as the torus codes are, with no sort;
 wider keys are sorted.  The torus
 systems override ``comoving_extremes`` by difference class: F^n p - F^n q
 depends only on p - q (through the class attribute ``shear``), so each
-distinct difference is swept once.  The differences are deduplicated
+distinct difference is evaluated once.  The differences are deduplicated
 per coordinate: the distinct gaps of each coordinate come from the outer
 difference of its distinct values, and a pair's class is the integer code
 of its x-gap and y-gap.  When that code space fits ``_CLASS_BLOCK``, as a
 grid's does, one table marks the codes that occur and the whole matrix is
-swept once; otherwise each row block sweeps its own classes.  The sweep
-folds the y-gap |y| and takes the distance once per horizon.  The
+evaluated once; otherwise each row block evaluates its own classes.  No
+time is stepped: on the skew torus a class's y-gap at time centre + m is
+y0 + m rise mod 1, so its extreme over a window is the circular distance
+from one query point to the arithmetic progression {m rise mod 1 :
+|m| <= h}, and every class of the same x-gap shares that progression.
+Folded onto [0, 1/2] it is the same for the rise and its negative; each
+rise shared by several classes is sorted into one table per horizon and
+each class bisects it once, the nearest-angle lookup of the
+three-distance theorem that the annulus visits use too; a rise of one
+class is scanned.  Both read the same table values, so a class gets the
+same bits either way, within about 1e-14 of the time-stepped fold but
+not bit-identical to it.  The
 annulus family overrides
 ``visit_minima``: every angle advances by the same k, so a visit at fixed
 radius is one bisection in the sorted angles {n k mod 1}, and the short
@@ -83,8 +93,8 @@ import numpy as np
 
 from .equicont import EquicontinuityWitness, skew_witness
 from .errors import ConjugacyError, InvalidPointError, ParameterError
-from .kernels import (_CHUNK, _row_blocks, _sweep, sweep_extremes,
-                      sweep_returns, sweep_visits)
+from .kernels import (_CHUNK, _row_blocks, sweep_extremes, sweep_returns,
+                      sweep_visits)
 from .points import (Annulus, OrbitIndex, Pair, PointCloud, SymbolicPoint,
                      Torus, periodic_point, symbolic_distance,
                      word_point)
@@ -153,11 +163,14 @@ def _class_groups(A, B):
     if whole and whole[0] <= _CLASS_BLOCK:
         n, codes, classes = whole
         seen = np.zeros(n, dtype=bool)
-        for rows in blocks:
-            seen[codes(rows)] = True
+        # each block's codes, kept from the marking pass to gather with
+        kept = [codes(rows).astype(np.min_scalar_type(n - 1))
+                for rows in blocks]
+        for c in kept:
+            seen[c] = True
         rank = np.cumsum(seen) - 1
         yield (classes(np.flatnonzero(seen)),
-               ((rows, rank[codes(rows)]) for rows in blocks))
+               ((rows, rank[c]) for rows, c in zip(blocks, kept)))
         return
     for rows in blocks:
         # never None: a block's distinct values span at most its pairs
@@ -165,6 +178,115 @@ def _class_groups(A, B):
         c = codes(slice(None))
         local, inv = np.unique(c, return_inverse=True)
         yield classes(local), [(rows, inv.reshape(c.shape))]
+
+
+def _folds(r, H):
+    """u[k, m - 1] = ||m r_k||, the distance from m r_k to the nearest
+    integer, for m = 1..H: the progression {m r_k mod 1 : |m| <= H} folded
+    onto [0, 1/2], the same for -r_k."""
+    u = np.multiply.outer(r, np.arange(1.0, H + 1.0))
+    u -= np.round(u)
+    return np.abs(u, out=u)
+
+
+def _scan_gaps(r, y, horizons):
+    """{h: min over |m| <= h of ||y_i + m r_i||} for classes with y_i in
+    [0, 1/2], each from its own progression, with no sort.
+
+    With u = ||m r|| the terms of m and -m are ||y - u|| = |y - u|, as
+    y and u lie in [0, 1/2], and ||y + u|| = min(y + u, 1 - (y + u)),
+    where y + u >= |y - u|.  So the minimum over the window is
+    min(min |y - u|, 1 - (y + max u)), with u = 0 for m = 0: in floating
+    point too it equals the minimum of |d - round(d)| over d = y + t for
+    every t = m r - round(m r), bit for bit.  The widest window is folded
+    once and the inner ones are its prefixes.
+    """
+    H = max(horizons)
+    out = {h: np.empty(len(r)) for h in horizons}
+    for rows in _row_blocks(len(r), H, _CLASS_BLOCK):
+        u, yb = _folds(r[rows], H), y[rows]
+        d = np.abs(yb[:, None] - u)
+        near, far, done = yb, np.zeros(len(yb)), 0
+        for h in sorted(horizons):
+            if h > done:
+                near = np.minimum(near, d[:, done:h].min(axis=1))
+                far = np.maximum(far, u[:, done:h].max(axis=1))
+                done = h
+            out[h][rows] = np.minimum(near, 1.0 - (yb + far))
+    return out
+
+
+def _lookup_gaps(r, y, run, horizons):
+    """`_scan_gaps` for classes that share a rise: the distinct rise r_k,
+    held by the classes run[k]:run[k + 1], sorts its folded progression
+    (0 and ||m r_k|| for 1 <= m <= h) once per horizon, and each class
+    bisects it once for its y.  |y - u| falls up to y and rises after it,
+    so its minimum lies at u[i - 1] or u[i], i the insertion point of y,
+    and the largest u is the table's last: the scan's result, bit for bit.
+    """
+    H = max(horizons)
+    out = {h: np.empty(len(y)) for h in horizons}
+    for rises in _row_blocks(len(r), H + 1, _CLASS_BLOCK):
+        u = _folds(r[rises], H)
+        ends = run[rises.start:rises.stop + 1]
+        cls = slice(ends[0], ends[-1])
+        k = np.repeat(np.arange(len(u)), np.diff(ends))
+        yk = y[cls]
+        # one complex table of every row sorts by row, then value, so one
+        # bisection finds each class's place in its own row
+        query = np.empty(len(yk), dtype=complex)
+        query.real, query.imag = k, yk
+        for h in horizons:
+            table = np.sort(np.concatenate(
+                (np.zeros((len(u), 1)), u[:, :h]), axis=1), axis=1)
+            keyed = np.empty(table.shape, dtype=complex)
+            keyed.real = np.arange(len(u))[:, None]
+            keyed.imag = table
+            at = k * (h + 1)
+            i = np.searchsorted(keyed.ravel(), query) - at
+            table = table.ravel()
+            near = np.minimum(
+                np.abs(yk - table[at + np.maximum(i - 1, 0)]),
+                np.abs(yk - table[at + np.minimum(i, h)]))
+            out[h][cls] = np.minimum(near, 1.0 - (yk + table[at + h]))
+    return out
+
+
+def _progression_gaps(rise, y0, horizons, use_max):
+    """{h: the min (max when use_max) over |m| <= h of ||y0 + m rise||},
+    the y-gaps of classes whose gap at the window's centre is y0.
+
+    The min is the circular distance from -y0 to the progression
+    {m rise mod 1 : |m| <= h}, and the max 1/2 minus that from
+    -y0 - 1/2.  The progression is the same set for -rise, and the
+    distance the same from y0, so a class's extreme depends only on |rise|
+    and |y0| (on 1/2 - |y0| for the max): a class and its negative get
+    the same bits.  Classes are deduplicated on that pair.  A rise that
+    several of them hold is sorted and bisected (`_lookup_gaps`), a rise
+    held by one is scanned (`_scan_gaps`); both read the same folded
+    values, so a class's extreme does not depend on the other classes of
+    the call.
+    """
+    keys = np.empty(len(y0), dtype=complex)
+    keys.real = np.abs(rise)
+    keys.imag = np.abs(y0)
+    if use_max:
+        keys.imag = 0.5 - keys.imag
+    keys, inv = np.unique(keys, return_inverse=True)
+    r, y = keys.real, keys.imag
+    # each distinct rise's run of keys, in order
+    run = np.r_[np.flatnonzero(np.r_[True, r[1:] != r[:-1]]), len(r)]
+    size = np.diff(run)
+    held = size > 1
+    many = np.repeat(held, size)
+    gaps = {h: np.empty(len(keys)) for h in horizons}
+    for at, part in (
+            (~many, _scan_gaps(r[~many], y[~many], horizons)),
+            (many, _lookup_gaps(r[run[:-1][held]], y[many],
+                                np.r_[0, np.cumsum(size[held])], horizons))):
+        for h, g in part.items():
+            gaps[h][at] = g
+    return {h: (0.5 - g if use_max else g)[inv] for h, g in gaps.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -373,27 +495,24 @@ class _TorusBase(DynSystem):
 
     def _sweep_classes(self, classes, horizons, use_max, centre):
         """{h: extremes over |n - centre| <= h} for each difference class
-        dx + i dy.  The x-gap stays fixed; the y column starts at
-        dy + centre * shear * dx and steps by shear * dx, reduced to
-        [-1/2, 1/2] after every step.  The sweep folds |y|, and the
-        distance `_torus_dist(dx, |y|)` is taken once per horizon: it is
-        monotone in |y| in floating point too, so the extremes are those
-        of the distance.  With shear 0 (the isometries) every horizon gets
-        the time-0 distances.
+        dx + i dy.  The x-gap stays fixed; at time centre + m the y-gap is
+        y0 + m rise reduced to [-1/2, 1/2], with rise = shear * dx and
+        y0 = dy + centre * rise.  Its extreme |y| over |m| <= h is read
+        off the progression {m rise mod 1 : |m| <= h} with no step loop
+        (`_progression_gaps`): one sorted table per distinct rise, shared
+        by its classes, one bisection per class, and a direct scan for a
+        rise no other class holds.  The distance `_torus_dist(dx, |y|)`
+        is taken once per horizon: it is monotone in |y| in floating
+        point too, so the extremes are those of the distance.  The result
+        is within about 1e-14 of stepping the y-gap one time step at a
+        time, not bit-identical to it.  With shear 0 (the isometries)
+        every horizon gets the time-0 distances.
         """
         rise = self.shear * classes.real
         y0 = classes.imag + centre * rise
         y0 -= np.round(y0)
         if self.shear:
-            def step(y, inverse):
-                y = y - rise if inverse else y + rise
-                return np.subtract(y, np.round(y), out=y)
-
-            red = np.maximum if use_max else np.minimum
-            M, cps = _sweep(step, y0, None, max(horizons),
-                            lambda y, _: np.abs(y), red, move_b=False,
-                            checkpoints=horizons)
-            cps[max(horizons)] = M
+            cps = _progression_gaps(rise, y0, horizons, use_max)
         else:
             cps = {h: np.abs(y0) for h in horizons}
         return {h: _torus_dist(classes.real.copy(), Y) for h, Y in cps.items()}

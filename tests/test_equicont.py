@@ -1,6 +1,9 @@
 """R_delta sets, equivariance, the N-equicontinuity probe, and the skew
 product witness construction."""
 
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +119,45 @@ def test_skew_witness_lands_in_window(delta, N):
     assert n >= 1
     frac = (n * delta / M) % 1.0
     assert 0.25 <= frac <= 0.75
+
+
+def skew_witness_loop(N, delta, M=None):
+    """The step-by-step scan `skew_witness` answers in closed form."""
+    ms = [M] if M is not None else list(range(1, N + 1))
+    n = 0
+    while True:
+        n += 1
+        for m in ms:
+            if 0.25 <= (n * delta / m) % 1.0 <= 0.75:
+                return m, n
+
+
+def test_skew_witness_matches_the_loop():
+    rng = np.random.default_rng(3)
+    deltas = ([0.5, 0.25, 0.75, 0.1, 0.2, 1 / 3, 2 / 3, 0.01, 0.49, 0.51,
+               0.26, 0.24, 0.9, 0.99, 1e-4]
+              + list(rng.random(30)) + list(10.0 ** rng.uniform(-4, 0, 30)))
+    for delta in deltas:
+        for N in (1, 2, 3, 5, 8):
+            for M in [None, *range(1, N + 1)]:
+                assert skew_witness(N, delta, M) == \
+                    skew_witness_loop(N, delta, M), (N, delta, M)
+    # m / (4 delta) rounds up past the first n here, which the bisection
+    # against the float test corrects
+    for N, delta, M in ((5, 1.3172550932985437e-06, 5),
+                        (3, 7.655498485232033e-07, 3)):
+        assert skew_witness(N, delta, M) == skew_witness_loop(N, delta, M)
+        assert skew_witness(N, delta, M)[1] < math.ceil(M / (4 * delta))
+
+
+def test_skew_witness_small_delta_is_immediate():
+    t0 = time.perf_counter()
+    assert skew_witness(1, 1e-12) == (1, 250_000_000_000)
+    assert skew_witness(3, 1e-12, M=2) == (2, 500_000_000_000)
+    assert skew_witness(4, 1e-9) == (1, 250_000_000)
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(ParameterError):   # M / (4 delta) overflows
+        skew_witness(1, 1e-310)
 
 
 # ---------------------------------------------------------------------------

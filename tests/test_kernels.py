@@ -336,22 +336,34 @@ def test_torus_class_blocks(monkeypatch, use_max):
         assert np.array_equal(blocked_rows[h], whole_rows[h])
 
 
-def per_block_reference(sys, pts_a, pts_b, horizons, use_max, centre):
+def per_block_reference(sys, pts_a, pts_b, horizons, use_max, centre,
+                        sweep=None):
     """The torus hook before classes were grouped across row blocks: each
-    block of at most _CLASS_BLOCK pairs sweeps only its own distinct
-    differences and takes the distance at every step."""
+    block of at most _CLASS_BLOCK pairs evaluates only its own distinct
+    differences, by `sweep` (by default the system's class function)."""
+    sweep = sweep or sys._sweep_classes
     A = sys.arr_state(pts_a)
     B = A if pts_b is None else sys.arr_state(pts_b)
-    red = np.maximum if use_max else np.minimum
     out = {h: np.empty((len(A), len(B))) for h in horizons}
     for rows in kernels._row_blocks(len(A), len(B), systems._CLASS_BLOCK):
         D = A[rows, None, :] - B[None, :, :]
         classes, inv = np.unique(
             D.reshape(-1, 2).view(np.complex128).ravel(),
             return_inverse=True)
+        ext = sweep(classes, horizons, use_max, centre)
+        for h in horizons:
+            out[h][rows] = ext[h][inv].reshape(D.shape[:2])
+    return out
+
+
+def stepped_sweep(sys):
+    """The class function before progression tables: each class's y-gap
+    stepped one time step at a time, the distance taken at every step."""
+    def sweep(classes, horizons, use_max, centre):
         gx = np.abs(classes.real)
         gx2 = np.square(np.minimum(gx, 1.0 - gx))
         rise = sys.shear * classes.real
+        red = np.maximum if use_max else np.minimum
 
         def dist(y, _):
             return np.sqrt(gx2 + y * y)
@@ -362,15 +374,13 @@ def per_block_reference(sys, pts_a, pts_b, horizons, use_max, centre):
 
         y0 = classes.imag + centre * rise
         y0 -= np.round(y0)
-        if sys.shear:
-            M, cps = kernels._sweep(step, y0, None, max(horizons), dist, red,
-                                    move_b=False, checkpoints=horizons)
-            cps[max(horizons)] = M
-        else:
-            cps = dict.fromkeys(horizons, dist(y0, None))
-        for h in horizons:
-            out[h][rows] = cps[h][inv].reshape(D.shape[:2])
-    return out
+        if not sys.shear:
+            return dict.fromkeys(horizons, dist(y0, None))
+        M, cps = kernels._sweep(step, y0, None, max(horizons), dist, red,
+                                move_b=False, checkpoints=horizons)
+        cps[max(horizons)] = M
+        return cps
+    return sweep
 
 
 def permuted_grid(sys, resolution, seed):
@@ -430,11 +440,15 @@ def test_grouped_torus_classes_match_per_block(case, monkeypatch):
     for name, value in patch.items():
         monkeypatch.setattr(systems, name, value)
     want = per_block_reference(sys, pts_a, pts_b, horizons, use_max, centre)
+    stepped = per_block_reference(sys, pts_a, pts_b, horizons, use_max,
+                                  centre, stepped_sweep(sys))
     got = sys.comoving_extremes(pts_a, pts_b, horizons, use_max, centre)
     assert set(got) == set(horizons)
     for h in horizons:
         assert got[h].shape == want[h].shape
         assert np.array_equal(got[h], want[h])
+        # the progression tables agree with the stepped fold to rounding
+        assert np.all(np.abs(got[h] - stepped[h]) <= 1e-13)
 
 
 def test_skew_grid_is_swept_in_one_group(monkeypatch):
@@ -545,6 +559,109 @@ def test_skew_orbit_min_exact_oracle():
     for i, (p, _) in enumerate(pairs):
         for j, (q, _) in enumerate(pairs):
             assert M[i, j] == min_orbit_distance(sys, p, q, H)
+
+
+def exact_skew_extremes(p, q, centre, horizons, use_max):
+    """{h: min (max) over |n - centre| <= h of the skew distance of the
+    exact pair, in integers scaled by 2^64: every coordinate here is a
+    multiple of 2^-64."""
+    one = 1 << 64
+
+    def scaled(v):
+        f = Fraction(v) * one
+        assert f.denominator == 1
+        return int(f)
+
+    def gap(t):
+        t %= one
+        return min(t, one - t)
+
+    dx = scaled(p.x) - scaled(q.x)
+    dy = scaled(p.y) - scaled(q.y)
+    H = max(horizons)
+    gy = [gap(dy + n * dx) for n in range(centre - H, centre + H + 1)]
+    red = max if use_max else min
+    return {h: math.sqrt(float(Fraction(gap(dx) ** 2
+                                        + red(gy[H - h:H + h + 1]) ** 2,
+                                        one * one)))
+            for h in horizons}
+
+
+@pytest.mark.parametrize("use_max", [False, True])
+@pytest.mark.parametrize("centre", [0, 37, -37])
+def test_skew_extremes_exact_oracle_off_dyadic_points(centre, use_max):
+    # grid points i/24 and random points are not dyadic with a short
+    # denominator, so every table value m * dx mod 1 is rounded
+    sys = SkewTorus()
+    grid = skew_grid()
+    rng = np.random.default_rng(17)
+    rows = grid[7:9] + random_torus(18, 2)
+    cols = ([grid[i] for i in rng.choice(len(grid), 10, replace=False)]
+            + random_torus(19, 6))
+    horizons = {0, 1, 50, 400}
+    got = sys.comoving_extremes(rows, cols, horizons, use_max, centre)
+    for i, p in enumerate(rows):
+        for j, q in enumerate(cols):
+            want = exact_skew_extremes(p, q, centre, horizons, use_max)
+            for h in horizons:
+                assert abs(got[h][i, j] - want[h]) <= 1e-13
+
+
+def skew_classes(pts_a, pts_b, centre, use_max):
+    """(|rise|, y) of each class of the skew hook, as its class function
+    keys them: y = |y0|, or 1/2 - |y0| for the max."""
+    sys = SkewTorus()
+    A, B = sys.arr_state(pts_a), sys.arr_state(pts_b)
+    classes = np.concatenate([c for c, _ in systems._class_groups(A, B)])
+    y0 = classes.imag + centre * classes.real
+    y0 -= np.round(y0)
+    y = np.abs(y0)
+    return np.abs(classes.real), 0.5 - y if use_max else y
+
+
+def direct_gaps(r, y, h):
+    """min over |m| <= h of |d - round(d)|, d = t_m + y, t_m = m r - round(m
+    r), each term written out over the whole table."""
+    m = np.arange(-h, h + 1.0)
+    t = np.multiply.outer(r, m)
+    t -= np.round(t)
+    d = t + y[:, None]
+    return np.abs(d - np.round(d)).min(axis=1)
+
+
+@pytest.mark.parametrize("use_max", [False, True])
+@pytest.mark.parametrize("centre", [0, 37])
+def test_progression_lookup_matches_scan_bit_for_bit(centre, use_max):
+    # the same classes read once by bisection in their shared sorted
+    # tables and once by scanning, one class a table; both equal the
+    # distance written out over every table value
+    grid = skew_grid()
+    r, y = skew_classes(grid[:40], grid + random_torus(22, 30), centre,
+                        use_max)
+    order = np.lexsort((y, r))
+    r, y = r[order], y[order]
+    run = np.r_[np.flatnonzero(np.r_[True, r[1:] != r[:-1]]), len(r)]
+    assert len(run) - 1 < len(r) / 4   # most rises are shared
+    horizons = {0, 1, 7, 200}
+    lookup = systems._lookup_gaps(r[run[:-1]], y, run, horizons)
+    scan = systems._scan_gaps(r, y, horizons)
+    for h in horizons:
+        assert np.array_equal(lookup[h].view(np.uint64),
+                              scan[h].view(np.uint64))
+        assert np.array_equal(scan[h], direct_gaps(r, y, h))
+
+
+def test_torus_hook_runs_no_step_loop(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the torus hook stepped an orbit")
+
+    monkeypatch.setattr(kernels, "_sweep", refuse)
+    assert not hasattr(systems, "_sweep")
+    grid = skew_grid()
+    for sys in (SkewTorus(), Rotation(), IdentityTorus()):
+        sys.comoving_extremes(grid, None, {0, 30}, False, 0)
+        sys.comoving_extremes(grid[:3], random_torus(23, 50), {5}, True, -4)
+        orbit_window_min_row(sys, grid[5], grid, 37, 20)
 
 
 @given(st.integers(0, 10_000))
