@@ -1,0 +1,6 @@
+"""``python -m ndistal``: the ``ndistal`` command line (`ndistal.cli`)."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -24,14 +24,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, check_positive
-from .kernels import orbit_min_rows, orbit_window_min_row
-from .ndiameter import (diam_n_bounds_from_matrix, diam_n_exact_from_matrix)
+from .kernels import _row_blocks, orbit_min_rows
+from .ndiameter import diam_n_bounds_stacked, diam_n_exact_from_matrix
 from .points import PointCloud
 
 DEFAULT_DELTA_GRID = (0.2, 0.1, 0.05, 0.02, 0.01)
 DEFAULT_H = 200
 TIE_TOL = 1e-12
 EXACT_BUDGET = 20000  # most (N+1)-subsets of a return set for exact diam_N
+LEVEL_BLOCK = 2 ** 17  # most elements of one gathered block of return-set
+                       # distance matrices
 
 
 @dataclass
@@ -63,19 +65,21 @@ def r_set_equivariance_check(sys, x, delta: float, cloud: PointCloud,
 
     With H' = H - |n|, the left side scans the window of radius H'
     centred at time n around (x, cloud) and the right side the window of
-    radius H' centred at time 0 around (f^n(x), f^n(cloud)).  Both windows
-    cover the same absolute times, so the identity is exact and the check
-    compares the kernel's centring with iterate composition; values within
-    TIE_TOL of delta are excluded from the comparison (floating boundary
-    ties are not resolvable).
+    radius H' centred at time 0 around (f^n(x), f^n(cloud)), both read off
+    the system's hook ``comoving_extremes``; f^n moves the states in one
+    jump, ``arr_iterate``.  Both windows cover the same absolute times, so
+    the identity is exact and the check compares the hook's centring with
+    the composed map; values within TIE_TOL of delta are excluded from the
+    comparison (floating boundary ties are not resolvable).
     """
     if abs(n) > H // 2:
         raise ParameterError("|n| must be at most H/2")
     cloud.index_of(x)
     H2 = H - abs(n)
-    da = orbit_window_min_row(sys, x, cloud.points, n, H2)
-    mapped = [sys.iterate(p, n) for p in cloud.points]
-    db = orbit_window_min_row(sys, sys.iterate(x, n), mapped, 0, H2)
+    sx, sc = sys.arr_state([x]), sys.arr_state(list(cloud.points))
+    da = sys.comoving_extremes(sx, sc, {H2}, False, n)[H2][0]
+    db = sys.comoving_extremes(sys.arr_iterate(sx, n), sys.arr_iterate(sc, n),
+                               {H2}, False, 0)[H2][0]
     keep = (np.abs(da - delta) > TIE_TOL) & (np.abs(db - delta) > TIE_TOL)
     return bool(np.array_equal((da < delta)[keep], (db < delta)[keep]))
 
@@ -131,50 +135,56 @@ def skew_witness(N: int, delta: float, M: Optional[int] = None):
     Returns (M, n), the smallest n and then the smallest M, as scanning
     n = 1, 2, ... over every offset would find them.  With M fixed, only
     that offset counts.  Each offset's first n is found in closed form
-    (`_first_in_band`), so small delta costs no more than large.
+    (`_first_in_band`), so delta near 0 or 1 costs no more than any
+    other.
     """
     if not 0 < delta < 1 or N < 1:
         raise ParameterError("need 0 < delta < 1 and N >= 1")
     if M is not None and not 1 <= M <= N:
         raise ParameterError(f"need 1 <= M <= N={N}, got M={M!r}")
-    best = (math.inf, 0)
-    # the one offset that may need a step-by-step scan (M = 1 with
-    # delta > 1/2) comes last, capped by the others' best n
-    for m in ([M] if M is not None else range(N, 0, -1)):
-        best = min(best, (_first_in_band(delta, m, best[0]), m))
-    return best[1], best[0]
+    n, m = min((_first_in_band(delta, m), m)
+               for m in ([M] if M is not None else range(1, N + 1)))
+    return m, n
 
 
-def _first_in_band(delta, m, cap):
+def _first_in_band(delta, m):
     """The smallest n >= 1 with n*delta/m mod 1 in [1/4, 3/4], evaluated
-    as `skew_witness` states it, or inf when none is at most cap.
+    as `skew_witness` states it.
 
     n*delta/m is nondecreasing in n in floating point too.  With
     delta/m <= 1/2 it climbs from 0 in steps too short to jump the band,
     so every n before the first n with n*delta/m >= 1/4 lies below the
-    band: that n, near m / (4 delta), is bisected against the float test
-    itself.  From there, and from n = 1 when delta/m > 1/2, the test is
-    stepped as stated.
+    band and that n lies in it.  With delta/m > 1/2 (so m = 1) it falls
+    below each next integer n by a deficit n - n*delta, exact in floating
+    point, that grows by 1 - delta < 1/2 a step: every n before the first
+    deficit >= 1/4 lies above the band and that n lies in it.  Rounding
+    n*delta to the nearest float keeps that n the first, as the threshold
+    n - 1/4 is a float and rounding is monotone.  Either first n, near
+    m / (4 delta) or 1 / (4 (1 - delta)), is bisected against the float
+    test itself.
     """
     def value(n):
         return n * delta / m
 
-    n = 1
     if delta / m <= 0.5:
         guess = m / (4.0 * delta)
         if not math.isfinite(guess):
             raise ParameterError(f"delta={delta!r} is too small for a "
                                  "witness time")
-        lo, n = 0, max(1, math.ceil(guess))
-        while value(n) < 0.25:
-            lo, n = n, 2 * n
-        while n - lo > 1:
-            mid = (lo + n) // 2
-            lo, n = (mid, n) if value(mid) < 0.25 else (lo, mid)
-    while not 0.25 <= value(n) % 1.0 <= 0.75:
-        if n >= cap:
-            return math.inf
-        n += 1
+
+        def reached(n):
+            return value(n) >= 0.25
+    else:
+        guess = 0.25 / (1.0 - delta)
+
+        def reached(n):
+            return n - value(n) >= 0.25
+    lo, n = 0, max(1, math.ceil(guess))
+    while not reached(n):
+        lo, n = n, 2 * n
+    while n - lo > 1:
+        mid = (lo + n) // 2
+        lo, n = (lo, mid) if reached(mid) else (mid, n)
     return n
 
 
@@ -194,6 +204,40 @@ def _dispersed_bases(D0, k):
         chosen.append(i)
         np.minimum(nearest, D0[i], out=nearest)
     return sorted(chosen)
+
+
+def _level_diameters(D0, inside, N):
+    """The N-diameters of the sampled return sets at one delta level:
+    (base position, lower bound, upper bound, witness as cloud indices)
+    for each base whose row of `inside` marks more than N members, in base
+    order.  Bases are grouped by member count k, and each group's k x k
+    distance matrices are gathered as (B, k, k) blocks of at most
+    LEVEL_BLOCK elements (one matrix at least): a block is bounded in one
+    stacked call, or solved exactly one matrix at a time when
+    C(k, N + 1) <= EXACT_BUDGET.  Each base gets the values its own matrix
+    gets alone."""
+    counts = inside.sum(axis=1)
+    found = {}
+    for k in np.unique(counts[counts > N]).tolist():
+        group = np.flatnonzero(counts == k)
+        exact = math.comb(k, N + 1) <= EXACT_BUDGET
+        for blk in _row_blocks(len(group), k * k, LEVEL_BLOCK):
+            bases = group[blk]
+            members = np.nonzero(inside[bases])[1].reshape(len(bases), k)
+            subs = D0[members[:, :, None], members[:, None, :]]
+            if exact:
+                res = [diam_n_exact_from_matrix(sub, N, EXACT_BUDGET)
+                       for sub in subs]
+                lower = [r.value_lower for r in res]
+                upper = [r.value_upper for r in res]
+                wit = [r.witness for r in res]
+            else:
+                lower, upper, wit = (
+                    v.tolist() for v in diam_n_bounds_stacked(subs, N))
+            for j, bi in enumerate(bases.tolist()):
+                found[bi] = (bi, lower[j], upper[j],
+                             members[j, list(wit[j])].tolist())
+    return [found[bi] for bi in sorted(found)]
 
 
 def n_equicontinuity_probe(sys, cloud: PointCloud, N: int, epsilon: float,
@@ -226,24 +270,16 @@ def n_equicontinuity_probe(sys, cloud: PointCloud, N: int, epsilon: float,
         level_fail = None
         max_lower = 0.0
         max_upper = 0.0
-        for bi, b in enumerate(base_idx):
-            members = np.nonzero(rows[bi] < delta)[0]
-            if len(members) <= N:
-                continue
-            sub = D0[np.ix_(members, members)]
-            if math.comb(len(members), N + 1) <= EXACT_BUDGET:
-                res = diam_n_exact_from_matrix(sub, N, EXACT_BUDGET)
-            else:
-                res = diam_n_bounds_from_matrix(sub, N)
-            max_lower = max(max_lower, res.value_lower)
-            max_upper = max(max_upper, res.value_upper)
-            if res.value_upper >= epsilon:
+        for bi, lower, upper, wit in _level_diameters(D0, rows < delta, N):
+            max_lower = max(max_lower, lower)
+            max_upper = max(max_upper, upper)
+            if upper >= epsilon:
                 level_pass = False
-            if res.value_lower >= epsilon and level_fail is None:
-                wit = tuple(cloud[int(members[i])] for i in res.witness)
+            if lower >= epsilon and level_fail is None:
                 level_fail = EquicontinuityWitness(
-                    base=cloud[b], n=0, points=wit,
-                    min_pairwise=float(res.value_lower), certified=True)
+                    base=cloud[base_idx[bi]], n=0,
+                    points=tuple(cloud[i] for i in wit),
+                    min_pairwise=lower, certified=True)
         # A delta below the smallest pairwise distance in the cloud makes
         # every sampled return set a singleton, so a pass at that scale
         # says nothing about the system.  Such levels never certify a pass.

@@ -4,7 +4,7 @@ Everything here reduces a distance matrix over an iterate window: running
 minima over |n| <= H for proximality and R_delta sets, running maxima for
 dynamical balls, orbit-visit minima against fixed targets for transitivity
 and minimal-set clustering, and minima over a window |n - c| <= H centred
-at a time c for the R_delta spot checks.
+at a time c.
 
 No kernel calls ``step`` or ``iterate``.  The co-moving kernels ask the
 system's hook ``comoving_extremes`` (the extremes over a centred window),
@@ -12,6 +12,8 @@ the visit kernel asks ``visit_minima``, and the self-return kernel
 `orbit_return_matrix` asks ``return_distances`` (each point's distance to
 its own iterates over |n| <= H, the input of the periods and the
 return-gap verdicts in ``structure``, which steps no orbit itself).
+The hooks take states, not point lists: each public kernel converts its
+point lists once, by ``arr_state``, and passes the states on.
 The default of each hook, and `orbit_min_pairs`, run one engine on the
 system's array interface (``arr_state``, ``arr_step`` and the
 ``arr_*dist`` methods), which every system has: every system states its
@@ -99,17 +101,17 @@ def _sweep(step, sa, sb, H, dist, red=np.minimum, move_b=True,
     return M, cps
 
 
-def sweep_extremes(sys, pts_a, pts_b, horizons, use_max, centre):
+def sweep_extremes(sys, sa, sb, horizons, use_max, centre):
     """The engine behind ``DynSystem.comoving_extremes``: {h: M_h} with
     M_h[i, j] the min (max when use_max) over |n - centre| <= h of
-    d(f^n a_i, f^n b_j); pts_b None pairs pts_a with itself."""
+    d(f^n a_i, f^n b_j), for the points of the states sa and sb; sb None
+    pairs sa with itself."""
     H = max(horizons)
     red = np.maximum if use_max else np.minimum
-    sa = sys.arr_state(list(pts_a))
-    if pts_b is None:
-        sb, dist, move_b = None, lambda a, _: sys.arr_pdist(a), False
+    if sb is None:
+        dist, move_b = lambda a, _: sys.arr_pdist(a), False
     else:
-        sb, dist, move_b = sys.arr_state(list(pts_b)), sys.arr_cdist, True
+        dist, move_b = sys.arr_cdist, True
     for _ in range(abs(centre)):
         sa = sys.arr_step(sa, centre < 0)
         if move_b:
@@ -120,25 +122,25 @@ def sweep_extremes(sys, pts_a, pts_b, horizons, use_max, centre):
     return cps
 
 
-def sweep_visits(sys, points, targets, H):
+def sweep_visits(sys, sp, st, H):
     """The engine behind ``DynSystem.visit_minima``: V[i, j] the min over
     |n| <= H of d(f^n p_i, t_j), the targets held fixed."""
-    return _sweep(sys.arr_step, sys.arr_state(points),
-                  sys.arr_state(targets), H, sys.arr_cdist, move_b=False)[0]
+    return _sweep(sys.arr_step, sp, st, H, sys.arr_cdist, move_b=False)[0]
 
 
-def sweep_returns(sys, points, H):
+def sweep_returns(sys, s0, H):
     """The engine behind ``DynSystem.return_distances``: the float32
-    D[i, t] = d(f^(t-H) x_i, x_i) for t = 0..2H."""
-    s = s0 = sys.arr_state(list(points))
+    D[i, t] = d(f^(t-H) x_i, x_i) for t = 0..2H, x_i the points of the
+    state s0."""
+    s = s0
     for _ in range(H):
         s = sys.arr_step(s, inverse=True)
-    D = np.empty((len(points), 2 * H + 1), dtype=np.float32)
+    cols = []
     for t in range(2 * H + 1):
-        D[:, t] = sys.arr_edist(s, s0)
+        cols.append(sys.arr_edist(s, s0).astype(np.float32))
         if t < 2 * H:
             s = sys.arr_step(s)
-    return D
+    return np.stack(cols, axis=1)
 
 
 def _row_blocks(m, width, budget):
@@ -206,21 +208,23 @@ def orbit_max_rows(sys, points, base_idx, H):
 
 def _comoving(sys, pts_a, pts_b, H, checkpoints, use_max, centre=0):
     _check_horizon(H)
-    out = sys.comoving_extremes(pts_a, pts_b, set(checkpoints) | {H},
-                                use_max, centre)
+    sb = None if pts_b is None else sys.arr_state(list(pts_b))
+    out = sys.comoving_extremes(sys.arr_state(list(pts_a)), sb,
+                                set(checkpoints) | {H}, use_max, centre)
     return out[H], {h: out[h] for h in checkpoints}
 
 
 def orbit_visit_matrix(sys, points, targets, H):
     """V[i,j] = min over |n|<=H of d(f^n p_i, t_j) with the targets fixed."""
     _check_horizon(H)
-    return sys.visit_minima(list(points), list(targets), H)
+    return sys.visit_minima(sys.arr_state(list(points)),
+                            sys.arr_state(list(targets)), H)
 
 
 def orbit_return_matrix(sys, points, H):
     """D[i, t] = d(f^(t-H) p_i, p_i) for t = 0..2H, as float32."""
     _check_horizon(H)
-    return sys.return_distances(list(points), H)
+    return sys.return_distances(sys.arr_state(list(points)), H)
 
 
 def orbit_min_pairs(sys, xs, ys, H):

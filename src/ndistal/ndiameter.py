@@ -114,25 +114,37 @@ def diam_n_bounds_from_matrix(D: np.ndarray, N: int) -> NDiameterResult:
         v = float(D[np.triu_indices(m, 1)].min()) if m > 1 else 0.0
         return NDiameterResult(N, v, v, idx, True)
 
+    lower, upper, chosen = diam_n_bounds_stacked(D[None], N)
+    return NDiameterResult(N, float(lower[0]), float(upper[0]),
+                           tuple(chosen[0].tolist()),
+                           bool(upper[0] - lower[0] <= 1e-12))
+
+
+def diam_n_bounds_stacked(D: np.ndarray, N: int):
+    """The bounds of `diam_n_bounds_from_matrix` for a stack of B distance
+    matrices of one size m > N + 1, shape (B, m, m): the lower and upper
+    bounds, each of shape (B,), and the sorted dispersion witnesses,
+    (B, N + 1) indices.  Each matrix gets the bits it gets alone."""
+    B, m, _ = D.shape
+    k = N + 1
+    at = np.arange(B)
     # greedy farthest-point dispersion, seeded by the diametral pair;
     # argmax on the flattened matrix resolves ties at the lowest indices
-    flat = int(np.argmax(D))
-    chosen = sorted(divmod(flat, m))
-    mind = np.minimum(D[chosen[0]], D[chosen[1]])
+    i, j = np.divmod(D.reshape(B, -1).argmax(axis=1), m)
+    chosen = [np.minimum(i, j), np.maximum(i, j)]
+    mind = np.minimum(D[at, chosen[0]], D[at, chosen[1]])
     while len(chosen) < k:
-        j = int(np.argmax(mind))
-        chosen.append(j)
-        mind = np.minimum(mind, D[j])
-    chosen = sorted(chosen)
-    sub = D[np.ix_(chosen, chosen)]
-    lower = float(sub[np.triu_indices(k, 1)].min())
+        c = mind.argmax(axis=1)
+        chosen.append(c)
+        mind = np.minimum(mind, D[at, c])
+    chosen = np.sort(np.column_stack(chosen), axis=1)
+    iu, ju = np.triu_indices(k, 1)
+    lower = D[at[:, None], chosen[:, iu], chosen[:, ju]].min(axis=1)
 
     # any (N+1)-subset with min pairwise distance v has N+1 points whose
     # eccentricity is >= v, so the (N+1)-th largest eccentricity bounds diam_N
-    ecc = np.sort(D.max(axis=1))[::-1]
-    upper = float(max(ecc[k - 1], lower))
-    return NDiameterResult(N, lower, upper, tuple(chosen),
-                           upper - lower <= 1e-12)
+    ecc = np.sort(D.max(axis=2), axis=1)
+    return lower, np.maximum(ecc[:, m - k], lower), chosen
 
 
 def diam_n_exact(points, dist, N: int,

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Tuple
 
+import numpy as np
+
 
 def mod1(t: float) -> float:
     """Reduce to [0, 1).  -0.0 and values within 5e-16 of 1 collapse to 0."""
@@ -21,6 +23,12 @@ def mod1(t: float) -> float:
     if t >= 1.0 or 1.0 - t < 5e-16:
         return 0.0
     return abs(t)
+
+
+def arr_mod1(t):
+    """`mod1` elementwise on an array, bit for bit."""
+    t = t - np.floor(t)
+    return np.where((t >= 1.0) | (1.0 - t < 5e-16), 0.0, np.abs(t))
 
 
 def circ_gap(a: float, b: float) -> float:

@@ -478,3 +478,23 @@ def test_every_runner_returns_a_dict_and_the_run_writes_two_files(tmp_path):
             assert isinstance(record["result"], dict), record["op"]
             ran.append(record["op"])
     assert sorted(ran) == sorted(REGISTRY)
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    # `python -m ndistal` is the `ndistal` command
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src if not path else src + os.pathsep + path}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "ndistal", *argv],
+                              env=env, cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120)
+
+    proc = run("--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: ndistal" in proc.stdout
+    proc = run("run", str(tmp_path / "missing.scn"))
+    assert proc.returncode == 2
+    assert "missing.scn" in proc.stderr

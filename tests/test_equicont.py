@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ndistal import equicont
 from ndistal.equicont import (n_equicontinuity_probe, r_set,
                               r_set_equivariance_check, skew_witness)
 from ndistal.errors import ParameterError
+from ndistal.ndiameter import (diam_n_bounds_from_matrix,
+                               diam_n_exact_from_matrix)
 from ndistal.points import PointCloud, Torus, word_point
 from ndistal.systems import (IdentityTorus, Rotation, SkewTorus, annulus3,
                              shift2)
@@ -94,6 +97,20 @@ def test_equivariance_random_n(n):
     assert r_set_equivariance_check(s, cloud[7], 0.12, cloud, H=90, n=n)
 
 
+@pytest.mark.parametrize("make", [Rotation, SkewTorus])
+def test_torus_spot_checks_never_iterate(make, monkeypatch):
+    # the mapped cloud is one arr_iterate jump of its state
+    s = make()
+    cloud = s.sampler(12 if make is SkewTorus else 144)
+
+    def refuse(*args):
+        raise AssertionError("a spot check iterated a point")
+
+    monkeypatch.setattr(s, "iterate", refuse)
+    for n in (0, 1, -7, 50, -100):
+        assert r_set_equivariance_check(s, cloud[5], 0.1, cloud, H=200, n=n)
+
+
 def test_equivariance_rejects_large_n():
     s = Rotation()
     cloud = random_torus_cloud(s, 50, 5)
@@ -148,6 +165,53 @@ def test_skew_witness_matches_the_loop():
                         (3, 7.655498485232033e-07, 3)):
         assert skew_witness(N, delta, M) == skew_witness_loop(N, delta, M)
         assert skew_witness(N, delta, M)[1] < math.ceil(M / (4 * delta))
+
+
+class CountedDelta(float):
+    """A delta that counts the products n * delta taken with it, and stops
+    a search that takes more than `limit` of them."""
+
+    def __new__(cls, value, limit):
+        self = super().__new__(cls, value)
+        self.calls, self.limit = 0, limit
+        return self
+
+    def __rmul__(self, n):
+        self.calls += 1
+        if self.calls > self.limit:
+            raise AssertionError(f"more than {self.limit} evaluations")
+        return float.__rmul__(self, n)
+
+
+def in_band(n, delta):
+    return 0.25 <= (n * delta) % 1.0 <= 0.75
+
+
+def test_skew_witness_near_one_is_bisected():
+    # delta > 1/2 with M = 1 falls through the band from above; its first
+    # n, near 1 / (4 (1 - delta)), is bisected like every other offset's
+    delta = 1 - 1e-9
+    counted = CountedDelta(delta, 200)
+    M, n = skew_witness(1, counted)
+    assert M == 1 and counted.calls > 0
+    assert in_band(n, delta) and not in_band(n - 1, delta)
+    assert abs(n - 0.25 / (1 - delta)) < 100
+    # the stepped scan agrees where it is short enough to run
+    for delta in (1 - 1e-5, 1 - 1e-6):
+        for N in (1, 2):
+            assert skew_witness(N, delta) == skew_witness_loop(N, delta)
+        assert skew_witness(1, CountedDelta(delta, 200)) == \
+            skew_witness_loop(1, delta)
+
+
+@given(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+       st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_skew_witness_above_one_half_matches_the_loop(delta, N):
+    if 0.25 / (1 - delta) > 1e5:   # keep the stepped scan short
+        delta = 1 - 1e-5
+    assert skew_witness(N, delta) == skew_witness_loop(N, delta)
+    assert skew_witness(N, delta, M=1) == skew_witness_loop(N, delta, M=1)
 
 
 def test_skew_witness_small_delta_is_immediate():
@@ -221,3 +285,56 @@ def test_probe_spot_checks_pass():
     verdict = n_equicontinuity_probe(s, cloud, N=2, epsilon=0.2)
     assert len(verdict.spot_checks) == 10
     assert all(verdict.spot_checks)
+
+
+# ---------------------------------------------------------------------------
+# the level loop: return-set diameters in member-count blocks
+# ---------------------------------------------------------------------------
+
+def per_base_levels(D0, inside, N):
+    """The level loop one base at a time: each return set's matrix
+    gathered and passed to the public N-diameter functions."""
+    out = []
+    for bi, row in enumerate(inside):
+        members = np.flatnonzero(row)
+        if len(members) <= N:
+            continue
+        sub = D0[np.ix_(members, members)]
+        if math.comb(len(members), N + 1) <= equicont.EXACT_BUDGET:
+            res = diam_n_exact_from_matrix(sub, N, equicont.EXACT_BUDGET)
+        else:
+            res = diam_n_bounds_from_matrix(sub, N)
+        out.append((bi, res.value_lower, res.value_upper,
+                    [int(members[i]) for i in res.witness]))
+    return out
+
+
+@pytest.mark.parametrize("block", ["one-slice", "one-block"])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_level_blocks_match_per_base_diameters(N, block, monkeypatch):
+    # grid distances tie everywhere, so every argmax and every exact
+    # witness is decided by the lowest-index rule; member counts repeat,
+    # so groups hold several bases, and a small exact budget sends some
+    # of them to the bounds
+    s = SkewTorus()
+    pts = list(s.sampler(7).points)
+    D0 = s.arr_pdist(s.arr_state(pts))
+    rng = np.random.default_rng(N)
+    counts = rng.choice([0, N, N + 1, 5, 9, 9, 14, 14, 14, 30, 49], 60)
+    inside = np.zeros((60, len(pts)), dtype=bool)
+    for row, k in zip(inside, counts):
+        row[rng.choice(len(pts), k, replace=False)] = True
+    monkeypatch.setattr(equicont, "EXACT_BUDGET", 400)
+    monkeypatch.setattr(equicont, "LEVEL_BLOCK",
+                        1 if block == "one-slice" else 10 ** 9)
+    got = equicont._level_diameters(D0, inside, N)
+    want = per_base_levels(D0, inside, N)
+    assert [g[0] for g in got] == [w[0] for w in want]
+    assert len({int(inside[g[0]].sum()) for g in got}) < len(got)
+    for g, w in zip(got, want):
+        assert g[0] == w[0] and g[3] == w[3]
+        assert float(g[1]).hex() == float(w[1]).hex()
+        assert float(g[2]).hex() == float(w[2]).hex()
+    sizes = {k for k in counts if k > N}
+    assert any(math.comb(k, N + 1) > 400 for k in sizes)
+    assert any(math.comb(k, N + 1) <= 400 for k in sizes)

@@ -32,6 +32,13 @@ def clamped(a):
     return np.where(a == 0.0, 0.0, np.maximum(a, FLOOR))
 
 
+def states(sys, pts_a, pts_b):
+    """The hooks' arguments for two point lists: their states, with None
+    (pair pts_a with itself) kept."""
+    return sys.arr_state(pts_a), None if pts_b is None else \
+        sys.arr_state(pts_b)
+
+
 def brute_min_matrix(sys, points, H):
     m = len(points)
     D = np.full((m, m), np.inf)
@@ -319,31 +326,29 @@ def test_torus_class_blocks(monkeypatch, use_max):
     pts = list(sys.sampler(3).points) + [Torus(0.05, 0.7)]
     ys = pts[::2]
     horizons = {0, 3, 9}
-    whole = sys.comoving_extremes(pts, None, horizons, use_max, 0)
-    whole_rows = sys.comoving_extremes(pts, ys, horizons, use_max, 0)
+    A, Y = sys.arr_state(pts), sys.arr_state(ys)
+    whole = sys.comoving_extremes(A, None, horizons, use_max, 0)
+    whole_rows = sys.comoving_extremes(A, Y, horizons, use_max, 0)
     budget = 2 * len(pts)   # two rows a block
-    A = sys.arr_state(pts)
     D = A[:, None, :] - A[None, :, :]
     blocks = [{tuple(d) for d in D[rows].reshape(-1, 2)}
               for rows in kernels._row_blocks(len(pts), len(pts), budget)]
     assert len(blocks) > 2
     assert blocks[-1] - set().union(*blocks[:-1])
     monkeypatch.setattr(systems, "_CLASS_BLOCK", budget)
-    blocked = sys.comoving_extremes(pts, None, horizons, use_max, 0)
-    blocked_rows = sys.comoving_extremes(pts, ys, horizons, use_max, 0)
+    blocked = sys.comoving_extremes(A, None, horizons, use_max, 0)
+    blocked_rows = sys.comoving_extremes(A, Y, horizons, use_max, 0)
     for h in horizons:
         assert np.array_equal(blocked[h], whole[h])
         assert np.array_equal(blocked_rows[h], whole_rows[h])
 
 
-def per_block_reference(sys, pts_a, pts_b, horizons, use_max, centre,
-                        sweep=None):
+def per_block_reference(sys, A, B, horizons, use_max, centre, sweep=None):
     """The torus hook before classes were grouped across row blocks: each
     block of at most _CLASS_BLOCK pairs evaluates only its own distinct
     differences, by `sweep` (by default the system's class function)."""
     sweep = sweep or sys._sweep_classes
-    A = sys.arr_state(pts_a)
-    B = A if pts_b is None else sys.arr_state(pts_b)
+    B = A if B is None else B
     out = {h: np.empty((len(A), len(B))) for h in horizons}
     for rows in kernels._row_blocks(len(A), len(B), systems._CLASS_BLOCK):
         D = A[rows, None, :] - B[None, :, :]
@@ -439,10 +444,11 @@ def test_grouped_torus_classes_match_per_block(case, monkeypatch):
         GROUPED_HOOK_CASES[case]()
     for name, value in patch.items():
         monkeypatch.setattr(systems, name, value)
-    want = per_block_reference(sys, pts_a, pts_b, horizons, use_max, centre)
-    stepped = per_block_reference(sys, pts_a, pts_b, horizons, use_max,
-                                  centre, stepped_sweep(sys))
-    got = sys.comoving_extremes(pts_a, pts_b, horizons, use_max, centre)
+    sa, sb = states(sys, pts_a, pts_b)
+    want = per_block_reference(sys, sa, sb, horizons, use_max, centre)
+    stepped = per_block_reference(sys, sa, sb, horizons, use_max, centre,
+                                  stepped_sweep(sys))
+    got = sys.comoving_extremes(sa, sb, horizons, use_max, centre)
     assert set(got) == set(horizons)
     for h in horizons:
         assert got[h].shape == want[h].shape
@@ -464,19 +470,20 @@ def test_skew_grid_is_swept_in_one_group(monkeypatch):
         return sweep(self, classes, *args)
 
     monkeypatch.setattr(SkewTorus, "_sweep_classes", spy)
-    sys.comoving_extremes(pts, None, {200, 400}, False, 0)
+    sys.comoving_extremes(sys.arr_state(pts), None, {200, 400}, False, 0)
     assert sizes == [127 * 127]
 
 
 def test_grouped_torus_classes_memory_stays_bounded():
     # a random cloud repeats no difference, so a design that held a whole
     # matrix's classes at once would show here
-    sys, pts = SkewTorus(), random_torus(21, 512)
+    sys = SkewTorus()
+    S = sys.arr_state(random_torus(21, 512))
     peaks = []
     for hook in (per_block_reference, SkewTorus.comoving_extremes):
         tracemalloc.start()
         try:
-            hook(sys, pts, None, {0, 20}, False, 0)
+            hook(sys, S, None, {0, 20}, False, 0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -599,7 +606,8 @@ def test_skew_extremes_exact_oracle_off_dyadic_points(centre, use_max):
     cols = ([grid[i] for i in rng.choice(len(grid), 10, replace=False)]
             + random_torus(19, 6))
     horizons = {0, 1, 50, 400}
-    got = sys.comoving_extremes(rows, cols, horizons, use_max, centre)
+    got = sys.comoving_extremes(sys.arr_state(rows), sys.arr_state(cols),
+                                horizons, use_max, centre)
     for i, p in enumerate(rows):
         for j, q in enumerate(cols):
             want = exact_skew_extremes(p, q, centre, horizons, use_max)
@@ -659,8 +667,9 @@ def test_torus_hook_runs_no_step_loop(monkeypatch):
     assert not hasattr(systems, "_sweep")
     grid = skew_grid()
     for sys in (SkewTorus(), Rotation(), IdentityTorus()):
-        sys.comoving_extremes(grid, None, {0, 30}, False, 0)
-        sys.comoving_extremes(grid[:3], random_torus(23, 50), {5}, True, -4)
+        sys.comoving_extremes(sys.arr_state(grid), None, {0, 30}, False, 0)
+        sys.comoving_extremes(*states(sys, grid[:3], random_torus(23, 50)),
+                              {5}, True, -4)
         orbit_window_min_row(sys, grid[5], grid, 37, 20)
 
 
@@ -719,8 +728,9 @@ def test_centred_hook_matches_engine(name, centre):
     horizons = {0, 3, 7}
     for use_max in (False, True):
         for other in (None, ys):
-            got = sys.comoving_extremes(xs, other, horizons, use_max, centre)
-            want = kernels.sweep_extremes(sys, xs, other, horizons, use_max,
+            sa, sb = states(sys, xs, other)
+            got = sys.comoving_extremes(sa, sb, horizons, use_max, centre)
+            want = kernels.sweep_extremes(sys, sa, sb, horizons, use_max,
                                           centre)
             for h in horizons:
                 assert np.allclose(clamped(got[h]), clamped(want[h]),
@@ -811,12 +821,14 @@ def test_shift_chunked_dedup_with_distinct_masks(monkeypatch, use_max):
     masks = {tuple(a ^ b for a, b in zip(x, y))
              for x in rows[:len(xs)] for y in rows[len(xs):]}
     assert len(masks) == len(xs) * len(ys)
-    whole = sys.comoving_extremes(xs, ys, horizons, use_max, 0)
+    sx, sy = sys.arr_state(xs), sys.arr_state(ys)
+    whole = sys.comoving_extremes(sx, sy, horizons, use_max, 0)
     # blocks of a few rows, and a few masks per nearest-difference pass
     monkeypatch.setattr(systems, "_CHUNK", 200)
-    chunked = sys.comoving_extremes(xs, ys, horizons, use_max, 0)
-    swept = identity_conjugate(sys).comoving_extremes(xs, ys, horizons,
-                                                      use_max, 0)
+    chunked = sys.comoving_extremes(sx, sy, horizons, use_max, 0)
+    conj = identity_conjugate(sys)
+    swept = conj.comoving_extremes(conj.arr_state(xs), conj.arr_state(ys),
+                                   horizons, use_max, 0)
     for h in horizons:
         assert np.array_equal(chunked[h], whole[h])
         assert np.array_equal(clamped(chunked[h]), clamped(swept[h]))
@@ -832,7 +844,8 @@ def test_shift_key_blocks_share_mask_classes(monkeypatch, use_max):
                       int(rng.integers(-20, 21))) for _ in range(6)]
     pts += [periodic_point((0, 1)), SymbolicPoint((1,), 3, (0, 1), (1,))]
     horizons = {3, 15}
-    whole = sys.comoving_extremes(pts, list(pts), horizons, use_max, 4)
+    S = sys.arr_state(pts)
+    whole = sys.comoving_extremes(S, S, horizons, use_max, 4)
     masks = []
     real = systems._mask_extremes
 
@@ -842,7 +855,7 @@ def test_shift_key_blocks_share_mask_classes(monkeypatch, use_max):
 
     monkeypatch.setattr(systems, "_mask_extremes", spy)
     monkeypatch.setattr(systems, "_CHUNK", len(pts))
-    split = sys.comoving_extremes(pts, list(pts), horizons, use_max, 4)
+    split = sys.comoving_extremes(S, S, horizons, use_max, 4)
     assert len(masks) == len(pts)
     zero = bytes(len(next(iter(masks[0]))))
     assert any((masks[i] & masks[j]) - {zero}
@@ -926,7 +939,8 @@ def test_shift_column_class_keys_match_oracle(seed, wide, use_max, other):
         bits = [systems._shift_bits(pts, centre - W, centre + W)
                 for pts in (xs, ys or xs)]
         assert systems._class_codes(*bits)[0].shape[1] >= 2
-    got = sys.comoving_extremes(xs, ys, {h, H}, use_max, centre)
+    got = sys.comoving_extremes(*states(sys, xs, ys), {h, H}, use_max,
+                                centre)
     for k in (h, H):
         want = window_oracle(xs, ys or xs, centre, k, use_max)
         assert np.array_equal(clamped(got[k]), clamped(want))
@@ -965,9 +979,11 @@ def test_shift_wide_keys_match_full_masks(use_max):
     W = max(horizons) + GCAP
     bits = systems._shift_bits(pts, centre - W, centre + W)
     assert systems._class_codes(bits)[0].shape[1] == 2
-    got = shift2().comoving_extremes(pts, None, horizons, use_max, centre)
-    rows = shift2().comoving_extremes(pts[::9], pts, horizons, use_max,
-                                      centre)
+    sys = shift2()
+    got = sys.comoving_extremes(sys.arr_state(pts), None, horizons, use_max,
+                                centre)
+    rows = sys.comoving_extremes(sys.arr_state(pts[::9]), sys.arr_state(pts),
+                                 horizons, use_max, centre)
     want = full_mask_reference(pts, pts, horizons, use_max, centre)
     for h in horizons:
         assert np.array_equal(got[h], want[h])
@@ -1023,7 +1039,9 @@ def test_shift_key_table_matches_sorted_keys(monkeypatch, case):
         return blocks[-1][2]
 
     monkeypatch.setattr(systems, "_key_classes", spy)
-    got = shift2().comoving_extremes(pts_a, pts_b, horizons, use_max, centre)
+    sys = shift2()
+    got = sys.comoving_extremes(*states(sys, pts_a, pts_b), horizons,
+                                use_max, centre)
     start = 0
     for keys, space, (distinct, first, inv) in blocks:
         assert (space > systems._CLASS_BLOCK) == (classes > 16)
@@ -1075,8 +1093,9 @@ def test_shift_return_closed_form_matches_default(seed):
     pts = random_points("shift2", rng, int(rng.integers(1, 8)))
     pts += [periodic_point((0, 1, 1)), SymbolicPoint((), 2, (0, 1), (1,))]
     H = int(rng.integers(0, 100))
-    got = sys.return_distances(pts, H)
-    want = identity_conjugate(sys).return_distances(pts, H)
+    conj = identity_conjugate(sys)
+    got = sys.return_distances(sys.arr_state(pts), H)
+    want = conj.return_distances(conj.arr_state(pts), H)
     assert got.dtype == want.dtype == np.float32
     assert got.shape == want.shape == (len(pts), 2 * H + 1)
     assert np.array_equal(clamped(got), clamped(want))
@@ -1088,7 +1107,7 @@ def test_shift_returns_exactly_at_periods():
     pts = [periodic_point((0, 1, 1)), periodic_point((1, 0, 1, 0)),
            word_point((1, 1)), SymbolicPoint((), 0, (0, 1), (0, 1, 1))]
     n = np.arange(-9, 10)
-    zero = sys.return_distances(pts, 9) == 0.0
+    zero = sys.return_distances(sys.arr_state(pts), 9) == 0.0
     assert np.array_equal(zero[0], n % 3 == 0)
     assert np.array_equal(zero[1], n % 2 == 0)
     assert np.array_equal(zero[2], n == 0) and np.array_equal(zero[3], n == 0)
@@ -1223,8 +1242,9 @@ def test_closed_forms_match_engine(name, H, seed):
     def close(a, b):
         return np.allclose(a, b, rtol=0.0, atol=1e-12)
 
-    V = sys.visit_minima(pts, tgt, H)
-    W = kernels.sweep_visits(sys, pts, tgt, H)
+    P, T = sys.arr_state(pts), sys.arr_state(tgt)
+    V = sys.visit_minima(P, T, H)
+    W = kernels.sweep_visits(sys, P, T, H)
     assert close(V, W)
     assert np.array_equal(V < 0.05, W < 0.05)
     assert np.array_equal(V, row_loop_visits(sys, pts, tgt, H))
@@ -1232,9 +1252,10 @@ def test_closed_forms_match_engine(name, H, seed):
     horizons = {int(rng.integers(0, H + 1)), H}
     use_max = bool(rng.integers(2))
     other = None if rng.random() < 0.5 else tgt
-    got = sys.comoving_extremes(pts, other, horizons, use_max, centre)
-    want = kernels.sweep_extremes(sys, pts, other, horizons, use_max, centre)
-    own = sys.comoving_extremes(pts, None, horizons, use_max, centre)
+    sb = None if other is None else T
+    got = sys.comoving_extremes(P, sb, horizons, use_max, centre)
+    want = kernels.sweep_extremes(sys, P, sb, horizons, use_max, centre)
+    own = sys.comoving_extremes(P, None, horizons, use_max, centre)
     for h in horizons:
         assert close(got[h], want[h])
         assert np.array_equal(got[h] < 1e-3, want[h] < 1e-3)
@@ -1252,8 +1273,9 @@ def test_return_closed_form_matches_engine(name, H, seed):
     sys = CLOSED[name]()
     H = int(rng.integers(2, 120)) if H is None else H
     pts = closed_form_points(name, sys, rng, int(rng.integers(1, 9)), H)
-    got = sys.return_distances(pts, H)
-    want = kernels.sweep_returns(sys, pts, H)
+    S = sys.arr_state(pts)
+    got = sys.return_distances(S, H)
+    want = kernels.sweep_returns(sys, S, H)
     assert got.dtype == want.dtype == np.float32
     assert got.shape == want.shape == (len(pts), 2 * H + 1)
     assert np.abs(got.astype(float) - want).max() <= 1e-7
@@ -1270,8 +1292,9 @@ def test_annulus_comoving_between_disjoint_windows(use_max):
     # two limit radii, and with a small angle gap that is the maximum
     sys = annulus3()
     pts = [OrbitIndex(-70), OrbitIndex(60), Annulus(0.25, 2.0)]
-    got = sys.comoving_extremes(pts, None, {40, 200}, use_max, 0)
-    want = kernels.sweep_extremes(sys, pts, None, {40, 200}, use_max, 0)
+    S = sys.arr_state(pts)
+    got = sys.comoving_extremes(S, None, {40, 200}, use_max, 0)
+    want = kernels.sweep_extremes(sys, S, None, {40, 200}, use_max, 0)
     for h in (40, 200):
         assert np.allclose(got[h], want[h], rtol=0.0, atol=1e-12)
         assert np.array_equal(got[h], dense_fold(sys, pts, None, h, use_max,
@@ -1294,7 +1317,8 @@ def test_annulus_class_blocks(monkeypatch, budget):
         assert np.array_equal(D, [[sys.dist(p, q) for q in tgt] for p in pts])
         for use_max in (False, True):
             for other in (None, tgt):
-                got = sys.comoving_extremes(pts, other, {5, 40}, use_max, 3)
+                got = sys.comoving_extremes(*states(sys, pts, other),
+                                            {5, 40}, use_max, 3)
                 for h in (5, 40):
                     assert np.array_equal(
                         got[h], dense_fold(sys, pts, other, h, use_max, 3))
@@ -1338,21 +1362,22 @@ def test_closed_form_hooks_never_step(monkeypatch):
         cloud = sys.sampler(4)
         pts = list(cloud.points[::max(1, len(cloud) // 12)])
         tgt, horizons = pts[:3], {3, 9}
-        want_v = kernels.sweep_visits(sys, pts, tgt, 30)
-        want_c = kernels.sweep_extremes(sys, pts, None, horizons, False, -4)
-        want_r = kernels.sweep_returns(sys, pts, 30)
+        P, T = sys.arr_state(pts), sys.arr_state(tgt)
+        want_v = kernels.sweep_visits(sys, P, T, 30)
+        want_c = kernels.sweep_extremes(sys, P, None, horizons, False, -4)
+        want_r = kernels.sweep_returns(sys, P, 30)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a closed form stepped a point")
 
         for name in ("arr_step", "step", "step_inv", "iterate"):
             monkeypatch.setattr(sys, name, refuse)
-        assert np.allclose(sys.visit_minima(pts, tgt, 30), want_v,
+        assert np.allclose(sys.visit_minima(P, T, 30), want_v,
                            rtol=0.0, atol=1e-12)
-        got = sys.comoving_extremes(pts, None, horizons, False, -4)
+        got = sys.comoving_extremes(P, None, horizons, False, -4)
         assert all(np.allclose(got[h], want_c[h], rtol=0.0, atol=1e-12)
                    for h in horizons)
-        assert np.allclose(sys.return_distances(pts, 30), want_r,
+        assert np.allclose(sys.return_distances(P, 30), want_r,
                            rtol=0.0, atol=1e-7)
 
 
@@ -1379,7 +1404,8 @@ def test_empty_point_lists_keep_their_shapes(name):
     assert orbit_min_rows(sys, pts, [], H)[0].shape == (0, m)
     assert kernels.orbit_max_rows(sys, pts, [], H).shape == (0, m)
     for use_max in (False, True):
-        out = sys.comoving_extremes(pts, [], {0, H}, use_max, -2)
+        out = sys.comoving_extremes(*states(sys, pts, []), {0, H}, use_max,
+                                    -2)
         assert all(out[h].shape == (m, 0) for h in (0, H))
     assert orbit_window_min_row(sys, pts[0], [], 3, H).shape == (0,)
     assert orbit_visit_matrix(sys, [], pts, H).shape == (0, m)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ndistal.errors import BudgetExceededError
-from ndistal.ndiameter import diam_n_bounds, diam_n_exact
+from ndistal.ndiameter import (diam_n_bounds, diam_n_bounds_from_matrix,
+                               diam_n_bounds_stacked, diam_n_exact)
 
 
 def euclid(a, b):
@@ -138,6 +139,42 @@ def test_bounds_bracket_exact():
         bnd = diam_n_bounds(pts, euclid, N)
         assert bnd.value_lower <= exact.value + 1e-12
         assert bnd.value_upper >= exact.value - 1e-12
+
+
+def greedy_bounds(D, N):
+    """The dispersion bounds of one matrix, one greedy pick at a time:
+    the diametral pair (first maximum in row-major order), then each next
+    point farthest from those chosen (lowest index on ties)."""
+    m, k = len(D), N + 1
+    flat = max(range(m * m), key=lambda f: (D.flat[f], -f))
+    chosen = sorted(divmod(flat, m))
+    while len(chosen) < k:
+        far = [min(D[c, j] for c in chosen) for j in range(m)]
+        chosen.append(max(range(m), key=lambda j: (far[j], -j)))
+    chosen = sorted(chosen)
+    lower = min(D[a, b] for a, b in itertools.combinations(chosen, 2))
+    upper = max(sorted(D.max(axis=1))[m - k], lower)
+    return lower, upper, chosen
+
+
+@pytest.mark.parametrize("N", [1, 2, 4])
+def test_stacked_bounds_match_one_matrix_at_a_time(N):
+    # tied grid distances and random ones, in one stack: every matrix gets
+    # the greedy bounds and witness it gets alone, bit for bit
+    rng = np.random.default_rng(N)
+    grid = [(i, j) for i in range(4) for j in range(4)]
+    stack = []
+    for _ in range(12):
+        pts = (random_cloud(rng, 16) if rng.random() < 0.5 else
+               [grid[i] for i in rng.permutation(16)])
+        stack.append([[euclid(a, b) for b in pts] for a in pts])
+    stack = np.array(stack)
+    lower, upper, chosen = diam_n_bounds_stacked(stack, N)
+    for D, lo, up, ch in zip(stack, lower, upper, chosen):
+        want = greedy_bounds(D, N)
+        assert (lo, up, list(ch)) == want
+        one = diam_n_bounds_from_matrix(D, N)
+        assert (one.value_lower, one.value_upper, list(one.witness)) == want
 
 
 def test_bounds_single_subset_case():

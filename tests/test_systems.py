@@ -328,7 +328,8 @@ def test_only_the_base_class_derives_step_and_pdist():
     for cls in classes:
         if issubclass(cls, systems._TorusBase) \
                 and cls is not systems._TorusBase:
-            assert not {"iterate", "arr_step"} & set(vars(cls)), cls
+            assert not {"iterate", "arr_step", "arr_iterate"} \
+                & set(vars(cls)), cls
     # every system states its metric as arr_cdist/arr_edist, and dist
     # derives from it in DynSystem; no class states a validity test
     for cls in classes:
@@ -415,3 +416,83 @@ def test_import_loads_no_scipy_graph_or_spatial():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# arr_iterate: f^n of a whole state in one jump
+# ---------------------------------------------------------------------------
+
+# within 5e-16 of 1, where mod1 collapses a coordinate to 0, and just
+# outside that band, where it keeps it
+NEAR_ONE = (1.0 - 2.0 ** -53, 1.0 - 3e-16, 1.0 - 4.9e-16, 1.0 - 5.6e-16,
+            1.0 - 1e-15)
+# the times whose images the near-one points are built to hit
+JUMPS = [1, -1, 300, -300, 2 ** 20, -2 ** 20]
+
+
+def near_one_points(s, rng, ns):
+    """Torus or annulus points with coordinates within about 1e-15 of 1,
+    and points whose image under some n in ns lands there."""
+    circle = isinstance(s, systems.AnnulusSystem)
+    step = s.k if circle else s.alpha
+    coords = list(NEAR_ONE)
+    for n in ns:
+        v = n * step
+        coords += [math.ceil(v) - v - e for e in (0.0, 1e-16, 4e-16, 6e-16)]
+    coords += list(rng.random(8))
+    if circle:
+        pts = [Annulus(c, r) for c in coords for r in s.circles]
+        return pts + [OrbitIndex(int(m), lab) for lab in s.orbits
+                      for m in rng.integers(-80, 81, 4)]
+    return [Torus(c, coords[-1 - i]) for i, c in enumerate(coords)]
+
+
+def cloud_points(s, rng, ns):
+    if isinstance(s, (systems._TorusBase, systems.AnnulusSystem)):
+        return near_one_points(s, rng, ns)
+    if isinstance(s, (systems.PowerSystem, systems.ConjugateSystem)):
+        return cloud_points(s.f, rng, ns)
+    if isinstance(s, systems.ProductSystem):
+        a, b = cloud_points(s.f, rng, ns), cloud_points(s.g, rng, ns)
+        return [Pair(a[i % len(a)], b[i % len(b)])
+                for i in range(max(len(a), len(b)))]
+    return list(s.sampler(2).points)
+
+
+def same_state(a, b):
+    """Bit-for-bit equality of two states of one system."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and \
+            a.tobytes() == b.tobytes()
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k])
+                                            for k in a)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same_state, a, b))
+    return a == b
+
+
+ARR_ITERATE_CASES = {
+    **{name: (lambda name=name: get_system(name))
+       for name in CATALOGUE_FACTS},
+    "product": lambda: product_system(SkewTorus(), annulus3()),
+    "product-shift": lambda: product_system(Rotation(), shift2()),
+    "power": lambda: power_system(SkewTorus(), 3),
+    "power-negative": lambda: power_system(annulus2(), -2),
+    "conjugate": lambda: conjugate_system(
+        annulus3(), annulus3().step, annulus3().step_inv),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARR_ITERATE_CASES))
+def test_arr_iterate_is_iterate_on_every_point(case):
+    # one jump of the whole state is the state of the pointwise iterates,
+    # bit for bit, at every n in [-300, 300] and at +-2^20
+    s = ARR_ITERATE_CASES[case]()
+    rng = np.random.default_rng(len(case))
+    ns = [*range(-300, 301), 2 ** 20, -2 ** 20]
+    pts = cloud_points(s, rng, [int(n) for n in rng.choice(ns, 6)] + JUMPS)
+    S = s.arr_state(pts)
+    for n in ns:
+        want = s.arr_state([s.iterate(p, n) for p in pts])
+        assert same_state(s.arr_iterate(S, n), want), n
