@@ -45,14 +45,17 @@ engine still serves the rotation, conjugates, powers and products:
   * the annulus family, for the visits: at a fixed radius the nearest
     visit is one bisection in the sorted angles {n k mod 1 : |n| <= H},
     and the short window of indices where an orbit's radius moves is one
-    table of distances per orbit, shared by its points;
+    table of distances per orbit, shared by its points, as is one sorted
+    table per orbit and side for the nested tails beyond the window;
   * the annulus family, for the co-moving extremes: a pair's angle gap is
     constant, so an orbit point against a circle point is read off the
-    orbit's sorted radii by bisection, and two orbit points fold only the
-    times where a radius moves;
+    orbit's sorted radii by bisection, and two orbit points that share
+    their rows, index gap and angle gap share one chord sequence, which
+    is evaluated once where a radius moves;
   * the annulus family, for the self-returns: every angle advances by k,
     so a point's angle gap to itself at time n is n k mod 1 and its radius
-    is the orbit's radius at index m + n, with no iteration.
+    is the orbit's radius at index m + n, with no iteration, one row per
+    orbit point and per circle.
 
 The closed forms compute the angle n k mod 1 of an orbit index exactly to
 about an ulp, so a visit to a point of the same orbit is exactly 0; the

@@ -63,20 +63,28 @@ three-distance theorem that the annulus visits use too; a rise of one
 class is scanned.  Both read the same table values, so a class gets the
 same bits either way, within about 1e-14 of the time-stepped fold but
 not bit-identical to it.  The
-annulus family overrides
+annulus family computes each of its three hooks once per class of points
+that share the value.  It overrides
 ``visit_minima``: every angle advances by the same k, so a visit at fixed
 radius is one bisection in the sorted angles {n k mod 1}, and the short
 window of indices where a wandering orbit's radius moves is one table of
-distances per orbit, which each orbit point reads over its own range.  It
+distances per orbit, which each orbit point reads over its own range.
+The tails before and after the window that end at its edge nest, so each
+orbit and side sorts one table for the shortest and adds the longer
+tails' indices by a running minimum.  It
 also overrides ``comoving_extremes``: a pair's angle gap never changes.
 Between an orbit point and a circle point the distance is then a convex
 function of the orbit's radius, and each orbit's radii rise to one peak
 and fall after it, so the extremes over a window are read off that side's
 sorted radii, at the ends of the window's run and next to the vertex, by
-one bisection.  Two orbit points fold only the times where a radius
-moves.  Its ``return_distances`` needs no iteration either: a point's
-angle gap to itself at time n is n k mod 1 and its radius is read off at
-index m + n.  These hooks measure in chord form, from the two radii and
+one bisection.  Two orbit points with the same rows, index gap and angle
+gap see one sequence of chords shifted in time: each class evaluates it
+once, over the indices where a radius moves, and each pair reads its
+window off a sparse table.  Its ``return_distances`` needs no iteration
+either: a point's angle gap to itself at time n is n k mod 1 and its
+radius is read off at index m + n, so one row serves every circle point
+of a radius.  Min and max are exact, so the classes give each point's
+values bit for bit.  These hooks measure in chord form, from the two radii and
 the angle gap, where ``arr_cdist`` measures in the plane, so they agree
 with it to about 1e-12, not bit for bit.
 Angles n k mod 1 of orbit indices are exact to about an ulp (`_turns`),
@@ -328,10 +336,11 @@ def _angle_table(lo, hi, k):
 
 def _nearest_gap(table, q):
     """Circular distance from each angle q in [0, 1] to the nearest angle
-    of an `_angle_table`: one bisection finds both neighbours.  By the
-    three-distance theorem the table's gaps take at most three lengths,
-    which bounds that distance by the longest."""
-    i = np.clip(np.searchsorted(table, q), 1, len(table) - 1)
+    of an `_angle_table`: one bisection finds both neighbours, as the
+    table starts below 0 and ends at 1 or above.  By the three-distance
+    theorem the table's gaps take at most three lengths, which bounds that
+    distance by the longest."""
+    i = np.searchsorted(table, q)
     return np.minimum(np.abs(q - table[i - 1]), np.abs(table[i] - q))
 
 
@@ -356,6 +365,67 @@ def _chord(r1, r2, s2):
     sq = r1 - r2
     out += np.square(sq, out=sq)
     return np.sqrt(out, out=out)
+
+
+def _pair_runs(lo_a, hi_a, lo_b, hi_b, d):
+    """The runs of indices u where the distance of an orbit pair moves:
+    a's block [lo_a - d - 1, hi_a - d + 1] and b's block
+    [lo_b - 1, hi_b + 1], as a lower run [x0, x1] and an upper run
+    [y0, y1].  Blocks that overlap or touch make one run, and the upper run
+    is then empty (y0 = x1 + 1, y1 = x1)."""
+    a0, a1, b0, b1 = lo_a - d - 1, hi_a - d + 1, lo_b - 1, hi_b + 1
+    x0, y1 = np.minimum(a0, b0), np.maximum(a1, b1)
+    low_end, high_start = np.minimum(a1, b1), np.maximum(a0, b0)
+    apart = high_start > low_end + 1
+    return (x0, np.where(apart, low_end, y1),
+            np.where(apart, high_start, y1 + 1), y1)
+
+
+def _run_span(w0, w1, x0, x1, y0, y1):
+    """The samples of the runs (`_pair_runs`) that a window of indices
+    [w0, w1] reads, as positions (k0, k1) in the runs' samples in order:
+    from the first sample at or after w0 to the last at or before w1.  A
+    window that holds no sample lies where the distance is constant, and
+    reads the sample just after it, or the last one."""
+    n1 = x1 - x0 + 1
+    k0 = np.minimum(np.where(w0 <= x1, np.maximum(w0, x0) - x0,
+                             n1 + np.maximum(w0, y0) - y0), n1 + y1 - y0)
+    k1 = np.where(w1 < y0, np.minimum(w1, x1) - x0,
+                  n1 + np.minimum(w1, y1) - y0)
+    return k0, np.maximum(k1, k0)
+
+
+def _size_blocks(sizes, budget):
+    """Slices of consecutive items whose sizes sum to at most `budget`
+    (at least one item each)."""
+    total, blocks, at = np.cumsum(sizes), [], 0
+    while at < len(total):
+        base = total[at - 1] if at else 0
+        stop = max(at + 1, int(np.searchsorted(total, base + budget, "right")))
+        blocks.append(slice(at, stop))
+        at = stop
+    return blocks
+
+
+def _sparse_table(v, red, levels):
+    """T[j, i] = red over v[i:i + 2^j] for j < levels; entries whose run
+    passes the end of v hold a shorter run's value."""
+    T = np.empty((levels, len(v)))
+    T[0] = v
+    for j in range(1, levels):
+        s = 1 << (j - 1)
+        T[j] = T[j - 1]
+        red(T[j - 1, :-s], T[j - 1, s:], out=T[j, :-s])
+    return T
+
+
+def _range_extreme(T, a, b, red):
+    """red over v[a_i..b_i] for each i, from a `_sparse_table` of v: the
+    extreme of the two runs of 2^j values that start at a_i and end at b_i,
+    2^j <= b_i - a_i + 1 < 2^(j + 1).  Min and max are exact, so the runs'
+    overlap does not matter."""
+    j = np.frexp(b - a + 1)[1] - 1
+    return red(T[j, a], T[j, b + 1 - (1 << j)])
 
 
 class DynSystem:
@@ -621,6 +691,10 @@ REACH = 1081  # every radius form is constant beyond |n| = REACH
 # where one on each side already gave the extremes of every time in every
 # fuzzed case
 _NEAR_VERTEX = (-2, -1, 0, 1)
+# the longest run of indices whose nearest angles `_tail_gaps` reads index
+# by index; a longer run is sorted into one table, which costs less per
+# target
+_TAIL_RUN = 16
 
 
 def _radius_form(kind, base, n):
@@ -745,6 +819,13 @@ class AnnulusSystem(DynSystem):
             else:
                 raise InvalidPointError(f"{self.id}: invalid point {p!r}")
         orbit = row >= 0
+        # a circle point off the circles, or an orbit point between two
+        # indices, is in no orbit of the system
+        bad = np.where(orbit, ~np.isfinite(idx) | (idx != np.floor(idx)),
+                       ~np.isin(r, self.circles))
+        if bad.any():
+            raise InvalidPointError(
+                f"{self.id}: invalid point {points[int(np.argmax(bad))]!r}")
         theta[orbit] = _turns(idx[orbit], self.k)
         return {"theta": theta, "row": row, "r": r, "idx": idx}
 
@@ -802,10 +883,12 @@ class AnnulusSystem(DynSystem):
         from each window index lo..hi to each target, built once: its
         visits inside the window are the minimum over the rows
         max(lo, m - H)..min(hi, m + H).  Below and above the window its
-        radius is constant, and each of those two tails is the same lookup
-        in the sorted angles of its index range.  Orbit angles come from
-        `_turns` on both sides, so a visit to a point of the same orbit
-        within reach is exactly 0.
+        radius is constant, and each of those two tails is a nearest-angle
+        lookup over its index range (`_tail_gaps`): the tails of one orbit
+        and side that end at the window's edge nest, and share the lookups
+        of the runs between their far ends.  Orbit
+        angles come from `_turns` on both sides, so a visit to a point of
+        the same orbit within reach is exactly 0.
         """
         rt, tt = self._radii(T), T["theta"]
         V = np.empty((len(P["row"]), len(tt)))
@@ -813,24 +896,75 @@ class AnnulusSystem(DynSystem):
         g = _nearest_gap(_angle_table(-H, H, self.k),
                          np.mod(tt - P["theta"][circ, None], 1.0))
         V[circ] = _chord(P["r"][circ, None], rt, _sin2(g))
-        window = {}
-        for i in np.nonzero(~circ)[0]:
-            row, m = P["row"][i], int(P["idx"][i])
+        for row in np.unique(P["row"][~circ]):
+            sel = np.flatnonzero(P["row"] == row)
+            m = P["idx"][sel].astype(np.int64)
             lo, hi, r_lo, r_hi = self._limits[row]
-            if row not in window:
-                n = np.arange(lo, hi + 1)
-                window[row] = _chord(self._radius(row, n)[:, None], rt,
-                                     _sin2(tt - _turns(n, self.k)[:, None]))
-            a, b = max(lo, m - H), min(hi, m + H)
-            best = (window[row][a - lo:b - lo + 1].min(0) if a <= b
-                    else np.full(len(tt), np.inf))
-            for a, b, r in ((m - H, min(lo - 1, m + H), r_lo),
-                            (max(hi + 1, m - H), m + H, r_hi)):
-                if a <= b:
-                    g = _nearest_gap(_angle_table(a, b, self.k), tt)
-                    np.minimum(best, _chord(r, rt, _sin2(g)), out=best)
-            V[i] = best
+            n = np.arange(lo, hi + 1)
+            window = _chord(self._radius(row, n)[:, None], rt,
+                            _sin2(tt - _turns(n, self.k)[:, None]))
+            for i, mi in zip(sel, m):
+                a, b = max(lo, mi - H), min(hi, mi + H)
+                V[i] = window[a - lo:b - lo + 1].min(0) if a <= b else np.inf
+            for a, b, edge, step, r in (
+                    (m - H, np.minimum(lo - 1, m + H), lo - 1, -1, r_lo),
+                    (np.maximum(hi + 1, m - H), m + H, hi + 1, 1, r_hi)):
+                for i, g in self._tail_gaps(a, b, edge, step, tt):
+                    np.minimum(V[sel[i]], _chord(r, rt, _sin2(g)),
+                               out=V[sel[i]])
         return V
+
+    def _tail_gaps(self, a, b, edge, step, tt):
+        """Yields (i, g) for each index range a_i <= n <= b_i that is not
+        empty: g the circular gap from each target angle tt to the nearest
+        angle n k mod 1 of the range, as `_nearest_gap` reads it off the
+        range's `_angle_table`, bit for bit.
+
+        A range with one end at `edge` runs from there in the direction
+        `step` (-1 or 1), and such ranges nest: their distinct far ends cut
+        the longest into runs, the first from `edge`, and each is the union
+        of the runs up to its far end.  A run of more than _TAIL_RUN
+        indices is one table lookup; a shorter one takes the least of its
+        indices' gaps min(|q - a|, |q - (a - 1)|, |q - (a + 1)|), the
+        lookup's own expressions for an angle a and its wrapped copies in
+        the table, with no sort.  Float subtraction is monotone, so a
+        lookup gives the least of those gaps over its table, and the least
+        over a union of runs is the least of their leasts: a running
+        minimum over the runs gives every nested range.  A range whose far
+        end is not at `edge` reads a table of its own.
+        """
+        full = a <= b
+        nested = full & ((a == edge) | (b == edge))
+        for i in np.flatnonzero(full & ~nested):
+            yield i, _nearest_gap(_angle_table(a[i], b[i], self.k), tt)
+        if not nested.any():
+            return
+        ids = np.flatnonzero(nested)
+        # the far ends' distances from edge; run j holds the distances
+        # first[j]..ends[j]
+        ends, run = np.unique(np.abs(a[ids] + b[ids] - 2 * edge),
+                              return_inverse=True)
+        first = np.r_[0, ends[:-1] + 1]
+        size = ends - first + 1
+        G = np.empty((len(ends), len(tt)))
+        for j in np.flatnonzero(size > _TAIL_RUN):
+            G[j] = _nearest_gap(_angle_table(
+                *sorted((edge + step * first[j], edge + step * ends[j])),
+                self.k), tt)
+        short = np.flatnonzero(size <= _TAIL_RUN)
+        for blk in _size_blocks(size[short],
+                                max(1, _CLASS_BLOCK // max(1, len(tt)))):
+            j, at = short[blk], np.r_[0, np.cumsum(size[short[blk]])]
+            n = edge + step * (np.arange(at[-1]) + np.repeat(
+                first[j] - at[:-1], size[j]))
+            t = _turns(n, self.k)[:, None]
+            g = np.abs(tt - t)
+            np.minimum(g, np.abs(tt - (t - 1.0)), out=g)
+            np.minimum(g, np.abs(tt - (t + 1.0)), out=g)
+            G[j] = np.minimum.reduceat(g, at[:-1], axis=0)
+        np.minimum.accumulate(G, axis=0, out=G)
+        for i, j in zip(ids, run):
+            yield i, G[j]
 
     def return_distances(self, S, H):
         """Closed form, no iteration.
@@ -838,10 +972,19 @@ class AnnulusSystem(DynSystem):
         Every angle advances by k, so at time n a circle point's angle gap
         to itself is n k mod 1 and an orbit point's, at index m, is
         (m + n) k mod 1 - theta; its radius is the orbit's radius at index
-        m + n, a circle's never moves.  Rows go in blocks of at most
-        _CLASS_BLOCK distances.  D stays float32, as the return masks
-        compare it with each delta in float32.
+        m + n, a circle's never moves.  So a row depends only on the key
+        (row, m) of an orbit point, whose theta is its index's `_turns`,
+        and on the radius of a circle point: one row is computed per
+        distinct key, in blocks of at most _CLASS_BLOCK distances, and
+        gathered back.  D stays float32, as the return masks compare it
+        with each delta in float32.
         """
+        keys = np.empty(len(S["row"]), dtype=complex)
+        keys.real = S["row"]
+        keys.imag = np.where(S["row"] >= 0, S["idx"], S["r"])
+        _, first, inv = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+        S = _take(S, first)
         n = np.arange(-H, H + 1)
         r0 = self._radii(S)
         # a circle point's turns at time n are those of index 0 + n
@@ -855,7 +998,7 @@ class AnnulusSystem(DynSystem):
             gap = _turns(blk["idx"], self.k).reshape(-1, n.size)
             gap -= theta[rows, None]
             D[rows] = _chord(r, r0[rows, None], _sin2(gap))
-        return D
+        return D[inv]
 
     def comoving_extremes(self, sa, sb, horizons, use_max, centre):
         """Closed form, no iteration.
@@ -865,8 +1008,10 @@ class AnnulusSystem(DynSystem):
         n.  Circles keep their radius: the circle-circle block is one
         chord, and a pair of an orbit point and a circle point is read off
         the orbit's sorted radii by `_circle_extremes`, with no time loop.
-        A pair of orbit points folds the times where a radius moves
-        (`_orbit_extremes`).  `_chord` and `_sin2` are exactly symmetric,
+        Pairs of orbit points that share their rows, index gap d and the
+        bits of s2 share one sequence of chords shifted in time, which
+        `_orbit_extremes` evaluates once per class, where a radius moves.
+        `_chord` and `_sin2` are exactly symmetric,
         so the circle rows against orbit columns are the transpose of the
         orbit rows against circle columns, bit for bit.
         """
@@ -952,32 +1097,89 @@ class AnnulusSystem(DynSystem):
         return out
 
     def _orbit_extremes(self, A, B, horizons, use_max, centre):
-        """{h: M_h} for orbit points on both sides.  An orbit point's
-        radius moves only while its index is inside its window, so the
-        times of each window, with the step before it, and the ends
-        centre + h sample every value: a stretch of times free of windows
-        has constant distances, and it ends at centre + h or just before a
-        window.  The fold runs over those times in order of |n - centre|,
-        each horizon taking its snapshot on the way."""
-        H = max(horizons)
-        times = {centre + h for h in horizons}
-        for S in (A, B):
-            for row, m in set(zip(S["row"], S["idx"].astype(int))):
-                lo, hi, _, _ = self._limits[row]
-                times.update(range(max(lo - m - 1, centre - H),
-                                   min(hi - m, centre + H) + 1))
-        times = sorted(times, key=lambda n: abs(n - centre))
-        s2 = _sin2(A["theta"][:, None] - B["theta"])
+        """{h: M_h} for orbit points on both sides, one chord sequence per
+        class of pairs.
+
+        In b's index u = m_b + n, a pair's distance at time n is
+        f(u) = chord(R_a(u + d), R_b(u), s2), d = m_a - m_b.  R_a moves
+        only on a's block of indices u in [lo_a - d - 1, hi_a - d + 1] and
+        R_b on b's block [lo_b - 1, hi_b + 1], each with a limit radius at
+        both ends, so f is constant before, between and after the blocks:
+        the blocks' samples in order (`_pair_runs`) hold every value f
+        takes, in the order it takes them.  The pairs of one class share
+        that sequence: a class is one int64 code of (row_a, row_b, d, the
+        rank of s2 among the block's distinct s2), sorted once, and a d
+        beyond which the blocks lie apart stands for every d beyond it, as
+        the gap between the blocks is dropped.  A class evaluates its
+        sequence once, over the samples its pairs' windows u in
+        [m_b + centre - h, m_b + centre + h] reach (`_run_span`), and each
+        pair reads its window's extreme off a sparse table.  Min and max
+        are exact, so each M_h is the dense fold over every time, bit for
+        bit.  Pairs go in row blocks of at most _CLASS_BLOCK pairs, and
+        classes in blocks whose sparse tables hold at most _CLASS_BLOCK
+        values.
+        """
         red = np.maximum if use_max else np.minimum
-        out, M, t = {}, None, 0
-        for h in sorted(horizons):
-            for n in itertools.takewhile(lambda n: abs(n - centre) <= h,
-                                         times[t:]):
-                d = _chord(self._radius(A["row"], A["idx"] + n)[:, None],
-                           self._radius(B["row"], B["idx"] + n), s2)
-                M = d if M is None else red(M, d, out=M)
-                t += 1
-            out[h] = M if h == H else M.copy()
+        H = max(horizons)
+        out = {h: np.empty((len(A["row"]), len(B["row"]))) for h in horizons}
+        if not out[H].size:
+            return out
+        lo, hi = (np.array([lim[j] for lim in self._limits]) for j in (0, 1))
+        nr = len(lo)
+        # the clipped d (dk) below stays within dmin..dmin + nd - 1
+        dmin = int(lo.min() - hi.max()) - 4
+        nd = int(hi.max() - lo.min()) + 5 - dmin
+        for rows in _row_blocks(len(A["row"]), len(B["row"]), _CLASS_BLOCK):
+            na, nb = len(A["row"][rows]), len(B["row"])
+            ra, rb = np.repeat(A["row"][rows], nb), np.tile(B["row"], na)
+            mb = np.tile(B["idx"].astype(np.int64), na)
+            d = np.repeat(A["idx"][rows].astype(np.int64), nb) - mb
+            s2 = _sin2(A["theta"][rows, None] - B["theta"]).ravel()
+            # beyond the clip the two blocks lie apart: one class key
+            dk = np.clip(d, lo[ra] - hi[rb] - 4, hi[ra] - lo[rb] + 4)
+            _, code = np.unique(s2, return_inverse=True)
+            # codes below 2^63 for fewer than 2^31 pairs a block: nr is at
+            # most 1,022 and nd at most 4 REACH + 9
+            code = ((code * nr + ra) * nr + rb) * nd + (dk - dmin)
+            order = np.argsort(code)
+            code = code[order]
+            first = np.r_[True, code[1:] != code[:-1]]
+            starts = np.flatnonzero(first)
+            cls = np.cumsum(first) - 1
+            ra, rb, mb, d, dk, s2 = (v[order] for v in (ra, rb, mb, d, dk, s2))
+            runs = _pair_runs(lo[ra], hi[ra], lo[rb], hi[rb], d)
+            reach = {h: _run_span(mb + (centre - h), mb + (centre + h), *runs)
+                     for h in horizons}
+            # a window in a constant stretch reads a sample beside it, which
+            # a wider window need not read: each horizon adds its own
+            k0 = np.min([np.minimum.reduceat(k[0], starts)
+                         for k in reach.values()], axis=0)
+            count = np.max([np.maximum.reduceat(k[1], starts)
+                            for k in reach.values()], axis=0) - k0 + 1
+            # each class's sequence, from its first pair's key
+            rc, rd, sc, dc = ra[starts], rb[starts], s2[starts], dk[starts]
+            x0, x1, y0, _ = _pair_runs(lo[rc], hi[rc], lo[rd], hi[rd], dc)
+            bounds = np.r_[starts, len(ra)]
+            res = {h: np.empty(len(ra)) for h in horizons}
+            budget = max(1, _CLASS_BLOCK // int(count.max()).bit_length())
+            for blk in _size_blocks(count, budget):
+                at = np.r_[0, np.cumsum(count[blk])]
+                of = np.repeat(np.arange(blk.start, blk.stop), count[blk])
+                k = np.arange(at[-1]) - at[:-1][of - blk.start] + k0[of]
+                n1 = x1[of] - x0[of] + 1
+                u = np.where(k < n1, x0[of] + k, y0[of] + (k - n1))
+                table = _sparse_table(
+                    _chord(self._radius(rc[of], u + dc[of]),
+                           self._radius(rd[of], u), sc[of]),
+                    red, int(count[blk].max()).bit_length())
+                pairs = slice(bounds[blk.start], bounds[blk.stop])
+                c = cls[pairs]
+                shift = at[:-1][c - blk.start] - k0[c]
+                for h in horizons:
+                    a, b = (e[pairs] + shift for e in reach[h])
+                    res[h][order[pairs]] = _range_extreme(table, a, b, red)
+            for h in horizons:
+                out[h][rows] = res[h].reshape(na, nb)
         return out
 
 

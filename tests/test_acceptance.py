@@ -369,6 +369,16 @@ SCENARIO_DIGESTS = {
         "eae0d7b6b4f8ad687013c8a9c75a0f347e87e143d9c88fd1c958e6497e948185",
 }
 
+# the same with --seed 3, which overrides each header's seed
+SCENARIO_DIGESTS_SEED3 = {
+    "annulus3_audit":
+        "d4d9740becc68d16e1e773a32ddfa9496d5b017353b5e4b29abe8c09cabc9444",
+    "shift2_suite":
+        "bc138709a3f50a94e663f4f55eb6f238bd1aa0d75d5b005afeb037287f468c73",
+    "skew_equicont":
+        "4aaf271032551a53fbb6490fefdc33c96b9656753b6fb4f22a028402a3b7ed68",
+}
+
 
 def test_criterion_12_scenario_determinism(tmp_path):
     t0 = time.perf_counter()
@@ -387,4 +397,9 @@ def test_criterion_12_scenario_determinism(tmp_path):
         assert ra == rb
         assert hashlib.sha256(ra).hexdigest() == SCENARIO_DIGESTS[scn.stem]
         json.loads(ra)  # well formed
+        out_c = tmp_path / (scn.stem + "-seed3")
+        assert run_scenario(str(scn), seed=3, out=str(out_c)) == 0
+        rc = (out_c / "report.json").read_bytes()
+        assert hashlib.sha256(rc).hexdigest() == \
+            SCENARIO_DIGESTS_SEED3[scn.stem]
     _stamp(12, "scenario determinism", t0)

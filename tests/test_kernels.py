@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from ndistal.kernels import (max_orbit_distance, mesh, min_orbit_distance,
                              nearest, orbit_max_matrix, orbit_min_matrix,
                              orbit_min_pairs, orbit_min_rows,
-                             orbit_visit_matrix, orbit_window_min_row)
+                             orbit_return_matrix, orbit_visit_matrix,
+                             orbit_window_min_row)
 from ndistal import kernels, systems
 from ndistal.points import (Annulus, OrbitIndex, PointCloud, SymbolicPoint,
                             Torus, circ_gap, periodic_point,
@@ -1182,25 +1183,28 @@ def test_annulus_windows(name):
         assert (np.diff(vals[split:]) > 0).all()
 
 
-def row_loop_visits(sys, points, targets, H):
-    """The annulus visit minima in the closed form's own arithmetic, with
-    one window sweep per orbit point."""
-    P, T = sys.arr_state(points), sys.arr_state(targets)
+def per_point_tail_visits(sys, P, T, H):
+    """The annulus visit minima with one sorted angle table per orbit
+    point and tail, and one window table per orbit: the reference for the
+    nested tails of `_tail_gaps`."""
     rt, tt = sys._radii(T), T["theta"]
-    V = np.empty((len(points), len(targets)))
+    V = np.empty((len(P["row"]), len(tt)))
     circ = P["row"] < 0
     g = systems._nearest_gap(systems._angle_table(-H, H, sys.k),
                              np.mod(tt - P["theta"][circ, None], 1.0))
     V[circ] = systems._chord(P["r"][circ, None], rt, systems._sin2(g))
+    window = {}
     for i in np.nonzero(~circ)[0]:
         row, m = P["row"][i], int(P["idx"][i])
         lo, hi, r_lo, r_hi = sys._limits[row]
-        best = np.full(len(targets), np.inf)
-        n = np.arange(max(lo, m - H), min(hi, m + H) + 1)
-        if n.size:
-            s2 = systems._sin2(tt - systems._turns(n, sys.k)[:, None])
-            best = systems._chord(sys._radius(row, n)[:, None], rt,
-                                  s2).min(0)
+        if row not in window:
+            n = np.arange(lo, hi + 1)
+            window[row] = systems._chord(
+                sys._radius(row, n)[:, None], rt,
+                systems._sin2(tt - systems._turns(n, sys.k)[:, None]))
+        a, b = max(lo, m - H), min(hi, m + H)
+        best = (window[row][a - lo:b - lo + 1].min(0) if a <= b
+                else np.full(len(tt), np.inf))
         for a, b, r in ((m - H, min(lo - 1, m + H), r_lo),
                         (max(hi + 1, m - H), m + H, r_hi)):
             if a <= b:
@@ -1210,6 +1214,53 @@ def row_loop_visits(sys, points, targets, H):
                            out=best)
         V[i] = best
     return V
+
+
+def event_time_extremes(sys, A, B, horizons, use_max, centre):
+    """The annulus orbit x orbit extremes folded over event times, the
+    reference for the pair classes of `_orbit_extremes`.  An orbit
+    point's radius moves only while its index is inside its window, so the
+    times of each window, with the step before it, and the ends
+    centre + h sample every value.  The fold runs over those times in order
+    of |n - centre|, each horizon taking its snapshot on the way."""
+    H = max(horizons)
+    times = {centre + h for h in horizons}
+    for S in (A, B):
+        for row, m in set(zip(S["row"], S["idx"].astype(int))):
+            lo, hi, _, _ = sys._limits[row]
+            times.update(range(max(lo - m - 1, centre - H),
+                               min(hi - m, centre + H) + 1))
+    times = sorted(times, key=lambda n: abs(n - centre))
+    s2 = systems._sin2(A["theta"][:, None] - B["theta"])
+    red = np.maximum if use_max else np.minimum
+    out, M, t = {}, None, 0
+    for h in sorted(horizons):
+        for n in times[t:]:
+            if abs(n - centre) > h:
+                break
+            d = systems._chord(sys._radius(A["row"], A["idx"] + n)[:, None],
+                               sys._radius(B["row"], B["idx"] + n), s2)
+            M = d if M is None else red(M, d, out=M)
+            t += 1
+        out[h] = M if h == H else M.copy()
+    return out
+
+
+def per_row_returns(sys, S, H):
+    """The annulus self-return distances with one row per point, the
+    reference for the one row per distinct key of `return_distances`."""
+    n = np.arange(-H, H + 1)
+    r0 = sys._radii(S)
+    theta = np.where(S["row"] >= 0, S["theta"], 0.0)
+    D = np.empty((len(r0), n.size), dtype=np.float32)
+    for rows in kernels._row_blocks(len(r0), n.size, systems._CLASS_BLOCK):
+        blk = {key: np.repeat(S[key][rows], n.size) for key in ("r", "row")}
+        blk["idx"] = (S["idx"][rows, None] + n).ravel()
+        r = sys._radii(blk).reshape(-1, n.size)
+        gap = systems._turns(blk["idx"], sys.k).reshape(-1, n.size)
+        gap -= theta[rows, None]
+        D[rows] = systems._chord(r, r0[rows, None], systems._sin2(gap))
+    return D
 
 
 def dense_fold(sys, pts_a, pts_b, h, use_max, centre):
@@ -1247,7 +1298,7 @@ def test_closed_forms_match_engine(name, H, seed):
     W = kernels.sweep_visits(sys, P, T, H)
     assert close(V, W)
     assert np.array_equal(V < 0.05, W < 0.05)
-    assert np.array_equal(V, row_loop_visits(sys, pts, tgt, H))
+    assert np.array_equal(V, per_point_tail_visits(sys, P, T, H))
     centre = int(rng.choice([-1, 1])) * int(rng.integers(1, 61))
     horizons = {int(rng.integers(0, H + 1)), H}
     use_max = bool(rng.integers(2))
@@ -1324,22 +1375,129 @@ def test_annulus_class_blocks(monkeypatch, budget):
                         got[h], dense_fold(sys, pts, other, h, use_max, 3))
 
 
+def counted(monkeypatch, name, size):
+    """Counts what passes through systems.<name>: size(*args) a call."""
+    f, count = getattr(systems, name), [0]
+
+    def wrapper(*args):
+        count[0] += size(*args)
+        return f(*args)
+
+    monkeypatch.setattr(systems, name, wrapper)
+    return count
+
+
 def test_annulus_orbit_circle_work(monkeypatch):
     # an orbit-circle pair is read off the sorted radii, not folded over
     # its event times: one co-moving matrix of the default cloud at H = 200
-    # passes about 1.3M elements through _chord, where a fold over every
-    # event time passes about 13M
+    # passes about 0.44M elements through _chord, where a fold of every
+    # pair over every event time passes about 13M
     sys = annulus3()
     pts = list(sys.sampler(256).points)
-    chord, count = systems._chord, [0]
-
-    def counted(r1, r2, s2):
-        count[0] += np.broadcast(r1, r2, s2).size
-        return chord(r1, r2, s2)
-
-    monkeypatch.setattr(systems, "_chord", counted)
+    count = counted(monkeypatch, "_chord",
+                    lambda *args: np.broadcast(*args).size)
     orbit_min_matrix(sys, pts, 200)
     assert 0 < count[0] < 2_500_000
+
+
+def oracle_points(sys, cloud, rng):
+    """40 points of a grid, a random or an aligned cloud, in random
+    order."""
+    pts = {"grid": sys.sampler(16), "random": sys.sampler(16, seed=5),
+           "aligned": sys.aligned_cloud(-70, 70)}[cloud].points
+    return [pts[i] for i in rng.permutation(len(pts))[:40]]
+
+
+def orbit_part(S):
+    return systems._take(S, np.flatnonzero(S["row"] >= 0))
+
+
+@pytest.mark.parametrize("block", [None, 5])
+@pytest.mark.parametrize("cloud", ["grid", "random", "aligned"])
+@pytest.mark.parametrize("name", sorted(CLOSED))
+def test_annulus_classes_match_references(name, cloud, block, monkeypatch):
+    # each closed form computes once per class (orbit pairs by index gap,
+    # nested tails, distinct return keys) and gives its per-point
+    # reference's values bit for bit, in blocks of any size
+    if block:
+        monkeypatch.setattr(systems, "_CLASS_BLOCK", block)
+    rng = np.random.default_rng(len(name) * 7 + len(cloud))
+    sys = CLOSED[name]()
+    P = sys.arr_state(oracle_points(sys, cloud, rng))
+    T = sys.arr_state(oracle_points(sys, cloud, rng))
+    for H in (0, 1, 14, 200, 2000):
+        assert np.array_equal(sys.visit_minima(P, T, H),
+                              per_point_tail_visits(sys, P, T, H))
+        assert np.array_equal(sys.return_distances(P, H),
+                              per_row_returns(sys, P, H))
+        centre = int(rng.integers(-300, 301))
+        horizons = {H, int(rng.integers(0, H + 1))}
+        for B in (P, T):
+            for use_max in (False, True):
+                args = (orbit_part(P), orbit_part(B), horizons, use_max,
+                        centre)
+                got = sys._orbit_extremes(*args)
+                want = event_time_extremes(sys, *args)
+                for h in horizons:
+                    assert np.array_equal(got[h], want[h])
+
+
+@pytest.mark.parametrize("use_max", [False, True])
+def test_annulus_classes_far_apart(use_max):
+    # indices far beyond the windows and horizons far beyond the indices:
+    # a pair class samples only the runs where a radius moves, not the
+    # indices between them, and nested tails far apart are cut into runs
+    # both longer and shorter than _TAIL_RUN
+    sys = annulusN(N=5)
+    pts = [OrbitIndex(n, lab) for n in (-10 ** 9, -4000, -2040, -1990, -60,
+                                        -41, 0, 3, 58, 1950, 1958, 2500,
+                                        10 ** 12) for lab in (2, 4)]
+    S = sys.arr_state(pts)
+    T = sys.arr_state(pts[::3] + [Annulus(0.3, 1.0), Annulus(0.7, 2.0)])
+    for H in (0, 60, 2000):
+        assert np.array_equal(sys.visit_minima(S, T, H),
+                              per_point_tail_visits(sys, S, T, H))
+    for horizons, centre in (({0, 3, 60}, 0), ({100, 4000}, -2000),
+                             ({10 ** 9, 10 ** 12}, 7)):
+        got = sys._orbit_extremes(S, S, horizons, use_max, centre)
+        want = event_time_extremes(sys, S, S, horizons, use_max, centre)
+        for h in horizons:
+            assert np.array_equal(got[h], want[h])
+
+
+def test_annulus_orbit_pair_work(monkeypatch):
+    # the orbit pairs of one class share one chord sequence: the default
+    # cloud's 81 orbit points (6,561 pairs, 161 classes) at H = 200 pass
+    # about 15,500 elements through _chord, where a fold over the 139
+    # event times passes about 912,000
+    sys = annulus3()
+    orbit = [p for p in sys.sampler(256).points if isinstance(p, OrbitIndex)]
+    count = counted(monkeypatch, "_chord",
+                    lambda *args: np.broadcast(*args).size)
+    orbit_min_matrix(sys, orbit, 200)
+    assert 0 < count[0] < 50_000
+
+
+def test_annulus_tails_share_tables(monkeypatch):
+    # at H = 2000 every tail of the default cloud ends at its orbit's
+    # window, so a visit matrix sorts three angle tables (the circles' and
+    # one per side) where one per orbit point and side made 163
+    sys = annulus3()
+    pts = list(sys.sampler(256).points)
+    count = counted(monkeypatch, "_angle_table", lambda *args: 1)
+    orbit_visit_matrix(sys, pts, pts, 2000)
+    assert count[0] == 3
+
+
+def test_annulus_return_rows_per_distinct_point(monkeypatch):
+    # the default cloud's 512 circle points share one row per radius: 83
+    # rows are computed for its 593 points
+    sys, H = annulus3(), 50
+    count = counted(monkeypatch, "_chord",
+                    lambda *args: np.broadcast(*args).size)
+    D = orbit_return_matrix(sys, sys.sampler(256).points, H)
+    assert D.shape == (593, 2 * H + 1)
+    assert count[0] == 83 * (2 * H + 1)
 
 
 @pytest.mark.parametrize("make", [annulus3, annulus2, annulusN])

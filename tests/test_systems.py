@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ndistal import systems
 from ndistal.errors import ConjugacyError, InvalidPointError, ParameterError
-from ndistal.kernels import min_orbit_distance
+from ndistal.kernels import min_orbit_distance, orbit_min_matrix
 from ndistal.points import Annulus, OrbitIndex, Pair, Torus, word_point
 from ndistal.systems import (CATALOGUE_FACTS, GOLDEN, GRID_BITS,
                              IdentityTorus, Rotation, ShiftSystem, SkewTorus,
@@ -150,6 +150,23 @@ def test_sq_orbit_far_forward_is_on_the_circle():
     x = OrbitIndex(0, 0)
     assert min_orbit_distance(conj, x, circle, 1100) == \
         min_orbit_distance(s, x, circle, 1100) == 0.0
+
+
+def test_annulus_state_rejects_points_outside_the_space():
+    # r = 1.5 is no invariant circle of annulus3 (its map moves that
+    # radius), and an orbit has no point between two indices: both were
+    # read as points of the space before
+    s = annulus3()
+    for pts in ([Annulus(0.1, 1.5), Annulus(0.2, 1.0)], [OrbitIndex(2.5)],
+                [OrbitIndex(0), OrbitIndex(float("inf"))]):
+        with pytest.raises(InvalidPointError):
+            s.arr_state(pts)
+    with pytest.raises(InvalidPointError):
+        orbit_min_matrix(s, [Annulus(0.1, 1.5), Annulus(0.2, 1.0)], 50)
+    with pytest.raises(InvalidPointError):
+        annulus2().arr_state([Annulus(0.0, 2.0)])
+    S = s.arr_state([Annulus(0.3, 2.0), OrbitIndex(-7), OrbitIndex(3.0)])
+    assert S["idx"].tolist() == [0.0, -7.0, 3.0]
 
 
 def test_annulusN_parameter_check():
