@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, check_positive
-from .kernels import _row_blocks, orbit_min_rows
+from .kernels import _comoving_states, _row_blocks, orbit_min_rows
 from .ndiameter import diam_n_bounds_stacked, diam_n_exact_from_matrix
 from .points import PointCloud
 
@@ -75,8 +75,13 @@ def r_set_equivariance_check(sys, x, delta: float, cloud: PointCloud,
     if abs(n) > H // 2:
         raise ParameterError("|n| must be at most H/2")
     cloud.index_of(x)
+    return _equivariance_check(sys, sys.arr_state([x]),
+                               sys.arr_state(list(cloud.points)), delta, H, n)
+
+
+def _equivariance_check(sys, sx, sc, delta, H, n):
+    """`r_set_equivariance_check` on the states of x and of the cloud."""
     H2 = H - abs(n)
-    sx, sc = sys.arr_state([x]), sys.arr_state(list(cloud.points))
     da = sys.comoving_extremes(sx, sc, {H2}, False, n)[H2][0]
     db = sys.comoving_extremes(sys.arr_iterate(sx, n), sys.arr_iterate(sc, n),
                                {H2}, False, 0)[H2][0]
@@ -256,11 +261,14 @@ def n_equicontinuity_probe(sys, cloud: PointCloud, N: int, epsilon: float,
         check_positive("delta", delta)
     grid = tuple(sorted(set(delta_grid), reverse=True))
     m = len(cloud)
-    D0 = sys.arr_pdist(sys.arr_state(list(cloud.points)))
+    # the cloud's state, built once for D0, the rows and the spot checks
+    S = sys.arr_state(list(cloud.points))
+    D0 = sys.arr_pdist(S)
     pos = D0[D0 > 0.0]
     mesh = float(pos.min()) if pos.size else 0.0
     base_idx = _dispersed_bases(D0, min(n_bases, m))
-    rows = orbit_min_rows(sys, cloud.points, base_idx, H)[0]
+    rows = _comoving_states(sys, sys.arr_state([cloud[i] for i in base_idx]),
+                            S, H, (), False)[0]
 
     per_delta = []
     fail_witnesses = {}
@@ -307,9 +315,8 @@ def n_equicontinuity_probe(sys, cloud: PointCloud, N: int, epsilon: float,
     mid_delta = grid[len(grid) // 2]
     for _ in range(n_spot_checks):
         n = int(rng.integers(-(H // 2), H // 2 + 1))
-        x = cloud[int(rng.integers(0, m))]
-        spot.append(bool(r_set_equivariance_check(
-            sys, x, mid_delta, cloud, H, n)))
+        sx = sys.arr_state([cloud[int(rng.integers(0, m))]])
+        spot.append(_equivariance_check(sys, sx, S, mid_delta, H, n))
 
     return EquicontinuityVerdict(N=N, epsilon=epsilon, delta_grid=grid,
                                  passed=passed, witness=witness, horizon=H,

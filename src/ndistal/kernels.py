@@ -210,10 +210,16 @@ def orbit_max_rows(sys, points, base_idx, H):
 
 
 def _comoving(sys, pts_a, pts_b, H, checkpoints, use_max, centre=0):
-    _check_horizon(H)
     sb = None if pts_b is None else sys.arr_state(list(pts_b))
-    out = sys.comoving_extremes(sys.arr_state(list(pts_a)), sb,
-                                set(checkpoints) | {H}, use_max, centre)
+    return _comoving_states(sys, sys.arr_state(list(pts_a)), sb, H,
+                            checkpoints, use_max, centre)
+
+
+def _comoving_states(sys, sa, sb, H, checkpoints, use_max, centre=0):
+    """`_comoving` on states already built, for callers that reuse one."""
+    _check_horizon(H)
+    out = sys.comoving_extremes(sa, sb, set(checkpoints) | {H}, use_max,
+                                centre)
     return out[H], {h: out[h] for h in checkpoints}
 
 

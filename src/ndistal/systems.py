@@ -43,7 +43,8 @@ columns agree over every point carry the same difference bit in every
 pair, so a pair's XOR over one position per class, a word or a few, fixes
 its whole mask.  Keys of one word whose code space fits ``_CLASS_BLOCK``
 are numbered through a code table, as the torus codes are, with no sort;
-wider keys are sorted.  The torus
+wider keys are sorted.  Each distinct mask is read once, as the runs of
+differences it holds, and every horizon is read off the same runs.  The torus
 systems override ``comoving_extremes`` by difference class: F^n p - F^n q
 depends only on p - q (through the class attribute ``shear``), so each
 distinct difference is evaluated once.  The differences are deduplicated
@@ -1256,34 +1257,47 @@ def _shift_bits(points, lo, hi):
     return B
 
 
-def _nearest_true(mask):
-    """Per row, distance from each column to the nearest True (large value
-    when the row has none)."""
-    m, L = mask.shape
-    big = L + GCAP + 1
-    idx = np.arange(L)
-    last = np.where(mask, idx, -big)
-    np.maximum.accumulate(last, axis=1, out=last)
-    left = idx - last
-    nxt = np.where(mask[:, ::-1], idx, -big)
-    np.maximum.accumulate(nxt, axis=1, out=nxt)
-    right = (idx - nxt)[:, ::-1]
-    return np.minimum(left, right)
-
-
 def _mask_extremes(masks, W, horizons, use_max):
     """{h: values} for packed difference masks over 2W+1 positions around
     a centre: the max (min when use_max) over |n| <= h of 2^-gap from the
-    centre + n to the nearest difference, clamped at 2^-GCAP."""
+    centre + n to the nearest difference, clamped at 2^-GCAP.
+
+    Each row's difference runs [s, e] are read once, by one `np.nonzero`
+    over its bit changes, and serve every horizon; a row with no
+    difference gets the clamp.  On the window [a, b] = [W - h, W + h] the
+    smallest gap is where the window comes nearest a run:
+    max(s - b, a - e, 0), minimised over the runs.  The largest lies in an
+    agreement run: at a before the first run (s - a), at b after the last
+    (b - e), or between runs ending at e' and starting at s at their
+    midpoint clipped into [a, b], as min(j - e', s - j) rises up to the
+    midpoint and falls after it.  A candidate outside its agreement run
+    reads negative and never wins."""
     L = 2 * W + 1
     vals = {h: np.empty(len(masks)) for h in horizons}
     for rows in _row_blocks(len(masks), L, _CHUNK):
-        nd = _nearest_true(
-            np.unpackbits(masks[rows], axis=1, count=L).view(bool))
+        bits = np.unpackbits(masks[rows], axis=1, count=L).view(bool)
+        # edge[:, c]: the bits at c - 1 and c differ, outside the mask 0
+        edge = np.empty((len(bits), L + 1), dtype=bool)
+        edge[:, 0], edge[:, L] = bits[:, 0], bits[:, L - 1]
+        np.not_equal(bits[:, 1:], bits[:, :-1], out=edge[:, 1:L])
+        row, at = np.nonzero(edge)
+        row, s, e = row[0::2], at[0::2], at[1::2] - 1
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        last = np.flatnonzero(np.diff(row, append=len(bits)))
+        # the previous run's end; a row's first run reads s - a instead
+        before = np.roll(e, 1)
         for h in horizons:
-            win = nd[:, W - h:W + h + 1]
-            g = win.min(axis=1) if use_max else win.max(axis=1)
-            vals[h][rows] = np.exp2(-np.minimum(g, GCAP).astype(float))
+            a, b = W - h, W + h
+            if use_max:
+                g = np.minimum.reduceat(np.maximum(s - b, a - e), first)
+            else:
+                j = np.clip((before + s) // 2, a, b)
+                far = np.minimum(j - before, s - j)
+                far[first] = s[first] - a
+                g = np.maximum(np.maximum.reduceat(far, first), b - e[last])
+            gap = np.full(len(bits), GCAP)
+            gap[row[first]] = np.clip(g, 0, GCAP)
+            vals[h][rows] = np.exp2(-gap.astype(float))
     return vals
 
 
@@ -1387,15 +1401,16 @@ class ShiftSystem(DynSystem):
 
         d(sigma^n x, sigma^n y) = 2^-g(n) with g(n) the gap from n to the
         nearest difference position of (x, y); the extreme over
-        |n - centre| <= h reads off a nearest-difference profile over one
-        window of bits around the centre, which depends on the pair only
-        through its packed difference mask.
+        |n - centre| <= h is read off where the runs of differences begin
+        and end in one window of bits around the centre (`_mask_extremes`),
+        which depends on the pair only through its packed difference mask;
+        one read of the runs serves every horizon.
         Window positions whose symbol columns agree over every point of
         both lists carry the same difference bit in every pair, so a
         pair's mask is fixed by its bits at one position per column class:
         the XOR of the two points' `_class_codes` keys it.  Each block of
-        rows computes the profile once per distinct key, on the full mask
-        of one pair holding it.  Keys of one word below 2^b, b the bit
+        rows reads the runs once per distinct key, on the full mask of one
+        pair holding it.  Keys of one word below 2^b, b the bit
         length of the largest code (at most the number of column classes),
         are numbered through a code table of 2^b entries when that fits
         `_CLASS_BLOCK`, with no sort (`_key_classes`); wider keys are
@@ -1419,7 +1434,7 @@ class ShiftSystem(DynSystem):
             key, space = f"V{8 * w}", None
         out = {h: np.empty((ma, mb)) for h in horizons}
         for rows in _row_blocks(ma, mb * w, _CHUNK):
-            # the key block is freed before the profiles are built
+            # the key block is freed before the runs are read
             _, first, inv = _key_classes(
                 (ca[rows, None, :] ^ cb[None, :, :]).view(key).ravel(), space)
             vals = _mask_extremes(A[rows.start + first // mb] ^ B[first % mb],

@@ -287,6 +287,34 @@ def test_probe_spot_checks_pass():
     assert all(verdict.spot_checks)
 
 
+@pytest.mark.parametrize("make", [SkewTorus, annulus3, shift2])
+def test_probe_builds_the_cloud_state_once(make, monkeypatch):
+    # D0, the base rows and every spot check share one state of the cloud;
+    # the spot checks still answer as the public check does
+    s = make()
+    cloud = s.sampler(3 if make is shift2 else 16)
+    H, seed = 40, 5
+    sizes = []
+    real = s.arr_state
+
+    def spy(points):
+        sizes.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(s, "arr_state", spy)
+    verdict = n_equicontinuity_probe(s, cloud, N=2, epsilon=0.2, H=H,
+                                     seed=seed)
+    assert sizes.count(len(cloud)) == 1
+    rng = np.random.default_rng(seed)
+    mid_delta = verdict.delta_grid[len(verdict.delta_grid) // 2]
+    want = []
+    for _ in verdict.spot_checks:
+        n = int(rng.integers(-(H // 2), H // 2 + 1))
+        x = cloud[int(rng.integers(0, len(cloud)))]
+        want.append(r_set_equivariance_check(s, x, mid_delta, cloud, H, n))
+    assert verdict.spot_checks == want
+
+
 # ---------------------------------------------------------------------------
 # the level loop: return-set diameters in member-count blocks
 # ---------------------------------------------------------------------------

@@ -949,15 +949,106 @@ def test_shift_column_class_keys_match_oracle(seed, wide, use_max, other):
             assert np.array_equal(got[k], got[k].T)
 
 
+def nearest_true_reference(mask):
+    """Per row, distance from each column to the nearest True (large value
+    when the row has none)."""
+    m, L = mask.shape
+    big = L + GCAP + 1
+    idx = np.arange(L)
+    last = np.where(mask, idx, -big)
+    np.maximum.accumulate(last, axis=1, out=last)
+    left = idx - last
+    nxt = np.where(mask[:, ::-1], idx, -big)
+    np.maximum.accumulate(nxt, axis=1, out=nxt)
+    right = (idx - nxt)[:, ::-1]
+    return np.minimum(left, right)
+
+
+def profile_mask_extremes(masks, W, horizons, use_max):
+    """The previous `systems._mask_extremes`, kept as the oracle: a full
+    nearest-difference profile over the 2W+1 positions of each packed
+    mask, reduced over each window |n| <= h."""
+    L = 2 * W + 1
+    nd = nearest_true_reference(
+        np.unpackbits(masks, axis=1, count=L).view(bool))
+    vals = {}
+    for h in horizons:
+        win = nd[:, W - h:W + h + 1]
+        g = win.min(axis=1) if use_max else win.max(axis=1)
+        vals[h] = np.exp2(-np.minimum(g, GCAP).astype(float))
+    return vals
+
+
+@st.composite
+def difference_masks(draw):
+    """(masks, W, horizons): rows over 2W+1 positions that are empty,
+    all-different, one bit, or a few runs whose ends are drawn mostly
+    from the mask's ends and the windows' ends and their neighbours."""
+    W = draw(st.integers(0, 90))
+    L = 2 * W + 1
+    horizons = draw(st.sets(st.integers(0, W), max_size=3)) | {0, W}
+    ends = sorted({min(max(x, 0), L - 1) for h in horizons
+                   for x in (W - h - 1, W - h, W + h, W + h + 1)} | {0, L - 1})
+    pos = st.one_of(st.sampled_from(ends), st.integers(0, L - 1))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["empty", "full", "one",
+                                               "runs"]),
+                              min_size=1, max_size=12)):
+        row = np.zeros(L, dtype=bool)
+        if kind == "full":
+            row[:] = True
+        elif kind == "one":
+            row[draw(pos)] = True
+        elif kind == "runs":
+            for a, b in draw(st.lists(st.tuples(pos, pos), min_size=1,
+                                      max_size=6)):
+                row[min(a, b):max(a, b) + 1] = True
+        rows.append(row)
+    return np.packbits(np.array(rows), axis=1), W, horizons
+
+
+@given(difference_masks())
+@settings(max_examples=300, deadline=None)
+def test_shift_mask_runs_match_profile(case):
+    # the run form against the profile, bit for bit, for both reductions
+    # and every horizon of one call, in one block and one row a block
+    masks, W, horizons = case
+    for use_max in (False, True):
+        want = profile_mask_extremes(masks, W, horizons, use_max)
+        got = systems._mask_extremes(masks, W, horizons, use_max)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(systems, "_CHUNK", 2 * W + 1)
+            rows = systems._mask_extremes(masks, W, horizons, use_max)
+        assert set(got) == set(rows) == horizons
+        for h in horizons:
+            assert np.array_equal(got[h], want[h])
+            assert np.array_equal(rows[h], want[h])
+
+
+def test_shift_comoving_memory_stays_bounded():
+    # a nearest-difference profile per mask held about 46 MB here; the
+    # runs of the 1,024 distinct masks take a small part of that
+    sys = shift2()
+    S = sys.arr_state(list(sys.sampler(4).points))
+    tracemalloc.start()
+    try:
+        sys.comoving_extremes(S, None, {200, 400}, False, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
 def full_mask_reference(pts_a, pts_b, horizons, use_max, centre):
     """The shift's co-moving extremes on each pair's whole packed
-    difference mask, one row of pairs at a time."""
+    difference mask, one row of pairs at a time, through the profile
+    oracle."""
     W = max(horizons) + GCAP
     A, B = (np.packbits(systems._shift_bits(pts, centre - W, centre + W),
                         axis=1) for pts in (pts_a, pts_b))
     out = {h: np.empty((len(A), len(B))) for h in horizons}
     for i, a in enumerate(A):
-        vals = systems._mask_extremes(a ^ B, W, horizons, use_max)
+        vals = profile_mask_extremes(a ^ B, W, horizons, use_max)
         for h in horizons:
             out[h][i] = vals[h]
     equal = np.array([[x == y for y in pts_b] for x in pts_a])
