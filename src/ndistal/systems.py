@@ -13,13 +13,13 @@ bit; ``step`` and ``step_inv`` as
 ``iterate``/``step``/``dist`` and through the array interface (``arr_state``
 and friends) that the orbit-sweep kernels run on.  A state is by default the
 plain list of the points, which ``arr_step`` moves one at a time by
-``iterate``: the shift measures such lists with its symbolic distance, and
-a conjugate h o f o h^-1 with f's array metric on f's states.  The torus
-and annulus systems, products and powers hold numpy states.  No system has
-an embedding, as snapping runs on ``arr_cdist`` too.  The torus systems
-state their map once, from (alpha, shear), and their metric once, in
-`_torus_dist`; the annulus family reads every orbit radius off one table,
-evaluated when the system is built.
+``iterate``: the shift measures such lists on packed words of their
+symbols, and a conjugate h o f o h^-1 with f's array metric on f's
+states.  The torus and annulus systems, products and powers hold numpy
+states.  No system has an embedding, as snapping runs on ``arr_cdist``
+too.  The torus systems state their map once, from (alpha, shear), and
+their metric once, in `_torus_dist`; the annulus family reads every orbit
+radius off one table, evaluated when the system is built.
 ``arr_iterate(state, n)`` moves a whole state by f^n in one jump, and the
 result is bit for bit the state of the points ``iterate`` gives.  By
 default it maps a point-list state through ``iterate``; the torus systems
@@ -37,7 +37,18 @@ The kernels reach orbits through three hooks,
 own iterates), so the analysis modules step no orbit themselves.  The
 hooks take states, which the kernels build from point lists once.  The
 shift overrides all three with closed forms on packed bits that resolve
-distances down to its ``floor`` 2^-GCAP.  Its co-moving extremes key each
+distances down to its ``floor`` 2^-GCAP.  Two uint64 words per point and
+centre n hold the GCAP symbols on each side of n, each read off the point's
+packed row at once, so the radius on which two windows agree is the
+trailing-zero count of their XOR; its array metric reads the words at
+centre 0 the same way and falls back to the exact scan only for pairs that
+agree on every |i| < GCAP.  Its visits interleave a window's two words from
+the centre out into a 128-bit ring key, on which two windows agree on
+radius r iff they share the top 2r bits: sorted by key, a point's window
+closest to a target is next to the target's key, so each block of points
+ranks its windows and the targets in one sort and places each target by
+one search per point, with no XOR of every window with every target.  Its
+co-moving extremes key each
 pair's difference mask by symbol-column class: window positions whose
 columns agree over every point carry the same difference bit in every
 pair, so a pair's XOR over one position per class, a word or a few, fixes
@@ -1340,15 +1351,99 @@ def _key_classes(keys, space):
 
 def _window_words(points, H):
     """Two uint64 words per point and centre n in [-H, H]: bit k holds
-    s_{n+k} in the first and s_{n-k} in the second, k < GCAP."""
-    bits = _shift_bits(points, -H - GCAP + 1, H + GCAP - 1).astype(np.uint64)
-    n = 2 * H + 1
-    fwd = np.zeros((len(points), n), dtype=np.uint64)
-    bwd = np.zeros((len(points), n), dtype=np.uint64)
-    for k in range(GCAP):
-        fwd |= bits[:, GCAP - 1 + k:GCAP - 1 + k + n] << np.uint64(k)
-        bwd |= bits[:, GCAP - 1 - k:GCAP - 1 - k + n] << np.uint64(k)
-    return fwd, bwd
+    s_{n+k} in the first and s_{n-k} in the second, k < GCAP.  Each symbol
+    row is packed once, little-endian, and a centre's first word is one
+    unaligned 64-bit read at the byte of s_n, shifted down by s_n's bit in
+    that byte and topped up from the next byte; the second word reads the
+    reversed row the same way."""
+    bits = _shift_bits(points, -H - GCAP + 1, H + GCAP - 1)
+    # where s_n sits, in the row and in the reversed row
+    at = np.arange(2 * H + 1) + GCAP - 1
+    words = []
+    for row, at in ((bits, at), (bits[:, ::-1], at[::-1])):
+        packed = np.packbits(row, axis=1, bitorder="little")
+        m, width = packed.shape
+        # the word at every byte; the row runs GCAP - 1 symbols past the
+        # last centre, so no read leaves it
+        word = np.ndarray((m, width - 7), dtype="<u8", buffer=packed,
+                          strides=(width, 1))
+        byte, shift = at >> 3, (at & 7).astype(np.uint64)
+        w = np.take(word, byte, axis=1)
+        w >>= shift
+        top = np.take(packed, byte + 8, axis=1).astype(np.uint64)
+        top <<= np.uint64(1)
+        top <<= np.uint64(63) - shift
+        w |= top
+        words.append(w)
+    return tuple(words)
+
+
+def _centre_words(sa, sb):
+    """The two words at centre 0 of the points of two states, read in one
+    pass: ((fwd, bwd) of sa, (fwd, bwd) of sb)."""
+    f, b = (w[:, 0] for w in _window_words(list(sa) + list(sb), 0))
+    m = len(sa)
+    return (f[:m], b[:m]), (f[m:], b[m:])
+
+
+def _radius_dist(z):
+    """2^-r with 2^r the lowest set bit of z, the XOR of two pairs of
+    words: r is the radius on which the words' symbols agree, and z == 0
+    (agreement on every |i| < GCAP) gives the floor 2^-GCAP."""
+    low = (z & (~z + np.uint64(1))).astype(float)
+    return 1.0 / np.where(low == 0.0, 2.0 ** GCAP, low)
+
+
+# _RING[f << 8 | b]: the 16 bits f_0 b_0 f_1 b_1 ... f_7 b_7 of two bytes,
+# f_0 highest, stored big-endian
+_SPREAD = (((np.arange(256)[:, None] >> np.arange(8)) & 1)
+           << (14 - 2 * np.arange(8))).sum(axis=1)
+_RING = ((_SPREAD[:, None] << 1) | _SPREAD).astype(">u2").ravel()
+
+
+def _ring_keys(fwd, bwd):
+    """The ring key of each pair of words: the 128 bits s_n, s_n, s_{n+1},
+    s_{n-1}, ..., s_{n+63}, s_{n-63} (bit k of fwd, then of bwd) from the
+    top, as two uint64 (hi, lo).  Two windows agree on radius r iff their
+    keys share the top 2r bits, so sorted keys put the windows that agree
+    longest with any key next to it."""
+    idx = fwd.astype("<u8", copy=False).view(np.uint8).astype(np.uint16)
+    idx <<= 8
+    idx |= bwd.astype("<u8", copy=False).view(np.uint8)
+    key = _RING[idx].view(">u8").reshape(-1, 2).astype(np.uint64)
+    return key[:, 0], key[:, 1]
+
+
+def _ring_visits(fwd, bwd, tf, tb):
+    """V[i, j]: the min over the windows w of row i of (fwd, bwd) of their
+    distance 2^-r to the target words (tf[j], tb[j]), r the radius on
+    which they agree.  The windows and targets are ranked by ring key in
+    one sort, and each row's window ranks sorted once; a target's best
+    window in row i is one of the two next to its rank there."""
+    m, W = fwd.shape
+    f = np.concatenate([fwd.ravel(), tf])
+    b = np.concatenate([bwd.ravel(), tb])
+    hi, lo = _ring_keys(f, b)
+    order = np.lexsort((lo, hi))
+    hi, lo = hi[order], lo[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    # one pair of words per distinct key, and each row's ranks sorted
+    # after the rows before it
+    f, b = f[order[new]], b[order[new]]
+    base = np.arange(m, dtype=np.int64)[:, None] * np.count_nonzero(new)
+    codes = rank[:m * W].reshape(m, W) + base
+    codes.sort(axis=1)
+    codes = codes.ravel()
+    at = np.searchsorted(codes, base + rank[m * W:])
+    start = np.arange(0, m * W, W)[:, None]
+    # the ranks of the windows before and after each target in its row
+    below = codes[np.maximum(at - 1, start)] - base
+    above = codes[np.minimum(at, start + W - 1)] - base
+    return np.minimum(*(_radius_dist((f[k] ^ tf) | (b[k] ^ tb))
+                        for k in (below, above)))
 
 
 def _orbit_keys(points):
@@ -1378,8 +1473,10 @@ def _equal(xs, ys):
 def _orbit_hits(points, targets, H):
     """hit[i, j]: sigma^n p_i == t_j for some |n| <= H.  That holds iff
     p_i and t_j share their representative and n = s_i - s_j: one
-    candidate n per pair, or one per period for periodic points."""
-    kp, kt = _orbit_keys(points), _orbit_keys(targets)
+    candidate n per pair, or one per period for periodic points.  Targets
+    that are the points themselves reuse the points' keys."""
+    kp = _orbit_keys(points)
+    kt = kp if targets == points else _orbit_keys(targets)
     sp = np.array([s for _, s, _ in kp], dtype=int)
     st = np.array([s for _, s, _ in kt], dtype=int)
     P = np.array([per for _, _, per in kp], dtype=int)[:, None]
@@ -1451,22 +1548,25 @@ class ShiftSystem(DynSystem):
 
         d(sigma^n p, t) = 2^-r with r the radius on which p agrees with t
         around n.  Two words per centre n hold the GCAP symbols on each
-        side, so the radius is the trailing-zero count of the XOR with t's
-        words, capped at GCAP; the minimum over |n| <= H keeps the largest
-        radius.  Exact orbit hits sigma^n p == t get 0.
+        side (`_window_words`), so r is the trailing-zero count of their
+        XOR with t's words, capped at GCAP, and the minimum over |n| <= H
+        keeps the largest radius.  Interleaved from the centre out, a
+        window's words are its ring key (`_ring_keys`), and r is half the
+        keys' common leading bits, so of a point's windows sorted by key
+        the one agreeing longest with t is next to t's key: each block of
+        points ranks its window keys and the target keys in one sort and
+        places every target by one `searchsorted` per point
+        (`_ring_visits`), O((mW + mT) log) for W = 2H + 1 windows and T
+        targets where an XOR of every window with every target is O(mWT).
+        Blocks keep each temporary within `_CHUNK` elements.  Exact orbit
+        hits sigma^n p == t get 0.
         """
-        words = np.stack(_window_words(points, H), axis=2)
         tf, tb = (w[:, 0] for w in _window_words(targets, 0))
-        one = np.uint64(1)
-        # the lowest set bit of z is 2^r; z == 0 means r >= GCAP
-        reach = np.empty((len(points), len(targets)))
-        for i, w in enumerate(words):
-            # one row per distinct window of the point
-            w = np.unique(w.view("V16").ravel()).view(np.uint64)
-            z = (w[0::2, None] ^ tf) | (w[1::2, None] ^ tb)
-            low = (z & (~z + one)).astype(float)
-            reach[i] = np.where(low == 0.0, 2.0 ** GCAP, low).max(axis=0)
-        V = 1.0 / reach
+        V = np.empty((len(points), len(targets)))
+        # a ring key is read as 8 byte pairs (`_ring_keys`)
+        for rows in _row_blocks(len(points), 8 * (2 * H + 1 + len(targets)),
+                                _CHUNK):
+            V[rows] = _ring_visits(*_window_words(points[rows], H), tf, tb)
         V[_orbit_hits(points, targets, H)] = 0.0
         return V
 
@@ -1481,9 +1581,7 @@ class ShiftSystem(DynSystem):
         """
         fwd, bwd = _window_words(points, H)
         z = (fwd ^ fwd[:, H, None]) | (bwd ^ bwd[:, H, None])
-        # the lowest set bit of z is 2^r; z == 0 means r >= GCAP
-        low = (z & (~z + np.uint64(1))).astype(float)
-        D = (1.0 / np.where(low == 0.0, 2.0 ** GCAP, low)).astype(np.float32)
+        D = _radius_dist(z).astype(np.float32)
         # a point that is not purely periodic returns only at n = 0
         P = np.array([per or 2 * H + 1 for _, _, per in _orbit_keys(points)],
                      dtype=int)
@@ -1499,12 +1597,26 @@ class ShiftSystem(DynSystem):
         return list(points)
 
     def arr_cdist(self, sa, sb):
-        return np.array([[symbolic_distance(a, b) for b in sb] for a in sa],
-                        dtype=float).reshape(len(sa), len(sb))
+        """The symbolic distance 2^-min{|i| : a_i != b_i} of every pair,
+        read off the words of both points at centre 0 (`_window_words`)
+        as 2^-r, r the trailing-zero count of their XOR.  Pairs that agree
+        on every |i| < GCAP, equal points among them, are measured by
+        `symbolic_distance`, so values below 2^-GCAP stay exact."""
+        (fa, ba), (fb, bb) = _centre_words(sa, sb)
+        z = (fa[:, None] ^ fb) | (ba[:, None] ^ bb)
+        D = _radius_dist(z)
+        for i, j in zip(*np.nonzero(z == 0)):
+            D[i, j] = symbolic_distance(sa[i], sb[j])
+        return D
 
     def arr_edist(self, sa, sb):
-        return np.array([symbolic_distance(a, b) for a, b in zip(sa, sb)],
-                        dtype=float)
+        """`arr_cdist` of the pairs (a_i, b_i)."""
+        (fa, ba), (fb, bb) = _centre_words(sa, sb)
+        z = (fa ^ fb) | (ba ^ bb)
+        D = _radius_dist(z)
+        for i in np.flatnonzero(z == 0):
+            D[i] = symbolic_distance(sa[i], sb[i])
+        return D
 
     def sampler(self, resolution=3, seed=None):
         """All words of length 2W+1 (W = resolution) with zero fill, plus the

@@ -1205,6 +1205,149 @@ def test_shift_returns_exactly_at_periods():
     assert np.array_equal(zero[2], n == 0) and np.array_equal(zero[3], n == 0)
 
 
+def window_words_reference(points, H):
+    """The shift's two words per point and centre n in [-H, H], bit k
+    s_{n+k} in the first and s_{n-k} in the second, one bit at a time."""
+    bits = shift_bits_reference(points, -H - GCAP + 1,
+                                H + GCAP - 1).astype(np.uint64)
+    n = 2 * H + 1
+    fwd = np.zeros((len(points), n), dtype=np.uint64)
+    bwd = np.zeros((len(points), n), dtype=np.uint64)
+    for k in range(GCAP):
+        fwd |= bits[:, GCAP - 1 + k:GCAP - 1 + k + n] << np.uint64(k)
+        bwd |= bits[:, GCAP - 1 - k:GCAP - 1 - k + n] << np.uint64(k)
+    return fwd, bwd
+
+
+def visit_xor_reference(points, targets, H):
+    """The shift's visit minima by one XOR of every distinct window of a
+    point with every target, a point at a time."""
+    words = np.stack(window_words_reference(points, H), axis=2)
+    tf, tb = (w[:, 0] for w in window_words_reference(targets, 0))
+    one = np.uint64(1)
+    # the lowest set bit of z is 2^r; z == 0 means r >= GCAP
+    reach = np.empty((len(points), len(targets)))
+    for i, w in enumerate(words):
+        w = np.unique(w.view("V16").ravel()).view(np.uint64)
+        z = (w[0::2, None] ^ tf) | (w[1::2, None] ^ tb)
+        low = (z & (~z + one)).astype(float)
+        reach[i] = np.where(low == 0.0, 2.0 ** GCAP, low).max(axis=0)
+    V = 1.0 / reach
+    V[systems._orbit_hits(points, targets, H)] = 0.0
+    return V
+
+
+def test_shift_window_words_match_reference():
+    rng = np.random.default_rng(23)
+    pts = [tailed_symbolic(rng, int(rng.integers(0, 9)), (-12, 12))
+           for _ in range(30)]
+    pts += list(shift2().sampler(3).points)
+    pts += [word_point((1, 0, 1), -5, fill=1), word_point((1,), GCAP + 70),
+            periodic_point((0, 1, 1)), periodic_point((1, 0, 0, 1, 0))]
+    for H in (0, 1, 7, 50):
+        got = systems._window_words(pts, H)
+        for g, w in zip(got, window_words_reference(pts, H)):
+            assert g.dtype == np.uint64 and np.array_equal(g, w)
+    assert [w.shape for w in systems._window_words([], 3)] == [(0, 7)] * 2
+
+
+# (points, targets or None for the points themselves, H)
+VISIT_CASES = {
+    "grid-0": lambda: (shift2().sampler(3).points, None, 0),
+    "grid-50": lambda: (shift2().sampler(3).points, None, 50),
+    "seeded-cross": lambda: (
+        shift2().sampler(3, seed=8).points,
+        [tailed_symbolic(np.random.default_rng(5), 6, (-20, 20))
+         for _ in range(9)] + list(shift2().sampler(1).points), 23),
+    # exact zeros at multiples of each period
+    "periodic-10": lambda: (shift2().periodic_cloud(5).points, None, 10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VISIT_CASES))
+def test_shift_visit_minima_match_xor_fold(case):
+    pts, tgt, H = VISIT_CASES[case]()
+    pts, tgt = list(pts), list(pts if tgt is None else tgt)
+    sys = shift2()
+    got = sys.visit_minima(sys.arr_state(pts), sys.arr_state(tgt), H)
+    want = visit_xor_reference(pts, tgt, H)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    if case == "periodic-10":
+        assert (got[~np.eye(len(pts), dtype=bool)] == 0.0).any()
+
+
+def test_shift_visit_ring_edges():
+    sys = shift2()
+    zero, ones = word_point(()), periodic_point((1,))
+    # agrees with 0^Z on all 2 GCAP - 1 symbols of the ring: the clamp
+    far = word_point((1,), origin=GCAP)
+    # 1^Z but for s_5: its key sorts after every window of 0^Z, so the
+    # next key in sorted order is a window of 1^Z, which reads 2^-5
+    dent = word_point((0,), 5, fill=1)
+    P, T = [zero, ones], [far, dent]
+    V = sys.visit_minima(P, T, 2)
+    assert V.tolist() == [[FLOOR, 1.0], [1.0, 2.0 ** -5]]
+    assert np.array_equal(V, visit_xor_reference(P, T, 2))
+
+
+def test_shift_visit_minima_one_point_per_block(monkeypatch):
+    sys = shift2()
+    pts = list(sys.sampler(3, seed=8).points)[:20]
+    tgt = list(sys.sampler(2).points)
+    H = 9
+    whole = sys.visit_minima(pts, tgt, H)
+    rows = []
+    real = systems._ring_visits
+
+    def spy(fwd, *args):
+        rows.append(len(fwd))
+        return real(fwd, *args)
+
+    monkeypatch.setattr(systems, "_ring_visits", spy)
+    monkeypatch.setattr(systems, "_CHUNK", 8 * (2 * H + 1 + len(tgt)))
+    split = sys.visit_minima(pts, tgt, H)
+    assert rows == [1] * len(pts)
+    assert np.array_equal(split, whole)
+    assert np.array_equal(split, visit_xor_reference(pts, tgt, H))
+
+
+def test_shift_visit_memory_stays_bounded():
+    # one XOR of every window with every target would hold
+    # m (2H + 1) m = 1.05e9 words here
+    sys = shift2()
+    S = sys.arr_state(list(sys.sampler(4).points))
+    tracemalloc.start()
+    try:
+        sys.visit_minima(S, S, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6
+
+
+def test_shift_array_metric_matches_symbolic_distance():
+    rng = np.random.default_rng(41)
+    sys = shift2()
+    pts = [tailed_symbolic(rng, int(rng.integers(0, 9)), (-12, 12))
+           for _ in range(12)]
+    pts += list(sys.sampler(2).points) + list(sys.periodic_cloud(3).points)
+    # fill=1 words, and far words that agree with their fill on the whole
+    # ring |i| < GCAP, so their distances fall below 2^-GCAP
+    pts += [word_point((1, 0, 1), 3, fill=1), word_point((0,), -GCAP - 4,
+                                                         fill=1),
+            word_point((1,), GCAP + 9), word_point((1, 1), -GCAP - 30)]
+    pts += pts[:3]
+    S = sys.arr_state(pts)
+    D = sys.arr_cdist(S, S)
+    assert np.array_equal(D, [[symbolic_distance(a, b) for b in pts]
+                              for a in pts])
+    assert (np.diag(D) == 0.0).all() and ((D > 0.0) & (D < FLOOR)).any()
+    E = sys.arr_edist(S, S[::-1])
+    assert np.array_equal(E, [symbolic_distance(a, b)
+                              for a, b in zip(pts, pts[::-1])])
+    assert sys.arr_cdist(S[:0], S).shape == (0, len(pts))
+
+
 # ---------------------------------------------------------------------------
 # annulus closed forms against the engine
 # ---------------------------------------------------------------------------
