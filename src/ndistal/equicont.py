@@ -24,7 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, check_positive
-from .kernels import _comoving_states, _row_blocks, orbit_min_rows
+from .kernels import (_comoving_states, _row_blocks, below_for,
+                      orbit_min_rows)
 from .ndiameter import diam_n_bounds_stacked, diam_n_exact_from_matrix
 from .points import PointCloud
 
@@ -53,7 +54,8 @@ def r_set(sys, x, delta: float, cloud: PointCloud,
     """Cloud points whose orbit dips delta-close to x's within |n| <= H."""
     check_positive("delta", delta)
     b = cloud.index_of(x)
-    row = orbit_min_rows(sys, cloud.points, [b], H)[0][0]
+    row = orbit_min_rows(sys, cloud.points, [b], H,
+                         below=below_for(delta))[0][0]
     members = np.nonzero(row < delta)[0]
     return RSetEstimate(base=b, delta=delta, horizon=H,
                         members=tuple(int(i) for i in members))
@@ -267,8 +269,10 @@ def n_equicontinuity_probe(sys, cloud: PointCloud, N: int, epsilon: float,
     pos = D0[D0 > 0.0]
     mesh = float(pos.min()) if pos.size else 0.0
     base_idx = _dispersed_bases(D0, min(n_bases, m))
+    # the levels read only rows < delta, so entries past the widest delta
+    # need not be exact
     rows = _comoving_states(sys, sys.arr_state([cloud[i] for i in base_idx]),
-                            S, H, (), False)[0]
+                            S, H, (), False, below=below_for(grid[0]))[0]
 
     per_delta = []
     fail_witnesses = {}

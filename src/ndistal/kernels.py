@@ -14,6 +14,18 @@ its own iterates over |n| <= H, the input of the periods and the
 return-gap verdicts in ``structure``, which steps no orbit itself).
 The hooks take states, not point lists: each public kernel converts its
 point lists once, by ``arr_state``, and passes the states on.
+
+``below``: a caller that only asks which minima lie under a threshold
+passes it to `orbit_min_matrix`, `orbit_min_rows` or the hook
+``comoving_extremes``.  Every entry whose minimum is under ``below`` is
+then exact, bit for bit the entry without ``below``, at every horizon of
+the call; every other entry holds a certified lower bound on its minimum
+at or above ``below``: its exact value, or ``below`` itself where a
+bound that never changes along the orbit rules the pair out.  The default
+hook is exact everywhere; the torus and annulus systems rule out pairs by
+a gap that stays fixed (``systems`` says which), and evaluate the rest
+as a list of pairs.  ``below`` must be finite and positive, and a
+maximum takes none.
 The default of each hook, and `orbit_min_pairs`, run one engine on the
 system's array interface (``arr_state``, ``arr_step`` and the
 ``arr_*dist`` methods), which every system has: every system states its
@@ -67,6 +79,8 @@ at most `_CHUNK` distances.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ParameterError
@@ -108,7 +122,8 @@ def sweep_extremes(sys, sa, sb, horizons, use_max, centre):
     """The engine behind ``DynSystem.comoving_extremes``: {h: M_h} with
     M_h[i, j] the min (max when use_max) over |n - centre| <= h of
     d(f^n a_i, f^n b_j), for the points of the states sa and sb; sb None
-    pairs sa with itself."""
+    pairs sa with itself.  Every entry is exact, which meets any
+    ``below``."""
     H = max(horizons)
     red = np.maximum if use_max else np.minimum
     if sb is None:
@@ -186,10 +201,12 @@ def mesh(sys, points):
 # public kernels
 # ---------------------------------------------------------------------------
 
-def orbit_min_matrix(sys, points, H, checkpoints=()):
+def orbit_min_matrix(sys, points, H, checkpoints=(), below=None):
     """M[i,j] = min over |n|<=H of d(f^n p_i, f^n p_j); optional snapshot
-    copies at intermediate horizons.  Returns (M, {h: snapshot})."""
-    return _comoving(sys, points, None, H, checkpoints, use_max=False)
+    copies at intermediate horizons.  Returns (M, {h: snapshot}).  With
+    `below`, only entries under it need be exact (see ``below`` above)."""
+    return _comoving(sys, points, None, H, checkpoints, use_max=False,
+                     below=below)
 
 
 def orbit_max_matrix(sys, points, H):
@@ -197,10 +214,11 @@ def orbit_max_matrix(sys, points, H):
     return _comoving(sys, points, None, H, (), use_max=True)[0]
 
 
-def orbit_min_rows(sys, points, base_idx, H, checkpoints=()):
+def orbit_min_rows(sys, points, base_idx, H, checkpoints=(), below=None):
     """Rows of orbit_min_matrix for the given base indices only."""
     bases = [points[i] for i in base_idx]
-    return _comoving(sys, bases, list(points), H, checkpoints, use_max=False)
+    return _comoving(sys, bases, list(points), H, checkpoints, use_max=False,
+                     below=below)
 
 
 def orbit_max_rows(sys, points, base_idx, H):
@@ -209,17 +227,33 @@ def orbit_max_rows(sys, points, base_idx, H):
     return _comoving(sys, bases, list(points), H, (), use_max=True)[0]
 
 
-def _comoving(sys, pts_a, pts_b, H, checkpoints, use_max, centre=0):
+def below_for(threshold):
+    """The ``below`` of a caller that reads only entries under
+    `threshold`: the threshold itself, or None (every entry exact) when it
+    is infinite, as ``below`` must be finite."""
+    return threshold if math.isfinite(threshold) else None
+
+
+def _comoving(sys, pts_a, pts_b, H, checkpoints, use_max, centre=0,
+              below=None):
     sb = None if pts_b is None else sys.arr_state(list(pts_b))
     return _comoving_states(sys, sys.arr_state(list(pts_a)), sb, H,
-                            checkpoints, use_max, centre)
+                            checkpoints, use_max, centre, below)
 
 
-def _comoving_states(sys, sa, sb, H, checkpoints, use_max, centre=0):
+def _comoving_states(sys, sa, sb, H, checkpoints, use_max, centre=0,
+                     below=None):
     """`_comoving` on states already built, for callers that reuse one."""
     _check_horizon(H)
+    if below is not None:
+        if use_max:
+            raise ParameterError("below bounds minima; use_max takes none")
+        below = float(below)
+        if not 0.0 < below < math.inf:
+            raise ParameterError(
+                f"below must be finite and positive, got {below!r}")
     out = sys.comoving_extremes(sa, sb, set(checkpoints) | {H}, use_max,
-                                centre)
+                                centre, below)
     return out[H], {h: out[h] for h in checkpoints}
 
 

@@ -17,8 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import HomomorphismError, ParameterError, check_positive
-from .kernels import (max_orbit_distance, mesh, min_orbit_distance,
-                      nearest, orbit_min_matrix, orbit_min_rows)
+from .kernels import (below_for, max_orbit_distance, mesh,
+                      min_orbit_distance, nearest, orbit_min_matrix,
+                      orbit_min_rows)
 from .points import OrbitIndex, PointCloud
 
 DEFAULT_H = 200
@@ -175,7 +176,8 @@ def proximal_cell(sys, x, cloud: PointCloud, H: int = DEFAULT_H,
     """
     _check_scale(H, eps_prox)
     b = cloud.index_of(x)
-    M2, cps = orbit_min_rows(sys, cloud.points, [b], 2 * H, checkpoints=(H,))
+    M2, cps = orbit_min_rows(sys, cloud.points, [b], 2 * H, checkpoints=(H,),
+                             below=below_for(eps_prox))
     return _row_cell(b, cps[H][0], M2[0], H, eps_prox, sys.floor)
 
 
@@ -195,7 +197,8 @@ def distality_report(sys, cloud: PointCloud, H: int = DEFAULT_H,
         raise ParameterError(f"N_max must be >= 1, got {N_max!r}")
     if not len(cloud):
         raise ParameterError("distality_report needs a nonempty cloud")
-    M2, cps = orbit_min_matrix(sys, cloud.points, 2 * H, checkpoints=(H,))
+    M2, cps = orbit_min_matrix(sys, cloud.points, 2 * H, checkpoints=(H,),
+                               below=below_for(eps_prox))
     MH = cps[H]
     stable = _stable(MH, M2, STABLE_FACTOR, sys.floor)
     use = MH < eps_prox
@@ -357,7 +360,8 @@ def fiber_proximal_cell(g, f, pi, y, cloud: PointCloud, H: int = DEFAULT_H,
     fiber_idx = np.nonzero(gap < eps_fiber)[0].tolist()
     sub = [cloud[i] for i in fiber_idx]
     sub_b = fiber_idx.index(b)
-    M2, cps = orbit_min_rows(g, sub, [sub_b], 2 * H, checkpoints=(H,))
+    M2, cps = orbit_min_rows(g, sub, [sub_b], 2 * H, checkpoints=(H,),
+                             below=below_for(eps_prox))
     return _row_cell(sub_b, cps[H][0], M2[0], H, eps_prox, g.floor,
                      index_map=fiber_idx)
 

@@ -74,7 +74,13 @@ each class bisects it once, the nearest-angle lookup of the
 three-distance theorem that the annulus visits use too; a rise of one
 class is scanned.  Both read the same table values, so a class gets the
 same bits either way, within about 1e-14 of the time-stepped fold but
-not bit-identical to it.  The
+not bit-identical to it.  With ``below`` (the kernels' threshold: minima
+under it exact, the rest a certified lower bound at or above it) the
+torus sweeps only the pairs whose x-gap ||dx||, which never changes, is
+under 2 below, and of those with no rise (shear dx = 0) only the ones
+whose time-0 distance, which they keep, is under 2 below; one sort of
+x and two searches find them, and their distinct differences are swept
+as one list.  Every other entry holds ``below``.  The
 annulus family computes each of its three hooks once per class of points
 that share the value.  It overrides
 ``visit_minima``: every angle advances by the same k, so a visit at fixed
@@ -96,7 +102,13 @@ window off a sparse table.  Its ``return_distances`` needs no iteration
 either: a point's angle gap to itself at time n is n k mod 1 and its
 radius is read off at index m + n, so one row serves every circle point
 of a radius.  Min and max are exact, so the classes give each point's
-values bit for bit.  These hooks measure in chord form, from the two radii and
+values bit for bit.  With ``below``, its co-moving minima evaluate only
+the pairs whose angle gap g, which never changes, keeps
+2 R0 |sin pi g| under 2 below, R0 the least radius of any circle or
+table row, and of two circle points only those whose radii differ by
+less than 2 below; one sort of the angles and two searches find them, and
+they are evaluated as one list of pairs by kind.  Every other entry holds
+``below``.  These hooks measure in chord form, from the two radii and
 the angle gap, where ``arr_cdist`` measures in the plane, so they agree
 with it to about 1e-12, not bit for bit.
 Angles n k mod 1 of orbit indices are exact to about an ulp (`_turns`),
@@ -148,6 +160,8 @@ def _finite(name, value):
 _CLASS_BLOCK = 65_536  # pairs per block of the torus and annulus closed forms
                        # and of the annulus distance matrix, and the most
                        # codes of a torus or shift code table
+_GAP_SLACK = 2.0 ** -50  # room, in turns, for the rounding of a gap that
+                         # `_close_pairs` searches: a few ulps of 1
 
 
 def _torus_dist(dx, dy):
@@ -159,6 +173,27 @@ def _torus_dist(dx, dy):
         d *= d
     dx += dy
     return np.sqrt(dx, out=dx)
+
+
+def _close_pairs(a, b, gap):
+    """The flat positions i * len(b) + j of every pair whose circular
+    distance ||a_i - b_j|| is at most `gap` (< 1/4), with perhaps a few
+    pairs that lie within `_GAP_SLACK` beyond it; None when they are more
+    than an eighth of the pairs: on the 24^2 skew grid a list of a sixth
+    of the pairs already costs as much as the full sweep.
+    One sort of b mod 1 and two searchsorted calls over its copies shifted
+    by -1, 0 and 1 find each row's pairs, so a window that wraps round 0
+    or 1 finds the points past it, and each pair at most once."""
+    a, b = np.mod(a, 1.0), np.mod(b, 1.0)
+    order = np.argsort(b, kind="stable")
+    ring = np.concatenate((b[order] - 1.0, b[order], b[order] + 1.0))
+    lo = np.searchsorted(ring, a - gap)
+    n = np.searchsorted(ring, a + gap, "right") - lo
+    total = int(n.sum())
+    if 8 * total > len(a) * len(b):
+        return None
+    at = np.arange(total) + np.repeat(lo - (np.cumsum(n) - n), n)
+    return np.repeat(np.arange(len(a)) * len(b), n) + order[at % len(b)]
 
 
 def _gap_codes(A, B, budget):
@@ -500,10 +535,18 @@ class DynSystem:
         raise NotImplementedError
 
     # -- the kernels' hooks, on states --------------------------------------
-    def comoving_extremes(self, sa, sb, horizons, use_max, centre):
+    def comoving_extremes(self, sa, sb, horizons, use_max, centre,
+                          below=None):
         """{h: M_h} with M_h[i, j] the min (max when use_max) over
         |n - centre| <= h of d(f^n a_i, f^n b_j), a_i and b_j the points
-        of the states sa and sb; sb None pairs sa with itself."""
+        of the states sa and sb; sb None pairs sa with itself.
+
+        `below` (minima only, finite and positive) lets an override skip
+        pairs: an entry whose minimum is under `below` must be exact, bit
+        for bit its value without `below`, at every horizon; any other
+        entry may hold `below` instead, which must then be a certified
+        lower bound on its minimum.  This default is exact everywhere and
+        ignores `below`."""
         return sweep_extremes(self, sa, sb, horizons, use_max, centre)
 
     def visit_minima(self, sp, st, H):
@@ -584,7 +627,8 @@ class _TorusBase(DynSystem):
     def arr_edist(self, sa, sb):
         return _torus_dist(sa[:, 0] - sb[:, 0], sa[:, 1] - sb[:, 1])
 
-    def comoving_extremes(self, A, B, horizons, use_max, centre):
+    def comoving_extremes(self, A, B, horizons, use_max, centre,
+                          below=None):
         """Closed form by difference class.
 
         d(F^n p, F^n q) depends on the pair only through its raw difference
@@ -593,8 +637,24 @@ class _TorusBase(DynSystem):
         into its row blocks.  The differences are not reduced before
         deduplication, so (i, j) and (j, i) are exact negatives and a
         matrix of the cloud against itself is exactly symmetric.
+
+        With `below`, only the pairs that `_near_pairs` keeps are swept,
+        as a list of their distinct differences, and every other entry
+        holds `below`.  A class's extremes do not depend on the other
+        classes of the call, so the kept entries are those of the full
+        sweep, bit for bit.
         """
         B = A if B is None else B
+        near = None if below is None else self._near_pairs(A, B, below)
+        if near is not None:
+            out = {h: np.full((len(A), len(B)), below) for h in horizons}
+            i, j = np.divmod(near, len(B))
+            classes, inv = np.unique((A[i] - B[j]).view(np.complex128),
+                                     return_inverse=True)
+            ext = self._sweep_classes(classes, horizons, use_max, centre)
+            for h in horizons:
+                np.put(out[h], near, ext[h][inv])
+            return out
         out = {h: np.empty((len(A), len(B))) for h in horizons}
         for classes, blocks in _class_groups(A, B):
             ext = self._sweep_classes(classes, horizons, use_max, centre)
@@ -626,6 +686,23 @@ class _TorusBase(DynSystem):
         else:
             cps = {h: np.abs(y0) for h in horizons}
         return {h: _torus_dist(classes.real.copy(), Y) for h, Y in cps.items()}
+
+    def _near_pairs(self, A, B, below):
+        """The flat positions of the pairs whose minimum may lie under
+        `below`, or None to sweep them all.  The x-gap never changes, so a
+        pair is at least ||dx|| apart at every time, and a pair with no
+        rise (shear dx = 0) keeps its time-0 distance: a pair is dropped
+        only where one of these bounds is at least 2 below, which leaves
+        room for every rounding of the bound and of the distance."""
+        gap = 2.0 * below + _GAP_SLACK
+        near = None if gap >= 0.25 else _close_pairs(A[:, 0], B[:, 0], gap)
+        if near is None:
+            return None
+        i, j = np.divmod(near, len(B))
+        dx = A[i, 0] - B[j, 0]
+        keep = self.shear * dx != 0.0
+        keep |= _torus_dist(dx, A[i, 1] - B[j, 1]) < 2.0 * below
+        return near[keep]
 
 
 class Rotation(_TorusBase):
@@ -744,6 +821,8 @@ class AnnulusSystem(DynSystem):
         # first index of its largest radius; its distinct radii, sorted,
         # those up to the peak first, and each index's position among them
         self._limits, self._peaks, self._runs = [], [], []
+        # the least radius any point takes, which bounds every chord
+        self._r0 = float(np.min(np.r_[self.circles, self._table.ravel()]))
         self._rank = np.empty(self._table.shape, dtype=np.int32)
         for row, r in enumerate(self._table):
             below, above = np.nonzero(r != r[0])[0], np.nonzero(r != r[-1])[0]
@@ -1012,49 +1091,141 @@ class AnnulusSystem(DynSystem):
             D[rows] = _chord(r, r0[rows, None], _sin2(gap))
         return D[inv]
 
-    def comoving_extremes(self, sa, sb, horizons, use_max, centre):
+    def comoving_extremes(self, sa, sb, horizons, use_max, centre,
+                          below=None):
         """Closed form, no iteration.
 
         Every angle advances by k, so a pair's angle gap never changes and
         d(f^n a, f^n b) is the chord at that gap between the radii at time
-        n.  Circles keep their radius: the circle-circle block is one
-        chord, and a pair of an orbit point and a circle point is read off
-        the orbit's sorted radii by `_circle_extremes`, with no time loop.
-        Pairs of orbit points that share their rows, index gap d and the
-        bits of s2 share one sequence of chords shifted in time, which
-        `_orbit_extremes` evaluates once per class, where a radius moves.
-        `_chord` and `_sin2` are exactly symmetric,
-        so the circle rows against orbit columns are the transpose of the
-        orbit rows against circle columns, bit for bit.
+        n.  Circles keep their radius: two circle points are one chord
+        (`_circle_chords`).  An orbit point against a circle point is read
+        off the orbit's sorted radii by `_orbit_circle`, with no time
+        loop.  Pairs of orbit points that share their rows, index gap d
+        and the bits of s2 share one sequence of chords shifted in time,
+        which `_orbit_pairs` evaluates once per class, where a radius
+        moves.  Every value is computed elementwise from its own pair, so
+        it does not depend on the other pairs of its call.
+
+        Without `below` the matrix goes by blocks of kind, each in blocks
+        of at most _CLASS_BLOCK pairs, whose rows and columns broadcast
+        where a list of every pair would gather each pair's values (about
+        a quarter slower on annulus3's default cloud).  `_chord` and
+        `_sin2` are exactly symmetric, so the circle rows against orbit
+        columns of a matrix against itself are the transpose of its orbit
+        rows against circle columns, bit for bit.  With `below`, only the
+        pairs that `_near_pairs` keeps are evaluated, as one list of pairs
+        (`_pair_extremes`), and every other entry holds `below`: the kept
+        entries are those of the full matrix, bit for bit.
         """
         A, B = sa, sa if sb is None else sb
+        shape = (len(A["row"]), len(B["row"]))
+        near = None if below is None else self._near_pairs(A, B, below)
+        if near is not None:
+            out = {h: np.full(shape, below) for h in horizons}
+            for blk in _row_blocks(len(near), 1, _CLASS_BLOCK):
+                at = near[blk]
+                ext = self._pair_extremes(A, B, *np.divmod(at, shape[1]),
+                                          horizons, use_max, centre)
+                for h in horizons:
+                    np.put(out[h], at, ext[h])
+            return out
         oa, ob = np.nonzero(A["row"] >= 0)[0], np.nonzero(B["row"] >= 0)[0]
         ca, cb = np.nonzero(A["row"] < 0)[0], np.nonzero(B["row"] < 0)[0]
-        D = np.empty((len(A["row"]), len(B["row"])))
+        D = np.empty(shape)
         for blk in _row_blocks(ca.size, cb.size, _CLASS_BLOCK):
             i = ca[blk]
-            D[np.ix_(i, cb)] = _chord(A["r"][i, None], B["r"][cb],
-                                      _sin2(A["theta"][i, None]
-                                            - B["theta"][cb]))
-        Oa, Ob = _take(A, oa), _take(B, ob)
-        rows = self._circle_extremes(Oa, _take(B, cb), horizons, use_max,
-                                     centre)
-        cols = rows if sb is None else self._circle_extremes(
-            Ob, _take(A, ca), horizons, use_max, centre)
-        both = self._orbit_extremes(Oa, Ob, horizons, use_max, centre)
-        out, H = {}, max(horizons)
-        for h in horizons:
-            # the widest horizon takes D itself
-            out[h] = D if h == H else D.copy()
-            out[h][np.ix_(oa, cb)] = rows[h]
-            out[h][np.ix_(ca, ob)] = cols[h].T
-            out[h][np.ix_(oa, ob)] = both[h]
+            D[np.ix_(i, cb)] = _circle_chords(A, B, i[:, None], cb)
+        # the circle pairs hold at every horizon; the widest takes D itself
+        H = max(horizons)
+        out = {h: D if h == H else D.copy() for h in horizons}
+        # orbit rows against circle columns, one table row at a time, and
+        # B's orbit rows against A's circle columns, transposed
+        kinds = [(A, oa, B, cb, False)]
+        if sb is not None:
+            kinds.append((B, ob, A, ca, True))
+        for X, o, Y, c, flip in kinds:
+            for row in np.unique(X["row"][o]):
+                sel = o[X["row"][o] == row]
+                for blk in _row_blocks(sel.size, c.size, _CLASS_BLOCK):
+                    i = sel[blk]
+                    ext = self._orbit_circle(
+                        row, X["idx"][i, None].astype(int), Y["r"][c],
+                        _sin2(X["theta"][i, None] - Y["theta"][c]),
+                        horizons, use_max, centre)
+                    for h in horizons:
+                        if flip:
+                            out[h][np.ix_(c, i)] = ext[h].T
+                        else:
+                            out[h][np.ix_(i, c)] = ext[h]
+        if sb is None:
+            for h in horizons:
+                out[h][np.ix_(ca, oa)] = out[h][np.ix_(oa, ca)].T
+        for blk in _row_blocks(oa.size, ob.size, _CLASS_BLOCK):
+            i = oa[blk]
+            ext = self._orbit_pairs(_take(A, np.repeat(i, ob.size)),
+                                    _take(B, np.tile(ob, i.size)), horizons,
+                                    use_max, centre)
+            for h in horizons:
+                out[h][np.ix_(i, ob)] = ext[h].reshape(i.size, -1)
         return out
 
-    def _circle_extremes(self, O, C, horizons, use_max, centre):
-        """{h: E_h}, E_h[i, j] the min (max when use_max) over
-        |n - centre| <= h of d(f^n o_i, f^n c_j), for orbit points o_i and
-        circle points c_j.
+    def _near_pairs(self, A, B, below):
+        """The flat positions of the pairs whose minimum may lie under
+        `below`, or None to evaluate them all.  A pair's angle gap g never
+        changes and every radius is at least R0, the least of the circles
+        and the radius table, so the pair is at least 2 R0 |sin pi g|
+        apart at every time; two circle points are also at least their
+        radii's difference apart.  A pair is dropped only where one of
+        these bounds is at least 2 below, which leaves room for every
+        rounding of the bound and of the chord."""
+        s = below / self._r0
+        gap = math.asin(s) / math.pi + _GAP_SLACK if s < 1.0 else 1.0
+        near = None if gap >= 0.25 else _close_pairs(A["theta"], B["theta"],
+                                                     gap)
+        if near is None:
+            return None
+        i, j = np.divmod(near, len(B["row"]))
+        far = (A["row"][i] < 0) & (B["row"][j] < 0)
+        far &= np.abs(A["r"][i] - B["r"][j]) >= 2.0 * below
+        return near[~far]
+
+    def _pair_extremes(self, A, B, i, j, horizons, use_max, centre):
+        """{h: e_h}, e_h[k] the min (max when use_max) over
+        |n - centre| <= h of d(f^n a_{i_k}, f^n b_{j_k}): the pairs
+        (i_k, j_k) split by kind, each kind evaluated as a list of pairs.
+        An orbit point against a circle point goes to `_orbit_circle`
+        whichever side holds the orbit point, one table row at a time."""
+        ext = {h: np.empty(len(i)) for h in horizons}
+        oa, ob = A["row"][i] >= 0, B["row"][j] >= 0
+        cc = ~(oa | ob)
+        if cc.any():
+            d = _circle_chords(A, B, i[cc], j[cc])
+            for h in horizons:
+                ext[h][cc] = d
+        for X, x, Y, y, kind in ((A, i, B, j, oa & ~ob),
+                                 (B, j, A, i, ob & ~oa)):
+            for row in np.unique(X["row"][x[kind]]):
+                k = np.flatnonzero(kind & (X["row"][x] == row))
+                o, c = x[k], y[k]
+                part = self._orbit_circle(
+                    row, X["idx"][o].astype(int), Y["r"][c],
+                    _sin2(X["theta"][o] - Y["theta"][c]), horizons,
+                    use_max, centre)
+                for h in horizons:
+                    ext[h][k] = part[h]
+        k = np.flatnonzero(oa & ob)
+        if k.size:
+            part = self._orbit_pairs(_take(A, i[k]), _take(B, j[k]),
+                                     horizons, use_max, centre)
+            for h in horizons:
+                ext[h][k] = part[h]
+        return ext
+
+    def _orbit_circle(self, row, m, c, s2, horizons, use_max, centre):
+        """{h: E_h}, the min (max when use_max) over |n - centre| <= h of
+        the distance between the orbit point at index m of table row `row`
+        and a circle point of radius c whose angle gap g to it has
+        s2 = sin^2(pi g), elementwise over the broadcast of m, c and s2.
 
         With s2 fixed by the angle gap, chord^2 = (r - c)^2 + 4 r c s2 is a
         convex quadratic in the orbit's radius r, with its vertex at
@@ -1071,46 +1242,38 @@ class AnnulusSystem(DynSystem):
         so the extremes are bit for bit those of every time.
         """
         red = np.maximum if use_max else np.minimum
-        c = C["r"]
-        out = {h: np.empty((len(O["row"]), len(c))) for h in horizons}
-        for row in np.unique(O["row"]):
-            vals, split = self._runs[row]
-            rank, p = self._rank[row], self._peaks[row]
-            sel = np.nonzero(O["row"] == row)[0]
-            for blk in _row_blocks(sel.size, c.size, _CLASS_BLOCK):
-                i = sel[blk]
-                m = O["idx"][i, None].astype(int)
-                s2 = _sin2(O["theta"][i, None] - C["theta"])
-                vertex = c * (1.0 - 2.0 * s2)
-                hits = (np.searchsorted(vals[:split], vertex),
-                        split + np.searchsorted(vals[split:], vertex))
-                for h in horizons:
-                    a = np.clip(m + (centre - h), -REACH, REACH)
-                    b = np.clip(m + (centre + h), -REACH, REACH)
-                    # the window's indices up to the peak and after it; a
-                    # window that misses one side reads its own end nearest
-                    # that side there, a radius it holds
-                    rise, fall = a <= p, b > p
-                    parts = ((a, np.where(rise, np.minimum(b, p), a),
-                              hits[0], rise),
-                             (np.where(fall, np.maximum(a, p + 1), b), b,
-                              hits[1], fall))
-                    E = None
-                    for x, y, hit, meets in parts:
-                        if not meets.any():
-                            continue
-                        x, y = rank[x + REACH], rank[y + REACH]
-                        lo, hi = np.minimum(x, y), np.maximum(x, y)
-                        ends = (lo, hi) if use_max else ()
-                        for at in (*ends, *(hit + k for k in _NEAR_VERTEX)):
-                            d = _chord(vals[np.clip(at, lo, hi)], c, s2)
-                            E = d if E is None else red(E, d, out=E)
-                    out[h][i] = E
+        vals, split = self._runs[row]
+        rank, p = self._rank[row], self._peaks[row]
+        vertex = c * (1.0 - 2.0 * s2)
+        hits = (np.searchsorted(vals[:split], vertex),
+                split + np.searchsorted(vals[split:], vertex))
+        out = {}
+        for h in horizons:
+            a = np.clip(m + (centre - h), -REACH, REACH)
+            b = np.clip(m + (centre + h), -REACH, REACH)
+            # the window's indices up to the peak and after it; a window
+            # that misses one side reads its own end nearest that side
+            # there, a radius it holds
+            rise, fall = a <= p, b > p
+            parts = ((a, np.where(rise, np.minimum(b, p), a), hits[0], rise),
+                     (np.where(fall, np.maximum(a, p + 1), b), b, hits[1],
+                      fall))
+            E = None
+            for x, y, hit, meets in parts:
+                if not meets.any():
+                    continue
+                x, y = rank[x + REACH], rank[y + REACH]
+                lo, hi = np.minimum(x, y), np.maximum(x, y)
+                ends = (lo, hi) if use_max else ()
+                for at in (*ends, *(hit + k for k in _NEAR_VERTEX)):
+                    d = _chord(vals[np.clip(at, lo, hi)], c, s2)
+                    E = d if E is None else red(E, d, out=E)
+            out[h] = E
         return out
 
-    def _orbit_extremes(self, A, B, horizons, use_max, centre):
-        """{h: M_h} for orbit points on both sides, one chord sequence per
-        class of pairs.
+    def _orbit_pairs(self, A, B, horizons, use_max, centre):
+        """{h: e_h} for orbit points a_k and b_k paired one to one, one
+        chord sequence per class of pairs.
 
         In b's index u = m_b + n, a pair's distance at time n is
         f(u) = chord(R_a(u + d), R_b(u), s2), d = m_a - m_b.  R_a moves
@@ -1120,79 +1283,72 @@ class AnnulusSystem(DynSystem):
         the blocks' samples in order (`_pair_runs`) hold every value f
         takes, in the order it takes them.  The pairs of one class share
         that sequence: a class is one int64 code of (row_a, row_b, d, the
-        rank of s2 among the block's distinct s2), sorted once, and a d
+        rank of s2 among the pairs' distinct s2), sorted once, and a d
         beyond which the blocks lie apart stands for every d beyond it, as
         the gap between the blocks is dropped.  A class evaluates its
         sequence once, over the samples its pairs' windows u in
         [m_b + centre - h, m_b + centre + h] reach (`_run_span`), and each
         pair reads its window's extreme off a sparse table.  Min and max
-        are exact, so each M_h is the dense fold over every time, bit for
-        bit.  Pairs go in row blocks of at most _CLASS_BLOCK pairs, and
-        classes in blocks whose sparse tables hold at most _CLASS_BLOCK
-        values.
+        are exact, so each extreme is the dense fold over every time, bit
+        for bit, whatever other pairs share the call.  Classes go in
+        blocks whose sparse tables hold at most _CLASS_BLOCK values.
         """
         red = np.maximum if use_max else np.minimum
-        H = max(horizons)
-        out = {h: np.empty((len(A["row"]), len(B["row"]))) for h in horizons}
-        if not out[H].size:
-            return out
+        ra, rb = A["row"], B["row"]
+        res = {h: np.empty(len(ra)) for h in horizons}
+        if not len(ra):
+            return res
         lo, hi = (np.array([lim[j] for lim in self._limits]) for j in (0, 1))
         nr = len(lo)
         # the clipped d (dk) below stays within dmin..dmin + nd - 1
         dmin = int(lo.min() - hi.max()) - 4
         nd = int(hi.max() - lo.min()) + 5 - dmin
-        for rows in _row_blocks(len(A["row"]), len(B["row"]), _CLASS_BLOCK):
-            na, nb = len(A["row"][rows]), len(B["row"])
-            ra, rb = np.repeat(A["row"][rows], nb), np.tile(B["row"], na)
-            mb = np.tile(B["idx"].astype(np.int64), na)
-            d = np.repeat(A["idx"][rows].astype(np.int64), nb) - mb
-            s2 = _sin2(A["theta"][rows, None] - B["theta"]).ravel()
-            # beyond the clip the two blocks lie apart: one class key
-            dk = np.clip(d, lo[ra] - hi[rb] - 4, hi[ra] - lo[rb] + 4)
-            _, code = np.unique(s2, return_inverse=True)
-            # codes below 2^63 for fewer than 2^31 pairs a block: nr is at
-            # most 1,022 and nd at most 4 REACH + 9
-            code = ((code * nr + ra) * nr + rb) * nd + (dk - dmin)
-            order = np.argsort(code)
-            code = code[order]
-            first = np.r_[True, code[1:] != code[:-1]]
-            starts = np.flatnonzero(first)
-            cls = np.cumsum(first) - 1
-            ra, rb, mb, d, dk, s2 = (v[order] for v in (ra, rb, mb, d, dk, s2))
-            runs = _pair_runs(lo[ra], hi[ra], lo[rb], hi[rb], d)
-            reach = {h: _run_span(mb + (centre - h), mb + (centre + h), *runs)
-                     for h in horizons}
-            # a window in a constant stretch reads a sample beside it, which
-            # a wider window need not read: each horizon adds its own
-            k0 = np.min([np.minimum.reduceat(k[0], starts)
-                         for k in reach.values()], axis=0)
-            count = np.max([np.maximum.reduceat(k[1], starts)
-                            for k in reach.values()], axis=0) - k0 + 1
-            # each class's sequence, from its first pair's key
-            rc, rd, sc, dc = ra[starts], rb[starts], s2[starts], dk[starts]
-            x0, x1, y0, _ = _pair_runs(lo[rc], hi[rc], lo[rd], hi[rd], dc)
-            bounds = np.r_[starts, len(ra)]
-            res = {h: np.empty(len(ra)) for h in horizons}
-            budget = max(1, _CLASS_BLOCK // int(count.max()).bit_length())
-            for blk in _size_blocks(count, budget):
-                at = np.r_[0, np.cumsum(count[blk])]
-                of = np.repeat(np.arange(blk.start, blk.stop), count[blk])
-                k = np.arange(at[-1]) - at[:-1][of - blk.start] + k0[of]
-                n1 = x1[of] - x0[of] + 1
-                u = np.where(k < n1, x0[of] + k, y0[of] + (k - n1))
-                table = _sparse_table(
-                    _chord(self._radius(rc[of], u + dc[of]),
-                           self._radius(rd[of], u), sc[of]),
-                    red, int(count[blk].max()).bit_length())
-                pairs = slice(bounds[blk.start], bounds[blk.stop])
-                c = cls[pairs]
-                shift = at[:-1][c - blk.start] - k0[c]
-                for h in horizons:
-                    a, b = (e[pairs] + shift for e in reach[h])
-                    res[h][order[pairs]] = _range_extreme(table, a, b, red)
+        mb = B["idx"].astype(np.int64)
+        d = A["idx"].astype(np.int64) - mb
+        s2 = _sin2(A["theta"] - B["theta"])
+        # beyond the clip the two blocks lie apart: one class key
+        dk = np.clip(d, lo[ra] - hi[rb] - 4, hi[ra] - lo[rb] + 4)
+        _, code = np.unique(s2, return_inverse=True)
+        # codes below 2^63 for fewer than 2^31 pairs: nr is at most 1,022
+        # and nd at most 4 REACH + 9
+        code = ((code * nr + ra) * nr + rb) * nd + (dk - dmin)
+        order = np.argsort(code)
+        code = code[order]
+        first = np.r_[True, code[1:] != code[:-1]]
+        starts = np.flatnonzero(first)
+        cls = np.cumsum(first) - 1
+        ra, rb, mb, d, dk, s2 = (v[order] for v in (ra, rb, mb, d, dk, s2))
+        runs = _pair_runs(lo[ra], hi[ra], lo[rb], hi[rb], d)
+        reach = {h: _run_span(mb + (centre - h), mb + (centre + h), *runs)
+                 for h in horizons}
+        # a window in a constant stretch reads a sample beside it, which a
+        # wider window need not read: each horizon adds its own
+        k0 = np.min([np.minimum.reduceat(k[0], starts)
+                     for k in reach.values()], axis=0)
+        count = np.max([np.maximum.reduceat(k[1], starts)
+                        for k in reach.values()], axis=0) - k0 + 1
+        # each class's sequence, from its first pair's key
+        rc, rd, sc, dc = ra[starts], rb[starts], s2[starts], dk[starts]
+        x0, x1, y0, _ = _pair_runs(lo[rc], hi[rc], lo[rd], hi[rd], dc)
+        bounds = np.r_[starts, len(ra)]
+        budget = max(1, _CLASS_BLOCK // int(count.max()).bit_length())
+        for blk in _size_blocks(count, budget):
+            at = np.r_[0, np.cumsum(count[blk])]
+            of = np.repeat(np.arange(blk.start, blk.stop), count[blk])
+            k = np.arange(at[-1]) - at[:-1][of - blk.start] + k0[of]
+            n1 = x1[of] - x0[of] + 1
+            u = np.where(k < n1, x0[of] + k, y0[of] + (k - n1))
+            table = _sparse_table(
+                _chord(self._radius(rc[of], u + dc[of]),
+                       self._radius(rd[of], u), sc[of]),
+                red, int(count[blk].max()).bit_length())
+            pairs = slice(bounds[blk.start], bounds[blk.stop])
+            c = cls[pairs]
+            shift = at[:-1][c - blk.start] - k0[c]
             for h in horizons:
-                out[h][rows] = res[h].reshape(na, nb)
-        return out
+                a, b = (e[pairs] + shift for e in reach[h])
+                res[h][order[pairs]] = _range_extreme(table, a, b, red)
+        return res
 
 
 def _euclid(dx, dy):
@@ -1202,6 +1358,11 @@ def _euclid(dx, dy):
     dy *= dy
     dx += dy
     return np.sqrt(dx, out=dx)
+
+
+def _circle_chords(A, B, i, j):
+    """The distances of circle points a_i and b_j, which never change."""
+    return _chord(A["r"][i], B["r"][j], _sin2(A["theta"][i] - B["theta"][j]))
 
 
 def _take(state, idx):
@@ -1493,8 +1654,10 @@ class ShiftSystem(DynSystem):
     floor = 2.0 ** -GCAP
     cloud_size = 4
 
-    def comoving_extremes(self, pts_a, pts_b, horizons, use_max, centre):
-        """Closed form, no iteration.
+    def comoving_extremes(self, pts_a, pts_b, horizons, use_max, centre,
+                          below=None):
+        """Closed form, no iteration; exact everywhere, so `below` is
+        ignored.
 
         d(sigma^n x, sigma^n y) = 2^-g(n) with g(n) the gap from n to the
         nearest difference position of (x, y); the extreme over

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndistal import equicont
+from ndistal import equicont, kernels
 from ndistal.equicont import (n_equicontinuity_probe, r_set,
                               r_set_equivariance_check, skew_witness)
 from ndistal.errors import ParameterError
@@ -366,3 +366,39 @@ def test_level_blocks_match_per_base_diameters(N, block, monkeypatch):
     sizes = {k for k in counts if k > N}
     assert any(math.comb(k, N + 1) > 400 for k in sizes)
     assert any(math.comb(k, N + 1) <= 400 for k in sizes)
+
+
+@pytest.mark.parametrize("make,size", [(Rotation, 256), (SkewTorus, 24),
+                                       (annulus3, 64)])
+def test_probe_and_r_set_give_the_exact_path_with_below(make, size,
+                                                        monkeypatch):
+    # r_set passes below=delta and the probe's base rows below = the widest
+    # delta: both read only rows < delta, so every output is that of the
+    # exact rows, bit for bit
+    s = make()
+    cloud = s.sampler(size)
+    grid = (0.02, 0.01, 0.004)
+
+    def run():
+        v = n_equicontinuity_probe(s, cloud, N=1, epsilon=0.05,
+                                   delta_grid=grid, H=60, n_spot_checks=2)
+        sets = [r_set(s, cloud[i], d, cloud, H=60).as_dict()
+                for i in range(0, len(cloud), 37) for d in grid]
+        return v.as_dict(), sets
+
+    pruned = run()
+    real = kernels._comoving_states
+
+    def exact(sys, sa, sb, H, checkpoints, use_max, centre=0, below=None):
+        return real(sys, sa, sb, H, checkpoints, use_max, centre)
+
+    monkeypatch.setattr(kernels, "_comoving_states", exact)
+    monkeypatch.setattr(equicont, "_comoving_states", exact)
+    assert run() == pruned
+
+
+def test_r_set_with_infinite_delta_holds_the_whole_cloud():
+    s = SkewTorus()
+    cloud = s.sampler(4)
+    est = r_set(s, cloud[0], float("inf"), cloud, H=10)
+    assert est.members == tuple(range(len(cloud)))

@@ -17,6 +17,7 @@ from ndistal.kernels import (max_orbit_distance, mesh, min_orbit_distance,
                              orbit_return_matrix, orbit_visit_matrix,
                              orbit_window_min_row)
 from ndistal import kernels, systems
+from ndistal.errors import ParameterError
 from ndistal.points import (Annulus, OrbitIndex, PointCloud, SymbolicPoint,
                             Torus, circ_gap, periodic_point,
                             symbolic_distance, word_point)
@@ -1452,7 +1453,7 @@ def per_point_tail_visits(sys, P, T, H):
 
 def event_time_extremes(sys, A, B, horizons, use_max, centre):
     """The annulus orbit x orbit extremes folded over event times, the
-    reference for the pair classes of `_orbit_extremes`.  An orbit
+    reference for the pair classes of `_orbit_pairs`.  An orbit
     point's radius moves only while its index is inside its window, so the
     times of each window, with the step before it, and the ends
     centre + h sample every value.  The fold runs over those times in order
@@ -1670,7 +1671,7 @@ def test_annulus_classes_match_references(name, cloud, block, monkeypatch):
             for use_max in (False, True):
                 args = (orbit_part(P), orbit_part(B), horizons, use_max,
                         centre)
-                got = sys._orbit_extremes(*args)
+                got = sys.comoving_extremes(*args)
                 want = event_time_extremes(sys, *args)
                 for h in horizons:
                     assert np.array_equal(got[h], want[h])
@@ -1693,7 +1694,7 @@ def test_annulus_classes_far_apart(use_max):
                               per_point_tail_visits(sys, S, T, H))
     for horizons, centre in (({0, 3, 60}, 0), ({100, 4000}, -2000),
                              ({10 ** 9, 10 ** 12}, 7)):
-        got = sys._orbit_extremes(S, S, horizons, use_max, centre)
+        got = sys.comoving_extremes(S, S, horizons, use_max, centre)
         want = event_time_extremes(sys, S, S, horizons, use_max, centre)
         for h in horizons:
             assert np.array_equal(got[h], want[h])
@@ -1858,3 +1859,160 @@ def test_iterate_alone_makes_a_working_system():
                       for n in range(-H, H + 1)] for p in pts])
     assert np.allclose(kernels.orbit_return_matrix(sys, pts, H), want,
                        rtol=0.0, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# below: exact under the threshold, a certified lower bound elsewhere
+# ---------------------------------------------------------------------------
+
+def _ann_conjugate():
+    ann = annulus3()
+    return conjugate_system(ann, ann.step, ann.step_inv)
+
+
+BELOW_SYSTEMS = {
+    "annulus3": annulus3, "annulus2": annulus2,
+    "annulusN": lambda: annulusN(N=6), "skew_torus": SkewTorus,
+    "rotation": Rotation, "identity": IdentityTorus, "shift2": shift2,
+    "conjugate": _ann_conjugate,
+    "power": lambda: systems.power_system(SkewTorus(), 2),
+    "product": lambda: systems.product_system(Rotation(), annulus2()),
+}
+
+BELOW_TORUS = ("skew_torus", "rotation", "identity")
+
+# angles or x coordinates at and next to 0 and 1
+EDGE_TURNS = (0.0, 2.0 ** -52, 0.5, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -50)
+
+
+def below_points(name, sys, rng, m):
+    """Points of the system's space: at most m of its sampler's on the
+    shift and the wrappers; at least m on the torus and annulus systems,
+    some at angles or x next to 0 and 1 and some in pairs one rounding
+    error apart, in angle or x, and annulus circle points also at an
+    orbit point's angle and one rounding error beside it."""
+    if name in ("shift2", "conjugate", "power", "product"):
+        pts = list(sys.sampler(2).points)
+        return [pts[i] for i in rng.permutation(len(pts))[:m]]
+    turns = list(EDGE_TURNS) + [float(t) for t in rng.random(m)]
+    turns += [float(np.nextafter(t, 1.0)) for t in turns[::3]]
+    if name in BELOW_TORUS:
+        ys = [0.0] * len(turns) if name == "rotation" else \
+            [float(y) for y in rng.choice([0.0, 0.25, 1.0 - 2.0 ** -53,
+                                           *rng.random(3)], len(turns))]
+        pts = [Torus(x, y) for x, y in zip(turns, ys)]
+    else:
+        labels = sorted(sys.orbits)
+        orbit = [OrbitIndex(int(n), labels[int(rng.integers(len(labels)))])
+                 for n in rng.integers(-60, 61, m)]
+        at = [float(sys.arr_state([p])["theta"][0]) for p in orbit[:3]]
+        turns += at + [float(np.nextafter(t, 2.0)) for t in at]
+        pts = orbit + [Annulus(t, float(rng.choice(sys.circles)))
+                       for t in turns]
+    return [pts[i] for i in rng.permutation(len(pts))]
+
+
+def assert_below_contract(got, want, below):
+    """Entries whose exact minimum is under `below` are exact; the rest
+    lie between `below` and the exact minimum."""
+    exact = want < below
+    assert np.array_equal(got[exact], want[exact])
+    rest, bound = got[~exact], want[~exact]
+    assert np.all((rest >= below) & (rest <= bound))
+
+
+@given(st.sampled_from(sorted(BELOW_SYSTEMS)), st.integers(0, 10_000),
+       st.sampled_from([1e-300, 1e-15, 1e-9, 1e-3, 0.02, 0.2, None]),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_below_keeps_minima_under_it_exact(name, seed, below, cross):
+    # every system meets the contract, on its own cloud and against a
+    # second one, at H and 2H and at any centre; None draws the threshold
+    # from the exact entries, so some entries sit exactly on it
+    rng = np.random.default_rng(seed)
+    sys = BELOW_SYSTEMS[name]()
+    pts = below_points(name, sys, rng, 12)
+    other = below_points(name, sys, rng, 6) if cross else None
+    engine = name in ("shift2", "conjugate", "power", "product")
+    H = int(rng.choice([0, 1, 5, 12] if engine else [0, 1, 5, 40, 200]))
+    centre = int(rng.integers(-40, 41))
+    want, wcps = kernels._comoving(sys, pts, other, 2 * H, (H,), False,
+                                   centre)
+    if below is None:
+        pos = want[want > 0.0]
+        below = float(rng.choice(pos)) if pos.size else 0.5
+    got, cps = kernels._comoving(sys, pts, other, 2 * H, (H,), False,
+                                 centre, below)
+    assert_below_contract(got, want, below)
+    assert_below_contract(cps[H], wcps[H], below)
+    rows = [int(i) for i in rng.permutation(len(pts))[:3]]
+    got, cps = orbit_min_rows(sys, pts, rows, 2 * H, checkpoints=(H,),
+                              below=below)
+    want, wcps = orbit_min_rows(sys, pts, rows, 2 * H, checkpoints=(H,))
+    assert_below_contract(got, want, below)
+    assert_below_contract(cps[H], wcps[H], below)
+
+
+@pytest.mark.parametrize("below", [float("nan"), float("inf"),
+                                   -float("inf"), 0.0, -1e-3])
+def test_below_must_be_finite_and_positive(below):
+    sys = annulus3()
+    pts = list(sys.sampler(4).points[:6])
+    with pytest.raises(ParameterError):
+        orbit_min_matrix(sys, pts, 5, below=below)
+    with pytest.raises(ParameterError):
+        orbit_min_rows(sys, pts, [0], 5, below=below)
+
+
+def test_below_bounds_minima_only():
+    # a maximum has no lower-bound shortcut: below with use_max is refused
+    sys = SkewTorus()
+    S = sys.arr_state(list(sys.sampler(3).points))
+    with pytest.raises(ParameterError):
+        kernels._comoving_states(sys, S, None, 5, (), True, below=1e-3)
+    assert kernels._comoving_states(sys, S, None, 5, (), True)[0].shape == \
+        (9, 9)
+
+
+def test_below_evaluates_only_the_pairs_that_can_be_edges(monkeypatch):
+    # on annulus3's default cloud at eps = 1e-3 the angle-gap bound leaves
+    # the 593 diagonal pairs and 52 of the 351,056 others; on the 24^2
+    # skew grid only the diagonal, one difference class
+    sys = annulus3()
+    pts = list(sys.sampler(256).points)
+    seen = []
+    real = systems.AnnulusSystem._pair_extremes
+
+    def spy(self, A, B, i, j, *args):
+        seen.append(len(i))
+        return real(self, A, B, i, j, *args)
+
+    monkeypatch.setattr(systems.AnnulusSystem, "_pair_extremes", spy)
+    M = orbit_min_matrix(sys, pts, 400, checkpoints=(200,), below=1e-3)[0]
+    assert sum(seen) == len(pts) + 52 == np.count_nonzero(M != 1e-3)
+    skew = SkewTorus()
+    grid = list(skew.sampler(24).points)
+    classes, sweep = [], SkewTorus._sweep_classes
+
+    def count(self, c, *args):
+        classes.append(len(c))
+        return sweep(self, c, *args)
+
+    monkeypatch.setattr(SkewTorus, "_sweep_classes", count)
+    orbit_min_matrix(skew, grid, 400, checkpoints=(200,), below=1e-3)
+    assert classes == [1]
+
+
+@pytest.mark.parametrize("name", ["annulus3", "skew_torus"])
+def test_below_falls_back_to_the_full_matrix(name, monkeypatch):
+    # a threshold so wide that most pairs stay goes the unpruned way, and
+    # gives the exact matrix
+    sys = BELOW_SYSTEMS[name]()
+    pts = list(sys.sampler(8).points)
+    want = orbit_min_matrix(sys, pts, 30)[0]
+    assert np.array_equal(orbit_min_matrix(sys, pts, 30, below=0.9)[0],
+                          want)
+    monkeypatch.setattr(systems, "_close_pairs",
+                        lambda *args: None)
+    assert np.array_equal(orbit_min_matrix(sys, pts, 30, below=1e-3)[0],
+                          want)

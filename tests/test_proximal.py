@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from ndistal import proximal
+from ndistal import kernels, proximal
 from ndistal.cli import main
 from ndistal.errors import HomomorphismError, ParameterError
 from ndistal.kernels import orbit_min_matrix
@@ -15,9 +15,9 @@ from ndistal.points import (Annulus, OrbitIndex, Pair, PointCloud, Torus,
 from ndistal.proximal import (ProximalCellEstimate, distality_report,
                               fiber_proximal_cell, proximal_cell,
                               proximal_quotient)
-from ndistal.systems import (CATALOGUE_FACTS, Rotation, SkewTorus, annulus2,
-                             annulus3, annulusN, get_system, power_system,
-                             product_system, shift2)
+from ndistal.systems import (CATALOGUE_FACTS, IdentityTorus, Rotation,
+                             SkewTorus, annulus2, annulus3, annulusN,
+                             get_system, power_system, product_system, shift2)
 
 
 def members_of(cloud, cell):
@@ -421,9 +421,9 @@ def test_fiber_at_exactly_the_mesh_is_excluded(monkeypatch):
     cloud = s.sampler(16)
     seen, rows = [], proximal.orbit_min_rows
 
-    def spy(sys, points, base_idx, H, checkpoints=()):
+    def spy(sys, points, base_idx, H, checkpoints=(), below=None):
         seen.extend(points)
-        return rows(sys, points, base_idx, H, checkpoints)
+        return rows(sys, points, base_idx, H, checkpoints, below)
 
     monkeypatch.setattr(proximal, "orbit_min_rows", spy)
     fiber_proximal_cell(s, s, lambda p: p, Annulus(0.5625, 1.0), cloud, H=5)
@@ -440,3 +440,77 @@ def test_product_projection_fiber_cells():
     for y in cloud.points[:: max(1, len(cloud) // 8)]:
         cell = fiber_proximal_cell(ps, g, pi, y, cloud, H=100)
         assert cell.size() <= 2
+
+
+# ---------------------------------------------------------------------------
+# below = eps_prox: the pruned minima give the reports of the exact ones
+# ---------------------------------------------------------------------------
+
+def _angle_factor(sys):
+    """annulus -> circle rotation by k: every angle advances by k."""
+    return Rotation(sys.k), lambda p: Torus(
+        float(sys.arr_state([p])["theta"][0]), 0.0)
+
+
+def _report_cases():
+    ann, skew, rot = annulus3(), SkewTorus(), Rotation()
+    n6 = annulusN(N=6)
+    return {
+        "annulus3-256": (ann, ann.sampler(256), *_angle_factor(ann)),
+        "annulus3-aligned": (ann, ann.aligned_cloud(-30, 30),
+                             *_angle_factor(ann)),
+        "annulus2": (annulus2(), annulus2().sampler(),
+                     *_angle_factor(annulus2())),
+        "annulusN6": (n6, n6.sampler(), *_angle_factor(n6)),
+        "skew-24": (skew, skew.sampler(24), Rotation(skew.alpha),
+                    lambda p: Torus(p.x, 0.0)),
+        "rotation-256": (rot, rot.sampler(256), IdentityTorus(),
+                         lambda p: Torus(0.0, 0.0)),
+    }
+
+
+REPORT_CASES = _report_cases()
+
+
+def exact_minima(monkeypatch):
+    """Make every kernel call drop its `below`: the exact path."""
+    real = kernels._comoving_states
+
+    def exact(sys, sa, sb, H, checkpoints, use_max, centre=0, below=None):
+        return real(sys, sa, sb, H, checkpoints, use_max, centre)
+
+    monkeypatch.setattr(kernels, "_comoving_states", exact)
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_pruned_minima_give_the_exact_reports(case, monkeypatch):
+    # distality_report, proximal_cell and fiber_proximal_cell ask only for
+    # minima under eps_prox, and give the as_dict of the exact path
+    sys, cloud, f, pi = REPORT_CASES[case]
+    H = 100
+
+    def reports():
+        rep = distality_report(sys, cloud, H=H)
+        big = max(rep.cells, key=lambda c: c.size())
+        picks = sorted({*big.members, *range(0, len(cloud), 41)})
+        return (rep.as_dict(),
+                [proximal_cell(sys, cloud[i], cloud, H=H).as_dict()
+                 for i in picks],
+                [fiber_proximal_cell(sys, f, pi, cloud[i], cloud,
+                                     H=H).as_dict() for i in picks])
+
+    pruned = reports()
+    exact_minima(monkeypatch)
+    assert reports() == pruned
+
+
+def test_infinite_eps_prox_reads_exact_minima():
+    # below must be finite, so an infinite eps_prox asks the kernels for
+    # exact minima and every pair is proximal, as without the threshold
+    s = annulus3()
+    cloud = s.sampler(4)
+    rep = distality_report(s, cloud, H=10, eps_prox=float("inf"),
+                           N_max=len(cloud), stable_only=False)
+    assert rep.max_cell_size == len(cloud)
+    cell = proximal_cell(s, cloud[0], cloud, H=10, eps_prox=float("inf"))
+    assert cell.size() == len(cloud)
