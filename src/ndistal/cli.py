@@ -49,8 +49,8 @@ from .equicont import DEFAULT_DELTA_GRID, DEFAULT_H as EQUICONT_H
 from .equicont import n_equicontinuity_probe, r_set, skew_witness
 from .errors import NDistalError, ParameterError
 from .ndiameter import diam_n_bounds_from_matrix, diam_n_exact_from_matrix
-from .proximal import (DEFAULT_EPS, DEFAULT_H, distality_report,
-                       proximal_cell, proximal_quotient)
+from .proximal import (DEFAULT_EPS, DEFAULT_H, ProximalReport,
+                       distality_report, proximal_cell, proximal_quotient)
 from .structure import (expansivity_probe, minimal_subsystems,
                         periodic_points, prop_3_2_audit, return_profile,
                         theorem_3_5_audit, transitive_check)
@@ -170,8 +170,7 @@ def _indexed_point(cloud, index):
 
 def _run_distality(sys, cloud, seed, *, H=DEFAULT_H, eps=DEFAULT_EPS,
                    N_max=8):
-    return distality_report(sys, cloud, H=H, eps_prox=eps,
-                            N_max=N_max).as_dict()
+    return distality_report(sys, cloud, H=H, eps_prox=eps, N_max=N_max)
 
 
 def _run_proximal_cell(sys, cloud, seed, *, index=0, H=DEFAULT_H,
@@ -447,9 +446,13 @@ def run_scenario(path, seed=None, out=None):
         asserts = {key: value for key, value in params.items()
                    if key.startswith("assert_")}
         record = {"op": op, "params": _jsonable(_analysis_params(params))}
+        stats = {}
         t0 = time.perf_counter()
         try:
-            result = _jsonable(REGISTRY[op](sys, op_cloud, seed, **kwargs))
+            found = REGISTRY[op](sys, op_cloud, seed, **kwargs)
+            if isinstance(found, ProximalReport):
+                stats = found.stats()
+            result = _jsonable(found)
             record["result"] = result
             passed, checks = _check_asserts(result, asserts)
             record["passed"] = passed
@@ -462,7 +465,8 @@ def run_scenario(path, seed=None, out=None):
             record["passed"] = False if asserts else None
             any_fail = True
             bad_params |= isinstance(exc, ParameterError)
-        timings.append({"op": op, "seconds": time.perf_counter() - t0})
+        timings.append({"op": op, "seconds": time.perf_counter() - t0,
+                        **stats})
         records.append(record)
 
     report = {

@@ -7,25 +7,21 @@ and minimal-set clustering, and minima over a window |n - c| <= H centred
 at a time c.
 
 No kernel calls ``step`` or ``iterate``.  The co-moving kernels ask the
-system's hook ``comoving_extremes`` (the extremes over a centred window),
-the visit kernel asks ``visit_minima``, and the self-return kernel
-`orbit_return_matrix` asks ``return_distances`` (each point's distance to
-its own iterates over |n| <= H, the input of the periods and the
-return-gap verdicts in ``structure``, which steps no orbit itself).
+system's hook ``comoving_extremes`` (the extremes over a centred window)
+or its list form ``comoving_pairs``, the visit kernel asks
+``visit_minima``, and the self-return kernel `orbit_return_matrix` asks
+``return_distances`` (each point's distance to its own iterates over
+|n| <= H, the input of the periods and the return-gap verdicts in
+``structure``, which steps no orbit itself).
 The hooks take states, not point lists: each public kernel converts its
 point lists once, by ``arr_state``, and passes the states on.
 
 ``below``: a caller that only asks which minima lie under a threshold
-passes it to `orbit_min_matrix`, `orbit_min_rows` or the hook
-``comoving_extremes``.  Every entry whose minimum is under ``below`` is
-then exact, bit for bit the entry without ``below``, at every horizon of
-the call; every other entry holds a certified lower bound on its minimum
-at or above ``below``: its exact value, or ``below`` itself where a
-bound that never changes along the orbit rules the pair out.  The default
-hook is exact everywhere; the torus and annulus systems rule out pairs by
-a gap that stays fixed (``systems`` says which), and evaluate the rest
-as a list of pairs.  ``below`` must be finite and positive, and a
-maximum takes none.
+reads them as a list of candidate pairs, the hook ``comoving_pairs``
+(``DynSystem.comoving_pairs`` states its contract): `orbit_min_list`
+hands the list on, and `orbit_min_matrix` and `orbit_min_rows` with
+``below`` scatter it into a matrix whose unlisted entries hold ``below``.
+``below`` must be finite and positive, and a maximum takes none.
 The default of each hook, and `orbit_min_pairs`, run one engine on the
 system's array interface (``arr_state``, ``arr_step`` and the
 ``arr_*dist`` methods), which every system has: every system states its
@@ -80,6 +76,7 @@ at most `_CHUNK` distances.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,8 +119,7 @@ def sweep_extremes(sys, sa, sb, horizons, use_max, centre):
     """The engine behind ``DynSystem.comoving_extremes``: {h: M_h} with
     M_h[i, j] the min (max when use_max) over |n - centre| <= h of
     d(f^n a_i, f^n b_j), for the points of the states sa and sb; sb None
-    pairs sa with itself.  Every entry is exact, which meets any
-    ``below``."""
+    pairs sa with itself.  Every entry is exact."""
     H = max(horizons)
     red = np.maximum if use_max else np.minimum
     if sb is None:
@@ -138,6 +134,31 @@ def sweep_extremes(sys, sa, sb, horizons, use_max, centre):
                     horizons)
     cps[H] = M
     return cps
+
+
+class PairMinima(NamedTuple):
+    """The minima of an (n_a, n_b) co-moving matrix at a few pairs, as
+    ``comoving_pairs`` lists them: pair k is (i[k], j[k]), in CSR order
+    (by row, then by column), and minima[h][k] its minimum at horizon h.
+    i and j are integer arrays of any width."""
+
+    shape: tuple
+    i: np.ndarray
+    j: np.ndarray
+    minima: dict
+
+
+def dense_pairs(sys, sa, sb, horizons, centre, below):
+    """The default of ``DynSystem.comoving_pairs``: every entry of the
+    system's ``comoving_extremes``, which computes them all, listed as the
+    matrices themselves with no copy; `below` rules no pair out.  A full
+    list of a cloud against itself is its own transpose.  Its row and
+    column grids are int32, which halves their memory."""
+    out = sys.comoving_extremes(sa, sb, horizons, False, centre)
+    m, n = out[max(horizons)].shape
+    return PairMinima((m, n), np.repeat(np.arange(m, dtype=np.int32), n),
+                      np.tile(np.arange(n, dtype=np.int32), m),
+                      {h: M.reshape(-1) for h, M in out.items()})
 
 
 def sweep_visits(sys, sp, st, H):
@@ -204,7 +225,8 @@ def mesh(sys, points):
 def orbit_min_matrix(sys, points, H, checkpoints=(), below=None):
     """M[i,j] = min over |n|<=H of d(f^n p_i, f^n p_j); optional snapshot
     copies at intermediate horizons.  Returns (M, {h: snapshot}).  With
-    `below`, only entries under it need be exact (see ``below`` above)."""
+    `below`, only the entries under it are exact: every other entry holds
+    `below`, a certified lower bound on it (see ``below`` above)."""
     return _comoving(sys, points, None, H, checkpoints, use_max=False,
                      below=below)
 
@@ -227,6 +249,17 @@ def orbit_max_rows(sys, points, base_idx, H):
     return _comoving(sys, bases, list(points), H, (), use_max=True)[0]
 
 
+def orbit_min_list(sys, points, H, checkpoints=(), below=None):
+    """The pairs (i, j) of orbit_min_matrix that may lie under `below`, as
+    a `PairMinima` holding their minima at H and at each checkpoint, bit
+    for bit the matrix's entries: every pair left out has a minimum at or
+    above `below`.  The list is in CSR order and is its own transpose.
+    `below` None lists every pair."""
+    _check_horizon(H)
+    return _comoving_list(sys, sys.arr_state(list(points)), None,
+                          {H, *checkpoints}, 0, below)
+
+
 def below_for(threshold):
     """The ``below`` of a caller that reads only entries under
     `threshold`: the threshold itself, or None (every entry exact) when it
@@ -243,18 +276,34 @@ def _comoving(sys, pts_a, pts_b, H, checkpoints, use_max, centre=0,
 
 def _comoving_states(sys, sa, sb, H, checkpoints, use_max, centre=0,
                      below=None):
-    """`_comoving` on states already built, for callers that reuse one."""
+    """`_comoving` on states already built, for callers that reuse one.
+    With `below`, the matrices are the list of `_comoving_list` scattered
+    into `below`."""
     _check_horizon(H)
-    if below is not None:
-        if use_max:
-            raise ParameterError("below bounds minima; use_max takes none")
-        below = float(below)
-        if not 0.0 < below < math.inf:
-            raise ParameterError(
-                f"below must be finite and positive, got {below!r}")
-    out = sys.comoving_extremes(sa, sb, set(checkpoints) | {H}, use_max,
-                                centre, below)
+    horizons = {H, *checkpoints}
+    if below is None:
+        out = sys.comoving_extremes(sa, sb, horizons, use_max, centre)
+    elif use_max:
+        raise ParameterError("below bounds minima; use_max takes none")
+    else:
+        found = _comoving_list(sys, sa, sb, horizons, centre, below)
+        out = {}
+        for h, e in found.minima.items():
+            out[h] = np.full(found.shape, float(below))
+            out[h][found.i, found.j] = e
     return out[H], {h: out[h] for h in checkpoints}
+
+
+def _comoving_list(sys, sa, sb, horizons, centre, below):
+    """The list kernel: the hook ``comoving_pairs`` under a checked
+    `below`; None lists every pair, from the exact matrices."""
+    if below is None:
+        return dense_pairs(sys, sa, sb, horizons, centre, below)
+    below = float(below)
+    if not 0.0 < below < math.inf:
+        raise ParameterError(
+            f"below must be finite and positive, got {below!r}")
+    return sys.comoving_pairs(sa, sb, horizons, centre, below)
 
 
 def orbit_visit_matrix(sys, points, targets, H):

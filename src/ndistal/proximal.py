@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import HomomorphismError, ParameterError, check_positive
 from .kernels import (below_for, max_orbit_distance, mesh,
-                      min_orbit_distance, nearest, orbit_min_matrix,
+                      min_orbit_distance, nearest, orbit_min_list,
                       orbit_min_rows)
 from .points import OrbitIndex, PointCloud
 
@@ -86,19 +87,29 @@ class ProximalReport:
     member's minimum over |n| <= H in min_dist_trace and its stability flag
     in stable at the same positions.  `cells` is a read-only sequence view
     that builds a ProximalCellEstimate only for the cell it is asked for;
-    `graph` is the proximal graph, with no loops."""
+    `graph` is the proximal graph as an m x m boolean matrix with no
+    loops, built from the block when first read.
+
+    How the verdict was reached, which `as_dict` leaves out:
+    pairs_evaluated counts the ordered pairs, the diagonal among them,
+    that ``comoving_pairs`` listed with their exact minima (every other
+    pair has a minimum of at least eps); max_edge_ratio is the largest
+    M_H / eps of an edge and min_nonedge_ratio the smallest of a listed
+    pair i != j that is no edge (None when there is none)."""
 
     indptr: np.ndarray
     members: np.ndarray
     min_dist_trace: np.ndarray
     stable: np.ndarray
     verdict: str
-    graph: np.ndarray
     horizon: int
     threshold: float
     n_max: int
     stable_only: bool
     cloud: PointCloud = field(repr=False)
+    pairs_evaluated: int
+    max_edge_ratio: Optional[float]
+    min_nonedge_ratio: Optional[float]
 
     @property
     def cells(self):
@@ -112,8 +123,29 @@ class ProximalReport:
     def max_cell_size(self):
         return int(self.cell_sizes().max())
 
+    def _rows(self):
+        """The cell index of each position of the block."""
+        return np.repeat(np.arange(len(self.indptr) - 1), self.cell_sizes())
+
+    @cached_property
+    def graph(self):
+        m = len(self.indptr) - 1
+        A = np.zeros((m, m), dtype=bool)
+        A[self._rows(), self.members] = True
+        np.fill_diagonal(A, False)
+        return A
+
+    def stats(self):
+        """The fields that say how the verdict was reached."""
+        return {"pairs_evaluated": self.pairs_evaluated,
+                "max_edge_ratio": self.max_edge_ratio,
+                "min_nonedge_ratio": self.min_nonedge_ratio}
+
     def as_dict(self):
-        edges = np.argwhere(np.triu(self.graph, 1)).tolist()
+        # the edges j > i in row order: the upper triangle of the graph
+        rows = self._rows()
+        upper = self.members > rows
+        edges = np.column_stack((rows[upper], self.members[upper])).tolist()
         # one tolist per array; every nontrivial cell reads slices of them
         bounds = self.indptr.tolist()
         members = self.members.tolist()
@@ -197,19 +229,24 @@ def distality_report(sys, cloud: PointCloud, H: int = DEFAULT_H,
         raise ParameterError(f"N_max must be >= 1, got {N_max!r}")
     if not len(cloud):
         raise ParameterError("distality_report needs a nonempty cloud")
-    M2, cps = orbit_min_matrix(sys, cloud.points, 2 * H, checkpoints=(H,),
-                               below=below_for(eps_prox))
-    MH = cps[H]
-    stable = _stable(MH, M2, STABLE_FACTOR, sys.floor)
+    found = orbit_min_list(sys, cloud.points, 2 * H, checkpoints=(H,),
+                           below=below_for(eps_prox))
+    # the list holds every pair under eps_prox, the diagonal among them,
+    # and is its own transpose, so the edges it keeps are symmetric
+    MH = found.minima[H]
+    stable = _stable(MH, found.minima[2 * H], STABLE_FACTOR, sys.floor)
     use = MH < eps_prox
     if stable_only:
         use &= stable
-    np.fill_diagonal(use, True)
-    use &= use.T
+    loop = found.i == found.j
+    use |= loop
+    # each row of the list holds its diagonal pair, so no row is empty
+    starts = np.searchsorted(found.i, np.arange(len(cloud)))
+    indptr = np.concatenate(([0], np.cumsum(
+        np.add.reduceat(use, starts, dtype=np.intp))))
+    members, trace = found.j[use], MH[use]
 
-    sizes = np.count_nonzero(use, axis=1)
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    max_size = int(sizes.max())
+    max_size = int(np.diff(indptr).max())
     if max_size == 1:
         verdict = "distal"
     elif max_size <= N_max:
@@ -218,13 +255,17 @@ def distality_report(sys, cloud: PointCloud, H: int = DEFAULT_H,
         verdict = f"{max_size}-distal, {weaker}"
     else:
         verdict = f"not N-distal up to N_max={N_max}"
-    members, trace, flags = np.nonzero(use)[1], MH[use], stable[use]
-    np.fill_diagonal(use, False)  # the cells are taken: use is the graph
-    return ProximalReport(indptr=indptr, members=members,
-                          min_dist_trace=trace, stable=flags,
-                          verdict=verdict, graph=use, horizon=H,
-                          threshold=eps_prox, n_max=N_max,
-                          stable_only=stable_only, cloud=cloud)
+    # x / eps is monotone in x, so the extreme ratios are those of M_H
+    edges, others = use ^ loop, ~use
+    return ProximalReport(
+        indptr=indptr, members=members, min_dist_trace=trace,
+        stable=stable[use], verdict=verdict, horizon=H,
+        threshold=eps_prox, n_max=N_max, stable_only=stable_only,
+        cloud=cloud, pairs_evaluated=len(MH),
+        max_edge_ratio=(float(MH.max(where=edges, initial=-np.inf))
+                        / eps_prox if edges.any() else None),
+        min_nonedge_ratio=(float(MH.min(where=others, initial=np.inf))
+                           / eps_prox if others.any() else None))
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +295,41 @@ class QuotientResult:
         return d
 
 
-def _two_steps(A):
-    """The pairs a path of two edges of the boolean graph A joins.  The
-    path counts are a float32 product, which runs on BLAS and is exact
-    below 2^24; numpy multiplies integer matrices without it."""
-    F = A.astype(np.float32)
-    return (F @ F) > 0
+def _violating_triple(indptr, members):
+    """The first triple (i, j, k) of a symmetric, reflexive relation in CSR
+    form with i ~ j and j ~ k but not i ~ k, or None when the relation is
+    an equivalence: (i, k) is the first such pair in row-major order and
+    j their first common neighbour.
+
+    Such a relation is an equivalence exactly when the two ends of every
+    pair it holds have equal rows (closed neighbourhoods).  Rows are
+    compared by a label: rows of one smallest member and one size share
+    the first such row's label when equal to it, and any other row has a
+    label of its own, so equal labels mean equal rows, and in an
+    equivalence equal rows mean equal labels.  That is one pass over the
+    block.  A row i has a two-step neighbour outside it only if a pair
+    (i, j) has unequal rows, so only those rows are searched, in order."""
+    sizes = np.diff(indptr)
+    m = len(sizes)
+    rows = np.repeat(np.arange(m), sizes)
+    key = members[indptr[:-1]].astype(np.int64) * (m + 1) + sizes
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    rep = first[inv]
+    offset = np.arange(len(members)) - indptr[rows]
+    own = np.zeros(m, dtype=bool)
+    own[rows[members != members[indptr[rep[rows]] + offset]]] = True
+    label = np.where(own, np.arange(m), rep)
+    for i in np.unique(rows[label[rows] != label[members]]).tolist():
+        near = members[indptr[i]:indptr[i + 1]].tolist()
+        two = np.concatenate([members[indptr[j]:indptr[j + 1]]
+                              for j in near])
+        beyond = np.setdiff1d(two, near)
+        if beyond.size:
+            k = int(beyond[0])
+            j = next(j for j in near
+                     if k in members[indptr[j]:indptr[j + 1]])
+            return i, j, k
+    return None
 
 
 def proximal_quotient(report: ProximalReport, sys) -> QuotientResult:
@@ -271,28 +341,18 @@ def proximal_quotient(report: ProximalReport, sys) -> QuotientResult:
     concrete violating triple instead; that is a valid outcome, matching
     systems whose proximal relation is not an equivalence.
     """
-    A = report.graph.copy()
-    np.fill_diagonal(A, True)
-    bad = _two_steps(A) & ~A
-    if bad.any():
-        i, k = map(int, next(zip(*np.nonzero(bad))))
-        j = int(np.nonzero(A[i] & A[:, k])[0][0])
-        return QuotientResult(is_equivalence=False,
-                              violating_triple=(i, j, k))
+    triple = _violating_triple(report.indptr, report.members)
+    if triple is not None:
+        return QuotientResult(is_equivalence=False, violating_triple=triple)
 
-    # A is reflexive, symmetric and transitive, so each row is its point's
-    # class; taken from the first unseen point, classes come ordered by
-    # their smallest member
-    classes, seen = [], np.zeros(len(A), dtype=bool)
-    for i in range(len(A)):
-        if not seen[i]:
-            members = np.nonzero(A[i])[0]
-            seen[members] = True
-            classes.append(tuple(int(j) for j in members))
-    classes = tuple(classes)
+    # each cell is its point's class; taken at the class's smallest
+    # member, which heads its own cell, classes come ordered by it
+    bounds, cells = report.indptr.tolist(), report.members.tolist()
+    classes = tuple(tuple(cells[bounds[i]:bounds[i + 1]])
+                    for i in range(len(bounds) - 1) if cells[bounds[i]] == i)
     label_of = {}
-    for ci, members in enumerate(classes):
-        for i in members:
+    for ci, cls in enumerate(classes):
+        for i in cls:
             label_of[i] = ci
 
     stepped = [sys.step(p) for p in report.cloud.points]

@@ -31,13 +31,15 @@ skew torus that costs 16 us a call against 1.2 us (2-vCPU Xeon, one
 loop of 20,000 calls).  ``arr_step`` stays too: the orbit engine steps
 with it, and |n| steps, each reduced by a plain mod 1, round differently
 from one jump, so jumping in the engine would move its values.
-The kernels reach orbits through three hooks,
+The kernels reach orbits through four hooks,
 ``comoving_extremes`` (the extremes over a window |n - centre| <= h),
-``visit_minima`` and ``return_distances`` (each point's distance to its
-own iterates), so the analysis modules step no orbit themselves.  The
-hooks take states, which the kernels build from point lists once.  The
-shift overrides all three with closed forms on packed bits that resolve
-distances down to its ``floor`` 2^-GCAP.  Two uint64 words per point and
+its list form ``comoving_pairs`` (the minima of the pairs that may lie
+under a threshold), ``visit_minima`` and ``return_distances`` (each
+point's distance to its own iterates), so the analysis modules step no
+orbit themselves.  The hooks take states, which the kernels build from
+point lists once.  The shift overrides all but the list form with
+closed forms on packed bits that resolve distances down to its
+``floor`` 2^-GCAP.  Two uint64 words per point and
 centre n hold the GCAP symbols on each side of n, each read off the point's
 packed row at once, so the radius on which two windows agree is the
 trailing-zero count of their XOR; its array metric reads the words at
@@ -74,13 +76,13 @@ each class bisects it once, the nearest-angle lookup of the
 three-distance theorem that the annulus visits use too; a rise of one
 class is scanned.  Both read the same table values, so a class gets the
 same bits either way, within about 1e-14 of the time-stepped fold but
-not bit-identical to it.  With ``below`` (the kernels' threshold: minima
-under it exact, the rest a certified lower bound at or above it) the
-torus sweeps only the pairs whose x-gap ||dx||, which never changes, is
-under 2 below, and of those with no rise (shear dx = 0) only the ones
-whose time-0 distance, which they keep, is under 2 below; one sort of
-x and two searches find them, and their distinct differences are swept
-as one list.  Every other entry holds ``below``.  The
+not bit-identical to it.  The torus lists its minima under a threshold
+``below`` (``comoving_pairs``, whose contract ``DynSystem`` states) from
+the pairs whose x-gap ||dx||, which never changes, is under 2 below,
+and of those with no rise (shear dx = 0) only the ones whose time-0
+distance, which they keep, is under 2 below; one sort of x and two
+searches find them, and their distinct differences are swept as one
+list.  The
 annulus family computes each of its three hooks once per class of points
 that share the value.  It overrides
 ``visit_minima``: every angle advances by the same k, so a visit at fixed
@@ -102,15 +104,14 @@ window off a sparse table.  Its ``return_distances`` needs no iteration
 either: a point's angle gap to itself at time n is n k mod 1 and its
 radius is read off at index m + n, so one row serves every circle point
 of a radius.  Min and max are exact, so the classes give each point's
-values bit for bit.  With ``below``, its co-moving minima evaluate only
-the pairs whose angle gap g, which never changes, keeps
-2 R0 |sin pi g| under 2 below, R0 the least radius of any circle or
-table row, and of two circle points only those whose radii differ by
-less than 2 below; one sort of the angles and two searches find them, and
-they are evaluated as one list of pairs by kind.  Every other entry holds
-``below``.  These hooks measure in chord form, from the two radii and
-the angle gap, where ``arr_cdist`` measures in the plane, so they agree
-with it to about 1e-12, not bit for bit.
+values bit for bit.  Its ``comoving_pairs`` evaluates only the pairs
+whose angle gap g, which never changes, keeps 2 R0 |sin pi g| under
+2 below, R0 the least radius of any circle or table row, and of two
+circle points only those whose radii differ by less than 2 below; one
+sort of the angles and two searches find them, and they are evaluated as
+one list of pairs by kind.  These hooks measure in chord form, from the
+two radii and the angle gap, where ``arr_cdist`` measures in the plane,
+so they agree with it to about 1e-12, not bit for bit.
 Angles n k mod 1 of orbit indices are exact to about an ulp (`_turns`),
 which makes a visit to a point of the same orbit exactly 0.
 The skew torus also overrides ``equicontinuity_witness`` with its shear.
@@ -137,8 +138,8 @@ import numpy as np
 
 from .equicont import EquicontinuityWitness, skew_witness
 from .errors import ConjugacyError, InvalidPointError, ParameterError
-from .kernels import (_CHUNK, _row_blocks, sweep_extremes, sweep_returns,
-                      sweep_visits)
+from .kernels import (_CHUNK, PairMinima, _row_blocks, dense_pairs,
+                      sweep_extremes, sweep_returns, sweep_visits)
 from .points import (Annulus, OrbitIndex, Pair, PointCloud, SymbolicPoint,
                      Torus, arr_mod1, periodic_point, symbolic_distance,
                      word_point)
@@ -194,6 +195,29 @@ def _close_pairs(a, b, gap):
         return None
     at = np.arange(total) + np.repeat(lo - (np.cumsum(n) - n), n)
     return np.repeat(np.arange(len(a)) * len(b), n) + order[at % len(b)]
+
+
+def _pair_list(near, shape, mirror, minima):
+    """The `PairMinima` of an override of ``comoving_pairs`` on an
+    (m, n) matrix, from the flat positions i * n + j of the pairs it
+    keeps; minima(i, j) evaluates {h: minima} over paired index lists.
+    With mirror (a cloud against itself) only the pairs i <= j are
+    evaluated and each value is copied to (j, i): a pair found in one
+    order only lies at the edge of a search with twice the room it needs,
+    so its minimum is at least below."""
+    n = shape[1]
+    i, j = np.divmod(near, n)
+    if mirror:
+        half = i <= j
+        i, j = i[half], j[half]
+    ext = minima(i, j)
+    if mirror:
+        off = i != j
+        i, j = np.concatenate((i, j[off])), np.concatenate((j, i[off]))
+        ext = {h: np.concatenate((e, e[off])) for h, e in ext.items()}
+    order = np.argsort(i * n + j)
+    return PairMinima(shape, i[order], j[order],
+                      {h: e[order] for h, e in ext.items()})
 
 
 def _gap_codes(A, B, budget):
@@ -535,19 +559,30 @@ class DynSystem:
         raise NotImplementedError
 
     # -- the kernels' hooks, on states --------------------------------------
-    def comoving_extremes(self, sa, sb, horizons, use_max, centre,
-                          below=None):
+    def comoving_extremes(self, sa, sb, horizons, use_max, centre):
         """{h: M_h} with M_h[i, j] the min (max when use_max) over
         |n - centre| <= h of d(f^n a_i, f^n b_j), a_i and b_j the points
-        of the states sa and sb; sb None pairs sa with itself.
-
-        `below` (minima only, finite and positive) lets an override skip
-        pairs: an entry whose minimum is under `below` must be exact, bit
-        for bit its value without `below`, at every horizon; any other
-        entry may hold `below` instead, which must then be a certified
-        lower bound on its minimum.  This default is exact everywhere and
-        ignores `below`."""
+        of the states sa and sb; sb None pairs sa with itself.  The
+        minima of a cloud against itself are exactly symmetric,
+        M_h[i, j] == M_h[j, i] bit for bit, at every horizon."""
         return sweep_extremes(self, sa, sb, horizons, use_max, centre)
+
+    def comoving_pairs(self, sa, sb, horizons, centre, below):
+        """The minima of ``comoving_extremes`` at the pairs that may lie
+        under `below` (finite and positive), for callers that read only
+        those: a `PairMinima` of the pairs (i, j) in CSR order, by row and
+        then by column, each with its minimum at every horizon, bit for
+        bit the matrix entry.
+
+        Every pair whose minimum over the widest horizon lies under
+        `below` is listed, and every pair left out has a certified
+        minimum at or above `below` at every horizon; a listed pair may
+        lie above it too.  Against itself (sb None) the list is its own
+        transpose, (j, i) listed with (i, j) and holding the same values,
+        as the minima are symmetric: an override evaluates each unordered
+        pair once and mirrors it.  This default lists every entry of the
+        full matrices, which it computes anyway (`dense_pairs`)."""
+        return dense_pairs(self, sa, sb, horizons, centre, below)
 
     def visit_minima(self, sp, st, H):
         """V[i, j] = min over |n| <= H of d(f^n p_i, t_j), p_i and t_j the
@@ -627,8 +662,7 @@ class _TorusBase(DynSystem):
     def arr_edist(self, sa, sb):
         return _torus_dist(sa[:, 0] - sb[:, 0], sa[:, 1] - sb[:, 1])
 
-    def comoving_extremes(self, A, B, horizons, use_max, centre,
-                          below=None):
+    def comoving_extremes(self, A, B, horizons, use_max, centre):
         """Closed form by difference class.
 
         d(F^n p, F^n q) depends on the pair only through its raw difference
@@ -637,24 +671,8 @@ class _TorusBase(DynSystem):
         into its row blocks.  The differences are not reduced before
         deduplication, so (i, j) and (j, i) are exact negatives and a
         matrix of the cloud against itself is exactly symmetric.
-
-        With `below`, only the pairs that `_near_pairs` keeps are swept,
-        as a list of their distinct differences, and every other entry
-        holds `below`.  A class's extremes do not depend on the other
-        classes of the call, so the kept entries are those of the full
-        sweep, bit for bit.
         """
         B = A if B is None else B
-        near = None if below is None else self._near_pairs(A, B, below)
-        if near is not None:
-            out = {h: np.full((len(A), len(B)), below) for h in horizons}
-            i, j = np.divmod(near, len(B))
-            classes, inv = np.unique((A[i] - B[j]).view(np.complex128),
-                                     return_inverse=True)
-            ext = self._sweep_classes(classes, horizons, use_max, centre)
-            for h in horizons:
-                np.put(out[h], near, ext[h][inv])
-            return out
         out = {h: np.empty((len(A), len(B))) for h in horizons}
         for classes, blocks in _class_groups(A, B):
             ext = self._sweep_classes(classes, horizons, use_max, centre)
@@ -662,6 +680,25 @@ class _TorusBase(DynSystem):
                 for h in horizons:
                     out[h][rows] = ext[h][at]
         return out
+
+    def comoving_pairs(self, A, B, horizons, centre, below):
+        """``DynSystem.comoving_pairs`` for the pairs that `_near_pairs`
+        keeps, swept as a list of their distinct differences (the full
+        matrices when it keeps too many).  A class's extremes do not
+        depend on the other classes of the call, so the listed minima are
+        those of ``comoving_extremes``, bit for bit."""
+        other = A if B is None else B
+        near = self._near_pairs(A, other, below)
+        if near is None:
+            return super().comoving_pairs(A, B, horizons, centre, below)
+
+        def minima(i, j):
+            diff = (A[i] - other[j]).view(np.complex128).ravel()
+            classes, inv = np.unique(diff, return_inverse=True)
+            ext = self._sweep_classes(classes, horizons, False, centre)
+            return {h: e[inv] for h, e in ext.items()}
+
+        return _pair_list(near, (len(A), len(other)), B is None, minima)
 
     def _sweep_classes(self, classes, horizons, use_max, centre):
         """{h: extremes over |n - centre| <= h} for each difference class
@@ -1091,8 +1128,7 @@ class AnnulusSystem(DynSystem):
             D[rows] = _chord(r, r0[rows, None], _sin2(gap))
         return D[inv]
 
-    def comoving_extremes(self, sa, sb, horizons, use_max, centre,
-                          below=None):
+    def comoving_extremes(self, sa, sb, horizons, use_max, centre):
         """Closed form, no iteration.
 
         Every angle advances by k, so a pair's angle gap never changes and
@@ -1106,29 +1142,16 @@ class AnnulusSystem(DynSystem):
         moves.  Every value is computed elementwise from its own pair, so
         it does not depend on the other pairs of its call.
 
-        Without `below` the matrix goes by blocks of kind, each in blocks
-        of at most _CLASS_BLOCK pairs, whose rows and columns broadcast
-        where a list of every pair would gather each pair's values (about
-        a quarter slower on annulus3's default cloud).  `_chord` and
-        `_sin2` are exactly symmetric, so the circle rows against orbit
-        columns of a matrix against itself are the transpose of its orbit
-        rows against circle columns, bit for bit.  With `below`, only the
-        pairs that `_near_pairs` keeps are evaluated, as one list of pairs
-        (`_pair_extremes`), and every other entry holds `below`: the kept
-        entries are those of the full matrix, bit for bit.
+        The matrix goes by blocks of kind, each in blocks of at most
+        _CLASS_BLOCK pairs, whose rows and columns broadcast where a list
+        of every pair would gather each pair's values (about a quarter
+        slower on annulus3's default cloud).  `_chord` and `_sin2` are
+        exactly symmetric, so the circle rows against orbit columns of a
+        matrix against itself are the transpose of its orbit rows against
+        circle columns, bit for bit.
         """
         A, B = sa, sa if sb is None else sb
         shape = (len(A["row"]), len(B["row"]))
-        near = None if below is None else self._near_pairs(A, B, below)
-        if near is not None:
-            out = {h: np.full(shape, below) for h in horizons}
-            for blk in _row_blocks(len(near), 1, _CLASS_BLOCK):
-                at = near[blk]
-                ext = self._pair_extremes(A, B, *np.divmod(at, shape[1]),
-                                          horizons, use_max, centre)
-                for h in horizons:
-                    np.put(out[h], at, ext[h])
-            return out
         oa, ob = np.nonzero(A["row"] >= 0)[0], np.nonzero(B["row"] >= 0)[0]
         ca, cb = np.nonzero(A["row"] < 0)[0], np.nonzero(B["row"] < 0)[0]
         D = np.empty(shape)
@@ -1169,6 +1192,29 @@ class AnnulusSystem(DynSystem):
                 out[h][np.ix_(i, ob)] = ext[h].reshape(i.size, -1)
         return out
 
+    def comoving_pairs(self, sa, sb, horizons, centre, below):
+        """``DynSystem.comoving_pairs`` for the pairs that `_near_pairs`
+        keeps, evaluated as lists of pairs by kind (`_pair_extremes`; the
+        full matrices when it keeps too many).  Every value is computed
+        from its own pair, so the listed minima are those of
+        ``comoving_extremes``, bit for bit."""
+        A, B = sa, sa if sb is None else sb
+        near = self._near_pairs(A, B, below)
+        if near is None:
+            return super().comoving_pairs(sa, sb, horizons, centre, below)
+
+        def minima(i, j):
+            ext = {h: np.empty(len(i)) for h in horizons}
+            for blk in _row_blocks(len(i), 1, _CLASS_BLOCK):
+                part = self._pair_extremes(A, B, i[blk], j[blk], horizons,
+                                           centre)
+                for h in horizons:
+                    ext[h][blk] = part[h]
+            return ext
+
+        return _pair_list(near, (len(A["row"]), len(B["row"])), sb is None,
+                          minima)
+
     def _near_pairs(self, A, B, below):
         """The flat positions of the pairs whose minimum may lie under
         `below`, or None to evaluate them all.  A pair's angle gap g never
@@ -1189,10 +1235,10 @@ class AnnulusSystem(DynSystem):
         far &= np.abs(A["r"][i] - B["r"][j]) >= 2.0 * below
         return near[~far]
 
-    def _pair_extremes(self, A, B, i, j, horizons, use_max, centre):
-        """{h: e_h}, e_h[k] the min (max when use_max) over
-        |n - centre| <= h of d(f^n a_{i_k}, f^n b_{j_k}): the pairs
-        (i_k, j_k) split by kind, each kind evaluated as a list of pairs.
+    def _pair_extremes(self, A, B, i, j, horizons, centre):
+        """{h: e_h}, e_h[k] the min over |n - centre| <= h of
+        d(f^n a_{i_k}, f^n b_{j_k}): the pairs (i_k, j_k) split by kind,
+        each kind evaluated as a list of pairs.
         An orbit point against a circle point goes to `_orbit_circle`
         whichever side holds the orbit point, one table row at a time."""
         ext = {h: np.empty(len(i)) for h in horizons}
@@ -1209,14 +1255,14 @@ class AnnulusSystem(DynSystem):
                 o, c = x[k], y[k]
                 part = self._orbit_circle(
                     row, X["idx"][o].astype(int), Y["r"][c],
-                    _sin2(X["theta"][o] - Y["theta"][c]), horizons,
-                    use_max, centre)
+                    _sin2(X["theta"][o] - Y["theta"][c]), horizons, False,
+                    centre)
                 for h in horizons:
                     ext[h][k] = part[h]
         k = np.flatnonzero(oa & ob)
         if k.size:
             part = self._orbit_pairs(_take(A, i[k]), _take(B, j[k]),
-                                     horizons, use_max, centre)
+                                     horizons, False, centre)
             for h in horizons:
                 ext[h][k] = part[h]
         return ext
@@ -1654,10 +1700,8 @@ class ShiftSystem(DynSystem):
     floor = 2.0 ** -GCAP
     cloud_size = 4
 
-    def comoving_extremes(self, pts_a, pts_b, horizons, use_max, centre,
-                          below=None):
-        """Closed form, no iteration; exact everywhere, so `below` is
-        ignored.
+    def comoving_extremes(self, pts_a, pts_b, horizons, use_max, centre):
+        """Closed form, no iteration.
 
         d(sigma^n x, sigma^n y) = 2^-g(n) with g(n) the gap from n to the
         nearest difference position of (x, y); the extreme over

@@ -94,6 +94,21 @@ def test_annulus_scenario_passes(tmp_path):
     assert (out / "timings.json").exists()
 
 
+def test_distality_timings_say_how_the_verdict_was_reached(tmp_path):
+    # timings.json, not report.json, holds the pairs the kernels computed
+    # and the verdict's slack: the largest edge M_H / eps and the smallest
+    # computed non-edge's, which here is no unstable pair under eps
+    out = tmp_path / "out"
+    assert run_scenario(str(ROOT / "scenarios" / "annulus3_audit.scn"),
+                        out=str(out)) == 0
+    entry = json.loads((out / "timings.json").read_text())["analyses"][0]
+    assert entry["op"] == "distality_report"
+    assert 209 < entry["pairs_evaluated"] < 209 ** 2 // 8
+    assert 0.0 <= entry["max_edge_ratio"] < 1.0 <= entry["min_nonedge_ratio"]
+    report = (out / "report.json").read_text()
+    assert "pairs_evaluated" not in report and "_ratio" not in report
+
+
 def test_failed_assert_exits_1(tmp_path):
     path = write(tmp_path, "s.scn", ANNULUS_SCENARIO.replace(
         "assert_max_cell_size = 3", "assert_max_cell_size = 2"))

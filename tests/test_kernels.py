@@ -1921,14 +1921,37 @@ def assert_below_contract(got, want, below):
     assert np.all((rest >= below) & (rest <= bound))
 
 
+def assert_list_contract(found, exact, below, mirror):
+    """The list of ``comoving_pairs`` against the exact matrices {h: M_h}:
+    in CSR order, each pair once; every entry under `below` at the widest
+    horizon listed, with the matrix's bits at every horizon; every other
+    entry at or above `below`; against itself its own transpose, on
+    minima that are symmetric."""
+    M = exact[max(exact)]
+    assert found.shape == M.shape
+    flat = found.i.astype(np.int64) * M.shape[1] + found.j
+    assert np.all(np.diff(flat) > 0)
+    listed = np.zeros(M.shape, dtype=bool)
+    listed[found.i, found.j] = True
+    assert np.all(listed[M < below])
+    for h, Mh in exact.items():
+        assert found.minima[h].tobytes() == Mh[found.i, found.j].tobytes()
+        assert np.all(Mh[~listed] >= below)
+        if mirror:
+            assert Mh.tobytes() == Mh.T.copy().tobytes()
+    if mirror:
+        assert np.array_equal(listed, listed.T)
+
+
 @given(st.sampled_from(sorted(BELOW_SYSTEMS)), st.integers(0, 10_000),
        st.sampled_from([1e-300, 1e-15, 1e-9, 1e-3, 0.02, 0.2, None]),
        st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_below_keeps_minima_under_it_exact(name, seed, below, cross):
     # every system meets the contract, on its own cloud and against a
-    # second one, at H and 2H and at any centre; None draws the threshold
-    # from the exact entries, so some entries sit exactly on it
+    # second one, at H and 2H and at any centre, in the list form and in
+    # the matrices scattered from it; None draws the threshold from the
+    # exact entries, so some entries sit exactly on it
     rng = np.random.default_rng(seed)
     sys = BELOW_SYSTEMS[name]()
     pts = below_points(name, sys, rng, 12)
@@ -1945,6 +1968,11 @@ def test_below_keeps_minima_under_it_exact(name, seed, below, cross):
                                  centre, below)
     assert_below_contract(got, want, below)
     assert_below_contract(cps[H], wcps[H], below)
+    found = kernels._comoving_list(
+        sys, sys.arr_state(pts), None if other is None else
+        sys.arr_state(other), {H, 2 * H}, centre, below)
+    assert_list_contract(found, {2 * H: want, H: wcps[H]}, below,
+                         other is None)
     rows = [int(i) for i in rng.permutation(len(pts))[:3]]
     got, cps = orbit_min_rows(sys, pts, rows, 2 * H, checkpoints=(H,),
                               below=below)
@@ -1989,7 +2017,9 @@ def test_below_evaluates_only_the_pairs_that_can_be_edges(monkeypatch):
 
     monkeypatch.setattr(systems.AnnulusSystem, "_pair_extremes", spy)
     M = orbit_min_matrix(sys, pts, 400, checkpoints=(200,), below=1e-3)[0]
-    assert sum(seen) == len(pts) + 52 == np.count_nonzero(M != 1e-3)
+    # each unordered pair is evaluated once and mirrored
+    assert sum(seen) == len(pts) + 52 // 2
+    assert np.count_nonzero(M != 1e-3) == len(pts) + 52
     skew = SkewTorus()
     grid = list(skew.sampler(24).points)
     classes, sweep = [], SkewTorus._sweep_classes
@@ -2005,14 +2035,23 @@ def test_below_evaluates_only_the_pairs_that_can_be_edges(monkeypatch):
 
 @pytest.mark.parametrize("name", ["annulus3", "skew_torus"])
 def test_below_falls_back_to_the_full_matrix(name, monkeypatch):
-    # a threshold so wide that most pairs stay goes the unpruned way, and
-    # gives the exact matrix
+    # a threshold so wide that most pairs stay goes the unpruned way: every
+    # pair is listed with its exact minimum, so the matrix scattered from
+    # the list is the exact matrix
     sys = BELOW_SYSTEMS[name]()
     pts = list(sys.sampler(8).points)
     want = orbit_min_matrix(sys, pts, 30)[0]
-    assert np.array_equal(orbit_min_matrix(sys, pts, 30, below=0.9)[0],
-                          want)
+    S = sys.arr_state(pts)
+
+    def check(below):
+        found = sys.comoving_pairs(S, None, {30}, 0, below)
+        assert len(found.i) == want.size
+        assert found.minima[30].tobytes() == \
+            want[found.i, found.j].tobytes()
+        assert np.array_equal(orbit_min_matrix(sys, pts, 30, below=below)[0],
+                              want)
+
+    check(0.9)
     monkeypatch.setattr(systems, "_close_pairs",
                         lambda *args: None)
-    assert np.array_equal(orbit_min_matrix(sys, pts, 30, below=1e-3)[0],
-                          want)
+    check(1e-3)

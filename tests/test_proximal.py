@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,15 +371,48 @@ def test_annulus3_quotient_yields_violating_triple():
     assert rep.graph[i, j] and rep.graph[j, k] and not rep.graph[i, k]
 
 
-def test_two_steps_matches_integer_product():
+def integer_product_triple(G):
+    """The violating triple of a symmetric, reflexive boolean graph read
+    off its integer path counts: the first (i, k) in row-major order that
+    two edges join and no edge does, and j their first common neighbour;
+    None when there is none."""
+    U = G.astype(np.int64)
+    bad = ((U @ U) > 0) & ~G
+    if not bad.any():
+        return None
+    i, k = map(int, next(zip(*np.nonzero(bad))))
+    return i, int(np.nonzero(G[i] & G[:, k])[0][0]), k
+
+
+def test_csr_equivalence_check_matches_integer_product():
+    # the annulus graph and a random symmetric one are no equivalences; a
+    # graph of classes is one
     s = annulus3()
     A = distality_report(s, s.sampler(128), N_max=3).graph.copy()
-    np.fill_diagonal(A, True)
     rng = np.random.default_rng(4)
     R = rng.random((150, 150)) < 0.02
-    for G in (A, R | R.T):
-        want = (G.astype(np.uint8) @ G.astype(np.uint8)) > 0
-        assert np.array_equal(proximal._two_steps(G), want)
+    labels = rng.integers(0, 40, 150)
+    cases = ((A | np.eye(len(A), dtype=bool), False),
+             (R | R.T | np.eye(150, dtype=bool), False),
+             (labels[:, None] == labels[None, :], True))
+    for G, equivalence in cases:
+        assert (integer_product_triple(G) is None) == equivalence
+    # class graphs with a few edges toggled, where a row whose cell differs
+    # from a neighbour's need not be the row of the triple
+    graphs = [G for G, _ in cases]
+    for _ in range(300):
+        m = int(rng.integers(1, 30))
+        cls = rng.integers(0, max(1, m // 3), m)
+        G = cls[:, None] == cls[None, :]
+        for a, b in rng.integers(0, m, (int(rng.integers(0, 3)), 2)):
+            if a != b:
+                G[a, b] = G[b, a] = not G[a, b]
+        graphs.append(G)
+    for G in graphs:
+        members = np.nonzero(G)[1]
+        indptr = np.concatenate(([0], np.cumsum(G.sum(axis=1))))
+        assert proximal._violating_triple(indptr, members) == \
+            integer_product_triple(G)
 
 
 def test_distal_quotient_is_identity():
@@ -473,13 +507,14 @@ REPORT_CASES = _report_cases()
 
 
 def exact_minima(monkeypatch):
-    """Make every kernel call drop its `below`: the exact path."""
-    real = kernels._comoving_states
+    """Make every list kernel call drop its `below` and list every pair
+    from the exact matrices: the exact path."""
+    real = kernels._comoving_list
 
-    def exact(sys, sa, sb, H, checkpoints, use_max, centre=0, below=None):
-        return real(sys, sa, sb, H, checkpoints, use_max, centre)
+    def exact(sys, sa, sb, horizons, centre, below):
+        return real(sys, sa, sb, horizons, centre, None)
 
-    monkeypatch.setattr(kernels, "_comoving_states", exact)
+    monkeypatch.setattr(kernels, "_comoving_list", exact)
 
 
 @pytest.mark.parametrize("case", sorted(REPORT_CASES))
@@ -502,6 +537,36 @@ def test_pruned_minima_give_the_exact_reports(case, monkeypatch):
     pruned = reports()
     exact_minima(monkeypatch)
     assert reports() == pruned
+
+
+def test_report_memory_stays_small():
+    # the report reads the list of pairs that can be edges: no m x m array
+    # of the 2,129-point cloud (36 MB as float64) is built
+    tracemalloc.start()
+    try:
+        rep = distality_report(annulus3(), annulus3().sampler(1024))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == "3-distal, not 2-distal"
+    assert peak < 16e6
+
+
+def test_report_stats_read_the_listed_pairs():
+    # the verdict's slack against eps, read off the rotation's pruned list:
+    # the 17 diagonal pairs and, both ways, the pair 5e-4 apart, whose
+    # minimum never shrinks: no edge when only stable pairs count, the one
+    # edge otherwise
+    s = Rotation()
+    cloud = PointCloud(tuple(Torus(k / 16, 0.0) for k in range(16))
+                       + (Torus(5e-4, 0.0),), "test", s.id)
+    rep = distality_report(s, cloud, H=50, eps_prox=1e-3)
+    assert rep.stats() == {"pairs_evaluated": 19, "max_edge_ratio": None,
+                           "min_nonedge_ratio": 0.5}
+    loose = distality_report(s, cloud, H=50, eps_prox=1e-3,
+                             stable_only=False)
+    assert loose.stats() == {"pairs_evaluated": 19, "max_edge_ratio": 0.5,
+                             "min_nonedge_ratio": None}
 
 
 def test_infinite_eps_prox_reads_exact_minima():
