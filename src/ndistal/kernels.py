@@ -16,12 +16,13 @@ or its list form ``comoving_pairs``, the visit kernel asks
 The hooks take states, not point lists: each public kernel converts its
 point lists once, by ``arr_state``, and passes the states on.
 
-``below``: a caller that only asks which minima lie under a threshold
+``below``: a caller that only asks which extremes lie under a threshold
 reads them as a list of candidate pairs, the hook ``comoving_pairs``
-(``DynSystem.comoving_pairs`` states its contract): `orbit_min_list`
-hands the list on, and `orbit_min_matrix` and `orbit_min_rows` with
-``below`` scatter it into a matrix whose unlisted entries hold ``below``.
-``below`` must be finite and positive, and a maximum takes none.
+(``DynSystem.comoving_pairs`` states its contract, for minima and for
+maxima): `orbit_min_list` and `orbit_max_list` hand the list on, and
+`orbit_min_matrix` and `orbit_min_rows` with ``below`` scatter it into a
+matrix whose unlisted entries hold ``below``.  ``below`` must be finite
+and positive.
 The default of each hook, and `orbit_min_pairs`, run one engine on the
 system's array interface (``arr_state``, ``arr_step`` and the
 ``arr_*dist`` methods), which every system has: every system states its
@@ -32,11 +33,14 @@ The shift, the torus
 systems and the annulus family override hooks with closed forms, and the
 engine still serves the rotation, conjugates, powers and products:
 
-  * the shift, from packed bits: its difference masks for the co-moving
-    extremes, keyed by the bits at one position per symbol-column class
-    and numbered through a code table, with no sort, when the keys fit
-    one, and its windows of symbols around each time for the visits and
-    the self-returns;
+  * the shift, from packed bits: for the co-moving extremes, each pair's
+    difference on every symbol-column class is one bit of its key, and
+    the window's maximal runs of one class turn a key into its runs of
+    differences, read off a table over every key when the keys fit one;
+    its list of maxima under ``below`` holds the pairs that agree on the
+    narrowest window widened by the radius ``below`` asks for.  Its
+    windows of symbols around each time serve the visits and the
+    self-returns;
   * the torus systems, for the co-moving extremes: F^n p - F^n q depends
     only on p - q, so one y-gap is evaluated per distinct difference
     p - q instead of every pair; the differences are deduplicated per
@@ -76,7 +80,6 @@ at most `_CHUNK` distances.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -136,29 +139,50 @@ def sweep_extremes(sys, sa, sb, horizons, use_max, centre):
     return cps
 
 
-class PairMinima(NamedTuple):
-    """The minima of an (n_a, n_b) co-moving matrix at a few pairs, as
+class PairExtremes:
+    """The extremes of an (n_a, n_b) co-moving matrix at a few pairs, as
     ``comoving_pairs`` lists them: pair k is (i[k], j[k]), in CSR order
-    (by row, then by column), and minima[h][k] its minimum at horizon h.
-    i and j are integer arrays of any width."""
+    (by row, then by column), and values[h][k] its minimum (maximum, for
+    a list of maxima) at horizon h.  i and j are integer arrays of any
+    width.  A list of every pair is built with i and j None (`full`),
+    and makes them, as int32 grids, when first read."""
 
-    shape: tuple
-    i: np.ndarray
-    j: np.ndarray
-    minima: dict
+    def __init__(self, shape, i, j, values):
+        self.shape, self._i, self._j, self.values = shape, i, j, values
+        self.full = i is None
+
+    @property
+    def i(self):
+        if self._i is None:
+            m, n = self.shape
+            self._i = np.repeat(np.arange(m, dtype=np.int32), n)
+        return self._i
+
+    @property
+    def j(self):
+        if self._j is None:
+            m, n = self.shape
+            self._j = np.tile(np.arange(n, dtype=np.int32), m)
+        return self._j
+
+    def row_counts(self, keep):
+        """Per row, how many of its listed pairs the boolean `keep`, one
+        entry a pair, holds; a full list counts rows of its matrix, with
+        no grid."""
+        if self.full:
+            return keep.reshape(self.shape).sum(axis=1)
+        return np.bincount(self.i[keep], minlength=self.shape[0])
 
 
-def dense_pairs(sys, sa, sb, horizons, centre, below):
+def dense_pairs(sys, sa, sb, horizons, use_max, centre, below):
     """The default of ``DynSystem.comoving_pairs``: every entry of the
     system's ``comoving_extremes``, which computes them all, listed as the
     matrices themselves with no copy; `below` rules no pair out.  A full
-    list of a cloud against itself is its own transpose.  Its row and
-    column grids are int32, which halves their memory."""
-    out = sys.comoving_extremes(sa, sb, horizons, False, centre)
+    list of a cloud against itself is its own transpose."""
+    out = sys.comoving_extremes(sa, sb, horizons, use_max, centre)
     m, n = out[max(horizons)].shape
-    return PairMinima((m, n), np.repeat(np.arange(m, dtype=np.int32), n),
-                      np.tile(np.arange(n, dtype=np.int32), m),
-                      {h: M.reshape(-1) for h, M in out.items()})
+    return PairExtremes((m, n), None, None,
+                        {h: M.reshape(-1) for h, M in out.items()})
 
 
 def sweep_visits(sys, sp, st, H):
@@ -251,13 +275,24 @@ def orbit_max_rows(sys, points, base_idx, H):
 
 def orbit_min_list(sys, points, H, checkpoints=(), below=None):
     """The pairs (i, j) of orbit_min_matrix that may lie under `below`, as
-    a `PairMinima` holding their minima at H and at each checkpoint, bit
+    a `PairExtremes` holding their minima at H and at each checkpoint, bit
     for bit the matrix's entries: every pair left out has a minimum at or
     above `below`.  The list is in CSR order and is its own transpose.
     `below` None lists every pair."""
     _check_horizon(H)
     return _comoving_list(sys, sys.arr_state(list(points)), None,
-                          {H, *checkpoints}, 0, below)
+                          {H, *checkpoints}, False, 0, below)
+
+
+def orbit_max_list(sys, points, H, below=None):
+    """The pairs (i, j) of orbit_max_matrix that may lie under `below`, as
+    a `PairExtremes` holding their maxima at H, bit for bit the matrix's
+    entries: every pair left out has a maximum at or above `below`.  The
+    list is in CSR order and is its own transpose.  `below` None lists
+    every pair."""
+    _check_horizon(H)
+    return _comoving_list(sys, sys.arr_state(list(points)), None, {H}, True,
+                          0, below)
 
 
 def below_for(threshold):
@@ -283,27 +318,25 @@ def _comoving_states(sys, sa, sb, H, checkpoints, use_max, centre=0,
     horizons = {H, *checkpoints}
     if below is None:
         out = sys.comoving_extremes(sa, sb, horizons, use_max, centre)
-    elif use_max:
-        raise ParameterError("below bounds minima; use_max takes none")
     else:
-        found = _comoving_list(sys, sa, sb, horizons, centre, below)
+        found = _comoving_list(sys, sa, sb, horizons, use_max, centre, below)
         out = {}
-        for h, e in found.minima.items():
+        for h, e in found.values.items():
             out[h] = np.full(found.shape, float(below))
             out[h][found.i, found.j] = e
     return out[H], {h: out[h] for h in checkpoints}
 
 
-def _comoving_list(sys, sa, sb, horizons, centre, below):
+def _comoving_list(sys, sa, sb, horizons, use_max, centre, below):
     """The list kernel: the hook ``comoving_pairs`` under a checked
     `below`; None lists every pair, from the exact matrices."""
     if below is None:
-        return dense_pairs(sys, sa, sb, horizons, centre, below)
+        return dense_pairs(sys, sa, sb, horizons, use_max, centre, below)
     below = float(below)
     if not 0.0 < below < math.inf:
         raise ParameterError(
             f"below must be finite and positive, got {below!r}")
-    return sys.comoving_pairs(sa, sb, horizons, centre, below)
+    return sys.comoving_pairs(sa, sb, horizons, use_max, centre, below)
 
 
 def orbit_visit_matrix(sys, points, targets, H):

@@ -233,8 +233,8 @@ def distality_report(sys, cloud: PointCloud, H: int = DEFAULT_H,
                            below=below_for(eps_prox))
     # the list holds every pair under eps_prox, the diagonal among them,
     # and is its own transpose, so the edges it keeps are symmetric
-    MH = found.minima[H]
-    stable = _stable(MH, found.minima[2 * H], STABLE_FACTOR, sys.floor)
+    MH = found.values[H]
+    stable = _stable(MH, found.values[2 * H], STABLE_FACTOR, sys.floor)
     use = MH < eps_prox
     if stable_only:
         use &= stable

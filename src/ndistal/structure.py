@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, check_positive
-from .kernels import (_CHUNK, _row_blocks, orbit_max_matrix, orbit_max_rows,
-                      orbit_return_matrix, orbit_visit_matrix)
+from .kernels import (_CHUNK, _row_blocks, below_for, orbit_max_list,
+                      orbit_max_rows, orbit_return_matrix, orbit_visit_matrix)
 from .points import PointCloud
 from .proximal import DEFAULT_EPS, distality_report
 
@@ -279,14 +279,17 @@ class ExpansivityVerdict:
 def expansivity_probe(sys, cloud: PointCloud, delta_grid=(0.25, 0.1, 0.05),
                       H: int = 50) -> ExpansivityVerdict:
     """Max dynamical-ball cardinality per delta; expansive at scale when
-    some delta makes every ball a singleton."""
+    some delta makes every ball a singleton.  The balls are counted on
+    the list of the pairs that may lie under the largest delta."""
     for delta in delta_grid:
         check_positive("delta", delta)
-    M = orbit_max_matrix(sys, cloud.points, H)
+    widest = max(delta_grid, default=math.inf)
+    found = orbit_max_list(sys, cloud.points, H, below=below_for(widest))
+    M = found.values[H]
     sizes = {}
     expansive_at = None
     for delta in sorted(delta_grid, reverse=True):
-        sizes[delta] = int((M < delta).sum(axis=1).max())
+        sizes[delta] = int(found.row_counts(M < delta).max())
         if sizes[delta] == 1 and expansive_at is None:
             expansive_at = delta
     return ExpansivityVerdict(delta_grid=tuple(sorted(delta_grid,

@@ -33,13 +33,13 @@ with it, and |n| steps, each reduced by a plain mod 1, round differently
 from one jump, so jumping in the engine would move its values.
 The kernels reach orbits through four hooks,
 ``comoving_extremes`` (the extremes over a window |n - centre| <= h),
-its list form ``comoving_pairs`` (the minima of the pairs that may lie
+its list form ``comoving_pairs`` (the extremes of the pairs that may lie
 under a threshold), ``visit_minima`` and ``return_distances`` (each
 point's distance to its own iterates), so the analysis modules step no
 orbit themselves.  The hooks take states, which the kernels build from
-point lists once.  The shift overrides all but the list form with
-closed forms on packed bits that resolve distances down to its
-``floor`` 2^-GCAP.  Two uint64 words per point and
+point lists once.  The shift overrides every hook, the list form for
+maxima only, with closed forms on packed bits that resolve distances
+down to its ``floor`` 2^-GCAP.  Two uint64 words per point and
 centre n hold the GCAP symbols on each side of n, each read off the point's
 packed row at once, so the radius on which two windows agree is the
 trailing-zero count of their XOR; its array metric reads the words at
@@ -54,10 +54,15 @@ co-moving extremes key each
 pair's difference mask by symbol-column class: window positions whose
 columns agree over every point carry the same difference bit in every
 pair, so a pair's XOR over one position per class, a word or a few, fixes
-its whole mask.  Keys of one word whose code space fits ``_CLASS_BLOCK``
-are numbered through a code table, as the torus codes are, with no sort;
-wider keys are sorted.  Each distinct mask is read once, as the runs of
-differences it holds, and every horizon is read off the same runs.  The torus
+its whole mask: bit c of the key is the pair's difference on class c.
+The window is cut into its maximal runs of positions of one class, so a
+key gives its runs of differences, in positions, with no mask unpacked,
+and every horizon is read off the same runs.  Keys of one word whose
+code space fits ``_CLASS_BLOCK`` and the call are read off a table over
+the whole space, with no sort; other keys are sorted, and each distinct
+key is read once.  Its list of maxima under ``below`` holds the pairs
+that agree on the narrowest window widened by the radius r with
+2^-r < below, found by one sort of the points' symbols there.  The torus
 systems override ``comoving_extremes`` by difference class: F^n p - F^n q
 depends only on p - q (through the class attribute ``shear``), so each
 distinct difference is evaluated once.  The differences are deduplicated
@@ -138,7 +143,7 @@ import numpy as np
 
 from .equicont import EquicontinuityWitness, skew_witness
 from .errors import ConjugacyError, InvalidPointError, ParameterError
-from .kernels import (_CHUNK, PairMinima, _row_blocks, dense_pairs,
+from .kernels import (_CHUNK, PairExtremes, _row_blocks, dense_pairs,
                       sweep_extremes, sweep_returns, sweep_visits)
 from .points import (Annulus, OrbitIndex, Pair, PointCloud, SymbolicPoint,
                      Torus, arr_mod1, periodic_point, symbolic_distance,
@@ -198,7 +203,7 @@ def _close_pairs(a, b, gap):
 
 
 def _pair_list(near, shape, mirror, minima):
-    """The `PairMinima` of an override of ``comoving_pairs`` on an
+    """The `PairExtremes` of an override of ``comoving_pairs`` on an
     (m, n) matrix, from the flat positions i * n + j of the pairs it
     keeps; minima(i, j) evaluates {h: minima} over paired index lists.
     With mirror (a cloud against itself) only the pairs i <= j are
@@ -216,8 +221,8 @@ def _pair_list(near, shape, mirror, minima):
         i, j = np.concatenate((i, j[off])), np.concatenate((j, i[off]))
         ext = {h: np.concatenate((e, e[off])) for h, e in ext.items()}
     order = np.argsort(i * n + j)
-    return PairMinima(shape, i[order], j[order],
-                      {h: e[order] for h, e in ext.items()})
+    return PairExtremes(shape, i[order], j[order],
+                        {h: e[order] for h, e in ext.items()})
 
 
 def _gap_codes(A, B, budget):
@@ -567,22 +572,24 @@ class DynSystem:
         M_h[i, j] == M_h[j, i] bit for bit, at every horizon."""
         return sweep_extremes(self, sa, sb, horizons, use_max, centre)
 
-    def comoving_pairs(self, sa, sb, horizons, centre, below):
-        """The minima of ``comoving_extremes`` at the pairs that may lie
+    def comoving_pairs(self, sa, sb, horizons, use_max, centre, below):
+        """The extremes of ``comoving_extremes`` at the pairs that may lie
         under `below` (finite and positive), for callers that read only
-        those: a `PairMinima` of the pairs (i, j) in CSR order, by row and
-        then by column, each with its minimum at every horizon, bit for
-        bit the matrix entry.
+        those: a `PairExtremes` of the pairs (i, j) in CSR order, by row
+        and then by column, each with its minimum (maximum when use_max)
+        at every horizon, bit for bit the matrix entry.
 
-        Every pair whose minimum over the widest horizon lies under
-        `below` is listed, and every pair left out has a certified
-        minimum at or above `below` at every horizon; a listed pair may
-        lie above it too.  Against itself (sb None) the list is its own
-        transpose, (j, i) listed with (i, j) and holding the same values,
-        as the minima are symmetric: an override evaluates each unordered
-        pair once and mirrors it.  This default lists every entry of the
-        full matrices, which it computes anyway (`dense_pairs`)."""
-        return dense_pairs(self, sa, sb, horizons, centre, below)
+        Every pair whose extreme lies under `below` at some horizon of the
+        call is listed: the widest for minima, which fall as the window
+        grows, and the narrowest for maxima, which rise.  Every pair left
+        out has a certified extreme at or above `below` at every horizon;
+        a listed pair may lie above it too.  Against itself (sb None) the
+        list is its own transpose, (j, i) listed with (i, j) and holding
+        the same values, as the extremes are symmetric: an override
+        evaluates each unordered pair once and mirrors it, or keys it
+        symmetrically.  This default lists every entry of the full
+        matrices, which it computes anyway (`dense_pairs`)."""
+        return dense_pairs(self, sa, sb, horizons, use_max, centre, below)
 
     def visit_minima(self, sp, st, H):
         """V[i, j] = min over |n| <= H of d(f^n p_i, t_j), p_i and t_j the
@@ -681,16 +688,17 @@ class _TorusBase(DynSystem):
                     out[h][rows] = ext[h][at]
         return out
 
-    def comoving_pairs(self, A, B, horizons, centre, below):
+    def comoving_pairs(self, A, B, horizons, use_max, centre, below):
         """``DynSystem.comoving_pairs`` for the pairs that `_near_pairs`
         keeps, swept as a list of their distinct differences (the full
-        matrices when it keeps too many).  A class's extremes do not
-        depend on the other classes of the call, so the listed minima are
-        those of ``comoving_extremes``, bit for bit."""
+        matrices when it keeps too many, and for maxima).  A class's
+        extremes do not depend on the other classes of the call, so the
+        listed minima are those of ``comoving_extremes``, bit for bit."""
         other = A if B is None else B
-        near = self._near_pairs(A, other, below)
+        near = None if use_max else self._near_pairs(A, other, below)
         if near is None:
-            return super().comoving_pairs(A, B, horizons, centre, below)
+            return super().comoving_pairs(A, B, horizons, use_max, centre,
+                                          below)
 
         def minima(i, j):
             diff = (A[i] - other[j]).view(np.complex128).ravel()
@@ -1192,16 +1200,17 @@ class AnnulusSystem(DynSystem):
                 out[h][np.ix_(i, ob)] = ext[h].reshape(i.size, -1)
         return out
 
-    def comoving_pairs(self, sa, sb, horizons, centre, below):
+    def comoving_pairs(self, sa, sb, horizons, use_max, centre, below):
         """``DynSystem.comoving_pairs`` for the pairs that `_near_pairs`
         keeps, evaluated as lists of pairs by kind (`_pair_extremes`; the
-        full matrices when it keeps too many).  Every value is computed
-        from its own pair, so the listed minima are those of
-        ``comoving_extremes``, bit for bit."""
+        full matrices when it keeps too many, and for maxima).  Every
+        value is computed from its own pair, so the listed minima are
+        those of ``comoving_extremes``, bit for bit."""
         A, B = sa, sa if sb is None else sb
-        near = self._near_pairs(A, B, below)
+        near = None if use_max else self._near_pairs(A, B, below)
         if near is None:
-            return super().comoving_pairs(sa, sb, horizons, centre, below)
+            return super().comoving_pairs(sa, sb, horizons, use_max, centre,
+                                          below)
 
         def minima(i, j):
             ext = {h: np.empty(len(i)) for h in horizons}
@@ -1475,31 +1484,38 @@ def _shift_bits(points, lo, hi):
     return B
 
 
-def _mask_extremes(masks, W, horizons, use_max):
-    """{h: values} for packed difference masks over 2W+1 positions around
-    a centre: the max (min when use_max) over |n| <= h of 2^-gap from the
+def _segment_extremes(keys, cls, lo, hi, W, horizons, use_max):
+    """{h: values} for difference masks over 2W+1 positions around a
+    centre: the max (min when use_max) over |n| <= h of 2^-gap from the
     centre + n to the nearest difference, clamped at 2^-GCAP.
 
-    Each row's difference runs [s, e] are read once, by one `np.nonzero`
-    over its bit changes, and serve every horizon; a row with no
-    difference gets the clamp.  On the window [a, b] = [W - h, W + h] the
-    smallest gap is where the window comes nearest a run:
-    max(s - b, a - e, 0), minimised over the runs.  The largest lies in an
-    agreement run: at a before the first run (s - a), at b after the last
-    (b - e), or between runs ending at e' and starting at s at their
-    midpoint clipped into [a, b], as min(j - e', s - j) rises up to the
-    midpoint and falls after it.  A candidate outside its agreement run
-    reads negative and never wins."""
-    L = 2 * W + 1
-    vals = {h: np.empty(len(masks)) for h in horizons}
-    for rows in _row_blocks(len(masks), L, _CHUNK):
-        bits = np.unpackbits(masks[rows], axis=1, count=L).view(bool)
-        # edge[:, c]: the bits at c - 1 and c differ, outside the mask 0
-        edge = np.empty((len(bits), L + 1), dtype=bool)
-        edge[:, 0], edge[:, L] = bits[:, 0], bits[:, L - 1]
-        np.not_equal(bits[:, 1:], bits[:, :-1], out=edge[:, 1:L])
+    The positions are cut into segments, segment t holding positions
+    lo[t]..hi[t], and each mask is constant on every segment: a mask is
+    a row of uint8 `keys`, bit cls[t] of which (little-endian) is its
+    difference on segment t.  Each row's difference runs [s, e] are read
+    once, by one `np.nonzero` over its bit changes between segments, in
+    positions, and serve every horizon; a row with no difference gets the
+    clamp.  On the window [a, b] = [W - h, W + h] the smallest gap is
+    where the window comes nearest a run: max(s - b, a - e, 0), minimised
+    over the runs.  The largest lies in an agreement run: at a before the
+    first run (s - a), at b after the last (b - e), or between runs ending
+    at e' and starting at s at their midpoint clipped into [a, b], as
+    min(j - e', s - j) rises up to the midpoint and falls after it.  A
+    candidate outside its agreement run reads negative and never wins."""
+    S = len(cls)
+    byte, shift = cls >> 3, (cls & 7).astype(np.uint8)
+    vals = {h: np.empty(len(keys)) for h in horizons}
+    for rows in _row_blocks(len(keys), S, _CHUNK):
+        bits = keys[rows][:, byte]
+        bits >>= shift
+        bits &= 1
+        bits = bits.view(bool)
+        # edge[:, t]: segments t - 1 and t differ, outside the window 0
+        edge = np.empty((len(bits), S + 1), dtype=bool)
+        edge[:, 0], edge[:, S] = bits[:, 0], bits[:, S - 1]
+        np.not_equal(bits[:, 1:], bits[:, :-1], out=edge[:, 1:S])
         row, at = np.nonzero(edge)
-        row, s, e = row[0::2], at[0::2], at[1::2] - 1
+        row, s, e = row[0::2], lo[at[0::2]], hi[at[1::2] - 1]
         first = np.flatnonzero(np.diff(row, prepend=-1))
         last = np.flatnonzero(np.diff(row, append=len(bits)))
         # the previous run's end; a row's first run reads s - a instead
@@ -1521,12 +1537,14 @@ def _mask_extremes(masks, W, horizons, use_max):
 
 def _class_codes(*bit_rows):
     """Per array of symbol rows, each row's symbols at one position per
-    column class, packed little-endian into w uint64 words.  Two positions
-    share a class when their columns agree over every row of every array,
-    so the XOR of two rows' codes fixes their whole difference mask."""
+    column class, packed little-endian into w uint64 words, and each
+    position's class.  Two positions share a class when their columns
+    agree over every row of every array, so the XOR of two rows' codes
+    fixes their whole difference mask: bit c is their difference at the
+    positions of class c."""
     cols = np.packbits(np.concatenate(bit_rows), axis=0).T.copy()
-    _, reps = np.unique(cols.view(f"V{cols.shape[1]}").ravel(),
-                        return_index=True)
+    _, reps, cls = np.unique(cols.view(f"V{cols.shape[1]}").ravel(),
+                             return_index=True, return_inverse=True)
     w = -(-len(reps) // 64)
     codes = []
     for bits in bit_rows:
@@ -1534,26 +1552,66 @@ def _class_codes(*bit_rows):
         words = np.zeros((len(bits), 8 * w), dtype=np.uint8)
         words[:, :packed.shape[1]] = packed
         codes.append(words.view("<u8"))
-    return codes
+    return codes, cls
 
 
-def _key_classes(keys, space):
-    """The sorted distinct keys, one occurrence of each and each key's
-    index among them, as from np.unique(keys, return_index=True,
-    return_inverse=True) but with any occurrence in place of the first.
-    When every key is below `space` and `space` fits _CLASS_BLOCK, a table
-    of `space` entries marks the keys that occur and a cumsum numbers
-    them, with no sort; np.unique sorts them when `space` is None (keys
-    of no one word) or beyond _CLASS_BLOCK."""
-    if space is None or space > _CLASS_BLOCK:
-        return np.unique(keys, return_index=True, return_inverse=True)
-    seen = np.zeros(space, dtype=bool)
-    seen[keys] = True
-    at = np.empty(space, dtype=np.intp)
-    at[keys] = np.arange(keys.size)
-    distinct = np.flatnonzero(seen)
-    return (distinct.astype(keys.dtype), at[distinct],
-            (np.cumsum(seen) - 1)[keys])
+def _window_classes(lists, W, centre):
+    """The symbols of each list of points over [centre - W, centre + W],
+    one uint8 row a point, the lists' `_class_codes`, and the window cut
+    into its maximal runs of one column class: (bits, codes, segments),
+    segments = (cls, lo, hi) with run t holding window positions
+    lo[t]..hi[t], all of class cls[t]."""
+    bits = [_shift_bits(pts, centre - W, centre + W) for pts in lists]
+    codes, cls = _class_codes(*bits)
+    lo = np.flatnonzero(np.diff(cls, prepend=-1))
+    hi = np.append(lo[1:], len(cls)) - 1
+    return bits, codes, (cls[lo], lo, hi)
+
+
+def _key_reader(ca, cb, segments, W, horizons, use_max, count):
+    """read(i, j, out): writes into out[h] the extremes at horizon h of
+    the pairs (a_i, b_j), for index arrays i and j that broadcast to
+    out[h]'s shape, by `_segment_extremes` of their keys ca[i] ^ cb[j],
+    for a call that reads `count` pairs.  Keys of one word below 2^b, b
+    the bit length of the largest code (at most the number of column
+    classes), are read off a table over all 2^b of them, computed once,
+    when it fits `_CLASS_BLOCK` and reading 2^b keys over every segment
+    costs no more than the `count` pairs; otherwise each read evaluates
+    its distinct keys, sorted by `np.unique`.  Every index taken is in
+    range, and mode "clip" lets `np.take` write to out unbuffered."""
+    w = ca.shape[1]
+    if w == 1:
+        top = max(ca.max(initial=0), cb.max(initial=0))
+        space = 1 << int(top).bit_length()
+        if space <= _CLASS_BLOCK and space * len(segments[0]) <= count:
+            every = np.arange(space, dtype="<u8").view(np.uint8)
+            table = _segment_extremes(every.reshape(space, 8), *segments, W,
+                                      horizons, use_max)
+            a, b = ca[:, 0].astype(np.intp), cb[:, 0].astype(np.intp)
+
+            def look_up(i, j, out):
+                at = a[i] ^ b[j]
+                for h, t in table.items():
+                    np.take(t, at, out=out[h], mode="clip")
+            return look_up
+    key = np.uint64 if w == 1 else f"V{8 * w}"
+
+    def read(i, j, out):
+        keys = ca[i] ^ cb[j]
+        distinct, inv = np.unique(keys.view(key).ravel(), return_inverse=True)
+        vals = _segment_extremes(
+            distinct.view(np.uint8).reshape(len(distinct), 8 * w), *segments,
+            W, horizons, use_max)
+        for h, v in vals.items():
+            np.take(v, inv.reshape(keys.shape[:-1]), out=out[h], mode="clip")
+    return read
+
+
+def _agreement_radius(below):
+    """The least integer r with 2^-r < below, for below > 0: a distance
+    2^-g lies under `below` iff g >= r."""
+    m, e = math.frexp(below)
+    return 1 - e + (m == 0.5)
 
 
 def _window_words(points, H):
@@ -1653,28 +1711,50 @@ def _ring_visits(fwd, bwd, tf, tb):
                         for k in (below, above)))
 
 
+def _rotated(pattern, n):
+    """A tail pattern as the shift by n leaves it: pattern[(j + n) % len]."""
+    n %= len(pattern)
+    return pattern[n:] + pattern[:n]
+
+
 def _orbit_keys(points):
-    """Per point, (r, s, P) with r = sigma^s p the canonical representative
-    of p's orbit.  P is the period of a purely periodic point, whose shifts
-    repeat, and 0 for every other point, whose shifts are all distinct."""
+    """Per point, (r, s, P) with r the fields (core, left, right) of
+    sigma^s p, the canonical representative of p's orbit, read off p's
+    own fields: a shift moves the offset, rotates the tails and keeps the
+    form canonical.  P is the period of a purely periodic point, whose
+    shifts repeat and whose representative takes the least rotation of
+    its period, and 0 for every other point, whose shifts are all
+    distinct and whose representative has offset 0."""
     keys = []
     for p in points:
         if p.core or p.left != p.right:
-            keys.append((p.shifted(p.offset), p.offset, 0))
-            continue
-        P = len(p.left)
-        s = min(range(P), key=lambda r: p.shifted(r).left)
-        keys.append((p.shifted(s), s, P))
+            s, P = p.offset, 0
+        else:
+            P = len(p.left)
+            s = min(range(P), key=lambda r: _rotated(p.left, r))
+        keys.append(((p.core, _rotated(p.left, s), _rotated(p.right, s)),
+                     s, P))
     return keys
 
 
-def _equal(xs, ys):
-    """eq[i, j]: xs[i] == ys[j], canonical forms making that equality of
-    sequences."""
+def _point_ids(xs, ys):
+    """One integer per point of two lists, equal exactly for equal
+    points: canonical forms make that equality of sequences.  ys None
+    pairs xs with itself."""
     ids = {}
-    a, b = (np.array([ids.setdefault(p, len(ids)) for p in pts], dtype=int)
-            for pts in (xs, ys))
-    return a[:, None] == b[None, :]
+    a = np.array([ids.setdefault(p, len(ids)) for p in xs], dtype=int)
+    return a, a if ys is None else np.array(
+        [ids.setdefault(p, len(ids)) for p in ys], dtype=int)
+
+
+def _group_pairs(ga, gb):
+    """The pairs (i, j) with ga[i] == gb[j], in CSR order: each row's
+    columns are those of its group, in column order."""
+    order = np.argsort(gb, kind="stable")
+    lo = np.searchsorted(gb[order], ga)
+    n = np.searchsorted(gb[order], ga, "right") - lo
+    at = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+    return np.repeat(np.arange(len(ga)), n), order[at]
 
 
 def _orbit_hits(points, targets, H):
@@ -1682,15 +1762,18 @@ def _orbit_hits(points, targets, H):
     p_i and t_j share their representative and n = s_i - s_j: one
     candidate n per pair, or one per period for periodic points.  Targets
     that are the points themselves reuse the points' keys."""
+    same = targets == points
     kp = _orbit_keys(points)
-    kt = kp if targets == points else _orbit_keys(targets)
+    kt = kp if same else _orbit_keys(targets)
     sp = np.array([s for _, s, _ in kp], dtype=int)
     st = np.array([s for _, s, _ in kt], dtype=int)
     P = np.array([per for _, _, per in kp], dtype=int)[:, None]
     n = sp[:, None] - st[None, :]
     r = np.mod(n, np.maximum(P, 1))
     n = np.where(P > 0, np.minimum(r, P - r), np.abs(n))
-    return _equal([k[0] for k in kp], [k[0] for k in kt]) & (n <= H)
+    a, b = _point_ids([k[0] for k in kp],
+                      None if same else [k[0] for k in kt])
+    return (a[:, None] == b[None, :]) & (n <= H)
 
 
 class ShiftSystem(DynSystem):
@@ -1706,49 +1789,73 @@ class ShiftSystem(DynSystem):
         d(sigma^n x, sigma^n y) = 2^-g(n) with g(n) the gap from n to the
         nearest difference position of (x, y); the extreme over
         |n - centre| <= h is read off where the runs of differences begin
-        and end in one window of bits around the centre (`_mask_extremes`),
-        which depends on the pair only through its packed difference mask;
-        one read of the runs serves every horizon.
+        and end in one window of positions around the centre, and one
+        read of the runs serves every horizon.
         Window positions whose symbol columns agree over every point of
         both lists carry the same difference bit in every pair, so a
-        pair's mask is fixed by its bits at one position per column class:
-        the XOR of the two points' `_class_codes` keys it.  Each block of
-        rows reads the runs once per distinct key, on the full mask of one
-        pair holding it.  Keys of one word below 2^b, b the bit
-        length of the largest code (at most the number of column classes),
-        are numbered through a code table of 2^b entries when that fits
-        `_CLASS_BLOCK`, with no sort (`_key_classes`); wider keys are
-        sorted by `np.unique`.
+        pair's difference mask is fixed by its bits at one position per
+        column class: bit c of the XOR of the two points' `_class_codes`,
+        the pair's key, is its difference on class c.  The window is cut
+        into its maximal runs of one column class (`_window_classes`),
+        so a key gives its difference on every run with no mask unpacked,
+        and its runs of differences are read off in positions, in
+        O(runs of classes) per key (`_segment_extremes`).  Each distinct
+        key is read once (`_key_reader`): keys of one word come from a
+        table over the whole key space when that fits the call; wider
+        keys are sorted by `np.unique` in each block of rows.
         Values below 2^-GCAP, and pairs that agree on the whole window, are
         clamped to it; equal points get 0.
         """
         W = max(horizons) + GCAP
-        bits = [_shift_bits(pts, centre - W, centre + W)
-                for pts in ([pts_a] if pts_b is None else [pts_a, pts_b])]
-        packed = [np.packbits(b, axis=1) for b in bits]
-        codes = _class_codes(*bits)
-        A, B, ca, cb = packed[0], packed[-1], codes[0], codes[-1]
-        ma, mb, w = len(A), len(B), ca.shape[1]
-        # one uint64 per pair below 2^b when the classes fit a word, void
-        # keys with no table beyond
-        if w == 1:
-            top = max(ca.max(initial=0), cb.max(initial=0))
-            key, space = np.uint64, 1 << int(top).bit_length()
-        else:
-            key, space = f"V{8 * w}", None
+        lists = [pts_a] if pts_b is None else [pts_a, pts_b]
+        _, codes, segments = _window_classes(lists, W, centre)
+        ca, cb = codes[0], codes[-1]
+        ma, mb = len(ca), len(cb)
+        read = _key_reader(ca, cb, segments, W, horizons, use_max, ma * mb)
+        rows_of = np.arange(ma)[:, None]
         out = {h: np.empty((ma, mb)) for h in horizons}
-        for rows in _row_blocks(ma, mb * w, _CHUNK):
-            # the key block is freed before the runs are read
-            _, first, inv = _key_classes(
-                (ca[rows, None, :] ^ cb[None, :, :]).view(key).ravel(), space)
-            vals = _mask_extremes(A[rows.start + first // mb] ^ B[first % mb],
-                                  W, horizons, use_max)
-            for h in horizons:
-                out[h][rows] = vals[h][inv].reshape(out[h][rows].shape)
-        equal = _equal(pts_a, pts_a if pts_b is None else pts_b)
+        for rows in _row_blocks(ma, mb * ca.shape[1], _CHUNK):
+            read(rows_of[rows], np.arange(mb),
+                 {h: M[rows] for h, M in out.items()})
+        equal = _group_pairs(*_point_ids(pts_a, pts_b))
         for h in horizons:
             out[h][equal] = 0.0
         return out
+
+    def comoving_pairs(self, pts_a, pts_b, horizons, use_max, centre, below):
+        """``DynSystem.comoving_pairs``; for maxima, from the pairs that
+        agree near the narrowest window.
+
+        A value 2^-g lies under `below` iff g >= r, r the least integer
+        with 2^-r < below (`_agreement_radius`), and at most GCAP + 1,
+        past which only equal points, at 0, lie under it.  So a pair's
+        maximum over |n - centre| <= h lies under `below` only if the two
+        points agree on [centre - h - r + 1, centre + h + r - 1]: one
+        `np.unique` over the points' symbols there groups them, the pairs
+        of each group are listed, and their keys are read as in
+        ``comoving_extremes``, bit for bit its values.  Minima, and a
+        `below` above 1 (r <= 0, which every pair lies under), take the
+        default list."""
+        r = _agreement_radius(below)
+        if not use_max or r <= 0:
+            return super().comoving_pairs(pts_a, pts_b, horizons, use_max,
+                                          centre, below)
+        h, W, r = min(horizons), max(horizons) + GCAP, min(r, GCAP + 1)
+        lists = [pts_a] if pts_b is None else [pts_a, pts_b]
+        bits, codes, segments = _window_classes(lists, W, centre)
+        ca, cb = codes[0], codes[-1]
+        near = np.packbits(np.concatenate(bits)[:, W - h - r + 1:W + h + r],
+                           axis=1)
+        _, group = np.unique(near.view(f"V{near.shape[1]}").ravel(),
+                             return_inverse=True)
+        i, j = _group_pairs(group[:len(ca)], group[len(group) - len(cb):])
+        vals = {k: np.empty(len(i)) for k in horizons}
+        _key_reader(ca, cb, segments, W, horizons, True, len(i))(i, j, vals)
+        ida, idb = _point_ids(pts_a, pts_b)
+        equal = ida[i] == idb[j]
+        for v in vals.values():
+            v[equal] = 0.0
+        return PairExtremes((len(ca), len(cb)), i, j, vals)
 
     def visit_minima(self, points, targets, H):
         """Closed form, no iteration.

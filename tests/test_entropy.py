@@ -53,11 +53,16 @@ def test_partition_entropy_rejects_bad_weights():
 @given(st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=8))
 @settings(max_examples=60)
 def test_partition_entropy_maximal_for_uniform(raw):
+    # log k - H(w) = KL(w || uniform) <= log(1 + chi2) <= chi2, with
+    # chi2 = k sum (w_i - 1/k)^2, so the gap closes as w nears uniform on
+    # every draw; equal raw weights give log k itself
     w = np.array(raw) / sum(raw)
     k = len(w)
     h = partition_entropy(w)
     assert h <= math.log(k) + 1e-12
-    if np.allclose(w, 1.0 / k):
+    chi2 = k * float(((w - 1.0 / k) ** 2).sum())
+    assert math.log(k) - h <= chi2 + 1e-12
+    if len(set(raw)) == 1:
         assert h == pytest.approx(math.log(k), abs=1e-12)
 
 

@@ -809,6 +809,64 @@ def test_shift_visit_minima_match_default(seed):
     assert np.array_equal(clamped(got), clamped(want))
 
 
+def test_shift_visits_with_targets_that_are_the_points(monkeypatch):
+    # targets that are the points and targets that differ from them give
+    # the same bits in one block of rows and in blocks of three, and the
+    # engine's values
+    sys = shift2()
+    default = identity_conjugate(sys)
+    pts = list(sys.sampler(2, seed=3).points[:14])
+    pts += [periodic_point((0, 1)), SymbolicPoint((1, 1), -4, (0, 1), (1,))]
+    tgt = [sys.iterate(p, 3) for p in pts[::2]] + pts[:4]
+    H = 9
+    same = orbit_visit_matrix(sys, pts, pts, H)
+    apart = orbit_visit_matrix(sys, pts, tgt, H)
+    monkeypatch.setattr(systems, "_CHUNK", 3 * 8 * (2 * H + 1 + len(pts)))
+    assert orbit_visit_matrix(sys, pts, pts, H).tobytes() == same.tobytes()
+    assert orbit_visit_matrix(sys, pts, tgt, H).tobytes() == apart.tobytes()
+    for t, V in ((pts, same), (tgt, apart)):
+        assert np.array_equal(clamped(V),
+                              clamped(orbit_visit_matrix(default, pts, t, H)))
+
+
+def orbit_keys_reference(points):
+    """The orbit keys from shifted points: (sigma^s p, s, P)."""
+    keys = []
+    for p in points:
+        if p.core or p.left != p.right:
+            keys.append((p.shifted(p.offset), p.offset, 0))
+            continue
+        P = len(p.left)
+        s = min(range(P), key=lambda r: p.shifted(r).left)
+        keys.append((p.shifted(s), s, P))
+    return keys
+
+
+def test_shift_orbit_keys_read_off_the_fields():
+    # the keys read off each point's fields are the fields, shift and
+    # period of its shifted representative, so two points get equal keys
+    # exactly when they lie on one orbit: a point and its shifts do
+    rng = np.random.default_rng(23)
+    sys = shift2()
+    base = [tailed_symbolic(rng, int(rng.integers(0, 6)), (-9, 9))
+            for _ in range(40)]
+    base += [periodic_point((0, 1, 1)), periodic_point((1,)),
+             periodic_point((1, 0, 1, 0, 0)), word_point(()),
+             word_point((1, 0, 1), -5), SymbolicPoint((), 3, (0, 1), (1,))]
+    pts = base + [sys.iterate(p, int(rng.integers(-7, 8))) for p in base]
+    got = systems._orbit_keys(pts)
+    want = orbit_keys_reference(pts)
+    for (r, s, P), (q, s_ref, P_ref) in zip(got, want):
+        assert r == (q.core, q.left, q.right)
+        assert (s, P) == (s_ref, P_ref)
+    keys = [k for k, _, _ in got]
+    reps = [q for q, _, _ in want]
+    assert np.array_equal(
+        np.array([[a == b for b in keys] for a in keys]),
+        np.array([[a == b for b in reps] for a in reps]))
+    assert all(keys[i] == keys[i + len(base)] for i in range(len(base)))
+
+
 @pytest.mark.parametrize("use_max", [False, True])
 def test_shift_chunked_dedup_with_distinct_masks(monkeypatch, use_max):
     rng = np.random.default_rng(7)
@@ -848,22 +906,25 @@ def test_shift_key_blocks_share_mask_classes(monkeypatch, use_max):
     horizons = {3, 15}
     S = sys.arr_state(pts)
     whole = sys.comoving_extremes(S, S, horizons, use_max, 4)
-    masks = []
-    real = systems._mask_extremes
+    keys = []
+    real = systems._segment_extremes
 
-    def spy(m, *args):
-        masks.append({bytes(row) for row in m})
-        return real(m, *args)
+    def spy(k, *args):
+        keys.append({bytes(row) for row in k})
+        return real(k, *args)
 
-    monkeypatch.setattr(systems, "_mask_extremes", spy)
+    monkeypatch.setattr(systems, "_segment_extremes", spy)
     monkeypatch.setattr(systems, "_CHUNK", len(pts))
     split = sys.comoving_extremes(S, S, horizons, use_max, 4)
-    assert len(masks) == len(pts)
-    zero = bytes(len(next(iter(masks[0]))))
-    assert any((masks[i] & masks[j]) - {zero}
-               for i in range(len(masks)) for j in range(i))
+    # the keys span more than a table: each block reads its own
+    assert len(keys) == len(pts)
+    zero = bytes(len(next(iter(keys[0]))))
+    assert any((keys[i] & keys[j]) - {zero}
+               for i in range(len(keys)) for j in range(i))
+    want = full_mask_reference(pts, pts, horizons, use_max, 4)
     for h in horizons:
         assert np.array_equal(split[h], whole[h])
+        assert np.array_equal(whole[h], want[h])
 
 
 def tailed_symbolic(rng, core_len, origins):
@@ -940,7 +1001,7 @@ def test_shift_column_class_keys_match_oracle(seed, wide, use_max, other):
         W = H + GCAP
         bits = [systems._shift_bits(pts, centre - W, centre + W)
                 for pts in (xs, ys or xs)]
-        assert systems._class_codes(*bits)[0].shape[1] >= 2
+        assert systems._class_codes(*bits)[0][0].shape[1] >= 2
     got = sys.comoving_extremes(*states(sys, xs, ys), {h, H}, use_max,
                                 centre)
     for k in (h, H):
@@ -1008,22 +1069,41 @@ def difference_masks(draw):
     return np.packbits(np.array(rows), axis=1), W, horizons
 
 
-@given(difference_masks())
+@given(difference_masks(), st.data())
 @settings(max_examples=300, deadline=None)
-def test_shift_mask_runs_match_profile(case):
-    # the run form against the profile, bit for bit, for both reductions
-    # and every horizon of one call, in one block and one row a block
+def test_shift_mask_runs_match_profile(case, data):
+    # the segment form against the profile, bit for bit, for both
+    # reductions and every horizon of one call, in one block and one row
+    # a block: on one segment per position, and on the masks cut into
+    # random segments on each of which every mask is constant, with the
+    # segments of equal columns sharing one class in a random bit order
     masks, W, horizons = case
-    for use_max in (False, True):
-        want = profile_mask_extremes(masks, W, horizons, use_max)
-        got = systems._mask_extremes(masks, W, horizons, use_max)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(systems, "_CHUNK", 2 * W + 1)
-            rows = systems._mask_extremes(masks, W, horizons, use_max)
-        assert set(got) == set(rows) == horizons
-        for h in horizons:
-            assert np.array_equal(got[h], want[h])
-            assert np.array_equal(rows[h], want[h])
+    L = 2 * W + 1
+    rows = np.unpackbits(masks, axis=1, count=L).view(bool)
+    must = np.flatnonzero((rows[:, 1:] != rows[:, :-1]).any(axis=0)) + 1
+    extra = data.draw(st.sets(st.integers(0, L - 1), max_size=8)) - {0}
+    cuts = np.union1d(must, np.array(sorted(extra), dtype=np.intp))
+    for lo in (np.arange(L), np.concatenate(([0], cuts)).astype(np.intp)):
+        hi = np.append(lo[1:], L) - 1
+        seg = rows[:, lo]
+        _, first, cls = np.unique(seg.T, axis=0, return_index=True,
+                                  return_inverse=True)
+        perm = np.array(data.draw(st.permutations(range(len(first)))),
+                        dtype=np.intp)
+        by_class = np.empty((len(seg), len(first)), dtype=bool)
+        by_class[:, perm] = seg[:, first]
+        keys = np.packbits(by_class, axis=1, bitorder="little")
+        args = (keys, perm[cls.ravel()], lo, hi, W, horizons)
+        for use_max in (False, True):
+            want = profile_mask_extremes(masks, W, horizons, use_max)
+            got = systems._segment_extremes(*args, use_max)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(systems, "_CHUNK", len(lo))
+                one = systems._segment_extremes(*args, use_max)
+            assert set(got) == set(one) == horizons
+            for h in horizons:
+                assert np.array_equal(got[h], want[h])
+                assert np.array_equal(one[h], want[h])
 
 
 def test_shift_comoving_memory_stays_bounded():
@@ -1071,7 +1151,7 @@ def test_shift_wide_keys_match_full_masks(use_max):
     horizons, centre = {2, 9}, -6
     W = max(horizons) + GCAP
     bits = systems._shift_bits(pts, centre - W, centre + W)
-    assert systems._class_codes(bits)[0].shape[1] == 2
+    assert systems._class_codes(bits)[0][0].shape[1] == 2
     sys = shift2()
     got = sys.comoving_extremes(sys.arr_state(pts), None, horizons, use_max,
                                 centre)
@@ -1111,9 +1191,11 @@ KEY_TABLE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(KEY_TABLE_CASES))
 def test_shift_key_table_matches_sorted_keys(monkeypatch, case):
-    # every row block's code table against np.unique on the same keys:
-    # the same distinct keys and inverse, and occurrences holding the same
-    # difference masks
+    # keys of one word are read once: off one table over the whole key
+    # space 2^b (b the bit length of the largest code) when it fits and
+    # costs no more than the pairs, also when the rows come in several
+    # blocks, and otherwise as the sorted distinct keys np.unique finds;
+    # either way every value is the full masks' value
     pts_a, pts_b, horizons, use_max, centre, rows = KEY_TABLE_CASES[case]()
     pts_b = pts_a if pts_b is None else pts_b
     W = max(horizons) + GCAP
@@ -1121,34 +1203,31 @@ def test_shift_key_table_matches_sorted_keys(monkeypatch, case):
             for pts in (pts_a, pts_b)]
     classes = np.unique(np.concatenate(bits), axis=1).shape[1]
     assert (16 < classes <= 64) == (case == "classes-21")
-    A, B = (np.packbits(b, axis=1) for b in bits)
+    (ca, cb), cls = systems._class_codes(*bits)
+    space = 1 << int(max(ca.max(), cb.max())).bit_length()
+    assert (space > systems._CLASS_BLOCK) == (classes > 16)
+    runs = 1 + np.count_nonzero(np.diff(cls))
+    table = classes <= 16 and space * runs <= len(pts_a) * len(pts_b)
+    assert table == (case in ("grid-3", "grid-4", "few-rows"))
     if rows:
-        monkeypatch.setattr(systems, "_CHUNK", rows * len(B))
-    blocks = []
-    real = systems._key_classes
+        monkeypatch.setattr(systems, "_CHUNK", rows * len(pts_b))
+    read = []
+    real = systems._segment_extremes
 
-    def spy(keys, space):
-        blocks.append((keys.copy(), space, real(keys, space)))
-        return blocks[-1][2]
+    def spy(keys, *args):
+        read.append(keys.copy())
+        return real(keys, *args)
 
-    monkeypatch.setattr(systems, "_key_classes", spy)
+    monkeypatch.setattr(systems, "_segment_extremes", spy)
     sys = shift2()
     got = sys.comoving_extremes(*states(sys, pts_a, pts_b), horizons,
                                 use_max, centre)
-    start = 0
-    for keys, space, (distinct, first, inv) in blocks:
-        assert (space > systems._CLASS_BLOCK) == (classes > 16)
-        want, want_first, want_inv = np.unique(keys, return_index=True,
-                                               return_inverse=True)
-        assert distinct.dtype == want.dtype
-        assert np.array_equal(distinct, want)
-        assert np.array_equal(inv, want_inv)
-        masks = [A[start + f // len(B)] ^ B[f % len(B)]
-                 for f in (first, want_first)]
-        assert np.array_equal(*masks)
-        start += keys.size // len(B)
-    assert start == len(A)
-    assert len(blocks) == (-(-len(A) // rows) if rows else 1)
+    if table:
+        want_keys = np.arange(space, dtype=np.uint64)
+    else:
+        want_keys = np.unique(ca[:, None, 0] ^ cb[None, :, 0])
+    assert len(read) == 1
+    assert read[0].tobytes() == want_keys.astype("<u8").tobytes()
     want = full_mask_reference(pts_a, pts_b, horizons, use_max, centre)
     for h in horizons:
         assert np.array_equal(got[h], want[h])
@@ -1796,6 +1875,10 @@ def test_empty_point_lists_keep_their_shapes(name):
     assert orbit_max_matrix(sys, [], H).shape == (0, 0)
     assert orbit_min_rows(sys, pts, [], H)[0].shape == (0, m)
     assert kernels.orbit_max_rows(sys, pts, [], H).shape == (0, m)
+    for below in (1e-3, 0.25):
+        assert orbit_min_matrix(sys, [], H, below=below)[0].shape == (0, 0)
+        found = kernels.orbit_max_list(sys, [], H, below=below)
+        assert found.shape == (0, 0) and len(found.i) == 0
     for use_max in (False, True):
         out = sys.comoving_extremes(*states(sys, pts, []), {0, H}, use_max,
                                     -2)
@@ -1921,13 +2004,14 @@ def assert_below_contract(got, want, below):
     assert np.all((rest >= below) & (rest <= bound))
 
 
-def assert_list_contract(found, exact, below, mirror):
+def assert_list_contract(found, exact, below, mirror, use_max=False):
     """The list of ``comoving_pairs`` against the exact matrices {h: M_h}:
-    in CSR order, each pair once; every entry under `below` at the widest
-    horizon listed, with the matrix's bits at every horizon; every other
-    entry at or above `below`; against itself its own transpose, on
-    minima that are symmetric."""
-    M = exact[max(exact)]
+    in CSR order, each pair once; every entry under `below` at some
+    horizon (the widest for minima, the narrowest for maxima) listed,
+    with the matrix's bits at every horizon; every other entry at or
+    above `below`; against itself its own transpose, on extremes that
+    are symmetric."""
+    M = exact[min(exact) if use_max else max(exact)]
     assert found.shape == M.shape
     flat = found.i.astype(np.int64) * M.shape[1] + found.j
     assert np.all(np.diff(flat) > 0)
@@ -1935,7 +2019,7 @@ def assert_list_contract(found, exact, below, mirror):
     listed[found.i, found.j] = True
     assert np.all(listed[M < below])
     for h, Mh in exact.items():
-        assert found.minima[h].tobytes() == Mh[found.i, found.j].tobytes()
+        assert found.values[h].tobytes() == Mh[found.i, found.j].tobytes()
         assert np.all(Mh[~listed] >= below)
         if mirror:
             assert Mh.tobytes() == Mh.T.copy().tobytes()
@@ -1970,7 +2054,7 @@ def test_below_keeps_minima_under_it_exact(name, seed, below, cross):
     assert_below_contract(cps[H], wcps[H], below)
     found = kernels._comoving_list(
         sys, sys.arr_state(pts), None if other is None else
-        sys.arr_state(other), {H, 2 * H}, centre, below)
+        sys.arr_state(other), {H, 2 * H}, False, centre, below)
     assert_list_contract(found, {2 * H: want, H: wcps[H]}, below,
                          other is None)
     rows = [int(i) for i in rng.permutation(len(pts))[:3]]
@@ -1992,14 +2076,61 @@ def test_below_must_be_finite_and_positive(below):
         orbit_min_rows(sys, pts, [0], 5, below=below)
 
 
-def test_below_bounds_minima_only():
-    # a maximum has no lower-bound shortcut: below with use_max is refused
-    sys = SkewTorus()
-    S = sys.arr_state(list(sys.sampler(3).points))
-    with pytest.raises(ParameterError):
-        kernels._comoving_states(sys, S, None, 5, (), True, below=1e-3)
-    assert kernels._comoving_states(sys, S, None, 5, (), True)[0].shape == \
-        (9, 9)
+@given(st.sampled_from(sorted(BELOW_SYSTEMS)), st.integers(0, 10_000),
+       st.sampled_from([1e-300, 2.0 ** -GCAP, 2.0 ** -9, 0.02, 0.25, 0.5,
+                        1.0, 1.5, None]),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_below_keeps_maxima_under_it_exact(name, seed, below, cross):
+    # the max side of the contract, for every system, on its own cloud and
+    # against a second one, at H and 2H and at any centre: every pair
+    # whose maximum is under below at H is listed with its exact maxima,
+    # and every other pair lies at or above below at both horizons; None
+    # draws the threshold from the exact entries at H, so some sit exactly
+    # on it (on the shift every distance is 0 or 2^-k)
+    rng = np.random.default_rng(seed)
+    sys = BELOW_SYSTEMS[name]()
+    pts = below_points(name, sys, rng, 12)
+    other = below_points(name, sys, rng, 6) if cross else None
+    engine = name in ("shift2", "conjugate", "power", "product")
+    H = int(rng.choice([0, 1, 5, 12] if engine else [0, 1, 5, 40, 200]))
+    centre = int(rng.integers(-40, 41))
+    want, wcps = kernels._comoving(sys, pts, other, 2 * H, (H,), True,
+                                   centre)
+    if below is None:
+        pos = wcps[H][wcps[H] > 0.0]
+        below = float(rng.choice(pos)) if pos.size else 0.5
+    found = kernels._comoving_list(
+        sys, sys.arr_state(pts), None if other is None else
+        sys.arr_state(other), {H, 2 * H}, True, centre, below)
+    assert_list_contract(found, {2 * H: want, H: wcps[H]}, below,
+                         other is None, use_max=True)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, GCAP - 1, GCAP, GCAP + 1])
+def test_shift_max_list_holds_the_pairs_that_agree(k):
+    # below = 2^-k: a pair is listed iff it agrees on the k symbols on each
+    # side of every time of the narrowest window, by a direct read of the
+    # symbols; at 2^-GCAP and below only equal points lie under below, and
+    # the list holds the pairs that agree on the whole closed-form window
+    sys = shift2()
+    pts = list(sys.sampler(3).points) + [word_point((1,), GCAP + 3),
+                                         word_point((1,), -GCAP - 30)]
+    h, centre = 4, -2
+    r = min(k + 1, GCAP + 1)
+    found = kernels._comoving_list(sys, sys.arr_state(pts), None, {h, 9},
+                                   True, centre, 2.0 ** -k)
+    near = [tuple(p.get(t) for t in range(centre - h - r + 1,
+                                          centre + h + r)) for p in pts]
+    listed = {(int(i), int(j)) for i, j in zip(found.i, found.j)}
+    assert listed == {(i, j) for i in range(len(pts))
+                      for j in range(len(pts)) if near[i] == near[j]}
+    # the grid of radius 4 against H = 20 and 0.25: the diagonal alone
+    grid = list(sys.sampler(4).points)
+    found = kernels.orbit_max_list(sys, grid, 20, below=0.25)
+    assert np.array_equal(found.i, np.arange(len(grid)))
+    assert np.array_equal(found.j, found.i)
+    assert not found.values[20].any()
 
 
 def test_below_evaluates_only_the_pairs_that_can_be_edges(monkeypatch):
@@ -2033,6 +2164,24 @@ def test_below_evaluates_only_the_pairs_that_can_be_edges(monkeypatch):
     assert classes == [1]
 
 
+def test_full_list_counts_rows_with_no_grid():
+    # the default's list of every pair builds no row or column grid until
+    # one is read; its row counts are those of the matrix, and the grids,
+    # once read, are the CSR order of every pair
+    sys = SkewTorus()
+    pts = list(sys.sampler(6).points)
+    M = orbit_max_matrix(sys, pts, 30)
+    found = kernels.orbit_max_list(sys, pts, 30, below=0.2)
+    assert found.full and found._i is None and found._j is None
+    keep = found.values[30] < 0.2
+    assert np.array_equal(found.row_counts(keep), (M < 0.2).sum(axis=1))
+    m = len(pts)
+    assert np.array_equal(found.i, np.repeat(np.arange(m), m))
+    assert np.array_equal(found.j, np.tile(np.arange(m), m))
+    assert np.array_equal(found.row_counts(keep),
+                          np.bincount(found.i[keep], minlength=m))
+
+
 @pytest.mark.parametrize("name", ["annulus3", "skew_torus"])
 def test_below_falls_back_to_the_full_matrix(name, monkeypatch):
     # a threshold so wide that most pairs stay goes the unpruned way: every
@@ -2044,9 +2193,9 @@ def test_below_falls_back_to_the_full_matrix(name, monkeypatch):
     S = sys.arr_state(pts)
 
     def check(below):
-        found = sys.comoving_pairs(S, None, {30}, 0, below)
+        found = sys.comoving_pairs(S, None, {30}, False, 0, below)
         assert len(found.i) == want.size
-        assert found.minima[30].tobytes() == \
+        assert found.values[30].tobytes() == \
             want[found.i, found.j].tobytes()
         assert np.array_equal(orbit_min_matrix(sys, pts, 30, below=below)[0],
                               want)

@@ -511,8 +511,8 @@ def exact_minima(monkeypatch):
     from the exact matrices: the exact path."""
     real = kernels._comoving_list
 
-    def exact(sys, sa, sb, horizons, centre, below):
-        return real(sys, sa, sb, horizons, centre, None)
+    def exact(sys, sa, sb, horizons, use_max, centre, below):
+        return real(sys, sa, sb, horizons, use_max, centre, None)
 
     monkeypatch.setattr(kernels, "_comoving_list", exact)
 

@@ -4,6 +4,7 @@ clustering, transitivity, dynamical balls and expansivity."""
 import bisect
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndistal import structure
+from ndistal import kernels, structure, systems
 from ndistal.equicont import r_set
 from ndistal.errors import ParameterError
 from ndistal.points import (OrbitIndex, PointCloud, Torus, periodic_point,
@@ -531,6 +532,46 @@ def test_expansivity_verdicts():
     v = expansivity_probe(sk, PointCloud(tuple(pts), "pairs(12)", sk.id))
     assert v.expansive_at is None
     assert all(size > 1 for size in v.max_ball_sizes.values())
+
+
+@pytest.mark.parametrize("name", sorted(systems.CATALOGUE_FACTS))
+def test_probe_and_balls_from_lists_match_the_max_matrix(name):
+    # at the CLI defaults (the default cloud, delta_grid (0.25, 0.1, 0.05),
+    # H = 50) the probe, read from the pair list under the largest delta,
+    # counts what the full max matrix counts, and the balls are the rows'
+    # entries under delta
+    sys = systems.get_system(name)
+    cloud = sys.sampler(sys.cloud_size)
+    grid, H = (0.25, 0.1, 0.05), 50
+    M = kernels.orbit_max_matrix(sys, cloud.points, H)
+    sizes = {d: int((M < d).sum(axis=1).max()) for d in grid}
+    v = expansivity_probe(sys, cloud, delta_grid=grid, H=H)
+    assert v.max_ball_sizes == sizes
+    assert v.expansive_at == next((d for d in grid if sizes[d] == 1), None)
+    for k in range(0, len(cloud), -(-len(cloud) // 4)):
+        row = kernels.orbit_max_rows(sys, cloud.points, [k], H)[0]
+        for d in grid:
+            assert dynamical_ball(sys, cloud[k], d, cloud, H) == \
+                tuple(int(i) for i in np.flatnonzero(row < d))
+
+
+def test_probe_memory_stays_small():
+    # the skew torus takes the default full list for maxima: its 1,024^2
+    # max matrix (8.4 MB) is counted by rows, with no int32 row and column
+    # grids beside it (8.4 MB more); the shift's list under 0.25 holds
+    # only its 513 diagonal pairs
+    peaks = []
+    for name in ("skew_torus", "shift2"):
+        sys = systems.get_system(name)
+        cloud = sys.sampler(sys.cloud_size)
+        tracemalloc.start()
+        try:
+            expansivity_probe(sys, cloud)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 14e6
+    assert peaks[1] < 2e6
 
 
 # ---------------------------------------------------------------------------
