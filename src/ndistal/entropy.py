@@ -160,17 +160,22 @@ def step_index_map(sys, cloud: PointCloud,
 
 def _itineraries(P: Partition, nxt):
     """Codes of the length-1, 2, ... itineraries through P under the index
-    map nxt: two points share a code iff they share the itinerary, and from
-    length 2 on the codes are the ranks 0..k-1."""
+    map nxt, up to the first join that adds no cell: two points share a
+    code iff they share the itinerary, and the codes are the ranks
+    0..k-1 of the k cells.  A join P^(n+1) = P^n makes every later join
+    equal to it, and its rank codes repeat exactly, so the last code
+    yielded is the code of every longer itinerary too."""
     labels = P.label_array()
-    K = P.n_cells()
+    K = cells = P.n_cells()
     code = labels.copy()
     idx = np.arange(len(nxt))
     while True:
         yield code
         idx = nxt[idx]
-        code = code * K + labels[idx]
-        _, code = np.unique(code, return_inverse=True)
+        uniq, joined = np.unique(code * K + labels[idx], return_inverse=True)
+        if len(uniq) == cells:
+            return
+        code, cells = joined, len(uniq)
 
 
 def refine_partition(P: Partition, sys, n: int, cloud: PointCloud,
@@ -180,7 +185,8 @@ def refine_partition(P: Partition, sys, n: int, cloud: PointCloud,
     if n < 1:
         raise ParameterError("n must be >= 1")
     nxt, _ = step_index_map(sys, cloud, snap_tol)
-    code = next(itertools.islice(_itineraries(P, nxt), n - 1, None))
+    for code in itertools.islice(_itineraries(P, nxt), n):
+        pass
     return partition_from_labels(code, len(cloud))
 
 
@@ -204,12 +210,19 @@ def metric_entropy_estimate(sys, P: Partition, mu: EmpiricalMeasure,
                             snap_tol: Optional[float] = None
                             ) -> EntropyEstimate:
     """(1/n) H_mu(P^n) for n = 1..n_max; the estimate is the mean of the
-    last three values and the full sequence is kept as diagnostics."""
+    last three values and the full sequence is kept as diagnostics.
+
+    Refinement stops at the first join that adds no cell (`_itineraries`):
+    every later join equals it, with the same codes, so the rest of the
+    sequence is H/n for that join's entropy H, bit for bit what refining
+    on would give."""
     if n_max < 4:
         raise ParameterError("n_max must be >= 4")
     nxt, snap = step_index_map(sys, cloud, snap_tol)
-    seq = [partition_entropy(np.bincount(code, weights=mu.weights)) / n
-           for n, code in zip(range(1, n_max + 1), _itineraries(P, nxt))]
+    H = [partition_entropy(np.bincount(code, weights=mu.weights))
+         for code in itertools.islice(_itineraries(P, nxt), n_max)]
+    H += H[-1:] * (n_max - len(H))
+    seq = [h / n for n, h in enumerate(H, start=1)]
     value = float(np.mean(seq[-3:]))
     return EntropyEstimate(value=value, method="partition_limit",
                            params={"n_max": n_max, "cells": P.n_cells(),

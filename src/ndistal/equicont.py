@@ -220,14 +220,16 @@ def _level_diameters(D0, inside, N):
     order.  Bases are grouped by member count k, and each group's k x k
     distance matrices are gathered as (B, k, k) blocks of at most
     LEVEL_BLOCK elements (one matrix at least): a block is bounded in one
-    stacked call, or solved exactly one matrix at a time when
-    C(k, N + 1) <= EXACT_BUDGET.  Each base gets the values its own matrix
+    stacked call, or solved exactly one matrix at a time when N > 1 and
+    C(k, N + 1) <= EXACT_BUDGET.  At N = 1 the N-diameter is the diameter,
+    which the stacked call gives exactly, with the exact solver's witness
+    (`diam_n_bounds_stacked`).  Each base gets the values its own matrix
     gets alone."""
     counts = inside.sum(axis=1)
     found = {}
     for k in np.unique(counts[counts > N]).tolist():
         group = np.flatnonzero(counts == k)
-        exact = math.comb(k, N + 1) <= EXACT_BUDGET
+        exact = N > 1 and math.comb(k, N + 1) <= EXACT_BUDGET
         for blk in _row_blocks(len(group), k * k, LEVEL_BLOCK):
             bases = group[blk]
             members = np.nonzero(inside[bases])[1].reshape(len(bases), k)
@@ -256,6 +258,9 @@ def n_equicontinuity_probe(sys, cloud: PointCloud, N: int, epsilon: float,
         raise ParameterError("cloud smaller than N+1 points")
     if not n_bases >= 1:
         raise ParameterError(f"n_bases must be >= 1, got {n_bases!r}")
+    if n_spot_checks < 0:
+        raise ParameterError(
+            f"n_spot_checks must be >= 0, got {n_spot_checks!r}")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     check_positive("epsilon", epsilon)

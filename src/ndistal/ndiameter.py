@@ -122,28 +122,42 @@ def diam_n_bounds_from_matrix(D: np.ndarray, N: int) -> NDiameterResult:
 
 def diam_n_bounds_stacked(D: np.ndarray, N: int):
     """The bounds of `diam_n_bounds_from_matrix` for a stack of B distance
-    matrices of one size m > N + 1, shape (B, m, m): the lower and upper
+    matrices of one size m >= N + 1, shape (B, m, m): the lower and upper
     bounds, each of shape (B,), and the sorted dispersion witnesses,
-    (B, N + 1) indices.  Each matrix gets the bits it gets alone."""
+    (B, N + 1) indices of distinct points.  Each matrix gets the bits it
+    gets alone.
+
+    The greedy seed is the diametral pair, read off the row maxima that
+    also give the eccentricities: the first row holding the maximum, then
+    the first column of that row holding it.  In a symmetric matrix with a
+    zero diagonal that is the first maximum of the strict upper triangle
+    in row-major order, where the exact solver's N = 1 scan stops, so at
+    N = 1 both bounds are the diameter and the witness is the exact one
+    (a matrix of zeros is seeded with (0, 1))."""
     B, m, _ = D.shape
     k = N + 1
     at = np.arange(B)
-    # greedy farthest-point dispersion, seeded by the diametral pair;
-    # argmax on the flattened matrix resolves ties at the lowest indices
-    i, j = np.divmod(D.reshape(B, -1).argmax(axis=1), m)
-    chosen = [np.minimum(i, j), np.maximum(i, j)]
-    mind = np.minimum(D[at, chosen[0]], D[at, chosen[1]])
+    rowmax = D.max(axis=2)
+    i = rowmax.argmax(axis=1)
+    j = D[at, i].argmax(axis=1)
+    flat = j == i  # the maximum is on the diagonal: a matrix of zeros
+    i[flat], j[flat] = 0, 1
+    # greedy farthest-point dispersion; a chosen point is never picked again
+    chosen = [i, j]
+    mind = np.minimum(D[at, i], D[at, j])
+    mind[at, i] = mind[at, j] = -np.inf
     while len(chosen) < k:
         c = mind.argmax(axis=1)
         chosen.append(c)
-        mind = np.minimum(mind, D[at, c])
+        np.minimum(mind, D[at, c], out=mind)
+        mind[at, c] = -np.inf
     chosen = np.sort(np.column_stack(chosen), axis=1)
     iu, ju = np.triu_indices(k, 1)
     lower = D[at[:, None], chosen[:, iu], chosen[:, ju]].min(axis=1)
 
     # any (N+1)-subset with min pairwise distance v has N+1 points whose
     # eccentricity is >= v, so the (N+1)-th largest eccentricity bounds diam_N
-    ecc = np.sort(D.max(axis=2), axis=1)
+    ecc = np.sort(rowmax, axis=1)
     return lower, np.maximum(ecc[:, m - k], lower), chosen
 
 

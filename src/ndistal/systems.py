@@ -65,7 +65,8 @@ that agree on the narrowest window widened by the radius r with
 2^-r < below, found by one sort of the points' symbols there.  The torus
 systems override ``comoving_extremes`` by difference class: F^n p - F^n q
 depends only on p - q (through the class attribute ``shear``), so each
-distinct difference is evaluated once.  The differences are deduplicated
+distinct difference is evaluated once; with shear 0 (the isometries) each
+pair keeps its time-0 distance, which is returned as is.  The differences are deduplicated
 per coordinate: the distinct gaps of each coordinate come from the outer
 difference of its distinct values, and a pair's class is the integer code
 of its x-gap and y-gap.  When that code space fits ``_CLASS_BLOCK``, as a
@@ -678,8 +679,16 @@ class _TorusBase(DynSystem):
         into its row blocks.  The differences are not reduced before
         deduplication, so (i, j) and (j, i) are exact negatives and a
         matrix of the cloud against itself is exactly symmetric.
+
+        An isometry (shear 0: the rotation, the identity) keeps every
+        pair's distance, so each horizon gets the time-0 ``arr_cdist``
+        matrix, at any centre: the same raw differences through the same
+        `_torus_dist`, bit for bit what the classes would give.
         """
         B = A if B is None else B
+        if not self.shear:
+            D, H = self.arr_cdist(A, B), max(horizons)
+            return {h: D if h == H else D.copy() for h in horizons}
         out = {h: np.empty((len(A), len(B))) for h in horizons}
         for classes, blocks in _class_groups(A, B):
             ext = self._sweep_classes(classes, horizons, use_max, centre)
@@ -693,7 +702,8 @@ class _TorusBase(DynSystem):
         keeps, swept as a list of their distinct differences (the full
         matrices when it keeps too many, and for maxima).  A class's
         extremes do not depend on the other classes of the call, so the
-        listed minima are those of ``comoving_extremes``, bit for bit."""
+        listed minima are those of ``comoving_extremes``, bit for bit; an
+        isometry lists its pairs' time-0 distances."""
         other = A if B is None else B
         near = None if use_max else self._near_pairs(A, other, below)
         if near is None:
@@ -701,6 +711,9 @@ class _TorusBase(DynSystem):
                                           below)
 
         def minima(i, j):
+            if not self.shear:
+                d = self.arr_edist(A[i], other[j])
+                return {h: d for h in horizons}
             diff = (A[i] - other[j]).view(np.complex128).ravel()
             classes, inv = np.unique(diff, return_inverse=True)
             ext = self._sweep_classes(classes, horizons, False, centre)
@@ -720,16 +733,13 @@ class _TorusBase(DynSystem):
         is taken once per horizon: it is monotone in |y| in floating
         point too, so the extremes are those of the distance.  The result
         is within about 1e-14 of stepping the y-gap one time step at a
-        time, not bit-identical to it.  With shear 0 (the isometries)
-        every horizon gets the time-0 distances.
+        time, not bit-identical to it.  The isometries (shear 0) never
+        come here: their extremes are the time-0 distances.
         """
         rise = self.shear * classes.real
         y0 = classes.imag + centre * rise
         y0 -= np.round(y0)
-        if self.shear:
-            cps = _progression_gaps(rise, y0, horizons, use_max)
-        else:
-            cps = {h: np.abs(y0) for h in horizons}
+        cps = _progression_gaps(rise, y0, horizons, use_max)
         return {h: _torus_dist(classes.real.copy(), Y) for h, Y in cps.items()}
 
     def _near_pairs(self, A, B, below):

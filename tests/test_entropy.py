@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ndistal import entropy
 from ndistal.entropy import (KSH1_BOUND, EmpiricalMeasure, Partition,
                              closing_bound, default_partition,
                              geometric_partition, ks_bound_audit,
@@ -209,6 +210,43 @@ def test_conjugate_estimate_matches_base():
     got = metric_entropy_estimate(conj, P, mu, 20, cloud)
     assert got.value == want.value
     assert got.diagnostics == want.diagnostics
+
+
+@pytest.mark.parametrize("case,n_max,stable_from", [
+    ("identity", 200, 1), ("rotation", 200, 64), ("rotation", 40, None),
+    ("skew", 200, 9), ("annulus3", 200, 4)])
+def test_estimate_stops_refining_at_a_stable_join(case, n_max, stable_from,
+                                                  monkeypatch):
+    # once a join adds no cell every later join equals it, so the
+    # sequence after it is H/n, bit for bit what refining on gives, and
+    # a longer refinement is that join
+    s, cloud, tol = {
+        "identity": lambda: (IdentityTorus(), IdentityTorus().sampler(),
+                             None),
+        "rotation": lambda: (Rotation(), Rotation().sampler(256), None),
+        "skew": lambda: (SkewTorus(), SkewTorus().sampler(16), None),
+        "annulus3": lambda: (annulus3(), annulus3().circles_cloud(64), 0.1),
+    }[case]()
+    P, mu = default_partition(cloud, 2), uniform_measure(cloud)
+    nxt, _ = step_index_map(s, cloud, tol)
+    codes = _join_by_loop(P, nxt, n_max, P.n_cells())
+    want = [partition_entropy(np.bincount(c, weights=mu.weights)) / n
+            for n, c in enumerate(codes, start=1)]
+    for n in {1, stable_from or 1, n_max}:
+        assert refine_partition(P, s, n, cloud, tol) == \
+            partition_from_labels(codes[n - 1], len(cloud))
+    calls = []
+
+    def counted(w):
+        calls.append(1)
+        return partition_entropy(w)
+
+    monkeypatch.setattr(entropy, "partition_entropy", counted)
+    est = metric_entropy_estimate(s, P, mu, n_max, cloud, tol)
+    assert [v.hex() for v in est.diagnostics] == [v.hex() for v in want]
+    assert est.value == float(np.mean(want[-3:]))
+    # one entropy for each join up to the first stable one
+    assert len(calls) == (n_max if stable_from is None else stable_from)
 
 
 def test_estimate_needs_four_levels():

@@ -279,6 +279,14 @@ def test_probe_requires_enough_points():
         n_equicontinuity_probe(s, cloud, N=3, epsilon=0.1)
 
 
+@pytest.mark.parametrize("n_spot_checks", [-1, -3])
+def test_probe_rejects_a_negative_spot_check_count(n_spot_checks):
+    s = Rotation()
+    with pytest.raises(ParameterError, match="n_spot_checks"):
+        n_equicontinuity_probe(s, s.sampler(16), N=1, epsilon=0.2,
+                               n_spot_checks=n_spot_checks)
+
+
 def test_probe_spot_checks_pass():
     s = SkewTorus()
     cloud = random_torus_cloud(s, 300, 8)
@@ -366,6 +374,41 @@ def test_level_blocks_match_per_base_diameters(N, block, monkeypatch):
     sizes = {k for k in counts if k > N}
     assert any(math.comb(k, N + 1) > 400 for k in sizes)
     assert any(math.comb(k, N + 1) <= 400 for k in sizes)
+
+
+@st.composite
+def lattice_return_sets(draw):
+    """Integer-valued distances: 2 to 12 points on a 4 x 4 lattice under
+    the L1 metric, so distances tie and points repeat, and up to 8 return
+    sets of any size, 2 included."""
+    m = draw(st.integers(2, 12))
+    pts = np.array(draw(st.lists(st.tuples(st.integers(0, 3),
+                                           st.integers(0, 3)),
+                                 min_size=m, max_size=m)), dtype=float)
+    D0 = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    inside = np.zeros((draw(st.integers(1, 8)), m), dtype=bool)
+    for row in inside:
+        k = draw(st.sampled_from([2, 2, *range(m + 1)]))
+        row[draw(st.permutations(range(m)))[:k]] = True
+    return D0, inside
+
+
+@given(lattice_return_sets())
+@settings(max_examples=200, deadline=None)
+def test_n1_levels_are_the_exact_diameters(case):
+    # at N = 1 every return set goes to the stacked bounds, which must give
+    # the exact solver's diameter and witness, base by base
+    D0, inside = case
+    got = equicont._level_diameters(D0, inside, 1)
+    want = []
+    for bi, row in enumerate(inside):
+        members = np.flatnonzero(row)
+        if len(members) > 1:
+            res = diam_n_exact_from_matrix(D0[np.ix_(members, members)], 1,
+                                           math.comb(len(members), 2))
+            want.append((bi, res.value_lower, res.value_upper,
+                         [int(members[i]) for i in res.witness]))
+    assert got == want
 
 
 @pytest.mark.parametrize("make,size", [(Rotation, 256), (SkewTorus, 24),

@@ -320,6 +320,49 @@ def test_torus_shear_contract(make):
         assert sys.dist(Torus(a.x - b.x, a.y - b.y), want) < 1e-12
 
 
+def shear0_class_extremes(sys, A, B, horizons, centre):
+    """The extremes of a shear-0 torus swept by difference class: each
+    class's y-gap dy + centre * rise (rise = 0 * dx) reduced to
+    [-1/2, 1/2], and the distance of (dx, |y|), gathered back into the
+    rows of every group of `systems._class_groups`."""
+    B = A if B is None else B
+    out = {h: np.empty((len(A), len(B))) for h in horizons}
+    for classes, blocks in systems._class_groups(A, B):
+        y0 = classes.imag + centre * (sys.shear * classes.real)
+        y0 -= np.round(y0)
+        d = systems._torus_dist(classes.real.copy(), np.abs(y0))
+        for rows, at in blocks:
+            for h in horizons:
+                out[h][rows] = d[at]
+    return out
+
+
+@pytest.mark.parametrize("make", [Rotation, IdentityTorus])
+@pytest.mark.parametrize("centre", [-40, 0, 7])
+@pytest.mark.parametrize("use_max", [False, True])
+@pytest.mark.parametrize("cross", [False, True])
+def test_isometry_extremes_are_time0_distances(make, centre, use_max, cross):
+    # an isometry keeps every distance: each horizon holds the time-0
+    # arr_cdist matrix, bit for bit what its difference classes give
+    sys = make()
+    rng = np.random.default_rng(centre + 50)
+    grid = [Torus(i / 8, j / 4) for i in range(8) for j in range(4)]
+    pts = ([grid[i] for i in rng.permutation(len(grid))]
+           + [Torus(float(a), float(b)) for a, b in rng.random((9, 2))])
+    A = sys.arr_state(pts)
+    B = sys.arr_state(pts[::3] + [Torus(0.5, 0.75)]) if cross else None
+    horizons = {0, 5, 200}
+    got = sys.comoving_extremes(A, B, horizons, use_max, centre)
+    D = sys.arr_cdist(A, A if B is None else B)
+    classes = shear0_class_extremes(sys, A, B, horizons, centre)
+    for h in horizons:
+        assert got[h].tobytes() == D.tobytes() == classes[h].tobytes()
+    if not cross:
+        assert np.array_equal(D, D.T)
+    # one matrix per horizon, so a caller may write to one of them
+    assert len({id(M) for M in got.values()}) == len(horizons)
+
+
 @pytest.mark.parametrize("use_max", [False, True])
 def test_torus_class_blocks(monkeypatch, use_max):
     sys = SkewTorus()

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from ndistal.errors import BudgetExceededError
 from ndistal.ndiameter import (diam_n_bounds, diam_n_bounds_from_matrix,
-                               diam_n_bounds_stacked, diam_n_exact)
+                               diam_n_bounds_stacked, diam_n_exact,
+                               diam_n_exact_from_matrix)
 
 
 def euclid(a, b):
@@ -143,14 +144,16 @@ def test_bounds_bracket_exact():
 
 def greedy_bounds(D, N):
     """The dispersion bounds of one matrix, one greedy pick at a time:
-    the diametral pair (first maximum in row-major order), then each next
-    point farthest from those chosen (lowest index on ties)."""
+    the diametral pair (first maximum of the strict upper triangle in
+    row-major order), then each next point not yet chosen farthest from
+    those chosen (lowest index on ties)."""
     m, k = len(D), N + 1
-    flat = max(range(m * m), key=lambda f: (D.flat[f], -f))
-    chosen = sorted(divmod(flat, m))
+    chosen = list(max(itertools.combinations(range(m), 2),
+                      key=lambda ij: (D[ij], -ij[0], -ij[1])))
     while len(chosen) < k:
-        far = [min(D[c, j] for c in chosen) for j in range(m)]
-        chosen.append(max(range(m), key=lambda j: (far[j], -j)))
+        rest = [j for j in range(m) if j not in chosen]
+        chosen.append(max(rest, key=lambda j: (min(D[c, j] for c in chosen),
+                                               -j)))
     chosen = sorted(chosen)
     lower = min(D[a, b] for a, b in itertools.combinations(chosen, 2))
     upper = max(sorted(D.max(axis=1))[m - k], lower)
@@ -175,6 +178,33 @@ def test_stacked_bounds_match_one_matrix_at_a_time(N):
         assert (lo, up, list(ch)) == want
         one = diam_n_bounds_from_matrix(D, N)
         assert (one.value_lower, one.value_upper, list(one.witness)) == want
+
+
+@pytest.mark.parametrize("pts,N", [
+    ([(0.0, 0.0)] * 4, 2),
+    ([(0.0, 0.0)] * 3, 1),
+    ([(0.0, 0.0)] * 7, 4),
+    ([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (1.0, 0.0)], 2),
+    ([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (1.0, 0.0), (1.0, 0.0)], 3),
+])
+def test_zero_diameter_witness_holds_distinct_points(pts, N):
+    # every (N+1)-subset holds two coincident points, so diam_N is 0: the
+    # lower bound's witness is N+1 distinct indices, the exact solver's,
+    # and a cloud of one point is certified exactly
+    D = np.array([[euclid(a, b) for b in pts] for a in pts])
+    got = diam_n_bounds_from_matrix(D, N)
+    want = diam_n_exact_from_matrix(D, N)
+    assert (got.value_lower, got.witness) == (0.0, want.witness)
+    assert len(set(got.witness)) == N + 1
+    if len(set(pts)) == 1:
+        assert got.as_dict() == want.as_dict()
+    # the same matrices in one stack, beside one with positive distances
+    other = np.array([[abs(i - j) for j in range(len(pts))]
+                      for i in range(len(pts))], dtype=float)
+    lower, upper, chosen = diam_n_bounds_stacked(np.stack([D, other]), N)
+    assert ((lower[0], upper[0], tuple(chosen[0]))
+            == (0.0, got.value_upper, got.witness))
+    assert all(len(set(row)) == N + 1 for row in chosen.tolist())
 
 
 def test_bounds_single_subset_case():
