@@ -68,10 +68,11 @@ def r_set_equivariance_check(sys, x, delta: float, cloud: PointCloud,
     With H' = H - |n|, the left side scans the window of radius H'
     centred at time n around (x, cloud) and the right side the window of
     radius H' centred at time 0 around (f^n(x), f^n(cloud)), both read off
-    the system's hook ``comoving_extremes``; f^n moves the states in one
-    jump, ``arr_iterate``.  Both windows cover the same absolute times, so
-    the identity is exact and the check compares the hook's centring with
-    the composed map; values within TIE_TOL of delta are excluded from the
+    ``comoving_extremes``, the full list of the system's hook
+    ``comoving_pairs``; f^n moves the states in one jump,
+    ``arr_iterate``.  Both windows cover the same absolute times, so the
+    identity is exact and the check compares the hook's centring with the
+    composed map; values within TIE_TOL of delta are excluded from the
     comparison (floating boundary ties are not resolvable).
     """
     if abs(n) > H // 2:
@@ -218,14 +219,15 @@ def _level_diameters(D0, inside, N):
     (base position, lower bound, upper bound, witness as cloud indices)
     for each base whose row of `inside` marks more than N members, in base
     order.  Bases are grouped by member count k, and each group's k x k
-    distance matrices are gathered as (B, k, k) blocks of at most
-    LEVEL_BLOCK elements (one matrix at least): a block is bounded in one
-    stacked call, or solved exactly one matrix at a time when N > 1 and
-    C(k, N + 1) <= EXACT_BUDGET.  At N = 1 the N-diameter is the diameter,
-    which the stacked call gives exactly, with the exact solver's witness
-    (`diam_n_bounds_stacked`).  Each base gets the values its own matrix
-    gets alone."""
+    distance matrices are gathered, by one flat `np.take` of D0, as
+    (B, k, k) blocks of at most LEVEL_BLOCK elements (one matrix at
+    least): a block is bounded in one stacked call, or solved exactly one
+    matrix at a time when N > 1 and C(k, N + 1) <= EXACT_BUDGET.  At N = 1
+    the N-diameter is the diameter, which the stacked call gives exactly,
+    with the exact solver's witness (`diam_n_bounds_stacked`).  Each base
+    gets the values its own matrix gets alone."""
     counts = inside.sum(axis=1)
+    flat, m = D0.ravel(), len(D0)
     found = {}
     for k in np.unique(counts[counts > N]).tolist():
         group = np.flatnonzero(counts == k)
@@ -233,7 +235,7 @@ def _level_diameters(D0, inside, N):
         for blk in _row_blocks(len(group), k * k, LEVEL_BLOCK):
             bases = group[blk]
             members = np.nonzero(inside[bases])[1].reshape(len(bases), k)
-            subs = D0[members[:, :, None], members[:, None, :]]
+            subs = np.take(flat, members[:, :, None] * m + members[:, None, :])
             if exact:
                 res = [diam_n_exact_from_matrix(sub, N, EXACT_BUDGET)
                        for sub in subs]

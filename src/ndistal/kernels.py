@@ -7,22 +7,23 @@ and minimal-set clustering, and minima over a window |n - c| <= H centred
 at a time c.
 
 No kernel calls ``step`` or ``iterate``.  The co-moving kernels ask the
-system's hook ``comoving_extremes`` (the extremes over a centred window)
-or its list form ``comoving_pairs``, the visit kernel asks
-``visit_minima``, and the self-return kernel `orbit_return_matrix` asks
-``return_distances`` (each point's distance to its own iterates over
-|n| <= H, the input of the periods and the return-gap verdicts in
-``structure``, which steps no orbit itself).
+system's hook ``comoving_pairs`` (the extremes over a centred window, of
+every pair or of the pairs that may lie under a threshold), the visit
+kernel asks ``visit_minima``, and the self-return kernel
+`orbit_return_matrix` asks ``return_distances`` (each point's distance
+to its own iterates over |n| <= H, the input of the periods and the
+return-gap verdicts in ``structure``, which steps no orbit itself).
 The hooks take states, not point lists: each public kernel converts its
 point lists once, by ``arr_state``, and passes the states on.
 
 ``below``: a caller that only asks which extremes lie under a threshold
-reads them as a list of candidate pairs, the hook ``comoving_pairs``
+reads them as the hook's list of candidate pairs
 (``DynSystem.comoving_pairs`` states its contract, for minima and for
 maxima): `orbit_min_list` and `orbit_max_list` hand the list on, and
 `orbit_min_matrix` and `orbit_min_rows` with ``below`` scatter it into a
 matrix whose unlisted entries hold ``below``.  ``below`` must be finite
-and positive.
+and positive; with none, the hook lists every pair and the matrix
+kernels reshape that full list.
 The default of each hook, and `orbit_min_pairs`, run one engine on the
 system's array interface (``arr_state``, ``arr_step`` and the
 ``arr_*dist`` methods), which every system has: every system states its
@@ -119,7 +120,7 @@ def _sweep(step, sa, sb, H, dist, red=np.minimum, move_b=True,
 
 
 def sweep_extremes(sys, sa, sb, horizons, use_max, centre):
-    """The engine behind ``DynSystem.comoving_extremes``: {h: M_h} with
+    """The engine behind ``DynSystem.comoving_pairs``: {h: M_h} with
     M_h[i, j] the min (max when use_max) over |n - centre| <= h of
     d(f^n a_i, f^n b_j), for the points of the states sa and sb; sb None
     pairs sa with itself.  Every entry is exact."""
@@ -173,16 +174,24 @@ class PairExtremes:
             return keep.reshape(self.shape).sum(axis=1)
         return np.bincount(self.i[keep], minlength=self.shape[0])
 
+    @classmethod
+    def of_matrices(cls, out):
+        """The full list of the matrices {h: M_h}, which are themselves
+        its values, with no copy."""
+        shape = next(iter(out.values())).shape
+        return cls(shape, None, None,
+                   {h: M.reshape(-1) for h, M in out.items()})
 
-def dense_pairs(sys, sa, sb, horizons, use_max, centre, below):
-    """The default of ``DynSystem.comoving_pairs``: every entry of the
-    system's ``comoving_extremes``, which computes them all, listed as the
-    matrices themselves with no copy; `below` rules no pair out.  A full
-    list of a cloud against itself is its own transpose."""
-    out = sys.comoving_extremes(sa, sb, horizons, use_max, centre)
-    m, n = out[max(horizons)].shape
-    return PairExtremes((m, n), None, None,
-                        {h: M.reshape(-1) for h, M in out.items()})
+    def matrices(self, below=None):
+        """{h: M_h}: a full list reshaped, with no copy, or a partial one
+        scattered into matrices whose unlisted entries hold `below`."""
+        if self.full:
+            return {h: e.reshape(self.shape) for h, e in self.values.items()}
+        out = {}
+        for h, e in self.values.items():
+            out[h] = np.full(self.shape, float(below))
+            out[h][self.i, self.j] = e
+        return out
 
 
 def sweep_visits(sys, sp, st, H):
@@ -311,31 +320,23 @@ def _comoving(sys, pts_a, pts_b, H, checkpoints, use_max, centre=0,
 
 def _comoving_states(sys, sa, sb, H, checkpoints, use_max, centre=0,
                      below=None):
-    """`_comoving` on states already built, for callers that reuse one.
-    With `below`, the matrices are the list of `_comoving_list` scattered
-    into `below`."""
+    """`_comoving` on states already built, for callers that reuse one:
+    the list of `_comoving_list` as matrices, a full list reshaped and a
+    partial one scattered into `below`."""
     _check_horizon(H)
-    horizons = {H, *checkpoints}
-    if below is None:
-        out = sys.comoving_extremes(sa, sb, horizons, use_max, centre)
-    else:
-        found = _comoving_list(sys, sa, sb, horizons, use_max, centre, below)
-        out = {}
-        for h, e in found.values.items():
-            out[h] = np.full(found.shape, float(below))
-            out[h][found.i, found.j] = e
+    out = _comoving_list(sys, sa, sb, {H, *checkpoints}, use_max, centre,
+                         below).matrices(below)
     return out[H], {h: out[h] for h in checkpoints}
 
 
 def _comoving_list(sys, sa, sb, horizons, use_max, centre, below):
     """The list kernel: the hook ``comoving_pairs`` under a checked
-    `below`; None lists every pair, from the exact matrices."""
-    if below is None:
-        return dense_pairs(sys, sa, sb, horizons, use_max, centre, below)
-    below = float(below)
-    if not 0.0 < below < math.inf:
-        raise ParameterError(
-            f"below must be finite and positive, got {below!r}")
+    `below`; None lists every pair."""
+    if below is not None:
+        below = float(below)
+        if not 0.0 < below < math.inf:
+            raise ParameterError(
+                f"below must be finite and positive, got {below!r}")
     return sys.comoving_pairs(sa, sb, horizons, use_max, centre, below)
 
 

@@ -31,15 +31,15 @@ skew torus that costs 16 us a call against 1.2 us (2-vCPU Xeon, one
 loop of 20,000 calls).  ``arr_step`` stays too: the orbit engine steps
 with it, and |n| steps, each reduced by a plain mod 1, round differently
 from one jump, so jumping in the engine would move its values.
-The kernels reach orbits through four hooks,
-``comoving_extremes`` (the extremes over a window |n - centre| <= h),
-its list form ``comoving_pairs`` (the extremes of the pairs that may lie
-under a threshold), ``visit_minima`` and ``return_distances`` (each
-point's distance to its own iterates), so the analysis modules step no
-orbit themselves.  The hooks take states, which the kernels build from
-point lists once.  The shift overrides every hook, the list form for
-maxima only, with closed forms on packed bits that resolve distances
-down to its ``floor`` 2^-GCAP.  Two uint64 words per point and
+The kernels reach orbits through three hooks, ``comoving_pairs`` (the
+extremes over a window |n - centre| <= h, of every pair or of the pairs
+that may lie under a threshold; ``DynSystem.comoving_pairs`` states its
+contract, and ``comoving_extremes`` reshapes its full list),
+``visit_minima`` and ``return_distances`` (each point's distance to its
+own iterates), so the analysis modules step no orbit themselves.  The
+hooks take states, which the kernels build from point lists once.  The
+shift overrides every hook with closed forms on packed bits that resolve
+distances down to its ``floor`` 2^-GCAP.  Two uint64 words per point and
 centre n hold the GCAP symbols on each side of n, each read off the point's
 packed row at once, so the radius on which two windows agree is the
 trailing-zero count of their XOR; its array metric reads the words at
@@ -63,7 +63,7 @@ the whole space, with no sort; other keys are sorted, and each distinct
 key is read once.  Its list of maxima under ``below`` holds the pairs
 that agree on the narrowest window widened by the radius r with
 2^-r < below, found by one sort of the points' symbols there.  The torus
-systems override ``comoving_extremes`` by difference class: F^n p - F^n q
+systems override ``comoving_pairs`` by difference class: F^n p - F^n q
 depends only on p - q (through the class attribute ``shear``), so each
 distinct difference is evaluated once; with shear 0 (the isometries) each
 pair keeps its time-0 distance, which is returned as is.  The differences are deduplicated
@@ -82,15 +82,13 @@ each class bisects it once, the nearest-angle lookup of the
 three-distance theorem that the annulus visits use too; a rise of one
 class is scanned.  Both read the same table values, so a class gets the
 same bits either way, within about 1e-14 of the time-stepped fold but
-not bit-identical to it.  The torus lists its minima under a threshold
-``below`` (``comoving_pairs``, whose contract ``DynSystem`` states) from
-the pairs whose x-gap ||dx||, which never changes, is under 2 below,
-and of those with no rise (shear dx = 0) only the ones whose time-0
-distance, which they keep, is under 2 below; one sort of x and two
-searches find them, and their distinct differences are swept as one
-list.  The
-annulus family computes each of its three hooks once per class of points
-that share the value.  It overrides
+not bit-identical to it.  Under a threshold ``below`` the torus lists
+its minima or maxima from the pairs whose x-gap ||dx||, which never
+changes, is under 2 below, and of those with no rise (shear dx = 0) only
+the ones whose time-0 distance, which they keep, is under 2 below; one
+sort of x and two searches find them, and their distinct differences are
+swept as one list.  The annulus family computes each of its three hooks
+once per class of points that share the value.  It overrides
 ``visit_minima``: every angle advances by the same k, so a visit at fixed
 radius is one bisection in the sorted angles {n k mod 1}, and the short
 window of indices where a wandering orbit's radius moves is one table of
@@ -98,7 +96,7 @@ distances per orbit, which each orbit point reads over its own range.
 The tails before and after the window that end at its edge nest, so each
 orbit and side sorts one table for the shortest and adds the longer
 tails' indices by a running minimum.  It
-also overrides ``comoving_extremes``: a pair's angle gap never changes.
+also overrides ``comoving_pairs``: a pair's angle gap never changes.
 Between an orbit point and a circle point the distance is then a convex
 function of the orbit's radius, and each orbit's radii rise to one peak
 and fall after it, so the extremes over a window are read off that side's
@@ -110,14 +108,14 @@ window off a sparse table.  Its ``return_distances`` needs no iteration
 either: a point's angle gap to itself at time n is n k mod 1 and its
 radius is read off at index m + n, so one row serves every circle point
 of a radius.  Min and max are exact, so the classes give each point's
-values bit for bit.  Its ``comoving_pairs`` evaluates only the pairs
-whose angle gap g, which never changes, keeps 2 R0 |sin pi g| under
-2 below, R0 the least radius of any circle or table row, and of two
-circle points only those whose radii differ by less than 2 below; one
-sort of the angles and two searches find them, and they are evaluated as
-one list of pairs by kind.  These hooks measure in chord form, from the
-two radii and the angle gap, where ``arr_cdist`` measures in the plane,
-so they agree with it to about 1e-12, not bit for bit.
+values bit for bit.  Every pair is evaluated on its own, and under a
+threshold ``below`` only the pairs whose angle gap g, which never
+changes, keeps 2 R0 |sin pi g| under 2 below, R0 the least radius of any
+circle or table row, and of two circle points only those whose radii
+differ by less than 2 below; one sort of the angles and two searches
+find them.  These hooks measure in chord form, from the two radii and
+the angle gap, where ``arr_cdist`` measures in the plane, so they agree
+with it to about 1e-12, not bit for bit.
 Angles n k mod 1 of orbit indices are exact to about an ulp (`_turns`),
 which makes a visit to a point of the same orbit exactly 0.
 The skew torus also overrides ``equicontinuity_witness`` with its shear.
@@ -144,8 +142,8 @@ import numpy as np
 
 from .equicont import EquicontinuityWitness, skew_witness
 from .errors import ConjugacyError, InvalidPointError, ParameterError
-from .kernels import (_CHUNK, PairExtremes, _row_blocks, dense_pairs,
-                      sweep_extremes, sweep_returns, sweep_visits)
+from .kernels import (_CHUNK, PairExtremes, _row_blocks, sweep_extremes,
+                      sweep_returns, sweep_visits)
 from .points import (Annulus, OrbitIndex, Pair, PointCloud, SymbolicPoint,
                      Torus, arr_mod1, periodic_point, symbolic_distance,
                      word_point)
@@ -203,20 +201,20 @@ def _close_pairs(a, b, gap):
     return np.repeat(np.arange(len(a)) * len(b), n) + order[at % len(b)]
 
 
-def _pair_list(near, shape, mirror, minima):
+def _pair_list(near, shape, mirror, extremes):
     """The `PairExtremes` of an override of ``comoving_pairs`` on an
     (m, n) matrix, from the flat positions i * n + j of the pairs it
-    keeps; minima(i, j) evaluates {h: minima} over paired index lists.
+    keeps; extremes(i, j) evaluates {h: extremes} over paired index lists.
     With mirror (a cloud against itself) only the pairs i <= j are
     evaluated and each value is copied to (j, i): a pair found in one
     order only lies at the edge of a search with twice the room it needs,
-    so its minimum is at least below."""
+    so its extremes are at least below."""
     n = shape[1]
     i, j = np.divmod(near, n)
     if mirror:
         half = i <= j
         i, j = i[half], j[half]
-    ext = minima(i, j)
+    ext = extremes(i, j)
     if mirror:
         off = i != j
         i, j = np.concatenate((i, j[off])), np.concatenate((j, i[off]))
@@ -565,32 +563,36 @@ class DynSystem:
         raise NotImplementedError
 
     # -- the kernels' hooks, on states --------------------------------------
-    def comoving_extremes(self, sa, sb, horizons, use_max, centre):
-        """{h: M_h} with M_h[i, j] the min (max when use_max) over
-        |n - centre| <= h of d(f^n a_i, f^n b_j), a_i and b_j the points
-        of the states sa and sb; sb None pairs sa with itself.  The
-        minima of a cloud against itself are exactly symmetric,
-        M_h[i, j] == M_h[j, i] bit for bit, at every horizon."""
-        return sweep_extremes(self, sa, sb, horizons, use_max, centre)
-
     def comoving_pairs(self, sa, sb, horizons, use_max, centre, below):
-        """The extremes of ``comoving_extremes`` at the pairs that may lie
-        under `below` (finite and positive), for callers that read only
-        those: a `PairExtremes` of the pairs (i, j) in CSR order, by row
-        and then by column, each with its minimum (maximum when use_max)
-        at every horizon, bit for bit the matrix entry.
+        """The co-moving extremes, the one hook a system overrides for them:
+        a `PairExtremes` of pairs (i, j) in CSR order, by row and then by
+        column, each with the min (max when use_max) over |n - centre| <= h
+        of d(f^n a_i, f^n b_j) at every horizon h, a_i and b_j the points
+        of the states sa and sb; sb None pairs sa with itself, and its
+        minima are exactly symmetric, (i, j) and (j, i) bit for bit.
 
-        Every pair whose extreme lies under `below` at some horizon of the
-        call is listed: the widest for minima, which fall as the window
-        grows, and the narrowest for maxima, which rise.  Every pair left
-        out has a certified extreme at or above `below` at every horizon;
-        a listed pair may lie above it too.  Against itself (sb None) the
-        list is its own transpose, (j, i) listed with (i, j) and holding
-        the same values, as the extremes are symmetric: an override
+        `below` None lists every pair: a full list, its values the
+        row-major matrices with no i/j grids, which ``comoving_extremes``
+        reshapes.  A finite positive `below` lists at least every pair
+        whose extreme lies under it at some horizon of the call: the
+        widest for minima, which fall as the window grows, and the
+        narrowest for maxima, which rise.  Every pair left out has a
+        certified extreme at or above `below` at every horizon; a listed
+        pair may lie above it too, its values bit for bit the full list's.
+        Against itself (sb None) the list is its own transpose, (j, i)
+        listed with (i, j) and holding the same values: an override
         evaluates each unordered pair once and mirrors it, or keys it
-        symmetrically.  This default lists every entry of the full
-        matrices, which it computes anyway (`dense_pairs`)."""
-        return dense_pairs(self, sa, sb, horizons, use_max, centre, below)
+        symmetrically.  This default runs the engine (`sweep_extremes`)
+        and lists every pair at any `below`."""
+        return PairExtremes.of_matrices(
+            sweep_extremes(self, sa, sb, horizons, use_max, centre))
+
+    def comoving_extremes(self, sa, sb, horizons, use_max, centre):
+        """{h: M_h}, the full list of ``comoving_pairs`` as matrices:
+        M_h[i, j] the min (max when use_max) over |n - centre| <= h of
+        d(f^n a_i, f^n b_j).  Derived, never overridden."""
+        return self.comoving_pairs(sa, sb, horizons, use_max, centre,
+                                   None).matrices()
 
     def visit_minima(self, sp, st, H):
         """V[i, j] = min over |n| <= H of d(f^n p_i, t_j), p_i and t_j the
@@ -670,56 +672,51 @@ class _TorusBase(DynSystem):
     def arr_edist(self, sa, sb):
         return _torus_dist(sa[:, 0] - sb[:, 0], sa[:, 1] - sb[:, 1])
 
-    def comoving_extremes(self, A, B, horizons, use_max, centre):
+    def comoving_pairs(self, A, B, horizons, use_max, centre, below):
         """Closed form by difference class.
 
         d(F^n p, F^n q) depends on the pair only through its raw difference
-        (dx, dy), so each group of `_class_groups` sweeps its distinct
-        differences once (`_sweep_classes`) and gathers the extremes back
-        into its row blocks.  The differences are not reduced before
-        deduplication, so (i, j) and (j, i) are exact negatives and a
-        matrix of the cloud against itself is exactly symmetric.
+        (dx, dy), so each distinct difference is swept once
+        (`_sweep_classes`).  A full list goes by the groups of
+        `_class_groups` and gathers each group's extremes back into its
+        row blocks; under `below` the pairs that `_near_pairs` keeps are
+        swept as a list of their distinct differences, each class's
+        extremes independent of the other classes of the call, so the
+        two agree bit for bit (a full list when it keeps too many).  The
+        differences are not reduced before deduplication, so (i, j) and
+        (j, i) are exact negatives and a cloud against itself is exactly
+        symmetric.
 
         An isometry (shear 0: the rotation, the identity) keeps every
-        pair's distance, so each horizon gets the time-0 ``arr_cdist``
-        matrix, at any centre: the same raw differences through the same
-        `_torus_dist`, bit for bit what the classes would give.
+        pair's distance, so each horizon gets the time-0 distances, at any
+        centre: the same raw differences through the same `_torus_dist`,
+        bit for bit what the classes would give.
         """
-        B = A if B is None else B
-        if not self.shear:
-            D, H = self.arr_cdist(A, B), max(horizons)
-            return {h: D if h == H else D.copy() for h in horizons}
-        out = {h: np.empty((len(A), len(B))) for h in horizons}
-        for classes, blocks in _class_groups(A, B):
-            ext = self._sweep_classes(classes, horizons, use_max, centre)
-            for rows, at in blocks:
-                for h in horizons:
-                    out[h][rows] = ext[h][at]
-        return out
-
-    def comoving_pairs(self, A, B, horizons, use_max, centre, below):
-        """``DynSystem.comoving_pairs`` for the pairs that `_near_pairs`
-        keeps, swept as a list of their distinct differences (the full
-        matrices when it keeps too many, and for maxima).  A class's
-        extremes do not depend on the other classes of the call, so the
-        listed minima are those of ``comoving_extremes``, bit for bit; an
-        isometry lists its pairs' time-0 distances."""
         other = A if B is None else B
-        near = None if use_max else self._near_pairs(A, other, below)
+        near = None if below is None else self._near_pairs(A, other, below)
         if near is None:
-            return super().comoving_pairs(A, B, horizons, use_max, centre,
-                                          below)
+            if not self.shear:
+                D, H = self.arr_cdist(A, other), max(horizons)
+                out = {h: D if h == H else D.copy() for h in horizons}
+                return PairExtremes.of_matrices(out)
+            out = {h: np.empty((len(A), len(other))) for h in horizons}
+            for classes, blocks in _class_groups(A, other):
+                ext = self._sweep_classes(classes, horizons, use_max, centre)
+                for rows, at in blocks:
+                    for h in horizons:
+                        out[h][rows] = ext[h][at]
+            return PairExtremes.of_matrices(out)
 
-        def minima(i, j):
+        def extremes(i, j):
             if not self.shear:
                 d = self.arr_edist(A[i], other[j])
                 return {h: d for h in horizons}
             diff = (A[i] - other[j]).view(np.complex128).ravel()
             classes, inv = np.unique(diff, return_inverse=True)
-            ext = self._sweep_classes(classes, horizons, False, centre)
+            ext = self._sweep_classes(classes, horizons, use_max, centre)
             return {h: e[inv] for h, e in ext.items()}
 
-        return _pair_list(near, (len(A), len(other)), B is None, minima)
+        return _pair_list(near, (len(A), len(other)), B is None, extremes)
 
     def _sweep_classes(self, classes, horizons, use_max, centre):
         """{h: extremes over |n - centre| <= h} for each difference class
@@ -743,12 +740,13 @@ class _TorusBase(DynSystem):
         return {h: _torus_dist(classes.real.copy(), Y) for h, Y in cps.items()}
 
     def _near_pairs(self, A, B, below):
-        """The flat positions of the pairs whose minimum may lie under
+        """The flat positions of the pairs whose extremes may lie under
         `below`, or None to sweep them all.  The x-gap never changes, so a
         pair is at least ||dx|| apart at every time, and a pair with no
         rise (shear dx = 0) keeps its time-0 distance: a pair is dropped
         only where one of these bounds is at least 2 below, which leaves
-        room for every rounding of the bound and of the distance."""
+        room for every rounding of the bound and of the distance.  Either
+        bound holds at every time, so it bounds the maximum too."""
         gap = 2.0 * below + _GAP_SLACK
         near = None if gap >= 0.25 else _close_pairs(A[:, 0], B[:, 0], gap)
         if near is None:
@@ -1146,103 +1144,58 @@ class AnnulusSystem(DynSystem):
             D[rows] = _chord(r, r0[rows, None], _sin2(gap))
         return D[inv]
 
-    def comoving_extremes(self, sa, sb, horizons, use_max, centre):
+    def comoving_pairs(self, sa, sb, horizons, use_max, centre, below):
         """Closed form, no iteration.
 
         Every angle advances by k, so a pair's angle gap never changes and
         d(f^n a, f^n b) is the chord at that gap between the radii at time
-        n.  Circles keep their radius: two circle points are one chord
-        (`_circle_chords`).  An orbit point against a circle point is read
-        off the orbit's sorted radii by `_orbit_circle`, with no time
-        loop.  Pairs of orbit points that share their rows, index gap d
-        and the bits of s2 share one sequence of chords shifted in time,
-        which `_orbit_pairs` evaluates once per class, where a radius
-        moves.  Every value is computed elementwise from its own pair, so
-        it does not depend on the other pairs of its call.
-
-        The matrix goes by blocks of kind, each in blocks of at most
-        _CLASS_BLOCK pairs, whose rows and columns broadcast where a list
-        of every pair would gather each pair's values (about a quarter
-        slower on annulus3's default cloud).  `_chord` and `_sin2` are
-        exactly symmetric, so the circle rows against orbit columns of a
-        matrix against itself are the transpose of its orbit rows against
-        circle columns, bit for bit.
+        n.  Each pair is evaluated on its own by `_pair_extremes`, so its
+        value does not depend on the other pairs of its call: a full list
+        goes in row blocks of at most _CLASS_BLOCK pairs, and under
+        `below` only the pairs that `_near_pairs` keeps are evaluated (a
+        full list when it keeps too many).  `_chord` and `_sin2` are
+        exactly symmetric, so against itself each unordered pair is
+        evaluated once and mirrored, bit for bit.
         """
         A, B = sa, sa if sb is None else sb
         shape = (len(A["row"]), len(B["row"]))
-        oa, ob = np.nonzero(A["row"] >= 0)[0], np.nonzero(B["row"] >= 0)[0]
-        ca, cb = np.nonzero(A["row"] < 0)[0], np.nonzero(B["row"] < 0)[0]
-        D = np.empty(shape)
-        for blk in _row_blocks(ca.size, cb.size, _CLASS_BLOCK):
-            i = ca[blk]
-            D[np.ix_(i, cb)] = _circle_chords(A, B, i[:, None], cb)
-        # the circle pairs hold at every horizon; the widest takes D itself
-        H = max(horizons)
-        out = {h: D if h == H else D.copy() for h in horizons}
-        # orbit rows against circle columns, one table row at a time, and
-        # B's orbit rows against A's circle columns, transposed
-        kinds = [(A, oa, B, cb, False)]
-        if sb is not None:
-            kinds.append((B, ob, A, ca, True))
-        for X, o, Y, c, flip in kinds:
-            for row in np.unique(X["row"][o]):
-                sel = o[X["row"][o] == row]
-                for blk in _row_blocks(sel.size, c.size, _CLASS_BLOCK):
-                    i = sel[blk]
-                    ext = self._orbit_circle(
-                        row, X["idx"][i, None].astype(int), Y["r"][c],
-                        _sin2(X["theta"][i, None] - Y["theta"][c]),
-                        horizons, use_max, centre)
-                    for h in horizons:
-                        if flip:
-                            out[h][np.ix_(c, i)] = ext[h].T
-                        else:
-                            out[h][np.ix_(i, c)] = ext[h]
-        if sb is None:
-            for h in horizons:
-                out[h][np.ix_(ca, oa)] = out[h][np.ix_(oa, ca)].T
-        for blk in _row_blocks(oa.size, ob.size, _CLASS_BLOCK):
-            i = oa[blk]
-            ext = self._orbit_pairs(_take(A, np.repeat(i, ob.size)),
-                                    _take(B, np.tile(ob, i.size)), horizons,
-                                    use_max, centre)
-            for h in horizons:
-                out[h][np.ix_(i, ob)] = ext[h].reshape(i.size, -1)
-        return out
+        near = None if below is None else self._near_pairs(A, B, below)
 
-    def comoving_pairs(self, sa, sb, horizons, use_max, centre, below):
-        """``DynSystem.comoving_pairs`` for the pairs that `_near_pairs`
-        keeps, evaluated as lists of pairs by kind (`_pair_extremes`; the
-        full matrices when it keeps too many, and for maxima).  Every
-        value is computed from its own pair, so the listed minima are
-        those of ``comoving_extremes``, bit for bit."""
-        A, B = sa, sa if sb is None else sb
-        near = None if use_max else self._near_pairs(A, B, below)
-        if near is None:
-            return super().comoving_pairs(sa, sb, horizons, use_max, centre,
-                                          below)
-
-        def minima(i, j):
+        def extremes(i, j):
             ext = {h: np.empty(len(i)) for h in horizons}
             for blk in _row_blocks(len(i), 1, _CLASS_BLOCK):
                 part = self._pair_extremes(A, B, i[blk], j[blk], horizons,
-                                           centre)
+                                           use_max, centre)
                 for h in horizons:
                     ext[h][blk] = part[h]
             return ext
 
-        return _pair_list(near, (len(A["row"]), len(B["row"])), sb is None,
-                          minima)
+        if near is not None:
+            return _pair_list(near, shape, sb is None, extremes)
+        out = {h: np.empty(shape) for h in horizons}
+        for rows in _row_blocks(*shape, _CLASS_BLOCK):
+            i = np.arange(shape[0])[rows]
+            # against itself, the columns before the block are the mirror
+            # of rows already evaluated
+            cols = np.arange(rows.start if sb is None else 0, shape[1])
+            part = extremes(np.repeat(i, cols.size), np.tile(cols, i.size))
+            for h in horizons:
+                out[h][rows, shape[1] - cols.size:] = part[h].reshape(
+                    i.size, cols.size)
+                if sb is None:
+                    out[h][rows, :rows.start] = out[h][:rows.start, rows].T
+        return PairExtremes.of_matrices(out)
 
     def _near_pairs(self, A, B, below):
-        """The flat positions of the pairs whose minimum may lie under
+        """The flat positions of the pairs whose extremes may lie under
         `below`, or None to evaluate them all.  A pair's angle gap g never
         changes and every radius is at least R0, the least of the circles
         and the radius table, so the pair is at least 2 R0 |sin pi g|
         apart at every time; two circle points are also at least their
         radii's difference apart.  A pair is dropped only where one of
         these bounds is at least 2 below, which leaves room for every
-        rounding of the bound and of the chord."""
+        rounding of the bound and of the chord.  Either bound holds at
+        every time, so it bounds the maximum too."""
         s = below / self._r0
         gap = math.asin(s) / math.pi + _GAP_SLACK if s < 1.0 else 1.0
         near = None if gap >= 0.25 else _close_pairs(A["theta"], B["theta"],
@@ -1254,12 +1207,14 @@ class AnnulusSystem(DynSystem):
         far &= np.abs(A["r"][i] - B["r"][j]) >= 2.0 * below
         return near[~far]
 
-    def _pair_extremes(self, A, B, i, j, horizons, centre):
-        """{h: e_h}, e_h[k] the min over |n - centre| <= h of
-        d(f^n a_{i_k}, f^n b_{j_k}): the pairs (i_k, j_k) split by kind,
-        each kind evaluated as a list of pairs.
-        An orbit point against a circle point goes to `_orbit_circle`
-        whichever side holds the orbit point, one table row at a time."""
+    def _pair_extremes(self, A, B, i, j, horizons, use_max, centre):
+        """{h: e_h}, e_h[k] the min (max when use_max) over
+        |n - centre| <= h of d(f^n a_{i_k}, f^n b_{j_k}): the pairs
+        (i_k, j_k) split by kind, each kind evaluated as a list of pairs.
+        Two circle points keep their chord (`_circle_chords`).  An orbit
+        point against a circle point goes to `_orbit_circle`, whichever
+        side holds the orbit point, one table row at a time, and two orbit
+        points to `_orbit_pairs`."""
         ext = {h: np.empty(len(i)) for h in horizons}
         oa, ob = A["row"][i] >= 0, B["row"][j] >= 0
         cc = ~(oa | ob)
@@ -1274,14 +1229,14 @@ class AnnulusSystem(DynSystem):
                 o, c = x[k], y[k]
                 part = self._orbit_circle(
                     row, X["idx"][o].astype(int), Y["r"][c],
-                    _sin2(X["theta"][o] - Y["theta"][c]), horizons, False,
+                    _sin2(X["theta"][o] - Y["theta"][c]), horizons, use_max,
                     centre)
                 for h in horizons:
                     ext[h][k] = part[h]
         k = np.flatnonzero(oa & ob)
         if k.size:
             part = self._orbit_pairs(_take(A, i[k]), _take(B, j[k]),
-                                     horizons, False, centre)
+                                     horizons, use_max, centre)
             for h in horizons:
                 ext[h][k] = part[h]
         return ext
@@ -1793,7 +1748,7 @@ class ShiftSystem(DynSystem):
     floor = 2.0 ** -GCAP
     cloud_size = 4
 
-    def comoving_extremes(self, pts_a, pts_b, horizons, use_max, centre):
+    def comoving_pairs(self, pts_a, pts_b, horizons, use_max, centre, below):
         """Closed form, no iteration.
 
         d(sigma^n x, sigma^n y) = 2^-g(n) with g(n) the gap from n to the
@@ -1815,57 +1770,49 @@ class ShiftSystem(DynSystem):
         keys are sorted by `np.unique` in each block of rows.
         Values below 2^-GCAP, and pairs that agree on the whole window, are
         clamped to it; equal points get 0.
+
+        Minima, and maxima with no `below` or one above 1, are a full
+        list.  For maxima under `below`: a value 2^-g lies under it iff
+        g >= r, r the least integer with 2^-r < below
+        (`_agreement_radius`), and at most GCAP + 1, past which only equal
+        points, at 0, lie under it.  So a pair's maximum over
+        |n - centre| <= h lies under `below` only if the two points agree
+        on [centre - h - r + 1, centre + h + r - 1]: one `np.unique` over
+        the points' symbols there groups them, the pairs of each group are
+        listed, and their keys are read as the full list reads them, bit
+        for bit its values.
         """
+        r = 0 if below is None else _agreement_radius(below)
         W = max(horizons) + GCAP
-        lists = [pts_a] if pts_b is None else [pts_a, pts_b]
-        _, codes, segments = _window_classes(lists, W, centre)
-        ca, cb = codes[0], codes[-1]
-        ma, mb = len(ca), len(cb)
-        read = _key_reader(ca, cb, segments, W, horizons, use_max, ma * mb)
-        rows_of = np.arange(ma)[:, None]
-        out = {h: np.empty((ma, mb)) for h in horizons}
-        for rows in _row_blocks(ma, mb * ca.shape[1], _CHUNK):
-            read(rows_of[rows], np.arange(mb),
-                 {h: M[rows] for h, M in out.items()})
-        equal = _group_pairs(*_point_ids(pts_a, pts_b))
-        for h in horizons:
-            out[h][equal] = 0.0
-        return out
-
-    def comoving_pairs(self, pts_a, pts_b, horizons, use_max, centre, below):
-        """``DynSystem.comoving_pairs``; for maxima, from the pairs that
-        agree near the narrowest window.
-
-        A value 2^-g lies under `below` iff g >= r, r the least integer
-        with 2^-r < below (`_agreement_radius`), and at most GCAP + 1,
-        past which only equal points, at 0, lie under it.  So a pair's
-        maximum over |n - centre| <= h lies under `below` only if the two
-        points agree on [centre - h - r + 1, centre + h + r - 1]: one
-        `np.unique` over the points' symbols there groups them, the pairs
-        of each group are listed, and their keys are read as in
-        ``comoving_extremes``, bit for bit its values.  Minima, and a
-        `below` above 1 (r <= 0, which every pair lies under), take the
-        default list."""
-        r = _agreement_radius(below)
-        if not use_max or r <= 0:
-            return super().comoving_pairs(pts_a, pts_b, horizons, use_max,
-                                          centre, below)
-        h, W, r = min(horizons), max(horizons) + GCAP, min(r, GCAP + 1)
         lists = [pts_a] if pts_b is None else [pts_a, pts_b]
         bits, codes, segments = _window_classes(lists, W, centre)
         ca, cb = codes[0], codes[-1]
+        ma, mb = len(ca), len(cb)
+        if not use_max or r <= 0:
+            read = _key_reader(ca, cb, segments, W, horizons, use_max,
+                               ma * mb)
+            rows_of = np.arange(ma)[:, None]
+            out = {h: np.empty((ma, mb)) for h in horizons}
+            for rows in _row_blocks(ma, mb * ca.shape[1], _CHUNK):
+                read(rows_of[rows], np.arange(mb),
+                     {h: M[rows] for h, M in out.items()})
+            equal = _group_pairs(*_point_ids(pts_a, pts_b))
+            for h in horizons:
+                out[h][equal] = 0.0
+            return PairExtremes.of_matrices(out)
+        h, r = min(horizons), min(r, GCAP + 1)
         near = np.packbits(np.concatenate(bits)[:, W - h - r + 1:W + h + r],
                            axis=1)
         _, group = np.unique(near.view(f"V{near.shape[1]}").ravel(),
                              return_inverse=True)
-        i, j = _group_pairs(group[:len(ca)], group[len(group) - len(cb):])
+        i, j = _group_pairs(group[:ma], group[len(group) - mb:])
         vals = {k: np.empty(len(i)) for k in horizons}
         _key_reader(ca, cb, segments, W, horizons, True, len(i))(i, j, vals)
         ida, idb = _point_ids(pts_a, pts_b)
         equal = ida[i] == idb[j]
         for v in vals.values():
             v[equal] = 0.0
-        return PairExtremes((len(ca), len(cb)), i, j, vals)
+        return PairExtremes((ma, mb), i, j, vals)
 
     def visit_minima(self, points, targets, H):
         """Closed form, no iteration.

@@ -1711,10 +1711,9 @@ def test_annulus_comoving_between_disjoint_windows(use_max):
 
 @pytest.mark.parametrize("budget", [1, 7, 64])
 def test_annulus_class_blocks(monkeypatch, budget):
-    # orbit rows against circle columns, and the distance matrix, go in
-    # blocks of at most _CLASS_BLOCK pairs (at least one row); every block
-    # gives the dense fold's extremes and the pointwise distances, bit for
-    # bit
+    # the co-moving pairs and the distance matrix go in blocks of at most
+    # _CLASS_BLOCK pairs (at least one row); every block gives the dense
+    # fold's extremes and the pointwise distances, bit for bit
     monkeypatch.setattr(systems, "_CLASS_BLOCK", budget)
     rng = np.random.default_rng(budget)
     for name in sorted(CLOSED):
@@ -2208,28 +2207,43 @@ def test_below_evaluates_only_the_pairs_that_can_be_edges(monkeypatch):
 
 
 def test_full_list_counts_rows_with_no_grid():
-    # the default's list of every pair builds no row or column grid until
-    # one is read; its row counts are those of the matrix, and the grids,
-    # once read, are the CSR order of every pair
-    sys = SkewTorus()
-    pts = list(sys.sampler(6).points)
-    M = orbit_max_matrix(sys, pts, 30)
-    found = kernels.orbit_max_list(sys, pts, 30, below=0.2)
-    assert found.full and found._i is None and found._j is None
-    keep = found.values[30] < 0.2
-    assert np.array_equal(found.row_counts(keep), (M < 0.2).sum(axis=1))
-    m = len(pts)
-    assert np.array_equal(found.i, np.repeat(np.arange(m), m))
-    assert np.array_equal(found.j, np.tile(np.arange(m), m))
-    assert np.array_equal(found.row_counts(keep),
-                          np.bincount(found.i[keep], minlength=m))
+    # a list of every pair builds no row or column grid until one is read;
+    # its row counts are those of the matrix, and the grids, once read,
+    # are the CSR order of every pair.  Full lists: the torus maxima under
+    # a threshold too wide to prune, the shift's minima under any, and
+    # every hook with no threshold
+    for sys, res, use_max, below in ((SkewTorus(), 6, True, 0.2),
+                                     (SkewTorus(), 6, False, None),
+                                     (Rotation(), 16, True, None),
+                                     (annulus3(), 4, True, None),
+                                     (annulus3(), 4, False, None),
+                                     (shift2(), 2, False, 1e-3)):
+        pts = list(sys.sampler(res).points)
+        if use_max:
+            M = orbit_max_matrix(sys, pts, 30)
+            found = kernels.orbit_max_list(sys, pts, 30, below=below)
+        else:
+            M = orbit_min_matrix(sys, pts, 30)[0]
+            found = kernels.orbit_min_list(sys, pts, 30, below=below)
+        assert found.full and found._i is None and found._j is None
+        assert found.values[30].tobytes() == M.tobytes()
+        keep = found.values[30] < 0.2
+        assert np.array_equal(found.row_counts(keep), (M < 0.2).sum(axis=1))
+        m = len(pts)
+        assert np.array_equal(found.i, np.repeat(np.arange(m), m))
+        assert np.array_equal(found.j, np.tile(np.arange(m), m))
+        assert np.array_equal(found.row_counts(keep),
+                              np.bincount(found.i[keep], minlength=m))
 
 
 @pytest.mark.parametrize("name", ["annulus3", "skew_torus"])
 def test_below_falls_back_to_the_full_matrix(name, monkeypatch):
-    # a threshold so wide that most pairs stay goes the unpruned way: every
-    # pair is listed with its exact minimum, so the matrix scattered from
-    # the list is the exact matrix
+    # a threshold so wide that most pairs stay goes the unpruned way, for
+    # minima and maxima: every pair is listed with its exact extreme, so
+    # the matrix scattered from the list is the exact matrix; with no
+    # threshold the hook lists every pair too, bit for bit a reference
+    # that shares none of its grouping (a fold over every time on the
+    # annulus, per-block classes on the torus)
     sys = BELOW_SYSTEMS[name]()
     pts = list(sys.sampler(8).points)
     want = orbit_min_matrix(sys, pts, 30)[0]
@@ -2242,8 +2256,45 @@ def test_below_falls_back_to_the_full_matrix(name, monkeypatch):
             want[found.i, found.j].tobytes()
         assert np.array_equal(orbit_min_matrix(sys, pts, 30, below=below)[0],
                               want)
+        peak = orbit_max_matrix(sys, pts, 30)
+        found = sys.comoving_pairs(S, None, {30}, True, 0, below)
+        assert len(found.i) == peak.size
+        assert found.values[30].tobytes() == \
+            peak[found.i, found.j].tobytes()
 
+    for use_max in (False, True):
+        if name == "annulus3":
+            ref = dense_fold(sys, pts, None, 30, use_max, 0)
+        else:
+            ref = per_block_reference(sys, S, None, {30}, use_max, 0)[30]
+        found = sys.comoving_pairs(S, None, {30}, use_max, 0, None)
+        assert found.full
+        assert found.values[30].tobytes() == ref.tobytes()
     check(0.9)
     monkeypatch.setattr(systems, "_close_pairs",
                         lambda *args: None)
     check(1e-3)
+
+
+@pytest.mark.parametrize("name", ["annulus3", "skew_torus"])
+def test_max_list_is_pruned_by_the_fixed_gap(name):
+    # the fixed gap that bounds a pair's distance at every time bounds its
+    # maximum too, so a narrow threshold lists fewer than every pair, on
+    # a cloud against itself and for rows against it
+    sys = BELOW_SYSTEMS[name]()
+    pts = list(sys.sampler(16).points)
+    S, R = sys.arr_state(pts), sys.arr_state(pts[::5])
+    for A, B in ((S, None), (R, S)):
+        found = kernels._comoving_list(sys, A, B, {4, 30}, True, 3, 0.02)
+        exact = sys.comoving_extremes(A, B, {4, 30}, True, 3)
+        assert not found.full
+        assert len(found.i) < exact[30].size
+        assert_list_contract(found, exact, 0.02, B is None, use_max=True)
+
+
+def test_only_the_base_class_defines_comoving_extremes():
+    # comoving_pairs is the one co-moving hook a system overrides;
+    # comoving_extremes reshapes its full list and is overridden nowhere
+    owners = [name for name, cls in vars(systems).items()
+              if isinstance(cls, type) and "comoving_extremes" in vars(cls)]
+    assert owners == ["DynSystem"]
