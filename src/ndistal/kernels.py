@@ -50,16 +50,16 @@ engine still serves the rotation, conjugates, powers and products:
     mod 1 at time centre + m, so its extreme over a window is the
     circular distance from one point to the progression
     {m rise mod 1 : |m| <= h}, shared by every class of the same x-gap:
-    one sorted table per rise and horizon, one bisection per class (the
-    three-distance lookup of the annulus visits), and a scan for a rise
-    that one class holds.  The distance is taken once per horizon, and
-    the extremes are within about 1e-14 of a time-stepped fold, not
-    bit-identical to it;
+    one sorted table per rise and horizon, one bisection per class, and a
+    scan for a rise that one class holds.  The distance is taken once per
+    horizon, and the extremes are within about 1e-14 of a time-stepped
+    fold, not bit-identical to it;
   * the annulus family, for the visits: at a fixed radius the nearest
-    visit is one bisection in the sorted angles {n k mod 1 : |n| <= H},
-    and the short window of indices where an orbit's radius moves is one
-    table of distances per orbit, shared by its points, as is one sorted
-    table per orbit and side for the nested tails beyond the window;
+    visit is the nearest of the sorted angles {n k mod 1 : |n| <= H}
+    (`systems._nearest_gap` says how it is found), and the short window
+    of indices where an orbit's radius moves is one table of distances
+    per orbit, shared by its points, as is one sorted table per orbit and
+    side for the nested tails beyond the window;
   * the annulus family, for the co-moving extremes: a pair's angle gap is
     constant, so an orbit point against a circle point is read off the
     orbit's sorted radii by bisection, and two orbit points that share

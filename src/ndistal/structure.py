@@ -86,15 +86,19 @@ def _return_gaps(D, delta):
     """For each row of return distances D (times -H..H), the longest gap
     between its returns D < delta, the two ends of the window counting as
     virtual returns at -H-1 and H+1; -1 for a row with at most one return
-    (the return at n = 0 alone)."""
-    returns = D < delta
-    t = np.arange(returns.shape[1])
-    # the last return at or before each time, -1 (the virtual one) if none
-    last = np.where(returns, t, -1)
-    np.maximum.accumulate(last, axis=1, out=last)
-    np.subtract(t + 1, last, out=last)
-    gaps = last.max(axis=1)
-    gaps[returns.sum(axis=1) <= 1] = -1
+    (the return at n = 0 alone).  Only the returns are read: each row is
+    padded with its two virtual returns, and the flat positions of all
+    returns give every row's gaps as their differences."""
+    m, T = D.shape
+    padded = np.ones((m, T + 2), dtype=bool)
+    np.less(D, delta, out=padded[:, 1:-1])
+    at = np.flatnonzero(padded)
+    counts = np.count_nonzero(padded, axis=1)
+    # each row's gaps start at its first position in `at`; the difference
+    # from one row's last return to the next row's first is 1, never its
+    # longest gap
+    gaps = np.maximum.reduceat(np.diff(at), np.cumsum(counts) - counts)
+    gaps[counts <= 3] = -1
     return gaps
 
 
@@ -177,10 +181,18 @@ def minimal_subsystems(sys, cloud: PointCloud, delta: float = 0.05,
     else:
         V = visit[np.ix_(ap_idx, ap_idx)]
     # imported here, so that importing the package loads no scipy.sparse
+    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
     sym = np.maximum(V, V.T)
-    _, labels = connected_components(sym < delta, directed=False)
+    # the edges as the float64 CSR graph that connected_components works
+    # on, so that it validates no dense matrix and converts nothing
+    close = sym < delta
+    edges = np.flatnonzero(close)
+    graph = csr_array((np.ones(edges.size), edges % len(sym),
+                       np.r_[0, np.cumsum(np.count_nonzero(close, axis=1))]),
+                      shape=sym.shape)
+    _, labels = connected_components(graph, directed=False)
     # a label's first index is its smallest member
     _, first = np.unique(labels, return_index=True)
     out = []
@@ -232,12 +244,19 @@ def theorem_3_5_audit(sys, N_claimed: int, cloud: PointCloud,
         return AuditRecord("theorem_3_5", False, None, details)
     minimal = minimal_subsystems(sys, cloud, delta, H, delta_list,
                                  gap_bound=gap_bound, visit=visit)
+    details["transitive_point"] = repr(tp)
+    details["n_clusters"] = len(minimal)
+    if not minimal:
+        # every compact system has a minimal set (Birkhoff), so a cloud
+        # with no almost periodic point says nothing at this scale
+        details["reason"] = ("no cloud point is almost periodic at this "
+                             "scale, while every compact system has a "
+                             "minimal set")
+        return AuditRecord("theorem_3_5", False, None, details)
     # the theorem bounds PROPER minimal subsystems: a cluster whose orbits
     # are delta-dense in the whole cloud is the space itself, not proper
     proper = [c for c in minimal
               if visit[list(c.indices), :].min(axis=0).max() >= delta]
-    details["transitive_point"] = repr(tp)
-    details["n_clusters"] = len(minimal)
     details["n_minimal"] = len(proper)
     details["minimal_sizes"] = [len(c.indices) for c in proper]
     return AuditRecord("theorem_3_5", True,

@@ -78,26 +78,25 @@ from one query point to the arithmetic progression {m rise mod 1 :
 |m| <= h}, and every class of the same x-gap shares that progression.
 Folded onto [0, 1/2] it is the same for the rise and its negative; each
 rise shared by several classes is sorted into one table per horizon and
-each class bisects it once, the nearest-angle lookup of the
-three-distance theorem that the annulus visits use too; a rise of one
-class is scanned.  Both read the same table values, so a class gets the
-same bits either way, within about 1e-14 of the time-stepped fold but
-not bit-identical to it.  Under a threshold ``below`` the torus lists
-its minima or maxima from the pairs whose x-gap ||dx||, which never
-changes, is under 2 below, and of those with no rise (shear dx = 0) only
-the ones whose time-0 distance, which they keep, is under 2 below; one
-sort of x and two searches find them, and their distinct differences are
-swept as one list.  The annulus family computes each of its three hooks
-once per class of points that share the value.  It overrides
-``visit_minima``: every angle advances by the same k, so a visit at fixed
-radius is one bisection in the sorted angles {n k mod 1}, and the short
+each class bisects it once; a rise of one class is scanned.  Both read
+the same table values, so a class gets the same bits either way, within
+about 1e-14 of the time-stepped fold but not bit-identical to it.  Under
+a threshold ``below`` the torus lists its minima or maxima from the pairs
+whose x-gap ||dx||, which never changes, is under 2 below, and of those
+with no rise (shear dx = 0) only the ones whose time-0 distance, which
+they keep, is under 2 below; one sort of x and two searches find them,
+and their distinct differences are swept as one list.  The annulus
+family computes each of its three hooks once per class of points that
+share the value.  It overrides ``visit_minima``: every angle advances by
+the same k, so a visit at fixed radius is the nearest of the sorted
+angles {n k mod 1} (`_nearest_gap` says how it is found), and the short
 window of indices where a wandering orbit's radius moves is one table of
 distances per orbit, which each orbit point reads over its own range.
 The tails before and after the window that end at its edge nest, so each
 orbit and side sorts one table for the shortest and adds the longer
-tails' indices by a running minimum.  It
-also overrides ``comoving_pairs``: a pair's angle gap never changes.
-Between an orbit point and a circle point the distance is then a convex
+tails' indices by a running minimum.  It also overrides
+``comoving_pairs``: a pair's angle gap never changes.  Between an orbit
+point and a circle point the distance is then a convex
 function of the orbit's radius, and each orbit's radii rise to one peak
 and fall after it, so the extremes over a window are read off that side's
 sorted radii, at the ends of the window's run and next to the vertex, by
@@ -411,12 +410,40 @@ def _angle_table(lo, hi, k):
 
 def _nearest_gap(table, q):
     """Circular distance from each angle q in [0, 1] to the nearest angle
-    of an `_angle_table`: one bisection finds both neighbours, as the
-    table starts below 0 and ends at 1 or above.  By the three-distance
-    theorem the table's gaps take at most three lengths, which bounds that
-    distance by the longest."""
-    i = np.searchsorted(table, q)
-    return np.minimum(np.abs(q - table[i - 1]), np.abs(table[i] - q))
+    of an `_angle_table`, from its two neighbours table[i - 1] < q <=
+    table[i]: the table starts below 0 and ends at 1 or above.
+
+    The index i is read off a bucket index over [0, 1] with 2^b >=
+    2 len(table) buckets: bucket j holds the angles t with
+    floor(t 2^b) = j, and its entry is the number of angles below it, one
+    `bincount` and one `cumsum`.  Scaling by a power of two is exact, so
+    every angle below q's bucket is below q and every angle above it is
+    above q, and i lies in q's bucket or just after it.  Each query moves
+    forward from its bucket's entry at most two steps while table[i] < q.
+    By the three-distance theorem (Sos 1958) the gaps of n k mod 1 take
+    at most three lengths; for a badly approximable k, as the golden mean
+    is, the shortest is a fixed fraction of the mean gap, and a bucket
+    half the mean gap wide holds one angle or two.  A query still short
+    of its place after two steps, in a crowded bucket (k rational or close
+    to an integer, or angles repeated), is placed by bisection.  Either way
+    i is the index `np.searchsorted` gives, so every gap is its gap bit
+    for bit."""
+    scale = float(1 << (2 * len(table) - 1).bit_length())
+    first = np.clip(np.floor(table * scale), -1.0, scale).astype(np.intp)
+    entry = np.cumsum(np.bincount(first + 1, minlength=int(scale) + 2))
+    i = entry[(q * scale).astype(np.intp)]
+    for _ in range(2):
+        i += table[i] < q
+    hi = table[i]
+    short = hi < q
+    if short.any():
+        i[short] = np.searchsorted(table, q[short])
+        hi = table[i]
+    lo = table[i - 1]
+    # |q - lo| and |hi - q|, in place
+    np.abs(np.subtract(q, lo, out=lo), out=lo)
+    np.abs(np.subtract(hi, q, out=hi), out=hi)
+    return np.minimum(lo, hi, out=lo)
 
 
 def _sin2(d):
@@ -1026,20 +1053,28 @@ class AnnulusSystem(DynSystem):
         the indices of its window off one table per orbit, the distance
         from each window index lo..hi to each target, built once: its
         visits inside the window are the minimum over the rows
-        max(lo, m - H)..min(hi, m + H).  Below and above the window its
-        radius is constant, and each of those two tails is a nearest-angle
-        lookup over its index range (`_tail_gaps`): the tails of one orbit
-        and side that end at the window's edge nest, and share the lookups
-        of the runs between their far ends.  Orbit
-        angles come from `_turns` on both sides, so a visit to a point of
-        the same orbit within reach is exactly 0.
+        max(lo, m - H)..min(hi, m + H), taken once per distinct range.
+        Below and above the window its radius is constant, and each of
+        those two tails is a nearest-angle lookup over its index range
+        (`_tail_gaps`): the tails of one orbit and side that end at the
+        window's edge nest, and share the lookups of the runs between their
+        far ends.  Each orbit and side turns its tails' gaps into chords
+        one call per block of points.  Orbit angles come from `_turns` on
+        both sides, so a visit to a point of the same orbit within reach is
+        exactly 0.
         """
         rt, tt = self._radii(T), T["theta"]
         V = np.empty((len(P["row"]), len(tt)))
+        # points per block of at most _CLASS_BLOCK visits, so that a block's
+        # temporaries stay in cache
+        per = max(1, _CLASS_BLOCK // max(1, len(tt)))
         circ = P["row"] < 0
-        g = _nearest_gap(_angle_table(-H, H, self.k),
-                         np.mod(tt - P["theta"][circ, None], 1.0))
-        V[circ] = _chord(P["r"][circ, None], rt, _sin2(g))
+        table = _angle_table(-H, H, self.k)
+        on_circles = np.flatnonzero(circ)
+        for at in range(0, len(on_circles), per):
+            blk = on_circles[at:at + per]
+            g = _nearest_gap(table, np.mod(tt - P["theta"][blk, None], 1.0))
+            V[blk] = _chord(P["r"][blk, None], rt, _sin2(g))
         for row in np.unique(P["row"][~circ]):
             sel = np.flatnonzero(P["row"] == row)
             m = P["idx"][sel].astype(np.int64)
@@ -1047,22 +1082,28 @@ class AnnulusSystem(DynSystem):
             n = np.arange(lo, hi + 1)
             window = _chord(self._radius(row, n)[:, None], rt,
                             _sin2(tt - _turns(n, self.k)[:, None]))
-            for i, mi in zip(sel, m):
-                a, b = max(lo, mi - H), min(hi, mi + H)
-                V[i] = window[a - lo:b - lo + 1].min(0) if a <= b else np.inf
+            # the window rows w0..w1 each point reads, one minimum per range
+            w0, w1 = np.maximum(lo, m - H) - lo, np.minimum(hi, m + H) - lo
+            V[sel] = np.inf
+            for a, b in set(zip(w0.tolist(), w1.tolist())):
+                if a <= b:
+                    V[sel[(w0 == a) & (w1 == b)]] = window[a:b + 1].min(0)
             for a, b, edge, step, r in (
                     (m - H, np.minimum(lo - 1, m + H), lo - 1, -1, r_lo),
                     (np.maximum(hi + 1, m - H), m + H, hi + 1, 1, r_hi)):
-                for i, g in self._tail_gaps(a, b, edge, step, tt):
-                    np.minimum(V[sel[i]], _chord(r, rt, _sin2(g)),
-                               out=V[sel[i]])
+                ids, run, G = self._tail_gaps(a, b, edge, step, tt)
+                for at in range(0, len(ids), per):
+                    j, rows = run[at:at + per], sel[ids[at:at + per]]
+                    C = _chord(np.full((len(j), 1), r), rt, _sin2(G[j]))
+                    V[rows] = np.minimum(V[rows], C, out=C)
         return V
 
     def _tail_gaps(self, a, b, edge, step, tt):
-        """Yields (i, g) for each index range a_i <= n <= b_i that is not
-        empty: g the circular gap from each target angle tt to the nearest
-        angle n k mod 1 of the range, as `_nearest_gap` reads it off the
-        range's `_angle_table`, bit for bit.
+        """(ids, run, G) over the index ranges a_i <= n <= b_i that are not
+        empty, i in ids: row run[j] of G is the circular gap from each
+        target angle tt to the nearest angle n k mod 1 of range ids[j], as
+        `_nearest_gap` reads it off the range's `_angle_table`, bit for
+        bit.
 
         A range with one end at `edge` runs from there in the direction
         `step` (-1 or 1), and such ranges nest: their distinct far ends cut
@@ -1079,18 +1120,14 @@ class AnnulusSystem(DynSystem):
         """
         full = a <= b
         nested = full & ((a == edge) | (b == edge))
-        for i in np.flatnonzero(full & ~nested):
-            yield i, _nearest_gap(_angle_table(a[i], b[i], self.k), tt)
-        if not nested.any():
-            return
-        ids = np.flatnonzero(nested)
+        ids, own = np.flatnonzero(nested), np.flatnonzero(full & ~nested)
         # the far ends' distances from edge; run j holds the distances
         # first[j]..ends[j]
         ends, run = np.unique(np.abs(a[ids] + b[ids] - 2 * edge),
                               return_inverse=True)
         first = np.r_[0, ends[:-1] + 1]
         size = ends - first + 1
-        G = np.empty((len(ends), len(tt)))
+        G = np.empty((len(ends) + len(own), len(tt)))
         for j in np.flatnonzero(size > _TAIL_RUN):
             G[j] = _nearest_gap(_angle_table(
                 *sorted((edge + step * first[j], edge + step * ends[j])),
@@ -1106,9 +1143,11 @@ class AnnulusSystem(DynSystem):
             np.minimum(g, np.abs(tt - (t - 1.0)), out=g)
             np.minimum(g, np.abs(tt - (t + 1.0)), out=g)
             G[j] = np.minimum.reduceat(g, at[:-1], axis=0)
-        np.minimum.accumulate(G, axis=0, out=G)
-        for i, j in zip(ids, run):
-            yield i, G[j]
+        np.minimum.accumulate(G[:len(ends)], axis=0, out=G[:len(ends)])
+        for j, i in enumerate(own, len(ends)):
+            G[j] = _nearest_gap(_angle_table(a[i], b[i], self.k), tt)
+        return (np.r_[ids, own], np.r_[run, np.arange(len(ends), len(G))],
+                G)
 
     def return_distances(self, S, H):
         """Closed form, no iteration.

@@ -1540,15 +1540,22 @@ def test_annulus_windows(name):
         assert (np.diff(vals[split:]) > 0).all()
 
 
+def bisect_gap(table, q):
+    """The nearest-angle gap with the table index found by bisection
+    alone: the reference for the bucket index of `_nearest_gap`."""
+    i = np.searchsorted(table, q)
+    return np.minimum(np.abs(q - table[i - 1]), np.abs(table[i] - q))
+
+
 def per_point_tail_visits(sys, P, T, H):
     """The annulus visit minima with one sorted angle table per orbit
-    point and tail, and one window table per orbit: the reference for the
-    nested tails of `_tail_gaps`."""
+    point and tail, each bisected, and one window table per orbit: the
+    reference for the nested tails of `_tail_gaps`."""
     rt, tt = sys._radii(T), T["theta"]
     V = np.empty((len(P["row"]), len(tt)))
     circ = P["row"] < 0
-    g = systems._nearest_gap(systems._angle_table(-H, H, sys.k),
-                             np.mod(tt - P["theta"][circ, None], 1.0))
+    g = bisect_gap(systems._angle_table(-H, H, sys.k),
+                   np.mod(tt - P["theta"][circ, None], 1.0))
     V[circ] = systems._chord(P["r"][circ, None], rt, systems._sin2(g))
     window = {}
     for i in np.nonzero(~circ)[0]:
@@ -1565,11 +1572,42 @@ def per_point_tail_visits(sys, P, T, H):
         for a, b, r in ((m - H, min(lo - 1, m + H), r_lo),
                         (max(hi + 1, m - H), m + H, r_hi)):
             if a <= b:
-                g = systems._nearest_gap(systems._angle_table(a, b, sys.k),
-                                         tt)
+                g = bisect_gap(systems._angle_table(a, b, sys.k), tt)
                 np.minimum(best, systems._chord(r, rt, systems._sin2(g)),
                            out=best)
         V[i] = best
+    return V
+
+
+def per_point_loop_visits(sys, P, T, H):
+    """The annulus visit minima with each orbit point's window minimum and
+    tail chords taken point by point: the reference for the distinct
+    ranges and the one chord call per orbit and side of `visit_minima`."""
+    rt, tt = sys._radii(T), T["theta"]
+    V = np.empty((len(P["row"]), len(tt)))
+    circ = P["row"] < 0
+    g = bisect_gap(systems._angle_table(-H, H, sys.k),
+                   np.mod(tt - P["theta"][circ, None], 1.0))
+    V[circ] = systems._chord(P["r"][circ, None], rt, systems._sin2(g))
+    for row in np.unique(P["row"][~circ]):
+        sel = np.flatnonzero(P["row"] == row)
+        m = P["idx"][sel].astype(np.int64)
+        lo, hi, r_lo, r_hi = sys._limits[row]
+        n = np.arange(lo, hi + 1)
+        window = systems._chord(
+            sys._radius(row, n)[:, None], rt,
+            systems._sin2(tt - systems._turns(n, sys.k)[:, None]))
+        for i, mi in zip(sel, m):
+            a, b = max(lo, mi - H), min(hi, mi + H)
+            V[i] = window[a - lo:b - lo + 1].min(0) if a <= b else np.inf
+        for a, b, edge, step, r in (
+                (m - H, np.minimum(lo - 1, m + H), lo - 1, -1, r_lo),
+                (np.maximum(hi + 1, m - H), m + H, hi + 1, 1, r_hi)):
+            ids, run, G = sys._tail_gaps(a, b, edge, step, tt)
+            for i, j in zip(ids, run):
+                np.minimum(V[sel[i]], systems._chord(r, rt,
+                                                     systems._sin2(G[j])),
+                           out=V[sel[i]])
     return V
 
 
@@ -1691,6 +1729,67 @@ def test_return_closed_form_matches_engine(name, H, seed):
         assert np.array_equal(got < delta, want < delta)
     # at n = 0 every point is its own return, exactly
     assert not got[:, H].any()
+
+
+def bit_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+@pytest.mark.parametrize("window", [(-2000, 2000), (-3, 3), (5, 40), (0, 0)])
+@pytest.mark.parametrize("k", [systems.GOLDEN, 0.5, 1 / 3, 0.0, 1e-9,
+                               0.2718281828459045, 0.8414709848078965])
+def test_nearest_gap_is_bisection_bit_for_bit(k, window, monkeypatch):
+    # the bucket index places every query where bisection does: at the
+    # ends of [0, 1], on and next to every angle and bucket edge, at
+    # random, and in 2-D blocks
+    lo, hi = window
+    table = systems._angle_table(lo, hi, k)
+    angles = table[1:-1]
+    scale = 1 << (2 * len(table) - 1).bit_length()
+    rng = np.random.default_rng(hi - lo)
+    q = np.concatenate((
+        [0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0)],
+        angles, np.nextafter(angles, 0.0), np.nextafter(angles, 1.0),
+        np.arange(scale + 1) / scale, rng.random(600)))
+    q = np.clip(q, 0.0, 1.0)
+    block = rng.random((6, 50))
+    want, want_block = bisect_gap(table, q), bisect_gap(table, block)
+    searched = []
+    bisect = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda a, v, *args, **kw: (
+        searched.append(np.size(v)), bisect(a, v, *args, **kw))[1])
+    assert bit_equal(systems._nearest_gap(table, q), want)
+    assert bit_equal(systems._nearest_gap(table, block), want_block)
+    if k in (0.5, 1 / 3, 0.0) and hi > lo:
+        # repeated angles crowd a bucket: bisection places the remainder
+        assert searched
+    if k == systems.GOLDEN:
+        # the three gap lengths of the golden angles leave no bucket
+        # crowded
+        assert not searched
+
+
+@pytest.mark.parametrize("case", ["annulus3-128", "annulus2-16",
+                                  "annulusN6-16", "aligned", "random"])
+def test_visits_match_per_point_loops(case):
+    # orbit_visit_matrix, with one window minimum per distinct range and
+    # one chord call per orbit and side, gives the per-point loops' values
+    # bit for bit
+    a3 = annulus3()
+    sys, cloud, horizons = {
+        "annulus3-128": (a3, a3.sampler(128), (14, 200, 2000)),
+        "annulus2-16": (annulus2(), annulus2().sampler(16), (14, 2000)),
+        "annulusN6-16": (annulusN(N=6), annulusN(N=6).sampler(16),
+                         (14, 2000)),
+        "aligned": (a3, a3.aligned_cloud(-300, 300), (14,)),
+        "random": (a3, a3.sampler(64, seed=29), (0, 14, 200)),
+    }[case]
+    pts = list(cloud.points)
+    S = sys.arr_state(pts)
+    for H in horizons:
+        assert bit_equal(orbit_visit_matrix(sys, pts, pts, H),
+                         per_point_loop_visits(sys, S, S, H))
 
 
 @pytest.mark.parametrize("use_max", [False, True])

@@ -240,14 +240,34 @@ class GivenReturns:
         return self.D
 
 
+def accumulate_gaps(D, delta):
+    """The longest return gaps by a running maximum of the last return
+    over every time: the reference for `_return_gaps`, which reads the
+    returns alone."""
+    returns = D < delta
+    t = np.arange(returns.shape[1])
+    last = np.where(returns, t, -1)
+    np.maximum.accumulate(last, axis=1, out=last)
+    np.subtract(t + 1, last, out=last)
+    gaps = last.max(axis=1)
+    gaps[returns.sum(axis=1) <= 1] = -1
+    return gaps
+
+
 def random_returns(rng, H):
     """Float32 return distances over |n| <= H: rows with no return, with
-    the return at n = 0 only, with every return, with returns at the
-    window ends, and random rows of every density."""
+    the return at n = 0 only, with every return, with returns at one or
+    both window ends, with one or two returns anywhere, and random rows of
+    every density."""
     T = 2 * H + 1
     rows = [np.ones(T), np.ones(T), np.zeros(T), np.ones(T)]
     rows[1][H] = 0.0
     rows[3][[0, H, T - 1]] = 0.0
+    for at in ([0, T - 1], [0], [T - 1],
+               *(rng.choice(T, size=min(c, T), replace=False)
+                 for c in (1, 2, 2))):
+        rows.append(np.ones(T))
+        rows[-1][at] = 0.0
     for _ in range(int(rng.integers(1, 12))):
         row = rng.random(T) * rng.choice([0.06, 0.15, 0.3, 1.0])
         if rng.random() < 0.5:
@@ -267,6 +287,10 @@ def test_array_gaps_match_row_loop(H, seed):
         gaps = structure._return_gaps(D, delta)
         want = [reference_gap(row, delta, H)[1] for row in D]
         assert [None if g < 0 else int(g) for g in gaps] == want
+        running = accumulate_gaps(D, delta)
+        assert gaps.dtype == running.dtype
+        assert np.array_equal(gaps, running)
+    assert structure._return_gaps(D[:0], 0.1).shape == (0,)
     # the mask over every delta, as the old loop skipped failed rows
     bound = ANNULUS_GAP if rng.random() < 0.5 else default_gap_bound
     want = np.ones(len(D), dtype=bool)
@@ -475,6 +499,18 @@ def test_theorem_3_5_audits():
     rec = theorem_3_5_audit(sh, 2, sh.sampler(4), H=50, prox_H=50)
     assert not rec.applicable
     assert rec.passed is None
+
+
+def test_theorem_3_5_needs_a_minimal_set():
+    # at the default gap bound no point of this cloud is almost periodic,
+    # but every compact system has a minimal set (Birkhoff): zero clusters
+    # leave the bound untested, not passed
+    a = annulus3()
+    rec = theorem_3_5_audit(a, 3, a.sampler(64))
+    assert rec.details["n_clusters"] == 0
+    assert not rec.applicable
+    assert rec.passed is None
+    assert "almost periodic" in rec.details["reason"]
 
 
 # ---------------------------------------------------------------------------
