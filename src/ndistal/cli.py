@@ -51,9 +51,9 @@ from .errors import NDistalError, ParameterError
 from .ndiameter import diam_n_bounds_from_matrix, diam_n_exact_from_matrix
 from .proximal import (DEFAULT_EPS, DEFAULT_H, ProximalReport,
                        distality_report, proximal_cell, proximal_quotient)
-from .structure import (expansivity_probe, minimal_subsystems,
-                        periodic_points, prop_3_2_audit, return_profile,
-                        theorem_3_5_audit, transitive_check)
+from .structure import (NO_MINIMAL_SET, expansivity_probe,
+                        minimal_subsystems, periodic_points, prop_3_2_audit,
+                        return_profile, theorem_3_5_audit, transitive_check)
 from .systems import CATALOGUE_FACTS, get_system
 
 
@@ -222,6 +222,8 @@ def _run_minimal(sys, cloud, seed, *, delta=0.05, H=2000,
                  gap_c: float | None = None):
     sets = minimal_subsystems(sys, cloud, delta=delta, H=H,
                               gap_bound=_gap_bound(gap_c))
+    if not sets:
+        return {"count": None, "clusters": [], "reason": NO_MINIMAL_SET}
     return {"count": len(sets), "clusters": [s.as_dict() for s in sets]}
 
 
@@ -500,19 +502,22 @@ def list_catalogue(stream=None):
 
 
 def _oneoff(op, args, params):
-    """Run a single registry op on a system and print its JSON result."""
+    """Run a single registry op on a system and print its JSON result;
+    returns 1 when it is an audit that failed, else 0."""
     sys, header, [(kwargs, _)] = validate_scenario(
         {"system": args.system, "seed": args.seed or 0,
          "cloud_size": args.cloud_size}, [(op, params, None)])
     cloud = default_cloud(sys, header["cloud_size"])
-    result = REGISTRY[op](sys, cloud, header["seed"], **kwargs)
-    text = json.dumps(_jsonable(result), sort_keys=True, indent=2)
+    result = _jsonable(REGISTRY[op](sys, cloud, header["seed"], **kwargs))
+    text = json.dumps(result, sort_keys=True, indent=2)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / f"{op}.json").write_text(text + "\n")
     print(text)
-    return 0
+    # an audit (an `AuditRecord`, which states whether it applies) that
+    # failed; a probe's "passed" is its verdict, not a failure
+    return 1 if "applicable" in result and result["passed"] is False else 0
 
 
 # one-off flags that set an analysis parameter store under this prefix

@@ -17,13 +17,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConstructionError, MeasureError, ParameterError,
                      RefinementError)
 from .kernels import mesh, nearest
-from .points import Annulus, PointCloud, SymbolicPoint, Torus
-from .systems import _shift_bits
+from .points import PointCloud
 
 KSH1_BOUND = math.e / (math.e - 1.0) ** 2
 
@@ -69,21 +67,17 @@ def partition_from_labels(labels, size: Optional[int] = None) -> Partition:
 
 
 def default_partition(cloud: PointCloud, k: int = 2) -> Partition:
-    """Coordinate partition: k arcs in the cyclic coordinate, with annulus
-    points additionally split by radius level and symbolic points split by
-    their symbol at the origin."""
+    """Coordinate partition: each point's cell is its ``partition_label(k)``,
+    read off k arcs of its cyclic coordinate; a point type with no label
+    is refused."""
     if not k >= 1:
         raise ParameterError(f"k must be >= 1, got {k!r}")
     labels = []
     for p in cloud.points:
-        if isinstance(p, Torus):
-            labels.append(int(p.x * k) % k + k * (int(p.y * k) % k))
-        elif isinstance(p, Annulus):
-            labels.append(int(p.theta * k) % k + k * int(round(p.r)))
-        elif isinstance(p, SymbolicPoint):
-            labels.append(p.get(0))
-        else:
+        label = getattr(p, "partition_label", None)
+        if label is None:
             raise ParameterError(f"no default partition for {p!r}")
+        labels.append(label(k))
     return partition_from_labels(labels, len(cloud))
 
 
@@ -234,39 +228,15 @@ def metric_entropy_estimate(sys, P: Partition, mu: EmpiricalMeasure,
 
 def word_count_entropy(sys, n: int, cloud: Optional[PointCloud] = None
                        ) -> EntropyEstimate:
-    """log(#distinct length-n subwords over the sampled points)/n.
-
-    Without a cloud the sample is ``periodic_cloud(L)``, every sequence of
-    period L = min(n, 13), and its words are read from a bit table instead
-    of its points: row w holds s_i = bit (i mod L) of w for
-    0 <= i < L + n - 1, so the row's words start at every position of one
-    period.
-    """
+    """log(#distinct length-n subwords over the sampled points)/n: the
+    words of the cloud's points, or without a cloud of every sequence of
+    period min(n, 13), as the system's ``word_codes`` reads them
+    (`ShiftSystem.word_codes`)."""
     if not 1 <= n <= 20:
         raise ParameterError("n must be in 1..20")
-    weights = np.left_shift(1, np.arange(n, dtype=np.int64))
-    if cloud is None:
-        if not hasattr(sys, "periodic_cloud"):
-            raise ParameterError(f"{sys.id}: word counts need a symbolic "
-                                 "system")
-        L = min(n, 13)
-        table = (np.arange(1 << L)[:, None] >> (np.arange(L + n - 1) % L)) & 1
-        codes = [(sliding_window_view(table, n, axis=1) @ weights).ravel()]
-        cloud_size = 1 << L
-    else:
-        # each point's words start in [lo - n - span, hi + span]: past its
-        # core and one period of each tail, every word repeats an earlier
-        # one.  Points are read in groups that share that range, one row
-        # per point.
-        ranges = {}
-        for p in cloud.points:
-            lo, hi = p.extent()
-            span = max(len(p.left), len(p.right), 1)
-            ranges.setdefault((lo - n - span, hi + span + n - 1), []).append(p)
-        codes = [(sliding_window_view(_shift_bits(pts, a, b), n, axis=1)
-                  @ weights).ravel() for (a, b), pts in ranges.items()]
-        cloud_size = len(cloud)
-    n_words = len(np.unique(np.concatenate(codes)))
+    codes, cloud_size = sys.word_codes(
+        n, None if cloud is None else cloud.points)
+    n_words = len(np.unique(codes))
     return EntropyEstimate(value=math.log(n_words) / n,
                            method="word_count",
                            params={"n": n, "cloud_size": cloud_size,

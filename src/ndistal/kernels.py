@@ -26,53 +26,11 @@ and positive; with none, the hook lists every pair and the matrix
 kernels reshape that full list.
 The default of each hook, and `orbit_min_pairs`, run one engine on the
 system's array interface (``arr_state``, ``arr_step`` and the
-``arr_*dist`` methods), which every system has: every system states its
-metric as ``arr_cdist`` and ``arr_edist``; the torus and annulus systems,
-products and powers hold numpy states, and the shift and conjugates hold
-plain point lists, which the default ``arr_step`` moves by ``iterate``.
-The shift, the torus
-systems and the annulus family override hooks with closed forms, and the
-engine still serves the rotation, conjugates, powers and products:
-
-  * the shift, from packed bits: for the co-moving extremes, each pair's
-    difference on every symbol-column class is one bit of its key, and
-    the window's maximal runs of one class turn a key into its runs of
-    differences, read off a table over every key when the keys fit one;
-    its list of maxima under ``below`` holds the pairs that agree on the
-    narrowest window widened by the radius ``below`` asks for.  Its
-    windows of symbols around each time serve the visits and the
-    self-returns;
-  * the torus systems, for the co-moving extremes: F^n p - F^n q depends
-    only on p - q, so one y-gap is evaluated per distinct difference
-    p - q instead of every pair; the differences are deduplicated per
-    coordinate into integer codes, evaluated in one group when the codes
-    fit one block.  No time is stepped: a class's y-gap is y0 + m rise
-    mod 1 at time centre + m, so its extreme over a window is the
-    circular distance from one point to the progression
-    {m rise mod 1 : |m| <= h}, shared by every class of the same x-gap:
-    one sorted table per rise and horizon, one bisection per class, and a
-    scan for a rise that one class holds.  The distance is taken once per
-    horizon, and the extremes are within about 1e-14 of a time-stepped
-    fold, not bit-identical to it;
-  * the annulus family, for the visits: at a fixed radius the nearest
-    visit is the nearest of the sorted angles {n k mod 1 : |n| <= H}
-    (`systems._nearest_gap` says how it is found), and the short window
-    of indices where an orbit's radius moves is one table of distances
-    per orbit, shared by its points, as is one sorted table per orbit and
-    side for the nested tails beyond the window;
-  * the annulus family, for the co-moving extremes: a pair's angle gap is
-    constant, so an orbit point against a circle point is read off the
-    orbit's sorted radii by bisection, and two orbit points that share
-    their rows, index gap and angle gap share one chord sequence, which
-    is evaluated once where a radius moves;
-  * the annulus family, for the self-returns: every angle advances by k,
-    so a point's angle gap to itself at time n is n k mod 1 and its radius
-    is the orbit's radius at index m + n, with no iteration, one row per
-    orbit point and per circle.
-
-The closed forms compute the angle n k mod 1 of an orbit index exactly to
-about an ulp, so a visit to a point of the same orbit is exactly 0; the
-engine's stepped angles drift by an ulp a step.
+``arr_*dist`` methods), which every system has.  The shift, the torus
+systems and the annulus family override hooks with closed forms, each
+described at its method (``ndistal.systems`` names them); the engine
+still serves the torus systems' visits and self-returns, and every hook
+of conjugates, powers and products.
 
 `nearest` (snapping) and `mesh` run on ``arr_cdist`` too, in row blocks of
 at most `_CHUNK` distances.

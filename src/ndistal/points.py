@@ -48,6 +48,11 @@ class Torus:
         object.__setattr__(self, "x", mod1(self.x))
         object.__setattr__(self, "y", mod1(self.y))
 
+    def partition_label(self, k):
+        """Its cell of the default partition: x's arc of k plus k times
+        y's."""
+        return int(self.x * k) % k + k * (int(self.y * k) % k)
+
 
 @dataclass(frozen=True)
 class Annulus:
@@ -61,6 +66,11 @@ class Annulus:
         if not (1.0 - 1e-12 <= self.r <= 2.0 + 1e-12):
             raise ValueError(f"annulus radius {self.r} outside [1, 2]")
         object.__setattr__(self, "r", min(2.0, max(1.0, self.r)))
+
+    def partition_label(self, k):
+        """Its cell of the default partition: theta's arc of k plus k times
+        the rounded radius."""
+        return int(self.theta * k) % k + k * int(round(self.r))
 
 
 @dataclass(frozen=True)
@@ -133,6 +143,11 @@ class SymbolicPoint:
         if i >= hi:
             return self.right[i % len(self.right)]
         return self.core[i - lo]
+
+    def partition_label(self, k):
+        """Its cell of the default partition: the symbol at the origin,
+        for any k."""
+        return self.get(0)
 
     def extent(self) -> Tuple[int, int]:
         """Index range [lo, hi) occupied by the core (lo=hi=offset if empty)."""

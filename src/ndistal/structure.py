@@ -24,6 +24,9 @@ from .proximal import DEFAULT_EPS, distality_report
 
 DELTA_LIST = (0.2, 0.1, 0.05)
 CONFIRMATIONS = 5  # returns j = 1..CONFIRMATIONS that confirm a period
+# the reason a cloud with no almost periodic point decides no minimal set
+NO_MINIMAL_SET = ("no cloud point is almost periodic at this scale, while "
+                  "every compact system has a minimal set")
 
 
 @dataclass
@@ -249,9 +252,7 @@ def theorem_3_5_audit(sys, N_claimed: int, cloud: PointCloud,
     if not minimal:
         # every compact system has a minimal set (Birkhoff), so a cloud
         # with no almost periodic point says nothing at this scale
-        details["reason"] = ("no cloud point is almost periodic at this "
-                             "scale, while every compact system has a "
-                             "minimal set")
+        details["reason"] = NO_MINIMAL_SET
         return AuditRecord("theorem_3_5", False, None, details)
     # the theorem bounds PROPER minimal subsystems: a cluster whose orbits
     # are delta-dense in the whole cloud is the space itself, not proper

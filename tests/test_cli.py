@@ -302,6 +302,42 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
 
+def test_oneoff_audit_that_failed_exits_1(monkeypatch, capsys):
+    # a one-off audit that prints "passed": false exits 1, as a scenario
+    # whose audit fails does; no catalogue default fails, so the runner is
+    # made to.  A probe's "passed" is a verdict: the skew torus's refuted
+    # N-equicontinuity exits 0
+    argv = ["structure", "--system", "rotation", "--cloud-size", "8",
+            "--op", "prop_3_2_audit", "--T-max", "3"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    real = REGISTRY["prop_3_2_audit"]
+
+    def failed(sys, cloud, seed, *, T_max=50):
+        return {**real(sys, cloud, seed, T_max=T_max), "passed": False}
+
+    monkeypatch.setitem(REGISTRY, "prop_3_2_audit", failed)
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+    assert main(["equicont", "--system", "skew_torus", "--N", "1",
+                 "--cloud-size", "8", "--H", "20"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+def test_no_minimal_set_found_is_undecided(capsys):
+    # every compact system has a minimal set (Birkhoff), so a cloud with no
+    # almost periodic point leaves the count undecided, with the reason
+    # the theorem audit gives, and the call exits 0
+    argv = ["structure", "--system", "annulus3"]
+    assert main([*argv, "--op", "minimal_subsystems"]) == 0
+    found = json.loads(capsys.readouterr().out)
+    assert found["count"] is None and found["clusters"] == []
+    assert main([*argv, "--op", "theorem_3_5_audit"]) == 0
+    audit = json.loads(capsys.readouterr().out)
+    assert audit["passed"] is None
+    assert found["reason"] == audit["details"]["reason"]
+
+
 def test_rejected_scenario_writes_nothing(tmp_path, capsys):
     path = write(tmp_path, "s.scn", BAD_SCENARIOS["misspelt-key.scn"])
     out = tmp_path / "out"

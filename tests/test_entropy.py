@@ -19,8 +19,8 @@ from ndistal.entropy import (KSH1_BOUND, EmpiricalMeasure, Partition,
                              word_count_entropy)
 from ndistal.errors import (ConstructionError, MeasureError, ParameterError,
                             RefinementError)
-from ndistal.points import (OrbitIndex, PointCloud, SymbolicPoint, Torus,
-                            periodic_point, word_point)
+from ndistal.points import (Annulus, OrbitIndex, Pair, PointCloud,
+                            SymbolicPoint, Torus, periodic_point, word_point)
 from ndistal.systems import (IdentityTorus, Rotation, SkewTorus, annulus3,
                              conjugate_system, shift2)
 
@@ -257,6 +257,37 @@ def test_estimate_needs_four_levels():
         metric_entropy_estimate(s, P, uniform_measure(cloud), 3, cloud)
 
 
+def type_chain_label(p, k):
+    """The default partition's label as an isinstance chain picked it."""
+    if isinstance(p, Torus):
+        return int(p.x * k) % k + k * (int(p.y * k) % k)
+    if isinstance(p, Annulus):
+        return int(p.theta * k) % k + k * int(round(p.r))
+    return p.get(0)
+
+
+def test_default_partition_labels_are_the_type_chains():
+    # each point states its own label; the labels are those the type
+    # chain gave, and a point with none is refused
+    ann = annulus3()
+    clouds = [SkewTorus().sampler(9, seed=4), Rotation().sampler(40),
+              ann.circles_cloud(24), ann.sampler(16, seed=2).points[:32],
+              shift2().sampler(2)]
+    for cloud in clouds:
+        pts = [p for p in getattr(cloud, "points", cloud)
+               if not isinstance(p, OrbitIndex)]
+        cloud = PointCloud(tuple(pts), "test", "test")
+        for k in (1, 2, 3, 5):
+            want = [type_chain_label(p, k) for p in pts]
+            assert [p.partition_label(k) for p in pts] == want
+            assert default_partition(cloud, k) == \
+                partition_from_labels(want, len(pts))
+    for p in (OrbitIndex(3), Pair(Torus(0.1, 0.2), Torus(0.3, 0.4))):
+        with pytest.raises(ParameterError, match="no default partition"):
+            default_partition(PointCloud((Torus(0.5, 0.5), p), "test",
+                                         "test"), 2)
+
+
 def test_word_count_entropy():
     s = shift2()
     for n in (1, 4, 8):
@@ -271,6 +302,13 @@ def test_word_count_entropy():
     for n in (2, 5, 10):
         assert word_count_entropy(s, n, cloud=two).value == pytest.approx(
             LOG2 / n, abs=1e-12)
+
+
+def test_word_counts_need_a_symbolic_system():
+    rot = Rotation()
+    for cloud in (None, rot.sampler(8)):
+        with pytest.raises(ParameterError, match="symbolic"):
+            word_count_entropy(rot, 4, cloud=cloud)
 
 
 def test_default_word_table_matches_periodic_cloud():

@@ -16,7 +16,8 @@ from ndistal.kernels import (max_orbit_distance, mesh, min_orbit_distance,
                              orbit_min_pairs, orbit_min_rows,
                              orbit_return_matrix, orbit_visit_matrix,
                              orbit_window_min_row)
-from ndistal import kernels, systems
+from ndistal import (annulus, base, kernels, shift, systems, torus,
+                     wrappers)
 from ndistal.errors import ParameterError
 from ndistal.points import (Annulus, OrbitIndex, PointCloud, SymbolicPoint,
                             Torus, circ_gap, periodic_point,
@@ -39,6 +40,26 @@ def states(sys, pts_a, pts_b):
     (pair pts_a with itself) kept."""
     return sys.arr_state(pts_a), None if pts_b is None else \
         sys.arr_state(pts_b)
+
+
+def row_block_spy(monkeypatch, module):
+    """Records (budget, number of blocks) for each call of the module's
+    `_row_blocks`, so a test that patches a block budget can check that
+    the patched value cut the work."""
+    real, seen = module._row_blocks, []
+
+    def spy(m, width, budget):
+        blocks = real(m, width, budget)
+        seen.append((budget, len(blocks)))
+        return blocks
+
+    monkeypatch.setattr(module, "_row_blocks", spy)
+    return seen
+
+
+def split_by(seen, budget):
+    """Whether some recorded call took `budget` and cut several blocks."""
+    return any(b == budget and n > 1 for b, n in seen)
 
 
 def brute_min_matrix(sys, points, H):
@@ -324,13 +345,13 @@ def shear0_class_extremes(sys, A, B, horizons, centre):
     """The extremes of a shear-0 torus swept by difference class: each
     class's y-gap dy + centre * rise (rise = 0 * dx) reduced to
     [-1/2, 1/2], and the distance of (dx, |y|), gathered back into the
-    rows of every group of `systems._class_groups`."""
+    rows of every group of `torus._class_groups`."""
     B = A if B is None else B
     out = {h: np.empty((len(A), len(B))) for h in horizons}
-    for classes, blocks in systems._class_groups(A, B):
+    for classes, blocks in torus._class_groups(A, B):
         y0 = classes.imag + centre * (sys.shear * classes.real)
         y0 -= np.round(y0)
-        d = systems._torus_dist(classes.real.copy(), np.abs(y0))
+        d = torus._torus_dist(classes.real.copy(), np.abs(y0))
         for rows, at in blocks:
             for h in horizons:
                 out[h][rows] = d[at]
@@ -380,9 +401,11 @@ def test_torus_class_blocks(monkeypatch, use_max):
               for rows in kernels._row_blocks(len(pts), len(pts), budget)]
     assert len(blocks) > 2
     assert blocks[-1] - set().union(*blocks[:-1])
-    monkeypatch.setattr(systems, "_CLASS_BLOCK", budget)
+    monkeypatch.setattr(torus, "_CLASS_BLOCK", budget)
+    seen = row_block_spy(monkeypatch, torus)
     blocked = sys.comoving_extremes(A, None, horizons, use_max, 0)
     blocked_rows = sys.comoving_extremes(A, Y, horizons, use_max, 0)
+    assert split_by(seen, budget)
     for h in horizons:
         assert np.array_equal(blocked[h], whole[h])
         assert np.array_equal(blocked_rows[h], whole_rows[h])
@@ -395,7 +418,7 @@ def per_block_reference(sys, A, B, horizons, use_max, centre, sweep=None):
     sweep = sweep or sys._sweep_classes
     B = A if B is None else B
     out = {h: np.empty((len(A), len(B))) for h in horizons}
-    for rows in kernels._row_blocks(len(A), len(B), systems._CLASS_BLOCK):
+    for rows in kernels._row_blocks(len(A), len(B), torus._CLASS_BLOCK):
         D = A[rows, None, :] - B[None, :, :]
         classes, inv = np.unique(
             D.reshape(-1, 2).view(np.complex128).ravel(),
@@ -471,7 +494,8 @@ GROUPED_HOOK_CASES = {
                                                         9),
                          random_torus(10, 50), {0, 5}, True, 2, {}),
     "empty": lambda: (SkewTorus(), [], skew_grid(), {0, 10}, False, 0, {}),
-    # many groups, split by the class budget and by the pair budget
+    # many groups, split by the class budget, which is also the most
+    # pairs of a row block
     "small-class-budget": lambda: (SkewTorus(), permuted_grid(SkewTorus(),
                                                               8, 12),
                                    None, {0, 9}, False, 1,
@@ -479,7 +503,7 @@ GROUPED_HOOK_CASES = {
     "small-pair-budget": lambda: (SkewTorus(), permuted_grid(SkewTorus(),
                                                              8, 13),
                                   None, {4, 9}, True, 0,
-                                  {"_CLASS_BLOCK": 128, "_CHUNK": 300}),
+                                  {"_CLASS_BLOCK": 128}),
 }
 
 
@@ -488,12 +512,15 @@ def test_grouped_torus_classes_match_per_block(case, monkeypatch):
     sys, pts_a, pts_b, horizons, use_max, centre, patch = \
         GROUPED_HOOK_CASES[case]()
     for name, value in patch.items():
-        monkeypatch.setattr(systems, name, value)
+        monkeypatch.setattr(torus, name, value)
     sa, sb = states(sys, pts_a, pts_b)
     want = per_block_reference(sys, sa, sb, horizons, use_max, centre)
     stepped = per_block_reference(sys, sa, sb, horizons, use_max, centre,
                                   stepped_sweep(sys))
+    seen = row_block_spy(monkeypatch, torus)
     got = sys.comoving_extremes(sa, sb, horizons, use_max, centre)
+    if patch:
+        assert split_by(seen, patch["_CLASS_BLOCK"])
     assert set(got) == set(horizons)
     for h in horizons:
         assert got[h].shape == want[h].shape
@@ -506,7 +533,7 @@ def test_skew_grid_is_swept_in_one_group(monkeypatch):
     # six row blocks, 16,129 distinct differences over the whole matrix
     sys, pts = SkewTorus(), skew_grid()
     assert len(kernels._row_blocks(len(pts), len(pts),
-                                   systems._CLASS_BLOCK)) == 6
+                                   torus._CLASS_BLOCK)) == 6
     sizes = []
     sweep = SkewTorus._sweep_classes
 
@@ -555,13 +582,13 @@ def test_torus_class_table_matches_complex_unique(case, monkeypatch):
     # that unique's inverse
     pts_a, pts_b, patch = CLASS_TABLE_CASES[case]()
     for name, value in patch.items():
-        monkeypatch.setattr(systems, name, value)
+        monkeypatch.setattr(torus, name, value)
     sys = SkewTorus()
     A = sys.arr_state(pts_a)
     B = A if pts_b is None else sys.arr_state(pts_b)
-    groups = list(systems._class_groups(A, B))
+    groups = list(torus._class_groups(A, B))
     assert len(groups) == (1 if not patch else len(
-        kernels._row_blocks(len(A), len(B), systems._CLASS_BLOCK)))
+        kernels._row_blocks(len(A), len(B), torus._CLASS_BLOCK)))
     for classes, blocks in groups:
         blocks = list(blocks)
         diffs = [(A[rows, None, :] - B[None, :, :]).reshape(-1, 2)
@@ -665,7 +692,7 @@ def skew_classes(pts_a, pts_b, centre, use_max):
     keys them: y = |y0|, or 1/2 - |y0| for the max."""
     sys = SkewTorus()
     A, B = sys.arr_state(pts_a), sys.arr_state(pts_b)
-    classes = np.concatenate([c for c, _ in systems._class_groups(A, B)])
+    classes = np.concatenate([c for c, _ in torus._class_groups(A, B)])
     y0 = classes.imag + centre * classes.real
     y0 -= np.round(y0)
     y = np.abs(y0)
@@ -696,8 +723,8 @@ def test_progression_lookup_matches_scan_bit_for_bit(centre, use_max):
     run = np.r_[np.flatnonzero(np.r_[True, r[1:] != r[:-1]]), len(r)]
     assert len(run) - 1 < len(r) / 4   # most rises are shared
     horizons = {0, 1, 7, 200}
-    lookup = systems._lookup_gaps(r[run[:-1]], y, run, horizons)
-    scan = systems._scan_gaps(r, y, horizons)
+    lookup = torus._lookup_gaps(r[run[:-1]], y, run, horizons)
+    scan = torus._scan_gaps(r, y, horizons)
     for h in horizons:
         assert np.array_equal(lookup[h].view(np.uint64),
                               scan[h].view(np.uint64))
@@ -709,7 +736,7 @@ def test_torus_hook_runs_no_step_loop(monkeypatch):
         raise AssertionError("the torus hook stepped an orbit")
 
     monkeypatch.setattr(kernels, "_sweep", refuse)
-    assert not hasattr(systems, "_sweep")
+    assert not hasattr(torus, "_sweep")
     grid = skew_grid()
     for sys in (SkewTorus(), Rotation(), IdentityTorus()):
         sys.comoving_extremes(sys.arr_state(grid), None, {0, 30}, False, 0)
@@ -864,8 +891,16 @@ def test_shift_visits_with_targets_that_are_the_points(monkeypatch):
     H = 9
     same = orbit_visit_matrix(sys, pts, pts, H)
     apart = orbit_visit_matrix(sys, pts, tgt, H)
-    monkeypatch.setattr(systems, "_CHUNK", 3 * 8 * (2 * H + 1 + len(pts)))
+    monkeypatch.setattr(shift, "_CHUNK", 3 * 8 * (2 * H + 1 + len(pts)))
+    rows, real = [], shift._ring_visits
+
+    def spy(fwd, *args):
+        rows.append(len(fwd))
+        return real(fwd, *args)
+
+    monkeypatch.setattr(shift, "_ring_visits", spy)
     assert orbit_visit_matrix(sys, pts, pts, H).tobytes() == same.tobytes()
+    assert rows == [3] * (len(pts) // 3) + [len(pts) % 3] * (len(pts) % 3 > 0)
     assert orbit_visit_matrix(sys, pts, tgt, H).tobytes() == apart.tobytes()
     for t, V in ((pts, same), (tgt, apart)):
         assert np.array_equal(clamped(V),
@@ -897,7 +932,7 @@ def test_shift_orbit_keys_read_off_the_fields():
              periodic_point((1, 0, 1, 0, 0)), word_point(()),
              word_point((1, 0, 1), -5), SymbolicPoint((), 3, (0, 1), (1,))]
     pts = base + [sys.iterate(p, int(rng.integers(-7, 8))) for p in base]
-    got = systems._orbit_keys(pts)
+    got = shift._orbit_keys(pts)
     want = orbit_keys_reference(pts)
     for (r, s, P), (q, s_ref, P_ref) in zip(got, want):
         assert r == (q.core, q.left, q.right)
@@ -927,8 +962,10 @@ def test_shift_chunked_dedup_with_distinct_masks(monkeypatch, use_max):
     sx, sy = sys.arr_state(xs), sys.arr_state(ys)
     whole = sys.comoving_extremes(sx, sy, horizons, use_max, 0)
     # blocks of a few rows, and a few masks per nearest-difference pass
-    monkeypatch.setattr(systems, "_CHUNK", 200)
+    monkeypatch.setattr(shift, "_CHUNK", 200)
+    seen = row_block_spy(monkeypatch, shift)
     chunked = sys.comoving_extremes(sx, sy, horizons, use_max, 0)
+    assert split_by(seen, 200)
     conj = identity_conjugate(sys)
     swept = conj.comoving_extremes(conj.arr_state(xs), conj.arr_state(ys),
                                    horizons, use_max, 0)
@@ -950,14 +987,14 @@ def test_shift_key_blocks_share_mask_classes(monkeypatch, use_max):
     S = sys.arr_state(pts)
     whole = sys.comoving_extremes(S, S, horizons, use_max, 4)
     keys = []
-    real = systems._segment_extremes
+    real = shift._segment_extremes
 
     def spy(k, *args):
         keys.append({bytes(row) for row in k})
         return real(k, *args)
 
-    monkeypatch.setattr(systems, "_segment_extremes", spy)
-    monkeypatch.setattr(systems, "_CHUNK", len(pts))
+    monkeypatch.setattr(shift, "_segment_extremes", spy)
+    monkeypatch.setattr(shift, "_CHUNK", len(pts))
     split = sys.comoving_extremes(S, S, horizons, use_max, 4)
     # the keys span more than a table: each block reads its own
     assert len(keys) == len(pts)
@@ -1009,10 +1046,10 @@ def test_shift_bits_match_per_point_rows():
     # symbol wide and empty
     for lo, hi in [(-2, 2), (0, 5), (-10, 10), (-40, -6), (6, 30), (4, 4),
                    (-300, 280), (3, 2)]:
-        got = systems._shift_bits(pts, lo, hi)
+        got = shift._shift_bits(pts, lo, hi)
         assert got.dtype == np.uint8
         assert np.array_equal(got, shift_bits_reference(pts, lo, hi))
-    assert systems._shift_bits([], -3, 3).shape == (0, 7)
+    assert shift._shift_bits([], -3, 3).shape == (0, 7)
 
 
 def window_oracle(xs, ys, centre, h, use_max):
@@ -1042,9 +1079,9 @@ def test_shift_column_class_keys_match_oracle(seed, wide, use_max, other):
     centre = int(rng.choice([-1, 1])) * int(rng.integers(1, 31))
     if wide:
         W = H + GCAP
-        bits = [systems._shift_bits(pts, centre - W, centre + W)
+        bits = [shift._shift_bits(pts, centre - W, centre + W)
                 for pts in (xs, ys or xs)]
-        assert systems._class_codes(*bits)[0][0].shape[1] >= 2
+        assert shift._class_codes(*bits)[0][0].shape[1] >= 2
     got = sys.comoving_extremes(*states(sys, xs, ys), {h, H}, use_max,
                                 centre)
     for k in (h, H):
@@ -1070,7 +1107,7 @@ def nearest_true_reference(mask):
 
 
 def profile_mask_extremes(masks, W, horizons, use_max):
-    """The previous `systems._mask_extremes`, kept as the oracle: a full
+    """The shift's previous `_mask_extremes`, kept as the oracle: a full
     nearest-difference profile over the 2W+1 positions of each packed
     mask, reduced over each window |n| <= h."""
     L = 2 * W + 1
@@ -1139,10 +1176,13 @@ def test_shift_mask_runs_match_profile(case, data):
         args = (keys, perm[cls.ravel()], lo, hi, W, horizons)
         for use_max in (False, True):
             want = profile_mask_extremes(masks, W, horizons, use_max)
-            got = systems._segment_extremes(*args, use_max)
+            got = shift._segment_extremes(*args, use_max)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(systems, "_CHUNK", len(lo))
-                one = systems._segment_extremes(*args, use_max)
+                mp.setattr(shift, "_CHUNK", len(lo))
+                seen = row_block_spy(mp, shift)
+                one = shift._segment_extremes(*args, use_max)
+            # one row a block
+            assert seen == [(len(lo), len(keys))]
             assert set(got) == set(one) == horizons
             for h in horizons:
                 assert np.array_equal(got[h], want[h])
@@ -1168,7 +1208,7 @@ def full_mask_reference(pts_a, pts_b, horizons, use_max, centre):
     difference mask, one row of pairs at a time, through the profile
     oracle."""
     W = max(horizons) + GCAP
-    A, B = (np.packbits(systems._shift_bits(pts, centre - W, centre + W),
+    A, B = (np.packbits(shift._shift_bits(pts, centre - W, centre + W),
                         axis=1) for pts in (pts_a, pts_b))
     out = {h: np.empty((len(A), len(B))) for h in horizons}
     for i, a in enumerate(A):
@@ -1193,8 +1233,8 @@ def test_shift_wide_keys_match_full_masks(use_max):
             for k in range(5, 95)]
     horizons, centre = {2, 9}, -6
     W = max(horizons) + GCAP
-    bits = systems._shift_bits(pts, centre - W, centre + W)
-    assert systems._class_codes(bits)[0][0].shape[1] == 2
+    bits = shift._shift_bits(pts, centre - W, centre + W)
+    assert shift._class_codes(bits)[0][0].shape[1] == 2
     sys = shift2()
     got = sys.comoving_extremes(sys.arr_state(pts), None, horizons, use_max,
                                 centre)
@@ -1242,26 +1282,27 @@ def test_shift_key_table_matches_sorted_keys(monkeypatch, case):
     pts_a, pts_b, horizons, use_max, centre, rows = KEY_TABLE_CASES[case]()
     pts_b = pts_a if pts_b is None else pts_b
     W = max(horizons) + GCAP
-    bits = [systems._shift_bits(pts, centre - W, centre + W)
+    bits = [shift._shift_bits(pts, centre - W, centre + W)
             for pts in (pts_a, pts_b)]
     classes = np.unique(np.concatenate(bits), axis=1).shape[1]
     assert (16 < classes <= 64) == (case == "classes-21")
-    (ca, cb), cls = systems._class_codes(*bits)
+    (ca, cb), cls = shift._class_codes(*bits)
     space = 1 << int(max(ca.max(), cb.max())).bit_length()
-    assert (space > systems._CLASS_BLOCK) == (classes > 16)
+    assert (space > shift._CLASS_BLOCK) == (classes > 16)
     runs = 1 + np.count_nonzero(np.diff(cls))
     table = classes <= 16 and space * runs <= len(pts_a) * len(pts_b)
     assert table == (case in ("grid-3", "grid-4", "few-rows"))
     if rows:
-        monkeypatch.setattr(systems, "_CHUNK", rows * len(pts_b))
+        monkeypatch.setattr(shift, "_CHUNK", rows * len(pts_b))
+    seen = row_block_spy(monkeypatch, shift)
     read = []
-    real = systems._segment_extremes
+    real = shift._segment_extremes
 
     def spy(keys, *args):
         read.append(keys.copy())
         return real(keys, *args)
 
-    monkeypatch.setattr(systems, "_segment_extremes", spy)
+    monkeypatch.setattr(shift, "_segment_extremes", spy)
     sys = shift2()
     got = sys.comoving_extremes(*states(sys, pts_a, pts_b), horizons,
                                 use_max, centre)
@@ -1271,6 +1312,8 @@ def test_shift_key_table_matches_sorted_keys(monkeypatch, case):
         want_keys = np.unique(ca[:, None, 0] ^ cb[None, :, 0])
     assert len(read) == 1
     assert read[0].tobytes() == want_keys.astype("<u8").tobytes()
+    if rows:
+        assert split_by(seen, rows * len(pts_b))
     want = full_mask_reference(pts_a, pts_b, horizons, use_max, centre)
     for h in horizons:
         assert np.array_equal(got[h], want[h])
@@ -1356,7 +1399,7 @@ def visit_xor_reference(points, targets, H):
         low = (z & (~z + one)).astype(float)
         reach[i] = np.where(low == 0.0, 2.0 ** GCAP, low).max(axis=0)
     V = 1.0 / reach
-    V[systems._orbit_hits(points, targets, H)] = 0.0
+    V[shift._orbit_hits(points, targets, H)] = 0.0
     return V
 
 
@@ -1368,10 +1411,10 @@ def test_shift_window_words_match_reference():
     pts += [word_point((1, 0, 1), -5, fill=1), word_point((1,), GCAP + 70),
             periodic_point((0, 1, 1)), periodic_point((1, 0, 0, 1, 0))]
     for H in (0, 1, 7, 50):
-        got = systems._window_words(pts, H)
+        got = shift._window_words(pts, H)
         for g, w in zip(got, window_words_reference(pts, H)):
             assert g.dtype == np.uint64 and np.array_equal(g, w)
-    assert [w.shape for w in systems._window_words([], 3)] == [(0, 7)] * 2
+    assert [w.shape for w in shift._window_words([], 3)] == [(0, 7)] * 2
 
 
 # (points, targets or None for the points themselves, H)
@@ -1420,14 +1463,14 @@ def test_shift_visit_minima_one_point_per_block(monkeypatch):
     H = 9
     whole = sys.visit_minima(pts, tgt, H)
     rows = []
-    real = systems._ring_visits
+    real = shift._ring_visits
 
     def spy(fwd, *args):
         rows.append(len(fwd))
         return real(fwd, *args)
 
-    monkeypatch.setattr(systems, "_ring_visits", spy)
-    monkeypatch.setattr(systems, "_CHUNK", 8 * (2 * H + 1 + len(tgt)))
+    monkeypatch.setattr(shift, "_ring_visits", spy)
+    monkeypatch.setattr(shift, "_CHUNK", 8 * (2 * H + 1 + len(tgt)))
     split = sys.visit_minima(pts, tgt, H)
     assert rows == [1] * len(pts)
     assert np.array_equal(split, whole)
@@ -1514,7 +1557,7 @@ def closed_form_points(name, sys, rng, m, H):
             r = sys.circles[int(rng.integers(len(sys.circles)))]
             pts.append(Annulus(float(rng.random()), r))
         else:
-            theta = float(systems._turns(int(rng.choice(edges)), sys.k))
+            theta = float(annulus._turns(int(rng.choice(edges)), sys.k))
             theta += float(rng.choice(FLAT_GAPS))
             pts += [Annulus(theta, r) for r in sys.circles]
     return list(dict.fromkeys(pts))
@@ -1554,26 +1597,26 @@ def per_point_tail_visits(sys, P, T, H):
     rt, tt = sys._radii(T), T["theta"]
     V = np.empty((len(P["row"]), len(tt)))
     circ = P["row"] < 0
-    g = bisect_gap(systems._angle_table(-H, H, sys.k),
+    g = bisect_gap(annulus._angle_table(-H, H, sys.k),
                    np.mod(tt - P["theta"][circ, None], 1.0))
-    V[circ] = systems._chord(P["r"][circ, None], rt, systems._sin2(g))
+    V[circ] = annulus._chord(P["r"][circ, None], rt, annulus._sin2(g))
     window = {}
     for i in np.nonzero(~circ)[0]:
         row, m = P["row"][i], int(P["idx"][i])
         lo, hi, r_lo, r_hi = sys._limits[row]
         if row not in window:
             n = np.arange(lo, hi + 1)
-            window[row] = systems._chord(
+            window[row] = annulus._chord(
                 sys._radius(row, n)[:, None], rt,
-                systems._sin2(tt - systems._turns(n, sys.k)[:, None]))
+                annulus._sin2(tt - annulus._turns(n, sys.k)[:, None]))
         a, b = max(lo, m - H), min(hi, m + H)
         best = (window[row][a - lo:b - lo + 1].min(0) if a <= b
                 else np.full(len(tt), np.inf))
         for a, b, r in ((m - H, min(lo - 1, m + H), r_lo),
                         (max(hi + 1, m - H), m + H, r_hi)):
             if a <= b:
-                g = bisect_gap(systems._angle_table(a, b, sys.k), tt)
-                np.minimum(best, systems._chord(r, rt, systems._sin2(g)),
+                g = bisect_gap(annulus._angle_table(a, b, sys.k), tt)
+                np.minimum(best, annulus._chord(r, rt, annulus._sin2(g)),
                            out=best)
         V[i] = best
     return V
@@ -1586,17 +1629,17 @@ def per_point_loop_visits(sys, P, T, H):
     rt, tt = sys._radii(T), T["theta"]
     V = np.empty((len(P["row"]), len(tt)))
     circ = P["row"] < 0
-    g = bisect_gap(systems._angle_table(-H, H, sys.k),
+    g = bisect_gap(annulus._angle_table(-H, H, sys.k),
                    np.mod(tt - P["theta"][circ, None], 1.0))
-    V[circ] = systems._chord(P["r"][circ, None], rt, systems._sin2(g))
+    V[circ] = annulus._chord(P["r"][circ, None], rt, annulus._sin2(g))
     for row in np.unique(P["row"][~circ]):
         sel = np.flatnonzero(P["row"] == row)
         m = P["idx"][sel].astype(np.int64)
         lo, hi, r_lo, r_hi = sys._limits[row]
         n = np.arange(lo, hi + 1)
-        window = systems._chord(
+        window = annulus._chord(
             sys._radius(row, n)[:, None], rt,
-            systems._sin2(tt - systems._turns(n, sys.k)[:, None]))
+            annulus._sin2(tt - annulus._turns(n, sys.k)[:, None]))
         for i, mi in zip(sel, m):
             a, b = max(lo, mi - H), min(hi, mi + H)
             V[i] = window[a - lo:b - lo + 1].min(0) if a <= b else np.inf
@@ -1605,8 +1648,8 @@ def per_point_loop_visits(sys, P, T, H):
                 (np.maximum(hi + 1, m - H), m + H, hi + 1, 1, r_hi)):
             ids, run, G = sys._tail_gaps(a, b, edge, step, tt)
             for i, j in zip(ids, run):
-                np.minimum(V[sel[i]], systems._chord(r, rt,
-                                                     systems._sin2(G[j])),
+                np.minimum(V[sel[i]], annulus._chord(r, rt,
+                                                     annulus._sin2(G[j])),
                            out=V[sel[i]])
     return V
 
@@ -1626,14 +1669,14 @@ def event_time_extremes(sys, A, B, horizons, use_max, centre):
             times.update(range(max(lo - m - 1, centre - H),
                                min(hi - m, centre + H) + 1))
     times = sorted(times, key=lambda n: abs(n - centre))
-    s2 = systems._sin2(A["theta"][:, None] - B["theta"])
+    s2 = annulus._sin2(A["theta"][:, None] - B["theta"])
     red = np.maximum if use_max else np.minimum
     out, M, t = {}, None, 0
     for h in sorted(horizons):
         for n in times[t:]:
             if abs(n - centre) > h:
                 break
-            d = systems._chord(sys._radius(A["row"], A["idx"] + n)[:, None],
+            d = annulus._chord(sys._radius(A["row"], A["idx"] + n)[:, None],
                                sys._radius(B["row"], B["idx"] + n), s2)
             M = d if M is None else red(M, d, out=M)
             t += 1
@@ -1648,13 +1691,13 @@ def per_row_returns(sys, S, H):
     r0 = sys._radii(S)
     theta = np.where(S["row"] >= 0, S["theta"], 0.0)
     D = np.empty((len(r0), n.size), dtype=np.float32)
-    for rows in kernels._row_blocks(len(r0), n.size, systems._CLASS_BLOCK):
+    for rows in kernels._row_blocks(len(r0), n.size, annulus._CLASS_BLOCK):
         blk = {key: np.repeat(S[key][rows], n.size) for key in ("r", "row")}
         blk["idx"] = (S["idx"][rows, None] + n).ravel()
         r = sys._radii(blk).reshape(-1, n.size)
-        gap = systems._turns(blk["idx"], sys.k).reshape(-1, n.size)
+        gap = annulus._turns(blk["idx"], sys.k).reshape(-1, n.size)
         gap -= theta[rows, None]
-        D[rows] = systems._chord(r, r0[rows, None], systems._sin2(gap))
+        D[rows] = annulus._chord(r, r0[rows, None], annulus._sin2(gap))
     return D
 
 
@@ -1663,13 +1706,13 @@ def dense_fold(sys, pts_a, pts_b, h, use_max, centre):
     folded over every time |n - centre| <= h."""
     A = sys.arr_state(pts_a)
     B = A if pts_b is None else sys.arr_state(pts_b)
-    s2 = systems._sin2(A["theta"][:, None] - B["theta"][None, :])
+    s2 = annulus._sin2(A["theta"][:, None] - B["theta"][None, :])
     red = np.maximum if use_max else np.minimum
     M = None
     for n in range(centre - h, centre + h + 1):
         ra = sys._radii({**A, "idx": A["idx"] + n})
         rb = sys._radii({**B, "idx": B["idx"] + n})
-        D = systems._chord(ra[:, None], rb, s2)
+        D = annulus._chord(ra[:, None], rb, s2)
         M = D if M is None else red(M, D)
     return M
 
@@ -1744,7 +1787,7 @@ def test_nearest_gap_is_bisection_bit_for_bit(k, window, monkeypatch):
     # ends of [0, 1], on and next to every angle and bucket edge, at
     # random, and in 2-D blocks
     lo, hi = window
-    table = systems._angle_table(lo, hi, k)
+    table = annulus._angle_table(lo, hi, k)
     angles = table[1:-1]
     scale = 1 << (2 * len(table) - 1).bit_length()
     rng = np.random.default_rng(hi - lo)
@@ -1759,8 +1802,8 @@ def test_nearest_gap_is_bisection_bit_for_bit(k, window, monkeypatch):
     bisect = np.searchsorted
     monkeypatch.setattr(np, "searchsorted", lambda a, v, *args, **kw: (
         searched.append(np.size(v)), bisect(a, v, *args, **kw))[1])
-    assert bit_equal(systems._nearest_gap(table, q), want)
-    assert bit_equal(systems._nearest_gap(table, block), want_block)
+    assert bit_equal(annulus._nearest_gap(table, q), want)
+    assert bit_equal(annulus._nearest_gap(table, block), want_block)
     if k in (0.5, 1 / 3, 0.0) and hi > lo:
         # repeated angles crowd a bucket: bisection places the remainder
         assert searched
@@ -1813,7 +1856,8 @@ def test_annulus_class_blocks(monkeypatch, budget):
     # the co-moving pairs and the distance matrix go in blocks of at most
     # _CLASS_BLOCK pairs (at least one row); every block gives the dense
     # fold's extremes and the pointwise distances, bit for bit
-    monkeypatch.setattr(systems, "_CLASS_BLOCK", budget)
+    monkeypatch.setattr(annulus, "_CLASS_BLOCK", budget)
+    seen = row_block_spy(monkeypatch, annulus)
     rng = np.random.default_rng(budget)
     for name in sorted(CLOSED):
         sys = CLOSED[name]()
@@ -1828,17 +1872,18 @@ def test_annulus_class_blocks(monkeypatch, budget):
                 for h in (5, 40):
                     assert np.array_equal(
                         got[h], dense_fold(sys, pts, other, h, use_max, 3))
+    assert split_by(seen, budget)
 
 
 def counted(monkeypatch, name, size):
-    """Counts what passes through systems.<name>: size(*args) a call."""
-    f, count = getattr(systems, name), [0]
+    """Counts what passes through annulus.<name>: size(*args) a call."""
+    f, count = getattr(annulus, name), [0]
 
     def wrapper(*args):
         count[0] += size(*args)
         return f(*args)
 
-    monkeypatch.setattr(systems, name, wrapper)
+    monkeypatch.setattr(annulus, name, wrapper)
     return count
 
 
@@ -1864,7 +1909,7 @@ def oracle_points(sys, cloud, rng):
 
 
 def orbit_part(S):
-    return systems._take(S, np.flatnonzero(S["row"] >= 0))
+    return annulus._take(S, np.flatnonzero(S["row"] >= 0))
 
 
 @pytest.mark.parametrize("block", [None, 5])
@@ -1875,7 +1920,8 @@ def test_annulus_classes_match_references(name, cloud, block, monkeypatch):
     # nested tails, distinct return keys) and gives its per-point
     # reference's values bit for bit, in blocks of any size
     if block:
-        monkeypatch.setattr(systems, "_CLASS_BLOCK", block)
+        monkeypatch.setattr(annulus, "_CLASS_BLOCK", block)
+        seen = row_block_spy(monkeypatch, annulus)
     rng = np.random.default_rng(len(name) * 7 + len(cloud))
     sys = CLOSED[name]()
     P = sys.arr_state(oracle_points(sys, cloud, rng))
@@ -1895,6 +1941,7 @@ def test_annulus_classes_match_references(name, cloud, block, monkeypatch):
                 want = event_time_extremes(sys, *args)
                 for h in horizons:
                     assert np.array_equal(got[h], want[h])
+    assert not block or split_by(seen, block)
 
 
 @pytest.mark.parametrize("use_max", [False, True])
@@ -2370,9 +2417,11 @@ def test_below_falls_back_to_the_full_matrix(name, monkeypatch):
         assert found.full
         assert found.values[30].tobytes() == ref.tobytes()
     check(0.9)
-    monkeypatch.setattr(systems, "_close_pairs",
-                        lambda *args: None)
+    calls = []
+    monkeypatch.setattr(annulus if name == "annulus3" else torus,
+                        "_close_pairs", lambda *args: calls.append(args))
     check(1e-3)
+    assert calls
 
 
 @pytest.mark.parametrize("name", ["annulus3", "skew_torus"])
@@ -2394,6 +2443,8 @@ def test_max_list_is_pruned_by_the_fixed_gap(name):
 def test_only_the_base_class_defines_comoving_extremes():
     # comoving_pairs is the one co-moving hook a system overrides;
     # comoving_extremes reshapes its full list and is overridden nowhere
-    owners = [name for name, cls in vars(systems).items()
-              if isinstance(cls, type) and "comoving_extremes" in vars(cls)]
+    owners = [name for module in (base, torus, annulus, shift, wrappers)
+              for name, cls in vars(module).items()
+              if isinstance(cls, type) and cls.__module__ == module.__name__
+              and "comoving_extremes" in vars(cls)]
     assert owners == ["DynSystem"]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndistal import systems
+from ndistal import annulus, base, shift, systems, torus, wrappers
 from ndistal.errors import ConjugacyError, InvalidPointError, ParameterError
 from ndistal.kernels import min_orbit_distance, orbit_min_matrix
 from ndistal.points import Annulus, OrbitIndex, Pair, Torus, word_point
@@ -335,16 +335,17 @@ def test_only_the_base_class_derives_step_and_pdist():
     # a system states its map as iterate and its matrix as arr_cdist;
     # step, step_inv and arr_pdist are derived once, in DynSystem
     derived = {"step", "step_inv", "arr_pdist"}
-    classes = [c for c in vars(systems).values()
-               if isinstance(c, type) and c.__module__ == systems.__name__]
+    classes = [c for module in (base, torus, annulus, shift, wrappers)
+               for c in vars(module).values()
+               if isinstance(c, type) and c.__module__ == module.__name__]
     assert systems.DynSystem in classes and len(classes) > 8
     for cls in classes:
         own = derived & set(vars(cls))
         assert own == (derived if cls is systems.DynSystem else set()), cls
     # the torus map is stated once, from (alpha, shear), in _TorusBase
     for cls in classes:
-        if issubclass(cls, systems._TorusBase) \
-                and cls is not systems._TorusBase:
+        if issubclass(cls, torus._TorusBase) \
+                and cls is not torus._TorusBase:
             assert not {"iterate", "arr_step", "arr_iterate"} \
                 & set(vars(cls)), cls
     # every system states its metric as arr_cdist/arr_edist, and dist
@@ -436,6 +437,76 @@ def test_import_loads_no_scipy_graph_or_spatial():
 
 
 # ---------------------------------------------------------------------------
+# the module surface: one module per family, re-exported by systems
+# ---------------------------------------------------------------------------
+
+# every public name ndistal.systems defined before the families had their
+# own modules, by the module that defines it now
+SYSTEMS_NAMES = {
+    base: ("GOLDEN", "DynSystem"),
+    torus: ("Rotation", "SkewTorus", "IdentityTorus"),
+    annulus: ("SQ", "ABS", "REACH", "AnnulusSystem", "annulus3",
+              "ANNULUS_N_MAX", "annulusN", "annulus2"),
+    shift: ("GCAP", "GRID_BITS", "ShiftSystem", "shift2"),
+    wrappers: ("ProductSystem", "product_system", "PowerSystem",
+               "power_system", "CONJUGACY_TOL", "ConjugateSystem",
+               "conjugate_system"),
+    systems: ("CATALOGUE_FACTS", "catalogue", "get_system"),
+}
+# every public name of the package at that time
+PACKAGE_NAMES = (
+    "errors BudgetExceededError ConjugacyError ConstructionError "
+    "HomomorphismError InvalidPointError MeasureError NDistalError "
+    "ParameterError RefinementError points Annulus OrbitIndex Pair "
+    "PointCloud SymbolicPoint Torus periodic_point word_point kernels "
+    "ndiameter equicont systems CATALOGUE_FACTS GOLDEN DynSystem annulus2 "
+    "annulus3 annulusN catalogue conjugate_system get_system power_system "
+    "product_system shift2 IdentityTorus Rotation ShiftSystem SkewTorus "
+    "NDiameterResult diam_n_bounds diam_n_exact proximal "
+    "ProximalCellEstimate ProximalReport QuotientResult distality_report "
+    "fiber_proximal_cell max_orbit_distance min_orbit_distance "
+    "proximal_cell proximal_quotient EquicontinuityVerdict "
+    "EquicontinuityWitness RSetEstimate n_equicontinuity_probe r_set "
+    "r_set_equivariance_check skew_witness structure AuditRecord "
+    "ExpansivityVerdict MinimalSetEstimate ReturnProfile "
+    "almost_periodic_verdict dynamical_ball expansivity_probe "
+    "minimal_subsystems periodic_points prop_3_2_audit return_profile "
+    "theorem_3_5_audit transitive_check entropy EmpiricalMeasure "
+    "EntropyEstimate Partition closing_bound default_partition "
+    "geometric_partition ks_bound_audit metric_entropy_estimate "
+    "orbit_measure partition_entropy partition_from_labels "
+    "refine_partition uniform_measure word_count_entropy").split()
+
+
+def test_every_public_name_is_its_family_modules_object():
+    import ndistal
+
+    for module, names in SYSTEMS_NAMES.items():
+        for name in names:
+            obj = vars(module)[name]
+            assert getattr(systems, name) is obj, name
+            if callable(obj):
+                assert obj.__module__ == module.__name__, name
+            if hasattr(ndistal, name):
+                assert getattr(ndistal, name) is obj, name
+    for name in PACKAGE_NAMES:
+        assert hasattr(ndistal, name), name
+
+
+@pytest.mark.parametrize("module", ["base", "torus", "annulus", "shift",
+                                    "wrappers", "systems"])
+def test_each_family_module_imports_on_its_own(module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.run([sys.executable, "-c", f"import ndistal.{module}"],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
 # arr_iterate: f^n of a whole state in one jump
 # ---------------------------------------------------------------------------
 
@@ -465,7 +536,7 @@ def near_one_points(s, rng, ns):
 
 
 def cloud_points(s, rng, ns):
-    if isinstance(s, (systems._TorusBase, systems.AnnulusSystem)):
+    if isinstance(s, (torus._TorusBase, systems.AnnulusSystem)):
         return near_one_points(s, rng, ns)
     if isinstance(s, (systems.PowerSystem, systems.ConjugateSystem)):
         return cloud_points(s.f, rng, ns)
