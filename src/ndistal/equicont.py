@@ -24,8 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, check_positive
-from .kernels import (_comoving_states, _row_blocks, below_for,
-                      orbit_min_rows)
+from .kernels import _row_blocks, below_for, comoving
 from .ndiameter import diam_n_bounds_stacked, diam_n_exact_from_matrix
 from .points import PointCloud
 
@@ -54,11 +53,11 @@ def r_set(sys, x, delta: float, cloud: PointCloud,
     """Cloud points whose orbit dips delta-close to x's within |n| <= H."""
     check_positive("delta", delta)
     b = cloud.index_of(x)
-    row = orbit_min_rows(sys, cloud.points, [b], H,
-                         below=below_for(delta))[0][0]
-    members = np.nonzero(row < delta)[0]
+    found = comoving(sys, [cloud[b]], cloud.points, [H],
+                     below=below_for(delta))
     return RSetEstimate(base=b, delta=delta, horizon=H,
-                        members=tuple(int(i) for i in members))
+                        members=tuple(found.j[found.values[H] < delta]
+                                      .tolist()))
 
 
 def r_set_equivariance_check(sys, x, delta: float, cloud: PointCloud,
@@ -270,7 +269,7 @@ def n_equicontinuity_probe(sys, cloud: PointCloud, N: int, epsilon: float,
         check_positive("delta", delta)
     grid = tuple(sorted(set(delta_grid), reverse=True))
     m = len(cloud)
-    # the cloud's state, built once for D0, the rows and the spot checks
+    # the cloud's state, built once for D0 and the spot checks
     S = sys.arr_state(list(cloud.points))
     D0 = sys.arr_pdist(S)
     pos = D0[D0 > 0.0]
@@ -278,8 +277,9 @@ def n_equicontinuity_probe(sys, cloud: PointCloud, N: int, epsilon: float,
     base_idx = _dispersed_bases(D0, min(n_bases, m))
     # the levels read only rows < delta, so entries past the widest delta
     # need not be exact
-    rows = _comoving_states(sys, sys.arr_state([cloud[i] for i in base_idx]),
-                            S, H, (), False, below=below_for(grid[0]))[0]
+    below = below_for(grid[0])
+    rows = comoving(sys, [cloud[i] for i in base_idx], cloud.points, [H],
+                    below=below).matrices(below)[H]
 
     per_delta = []
     fail_witnesses = {}

@@ -6,24 +6,25 @@ dynamical balls, orbit-visit minima against fixed targets for transitivity
 and minimal-set clustering, and minima over a window |n - c| <= H centred
 at a time c.
 
-No kernel calls ``step`` or ``iterate``.  The co-moving kernels ask the
-system's hook ``comoving_pairs`` (the extremes over a centred window, of
-every pair or of the pairs that may lie under a threshold), the visit
-kernel asks ``visit_minima``, and the self-return kernel
-`orbit_return_matrix` asks ``return_distances`` (each point's distance
-to its own iterates over |n| <= H, the input of the periods and the
-return-gap verdicts in ``structure``, which steps no orbit itself).
+No kernel calls ``step`` or ``iterate``.  The co-moving kernel
+`comoving` asks the system's hook ``comoving_pairs`` (the extremes over a
+centred window, of every pair or of the pairs that may lie under a
+threshold), the visit kernel asks ``visit_minima``, and the self-return
+kernel `orbit_return_matrix` asks ``return_distances`` (each point's
+distance to its own iterates over |n| <= H, the input of the periods and
+the return-gap verdicts in ``structure``, which steps no orbit itself).
 The hooks take states, not point lists: each public kernel converts its
-point lists once, by ``arr_state``, and passes the states on.
+point lists once, by ``arr_state``, and passes the states on.  Every
+horizon a kernel takes is an integer >= 0.
 
 ``below``: a caller that only asks which extremes lie under a threshold
-reads them as the hook's list of candidate pairs
-(``DynSystem.comoving_pairs`` states its contract, for minima and for
-maxima): `orbit_min_list` and `orbit_max_list` hand the list on, and
-`orbit_min_matrix` and `orbit_min_rows` with ``below`` scatter it into a
-matrix whose unlisted entries hold ``below``.  ``below`` must be finite
-and positive; with none, the hook lists every pair and the matrix
-kernels reshape that full list.
+passes it to `comoving`, which returns the hook's list of candidate pairs
+unchanged (``DynSystem.comoving_pairs`` states its contract, for minima
+and for maxima); the caller reads its rows off the list as
+``j[values[h] < threshold]``, and ``PairExtremes.matrices(below)``
+scatters it into matrices whose unlisted entries hold ``below``.
+``below`` must be finite and positive; with none, the hook lists every
+pair and `matrices` reshapes that full list.
 The default of each hook, and `orbit_min_pairs`, run one engine on the
 system's array interface (``arr_state``, ``arr_step`` and the
 ``arr_*dist`` methods), which every system has.  The shift, the torus
@@ -39,6 +40,7 @@ at most `_CHUNK` distances.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -48,8 +50,14 @@ _CHUNK = 4_000_000  # elements per temporary array of the blocked helpers
 
 
 def _check_horizon(H):
-    if H < 0:
-        raise ParameterError(f"horizon H must be >= 0, got {H}")
+    """H as an int, when it is an integer >= 0."""
+    try:
+        h = operator.index(H)
+    except TypeError:
+        h = -1
+    if h < 0:
+        raise ParameterError(f"horizon H must be an integer >= 0, got {H!r}")
+    return h
 
 
 def _sweep(step, sa, sb, H, dist, red=np.minimum, move_b=True,
@@ -60,7 +68,7 @@ def _sweep(step, sa, sb, H, dist, red=np.minimum, move_b=True,
     move_b.  Returns M and, for each h in checkpoints, a copy of M once the
     steps up to |n| = h are folded in.
     """
-    _check_horizon(H)
+    H = _check_horizon(H)
     M = dist(sa, sb)
     walks = [(sa, sb), (sa, sb)]
     cps = {0: M.copy()} if 0 in checkpoints else {}
@@ -82,7 +90,7 @@ def sweep_extremes(sys, sa, sb, horizons, use_max, centre):
     M_h[i, j] the min (max when use_max) over |n - centre| <= h of
     d(f^n a_i, f^n b_j), for the points of the states sa and sb; sb None
     pairs sa with itself.  Every entry is exact."""
-    H = max(horizons)
+    H = max(_check_horizon(h) for h in horizons)
     red = np.maximum if use_max else np.minimum
     if sb is None:
         dist, move_b = lambda a, _: sys.arr_pdist(a), False
@@ -163,7 +171,7 @@ def sweep_returns(sys, s0, H):
     D[i, t] = d(f^(t-H) x_i, x_i) for t = 0..2H, x_i the points of the
     state s0."""
     s = s0
-    for _ in range(H):
+    for _ in range(_check_horizon(H)):
         s = sys.arr_step(s, inverse=True)
     cols = []
     for t in range(2 * H + 1):
@@ -213,53 +221,22 @@ def mesh(sys, points):
 # public kernels
 # ---------------------------------------------------------------------------
 
-def orbit_min_matrix(sys, points, H, checkpoints=(), below=None):
-    """M[i,j] = min over |n|<=H of d(f^n p_i, f^n p_j); optional snapshot
-    copies at intermediate horizons.  Returns (M, {h: snapshot}).  With
-    `below`, only the entries under it are exact: every other entry holds
-    `below`, a certified lower bound on it (see ``below`` above)."""
-    return _comoving(sys, points, None, H, checkpoints, use_max=False,
-                     below=below)
-
-
-def orbit_max_matrix(sys, points, H):
-    """M[i,j] = max over |n|<=H of d(f^n p_i, f^n p_j)."""
-    return _comoving(sys, points, None, H, (), use_max=True)[0]
-
-
-def orbit_min_rows(sys, points, base_idx, H, checkpoints=(), below=None):
-    """Rows of orbit_min_matrix for the given base indices only."""
-    bases = [points[i] for i in base_idx]
-    return _comoving(sys, bases, list(points), H, checkpoints, use_max=False,
-                     below=below)
-
-
-def orbit_max_rows(sys, points, base_idx, H):
-    """Rows of orbit_max_matrix for the given base indices only."""
-    bases = [points[i] for i in base_idx]
-    return _comoving(sys, bases, list(points), H, (), use_max=True)[0]
-
-
-def orbit_min_list(sys, points, H, checkpoints=(), below=None):
-    """The pairs (i, j) of orbit_min_matrix that may lie under `below`, as
-    a `PairExtremes` holding their minima at H and at each checkpoint, bit
-    for bit the matrix's entries: every pair left out has a minimum at or
-    above `below`.  The list is in CSR order and is its own transpose.
-    `below` None lists every pair."""
-    _check_horizon(H)
-    return _comoving_list(sys, sys.arr_state(list(points)), None,
-                          {H, *checkpoints}, False, 0, below)
-
-
-def orbit_max_list(sys, points, H, below=None):
-    """The pairs (i, j) of orbit_max_matrix that may lie under `below`, as
-    a `PairExtremes` holding their maxima at H, bit for bit the matrix's
-    entries: every pair left out has a maximum at or above `below`.  The
-    list is in CSR order and is its own transpose.  `below` None lists
-    every pair."""
-    _check_horizon(H)
-    return _comoving_list(sys, sys.arr_state(list(points)), None, {H}, True,
-                          0, below)
+def comoving(sys, points, others, horizons, use_max=False, centre=0,
+             below=None):
+    """The co-moving kernel: the hook ``comoving_pairs``'s `PairExtremes`
+    of the points against the others (None: against themselves), pair
+    (i, j) holding the min (max when use_max) over |n - centre| <= h of
+    d(f^n p_i, f^n q_j) at each horizon h, with every pair that may lie
+    under `below` listed (see ``below`` above)."""
+    horizons = {_check_horizon(h) for h in horizons}
+    if below is not None:
+        below = float(below)
+        if not 0.0 < below < math.inf:
+            raise ParameterError(
+                f"below must be finite and positive, got {below!r}")
+    sb = None if others is None else sys.arr_state(list(others))
+    return sys.comoving_pairs(sys.arr_state(list(points)), sb, horizons,
+                              use_max, centre, below)
 
 
 def below_for(threshold):
@@ -269,46 +246,16 @@ def below_for(threshold):
     return threshold if math.isfinite(threshold) else None
 
 
-def _comoving(sys, pts_a, pts_b, H, checkpoints, use_max, centre=0,
-              below=None):
-    sb = None if pts_b is None else sys.arr_state(list(pts_b))
-    return _comoving_states(sys, sys.arr_state(list(pts_a)), sb, H,
-                            checkpoints, use_max, centre, below)
-
-
-def _comoving_states(sys, sa, sb, H, checkpoints, use_max, centre=0,
-                     below=None):
-    """`_comoving` on states already built, for callers that reuse one:
-    the list of `_comoving_list` as matrices, a full list reshaped and a
-    partial one scattered into `below`."""
-    _check_horizon(H)
-    out = _comoving_list(sys, sa, sb, {H, *checkpoints}, use_max, centre,
-                         below).matrices(below)
-    return out[H], {h: out[h] for h in checkpoints}
-
-
-def _comoving_list(sys, sa, sb, horizons, use_max, centre, below):
-    """The list kernel: the hook ``comoving_pairs`` under a checked
-    `below`; None lists every pair."""
-    if below is not None:
-        below = float(below)
-        if not 0.0 < below < math.inf:
-            raise ParameterError(
-                f"below must be finite and positive, got {below!r}")
-    return sys.comoving_pairs(sa, sb, horizons, use_max, centre, below)
-
-
 def orbit_visit_matrix(sys, points, targets, H):
     """V[i,j] = min over |n|<=H of d(f^n p_i, t_j) with the targets fixed."""
-    _check_horizon(H)
     return sys.visit_minima(sys.arr_state(list(points)),
-                            sys.arr_state(list(targets)), H)
+                            sys.arr_state(list(targets)), _check_horizon(H))
 
 
 def orbit_return_matrix(sys, points, H):
     """D[i, t] = d(f^(t-H) p_i, p_i) for t = 0..2H, as float32."""
-    _check_horizon(H)
-    return sys.return_distances(sys.arr_state(list(points)), H)
+    return sys.return_distances(sys.arr_state(list(points)),
+                                _check_horizon(H))
 
 
 def orbit_min_pairs(sys, xs, ys, H):
@@ -318,16 +265,11 @@ def orbit_min_pairs(sys, xs, ys, H):
                   sys.arr_state(list(ys)), H, sys.arr_edist)[0]
 
 
-def orbit_window_min_row(sys, x, points, centre, H):
-    """min over |k - centre| <= H of d(f^k x, f^k p) for each point p."""
-    return _comoving(sys, [x], list(points), H, (), False, centre)[0][0]
-
-
 def min_orbit_distance(sys, x, y, H: int) -> float:
     """min over |n| <= H of d(f^n x, f^n y)."""
-    return float(_comoving(sys, [x], [y], H, (), use_max=False)[0][0, 0])
+    return float(comoving(sys, [x], [y], [H]).values[H][0])
 
 
 def max_orbit_distance(sys, x, y, H: int) -> float:
     """max over |n| <= H of d(f^n x, f^n y)."""
-    return float(_comoving(sys, [x], [y], H, (), use_max=True)[0][0, 0])
+    return float(comoving(sys, [x], [y], [H], use_max=True).values[H][0])

@@ -18,9 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import HomomorphismError, ParameterError, check_positive
-from .kernels import (below_for, max_orbit_distance, mesh,
-                      min_orbit_distance, nearest, orbit_min_list,
-                      orbit_min_rows)
+from .kernels import (below_for, comoving, max_orbit_distance, mesh,
+                      min_orbit_distance, nearest)
 from .points import OrbitIndex, PointCloud
 
 DEFAULT_H = 200
@@ -182,22 +181,23 @@ def _stable(M_h, M_2h, factor, floor):
     return (M_2h <= M_h / factor) | (M_2h <= floor)
 
 
-def _row_cell(base, row_h, row_2h, H, eps, floor, index_map=None):
-    """The cell of `base` from its minima over |n| <= H and 2H: the points
-    eps-close to it, each traced by row_h and flagged stable when its
-    minimum converges; index_map renames indices."""
-    adj = row_h < eps
-    adj[base] = True
-    stable = _stable(row_h, row_2h, STABLE_FACTOR, floor)
-    stable[base] = True
-    members = np.flatnonzero(adj)
+def _row_cell(base, found, H, eps, floor, index_map=None):
+    """The cell of `base` from `found`, the list of its one row's minima
+    over |n| <= H and 2H: the points eps-close to it, each traced at H and
+    flagged stable when its minimum converges; index_map renames
+    indices."""
+    row_h = found.values[H]
+    near = (row_h < eps) | (found.j == base)
+    members = found.j[near]
+    stable = _stable(row_h[near], found.values[2 * H][near], STABLE_FACTOR,
+                     floor) | (members == base)
     keys = members if index_map is None else np.asarray(index_map)[members]
     keys = keys.tolist()
     return ProximalCellEstimate(
         base=base if index_map is None else index_map[base],
         members=tuple(keys), horizon=H, threshold=eps,
-        min_dist_trace=dict(zip(keys, row_h[members].tolist())),
-        stable=dict(zip(keys, stable[members].tolist())))
+        min_dist_trace=dict(zip(keys, row_h[near].tolist())),
+        stable=dict(zip(keys, stable.tolist())))
 
 
 def proximal_cell(sys, x, cloud: PointCloud, H: int = DEFAULT_H,
@@ -208,9 +208,9 @@ def proximal_cell(sys, x, cloud: PointCloud, H: int = DEFAULT_H,
     """
     _check_scale(H, eps_prox)
     b = cloud.index_of(x)
-    M2, cps = orbit_min_rows(sys, cloud.points, [b], 2 * H, checkpoints=(H,),
-                             below=below_for(eps_prox))
-    return _row_cell(b, cps[H][0], M2[0], H, eps_prox, sys.floor)
+    found = comoving(sys, [cloud[b]], cloud.points, (H, 2 * H),
+                     below=below_for(eps_prox))
+    return _row_cell(b, found, H, eps_prox, sys.floor)
 
 
 def distality_report(sys, cloud: PointCloud, H: int = DEFAULT_H,
@@ -229,8 +229,8 @@ def distality_report(sys, cloud: PointCloud, H: int = DEFAULT_H,
         raise ParameterError(f"N_max must be >= 1, got {N_max!r}")
     if not len(cloud):
         raise ParameterError("distality_report needs a nonempty cloud")
-    found = orbit_min_list(sys, cloud.points, 2 * H, checkpoints=(H,),
-                           below=below_for(eps_prox))
+    found = comoving(sys, cloud.points, None, (H, 2 * H),
+                     below=below_for(eps_prox))
     # the list holds every pair under eps_prox, the diagonal among them,
     # and is its own transpose, so the edges it keeps are symmetric
     MH = found.values[H]
@@ -420,9 +420,9 @@ def fiber_proximal_cell(g, f, pi, y, cloud: PointCloud, H: int = DEFAULT_H,
     fiber_idx = np.nonzero(gap < eps_fiber)[0].tolist()
     sub = [cloud[i] for i in fiber_idx]
     sub_b = fiber_idx.index(b)
-    M2, cps = orbit_min_rows(g, sub, [sub_b], 2 * H, checkpoints=(H,),
-                             below=below_for(eps_prox))
-    return _row_cell(sub_b, cps[H][0], M2[0], H, eps_prox, g.floor,
+    found = comoving(g, [sub[sub_b]], sub, (H, 2 * H),
+                     below=below_for(eps_prox))
+    return _row_cell(sub_b, found, H, eps_prox, g.floor,
                      index_map=fiber_idx)
 
 

@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, check_positive
-from .kernels import (_CHUNK, _row_blocks, below_for, orbit_max_list,
-                      orbit_max_rows, orbit_return_matrix, orbit_visit_matrix)
+from .kernels import (_CHUNK, _row_blocks, below_for, comoving,
+                      orbit_return_matrix, orbit_visit_matrix)
 from .points import PointCloud
 from .proximal import DEFAULT_EPS, distality_report
 
@@ -272,9 +272,10 @@ def dynamical_ball(sys, x, delta: float, cloud: PointCloud,
                    H: int) -> tuple:
     """Indices of points staying delta-close to x's orbit at all |n| <= H
     (max over the window, dual to r_set's min)."""
-    b = cloud.index_of(x)
-    row = orbit_max_rows(sys, cloud.points, [b], H)[0]
-    return tuple(int(i) for i in np.nonzero(row < delta)[0])
+    check_positive("delta", delta)
+    found = comoving(sys, [cloud[cloud.index_of(x)]], cloud.points, [H],
+                     use_max=True, below=below_for(delta))
+    return tuple(found.j[found.values[H] < delta].tolist())
 
 
 @dataclass
@@ -304,7 +305,8 @@ def expansivity_probe(sys, cloud: PointCloud, delta_grid=(0.25, 0.1, 0.05),
     for delta in delta_grid:
         check_positive("delta", delta)
     widest = max(delta_grid, default=math.inf)
-    found = orbit_max_list(sys, cloud.points, H, below=below_for(widest))
+    found = comoving(sys, cloud.points, None, [H], use_max=True,
+                     below=below_for(widest))
     M = found.values[H]
     sizes = {}
     expansive_at = None

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndistal import equicont, kernels
+from ndistal import equicont, kernels, proximal, structure
 from ndistal.equicont import (n_equicontinuity_probe, r_set,
                               r_set_equivariance_check, skew_witness)
 from ndistal.errors import ParameterError
@@ -297,8 +297,9 @@ def test_probe_spot_checks_pass():
 
 @pytest.mark.parametrize("make", [SkewTorus, annulus3, shift2])
 def test_probe_builds_the_cloud_state_once(make, monkeypatch):
-    # D0, the base rows and every spot check share one state of the cloud;
-    # the spot checks still answer as the public check does
+    # D0 and every spot check share one state of the cloud, and the base
+    # rows' co-moving kernel builds one more from the cloud's points; the
+    # spot checks still answer as the public check does
     s = make()
     cloud = s.sampler(3 if make is shift2 else 16)
     H, seed = 40, 5
@@ -312,7 +313,7 @@ def test_probe_builds_the_cloud_state_once(make, monkeypatch):
     monkeypatch.setattr(s, "arr_state", spy)
     verdict = n_equicontinuity_probe(s, cloud, N=2, epsilon=0.2, H=H,
                                      seed=seed)
-    assert sizes.count(len(cloud)) == 1
+    assert sizes.count(len(cloud)) == 2
     rng = np.random.default_rng(seed)
     mid_delta = verdict.delta_grid[len(verdict.delta_grid) // 2]
     want = []
@@ -430,14 +431,18 @@ def test_probe_and_r_set_give_the_exact_path_with_below(make, size,
         return v.as_dict(), sets
 
     pruned = run()
-    real = kernels._comoving_states
+    real, dropped = kernels.comoving, []
 
-    def exact(sys, sa, sb, H, checkpoints, use_max, centre=0, below=None):
-        return real(sys, sa, sb, H, checkpoints, use_max, centre)
+    def exact(sys, points, others, horizons, use_max=False, centre=0,
+              below=None):
+        dropped.append(below)
+        return real(sys, points, others, horizons, use_max, centre)
 
-    monkeypatch.setattr(kernels, "_comoving_states", exact)
-    monkeypatch.setattr(equicont, "_comoving_states", exact)
+    for module in (kernels, proximal, equicont, structure):
+        monkeypatch.setattr(module, "comoving", exact)
     assert run() == pruned
+    # the probe's rows and every r_set ran the patched kernel
+    assert dropped.count(grid[0]) == 1 + len(range(0, len(cloud), 37))
 
 
 def test_r_set_with_infinite_delta_holds_the_whole_cloud():

@@ -11,11 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndistal.kernels import (max_orbit_distance, mesh, min_orbit_distance,
-                             nearest, orbit_max_matrix, orbit_min_matrix,
-                             orbit_min_pairs, orbit_min_rows,
-                             orbit_return_matrix, orbit_visit_matrix,
-                             orbit_window_min_row)
+from ndistal.kernels import (comoving, max_orbit_distance, mesh,
+                             min_orbit_distance, nearest, orbit_min_pairs,
+                             orbit_return_matrix, orbit_visit_matrix)
 from ndistal import (annulus, base, kernels, shift, systems, torus,
                      wrappers)
 from ndistal.errors import ParameterError
@@ -89,7 +87,7 @@ def test_orbit_min_matrix_matches_brute_force(make):
     sys = make()
     cloud = sys.sampler(3)
     pts = cloud.points[:8]
-    got = orbit_min_matrix(sys, pts, 12)[0]
+    got = comoving(sys, pts, None, [12]).matrices()[12]
     want = brute_min_matrix(sys, pts, 12)
     assert np.allclose(got, want, atol=1e-9)
 
@@ -98,7 +96,7 @@ def test_orbit_min_matrix_matches_brute_force(make):
 def test_orbit_max_matrix_matches_brute_force(make):
     sys = make()
     pts = sys.sampler(3).points[:8]
-    got = orbit_max_matrix(sys, pts, 12)
+    got = comoving(sys, pts, None, [12], use_max=True).matrices()[12]
     want = brute_max_matrix(sys, pts, 12)
     assert np.allclose(got, want, atol=1e-9)
 
@@ -110,7 +108,7 @@ def test_pointwise_fallback_path():
     h_inv = lambda p: Torus(p.x - 0.1, p.y)
     sys = conjugate_system(base, h, h_inv)
     pts = [Torus(i / 7.0, 0.0) for i in range(7)]
-    got = orbit_min_matrix(sys, pts, 10)[0]
+    got = comoving(sys, pts, None, [10]).matrices()[10]
     want = brute_min_matrix(sys, pts, 10)
     assert np.allclose(got, want, atol=1e-9)
 
@@ -118,18 +116,18 @@ def test_pointwise_fallback_path():
 def test_checkpoints_are_prefix_minima():
     sys = annulus3()
     pts = sys.sampler(3).points[:10]
-    full, snaps = orbit_min_matrix(sys, pts, 40, checkpoints=(10, 20))
-    assert set(snaps) == {10, 20}
+    snaps = comoving(sys, pts, None, (40, 10, 20)).matrices()
+    assert set(snaps) == {10, 20, 40}
     assert np.all(snaps[10] >= snaps[20] - 1e-15)
-    assert np.all(snaps[20] >= full - 1e-15)
+    assert np.all(snaps[20] >= snaps[40] - 1e-15)
     assert np.allclose(snaps[10], brute_min_matrix(sys, pts, 10), atol=1e-9)
 
 
 def test_orbit_min_rows_match_matrix():
     sys = SkewTorus()
     pts = sys.sampler(3).points[:9]
-    M = orbit_min_matrix(sys, pts, 15)[0]
-    rows = orbit_min_rows(sys, pts, [2, 5], 15)[0]
+    M = comoving(sys, pts, None, [15]).matrices()[15]
+    rows = comoving(sys, [pts[2], pts[5]], pts, [15]).matrices()[15]
     assert np.allclose(rows[0], M[2], atol=1e-12)
     assert np.allclose(rows[1], M[5], atol=1e-12)
 
@@ -250,14 +248,14 @@ def test_conjugate_measures_with_its_base(name, seed):
     def close(a, b):
         return np.allclose(a, b, rtol=0.0, atol=1e-12)
 
-    M, snaps = orbit_min_matrix(native, pts, H, checkpoints=cps)
-    M_c, snaps_c = orbit_min_matrix(conj, pts, H, checkpoints=cps)
-    assert close(M, M_c) and all(close(snaps[h], snaps_c[h]) for h in cps)
+    snaps = comoving(native, pts, None, [H, *cps]).matrices()
+    snaps_c = comoving(conj, pts, None, [H, *cps]).matrices()
+    assert all(close(snaps[h], snaps_c[h]) for h in (H, *cps))
     tgt = pts[:2]
     assert close(orbit_visit_matrix(native, pts, tgt, H),
                  orbit_visit_matrix(conj, pts, tgt, H))
-    assert close(orbit_window_min_row(native, x, pts, centre, H),
-                 orbit_window_min_row(conj, x, pts, centre, H))
+    assert close(comoving(native, [x], pts, [H], centre=centre).values[H],
+                 comoving(conj, [x], pts, [H], centre=centre).values[H])
 
 
 @given(st.sampled_from(["rotation", "skew_torus", "annulus3"]),
@@ -275,13 +273,13 @@ def test_native_and_default_paths_agree(name, seed):
     def close(a, b):
         return np.allclose(a, b, rtol=0.0, atol=1e-12)
 
-    M, snaps = orbit_min_matrix(native, pts, H, checkpoints=cps)
-    M_d, snaps_d = orbit_min_matrix(default, pts, H, checkpoints=cps)
-    assert close(M, M_d)
-    assert set(snaps) == set(snaps_d) == set(cps)
+    snaps = comoving(native, pts, None, [H, *cps]).matrices()
+    snaps_d = comoving(default, pts, None, [H, *cps]).matrices()
+    assert close(snaps[H], snaps_d[H])
+    assert set(snaps) == set(snaps_d) == {H, *cps}
     assert all(close(snaps[h], snaps_d[h]) for h in cps)
-    assert close(orbit_max_matrix(native, pts, H),
-                 orbit_max_matrix(default, pts, H))
+    assert close(comoving(native, pts, None, [H], use_max=True).values[H],
+                 comoving(default, pts, None, [H], use_max=True).values[H])
     tgt = pts[:2]
     assert close(orbit_visit_matrix(native, pts, tgt, H),
                  orbit_visit_matrix(default, pts, tgt, H))
@@ -313,18 +311,21 @@ def test_torus_difference_classes_match_default(name, grid, seed):
     def close(a, b):
         return np.allclose(a, b, rtol=0.0, atol=1e-12)
 
-    M, snaps = orbit_min_matrix(sys, pts, H, checkpoints=cps)
-    M_d, snaps_d = orbit_min_matrix(default, pts, H, checkpoints=cps)
+    snaps = comoving(sys, pts, None, [H, *cps]).matrices()
+    snaps_d = comoving(default, pts, None, [H, *cps]).matrices()
+    M = snaps[H]
     assert np.array_equal(M, M.T)
-    assert close(M, M_d)
+    assert close(M, snaps_d[H])
     assert all(close(snaps[h], snaps_d[h]) for h in cps)
-    X = orbit_max_matrix(sys, pts, H)
+    X = comoving(sys, pts, None, [H], use_max=True).matrices()[H]
     assert np.array_equal(X, X.T)
-    assert close(X, orbit_max_matrix(default, pts, H))
-    base = sorted({int(i) for i in rng.integers(0, len(pts), 2)})
-    R, rsnaps = orbit_min_rows(sys, pts, base, H, checkpoints=cps)
-    R_d, rsnaps_d = orbit_min_rows(default, pts, base, H, checkpoints=cps)
-    assert close(R, R_d) and all(close(rsnaps[h], rsnaps_d[h]) for h in cps)
+    assert close(X, comoving(default, pts, None, [H], use_max=True)
+                 .matrices()[H])
+    base = [pts[i] for i in sorted({int(i)
+                                    for i in rng.integers(0, len(pts), 2)})]
+    rsnaps = comoving(sys, base, pts, [H, *cps]).matrices()
+    rsnaps_d = comoving(default, base, pts, [H, *cps]).matrices()
+    assert all(close(rsnaps[h], rsnaps_d[h]) for h in (H, *cps))
     x, y = pts[0], pts[-1]
     assert min_orbit_distance(sys, x, y, H) == pytest.approx(
         min_orbit_distance(default, x, y, H), rel=0.0, abs=1e-12)
@@ -634,7 +635,7 @@ def test_skew_orbit_min_exact_oracle():
                  for n in range(-H, H + 1))
         got = min_orbit_distance(sys, p, q, H)
         assert abs(got - float(sq) ** 0.5) <= 1e-15
-    M = orbit_min_matrix(sys, [p for p, _ in pairs], H)[0]
+    M = comoving(sys, [p for p, _ in pairs], None, [H]).matrices()[H]
     for i, (p, _) in enumerate(pairs):
         for j, (q, _) in enumerate(pairs):
             assert M[i, j] == min_orbit_distance(sys, p, q, H)
@@ -742,7 +743,7 @@ def test_torus_hook_runs_no_step_loop(monkeypatch):
         sys.comoving_extremes(sys.arr_state(grid), None, {0, 30}, False, 0)
         sys.comoving_extremes(*states(sys, grid[:3], random_torus(23, 50)),
                               {5}, True, -4)
-        orbit_window_min_row(sys, grid[5], grid, 37, 20)
+        comoving(sys, grid[5:6], grid, [20], centre=37)
 
 
 @given(st.integers(0, 10_000))
@@ -755,12 +756,13 @@ def test_shift_closed_form_matches_default_above_floor(seed):
     H = int(rng.integers(0, 13))
     h = int(rng.integers(0, H + 1))
 
-    M, snaps = orbit_min_matrix(sys, pts, H, checkpoints=(h,))
-    M_d, snaps_d = orbit_min_matrix(default, pts, H, checkpoints=(h,))
-    assert np.array_equal(clamped(M), clamped(M_d))
+    snaps = comoving(sys, pts, None, (H, h)).matrices()
+    snaps_d = comoving(default, pts, None, (H, h)).matrices()
+    assert np.array_equal(clamped(snaps[H]), clamped(snaps_d[H]))
     assert np.array_equal(clamped(snaps[h]), clamped(snaps_d[h]))
-    assert np.array_equal(clamped(orbit_max_matrix(sys, pts, H)),
-                          clamped(orbit_max_matrix(default, pts, H)))
+    X = comoving(sys, pts, None, [H], use_max=True).matrices()[H]
+    X_d = comoving(default, pts, None, [H], use_max=True).matrices()[H]
+    assert np.array_equal(clamped(X), clamped(X_d))
 
 
 @given(st.sampled_from(sorted(MAKERS)), st.integers(0, 10_000))
@@ -771,8 +773,8 @@ def test_orbit_min_non_increasing_in_horizon(name, seed):
     pts = random_points(name, rng, int(rng.integers(2, 7)))
     h1, h2 = sorted(int(h) for h in rng.integers(0, 30, 2))
     # the shift's closed form only resolves distances down to its floor
-    M1 = np.maximum(orbit_min_matrix(sys, pts, h1)[0], FLOOR)
-    M2 = np.maximum(orbit_min_matrix(sys, pts, h2)[0], FLOOR)
+    M1 = np.maximum(comoving(sys, pts, None, [h1]).matrices()[h1], FLOOR)
+    M2 = np.maximum(comoving(sys, pts, None, [h2]).matrices()[h2], FLOOR)
     assert np.all(M2 <= M1)
 
 
@@ -784,7 +786,7 @@ def test_window_min_row_matches_brute_force(name, seed):
     x, *pts = random_points(name, rng, int(rng.integers(2, 7)))
     centre = int(rng.integers(-15, 16))
     H = int(rng.integers(0, 9))
-    got = orbit_window_min_row(sys, x, pts, centre, H)
+    got = comoving(sys, [x], pts, [H], centre=centre).matrices()[H][0]
     want = [min(sys.dist(sys.iterate(x, k), sys.iterate(p, k))
                 for k in range(centre - H, centre + H + 1)) for p in pts]
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
@@ -823,7 +825,7 @@ def test_window_kernel_never_iterates(monkeypatch):
 
         for name in ("iterate", "step", "step_inv"):
             monkeypatch.setattr(sys, name, refuse)
-        got = orbit_window_min_row(sys, x, pts, centre, H)
+        got = comoving(sys, [x], pts, [H], centre=centre).matrices()[H][0]
         assert np.allclose(got, clamped(np.array(want)), rtol=0.0, atol=1e-12)
 
 
@@ -1325,7 +1327,8 @@ def test_shift_zero_only_for_equal_points():
     # equal on the whole closed-form window, yet distinct
     assert min_orbit_distance(sys, zero, far, 10) == FLOOR
     assert max_orbit_distance(sys, zero, far, 10) == FLOOR
-    assert orbit_min_matrix(sys, [far, far], 10)[0].tolist() == [[0.0] * 2] * 2
+    assert comoving(sys, [far, far], None, [10]).matrices()[10].tolist() == \
+        [[0.0] * 2] * 2
 
 
 def test_shift_visit_exact_hits():
@@ -1896,7 +1899,7 @@ def test_annulus_orbit_circle_work(monkeypatch):
     pts = list(sys.sampler(256).points)
     count = counted(monkeypatch, "_chord",
                     lambda *args: np.broadcast(*args).size)
-    orbit_min_matrix(sys, pts, 200)
+    comoving(sys, pts, None, [200])
     assert 0 < count[0] < 2_500_000
 
 
@@ -1976,7 +1979,7 @@ def test_annulus_orbit_pair_work(monkeypatch):
     orbit = [p for p in sys.sampler(256).points if isinstance(p, OrbitIndex)]
     count = counted(monkeypatch, "_chord",
                     lambda *args: np.broadcast(*args).size)
-    orbit_min_matrix(sys, orbit, 200)
+    comoving(sys, orbit, None, [200])
     assert 0 < count[0] < 50_000
 
 
@@ -2059,19 +2062,23 @@ def test_empty_point_lists_keep_their_shapes(name):
     sys = EMPTY_CASES[name]
     pts = list(sys.sampler(2).points[:3])
     m, H = len(pts), 4
-    assert orbit_min_matrix(sys, [], H)[0].shape == (0, 0)
-    assert orbit_max_matrix(sys, [], H).shape == (0, 0)
-    assert orbit_min_rows(sys, pts, [], H)[0].shape == (0, m)
-    assert kernels.orbit_max_rows(sys, pts, [], H).shape == (0, m)
+    assert comoving(sys, [], None, [H]).matrices()[H].shape == (0, 0)
+    assert comoving(sys, [], None, [H], use_max=True).matrices()[H].shape \
+        == (0, 0)
+    assert comoving(sys, [], pts, [H]).matrices()[H].shape == (0, m)
+    assert comoving(sys, [], pts, [H], use_max=True).matrices()[H].shape \
+        == (0, m)
     for below in (1e-3, 0.25):
-        assert orbit_min_matrix(sys, [], H, below=below)[0].shape == (0, 0)
-        found = kernels.orbit_max_list(sys, [], H, below=below)
+        assert comoving(sys, [], None, [H], below=below).matrices(
+            below)[H].shape == (0, 0)
+        found = comoving(sys, [], None, [H], use_max=True, below=below)
         assert found.shape == (0, 0) and len(found.i) == 0
     for use_max in (False, True):
         out = sys.comoving_extremes(*states(sys, pts, []), {0, H}, use_max,
                                     -2)
         assert all(out[h].shape == (m, 0) for h in (0, H))
-    assert orbit_window_min_row(sys, pts[0], [], 3, H).shape == (0,)
+    assert comoving(sys, pts[:1], [], [H], centre=3).matrices()[H][0].shape \
+        == (0,)
     assert orbit_visit_matrix(sys, [], pts, H).shape == (0, m)
     assert orbit_visit_matrix(sys, pts, [], H).shape == (m, 0)
     assert kernels.orbit_return_matrix(sys, [], H).shape == (0, 2 * H + 1)
@@ -2082,6 +2089,37 @@ def test_empty_point_lists_keep_their_shapes(name):
     assert sys.arr_cdist(empty, full).shape == (0, m)
     assert sys.arr_cdist(full, empty).shape == (m, 0)
     assert sys.arr_pdist(empty).shape == (0, 0)
+
+
+HORIZON_CASES = {"skew_torus": SkewTorus, "annulus3": annulus3,
+                 "shift2": shift2,
+                 "conjugate": lambda: identity_conjugate(annulus3())}
+
+
+@pytest.mark.parametrize("name", sorted(HORIZON_CASES))
+@pytest.mark.parametrize("H", [-1, 2.5])
+def test_horizons_must_be_whole_and_nonnegative(name, H):
+    # every kernel, and the engine behind every hook, refuses a negative
+    # or fractional horizon instead of returning numbers or failing
+    # inside numpy
+    sys = HORIZON_CASES[name]()
+    pts = list(sys.sampler(2).points[:4])
+    S = sys.arr_state(pts)
+    calls = (lambda: comoving(sys, pts, None, [H]),
+             lambda: comoving(sys, pts, None, (3, H), use_max=True),
+             lambda: comoving(sys, pts[:1], pts, (H, 3), below=0.1),
+             lambda: comoving(sys, pts[:1], pts, [H], centre=2),
+             lambda: min_orbit_distance(sys, pts[0], pts[1], H),
+             lambda: max_orbit_distance(sys, pts[0], pts[1], H),
+             lambda: orbit_visit_matrix(sys, pts, pts[:2], H),
+             lambda: orbit_return_matrix(sys, pts, H),
+             lambda: orbit_min_pairs(sys, pts, pts[::-1], H),
+             lambda: kernels.sweep_extremes(sys, S, None, (3, H), False, 0),
+             lambda: kernels.sweep_visits(sys, S, S, H),
+             lambda: kernels.sweep_returns(sys, S, H))
+    for call in calls:
+        with pytest.raises(ParameterError, match="horizon"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -2124,7 +2162,7 @@ def test_iterate_alone_makes_a_working_system():
     want = np.array([[min(sys.dist(sys.iterate(p, n), sys.iterate(q, n))
                           for n in range(-H, H + 1)) for q in pts]
                      for p in pts])
-    assert np.allclose(orbit_min_matrix(sys, pts, H)[0], want,
+    assert np.allclose(comoving(sys, pts, None, [H]).matrices()[H], want,
                        rtol=0.0, atol=1e-9)
     want = np.array([[sys.dist(sys.iterate(p, n), p)
                       for n in range(-H, H + 1)] for p in pts])
@@ -2231,26 +2269,20 @@ def test_below_keeps_minima_under_it_exact(name, seed, below, cross):
     engine = name in ("shift2", "conjugate", "power", "product")
     H = int(rng.choice([0, 1, 5, 12] if engine else [0, 1, 5, 40, 200]))
     centre = int(rng.integers(-40, 41))
-    want, wcps = kernels._comoving(sys, pts, other, 2 * H, (H,), False,
-                                   centre)
+    want = comoving(sys, pts, other, (H, 2 * H), centre=centre).matrices()
     if below is None:
-        pos = want[want > 0.0]
+        pos = want[2 * H][want[2 * H] > 0.0]
         below = float(rng.choice(pos)) if pos.size else 0.5
-    got, cps = kernels._comoving(sys, pts, other, 2 * H, (H,), False,
-                                 centre, below)
-    assert_below_contract(got, want, below)
-    assert_below_contract(cps[H], wcps[H], below)
-    found = kernels._comoving_list(
-        sys, sys.arr_state(pts), None if other is None else
-        sys.arr_state(other), {H, 2 * H}, False, centre, below)
-    assert_list_contract(found, {2 * H: want, H: wcps[H]}, below,
-                         other is None)
-    rows = [int(i) for i in rng.permutation(len(pts))[:3]]
-    got, cps = orbit_min_rows(sys, pts, rows, 2 * H, checkpoints=(H,),
-                              below=below)
-    want, wcps = orbit_min_rows(sys, pts, rows, 2 * H, checkpoints=(H,))
-    assert_below_contract(got, want, below)
-    assert_below_contract(cps[H], wcps[H], below)
+    found = comoving(sys, pts, other, (H, 2 * H), centre=centre, below=below)
+    got = found.matrices(below)
+    assert_below_contract(got[2 * H], want[2 * H], below)
+    assert_below_contract(got[H], want[H], below)
+    assert_list_contract(found, want, below, other is None)
+    rows = [pts[int(i)] for i in rng.permutation(len(pts))[:3]]
+    got = comoving(sys, rows, pts, (H, 2 * H), below=below).matrices(below)
+    want = comoving(sys, rows, pts, (H, 2 * H)).matrices()
+    assert_below_contract(got[2 * H], want[2 * H], below)
+    assert_below_contract(got[H], want[H], below)
 
 
 @pytest.mark.parametrize("below", [float("nan"), float("inf"),
@@ -2259,9 +2291,9 @@ def test_below_must_be_finite_and_positive(below):
     sys = annulus3()
     pts = list(sys.sampler(4).points[:6])
     with pytest.raises(ParameterError):
-        orbit_min_matrix(sys, pts, 5, below=below)
+        comoving(sys, pts, None, [5], below=below)
     with pytest.raises(ParameterError):
-        orbit_min_rows(sys, pts, [0], 5, below=below)
+        comoving(sys, pts[:1], pts, [5], below=below)
 
 
 @given(st.sampled_from(sorted(BELOW_SYSTEMS)), st.integers(0, 10_000),
@@ -2283,16 +2315,12 @@ def test_below_keeps_maxima_under_it_exact(name, seed, below, cross):
     engine = name in ("shift2", "conjugate", "power", "product")
     H = int(rng.choice([0, 1, 5, 12] if engine else [0, 1, 5, 40, 200]))
     centre = int(rng.integers(-40, 41))
-    want, wcps = kernels._comoving(sys, pts, other, 2 * H, (H,), True,
-                                   centre)
+    want = comoving(sys, pts, other, (H, 2 * H), True, centre).matrices()
     if below is None:
-        pos = wcps[H][wcps[H] > 0.0]
+        pos = want[H][want[H] > 0.0]
         below = float(rng.choice(pos)) if pos.size else 0.5
-    found = kernels._comoving_list(
-        sys, sys.arr_state(pts), None if other is None else
-        sys.arr_state(other), {H, 2 * H}, True, centre, below)
-    assert_list_contract(found, {2 * H: want, H: wcps[H]}, below,
-                         other is None, use_max=True)
+    found = comoving(sys, pts, other, (H, 2 * H), True, centre, below)
+    assert_list_contract(found, want, below, other is None, use_max=True)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, GCAP - 1, GCAP, GCAP + 1])
@@ -2306,8 +2334,7 @@ def test_shift_max_list_holds_the_pairs_that_agree(k):
                                          word_point((1,), -GCAP - 30)]
     h, centre = 4, -2
     r = min(k + 1, GCAP + 1)
-    found = kernels._comoving_list(sys, sys.arr_state(pts), None, {h, 9},
-                                   True, centre, 2.0 ** -k)
+    found = comoving(sys, pts, None, {h, 9}, True, centre, 2.0 ** -k)
     near = [tuple(p.get(t) for t in range(centre - h - r + 1,
                                           centre + h + r)) for p in pts]
     listed = {(int(i), int(j)) for i, j in zip(found.i, found.j)}
@@ -2315,7 +2342,7 @@ def test_shift_max_list_holds_the_pairs_that_agree(k):
                       for j in range(len(pts)) if near[i] == near[j]}
     # the grid of radius 4 against H = 20 and 0.25: the diagonal alone
     grid = list(sys.sampler(4).points)
-    found = kernels.orbit_max_list(sys, grid, 20, below=0.25)
+    found = comoving(sys, grid, None, [20], use_max=True, below=0.25)
     assert np.array_equal(found.i, np.arange(len(grid)))
     assert np.array_equal(found.j, found.i)
     assert not found.values[20].any()
@@ -2335,7 +2362,7 @@ def test_below_evaluates_only_the_pairs_that_can_be_edges(monkeypatch):
         return real(self, A, B, i, j, *args)
 
     monkeypatch.setattr(systems.AnnulusSystem, "_pair_extremes", spy)
-    M = orbit_min_matrix(sys, pts, 400, checkpoints=(200,), below=1e-3)[0]
+    M = comoving(sys, pts, None, (200, 400), below=1e-3).matrices(1e-3)[400]
     # each unordered pair is evaluated once and mirrored
     assert sum(seen) == len(pts) + 52 // 2
     assert np.count_nonzero(M != 1e-3) == len(pts) + 52
@@ -2348,7 +2375,7 @@ def test_below_evaluates_only_the_pairs_that_can_be_edges(monkeypatch):
         return sweep(self, c, *args)
 
     monkeypatch.setattr(SkewTorus, "_sweep_classes", count)
-    orbit_min_matrix(skew, grid, 400, checkpoints=(200,), below=1e-3)
+    comoving(skew, grid, None, (200, 400), below=1e-3)
     assert classes == [1]
 
 
@@ -2365,12 +2392,8 @@ def test_full_list_counts_rows_with_no_grid():
                                      (annulus3(), 4, False, None),
                                      (shift2(), 2, False, 1e-3)):
         pts = list(sys.sampler(res).points)
-        if use_max:
-            M = orbit_max_matrix(sys, pts, 30)
-            found = kernels.orbit_max_list(sys, pts, 30, below=below)
-        else:
-            M = orbit_min_matrix(sys, pts, 30)[0]
-            found = kernels.orbit_min_list(sys, pts, 30, below=below)
+        M = comoving(sys, pts, None, [30], use_max).matrices()[30]
+        found = comoving(sys, pts, None, [30], use_max, below=below)
         assert found.full and found._i is None and found._j is None
         assert found.values[30].tobytes() == M.tobytes()
         keep = found.values[30] < 0.2
@@ -2392,7 +2415,7 @@ def test_below_falls_back_to_the_full_matrix(name, monkeypatch):
     # annulus, per-block classes on the torus)
     sys = BELOW_SYSTEMS[name]()
     pts = list(sys.sampler(8).points)
-    want = orbit_min_matrix(sys, pts, 30)[0]
+    want = comoving(sys, pts, None, [30]).matrices()[30]
     S = sys.arr_state(pts)
 
     def check(below):
@@ -2400,9 +2423,9 @@ def test_below_falls_back_to_the_full_matrix(name, monkeypatch):
         assert len(found.i) == want.size
         assert found.values[30].tobytes() == \
             want[found.i, found.j].tobytes()
-        assert np.array_equal(orbit_min_matrix(sys, pts, 30, below=below)[0],
-                              want)
-        peak = orbit_max_matrix(sys, pts, 30)
+        assert np.array_equal(comoving(sys, pts, None, [30], below=below)
+                              .matrices(below)[30], want)
+        peak = comoving(sys, pts, None, [30], use_max=True).matrices()[30]
         found = sys.comoving_pairs(S, None, {30}, True, 0, below)
         assert len(found.i) == peak.size
         assert found.values[30].tobytes() == \
@@ -2431,13 +2454,12 @@ def test_max_list_is_pruned_by_the_fixed_gap(name):
     # a cloud against itself and for rows against it
     sys = BELOW_SYSTEMS[name]()
     pts = list(sys.sampler(16).points)
-    S, R = sys.arr_state(pts), sys.arr_state(pts[::5])
-    for A, B in ((S, None), (R, S)):
-        found = kernels._comoving_list(sys, A, B, {4, 30}, True, 3, 0.02)
-        exact = sys.comoving_extremes(A, B, {4, 30}, True, 3)
+    for a, b in ((pts, None), (pts[::5], pts)):
+        found = comoving(sys, a, b, {4, 30}, True, 3, 0.02)
+        exact = sys.comoving_extremes(*states(sys, a, b), {4, 30}, True, 3)
         assert not found.full
         assert len(found.i) < exact[30].size
-        assert_list_contract(found, exact, 0.02, B is None, use_max=True)
+        assert_list_contract(found, exact, 0.02, b is None, use_max=True)
 
 
 def test_only_the_base_class_defines_comoving_extremes():

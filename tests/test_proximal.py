@@ -7,18 +7,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ndistal import kernels, proximal
+from ndistal import equicont, kernels, proximal, structure
 from ndistal.cli import main
+from ndistal.equicont import r_set
 from ndistal.errors import HomomorphismError, ParameterError
-from ndistal.kernels import orbit_min_matrix
+from ndistal.kernels import comoving
 from ndistal.points import (Annulus, OrbitIndex, Pair, PointCloud, Torus,
                             word_point)
 from ndistal.proximal import (ProximalCellEstimate, distality_report,
                               fiber_proximal_cell, proximal_cell,
                               proximal_quotient)
+from ndistal.structure import dynamical_ball
 from ndistal.systems import (CATALOGUE_FACTS, IdentityTorus, Rotation,
                              SkewTorus, annulus2, annulus3, annulusN,
-                             get_system, power_system, product_system, shift2)
+                             conjugate_system, get_system, power_system,
+                             product_system, shift2)
 
 
 def members_of(cloud, cell):
@@ -116,8 +119,8 @@ def test_report_as_dict_matches_item_wise_build(make, size, H):
 def eager_cells(s, cloud, H, eps=proximal.DEFAULT_EPS):
     """Every cell of a stable-only report, built row by row as its own
     ProximalCellEstimate."""
-    M2, cps = orbit_min_matrix(s, cloud.points, 2 * H, checkpoints=(H,))
-    MH = cps[H]
+    out = comoving(s, cloud.points, None, (H, 2 * H)).matrices()
+    MH, M2 = out[H], out[2 * H]
     stable = proximal._stable(MH, M2, proximal.STABLE_FACTOR, s.floor)
     use = (MH < eps) & stable
     np.fill_diagonal(use, True)
@@ -189,6 +192,47 @@ def test_cell_as_dict_looks_each_member_up():
     assert list(d["stable"]) == ["2", "5", "9"]
     assert d["min_dist_trace"]["9"] == 4.5 and d["stable"]["9"] is False
     assert json.dumps(d) == json.dumps(item_wise_cell(cell))
+
+
+def _row_case(name):
+    """A system and a small cloud of it: the catalogue, a power, a product
+    and a conjugate."""
+    if name == "power":
+        sys = power_system(annulus3(), 2)
+    elif name == "product":
+        sys = product_system(Rotation(), annulus2())
+        return sys, sys.cross(Rotation().sampler(3),
+                              annulus2().sampler(2, orbit_span=8))
+    elif name == "conjugate":
+        ann = annulus3()
+        sys = conjugate_system(ann, ann.step, ann.step_inv)
+    else:
+        sys = get_system(name)
+    return sys, sys.sampler(16 if name == "rotation" else 8 if name in
+                            ("skew_torus", "identity") else 2)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE_FACTS)
+                         + ["conjugate", "power", "product"])
+def test_rows_read_off_the_list_match_the_cloud_lists(name):
+    # proximal_cell, r_set and dynamical_ball read one row off the list of
+    # that row alone; at each checked point they give the report's cell
+    # and the members under delta of the cloud's min and max lists
+    sys, cloud = _row_case(name)
+    H, eps, delta = 20, 0.05, 0.2
+    rep = distality_report(sys, cloud, H=H, eps_prox=eps,
+                           N_max=len(cloud), stable_only=False)
+    mins = comoving(sys, cloud.points, None, [H], below=delta)
+    maxs = comoving(sys, cloud.points, None, [H], use_max=True, below=delta)
+    for k in range(0, len(cloud), max(1, len(cloud) // 6)):
+        cell = proximal_cell(sys, cloud[k], cloud, H=H, eps_prox=eps)
+        assert cell.as_dict() == rep.cells[k].as_dict()
+        near = (mins.i == k) & (mins.values[H] < delta)
+        assert r_set(sys, cloud[k], delta, cloud, H=H).members == \
+            tuple(mins.j[near].tolist())
+        near = (maxs.i == k) & (maxs.values[H] < delta)
+        assert dynamical_ball(sys, cloud[k], delta, cloud, H) == \
+            tuple(maxs.j[near].tolist())
 
 
 def test_cell_symmetry():
@@ -453,13 +497,13 @@ def test_fiber_at_exactly_the_mesh_is_excluded(monkeypatch):
     # the strict eps_fiber test keeps it out of the fiber
     s = annulus3()
     cloud = s.sampler(16)
-    seen, rows = [], proximal.orbit_min_rows
+    seen, real = [], proximal.comoving
 
-    def spy(sys, points, base_idx, H, checkpoints=(), below=None):
-        seen.extend(points)
-        return rows(sys, points, base_idx, H, checkpoints, below)
+    def spy(sys, points, others, *args, **kwargs):
+        seen.extend(others)
+        return real(sys, points, others, *args, **kwargs)
 
-    monkeypatch.setattr(proximal, "orbit_min_rows", spy)
+    monkeypatch.setattr(proximal, "comoving", spy)
     fiber_proximal_cell(s, s, lambda p: p, Annulus(0.5625, 1.0), cloud, H=5)
     assert seen == [Annulus(0.5625, 1.0)]
 
@@ -507,14 +551,19 @@ REPORT_CASES = _report_cases()
 
 
 def exact_minima(monkeypatch):
-    """Make every list kernel call drop its `below` and list every pair
-    from the exact matrices: the exact path."""
-    real = kernels._comoving_list
+    """Make every co-moving kernel call, at each module that binds it,
+    drop its `below` and list every pair: the exact path.  Returns the
+    `below` of each call it served."""
+    real, dropped = kernels.comoving, []
 
-    def exact(sys, sa, sb, horizons, use_max, centre, below):
-        return real(sys, sa, sb, horizons, use_max, centre, None)
+    def exact(sys, points, others, horizons, use_max=False, centre=0,
+              below=None):
+        dropped.append(below)
+        return real(sys, points, others, horizons, use_max, centre)
 
-    monkeypatch.setattr(kernels, "_comoving_list", exact)
+    for module in (kernels, proximal, equicont, structure):
+        monkeypatch.setattr(module, "comoving", exact)
+    return dropped
 
 
 @pytest.mark.parametrize("case", sorted(REPORT_CASES))
@@ -535,8 +584,11 @@ def test_pruned_minima_give_the_exact_reports(case, monkeypatch):
                                      H=H).as_dict() for i in picks])
 
     pruned = reports()
-    exact_minima(monkeypatch)
+    dropped = exact_minima(monkeypatch)
     assert reports() == pruned
+    # the report and every cell ran the patched kernel, each at eps_prox
+    picks = len(pruned[1])
+    assert dropped == [proximal.DEFAULT_EPS] * (1 + 2 * picks)
 
 
 def test_report_memory_stays_small():

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndistal import kernels, structure, systems
+from ndistal import structure, systems
+from ndistal.kernels import comoving
 from ndistal.equicont import r_set
 from ndistal.errors import ParameterError
 from ndistal.points import (OrbitIndex, PointCloud, Torus, periodic_point,
@@ -579,13 +580,14 @@ def test_probe_and_balls_from_lists_match_the_max_matrix(name):
     sys = systems.get_system(name)
     cloud = sys.sampler(sys.cloud_size)
     grid, H = (0.25, 0.1, 0.05), 50
-    M = kernels.orbit_max_matrix(sys, cloud.points, H)
+    M = comoving(sys, cloud.points, None, [H], use_max=True).matrices()[H]
     sizes = {d: int((M < d).sum(axis=1).max()) for d in grid}
     v = expansivity_probe(sys, cloud, delta_grid=grid, H=H)
     assert v.max_ball_sizes == sizes
     assert v.expansive_at == next((d for d in grid if sizes[d] == 1), None)
     for k in range(0, len(cloud), -(-len(cloud) // 4)):
-        row = kernels.orbit_max_rows(sys, cloud.points, [k], H)[0]
+        row = comoving(sys, [cloud[k]], cloud.points, [H],
+                       use_max=True).matrices()[H][0]
         for d in grid:
             assert dynamical_ball(sys, cloud[k], d, cloud, H) == \
                 tuple(int(i) for i in np.flatnonzero(row < d))

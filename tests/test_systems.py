@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ndistal import annulus, base, shift, systems, torus, wrappers
 from ndistal.errors import ConjugacyError, InvalidPointError, ParameterError
-from ndistal.kernels import min_orbit_distance, orbit_min_matrix
+from ndistal.kernels import comoving, min_orbit_distance
 from ndistal.points import Annulus, OrbitIndex, Pair, Torus, word_point
 from ndistal.systems import (CATALOGUE_FACTS, GOLDEN, GRID_BITS,
                              IdentityTorus, Rotation, ShiftSystem, SkewTorus,
@@ -162,7 +162,7 @@ def test_annulus_state_rejects_points_outside_the_space():
         with pytest.raises(InvalidPointError):
             s.arr_state(pts)
     with pytest.raises(InvalidPointError):
-        orbit_min_matrix(s, [Annulus(0.1, 1.5), Annulus(0.2, 1.0)], 50)
+        comoving(s, [Annulus(0.1, 1.5), Annulus(0.2, 1.0)], None, [50])
     with pytest.raises(InvalidPointError):
         annulus2().arr_state([Annulus(0.0, 2.0)])
     S = s.arr_state([Annulus(0.3, 2.0), OrbitIndex(-7), OrbitIndex(3.0)])

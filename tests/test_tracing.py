@@ -47,6 +47,11 @@ def test_tracer_instruments_every_family():
     assert not any(name in vars(sys) for sys in (*built, product)
                    for name in names)
     metrics = tracer.metrics()
-    assert sum(s.name == "proximal.distality_report"
-               for s in tracer.spans) == 4
+    reports = {k for k, s in enumerate(tracer.spans)
+               if s.name == "proximal.distality_report"}
+    assert len(reports) == 4
+    # each report, one per family, ran the one co-moving kernel, traced
+    # as its own span under the report
+    assert {s.parent for s in tracer.spans
+            if s.name == "kernels.comoving"} == reports
     assert metrics["systems.arr_calls"][0] > 0
