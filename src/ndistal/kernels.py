@@ -26,10 +26,10 @@ scatters it into matrices whose unlisted entries hold ``below``.
 ``below`` must be finite and positive; with none, the hook lists every
 pair and `matrices` reshapes that full list.
 The default of each hook, and `orbit_min_pairs`, run one engine on the
-system's array interface (``arr_state``, ``arr_step`` and the
-``arr_*dist`` methods), which every system has.  The shift, the torus
-systems and the annulus family override hooks with closed forms, each
-described at its method (``ndistal.systems`` names them); the engine
+system's array interface (``arr_state``, ``arr_step``, ``arr_iterate``
+and the ``arr_*dist`` methods), which every system has.  The shift, the
+torus systems and the annulus family override hooks with closed forms,
+each described at its method (``ndistal.systems`` names them); the engine
 still serves the torus systems' visits and self-returns, and every hook
 of conjugates, powers and products.
 
@@ -169,10 +169,9 @@ def sweep_visits(sys, sp, st, H):
 def sweep_returns(sys, s0, H):
     """The engine behind ``DynSystem.return_distances``: the float32
     D[i, t] = d(f^(t-H) x_i, x_i) for t = 0..2H, x_i the points of the
-    state s0."""
-    s = s0
-    for _ in range(_check_horizon(H)):
-        s = sys.arr_step(s, inverse=True)
+    state s0: one ``arr_iterate`` jump to f^-H, then 2H steps."""
+    H = _check_horizon(H)
+    s = sys.arr_iterate(s0, -H)
     cols = []
     for t in range(2 * H + 1):
         cols.append(sys.arr_edist(s, s0).astype(np.float32))

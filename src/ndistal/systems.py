@@ -10,8 +10,10 @@ States.  A system states its map once, as ``iterate(p, n)`` = f^n(p) for
 any integer n, and ``arr_iterate(state, n)``, f^n of a whole state in one
 jump, bit for bit the state of the points ``iterate`` gives.  A state is
 what ``arr_state`` builds from a point list: by default the list itself,
-which ``arr_step`` moves one point at a time by ``iterate``; the torus and
-annulus systems, products and powers hold numpy states.  ``DynSystem``
+which ``arr_step`` moves one point at a time by ``iterate``, as the
+shift's is; the torus and annulus systems, products and powers hold
+numpy states, and a conjugate h f h^-1 holds f's state of its points with
+the list of their preimages under h, which it steps by f.  ``DynSystem``
 derives ``step`` and ``step_inv`` from ``iterate``.
 
 The two metric forms.  A system states its metric once, as the array

@@ -1,6 +1,9 @@
 """Systems built from others: products, powers and conjugates.  They take
 the `DynSystem` hooks, which run the orbit engine on their array
-interface.
+interface.  A product's state is the pair of its factors' states and a
+power's is its base's.  A conjugate g = h f h^-1 holds f's state of its
+points, which f's metric reads, with their preimages under h, and steps
+them by g^n = h f^n h^-1: one f step and one h a point.
 """
 
 from __future__ import annotations
@@ -102,8 +105,12 @@ CONJUGACY_TOL = 1e-9  # h(h_inv(p)) and h_inv(h(p)) must lie this close to p
 
 
 class ConjugateSystem(DynSystem):
-    """h o f o h^-1 on f's metric: states are point lists, which f's array
-    metric measures on f's states."""
+    """g = h o f o h^-1, measured on f's metric.  A state is the pair of
+    f's array state of the points, which f's metric reads as it is, and the
+    list of their preimages u = h^-1(p).  As g^n = h f^n h^-1, a step moves
+    each preimage one f step and rebuilds the images' f-state from h(u):
+    one f step and one h a point, and no h^-1 once the state is built, so
+    the round trip h^-1 o h adds no rounding to the orbit."""
 
     def __init__(self, f, h, h_inv, check_cloud=None):
         self.f = f
@@ -112,21 +119,37 @@ class ConjugateSystem(DynSystem):
         self.id = f"conjugate[{f.id}]"
         if check_cloud is not None:
             pts = list(check_cloud.points)
-            there = self.arr_edist([h(h_inv(p)) for p in pts], pts)
-            back = self.arr_edist([h_inv(h(p)) for p in pts], pts)
-            if (there > CONJUGACY_TOL).any() or (back > CONJUGACY_TOL).any():
-                raise ConjugacyError(
-                    "h and h_inv are not mutually inverse on the cloud")
+            at = f.arr_state(pts)
+            for there in ([h(h_inv(p)) for p in pts],
+                          [h_inv(h(p)) for p in pts]):
+                if (f.arr_edist(f.arr_state(there), at)
+                        > CONJUGACY_TOL).any():
+                    raise ConjugacyError(
+                        "h and h_inv are not mutually inverse on the cloud")
 
     def iterate(self, p, n):
         return self.h(self.f.iterate(self.h_inv(p), n)) if n else p
 
+    def arr_state(self, points):
+        points = list(points)
+        return self.f.arr_state(points), [self.h_inv(p) for p in points]
+
+    def arr_step(self, state, inverse=False):
+        n = -1 if inverse else 1
+        pre = [self.f.iterate(u, n) for u in state[1]]
+        return self.f.arr_state([self.h(u) for u in pre]), pre
+
+    def arr_iterate(self, state, n):
+        if not n:
+            return state
+        return self.arr_state([self.h(self.f.iterate(u, n))
+                               for u in state[1]])
+
     def arr_cdist(self, sa, sb):
-        fa = self.f.arr_state(sa)
-        return self.f.arr_cdist(fa, fa if sb is sa else self.f.arr_state(sb))
+        return self.f.arr_cdist(sa[0], sb[0])
 
     def arr_edist(self, sa, sb):
-        return self.f.arr_edist(self.f.arr_state(sa), self.f.arr_state(sb))
+        return self.f.arr_edist(sa[0], sb[0])
 
     def sampler(self, resolution=16, seed=None):
         c = self.f.sampler(resolution, seed)

@@ -102,7 +102,7 @@ def test_orbit_max_matrix_matches_brute_force(make):
 
 
 def test_pointwise_fallback_path():
-    # conjugates step point lists with their own step
+    # a conjugate steps the preimages of its points one at a time
     base = Rotation(0.3)
     h = lambda p: Torus(p.x + 0.1, p.y)
     h_inv = lambda p: Torus(p.x - 0.1, p.y)
@@ -226,36 +226,115 @@ MAKERS = {"rotation": Rotation, "skew_torus": SkewTorus,
 
 
 def identity_conjugate(sys):
-    """The same system seen through the inherited point-list interface:
-    every point is stepped on its own by iterate, and measured with the
-    system's array metric."""
+    """The same system seen through a conjugate, which runs the engine on
+    every hook: every point is stepped on its own by iterate, and measured
+    with the system's array metric."""
     return conjugate_system(sys, lambda p: p, lambda p: p)
 
 
-@given(st.sampled_from(sorted(MAKERS)), st.integers(0, 10_000))
+def conjugacy(kind, sys):
+    """(h, h_inv): the identity, the system's own map, or a translation of
+    the torus (along the rotation's circle for a rotation)."""
+    if kind == "identity":
+        return (lambda p: p), (lambda p: p)
+    if kind == "step":
+        return sys.step, sys.step_inv
+    b = 0.0 if isinstance(sys, Rotation) else 0.7
+    return (lambda p: Torus(p.x + 0.3, p.y + b),
+            lambda p: Torus(p.x - 0.3, p.y - b))
+
+
+CONJUGACIES = [(name, kind) for name in sorted(MAKERS)
+               for kind in ("identity", "step", "translation")
+               if kind != "translation" or name in ("rotation", "skew_torus")]
+
+
+def folded(sys, base, xs, ys, ns, red=np.minimum, move_ys=True):
+    """red over n in ns of the distance matrix between sys^n(xs) and
+    sys^n(ys) (ys itself unless move_ys), every point iterated on its own
+    by ``iterate`` and measured on base's metric."""
+    out = None
+    for n in ns:
+        a = base.arr_state([sys.iterate(p, n) for p in xs])
+        b = base.arr_state([sys.iterate(q, n) if move_ys else q for q in ys])
+        D = base.arr_cdist(a, b)
+        out = D if out is None else red(out, D)
+    return out
+
+
+@given(st.sampled_from(CONJUGACIES), st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
-def test_conjugate_measures_with_its_base(name, seed):
-    # a conjugate on the base's metric steps point lists itself and
-    # measures them with the base's array metric
+def test_conjugate_measures_with_its_base(case, seed):
+    # a conjugate steps the preimages of its points and measures their
+    # images with the base's array metric: its co-moving extremes (at
+    # centre 0 and off it), visit minima and self-returns are the fold of
+    # its pointwise iterates, and with the identity h they are the base's
     rng = np.random.default_rng(seed)
+    name, kind = case
     native = MAKERS[name]()
-    conj = conjugate_system(native, lambda p: p, lambda p: p)
+    conj = conjugate_system(native, *conjugacy(kind, native))
     x, *pts = random_points(name, rng, int(rng.integers(2, 7)))
     H = int(rng.integers(0, 13))
     cps = tuple(sorted({int(h) for h in rng.integers(0, H + 1, 2)}))
-    centre = int(rng.integers(-10, 11))
+    centre = int(rng.integers(1, 11)) * int(rng.choice([-1, 1]))
+    tgt = pts[:2]
 
     def close(a, b):
         return np.allclose(a, b, rtol=0.0, atol=1e-12)
 
-    snaps = comoving(native, pts, None, [H, *cps]).matrices()
     snaps_c = comoving(conj, pts, None, [H, *cps]).matrices()
-    assert all(close(snaps[h], snaps_c[h]) for h in (H, *cps))
-    tgt = pts[:2]
-    assert close(orbit_visit_matrix(native, pts, tgt, H),
-                 orbit_visit_matrix(conj, pts, tgt, H))
-    assert close(comoving(native, [x], pts, [H], centre=centre).values[H],
-                 comoving(conj, [x], pts, [H], centre=centre).values[H])
+    assert all(close(snaps_c[h], folded(conj, native, pts, pts,
+                                        range(-h, h + 1)))
+               for h in (H, *cps))
+    window = range(centre - H, centre + H + 1)
+    assert close(comoving(conj, [x], pts, [H], centre=centre).values[H],
+                 folded(conj, native, [x], pts, window)[0])
+    assert close(comoving(conj, pts, None, [H], True, centre).matrices()[H],
+                 folded(conj, native, pts, pts, window, np.maximum))
+    assert close(orbit_visit_matrix(conj, pts, tgt, H),
+                 folded(conj, native, pts, tgt, range(-H, H + 1),
+                        move_ys=False))
+    # float32 self-returns: within half an ulp of float32 of the fold
+    S0 = native.arr_state(pts)
+    returns = np.stack([native.arr_edist(native.arr_state(
+        [conj.iterate(p, t - H) for p in pts]), S0)
+        for t in range(2 * H + 1)], axis=1)
+    assert np.allclose(kernels.orbit_return_matrix(conj, pts, H), returns,
+                       rtol=2.0 ** -24, atol=1e-12)
+    if kind == "identity":
+        snaps = comoving(native, pts, None, [H, *cps]).matrices()
+        assert all(close(snaps[h], snaps_c[h]) for h in (H, *cps))
+        assert close(orbit_visit_matrix(native, pts, tgt, H),
+                     orbit_visit_matrix(conj, pts, tgt, H))
+        assert close(comoving(native, [x], pts, [H], centre=centre).values[H],
+                     comoving(conj, [x], pts, [H], centre=centre).values[H])
+
+
+def test_conjugate_steps_its_preimages():
+    # the state holds the preimages u = h^-1(p): the co-moving kernel
+    # applies h_inv once a point, when it builds the state, and each step
+    # one f iterate and one h a point
+    f, maps = annulus3(), annulus3()
+    calls = {"h": 0, "h_inv": 0, "iterate": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    f.iterate = counted("iterate", f.iterate)
+    conj = conjugate_system(f, counted("h", maps.step),
+                            counted("h_inv", maps.step_inv))
+    pts = list(f.sampler(8).points[::5])
+    m, H = len(pts), 6
+    comoving(conj, pts, None, [H])
+    assert calls == {"h": 2 * H * m, "h_inv": m, "iterate": 2 * H * m}
+    S = conj.arr_state(pts)
+    for inverse in (False, True, True):
+        calls.update(h=0, h_inv=0, iterate=0)
+        S = conj.arr_step(S, inverse)
+        assert calls == {"h": m, "h_inv": 0, "iterate": m}
 
 
 @given(st.sampled_from(["rotation", "skew_torus", "annulus3"]),
