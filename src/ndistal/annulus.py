@@ -347,8 +347,10 @@ class AnnulusSystem(DynSystem):
 
     def arr_cdist(self, sa, sb):
         """In row blocks of at most _CLASS_BLOCK distances, whose
-        temporaries stay in cache."""
-        pa, pb = self._plane(sa), self._plane(sb)
+        temporaries stay in cache; a state against itself is put in the
+        plane once."""
+        pa = self._plane(sa)
+        pb = pa if sb is sa else self._plane(sb)
         xb, yb = pb[:, 0].copy(), pb[:, 1].copy()
         D = np.empty((len(pa), len(pb)))
         for rows in _row_blocks(len(pa), len(pb), _CLASS_BLOCK):
@@ -474,10 +476,17 @@ class AnnulusSystem(DynSystem):
         (m + n) k mod 1 - theta; its radius is the orbit's radius at index
         m + n, a circle's never moves.  So a row depends only on the key
         (row, m) of an orbit point, whose theta is its index's `_turns`,
-        and on the radius of a circle point: one row is computed per
-        distinct key, in blocks of at most _CLASS_BLOCK distances, and
-        gathered back.  D stays float32, as the return masks compare it
-        with each delta in float32.
+        and on the radius of a circle point, which reads the turns of the
+        indices 0 + n with theta 0: one row is computed per distinct key.
+        Its turns and radii over m - H..m + H are a window of tables over
+        the indices (`_windows`): the turns of all keys share one table per
+        run of overlapping windows, the radii one per orbit and run (a
+        circle's is its radius, repeated), and no table holds more entries
+        than the rows it serves.  `_turns` and `_radius` act elementwise,
+        so each window holds the values an entry-by-entry evaluation
+        gives, bit for bit.  The chords go in blocks of at most
+        _CLASS_BLOCK distances and are gathered back.  D stays float32, as
+        the return masks compare it with each delta in float32.
         """
         keys = np.empty(len(S["row"]), dtype=complex)
         keys.real = S["row"]
@@ -485,19 +494,23 @@ class AnnulusSystem(DynSystem):
         _, first, inv = np.unique(keys, return_index=True,
                                   return_inverse=True)
         S = _take(S, first)
-        n = np.arange(-H, H + 1)
+        w = 2 * H + 1
+        D = np.empty((len(first), w), dtype=np.float32)
+        if not len(first):
+            return D
         r0 = self._radii(S)
-        # a circle point's turns at time n are those of index 0 + n
+        m = S["idx"].astype(np.int64)
         theta = np.where(S["row"] >= 0, S["theta"], 0.0)
-        D = np.empty((len(r0), n.size), dtype=np.float32)
-        for rows in _row_blocks(len(r0), n.size, _CLASS_BLOCK):
-            blk = {key: np.repeat(S[key][rows], n.size)
-                   for key in ("r", "row")}
-            blk["idx"] = (S["idx"][rows, None] + n).ravel()
-            r = self._radii(blk).reshape(-1, n.size)
-            gap = _turns(blk["idx"], self.k).reshape(-1, n.size)
+        turns, t_at = _windows(np.zeros_like(m), m, H,
+                               lambda _, j: _turns(j, self.k))
+        # each circle key is a group of its own, whose radius never moves
+        group = np.where(S["row"] >= 0, S["row"], -1 - np.arange(len(m)))
+        radii, r_at = _windows(group, m, H, lambda g, j: self._radius(g, j)
+                               if g >= 0 else np.full(j.size, r0[-1 - g]))
+        for rows in _row_blocks(len(r0), w, _CLASS_BLOCK):
+            gap = turns[t_at[rows]]
             gap -= theta[rows, None]
-            D[rows] = _chord(r, r0[rows, None], _sin2(gap))
+            D[rows] = _chord(radii[r_at[rows]], r0[rows, None], _sin2(gap))
         return D[inv]
 
     def comoving_pairs(self, sa, sb, horizons, use_max, centre, below):
@@ -744,6 +757,30 @@ def _circle_chords(A, B, i, j):
 def _take(state, idx):
     """The points idx of an annulus state."""
     return {key: v[idx] for key, v in state.items()}
+
+
+def _windows(group, m, H, table):
+    """(W, at): W[at[i]] is table(group[i], j) over the window
+    j = m[i] - H..m[i] + H of key i.  The keys of one group, sorted by m,
+    split into runs whose windows overlap, and each run evaluates
+    table(g, j) once over its indices, from its first window's start to
+    its last window's end: at most the entries of the windows it serves.
+    W is a `sliding_window_view` of the runs' tables laid end to end; the
+    windows that straddle two runs are never read."""
+    w = 2 * H + 1
+    order = np.lexsort((m, group))
+    g, ms = group[order], m[order]
+    new = np.r_[True, (g[1:] != g[:-1]) | (np.diff(ms) > 2 * H)]
+    starts = np.flatnonzero(new)
+    ends = np.r_[starts[1:], len(ms)] - 1
+    lo = ms[starts] - H
+    size = ms[ends] + H + 1 - lo
+    run = np.cumsum(new) - 1
+    at = np.empty(len(m), dtype=np.int64)
+    at[order] = np.r_[0, np.cumsum(size)[:-1]][run] + ms - lo[run] - H
+    values = np.concatenate([table(g[s], np.arange(a, a + n))
+                             for s, a, n in zip(starts, lo, size)])
+    return np.lib.stride_tricks.sliding_window_view(values, w), at
 
 
 def annulus3(k=GOLDEN):

@@ -13,8 +13,9 @@ what ``arr_state`` builds from a point list: by default the list itself,
 which ``arr_step`` moves one point at a time by ``iterate``, as the
 shift's is; the torus and annulus systems, products and powers hold
 numpy states, and a conjugate h f h^-1 holds f's state of its points with
-the list of their preimages under h, which it steps by f.  ``DynSystem``
-derives ``step`` and ``step_inv`` from ``iterate``.
+the list of their preimages under h, which it steps by f, copying along
+the links of an orbit segment from one step of a walk to the next.
+``DynSystem`` derives ``step`` and ``step_inv`` from ``iterate``.
 
 The two metric forms.  A system states its metric once, as the array
 metric: ``arr_cdist`` (the distance matrix between two states) and

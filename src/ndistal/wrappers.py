@@ -3,7 +3,12 @@ the `DynSystem` hooks, which run the orbit engine on their array
 interface.  A product's state is the pair of its factors' states and a
 power's is its base's.  A conjugate g = h f h^-1 holds f's state of its
 points, which f's metric reads, with their preimages under h, and steps
-them by g^n = h f^n h^-1: one f step and one h a point.
+them by g^n = h f^n h^-1.  Along a walk of steps in one direction, a
+point whose preimage steps onto another point's preimage (a link)
+copies that point's next preimage and image, so f and h run only on
+the leading end of each orbit segment and on the points of no segment;
+equal points must hold identical bits, as the catalogue's point types
+do.
 """
 
 from __future__ import annotations
@@ -105,12 +110,29 @@ CONJUGACY_TOL = 1e-9  # h(h_inv(p)) and h_inv(h(p)) must lie this close to p
 
 
 class ConjugateSystem(DynSystem):
-    """g = h o f o h^-1, measured on f's metric.  A state is the pair of
-    f's array state of the points, which f's metric reads as it is, and the
-    list of their preimages u = h^-1(p).  As g^n = h f^n h^-1, a step moves
-    each preimage one f step and rebuilds the images' f-state from h(u):
-    one f step and one h a point, and no h^-1 once the state is built, so
-    the round trip h^-1 o h adds no rounding to the orbit."""
+    """g = h o f o h^-1, measured on f's metric.  A state is
+    (f-state, preimages, images, walk): f's array state of the points,
+    which f's metric reads as it is, the lists of their preimages
+    u = h^-1(p) and of the points themselves, and the (n, link) of the
+    walk that made it.  As g^n = h f^n h^-1, a step moves each preimage
+    one f step and rebuilds the images' f-state: no h^-1 once the state
+    is built, so the round trip h^-1 o h adds no rounding to the orbit.
+    `arr_state` leaves images and walk None; its images, the points, are
+    never read.
+
+    A walk is a run of steps in one direction n = +-1.  Its first step
+    (from `arr_state`, or after a turn) moves every preimage by
+    f.iterate(u, n) and h, and records link[i], the first l whose
+    preimage equals the new preimage of point i, or -1.  Each later step
+    of the walk copies a linked point's preimage and image from point l
+    of the state it steps, and calls f and h only on the others, so a
+    segment of one orbit pays at its leading end alone.  This is exact:
+    along one direction the next preimage of i is the same sequence of f
+    steps as the current preimage of l, and h of equal preimages is one
+    value.  A turn starts a new walk, as f^-n o f^n need not be the
+    identity in floats.  Equal points must hold identical bits, which the
+    catalogue's point types do: `mod1` maps -0.0 to 0.0, and `OrbitIndex`
+    and `SymbolicPoint` hold integers."""
 
     def __init__(self, f, h, h_inv, check_cloud=None):
         self.f = f
@@ -132,12 +154,26 @@ class ConjugateSystem(DynSystem):
 
     def arr_state(self, points):
         points = list(points)
-        return self.f.arr_state(points), [self.h_inv(p) for p in points]
+        return (self.f.arr_state(points), [self.h_inv(p) for p in points],
+                None, None)
 
     def arr_step(self, state, inverse=False):
+        _, pre, images, walk = state
         n = -1 if inverse else 1
-        pre = [self.f.iterate(u, n) for u in state[1]]
-        return self.f.arr_state([self.h(u) for u in pre]), pre
+        if walk is None or walk[0] != n:
+            new = [self.f.iterate(u, n) for u in pre]
+            first = {}
+            for l, u in enumerate(pre):
+                first.setdefault(u, l)
+            walk = n, [first.get(u, -1) for u in new]
+            img = [self.h(u) for u in new]
+        else:
+            link = walk[1]
+            new = [pre[l] if l >= 0 else self.f.iterate(u, n)
+                   for u, l in zip(pre, link)]
+            img = [images[l] if l >= 0 else self.h(u)
+                   for u, l in zip(new, link)]
+        return self.f.arr_state(img), new, img, walk
 
     def arr_iterate(self, state, n):
         if not n:

@@ -310,10 +310,9 @@ def test_conjugate_measures_with_its_base(case, seed):
                      comoving(conj, [x], pts, [H], centre=centre).values[H])
 
 
-def test_conjugate_steps_its_preimages():
-    # the state holds the preimages u = h^-1(p): the co-moving kernel
-    # applies h_inv once a point, when it builds the state, and each step
-    # one f iterate and one h a point
+def counted_conjugate():
+    """An annulus3 conjugate by its own map, and the dict that counts its
+    calls of h, h_inv and f's iterate."""
     f, maps = annulus3(), annulus3()
     calls = {"h": 0, "h_inv": 0, "iterate": 0}
 
@@ -324,9 +323,16 @@ def test_conjugate_steps_its_preimages():
         return call
 
     f.iterate = counted("iterate", f.iterate)
-    conj = conjugate_system(f, counted("h", maps.step),
-                            counted("h_inv", maps.step_inv))
-    pts = list(f.sampler(8).points[::5])
+    return conjugate_system(f, counted("h", maps.step),
+                            counted("h_inv", maps.step_inv)), calls
+
+
+def test_conjugate_steps_its_preimages():
+    # the state holds the preimages u = h^-1(p): the co-moving kernel
+    # applies h_inv once a point, when it builds the state, and each step
+    # one f iterate and one h a point
+    conj, calls = counted_conjugate()
+    pts = list(conj.f.sampler(8).points[::5])
     m, H = len(pts), 6
     comoving(conj, pts, None, [H])
     assert calls == {"h": 2 * H * m, "h_inv": m, "iterate": 2 * H * m}
@@ -335,6 +341,96 @@ def test_conjugate_steps_its_preimages():
         calls.update(h=0, h_inv=0, iterate=0)
         S = conj.arr_step(S, inverse)
         assert calls == {"h": m, "h_inv": 0, "iterate": m}
+
+
+def test_conjugate_walks_copy_along_links():
+    # on a contiguous orbit segment plus c circle points, the first step
+    # of a walk moves every preimage, and each later step in the same
+    # direction copies all but the segment's leading end and the circle
+    # points: c + 1 calls of f and of h
+    conj, calls = counted_conjugate()
+    c = 5
+    pts = [OrbitIndex(n) for n in range(-12, 13)]
+    pts += [Annulus(j / c, 1.0 + j % 2) for j in range(c)]
+    m, H = len(pts), 6
+    comoving(conj, pts, None, [H])
+    later = 2 * (H - 1) * (c + 1)
+    assert calls == {"h": 2 * m + later, "h_inv": m,
+                     "iterate": 2 * m + later}
+    S = conj.arr_state(pts)
+    for inverse, first in ((False, True), (False, False), (True, True),
+                           (True, False), (True, False), (False, True)):
+        calls.update(h=0, h_inv=0, iterate=0)
+        S = conj.arr_step(S, inverse)
+        k = m if first else c + 1
+        assert calls == {"h": k, "h_inv": 0, "iterate": k}
+
+
+class StepEveryPoint(wrappers.ConjugateSystem):
+    """A conjugate with no links, the reference for its walks: its state
+    is f's state of the points and their preimages, and each step moves
+    every preimage by f and h."""
+
+    def arr_state(self, points):
+        points = list(points)
+        return self.f.arr_state(points), [self.h_inv(p) for p in points]
+
+    def arr_step(self, state, inverse=False):
+        n = -1 if inverse else 1
+        pre = [self.f.iterate(u, n) for u in state[1]]
+        return self.f.arr_state([self.h(u) for u in pre]), pre
+
+
+def orbit_segment(sys, x, length):
+    """x and its iterates, each one step of the last."""
+    pts = [x]
+    for _ in range(length - 1):
+        pts.append(sys.step(pts[-1]))
+    return pts
+
+
+def linked_clouds():
+    """(name, f, h, h_inv, points): conjugates on clouds that hold orbit
+    segments of their preimages, as point types with exact steps or the
+    identity h keep them."""
+    ann, skew, sh = annulus3(), SkewTorus(), shift2()
+    ident = lambda p: p
+    yield ("annulus3", ann, ann.step, ann.step_inv,
+           [ann.step(p) for p in ann.sampler(16).points])
+    yield ("skew_torus", skew, ident, ident,
+           orbit_segment(skew, Torus(0.1, 0.2), 25)
+           + [Torus(0.5, 0.25), Torus(0.9, 0.4)])
+    yield ("shift2", sh, sh.step, sh.step_inv,
+           orbit_segment(sh, word_point((1, 0, 1, 1), -2), 12)
+           + [word_point((1, 1)), periodic_point((0, 1))])
+
+
+@pytest.mark.parametrize("case", list(linked_clouds()), ids=lambda c: c[0])
+def test_conjugate_links_keep_every_bit(case):
+    # copying along links gives the bits of stepping every point by f and
+    # h: co-moving extremes (minima and maxima, at centres off 0, against
+    # itself and a cross list), visit minima and self-returns
+    _, f, h, h_inv, pts = case
+    conj, ref = conjugate_system(f, h, h_inv), StepEveryPoint(f, h, h_inv)
+    walk = conj.arr_step(conj.arr_state(pts))[3]
+    assert max(walk[1]) >= 0
+    H = 9
+
+    def same(a, b):
+        return a.shape == b.shape and np.array_equal(
+            a.view(np.uint8), b.view(np.uint8))
+
+    for centre in (-7, 0, 5):
+        for use_max in (False, True):
+            for others in (None, pts[::3]):
+                got = comoving(conj, pts, others, [3, H], use_max, centre)
+                want = comoving(ref, pts, others, [3, H], use_max, centre)
+                assert all(same(got.values[k], want.values[k])
+                           for k in (3, H))
+    assert same(orbit_visit_matrix(conj, pts, pts[::4], H),
+                orbit_visit_matrix(ref, pts, pts[::4], H))
+    assert same(orbit_return_matrix(conj, pts, H),
+                orbit_return_matrix(ref, pts, H))
 
 
 @given(st.sampled_from(["rotation", "skew_torus", "annulus3"]),
@@ -2024,6 +2120,47 @@ def test_annulus_classes_match_references(name, cloud, block, monkeypatch):
                 for h in horizons:
                     assert np.array_equal(got[h], want[h])
     assert not block or split_by(seen, block)
+
+
+def return_clouds(sys):
+    """Clouds whose orbit points read windows of the index tables in
+    every way: overlapping runs, an aligned segment, one beyond REACH,
+    two indices far apart that need tables of their own, and none."""
+    lab = min(sys.orbits)
+    return {"grid": sys.sampler(16).points,
+            "seeded": sys.sampler(24, seed=5).points,
+            "aligned": sys.aligned_cloud(-300, 300).points,
+            "beyond_reach": sys.aligned_cloud(1500, 1600).points,
+            "far_apart": (OrbitIndex(-5000, lab), OrbitIndex(5000, lab),
+                          Annulus(0.25, sys.circles[0])),
+            "empty": ()}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED))
+def test_annulus_returns_read_orbit_windows(name):
+    # each row of `return_distances` is a window of one table of turns
+    # and one of radii per run of overlapping windows, which gives the
+    # per-entry evaluation's float32 bits
+    sys = CLOSED[name]()
+    for cloud, pts in return_clouds(sys).items():
+        S = sys.arr_state(list(pts))
+        for H in (0, 1, 14, 500, 2000):
+            got, want = sys.return_distances(S, H), per_row_returns(sys, S, H)
+            assert got.dtype == want.dtype == np.float32, cloud
+            assert got.shape == want.shape == (len(pts), 2 * H + 1), cloud
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), \
+                (cloud, H)
+
+
+def test_annulus_return_tables_serve_their_rows():
+    # indices whose windows do not overlap read separate tables: here
+    # the runs {-5000}, {0, 3}, {40} and {5000}, the tables of the
+    # indices -5014..-4986, -14..17, 26..54 and 4986..5014
+    m, H = np.array([5000, -5000, 3, 0, 40]), 14
+    W, at = annulus._windows(np.zeros_like(m), m, H, lambda _, j: j)
+    assert len(W) + 2 * H == 3 * (2 * H + 1) + 3 + 2 * H + 1
+    for i, x in enumerate(m):
+        assert np.array_equal(W[at[i]], np.arange(x - H, x + H + 1))
 
 
 @pytest.mark.parametrize("use_max", [False, True])
