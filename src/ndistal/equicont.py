@@ -32,7 +32,7 @@ DEFAULT_DELTA_GRID = (0.2, 0.1, 0.05, 0.02, 0.01)
 DEFAULT_H = 200
 TIE_TOL = 1e-12
 EXACT_BUDGET = 20000  # most (N+1)-subsets of a return set for exact diam_N
-LEVEL_BLOCK = 2 ** 17  # most elements of one gathered block of return-set
+LEVEL_BLOCK = 2 ** 16  # most elements of one gathered block of return-set
                        # distance matrices
 
 
@@ -272,8 +272,9 @@ def n_equicontinuity_probe(sys, cloud: PointCloud, N: int, epsilon: float,
     # the cloud's state, built once for D0 and the spot checks
     S = sys.arr_state(list(cloud.points))
     D0 = sys.arr_pdist(S)
-    pos = D0[D0 > 0.0]
-    mesh = float(pos.min()) if pos.size else 0.0
+    mesh = float(D0.min(where=D0 > 0.0, initial=np.inf))
+    if mesh == np.inf:  # no two points apart
+        mesh = 0.0
     base_idx = _dispersed_bases(D0, min(n_bases, m))
     # the levels read only rows < delta, so entries past the widest delta
     # need not be exact

@@ -210,9 +210,7 @@ def mesh(sys, points):
         # the upper triangle: each block against itself and later points
         D = sys.arr_cdist(sys.arr_state(points[rows]),
                           sys.arr_state(points[rows.start:]))
-        pos = D[D > 0.0]
-        if pos.size:
-            best = min(best, float(pos.min()))
+        best = min(best, float(D.min(where=D > 0.0, initial=np.inf)))
     return best
 
 

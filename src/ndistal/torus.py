@@ -18,7 +18,9 @@ from .points import PointCloud, Torus, arr_mod1
 def _torus_dist(dx, dy):
     """The torus metric of coordinate differences: each reduced to
     [-1/2, 1/2] as d - round(d), then sqrt(dx^2 + dy^2).  Works in place
-    on dx and dy, so a matrix costs one temporary beside them."""
+    on dx and dy, so a call costs one temporary beside them; a distance
+    matrix passes one row block at a time (`_TorusBase.arr_cdist`), so
+    its temporaries are a block's."""
     for d in (dx, dy):
         d -= np.round(d)
         d *= d
@@ -53,7 +55,9 @@ def _class_groups(A, B):
     groups: yields each group's classes and its row blocks of at most
     _CLASS_BLOCK pairs as (rows, each pair's class index).  A matrix of
     several blocks whose codes fit _CLASS_BLOCK is one group; otherwise each
-    block is one, with gap tables of its own."""
+    block is one, with gap tables of its own.  Its one caller is the full
+    list of `_TorusBase.comoving_pairs` with shear and more than one row:
+    a single row's differences share too little to pay for the tables."""
     blocks = _row_blocks(len(A), len(B), _CLASS_BLOCK)
     budget = max(_CLASS_BLOCK, len(B))  # the pairs of one block
     whole = len(blocks) > 1 and _gap_codes(A, B, budget)
@@ -238,8 +242,17 @@ class _TorusBase(DynSystem):
         return s
 
     def arr_cdist(self, sa, sb):
-        return _torus_dist(sa[:, None, 0] - sb[None, :, 0],
-                           sa[:, None, 1] - sb[None, :, 1])
+        """The distance matrix, in row blocks of at most _CLASS_BLOCK
+        pairs: each block's x-differences are taken into its rows of the
+        output and `_torus_dist` finishes them there, so the temporaries
+        are a block's, not the matrix's.  The metric is elementwise, so
+        every entry has the bits of the one-shot expression."""
+        xb, yb = sb[:, 0].copy(), sb[:, 1].copy()
+        D = np.empty((len(sa), len(sb)))
+        for rows in _row_blocks(len(sa), len(sb), _CLASS_BLOCK):
+            _torus_dist(np.subtract(sa[rows, None, 0], xb, out=D[rows]),
+                        sa[rows, None, 1] - yb)
+        return D
 
     def arr_edist(self, sa, sb):
         return _torus_dist(sa[:, 0] - sb[:, 0], sa[:, 1] - sb[:, 1])
@@ -251,13 +264,15 @@ class _TorusBase(DynSystem):
         (dx, dy), so each distinct difference is swept once
         (`_sweep_classes`).  A full list goes by the groups of
         `_class_groups` and gathers each group's extremes back into its
-        row blocks; under `below` the pairs that `_near_pairs` keeps are
-        swept as a list of their distinct differences, each class's
-        extremes independent of the other classes of the call, so the
-        two agree bit for bit (a full list when it keeps too many).  The
-        differences are not reduced before deduplication, so (i, j) and
-        (j, i) are exact negatives and a cloud against itself is exactly
-        symmetric.
+        row blocks.  A full list of one row sweeps its raw differences
+        directly: against distinct points each is its own class, and
+        `_progression_gaps` deduplicates what repeats.  Under `below` the
+        pairs that `_near_pairs` keeps are swept as a list of their
+        distinct differences.  Each class's extremes are independent of
+        the other classes of the call, so all three agree bit for bit (a
+        full list when `_near_pairs` keeps too many).  The differences
+        are not reduced before deduplication, so (i, j) and (j, i) are
+        exact negatives and a cloud against itself is exactly symmetric.
 
         An isometry (shear 0: the rotation, the identity) keeps every
         pair's distance, so each horizon gets the time-0 distances, at any
@@ -271,6 +286,13 @@ class _TorusBase(DynSystem):
                 D, H = self.arr_cdist(A, other), max(horizons)
                 out = {h: D if h == H else D.copy() for h in horizons}
                 return PairExtremes.of_matrices(out)
+            if len(A) == 1:
+                # each difference of one row against distinct points is
+                # its own class, so a class table would share nothing
+                diff = (A - other).view(np.complex128).ravel()
+                ext = self._sweep_classes(diff, horizons, use_max, centre)
+                return PairExtremes.of_matrices(
+                    {h: e.reshape(1, -1) for h, e in ext.items()})
             out = {h: np.empty((len(A), len(other))) for h in horizons}
             for classes, blocks in _class_groups(A, other):
                 ext = self._sweep_classes(classes, horizons, use_max, centre)

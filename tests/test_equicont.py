@@ -3,6 +3,7 @@ product witness construction."""
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +323,21 @@ def test_probe_builds_the_cloud_state_once(make, monkeypatch):
         x = cloud[int(rng.integers(0, len(cloud)))]
         want.append(r_set_equivariance_check(s, x, mid_delta, cloud, H, n))
     assert verdict.spot_checks == want
+
+
+def test_probe_memory_is_about_its_static_matrix():
+    # the skew 48^2 probe: D0 built in row blocks, its mesh read with no
+    # copy of the positive entries and the level blocks at LEVEL_BLOCK;
+    # with one-shot temporaries the peak was 3.0 times D0
+    s = SkewTorus()
+    cloud = s.sampler(48)
+    tracemalloc.start()
+    try:
+        n_equicontinuity_probe(s, cloud, N=2, epsilon=0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * len(cloud) ** 2 * 8
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from ndistal.kernels import (comoving, max_orbit_distance, mesh,
                              min_orbit_distance, nearest, orbit_min_pairs,
                              orbit_return_matrix, orbit_visit_matrix)
-from ndistal import (annulus, base, kernels, shift, systems, torus,
-                     wrappers)
+from ndistal import (annulus, base, equicont, kernels, shift, systems,
+                     torus, wrappers)
 from ndistal.errors import ParameterError
 from ndistal.points import (Annulus, OrbitIndex, PointCloud, SymbolicPoint,
                             Torus, circ_gap, periodic_point,
@@ -905,6 +905,58 @@ def test_progression_lookup_matches_scan_bit_for_bit(centre, use_max):
         assert np.array_equal(lookup[h].view(np.uint64),
                               scan[h].view(np.uint64))
         assert np.array_equal(scan[h], direct_gaps(r, y, h))
+
+
+def one_row_clouds():
+    """(rows, B) of the one-row cases: the permuted 24^2 skew grid against
+    itself, and a seeded cloud whose B repeats some of its points."""
+    grid = skew_grid()
+    cloud = random_torus(41, 200)
+    rng = np.random.default_rng(42)
+    repeated = cloud + [cloud[int(i)] for i in rng.integers(0, 200, 30)]
+    return {"skew-grid-576": (grid[:48], grid),
+            "repeats": (cloud[:30] + repeated[-5:], repeated)}
+
+
+@pytest.mark.parametrize("cloud", ["skew-grid-576", "repeats"])
+@pytest.mark.parametrize("centre", [-7, 0, 37])
+@pytest.mark.parametrize("use_max", [False, True])
+def test_one_row_sweep_matches_class_tables(cloud, centre, use_max,
+                                            monkeypatch):
+    # a one-row call sweeps its raw differences with no class table; each
+    # row gets the bits its row of a multi-row call gets from the tables
+    rows, cols = one_row_clouds()[cloud]
+    sys, horizons = SkewTorus(), {0, 1, 50, 200}
+    A, B = sys.arr_state(rows), sys.arr_state(cols)
+    want = sys.comoving_extremes(A, B, horizons, use_max, centre)
+    calls = []
+    groups = torus._class_groups
+    monkeypatch.setattr(torus, "_class_groups",
+                        lambda *a: calls.append(1) or groups(*a))
+    for i in range(len(A)):
+        got = sys.comoving_extremes(A[i:i + 1], B, horizons, use_max, centre)
+        assert set(got) == horizons
+        for h in horizons:
+            assert got[h].shape == (1, len(B))
+            assert np.array_equal(got[h][0].view(np.uint64),
+                                  want[h][i].view(np.uint64))
+    assert not calls
+
+
+def test_probe_spot_checks_build_no_class_tables(monkeypatch):
+    # the skew probe's spot checks are one-row calls: only its base rows
+    # build class tables
+    sys, cloud = SkewTorus(), SkewTorus().sampler(24)
+    calls = []
+    groups = torus._class_groups
+    monkeypatch.setattr(torus, "_class_groups",
+                        lambda *a: calls.append(1) or groups(*a))
+    checks = equicont.n_equicontinuity_probe(sys, cloud, 2, 0.2).spot_checks
+    with_checks = len(calls)
+    calls.clear()
+    equicont.n_equicontinuity_probe(sys, cloud, 2, 0.2, n_spot_checks=0)
+    assert len(checks) == 10 and all(checks)
+    assert with_checks == len(calls) == 1
 
 
 def test_torus_hook_runs_no_step_loop(monkeypatch):

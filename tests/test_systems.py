@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -584,3 +585,73 @@ def test_arr_iterate_is_iterate_on_every_point(case):
     for n in ns:
         want = s.arr_state([s.iterate(p, n) for p in pts])
         assert same_state(s.arr_iterate(S, n), want), n
+
+
+# ---------------------------------------------------------------------------
+# the torus metric in row blocks
+# ---------------------------------------------------------------------------
+
+def one_shot_torus_cdist(sa, sb):
+    """The torus distance matrix as one expression over the whole
+    matrix, as `_TorusBase.arr_cdist` computed it before row blocks."""
+    return torus._torus_dist(sa[:, None, 0] - sb[None, :, 0],
+                             sa[:, None, 1] - sb[None, :, 1])
+
+
+def near_one_torus_cloud():
+    s = SkewTorus()
+    pts = near_one_points(s, np.random.default_rng(17), JUMPS)
+    return s, pts + [Torus(float(x), float(y)) for x, y in
+                     np.random.default_rng(18).random((40, 2))]
+
+
+# (system, pts_a, pts_b); pts_b None is arr_pdist of pts_a
+TORUS_CDIST_CASES = {
+    "skew-grid-48": lambda: (SkewTorus(), SkewTorus().sampler(48).points,
+                             None),
+    "near-one": lambda: (*near_one_torus_cloud(), None),
+    "rotation": lambda: (Rotation(), Rotation().sampler(256).points,
+                         Rotation().sampler(64, seed=4).points),
+    "identity": lambda: (IdentityTorus(), IdentityTorus().sampler(16).points,
+                         None),
+    "1xm": lambda: (SkewTorus(), SkewTorus().sampler(24).points[5:6],
+                    SkewTorus().sampler(24).points),
+    "mx1": lambda: (SkewTorus(), SkewTorus().sampler(24).points,
+                    SkewTorus().sampler(24).points[5:6]),
+    "0xm": lambda: (SkewTorus(), [], SkewTorus().sampler(24).points),
+    "mx0": lambda: (SkewTorus(), SkewTorus().sampler(24).points, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TORUS_CDIST_CASES))
+def test_torus_cdist_blocks_match_one_shot(case):
+    # every entry has the bits of the one-shot expression, whatever the
+    # number of row blocks
+    s, pts_a, pts_b = TORUS_CDIST_CASES[case]()
+    sa = s.arr_state(list(pts_a))
+    if pts_b is None:
+        got, sb = s.arr_pdist(sa), sa
+    else:
+        sb = s.arr_state(list(pts_b))
+        got = s.arr_cdist(sa, sb)
+    want = one_shot_torus_cdist(sa, sb)
+    assert got.shape == want.shape == (len(sa), len(sb))
+    assert got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if case == "skew-grid-48":
+        assert len(torus._row_blocks(len(sa), len(sb),
+                                     torus._CLASS_BLOCK)) > 1
+
+
+def test_torus_pdist_memory_is_its_output():
+    # the one-shot matrix held three more matrices of temporaries (121.5
+    # MiB at its peak for a 40.5 MiB output); row blocks hold a block's
+    s = SkewTorus()
+    S = s.arr_state(list(s.sampler(48).points))
+    tracemalloc.start()
+    try:
+        D = s.arr_pdist(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < D.nbytes + 4 * 2 ** 20
